@@ -143,11 +143,10 @@ func decodeSnapshotWire(wire *snapshotWire) (*Snapshot, error) {
 			}
 			rows[i] = row
 		}
-		t, err := sqlmini.NewTempTable(tw.Name, tw.Cols, rows)
+		t, err := sqlmini.NewTable(tw.Name, tw.Cols, rows, tw.NextAuto)
 		if err != nil {
 			return nil, err
 		}
-		t.NextAuto = tw.NextAuto
 		out.Tables = append(out.Tables, t)
 	}
 	return out, nil

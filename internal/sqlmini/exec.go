@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"strings"
 )
 
@@ -44,6 +45,7 @@ func (db *DB) execCreate(c *CreateTable) (*Result, error) {
 		return nil, err
 	}
 	db.tables[lname] = t
+	db.journal = append(db.journal, undoEntry{kind: undoCreate, t: t})
 	return &Result{}, nil
 }
 
@@ -53,13 +55,16 @@ func (db *DB) execInsert(ins *Insert) (*Result, error) {
 		return nil, err
 	}
 	colIdxs := make([]int, len(ins.Cols))
+	explicitID := false
 	for i, c := range ins.Cols {
 		idx := t.ColIndex(c)
 		if idx < 0 {
 			return nil, fmt.Errorf("sqlmini: no column %q in %q", c, ins.Table)
 		}
 		colIdxs[i] = idx
+		explicitID = explicitID || idx == t.autoCol
 	}
+	db.journal = append(db.journal, undoEntry{kind: undoInsert, t: t, n: len(t.Rows), nextAuto: t.NextAuto})
 	res := &Result{}
 	for _, vals := range ins.Rows {
 		row := make([]Val, len(t.Cols))
@@ -70,11 +75,7 @@ func (db *DB) execInsert(ins *Insert) (*Result, error) {
 			}
 			row[colIdxs[i]] = cv
 		}
-		assignedCols := make(map[int]bool, len(colIdxs))
-		for _, ci := range colIdxs {
-			assignedCols[ci] = true
-		}
-		if t.autoCol >= 0 && !assignedCols[t.autoCol] {
+		if t.autoCol >= 0 && !explicitID {
 			row[t.autoCol] = t.NextAuto
 			res.InsertID = t.NextAuto
 			t.NextAuto++
@@ -85,6 +86,11 @@ func (db *DB) execInsert(ins *Insert) (*Result, error) {
 				if id >= t.NextAuto {
 					t.NextAuto = id + 1
 				}
+			}
+		}
+		for ci, ix := range t.idx {
+			if ix != nil {
+				ix.Add(row[ci], len(t.Rows))
 			}
 		}
 		t.Rows = append(t.Rows, row)
@@ -98,17 +104,23 @@ func (db *DB) execSelect(sel *Select) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return SelectOver(t, sel)
-}
-
-// SelectOver runs a parsed SELECT against an explicit table snapshot,
-// without locking. It is shared with the versioned store, which
-// materializes version-visible rows into a temporary Table.
-func SelectOver(t *Table, sel *Select) (*Result, error) {
-	matched, err := filterRows(t, sel.Where)
+	pos, err := t.matching(sel.Where)
 	if err != nil {
 		return nil, err
 	}
+	matched := make([][]Val, len(pos))
+	for i, ri := range pos {
+		matched[i] = t.Rows[ri]
+	}
+	return SelectMatched(t, sel, matched)
+}
+
+// SelectMatched finishes a SELECT given the rows that satisfied its WHERE
+// clause, in scan order: COUNT(*), stable ORDER BY, LIMIT/OFFSET, then
+// projection into fresh result rows. t supplies the schema only; matched
+// is reordered in place. The versioned store shares it, passing the
+// version-visible rows that matched.
+func SelectMatched(t *Table, sel *Select, matched [][]Val) (*Result, error) {
 	if sel.Count {
 		return &Result{Cols: []string{"count"}, Rows: [][]Val{{int64(len(matched))}}}, nil
 	}
@@ -122,7 +134,7 @@ func SelectOver(t *Table, sel *Select) (*Result, error) {
 			keys[i] = ci
 		}
 		sort.SliceStable(matched, func(a, b int) bool {
-			ra, rb := t.Rows[matched[a]], t.Rows[matched[b]]
+			ra, rb := matched[a], matched[b]
 			for i, ci := range keys {
 				c := compareVals(ra[ci], rb[ci])
 				if c == 0 {
@@ -168,10 +180,10 @@ func SelectOver(t *Table, sel *Select) (*Result, error) {
 		}
 	}
 	rows := make([][]Val, len(matched))
-	for i, ri := range matched {
+	for i, src := range matched {
 		row := make([]Val, len(proj))
 		for j, ci := range proj {
-			row[j] = t.Rows[ri][ci]
+			row[j] = src[ci]
 		}
 		rows[i] = row
 	}
@@ -183,14 +195,15 @@ func (db *DB) execUpdate(up *Update) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	matched, err := filterRows(t, up.Where)
+	matched, err := t.matching(up.Where)
 	if err != nil {
 		return nil, err
 	}
 	type setOp struct {
 		col  int
-		val  Val
-		self string
+		val  Val // the coerced literal, or the self-op's delta
+		err  error
+		self bool
 		base int
 	}
 	sets := make([]setOp, len(up.Sets))
@@ -199,33 +212,43 @@ func (db *DB) execUpdate(up *Update) (*Result, error) {
 		if ci < 0 {
 			return nil, fmt.Errorf("sqlmini: no column %q in %q", sc.Col, up.Table)
 		}
-		op := setOp{col: ci, val: sc.Val, self: sc.SelfOp, base: -1}
-		if sc.SelfOp != "" {
-			bi := t.ColIndex(sc.SelfBase)
-			if bi < 0 {
+		op := setOp{col: ci, self: sc.SelfOp != ""}
+		if op.self {
+			if op.base = t.ColIndex(sc.SelfBase); op.base < 0 {
 				return nil, fmt.Errorf("sqlmini: no column %q in SET expression", sc.SelfBase)
 			}
-			op.base = bi
+			delta := toInt64(sc.Val)
+			if sc.SelfOp == "-" {
+				delta = -delta
+			}
+			op.val = delta
+		} else {
+			// A literal that does not fit the column fails the statement
+			// only if some row is actually updated.
+			op.val, op.err = coerceCol(t.Cols[ci], sc.Val)
 		}
 		sets[i] = op
 	}
 	for _, ri := range matched {
-		row := t.Rows[ri]
+		old := t.Rows[ri]
+		row := append([]Val(nil), old...)
 		for _, s := range sets {
-			if s.self == "" {
-				cv, err := coerceCol(t.Cols[s.col], s.val)
-				if err != nil {
-					return nil, err
-				}
-				row[s.col] = cv
-				continue
+			switch {
+			case s.err != nil:
+				return nil, s.err
+			case s.self:
+				row[s.col] = toInt64(row[s.base]) + s.val.(int64)
+			default:
+				row[s.col] = s.val
 			}
-			base := toInt64(row[s.base])
-			delta := toInt64(s.val)
-			if s.self == "-" {
-				delta = -delta
+		}
+		db.journal = append(db.journal, undoEntry{kind: undoUpdate, t: t, n: ri, row: old})
+		t.Rows[ri] = row
+		for ci, ix := range t.idx {
+			if ix != nil && old[ci] != row[ci] {
+				ix.Remove(old[ci], ri)
+				ix.Add(row[ci], ri)
 			}
-			row[s.col] = base + delta
 		}
 	}
 	return &Result{Affected: int64(len(matched))}, nil
@@ -236,41 +259,25 @@ func (db *DB) execDelete(del *Delete) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	matched, err := filterRows(t, del.Where)
+	matched, err := t.matching(del.Where)
 	if err != nil {
 		return nil, err
 	}
 	if len(matched) == 0 {
 		return &Result{}, nil
 	}
-	drop := make(map[int]bool, len(matched))
+	// Compact into a fresh slice: the journal keeps the old one, whole, as
+	// the pre-image, and row positions shift, so the indexes start over.
+	kept := make([][]Val, 0, len(t.Rows)-len(matched))
+	next := 0
 	for _, ri := range matched {
-		drop[ri] = true
+		kept = append(kept, t.Rows[next:ri]...)
+		next = ri + 1
 	}
-	kept := t.Rows[:0]
-	for i, r := range t.Rows {
-		if !drop[i] {
-			kept = append(kept, r)
-		}
-	}
-	t.Rows = kept
+	kept = append(kept, t.Rows[next:]...)
+	db.journal = append(db.journal, undoEntry{kind: undoDelete, t: t, rows: t.Rows})
+	t.Rows, t.idx = kept, nil
 	return &Result{Affected: int64(len(matched))}, nil
-}
-
-// NewTempTable builds a Table from explicit columns and rows; used by the
-// versioned store to evaluate SELECTs over version-visible rows.
-func NewTempTable(name string, cols []Column, rows [][]Val) (*Table, error) {
-	t, err := newTable(name, cols)
-	if err != nil {
-		return nil, err
-	}
-	t.Rows = rows
-	return t, nil
-}
-
-// MatchRow reports whether row satisfies cond under t's schema.
-func MatchRow(t *Table, row []Val, cond Cond) (bool, error) {
-	return evalCond(t, row, cond)
 }
 
 // CoerceCol converts a literal to the column's storage type (exported for
@@ -279,111 +286,10 @@ func CoerceCol(c Column, v Val) (Val, error) {
 	return coerceCol(c, v)
 }
 
-// filterRows returns indices of rows matching cond, in insertion order.
-func filterRows(t *Table, cond Cond) ([]int, error) {
-	out := make([]int, 0, len(t.Rows))
-	for i, row := range t.Rows {
-		ok, err := evalCond(t, row, cond)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			out = append(out, i)
-		}
-	}
-	return out, nil
-}
-
-func evalCond(t *Table, row []Val, cond Cond) (bool, error) {
-	if cond == nil {
-		return true, nil
-	}
-	switch c := cond.(type) {
-	case *AndCond:
-		l, err := evalCond(t, row, c.L)
-		if err != nil || !l {
-			return false, err
-		}
-		return evalCond(t, row, c.R)
-	case *OrCond:
-		l, err := evalCond(t, row, c.L)
-		if err != nil {
-			return false, err
-		}
-		if l {
-			return true, nil
-		}
-		return evalCond(t, row, c.R)
-	case *NotCond:
-		v, err := evalCond(t, row, c.C)
-		if err != nil {
-			return false, err
-		}
-		return !v, nil
-	case *CmpCond:
-		ci := t.ColIndex(c.Col)
-		if ci < 0 {
-			return false, fmt.Errorf("sqlmini: no column %q", c.Col)
-		}
-		cell := row[ci]
-		if cell == nil || c.Val == nil {
-			// SQL three-valued logic, restricted: NULL matches only "= NULL"/"!= NULL".
-			switch c.Op {
-			case "=":
-				return cell == nil && c.Val == nil, nil
-			case "!=", "<>":
-				return (cell == nil) != (c.Val == nil), nil
-			default:
-				return false, nil
-			}
-		}
-		cmp := compareVals(cell, c.Val)
-		switch c.Op {
-		case "=":
-			return cmp == 0, nil
-		case "!=", "<>":
-			return cmp != 0, nil
-		case "<":
-			return cmp < 0, nil
-		case "<=":
-			return cmp <= 0, nil
-		case ">":
-			return cmp > 0, nil
-		case ">=":
-			return cmp >= 0, nil
-		default:
-			return false, fmt.Errorf("sqlmini: bad operator %q", c.Op)
-		}
-	case *LikeCond:
-		ci := t.ColIndex(c.Col)
-		if ci < 0 {
-			return false, fmt.Errorf("sqlmini: no column %q", c.Col)
-		}
-		s, ok := row[ci].(string)
-		if !ok {
-			s = valToString(row[ci])
-		}
-		return likeMatch(s, c.Pattern), nil
-	case *InCond:
-		ci := t.ColIndex(c.Col)
-		if ci < 0 {
-			return false, fmt.Errorf("sqlmini: no column %q", c.Col)
-		}
-		for _, v := range c.Vals {
-			if v == nil || row[ci] == nil {
-				if v == nil && row[ci] == nil {
-					return true, nil
-				}
-				continue
-			}
-			if compareVals(row[ci], v) == 0 {
-				return true, nil
-			}
-		}
-		return false, nil
-	default:
-		return false, fmt.Errorf("sqlmini: unknown condition %T", cond)
-	}
+// matching returns the positions of the rows satisfying cond, ascending
+// (insertion order), through an equality index where cond allows one.
+func (t *Table) matching(cond Cond) ([]int, error) {
+	return Bind(t, cond).Filter(len(t.Rows), t.index, func(pos int) []Val { return t.Rows[pos] })
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any char).
@@ -478,9 +384,9 @@ func valToString(v Val) string {
 	case string:
 		return x
 	case int64:
-		return fmt.Sprintf("%d", x)
+		return strconv.FormatInt(x, 10)
 	case float64:
-		return fmt.Sprintf("%g", x)
+		return strconv.FormatFloat(x, 'g', -1, 64)
 	default:
 		return fmt.Sprintf("%v", v)
 	}

@@ -64,7 +64,9 @@ type Result struct {
 	InsertID int64
 }
 
-// Table holds rows in insertion order.
+// Table holds rows in insertion order. A row is immutable once it is in
+// a table: UPDATE installs a modified copy, so row slices may be shared
+// with snapshots, undo journals and the versioned store without copying.
 type Table struct {
 	Name     string
 	Cols     []Column
@@ -72,6 +74,13 @@ type Table struct {
 	Rows     [][]Val
 	NextAuto int64
 	autoCol  int // index of the auto-increment column, -1 if none
+
+	// idx holds the equality indexes built so far, by column (nil until a
+	// statement first probes that column). idxMu orders the lazy builds of
+	// concurrent read-only transactions; writers hold the database's
+	// exclusive lock and maintain the indexes in place.
+	idxMu sync.Mutex
+	idx   []*EqIndex
 }
 
 func newTable(name string, cols []Column) (*Table, error) {
@@ -95,12 +104,41 @@ func newTable(name string, cols []Column) (*Table, error) {
 	return t, nil
 }
 
+// NewTable builds a Table from explicit columns, rows and auto-increment
+// counter (the decoded form of a stored snapshot, or the versioned
+// store's migrated final state). The table takes ownership of rows.
+func NewTable(name string, cols []Column, rows [][]Val, nextAuto int64) (*Table, error) {
+	t, err := newTable(name, cols)
+	if err != nil {
+		return nil, err
+	}
+	t.Rows, t.NextAuto = rows, nextAuto
+	return t, nil
+}
+
 // ColIndex returns the index of the named column, or -1.
 func (t *Table) ColIndex(name string) int {
 	if i, ok := t.colIdx[strings.ToLower(name)]; ok {
 		return i
 	}
 	return -1
+}
+
+// index returns the equality index on column ci, building it on first use.
+func (t *Table) index(ci int) *EqIndex {
+	t.idxMu.Lock()
+	defer t.idxMu.Unlock()
+	if t.idx == nil {
+		t.idx = make([]*EqIndex, len(t.Cols))
+	}
+	if t.idx[ci] == nil {
+		ix := NewEqIndex()
+		for pos, row := range t.Rows {
+			ix.Add(row[ci], pos)
+		}
+		t.idx[ci] = ix
+	}
+	return t.idx[ci]
 }
 
 // DB is a deterministic in-memory SQL database. All public methods are
@@ -119,6 +157,9 @@ type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	seq    atomic.Int64
+	// journal is the running write transaction's undo log (guarded by the
+	// exclusive lock, reused across transactions).
+	journal []undoEntry
 }
 
 // NewDB returns an empty database.
@@ -164,7 +205,7 @@ func (db *DB) ExecTxnSeq(stmts []string) ([]*Result, int64, error) {
 	if readOnly {
 		// Read-only fast path: SELECTs never mutate table state, so the
 		// transaction runs under the shared lock, concurrently with other
-		// readers. No undo snapshot is needed.
+		// readers. No undo journal is needed.
 		db.mu.RLock()
 		defer db.mu.RUnlock()
 		seq := db.seq.Add(1)
@@ -181,12 +222,15 @@ func (db *DB) ExecTxnSeq(stmts []string) ([]*Result, int64, error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	seq := db.seq.Add(1)
-	undo := db.snapshotFor(parsed)
+	defer func() {
+		clear(db.journal) // drop the pre-images
+		db.journal = db.journal[:0]
+	}()
 	out := make([]*Result, len(parsed))
 	for i, p := range parsed {
 		r, err := db.execStmt(p)
 		if err != nil {
-			db.restore(undo)
+			db.rollback()
 			return nil, seq, err
 		}
 		out[i] = r
@@ -194,54 +238,47 @@ func (db *DB) ExecTxnSeq(stmts []string) ([]*Result, int64, error) {
 	return out, seq, nil
 }
 
-// tableSnapshot records a table's state for rollback.
-type tableSnapshot struct {
-	name     string
-	existed  bool
-	rows     [][]Val
-	nextAuto int64
+// undoEntry is one step of a write transaction's undo journal. Each
+// write statement logs what it is about to overwrite — never the table —
+// so a transaction costs what it touches: an INSERT its pre-statement
+// row count and counter, an UPDATE the replaced row, a DELETE the row
+// slice it compacted away from, a CREATE the table it added.
+type undoEntry struct {
+	kind     undoKind
+	t        *Table
+	n        int     // undoInsert: row count before; undoUpdate: row position
+	nextAuto int64   // undoInsert
+	row      []Val   // undoUpdate: the replaced row
+	rows     [][]Val // undoDelete: the rows before compaction
 }
 
-// snapshotFor captures the pre-state of every table the statements touch.
-func (db *DB) snapshotFor(stmts []Stmt) []tableSnapshot {
-	seen := map[string]bool{}
-	var snaps []tableSnapshot
-	for _, s := range stmts {
-		for _, name := range TablesOf(s) {
-			lname := strings.ToLower(name)
-			if seen[lname] {
-				continue
-			}
-			seen[lname] = true
-			t, ok := db.tables[lname]
-			if !ok {
-				snaps = append(snaps, tableSnapshot{name: lname})
-				continue
-			}
-			rows := make([][]Val, len(t.Rows))
-			for i, r := range t.Rows {
-				rc := make([]Val, len(r))
-				copy(rc, r)
-				rows[i] = rc
-			}
-			snaps = append(snaps, tableSnapshot{name: lname, existed: true, rows: rows, nextAuto: t.NextAuto})
-		}
-	}
-	return snaps
-}
+type undoKind uint8
 
-func (db *DB) restore(snaps []tableSnapshot) {
-	for _, s := range snaps {
-		if !s.existed {
-			delete(db.tables, s.name)
-			continue
+const (
+	undoInsert undoKind = iota
+	undoUpdate
+	undoDelete
+	undoCreate
+)
+
+// rollback undoes the journal newest-first, restoring rows, row order,
+// counters and the table set. Indexes of touched tables are dropped
+// rather than repaired (the next probe rebuilds them): aborts are rare.
+func (db *DB) rollback() {
+	for i := len(db.journal) - 1; i >= 0; i-- {
+		e := &db.journal[i]
+		switch e.kind {
+		case undoInsert:
+			clear(e.t.Rows[e.n:])
+			e.t.Rows, e.t.NextAuto = e.t.Rows[:e.n], e.nextAuto
+		case undoUpdate:
+			e.t.Rows[e.n] = e.row
+		case undoDelete:
+			e.t.Rows = e.rows
+		case undoCreate:
+			delete(db.tables, strings.ToLower(e.t.Name))
 		}
-		t := db.tables[s.name]
-		if t == nil {
-			continue
-		}
-		t.Rows = s.rows
-		t.NextAuto = s.nextAuto
+		e.t.idx = nil
 	}
 }
 

@@ -80,6 +80,53 @@ func TestAuditPeriodChaining(t *testing.T) {
 	}
 }
 
+// TestChainingCarriesAutoIncrementPastDeletedMax: the hand-off must carry
+// the table's auto-increment counter, not re-derive it from the surviving
+// rows. Period 1 deletes the max-id row, so the live server's counter (3)
+// is past max(id)+1 (2); period 2's auto-insert gets id 3 online, and the
+// chained redo must assign 3 too or an honest server is rejected.
+func TestChainingCarriesAutoIncrementPastDeletedMax(t *testing.T) {
+	prog := compileApp(t)
+	srv := newServerForTest(t, prog)
+	if err := srv.Setup(testSchema); err != nil {
+		t.Fatal(err)
+	}
+	initState := srv.Snapshot()
+	srv.ServeAll([]trace.Input{
+		{Script: "post", Post: map[string]string{"title": "kept"}},
+		{Script: "post", Post: map[string]string{"title": "doomed"}},
+		{Script: "unpost", Get: map[string]string{"id": "2"}},
+	}, 1)
+	res1, err := Audit(prog, srv.Trace(), srv.Reports(), initState, Options{})
+	if err != nil || !res1.Accepted {
+		t.Fatalf("period 1: %v %+v", err, res1)
+	}
+	chained, err := res1.FinalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.NewPeriod()
+	srv.ServeAll([]trace.Input{
+		{Script: "post", Post: map[string]string{"title": "after"}},
+		{Script: "list"},
+	}, 1)
+	tr2 := srv.Trace()
+	sawThird := false
+	for _, ev := range tr2.Events {
+		sawThird = sawThird || (ev.Kind == trace.Response && contains(ev.Body, "created post 3"))
+	}
+	if !sawThird {
+		t.Fatal("the live server did not assign id 3: the scenario is not exercised")
+	}
+	res2, err := Audit(prog, tr2, srv.Reports(), chained, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res2.Accepted {
+		t.Fatalf("honest period 2 rejected: %s", res2.Reason)
+	}
+}
+
 // TestChainedSnapshotRejectedIfStale: feeding the wrong initial state
 // (period 1's start instead of its end) must fail period 2's audit.
 func TestChainedSnapshotRejectedIfStale(t *testing.T) {

@@ -129,7 +129,7 @@ func OOOAuditContextOpts(ctx context.Context, prog *lang.Program, tr *trace.Trac
 						&Forensics{Phase: PhaseRedo, Check: "log-shape", Object: objID.String(), OpIndex: j + 1})
 				}
 				if e.OK {
-					if err := env.vdb.ApplyTxn(int64(j+1), e.Stmts); err != nil {
+					if err := env.vdb.ApplyTxnWith(int64(j+1), e.Stmts, env.parseSQL); err != nil {
 						return reject("versioned redo failed: "+err.Error(),
 							&Forensics{Phase: PhaseRedo, Check: "redo-apply", Object: objID.String(), OpIndex: j + 1})
 					}

@@ -167,7 +167,7 @@ func redoDBLogs(env *auditEnv, rep *reports.Reports, objs []int) *redoOutcome {
 			if !e.OK {
 				continue // aborted transaction: no state effect
 			}
-			if err := env.vdb.ApplyTxn(int64(j+1), e.Stmts); err != nil {
+			if err := env.vdb.ApplyTxnWith(int64(j+1), e.Stmts, env.parseSQL); err != nil {
 				return redoFail(rep, i, j+1, "redo-apply", "versioned redo failed: "+err.Error())
 			}
 		}

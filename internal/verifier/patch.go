@@ -139,7 +139,7 @@ func PatchAuditContextOpts(ctx context.Context, patched *lang.Program, tr *trace
 		case reports.DBObj:
 			for j, e := range rep.OpLogs[i] {
 				if e.Type == lang.DBOp && e.OK {
-					if err := env.vdb.ApplyTxn(int64(j+1), e.Stmts); err != nil {
+					if err := env.vdb.ApplyTxnWith(int64(j+1), e.Stmts, env.parseSQL); err != nil {
 						return nil, fmt.Errorf("verifier: patch audit: redo: %w", err)
 					}
 				}

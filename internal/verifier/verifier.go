@@ -138,27 +138,27 @@ type Result struct {
 // register's last logged write. Audit periods chain by feeding this
 // snapshot to the next Audit call as its initial state — the verifier
 // "produces the required state during the previous audit" (§4.1, §4.5).
+// The snapshot's tables share their rows with FinalDB's live versions
+// (both treat rows as immutable), so the hand-off copies no table data.
 // Only valid on an accepted Result.
 func (r *Result) FinalSnapshot() (*object.Snapshot, error) {
 	if !r.Accepted {
 		return nil, fmt.Errorf("verifier: FinalSnapshot on a rejected audit")
 	}
-	final, err := r.FinalDB.MigrateFinal()
+	tables, err := r.FinalDB.MigrateFinal()
 	if err != nil {
 		return nil, err
 	}
 	snap := &object.Snapshot{
 		Registers: make(map[string]lang.Value, len(r.finalRegs)),
 		KV:        make(map[string]lang.Value, len(r.finalKV)),
+		Tables:    tables,
 	}
 	for k, v := range r.finalRegs {
 		snap.Registers[k] = lang.CloneValue(v)
 	}
 	for k, v := range r.finalKV {
 		snap.KV[k] = lang.CloneValue(v)
-	}
-	for _, name := range final.Tables() {
-		snap.Tables = append(snap.Tables, final.TableCopy(name))
 	}
 	return snap, nil
 }

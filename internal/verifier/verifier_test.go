@@ -8,6 +8,7 @@ import (
 	"orochi/internal/lang"
 	"orochi/internal/object"
 	"orochi/internal/server"
+	"orochi/internal/sqlmini"
 	"orochi/internal/trace"
 )
 
@@ -49,6 +50,11 @@ if (count($rows) > 0) {
 } else {
   echo "no such post";
 }
+`,
+	"unpost": `
+$id = intval($_GET["id"]);
+$r = db_exec("DELETE FROM posts WHERE id = " . $id);
+echo "deleted " . $r["affected"];
 `,
 	"now": `
 $t = time();
@@ -448,17 +454,22 @@ func TestAuditFinalStateMatchesServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := final.Exec(`SELECT id, title, votes FROM posts ORDER BY id`)
-	if err != nil {
-		t.Fatal(err)
+	var posts *sqlmini.Table
+	for _, tbl := range final {
+		if tbl.Name == "posts" {
+			posts = tbl
+		}
 	}
-	if len(want.Rows) != len(got.Rows) {
-		t.Fatalf("row counts: server %d, migrated %d", len(want.Rows), len(got.Rows))
+	if posts == nil {
+		t.Fatal("migrated state has no posts table")
+	}
+	if len(want.Rows) != len(posts.Rows) {
+		t.Fatalf("row counts: server %d, migrated %d", len(want.Rows), len(posts.Rows))
 	}
 	for i := range want.Rows {
-		for j := range want.Rows[i] {
-			if want.Rows[i][j] != got.Rows[i][j] {
-				t.Fatalf("row %d col %d: server %v, migrated %v", i, j, want.Rows[i][j], got.Rows[i][j])
+		for j, col := range want.Cols {
+			if got := posts.Rows[i][posts.ColIndex(col)]; want.Rows[i][j] != got {
+				t.Fatalf("row %d col %s: server %v, migrated %v", i, col, want.Rows[i][j], got)
 			}
 		}
 	}

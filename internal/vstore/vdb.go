@@ -18,6 +18,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 
 	"orochi/internal/sqlmini"
 )
@@ -35,7 +36,14 @@ func Ts(seq int64, q int) int64 {
 	return seq*MaxQ + int64(q) + 1
 }
 
-// VRow is one version of a row: valid for start <= ts < end.
+// tsLive is a read timestamp after every write: the version visible at
+// tsLive is the live one.
+const tsLive = TsInf - 1
+
+// VRow is one version of a row: valid for start <= ts < end. Vals is
+// immutable — an UPDATE closes the version and appends a modified copy —
+// so versions share their Vals with the snapshot they were loaded from
+// and with the tables MigrateFinal hands on.
 type VRow struct {
 	Vals  []sqlmini.Val
 	Start int64
@@ -44,10 +52,28 @@ type VRow struct {
 
 // slot is the version chain of one logical row (original insertion
 // position). Preserving slot order makes version-visible scans return
-// rows in exactly the order the live engine would (updates in the live
-// engine mutate rows in place, keeping their scan position).
+// rows in exactly the order the live engine would (the live engine
+// replaces an updated row at its scan position).
 type slot struct {
-	versions []*VRow // increasing Start
+	versions []VRow // never empty, increasing Start
+}
+
+// at returns the version visible at ts, or nil.
+func (s *slot) at(ts int64) *VRow {
+	vs := s.versions
+	i := len(vs) - 1
+	if vs[i].Start > ts {
+		// Not the newest version: binary search the older ones for the
+		// last with Start <= ts.
+		i = sort.Search(i, func(j int) bool { return vs[j].Start > ts }) - 1
+		if i < 0 {
+			return nil
+		}
+	}
+	if ts < vs[i].End {
+		return &vs[i]
+	}
+	return nil
 }
 
 // vtable is one versioned table.
@@ -55,27 +81,35 @@ type vtable struct {
 	name     string
 	cols     []sqlmini.Column
 	schema   *sqlmini.Table // empty table used for schema/cond evaluation
-	slots    []*slot
-	live     map[int]*VRow // slot index -> live version (nil entries absent)
+	slots    []slot
 	nextAuto int64
 	autoCol  int
 	// modTs is the sorted list of timestamps at which this table was
 	// modified; it drives read-query deduplication (§4.5).
 	modTs []int64
-	// created is the creation timestamp (0 for pre-state tables).
-	created int64
+	// idx holds the equality indexes built so far, by column: value ->
+	// every slot that held it in some version. Append-only (a slot stays
+	// listed under values it no longer holds; readers re-check the
+	// visible version), so it serves every timestamp at once. The redo
+	// pass maintains built indexes; idxMu orders the lazy builds of
+	// concurrent Phase-3 readers.
+	idxMu sync.Mutex
+	idx   []*sqlmini.EqIndex
 }
 
 // VersionedDB is the audit-time versioned database V (with the redo
-// buffer M folded in: applying a transaction uses the live map, which
-// plays M's role of a fast buffer in front of the version history).
+// buffer M folded in: applying a transaction works on each slot's newest
+// version, which plays M's role of a fast buffer in front of the version
+// history).
 //
 // Concurrency contract: the build phase (LoadInitial, ApplyTxn — which
 // alone touches the RedoTxns/RedoQueries counters) must run on a single
 // goroutine; after it completes, Query/QuerySQL, WriteResult, ModEpoch,
-// and the size accessors are pure reads and safe from any number of
-// goroutines, which is what the parallel verifier (verifier.Options.
-// Workers) relies on during grouped re-execution.
+// MigrateFinal and the size accessors only read the version history
+// (Query may build a table's index on first probe, under that table's
+// mutex) and are safe from any number of goroutines, which is what the
+// parallel verifier (verifier.Options.Workers) relies on during grouped
+// re-execution.
 type VersionedDB struct {
 	tables map[string]*vtable
 	// writeResults[seq][q] holds the redo-derived result of write
@@ -96,35 +130,34 @@ func NewVersionedDB() *VersionedDB {
 
 // LoadInitial installs the server's pre-audit table state at timestamp 0
 // (the verifier keeps a copy of the persistent state between audits,
-// §4.1/§5.3).
+// §4.1/§5.3). The rows are shared with t, not copied: the store never
+// writes to a version's Vals.
 func (v *VersionedDB) LoadInitial(t *sqlmini.Table) error {
 	lname := strings.ToLower(t.Name)
 	if _, dup := v.tables[lname]; dup {
 		return fmt.Errorf("vstore: table %q loaded twice", t.Name)
 	}
-	vt, err := newVTable(t.Name, t.Cols, 0)
+	vt, err := newVTable(t.Name, t.Cols)
 	if err != nil {
 		return err
 	}
 	vt.nextAuto = t.NextAuto
-	for _, row := range t.Rows {
-		vals := make([]sqlmini.Val, len(row))
-		copy(vals, row)
-		vt.appendNewRow(vals, 0)
+	vt.slots = make([]slot, len(t.Rows))
+	versions := make([]VRow, len(t.Rows)) // one allocation for every chain's first link
+	for i, row := range t.Rows {
+		versions[i] = VRow{Vals: row, End: TsInf}
+		vt.slots[i].versions = versions[i : i+1 : i+1]
 	}
 	v.tables[lname] = vt
 	return nil
 }
 
-func newVTable(name string, cols []sqlmini.Column, created int64) (*vtable, error) {
-	schema, err := sqlmini.NewTempTable(name, append([]sqlmini.Column(nil), cols...), nil)
+func newVTable(name string, cols []sqlmini.Column) (*vtable, error) {
+	schema, err := sqlmini.NewTable(name, append([]sqlmini.Column(nil), cols...), nil, 1)
 	if err != nil {
 		return nil, err
 	}
-	vt := &vtable{
-		name: name, cols: cols, schema: schema,
-		live: make(map[int]*VRow), nextAuto: 1, autoCol: -1, created: created,
-	}
+	vt := &vtable{name: name, cols: cols, schema: schema, nextAuto: 1, autoCol: -1}
 	for i, c := range cols {
 		if c.AutoInc {
 			vt.autoCol = i
@@ -134,10 +167,42 @@ func newVTable(name string, cols []sqlmini.Column, created int64) (*vtable, erro
 }
 
 func (t *vtable) appendNewRow(vals []sqlmini.Val, ts int64) {
-	r := &VRow{Vals: vals, Start: ts, End: TsInf}
-	s := &slot{versions: []*VRow{r}}
-	t.slots = append(t.slots, s)
-	t.live[len(t.slots)-1] = r
+	for ci, ix := range t.idx {
+		if ix != nil {
+			ix.Add(vals[ci], len(t.slots))
+		}
+	}
+	t.slots = append(t.slots, slot{versions: []VRow{{Vals: vals, Start: ts, End: TsInf}}})
+}
+
+// index returns the equality index on column ci, building it on first use.
+func (t *vtable) index(ci int) *sqlmini.EqIndex {
+	t.idxMu.Lock()
+	defer t.idxMu.Unlock()
+	if t.idx == nil {
+		t.idx = make([]*sqlmini.EqIndex, len(t.cols))
+	}
+	if t.idx[ci] == nil {
+		ix := sqlmini.NewEqIndex()
+		for si := range t.slots {
+			for _, ver := range t.slots[si].versions {
+				ix.Add(ver.Vals[ci], si)
+			}
+		}
+		t.idx[ci] = ix
+	}
+	return t.idx[ci]
+}
+
+// matching returns, ascending, the slots whose version visible at ts
+// satisfies cond, through the slot index where cond allows one.
+func (t *vtable) matching(cond sqlmini.Cond, ts int64) ([]int, error) {
+	return sqlmini.Bind(t.schema, cond).Filter(len(t.slots), t.index, func(si int) []sqlmini.Val {
+		if ver := t.slots[si].at(ts); ver != nil {
+			return ver.Vals
+		}
+		return nil
+	})
 }
 
 func (t *vtable) markModified(ts int64) {
@@ -152,6 +217,13 @@ func (t *vtable) markModified(ts int64) {
 // answered at re-execution time via Query. The per-statement results of
 // write statements are recorded for SimOp.
 func (v *VersionedDB) ApplyTxn(seq int64, stmts []string) error {
+	return v.ApplyTxnWith(seq, stmts, sqlmini.Parse)
+}
+
+// ApplyTxnWith is ApplyTxn with the caller's statement parser — the
+// verifier passes its audit-wide parse cache, so a statement the redo
+// pass has parsed is not parsed again at re-execution.
+func (v *VersionedDB) ApplyTxnWith(seq int64, stmts []string, parse func(string) (sqlmini.Stmt, error)) error {
 	if len(stmts) > MaxQ {
 		return fmt.Errorf("vstore: transaction %d has %d statements (max %d)", seq, len(stmts), MaxQ)
 	}
@@ -161,7 +233,7 @@ func (v *VersionedDB) ApplyTxn(seq int64, stmts []string) error {
 	v.RedoTxns++
 	results := make([]*sqlmini.Result, len(stmts))
 	for q, sql := range stmts {
-		st, err := sqlmini.Parse(sql)
+		st, err := parse(sql)
 		if err != nil {
 			return fmt.Errorf("vstore: redo seq %d stmt %d: %w", seq, q, err)
 		}
@@ -200,7 +272,7 @@ func (v *VersionedDB) applyWrite(st sqlmini.Stmt, ts int64) (*sqlmini.Result, er
 		if _, dup := v.tables[lname]; dup {
 			return nil, fmt.Errorf("table %q already exists", x.Table)
 		}
-		vt, err := newVTable(x.Table, x.Cols, ts)
+		vt, err := newVTable(x.Table, x.Cols)
 		if err != nil {
 			return nil, err
 		}
@@ -213,12 +285,14 @@ func (v *VersionedDB) applyWrite(st sqlmini.Stmt, ts int64) (*sqlmini.Result, er
 			return nil, err
 		}
 		colIdxs := make([]int, len(x.Cols))
+		explicit := false
 		for i, c := range x.Cols {
 			ci := vt.schema.ColIndex(c)
 			if ci < 0 {
 				return nil, fmt.Errorf("no column %q in %q", c, x.Table)
 			}
 			colIdxs[i] = ci
+			explicit = explicit || ci == vt.autoCol
 		}
 		res := &sqlmini.Result{}
 		for _, vals := range x.Rows {
@@ -229,12 +303,6 @@ func (v *VersionedDB) applyWrite(st sqlmini.Stmt, ts int64) (*sqlmini.Result, er
 					return nil, err
 				}
 				row[colIdxs[i]] = cv
-			}
-			explicit := false
-			for _, ci := range colIdxs {
-				if ci == vt.autoCol {
-					explicit = true
-				}
 			}
 			if vt.autoCol >= 0 && !explicit {
 				row[vt.autoCol] = vt.nextAuto
@@ -258,81 +326,80 @@ func (v *VersionedDB) applyWrite(st sqlmini.Stmt, ts int64) (*sqlmini.Result, er
 		if err != nil {
 			return nil, err
 		}
-		res := &sqlmini.Result{}
-		for si := 0; si < len(vt.slots); si++ {
-			cur := vt.live[si]
-			if cur == nil {
-				continue
+		matched, err := vt.matching(x.Where, tsLive)
+		if err != nil {
+			return nil, err
+		}
+		if len(matched) == 0 {
+			return &sqlmini.Result{}, nil
+		}
+		// Resolve the SET list once; a bad clause fails the statement only
+		// when a row is actually updated.
+		type setOp struct {
+			col, base int // base < 0: plain literal
+			val       sqlmini.Val
+		}
+		sets := make([]setOp, len(x.Sets))
+		for i, sc := range x.Sets {
+			op := setOp{col: vt.schema.ColIndex(sc.Col), base: -1}
+			if op.col < 0 {
+				return nil, fmt.Errorf("no column %q in %q", sc.Col, x.Table)
 			}
-			match, err := sqlmini.MatchRow(vt.schema, cur.Vals, x.Where)
-			if err != nil {
-				return nil, err
-			}
-			if !match {
-				continue
-			}
-			newVals := make([]sqlmini.Val, len(cur.Vals))
-			copy(newVals, cur.Vals)
-			for _, sc := range x.Sets {
-				ci := vt.schema.ColIndex(sc.Col)
-				if ci < 0 {
-					return nil, fmt.Errorf("no column %q in %q", sc.Col, x.Table)
+			if sc.SelfOp == "" {
+				if op.val, err = sqlmini.CoerceCol(vt.cols[op.col], sc.Val); err != nil {
+					return nil, err
 				}
-				if sc.SelfOp == "" {
-					cv, err := sqlmini.CoerceCol(vt.cols[ci], sc.Val)
-					if err != nil {
-						return nil, err
-					}
-					newVals[ci] = cv
-					continue
-				}
-				bi := vt.schema.ColIndex(sc.SelfBase)
-				if bi < 0 {
+			} else {
+				if op.base = vt.schema.ColIndex(sc.SelfBase); op.base < 0 {
 					return nil, fmt.Errorf("no column %q in SET", sc.SelfBase)
 				}
-				base := asInt(newVals[bi])
 				delta := asInt(sc.Val)
 				if sc.SelfOp == "-" {
 					delta = -delta
 				}
-				newVals[ci] = base + delta
+				op.val = delta
+			}
+			sets[i] = op
+		}
+		for _, si := range matched {
+			s := &vt.slots[si]
+			cur := &s.versions[len(s.versions)-1]
+			newVals := append([]sqlmini.Val(nil), cur.Vals...)
+			for _, op := range sets {
+				if op.base < 0 {
+					newVals[op.col] = op.val
+				} else {
+					newVals[op.col] = asInt(newVals[op.base]) + op.val.(int64)
+				}
+			}
+			for ci, ix := range vt.idx {
+				if ix != nil && newVals[ci] != cur.Vals[ci] {
+					ix.Add(newVals[ci], si)
+				}
 			}
 			cur.End = ts
-			nv := &VRow{Vals: newVals, Start: ts, End: TsInf}
-			vt.slots[si].versions = append(vt.slots[si].versions, nv)
-			vt.live[si] = nv
-			res.Affected++
+			s.versions = append(s.versions, VRow{Vals: newVals, Start: ts, End: TsInf})
 		}
-		if res.Affected > 0 {
-			vt.markModified(ts)
-		}
-		return res, nil
+		vt.markModified(ts)
+		return &sqlmini.Result{Affected: int64(len(matched))}, nil
 	case *sqlmini.Delete:
 		vt, err := v.table(x.Table)
 		if err != nil {
 			return nil, err
 		}
-		res := &sqlmini.Result{}
-		for si := 0; si < len(vt.slots); si++ {
-			cur := vt.live[si]
-			if cur == nil {
-				continue
-			}
-			match, err := sqlmini.MatchRow(vt.schema, cur.Vals, x.Where)
-			if err != nil {
-				return nil, err
-			}
-			if !match {
-				continue
-			}
-			cur.End = ts
-			delete(vt.live, si)
-			res.Affected++
+		matched, err := vt.matching(x.Where, tsLive)
+		if err != nil {
+			return nil, err
 		}
-		if res.Affected > 0 {
-			vt.markModified(ts)
+		if len(matched) == 0 {
+			return &sqlmini.Result{}, nil
 		}
-		return res, nil
+		for _, si := range matched {
+			s := &vt.slots[si]
+			s.versions[len(s.versions)-1].End = ts
+		}
+		vt.markModified(ts)
+		return &sqlmini.Result{Affected: int64(len(matched))}, nil
 	default:
 		return nil, fmt.Errorf("unsupported write statement %T", st)
 	}
@@ -364,12 +431,15 @@ func (v *VersionedDB) Query(sel *sqlmini.Select, ts int64) (*sqlmini.Result, err
 	if err != nil {
 		return nil, err
 	}
-	rows := vt.visibleRows(ts)
-	tmp, err := sqlmini.NewTempTable(vt.name, vt.cols, rows)
+	slots, err := vt.matching(sel.Where, ts)
 	if err != nil {
 		return nil, err
 	}
-	return sqlmini.SelectOver(tmp, sel)
+	rows := make([][]sqlmini.Val, len(slots))
+	for i, si := range slots {
+		rows[i] = vt.slots[si].at(ts).Vals
+	}
+	return sqlmini.SelectMatched(vt.schema, sel, rows)
 }
 
 // QuerySQL parses and answers a SELECT at ts.
@@ -385,23 +455,6 @@ func (v *VersionedDB) QuerySQL(sql string, ts int64) (*sqlmini.Result, error) {
 	return v.Query(sel, ts)
 }
 
-func (t *vtable) visibleRows(ts int64) [][]sqlmini.Val {
-	var out [][]sqlmini.Val
-	for _, s := range t.slots {
-		// Binary search the version chain: the last version with
-		// Start <= ts.
-		i := sort.Search(len(s.versions), func(i int) bool { return s.versions[i].Start > ts })
-		if i == 0 {
-			continue
-		}
-		ver := s.versions[i-1]
-		if ts < ver.End {
-			out = append(out, ver.Vals)
-		}
-	}
-	return out
-}
-
 // ModEpoch returns, for the named table, the index of the last
 // modification at or before ts (-1 if none). Two SELECTs over the same
 // tables with equal epochs see identical data — the dedup rule of §4.5.
@@ -413,63 +466,34 @@ func (v *VersionedDB) ModEpoch(table string, ts int64) int {
 	return sort.Search(len(vt.modTs), func(i int) bool { return vt.modTs[i] > ts }) - 1
 }
 
-// MigrateFinal extracts the final ("latest") state of every table as
-// plain sqlmini tables — the migration of M's final state that seeds the
-// next audit period's database (§4.5: "the verifier dumps each table...
-// After the audit, OROCHI needs only the latest state").
-func (v *VersionedDB) MigrateFinal() (*sqlmini.DB, error) {
-	db := sqlmini.NewDB()
+// MigrateFinal extracts the final ("latest") state of every table, sorted
+// by name, as plain sqlmini tables — the migration of M's final state
+// that seeds the next audit period's database (§4.5: "the verifier dumps
+// each table... After the audit, OROCHI needs only the latest state").
+// Each table is built directly from the live versions, in slot order,
+// sharing their Vals, and carries the redo pass's auto-increment counter.
+func (v *VersionedDB) MigrateFinal() ([]*sqlmini.Table, error) {
 	names := make([]string, 0, len(v.tables))
 	for n := range v.tables {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	out := make([]*sqlmini.Table, 0, len(names))
 	for _, n := range names {
 		vt := v.tables[n]
-		var defs []string
-		for _, c := range vt.cols {
-			d := c.Name + " " + c.Type.String()
-			if c.AutoInc {
-				d += " AUTOINCREMENT"
+		rows := make([][]sqlmini.Val, 0, len(vt.slots))
+		for si := range vt.slots {
+			if ver := vt.slots[si].at(tsLive); ver != nil {
+				rows = append(rows, ver.Vals)
 			}
-			defs = append(defs, d)
 		}
-		if _, err := db.Exec("CREATE TABLE " + vt.name + " (" + strings.Join(defs, ", ") + ")"); err != nil {
+		t, err := sqlmini.NewTable(vt.name, vt.cols, rows, vt.nextAuto)
+		if err != nil {
 			return nil, err
 		}
-		for si := 0; si < len(vt.slots); si++ {
-			row := vt.live[si]
-			if row == nil {
-				continue
-			}
-			cols := make([]string, len(vt.cols))
-			vals := make([]string, len(vt.cols))
-			for i, c := range vt.cols {
-				cols[i] = c.Name
-				vals[i] = sqlLiteral(row.Vals[i])
-			}
-			stmt := "INSERT INTO " + vt.name + " (" + strings.Join(cols, ", ") + ") VALUES (" + strings.Join(vals, ", ") + ")"
-			if _, err := db.Exec(stmt); err != nil {
-				return nil, err
-			}
-		}
+		out = append(out, t)
 	}
-	return db, nil
-}
-
-func sqlLiteral(v sqlmini.Val) string {
-	switch x := v.(type) {
-	case nil:
-		return "NULL"
-	case int64:
-		return fmt.Sprintf("%d", x)
-	case float64:
-		return fmt.Sprintf("%g", x)
-	case string:
-		return sqlmini.Quote(x)
-	default:
-		return "NULL"
-	}
+	return out, nil
 }
 
 // SizeBytes estimates the full versioned footprint (all versions), the
@@ -491,8 +515,10 @@ func (v *VersionedDB) SizeBytes() int64 {
 func (v *VersionedDB) LiveSizeBytes() int64 {
 	var total int64
 	for _, vt := range v.tables {
-		for _, row := range vt.live {
-			total += rowBytes(row.Vals)
+		for si := range vt.slots {
+			if ver := vt.slots[si].at(tsLive); ver != nil {
+				total += rowBytes(ver.Vals)
+			}
 		}
 	}
 	return total

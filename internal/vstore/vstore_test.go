@@ -166,16 +166,63 @@ func TestMigrateFinal(t *testing.T) {
 	applyTxn(t, v, 3, `INSERT INTO t (x) VALUES ('b')`)
 	applyTxn(t, v, 4, `UPDATE t SET x = 'A' WHERE id = 1`)
 	applyTxn(t, v, 5, `DELETE FROM t WHERE id = 2`)
-	db, err := v.MigrateFinal()
+	tables, err := v.MigrateFinal()
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := db.Exec(`SELECT id, x FROM t`)
-	if err != nil {
-		t.Fatal(err)
+	if len(tables) != 1 || tables[0].Name != "t" {
+		t.Fatalf("migrated tables: %v", tables)
 	}
-	if len(r.Rows) != 1 || r.Rows[0][0] != int64(1) || r.Rows[0][1] != "A" {
-		t.Fatalf("migrated state: %v", r.Rows)
+	mt := tables[0]
+	if len(mt.Rows) != 1 || mt.Rows[0][0] != int64(1) || mt.Rows[0][1] != "A" {
+		t.Fatalf("migrated state: %v", mt.Rows)
+	}
+	// Deleting the max-id row must not rewind the counter: the live server
+	// assigns id 3 next, and so must the next period's redo.
+	if mt.NextAuto != 3 {
+		t.Fatalf("migrated NextAuto = %d, want 3", mt.NextAuto)
+	}
+}
+
+// TestIndexedQueryAcrossVersions: the posting-list index lists a slot
+// under every value it ever held, so a probe must find the row at the
+// timestamps it held the value and only those — whether the index was
+// built before the updates (the redo pass maintains it) or after them.
+func TestIndexedQueryAcrossVersions(t *testing.T) {
+	want := []struct {
+		seq    int64
+		g1, g2 string // ids with g = 1 / g = 2 after transaction seq
+	}{
+		{2, "[[1] [3]]", "[[2]]"},
+		{3, "[[3]]", "[[1] [2]]"},
+		{4, "[[1] [2] [3]]", "[]"},
+		{5, "[[1] [2]]", "[]"},
+		{6, "[[1] [2]]", "[[4]]"},
+	}
+	for _, probeEarly := range []bool{false, true} {
+		v := NewVersionedDB()
+		applyTxn(t, v, 1, `CREATE TABLE t (id INT AUTOINCREMENT, g INT)`)
+		applyTxn(t, v, 2, `INSERT INTO t (g) VALUES (1), (2), (1)`)
+		if probeEarly {
+			if _, err := v.QuerySQL(`SELECT id FROM t WHERE g = 1`, Ts(2, 0)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		applyTxn(t, v, 3, `UPDATE t SET g = 2 WHERE id = 1`)
+		applyTxn(t, v, 4, `UPDATE t SET g = 1 WHERE g = 2`)
+		applyTxn(t, v, 5, `DELETE FROM t WHERE id = 3`)
+		applyTxn(t, v, 6, `INSERT INTO t (g) VALUES (2)`)
+		for _, w := range want {
+			for g, ids := range map[int]string{1: w.g1, 2: w.g2} {
+				r, err := v.QuerySQL(fmt.Sprintf(`SELECT id FROM t WHERE g = %d`, g), Ts(w.seq, 0))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprint(r.Rows); got != ids {
+					t.Errorf("probeEarly=%v: g = %d after txn %d: %s, want %s", probeEarly, g, w.seq, got, ids)
+				}
+			}
+		}
 	}
 }
 
@@ -235,6 +282,8 @@ func TestVersionedDifferential(t *testing.T) {
 			`SELECT val FROM t WHERE grp = 1 ORDER BY val DESC`,
 			`SELECT COUNT(*) FROM t WHERE val > 50`,
 			`SELECT id FROM t ORDER BY id LIMIT 3`,
+			`SELECT id, val FROM t WHERE grp IN (0, 2) AND val < 60 ORDER BY val`,
+			`SELECT id FROM t WHERE val = 7 OR id = 2`,
 		}
 		for _, cp := range checkpoints {
 			live := sqlmini.NewDB()
