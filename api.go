@@ -90,26 +90,6 @@ type AuditResult = verifier.Result
 // App bundles a sample application's sources and schema.
 type App = apps.App
 
-// Engine is a language execution engine. Two ship with the package —
-// EngineInterp (the tree-walking reference) and EngineCompiled (the
-// closure-compiled default) — with bit-identical observable behavior:
-// digests, outputs, fault renderings, reports and verdicts do not
-// depend on the choice. Select one via ServerOptions.Engine /
-// AuditOptions.Engine, or by name with EngineByName.
-type Engine = lang.Engine
-
-// The two engine implementations; see Engine.
-var (
-	EngineInterp   = lang.EngineInterp
-	EngineCompiled = lang.EngineCompiled
-)
-
-// EngineByName resolves a CLI engine name ("interp", "compiled"; ""
-// means the default, compiled).
-func EngineByName(name string) (Engine, error) {
-	return lang.EngineByName(name)
-}
-
 // CompileApp parses application sources (script name -> source) through
 // a process-wide content-keyed cache: identical sources return the same
 // *Program, so the server and the verifier share one compiled program
@@ -186,12 +166,6 @@ func OOOAuditContext(ctx context.Context, prog *Program, tr *Trace, rep *Reports
 	return verifier.OOOAuditContext(ctx, prog, tr, rep, init)
 }
 
-// OOOAuditContextOpts is OOOAuditContext with audit options (only
-// opts.Engine applies — the OOO audit has no grouping or workers).
-func OOOAuditContextOpts(ctx context.Context, prog *Program, tr *Trace, rep *Reports, init *Snapshot, opts AuditOptions) (*AuditResult, error) {
-	return verifier.OOOAuditContextOpts(ctx, prog, tr, rep, init, opts)
-}
-
 // OOOAudit runs OOOAuditContext with a background context.
 //
 // Deprecated: use OOOAuditContext, which supports cancellation.
@@ -214,12 +188,6 @@ const (
 // responses would have differed (unchanged / changed / inconclusive).
 func PatchAuditContext(ctx context.Context, patched *Program, tr *Trace, rep *Reports, init *Snapshot) (*PatchResult, error) {
 	return verifier.PatchAuditContext(ctx, patched, tr, rep, init)
-}
-
-// PatchAuditContextOpts is PatchAuditContext with audit options (only
-// opts.Engine applies).
-func PatchAuditContextOpts(ctx context.Context, patched *Program, tr *Trace, rep *Reports, init *Snapshot, opts AuditOptions) (*PatchResult, error) {
-	return verifier.PatchAuditContextOpts(ctx, patched, tr, rep, init, opts)
 }
 
 // PatchAudit runs PatchAuditContext with a background context.

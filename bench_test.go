@@ -178,66 +178,10 @@ func BenchmarkServeConcurrency(b *testing.B) {
 	}
 }
 
-// --- Execution engines: interp vs compiled on the same workload ---
+// --- Execution engines: the reference vs the production engine ---
 
-// BenchmarkEngineServe pins the tentpole speedup claim: the same
-// recording serve, once per engine. Allocations are reported so pooling
-// regressions in the compiled engine surface here.
-func BenchmarkEngineServe(b *testing.B) {
-	w := benchWorkloads()["Wiki"]
-	for _, name := range lang.Engines() {
-		eng, err := lang.EngineByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			b.ReportAllocs()
-			var reqs int
-			var cpu float64
-			for i := 0; i < b.N; i++ {
-				served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: 8, Engine: eng})
-				if err != nil {
-					b.Fatal(err)
-				}
-				reqs += served.Requests
-				cpu += float64(served.ServeCPU.Nanoseconds())
-			}
-			b.ReportMetric(cpu/float64(reqs), "serve_ns/req")
-		})
-	}
-}
-
-// BenchmarkEngineAudit is the Fig-8 audit cost per engine (sequential,
-// so the comparison is pure re-execution speed, not scheduling).
-func BenchmarkEngineAudit(b *testing.B) {
-	w := benchWorkloads()["Wiki"]
-	for _, name := range lang.Engines() {
-		eng, err := lang.EngineByName(name)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: 8, Engine: eng})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			var last *verifier.Result
-			for i := 0; i < b.N; i++ {
-				res, err := served.Audit(verifier.Options{Workers: 1, Engine: eng})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if !res.Accepted {
-					b.Fatalf("audit rejected: %s", res.Reason)
-				}
-				last = res
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(last.Stats.Total.Nanoseconds())/float64(served.Requests), "audit_ns/req")
-		})
-	}
-}
+// benchEngines are the reference tree-walker and the production engine.
+var benchEngines = []lang.Engine{lang.EngineInterp, lang.EngineCompiled}
 
 // BenchmarkEngineInstr runs a few Fig-10 instruction loops under each
 // engine directly against lang.Run — the tightest view of the lowering
@@ -245,17 +189,13 @@ func BenchmarkEngineAudit(b *testing.B) {
 func BenchmarkEngineInstr(b *testing.B) {
 	for _, cat := range []string{"GetVal", "Multiply", "Iteration"} {
 		prog := lang.MustCompileCached(map[string]string{"m": fig10Script(fig10Bodies[cat])})
-		for _, name := range lang.Engines() {
-			eng, err := lang.EngineByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
+		for _, eng := range benchEngines {
 			cfg := lang.Config{
 				Mode: lang.ModePlain, Script: "m", RIDs: []string{"r"},
 				Inputs: []lang.RequestInput{{Get: map[string]string{"seed": "5"}}},
 				Engine: eng,
 			}
-			b.Run(cat+"/"+name, func(b *testing.B) {
+			b.Run(cat+"/"+eng.Name(), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := lang.Run(prog, cfg); err != nil {
@@ -289,16 +229,12 @@ func BenchmarkEngineSIMD(b *testing.B) {
 			rids[i] = fmt.Sprintf("r%03d", i)
 			inputs[i] = lang.RequestInput{Get: map[string]string{"seed": variant.seed(i)}}
 		}
-		for _, name := range lang.Engines() {
-			eng, err := lang.EngineByName(name)
-			if err != nil {
-				b.Fatal(err)
-			}
+		for _, eng := range benchEngines {
 			cfg := lang.Config{
 				Mode: lang.ModeSIMD, Script: "m", RIDs: rids, Inputs: inputs,
 				Bridge: &fig10Bridge{}, Engine: eng,
 			}
-			b.Run(variant.name+"/"+name, func(b *testing.B) {
+			b.Run(variant.name+"/"+eng.Name(), func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := lang.Run(prog, cfg); err != nil {

@@ -88,7 +88,7 @@ func main() {
 	workers := flag.Int("workers", 2, "epochs loaded/integrity-checked concurrently (with -epochs)")
 	auditWorkers := flag.Int("audit-workers", 0, "concurrent re-execution workers inside each audit (0 = all CPUs, 1 = sequential)")
 	checkpoints := flag.Bool("checkpoints", true, "persist verified final snapshots for resumable audits (with -epochs)")
-	maxGroup := flag.Int("maxgroup", 3000, "maximum requests per re-execution batch")
+	maxGroup := flag.Int("max-group", 0, "cap requests re-executed per SIMD batch (0 = verifier default of 3000); verdicts are identical at any setting")
 	stats := flag.Bool("stats", false, "print per-group statistics")
 	progress := flag.Bool("progress", false, "stream audit progress (phases, groups re-executed, ops replayed) to stderr")
 	withErrors := flag.Bool("with-errors", false, "the serve run injected faulting requests (orochi-serve -fault-rate); audit against the app extended with the fault scripts")
@@ -98,7 +98,6 @@ func main() {
 	retain := flag.Int("retain", 0, "with -gc: compact verified epochs older than the newest N to decision+checkpoint (0 = no compaction)")
 	scrub := flag.Bool("scrub", false, "run the retrievability self-audit over -epochs and exit; failures are recorded in the decision log (REJECT for never-audited epochs, an annotation otherwise)")
 	scrubSample := flag.Int("scrub-sample", 0, "with -scrub: chunks challenged per epoch (default 16, -1 = every chunk)")
-	engineName := flag.String("engine", "compiled", "language execution engine (interp, compiled or bytecode); verdicts are identical under any")
 	serveArtifacts := flag.String("serve-artifacts", "", "serve -epochs' manifests and chunks to fleet workers on this address (e.g. :8090) until interrupted; no audit")
 	coordinate := flag.String("coordinate", "", "coordinate a distributed audit of -epochs on this address: serve artifacts, lease epochs to -worker processes, collect signed verdicts")
 	workerMode := flag.Bool("worker", false, "run as a fleet audit worker pulling epoch leases (needs -coordinator and -app/-src)")
@@ -111,12 +110,6 @@ func main() {
 	workerCache := flag.String("worker-cache", "", "directory for the worker's persistent chunk cache (default: in-memory; a warm cache fetches only missing chunks)")
 	workerName := flag.String("worker-name", "", "worker identity in leases and forensics (default host:pid)")
 	flag.Parse()
-
-	engine, engErr := lang.EngineByName(*engineName)
-	if engErr != nil {
-		fmt.Fprintf(os.Stderr, "orochi-audit: %v\n", engErr)
-		os.Exit(2)
-	}
 
 	if *explain > 0 {
 		if *epochsDir == "" {
@@ -153,7 +146,7 @@ func main() {
 		return
 	}
 
-	vopts := verifier.Options{MaxGroup: *maxGroup, CollectStats: *stats, Workers: *auditWorkers, Engine: engine}
+	vopts := verifier.Options{MaxGroup: *maxGroup, CollectStats: *stats, Workers: *auditWorkers}
 	if *progress {
 		vopts.Observer = &progressPrinter{}
 	}

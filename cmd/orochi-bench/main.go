@@ -73,20 +73,9 @@ func main() {
 	// parallelism is measured by the dedicated -fig workers sweep.
 	auditWorkers := flag.Int("audit-workers", 1, "verifier worker pool for the audit-running figures (1 = sequential/paper-faithful, 0 = all CPUs)")
 	jsonOut := flag.String("json", "", "machine-readable mode: measure the headline numbers (Fig-8 audit cost per request, serve req/s, speedup, dedup ratio) and write them as JSON to this file ('-' = stdout), instead of printing figures")
-	engineName := flag.String("engine", "compiled", "language execution engine for the figures (interp, compiled or bytecode); -json measures all three regardless")
 	maxGroup := flag.Int("max-group", 0, "cap requests re-executed per SIMD batch in the audits behind the figures (0 = verifier default of 3000); lane-width experiments, verdicts identical at any setting")
 	flag.Parse()
 	benchMaxGroup = *maxGroup
-
-	eng, err := lang.EngineByName(*engineName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "orochi-bench: %v\n", err)
-		os.Exit(2)
-	}
-	// The figures build servers and verifiers in many places; routing the
-	// flag through the process-wide default keeps every nil-Engine path on
-	// the selected engine.
-	lang.DefaultEngine = eng
 
 	if *jsonOut != "" {
 		benchJSON(*jsonOut, *scale, *conc, *auditWorkers)
@@ -180,32 +169,6 @@ type storageResult struct {
 	LoadOverhead float64 `json:"load_overhead"`
 }
 
-// engineResult is one execution engine's row of the -json "engine"
-// section: the MediaWiki workload served and Fig-8-audited under that
-// engine alone. Observables are engine-independent (the audit must
-// ACCEPT under both); only the costs differ.
-type engineResult struct {
-	Engine string `json:"engine"`
-	// ServeNsPerReq is summed handler CPU per request while recording;
-	// AuditNsPerReq is the Fig-8 audit-cost unit under this engine.
-	ServeNsPerReq int64 `json:"serve_ns_per_req"`
-	AuditNsPerReq int64 `json:"audit_ns_per_req"`
-	// AllocsPerReq is heap allocations per request across the serving
-	// run (runtime.MemStats delta).
-	AllocsPerReq uint64 `json:"allocs_per_req"`
-}
-
-// engineAuditResult is one application's row of the -json
-// "engine_audit" section: the Fig-8 audit cost of the same recorded
-// run re-executed under each engine. The serve is shared (verdicts are
-// engine-independent, so the auditing engine is free to differ from
-// the serving one); only Phase-3 re-execution cost varies.
-type engineAuditResult struct {
-	App string `json:"app"`
-	// AuditNsPerReq maps engine name -> audit ns/request.
-	AuditNsPerReq map[string]int64 `json:"audit_ns_per_req"`
-}
-
 // fleetResult is the -json "fleet" section: the distributed-audit
 // stack (artifact server + coordinator + workers over loopback HTTP)
 // measured against the same sealed chain at one worker and at a small
@@ -234,13 +197,11 @@ type fleetResult struct {
 
 // benchOutput is the top-level -json document.
 type benchOutput struct {
-	Scale        int                 `json:"scale"`
-	Concurrency  int                 `json:"concurrency"`
-	AuditWorkers int                 `json:"audit_workers"`
-	Results      []benchResult       `json:"results"`
-	Engine       []engineResult      `json:"engine"`
-	EngineAudit  []engineAuditResult `json:"engine_audit"`
-	Fleet        *fleetResult        `json:"fleet,omitempty"`
+	Scale        int           `json:"scale"`
+	Concurrency  int           `json:"concurrency"`
+	AuditWorkers int           `json:"audit_workers"`
+	Results      []benchResult `json:"results"`
+	Fleet        *fleetResult  `json:"fleet,omitempty"`
 }
 
 // benchJSON measures each paper workload once (serve → baseline replay
@@ -272,8 +233,6 @@ func benchJSON(path string, scale, conc, auditWorkers int) {
 			Storage:        storageBench(item.w, conc),
 		})
 	}
-	out.Engine = engineBench(scale, conc, auditWorkers)
-	out.EngineAudit = engineAuditBench(scale, conc, auditWorkers)
 	out.Fleet = fleetBench(scale, conc)
 	data, err := json.MarshalIndent(out, "", "  ")
 	check(err)
@@ -284,95 +243,6 @@ func benchJSON(path string, scale, conc, auditWorkers int) {
 		err = os.WriteFile(path, data, 0o644)
 	}
 	check(err)
-}
-
-// engineBench measures the MediaWiki workload under each execution
-// engine in turn: recording-mode serve cost, the Fig-8 audit cost, and
-// serving allocations. The verdict must be ACCEPT under every engine.
-func engineBench(scale, conc, auditWorkers int) []engineResult {
-	w := workload.Wiki(workload.DefaultWikiParams().Scale(scale))
-	var out []engineResult
-	for _, name := range lang.Engines() {
-		eng, err := lang.EngineByName(name)
-		check(err)
-		// Compile (and for the compiled engine, lower) outside the
-		// measured window; the cache makes this free after the first hit.
-		prog := w.App.Compile()
-		warm := server.New(prog, server.Options{Record: false, Engine: eng})
-		check(warm.Setup(w.App.Schema))
-		if len(w.Requests) > 0 {
-			warm.Process("warm-0", w.Requests[0])
-		}
-		var ms0, ms1 runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&ms0)
-		served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: conc, Engine: eng})
-		check(err)
-		runtime.ReadMemStats(&ms1)
-		res, err := served.AuditContext(benchCtx, verifier.Options{Workers: auditWorkers, Engine: eng, MaxGroup: benchMaxGroup})
-		check(err)
-		if !res.Accepted {
-			fmt.Fprintf(os.Stderr, "engine %s: AUDIT REJECTED: %s\n", name, res.Reason)
-			os.Exit(1)
-		}
-		n := int64(served.Requests)
-		out = append(out, engineResult{
-			Engine:        name,
-			ServeNsPerReq: served.ServeCPU.Nanoseconds() / n,
-			AuditNsPerReq: res.Stats.Total.Nanoseconds() / n,
-			AllocsPerReq:  (ms1.Mallocs - ms0.Mallocs) / uint64(n),
-		})
-	}
-	return out
-}
-
-// engineAuditBench serves each paper workload once and audits the
-// recorded run under every engine: the per-app Fig-8 audit cost as a
-// function of the Phase-3 execution engine alone, with serving held
-// constant. Every audit must ACCEPT — the engine is not an observable.
-func engineAuditBench(scale, conc, auditWorkers int) []engineAuditResult {
-	var out []engineAuditResult
-	for _, item := range workloads(scale) {
-		served, err := harness.Serve(item.w, harness.ServeConfig{Record: true, Concurrency: conc})
-		check(err)
-		row := engineAuditResult{App: item.name, AuditNsPerReq: make(map[string]int64)}
-		// Round 0 is an unmeasured warm-up per engine (lazy lowering,
-		// page cache); rounds 1..3 are measured and the best is kept.
-		// Rounds are interleaved across engines rather than running each
-		// engine's samples back-to-back: these audits are a few hundred
-		// ms of wall time each, so a background hiccup or GC drift that
-		// lands on one engine's whole block would skew the comparison,
-		// while interleaving spreads it across all three.
-		best := make(map[string]int64)
-		for round := 0; round < 6; round++ {
-			for _, name := range lang.Engines() {
-				eng, err := lang.EngineByName(name)
-				check(err)
-				// GC fence: without it, garbage from the previous
-				// engine's audit gets collected inside — and charged
-				// to — this engine's wall time.
-				runtime.GC()
-				res, err := served.AuditContext(benchCtx, verifier.Options{Workers: auditWorkers, Engine: eng, MaxGroup: benchMaxGroup})
-				check(err)
-				if !res.Accepted {
-					fmt.Fprintf(os.Stderr, "%s under %s: AUDIT REJECTED: %s\n", item.name, name, res.Reason)
-					os.Exit(1)
-				}
-				if round == 0 {
-					continue
-				}
-				ns := res.Stats.Total.Nanoseconds() / int64(served.Requests)
-				if b, ok := best[name]; !ok || ns < b {
-					best[name] = ns
-				}
-			}
-		}
-		for name, ns := range best {
-			row.AuditNsPerReq[name] = ns
-		}
-		out = append(out, row)
-	}
-	return out
 }
 
 // storageBench seals the workload twice — chunked and whole-file —

@@ -50,7 +50,6 @@ import (
 	"orochi/internal/epoch"
 	"orochi/internal/fleet"
 	"orochi/internal/httpfront"
-	"orochi/internal/lang"
 	"orochi/internal/server"
 	"orochi/internal/trace"
 	"orochi/internal/verifier"
@@ -72,15 +71,8 @@ func main() {
 	faultRate := flag.Float64("fault-rate", 0, "inject faulting requests (unknown script, undefined function, bad SQL) into the workload at this rate; the audit must still ACCEPT")
 	shards := flag.Int("shards", 0, "lock-stripe count for the object store and recorder (0 = default); reports are identical at every setting")
 	tamperReq := flag.Int64("tamper-request", 0, "misbehaving-executor demo: corrupt the Nth audited request's response between the executor and the collector — the collector records (and the client sees) the tampered bytes, and the audit must REJECT naming that request")
-	engineName := flag.String("engine", "compiled", "language execution engine (interp, compiled or bytecode); observables are identical under any")
 	maxGroup := flag.Int("max-group", 0, "cap requests re-executed per SIMD batch in the background auditor (0 = verifier default of 3000); verdicts are identical at any setting")
 	flag.Parse()
-
-	eng, err := lang.EngineByName(*engineName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "orochi-serve: %v\n", err)
-		os.Exit(2)
-	}
 
 	app := apps.ByName(*appName)
 	if app == nil {
@@ -106,7 +98,7 @@ func main() {
 	}
 
 	prog := w.App.Compile()
-	srv := server.New(prog, server.Options{Record: true, Shards: *shards, Engine: eng})
+	srv := server.New(prog, server.Options{Record: true, Shards: *shards})
 	exitOn(srv.Setup(w.App.Schema))
 	exitOn(srv.Setup(w.Seed))
 	snap := srv.Snapshot()
@@ -135,7 +127,7 @@ func main() {
 			auditor = epoch.NewAuditor(prog, *epochDir, epoch.AuditorOptions{
 				Notify:      mgr.Notify(),
 				Checkpoints: true,
-				Verify:      verifier.Options{Workers: vw, Engine: eng, MaxGroup: *maxGroup},
+				Verify:      verifier.Options{Workers: vw, MaxGroup: *maxGroup},
 			})
 			var auditCtx context.Context
 			auditCtx, stopAudit = context.WithCancel(context.Background())
@@ -280,8 +272,7 @@ func main() {
 		fmt.Printf("serving %s on %s (artifacts -> %s; POST /-/flush to write them)\n",
 			*appName, *listen, *outDir)
 	}
-	err = httpSrv.ListenAndServe()
-	if err != nil && err != http.ErrServerClosed {
+	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		exitOn(err)
 	}
 	<-drained

@@ -12,11 +12,11 @@ import (
 )
 
 // TestChainVerdictsEngineIndependent seals one faulted chain, then
-// audits two copies of it — one per execution engine, each at 1 and 8
-// re-execution workers. Every verdict field that feeds the ledger
-// (epoch number, outcome, reason, forensics, manifest digest, chain
-// digest) must be bit-identical: the engine is a performance knob, not
-// an observable.
+// audits copies of it under the reference and the production engine,
+// each at 1 and 8 re-execution workers. Every verdict field that feeds
+// the ledger (epoch number, outcome, reason, forensics, manifest
+// digest, chain digest) must be bit-identical: the engine is not an
+// observable.
 func TestChainVerdictsEngineIndependent(t *testing.T) {
 	dir := t.TempDir()
 	w := faultedWorkload()
@@ -42,8 +42,6 @@ func TestChainVerdictsEngineIndependent(t *testing.T) {
 		{"interp-w8", lang.EngineInterp, 8},
 		{"compiled-w1", lang.EngineCompiled, 1},
 		{"compiled-w8", lang.EngineCompiled, 8},
-		{"bytecode-w1", lang.EngineBytecode, 1},
-		{"bytecode-w8", lang.EngineBytecode, 8},
 	}
 	type obs struct {
 		Epoch       int64

@@ -13,8 +13,8 @@ import (
 	"orochi/internal/workload"
 )
 
-// The engine-matrix differential harness: the compiled and bytecode
-// engines are pure performance substitutions for the interpreter, so
+// The dual-engine differential harness: the production (compiled)
+// engine must be indistinguishable from the reference interpreter, so
 // every observable — response bytes (including canonical HTTP 500
 // fault renderings), canonical report bytes, audit verdicts, forensics
 // — must be bit-identical across engines at any worker count and any
@@ -26,10 +26,9 @@ var allEngines = []struct {
 }{
 	{"interp", lang.EngineInterp},
 	{"compiled", lang.EngineCompiled},
-	{"bytecode", lang.EngineBytecode},
 }
 
-// fastEngines are the non-reference engines checked against the
+// fastEngines is the production engine, checked against the
 // interpreter's serving run.
 var fastEngines = allEngines[1:]
 

@@ -34,8 +34,8 @@ type ServeConfig struct {
 	Shards int
 	// TamperResponse is the misbehaving-executor hook.
 	TamperResponse func(rid, body string) string
-	// Engine selects the language execution engine (nil =
-	// lang.DefaultEngine); observables are engine-independent.
+	// Engine is the test seam for the reference engine (nil = the
+	// production engine); observables are engine-independent.
 	Engine lang.Engine
 }
 

@@ -286,9 +286,4 @@ type Program struct {
 	// concurrent verifier workers, hence the Once.
 	lowerOnce sync.Once
 	lowered   *cprog
-
-	// The bytecode engine's lowered form, likewise lazy and shared
-	// (see bytecode.go).
-	bcOnce sync.Once
-	bc     *bprog
 }

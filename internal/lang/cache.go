@@ -13,9 +13,9 @@ import (
 // The program cache is content-keyed: sha256 over the (name, source)
 // pairs of the app. The server and the verifier of the same epoch —
 // and every audit of every epoch of the same app — therefore share one
-// *Program, which also shares the lazily-lowered compiled and bytecode
-// forms (Program.compiled / Program.bytecode), so Phase-3 never
-// recompiles what serving already compiled.
+// *Program, which also shares the lazily-lowered compiled form
+// (Program.compiled), so Phase-3 never recompiles what serving already
+// compiled.
 //
 // The cache is LRU-bounded: a long-lived serve that audits many patched
 // sources (PatchAudit) would otherwise accumulate one program per

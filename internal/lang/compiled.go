@@ -401,6 +401,9 @@ func (cc *compiler) compileStmt(s Stmt) cstmt {
 					if _, _, err := postS(fr); err != nil {
 						return ctrlNone, nil, err
 					}
+				} else if err := ex.step(); err != nil {
+					// Mirrors execFor: a post-less loop still counts a step.
+					return ctrlNone, nil, err
 				}
 			}
 		}

@@ -5,28 +5,24 @@ import (
 	"fmt"
 )
 
-// Engine executes compiled programs. The package ships three
-// implementations with bit-identical observable behavior — outputs,
-// control-flow digests, op counts, step counts, instruction counts, and
-// fault renderings are equal for every program and input:
+// Engine executes compiled programs. The package ships one production
+// engine and one reference, with bit-identical observable behavior —
+// outputs, control-flow digests, op counts, step counts, instruction
+// counts, and fault renderings are equal for every program and input:
 //
-//   - EngineInterp: the original tree-walking interpreter, kept as the
-//     executable reference semantics.
-//   - EngineCompiled: lowers each script once into a tree of pre-bound
-//     Go closures with variable slots resolved at compile time, and
-//     pools hot-path allocations. This is the default.
-//   - EngineBytecode: lowers each script once into a flat instruction
-//     array run by a threaded-dispatch loop with an operand stack,
-//     reusing the compiled engine's slot model and the shared operator
-//     cores (see bytecode.go).
+//   - EngineCompiled: the production engine. It lowers each script once
+//     into a tree of pre-bound Go closures with variable slots resolved
+//     at compile time, and pools hot-path allocations. The server
+//     records with it and the verifier re-executes with it.
+//   - EngineInterp: the original tree-walking interpreter, kept solely
+//     as the executable reference semantics the differential tests and
+//     FuzzEngineEquivalence compare the production engine against.
 //
-// The equivalence is the same gate PR 3/4 applied to concurrency:
-// enforced by a differential test suite and fuzzer
-// (FuzzEngineEquivalence), because the server records digests with one
-// engine and the verifier may re-execute with another.
+// The interface is the test seam that lets whole workloads run under
+// the reference; it is not a tuning option and no CLI exposes it.
 type Engine interface {
-	// Name is the stable CLI-facing identifier ("interp", "compiled",
-	// "bytecode").
+	// Name identifies the engine in test and diagnostic output
+	// ("interp", "compiled").
 	Name() string
 	// Run executes a script under cfg; see the package-level Run.
 	Run(prog *Program, cfg Config) (*Result, error)
@@ -35,33 +31,13 @@ type Engine interface {
 var (
 	// EngineInterp is the tree-walking reference interpreter.
 	EngineInterp Engine = interpEngine{}
-	// EngineCompiled is the closure-compiled engine.
+	// EngineCompiled is the closure-compiled production engine, used
+	// when Config.Engine is nil.
 	EngineCompiled Engine = compiledEngine{}
-	// EngineBytecode is the flat-instruction threaded-dispatch engine.
-	EngineBytecode Engine = bytecodeEngine{}
-	// DefaultEngine is used when Config.Engine is nil.
-	DefaultEngine = EngineCompiled
 )
 
-// EngineByName resolves a CLI engine name.
-func EngineByName(name string) (Engine, error) {
-	switch name {
-	case "interp":
-		return EngineInterp, nil
-	case "compiled", "":
-		return EngineCompiled, nil
-	case "bytecode":
-		return EngineBytecode, nil
-	default:
-		return nil, fmt.Errorf("lang: unknown engine %q (want interp, compiled or bytecode)", name)
-	}
-}
-
-// Engines lists the available engine names.
-func Engines() []string { return []string{"interp", "compiled", "bytecode"} }
-
-// Run executes a script under cfg with cfg.Engine (DefaultEngine when
-// nil).
+// Run executes a script under cfg with the production engine, or with
+// cfg.Engine when a test sets it.
 //
 // A request-level fault — the script raised a RuntimeError, or cfg
 // names a script the program does not contain — returns BOTH a usable
@@ -76,7 +52,7 @@ func Engines() []string { return []string{"interp", "compiled", "bytecode"} }
 func Run(prog *Program, cfg Config) (*Result, error) {
 	eng := cfg.Engine
 	if eng == nil {
-		eng = DefaultEngine
+		eng = EngineCompiled
 	}
 	return eng.Run(prog, cfg)
 }
@@ -218,28 +194,5 @@ func (compiledEngine) Run(prog *Program, cfg Config) (*Result, error) {
 	ex.globalSlots(cp.res.nglobals)
 	fr := &cframe{ex: ex}
 	_, _, rerr := runCStmts(fr, cs.body)
-	return finishRun(ex, rerr)
-}
-
-// bytecodeEngine executes the flat-instruction lowering of the program.
-type bytecodeEngine struct{}
-
-func (bytecodeEngine) Name() string { return "bytecode" }
-
-func (bytecodeEngine) Run(prog *Program, cfg Config) (*Result, error) {
-	bp := prog.bytecode()
-	ex, err := newExec(prog, cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer ex.releaseSession()
-	bs, ok := bp.scripts[cfg.Script]
-	if !ok {
-		return unknownScriptResult(cfg, ex.lanes)
-	}
-	ex.globalSlots(bp.res.nglobals)
-	fr := ex.getTopBFrame()
-	_, _, rerr := runBC(fr, bs.code)
-	ex.putBFrame(fr)
 	return finishRun(ex, rerr)
 }

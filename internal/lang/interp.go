@@ -63,9 +63,9 @@ type Config struct {
 	// CollectStats enables univalent/multivalent instruction counting
 	// (Fig. 10/11 accounting).
 	CollectStats bool
-	// Engine selects the execution engine (nil = DefaultEngine). Both
-	// engines produce bit-identical observable behavior; EngineInterp is
-	// the reference, EngineCompiled the fast path.
+	// Engine is the test seam for the reference engine: nil runs the
+	// production engine (EngineCompiled); the differential tests set
+	// EngineInterp to compare against it. Not a tuning option.
 	Engine Engine
 	// Session, when non-nil, recycles execution scratch state (frame
 	// and lane-slice free lists, global slot arrays) across sequential
@@ -183,7 +183,6 @@ type exec struct {
 	// locking. See pool.go.
 	laneSlices [][]Value
 	frames     []*cframe
-	bframes    []*bframe
 	// ses, when non-nil, donated the free lists above and takes them
 	// back when the run finishes. See session.go.
 	ses *Session
@@ -454,6 +453,10 @@ func (ex *exec) execFor(sc *scope, st *For) (ctrl, Value, error) {
 			if _, _, err := ex.execStmt(sc, st.Post); err != nil {
 				return ctrlNone, nil, err
 			}
+		} else if err := ex.step(); err != nil {
+			// The post statement's entry is the per-iteration step;
+			// without one, `for(;;){}` would never reach the step limit.
+			return ctrlNone, nil, err
 		}
 	}
 }

@@ -23,7 +23,6 @@ type Session struct {
 	gslots     []Value
 	gset       []bool
 	frames     []*cframe
-	bframes    []*bframe
 }
 
 // NewSession returns an empty session. Pools fill as runs release
@@ -43,11 +42,7 @@ func (s *Session) adopt(ex *exec) {
 	for _, fr := range ex.frames {
 		fr.ex = ex
 	}
-	ex.bframes = s.bframes
-	for _, fr := range ex.bframes {
-		fr.ex = ex
-	}
-	s.laneSlices, s.frames, s.bframes = nil, nil, nil
+	s.laneSlices, s.frames = nil, nil
 }
 
 // globalSlots installs the cleared global frame for a run that needs n
@@ -81,7 +76,6 @@ func (ex *exec) releaseSession() {
 	s.lanes = ex.lanes
 	s.laneSlices = ex.laneSlices
 	s.frames = ex.frames
-	s.bframes = ex.bframes
 	if ex.gslots != nil {
 		s.gslots, s.gset = ex.gslots, ex.gset
 	}

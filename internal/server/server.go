@@ -53,10 +53,9 @@ type Options struct {
 	// boundaries. The epoch pipeline (internal/epoch) installs its
 	// manager here to tee the live trace into a durable segmented log.
 	Tap trace.Tap
-	// Engine selects the language execution engine (nil =
-	// lang.DefaultEngine). Engines are observationally identical — the
-	// recorded digests and reports do not depend on this choice — so it
-	// is purely a performance knob.
+	// Engine is the test seam for the reference engine: nil runs the
+	// production engine; differential tests set lang.EngineInterp. The
+	// recorded digests and reports do not depend on it.
 	Engine lang.Engine
 }
 

@@ -46,13 +46,6 @@ func OOOAudit(prog *lang.Program, tr *trace.Trace, rep *reports.Reports, init *o
 // error matching ErrAuditCanceled; leftover request goroutines are
 // unblocked by the scheduler's shutdown, and no verdict is produced.
 func OOOAuditContext(ctx context.Context, prog *lang.Program, tr *trace.Trace, rep *reports.Reports, init *object.Snapshot) (*Result, error) {
-	return OOOAuditContextOpts(ctx, prog, tr, rep, init, Options{})
-}
-
-// OOOAuditContextOpts is OOOAuditContext with audit options. Only
-// opts.Engine is consulted: the OOO audit is inherently per-request
-// (no grouping), so MaxGroup/Workers do not apply.
-func OOOAuditContextOpts(ctx context.Context, prog *lang.Program, tr *trace.Trace, rep *reports.Reports, init *object.Snapshot, opts Options) (*Result, error) {
 	if ctx.Err() != nil {
 		return nil, auditCanceled(ctx)
 	}
@@ -158,7 +151,7 @@ func OOOAuditContextOpts(ctx context.Context, prog *lang.Program, tr *trace.Trac
 
 	inputs := tr.Inputs()
 	responses := tr.Responses()
-	sched := newOOOScheduler(env, opts.Engine)
+	sched := newOOOScheduler(env)
 	defer sched.shutdown()
 	for si, key := range schedule {
 		// Operationwise stepping makes the schedule loop the natural
@@ -229,9 +222,8 @@ func OOOAuditContextOpts(ctx context.Context, prog *lang.Program, tr *trace.Trac
 
 // oooScheduler single-steps request goroutines through their state ops.
 type oooScheduler struct {
-	env    *auditEnv
-	engine lang.Engine
-	reqs   map[string]*oooRequest
+	env  *auditEnv
+	reqs map[string]*oooRequest
 }
 
 type oooRequest struct {
@@ -243,8 +235,8 @@ type oooRequest struct {
 	err    error
 }
 
-func newOOOScheduler(env *auditEnv, engine lang.Engine) *oooScheduler {
-	return &oooScheduler{env: env, engine: engine, reqs: make(map[string]*oooRequest)}
+func newOOOScheduler(env *auditEnv) *oooScheduler {
+	return &oooScheduler{env: env, reqs: make(map[string]*oooRequest)}
 }
 
 // start launches the request's goroutine; it runs until its first state
@@ -267,7 +259,6 @@ func (s *oooScheduler) start(prog *lang.Program, rid string, in trace.Input) {
 			RIDs:   []string{rid},
 			Inputs: []lang.RequestInput{{Get: in.Get, Post: in.Post, Cookie: in.Cookie}},
 			Bridge: bridge,
-			Engine: s.engine,
 		})
 	}()
 }

@@ -91,13 +91,6 @@ func PatchAudit(patched *lang.Program, tr *trace.Trace, rep *reports.Reports, in
 // the replay between requests with an error matching ErrAuditCanceled
 // and no (partial) classification.
 func PatchAuditContext(ctx context.Context, patched *lang.Program, tr *trace.Trace, rep *reports.Reports, init *object.Snapshot) (*PatchResult, error) {
-	return PatchAuditContextOpts(ctx, patched, tr, rep, init, Options{})
-}
-
-// PatchAuditContextOpts is PatchAuditContext with audit options. Only
-// opts.Engine is consulted: the patch replay is per-request, so
-// MaxGroup/Workers do not apply.
-func PatchAuditContextOpts(ctx context.Context, patched *lang.Program, tr *trace.Trace, rep *reports.Reports, init *object.Snapshot, opts Options) (*PatchResult, error) {
 	if ctx.Err() != nil {
 		return nil, auditCanceled(ctx)
 	}
@@ -171,7 +164,6 @@ func PatchAuditContextOpts(ctx context.Context, patched *lang.Program, tr *trace
 			RIDs:   []string{rid},
 			Inputs: []lang.RequestInput{{Get: ev.In.Get, Post: ev.In.Post, Cookie: ev.In.Cookie}},
 			Bridge: bridge,
-			Engine: opts.Engine,
 		})
 		var cls PatchClass
 		switch {

@@ -54,10 +54,9 @@ type Options struct {
 	// and ends, groups re-executed, ops replayed, the verdict). With
 	// Workers > 1 some callbacks fire concurrently; see Observer.
 	Observer Observer
-	// Engine selects the language execution engine for Phase-3
-	// re-execution (nil = lang.DefaultEngine). Verdicts are
-	// bit-identical across engines; the server and verifier may even
-	// use different engines.
+	// Engine is the test seam for the reference engine in Phase-3
+	// re-execution: nil runs the production engine; differential tests
+	// set lang.EngineInterp. Verdicts are bit-identical under either.
 	Engine lang.Engine
 }
 
