@@ -338,6 +338,8 @@ func gcChain(dir string, opts epoch.GCOptions) {
 	}
 	fmt.Printf("gc: %d epochs scanned, %d live chunks, %d chunks swept (%d bytes at rest)%s\n",
 		res.Epochs, res.LiveChunks, res.SweptChunks, res.SweptBytes, mode)
+	fmt.Printf("gc: chunk refs %d (%d logical bytes), unique %d (%d logical bytes)\n",
+		res.Sharing.Refs, res.Sharing.RefBytes, res.Sharing.Unique, res.Sharing.UniqueBytes)
 }
 
 // scrubChain runs one retrievability pass, records failures in the

@@ -64,7 +64,7 @@ func main() {
 	var stop context.CancelFunc
 	benchCtx, stop = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fig := flag.String("fig", "all", "which figure/table to regenerate (8, 8lat, 9, 10, 11, frontier, workers, serve, fleet, all)")
+	fig := flag.String("fig", "all", "which figure/table to regenerate (8, 8lat, 9, 10, 11, frontier, workers, serve, fleet, storage, all)")
 	scale := flag.Int("scale", 10, "divide paper-sized workloads by this factor (1 = full size)")
 	conc := flag.Int("concurrency", 8, "in-flight requests while serving")
 	// The paper-shape figures default to the sequential audit so the
@@ -99,6 +99,8 @@ func main() {
 		figServe(*scale)
 	case "fleet":
 		figFleet(*scale, *conc)
+	case "storage":
+		figStorage(*scale, *conc)
 	case "all":
 		fig8(*scale, *conc, *auditWorkers)
 		fig9(*scale, *conc, *auditWorkers)
@@ -108,6 +110,7 @@ func main() {
 		figWorkers(*scale, *conc)
 		figServe(*scale)
 		figFleet(*scale, *conc)
+		figStorage(*scale, *conc)
 		fig8lat(*scale, *conc)
 	case "frontier":
 		figFrontier()
@@ -155,6 +158,13 @@ type storageResult struct {
 	StoredBytes    int64 `json:"stored_bytes"`
 	Chunks         int   `json:"chunks"`
 	WholeFileBytes int64 `json:"whole_file_bytes"`
+	// ChunkRefs counts the chunk references across all manifests and
+	// ChunkUnique the distinct chunks they name (LogicalBytes and
+	// UniqueBytes are their logical bytes); equal counts mean no chunk
+	// is shared and every byte saved at rest is compression.
+	ChunkRefs   int   `json:"chunk_refs"`
+	ChunkUnique int   `json:"chunk_unique"`
+	UniqueBytes int64 `json:"unique_bytes"`
 	// DedupRatio is logical bytes per stored byte (chunk sharing plus
 	// compression; the console's orochi_storage_dedup_ratio).
 	// ChunkShareRatio isolates chunk-level sharing: referenced chunk
@@ -301,20 +311,11 @@ func storageBench(w *workload.Workload, conc int) *storageResult {
 	sealed, err := epoch.ListSealed(chunkedDir)
 	check(err)
 	res.Epochs = len(sealed)
-	seen := map[string]bool{}
-	var refBytes, uniqueBytes int64
-	for _, s := range sealed {
-		for _, r := range s.Manifest.ChunkRefs() {
-			refBytes += r.Bytes
-			if !seen[r.SHA256] {
-				seen[r.SHA256] = true
-				uniqueBytes += r.Bytes
-			}
-		}
-	}
-	res.LogicalBytes = refBytes
-	if uniqueBytes > 0 {
-		res.ChunkShareRatio = float64(refBytes) / float64(uniqueBytes)
+	cs := epoch.CountChunkSharing(sealed)
+	res.ChunkRefs, res.ChunkUnique = cs.Refs, cs.Unique
+	res.LogicalBytes, res.UniqueBytes = cs.RefBytes, cs.UniqueBytes
+	if cs.UniqueBytes > 0 {
+		res.ChunkShareRatio = float64(cs.RefBytes) / float64(cs.UniqueBytes)
 	}
 	store, err := epoch.OpenChainStore(chunkedDir)
 	check(err)
@@ -322,10 +323,27 @@ func storageBench(w *workload.Workload, conc int) *storageResult {
 	check(err)
 	res.Chunks, res.StoredBytes = chunks, storedBytes
 	if storedBytes > 0 {
-		res.DedupRatio = float64(refBytes) / float64(storedBytes)
+		res.DedupRatio = float64(cs.RefBytes) / float64(storedBytes)
 	}
 	res.WholeFileBytes = dirFileBytes(wholeDir)
 	return res
+}
+
+// figStorage prints the storage section as a table.
+func figStorage(scale, conc int) {
+	fmt.Println("== Sealed-epoch storage: content-addressed chunks vs whole files ==")
+	fmt.Println("   logical = the table-encoded artifacts the manifests pin; refs = unique means")
+	fmt.Println("   no chunk is shared, and logical/stored is compression alone")
+	tw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "app\tepochs\tchunk refs\tunique\tlogical B\tunique B\tstored B\twhole-file B\tlogical/stored\tseal overhead\tload overhead")
+	for _, item := range workloads(scale) {
+		r := storageBench(item.w, conc)
+		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.2f\t%.2fx\t%.2fx\n",
+			item.name, r.Epochs, r.ChunkRefs, r.ChunkUnique, r.LogicalBytes, r.UniqueBytes,
+			r.StoredBytes, r.WholeFileBytes, r.DedupRatio, r.SealOverhead, r.LoadOverhead)
+	}
+	tw.Flush()
+	fmt.Println()
 }
 
 // fleetBench seals a chunked chain once and audits it through the

@@ -2,8 +2,12 @@
 // artifacts. Blobs (segment traces, report bundles, snapshots) are cut
 // into content-defined chunks, each keyed by the SHA-256 of its bytes;
 // a blob is then just an ordered list of chunk references, and two
-// epochs that share logical content (the common case for consecutive
-// serving periods) share the chunks themselves. The model follows the
+// blobs that cut to an identical chunk store it once. On the traces
+// this repo seals that is rare — chunks average tens of KB on
+// low-entropy HTML and each also carries per-request ids — so repeated
+// responses are deduplicated above this layer, by the trace codec's
+// body table, and this layer contributes addressing, integrity and
+// compression at rest. The model follows the
 // gapid isolate-server design: writers upload only chunks the store
 // lacks, readers verify every chunk against its digest, so integrity
 // checking comes for free on every read.
@@ -81,16 +85,16 @@ type Store interface {
 
 // WriteBlob cuts data into content-defined chunks with c and stores
 // each in s, returning the ordered refs that reconstruct the blob.
-// Chunks already present are not rewritten — that is the dedup.
+// Chunks already present are not rewritten — that is the dedup, and it
+// is Put's to do: every store's Put is a cheap no-op on a chunk it
+// holds, so asking Has first would only repeat the lookup.
 func WriteBlob(s Store, c ChunkerOptions, data []byte) ([]Ref, error) {
 	chunks := c.Split(data)
 	refs := make([]Ref, 0, len(chunks))
 	for i, chunk := range chunks {
 		sha := SumHex(chunk)
-		if !s.Has(sha) {
-			if err := s.Put(sha, chunk); err != nil {
-				return nil, &ChunkError{Digest: sha, Index: i, Err: err}
-			}
+		if err := s.Put(sha, chunk); err != nil {
+			return nil, &ChunkError{Digest: sha, Index: i, Err: err}
 		}
 		refs = append(refs, Ref{SHA256: sha, Bytes: int64(len(chunk))})
 	}

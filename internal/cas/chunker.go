@@ -15,9 +15,9 @@ type ChunkerOptions struct {
 	Max int // hard cap; force a cut here
 }
 
-// DefaultChunker is tuned for epoch segments: small enough that a
-// repeated wiki page render dedups against its earlier occurrences,
-// large enough that per-chunk overhead stays negligible.
+// DefaultChunker bounds chunks for epoch artifacts: small enough that a
+// reader fetches and verifies in modest units, large enough that
+// per-chunk overhead stays negligible.
 var DefaultChunker = ChunkerOptions{Min: 2 << 10, Avg: 8 << 10, Max: 64 << 10}
 
 // Split cuts data into content-defined chunks. The concatenation of

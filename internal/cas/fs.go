@@ -1,10 +1,7 @@
 package cas
 
 import (
-	"bytes"
-	"compress/gzip"
 	"fmt"
-	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -50,27 +47,28 @@ func (s *FS) Put(sha string, data []byte) error {
 	if _, err := os.Stat(path); err == nil {
 		return nil
 	}
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return fmt.Errorf("cas: put %s: %w", short(sha), err)
-	}
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(data); err != nil {
-		return fmt.Errorf("cas: put %s: %w", short(sha), err)
-	}
-	if err := zw.Close(); err != nil {
+	zdata, err := encio.Gzip(data)
+	if err != nil {
 		return fmt.Errorf("cas: put %s: %w", short(sha), err)
 	}
 	// Each writer gets its own temp file: concurrent Puts of the same
 	// digest must not interleave writes on a shared temp path or race
 	// each other's rename — whichever rename lands last wins, and both
 	// leave identical bytes (same digest, same content).
-	tmp, err := os.CreateTemp(filepath.Dir(path), sha[:8]+"-*.tmp")
+	dir := filepath.Dir(path)
+	tmp, err := os.CreateTemp(dir, sha[:8]+"-*.tmp")
+	if os.IsNotExist(err) {
+		// First chunk under this fan-out directory.
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("cas: put %s: %w", short(sha), err)
+		}
+		tmp, err = os.CreateTemp(dir, sha[:8]+"-*.tmp")
+	}
 	if err != nil {
 		return fmt.Errorf("cas: put %s: %w", short(sha), err)
 	}
 	tmpPath := tmp.Name()
-	_, werr := tmp.Write(buf.Bytes())
+	_, werr := tmp.Write(zdata)
 	if werr == nil {
 		werr = tmp.Sync()
 	}
@@ -89,7 +87,7 @@ func (s *FS) Put(sha string, data []byte) error {
 		}
 		return fmt.Errorf("cas: put %s: %w", short(sha), err)
 	}
-	if err := syncDir(filepath.Dir(path)); err != nil {
+	if err := syncDir(dir); err != nil {
 		return fmt.Errorf("cas: put %s: %w", short(sha), err)
 	}
 	return nil
@@ -108,18 +106,8 @@ func (s *FS) Get(sha string) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cas: get %s: %w", short(sha), err)
 	}
-	zr, err := gzip.NewReader(bytes.NewReader(raw))
+	data, err := encio.Gunzip(raw)
 	if err != nil {
-		return nil, fmt.Errorf("cas: get %s: corrupt chunk: %w", short(sha), err)
-	}
-	data, err := io.ReadAll(zr)
-	if err != nil {
-		return nil, fmt.Errorf("cas: get %s: corrupt chunk: %w", short(sha), err)
-	}
-	if err := zr.Close(); err != nil {
-		return nil, fmt.Errorf("cas: get %s: corrupt chunk: %w", short(sha), err)
-	}
-	if err := encio.ExpectEOF(zr); err != nil {
 		return nil, fmt.Errorf("cas: get %s: corrupt chunk: %w", short(sha), err)
 	}
 	if got := SumHex(data); got != sha {

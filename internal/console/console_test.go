@@ -121,6 +121,10 @@ func TestConsoleHonestPipeline(t *testing.T) {
 		"orochi_storage_chunks ",
 		"orochi_storage_bytes ",
 		"orochi_storage_dedup_ratio ",
+		"orochi_storage_chunk_refs ",
+		"orochi_storage_chunk_refs_unique ",
+		"orochi_storage_chunk_ref_bytes ",
+		"orochi_storage_chunk_unique_bytes ",
 		"orochi_scrub_runs_total 1",
 		`orochi_scrub_checks_total{kind="chunk"}`,
 		"orochi_scrub_failures_total 0",

@@ -66,22 +66,32 @@ func (c *Console) metrics(w http.ResponseWriter, r *http.Request) {
 		p.sample("orochi_pipeline_failed", "", boolGauge(st.Err != ""))
 
 		// Content-addressed storage: at-rest footprint vs the logical
-		// bytes the manifests pin. The stores-side dedup ratio — distinct
-		// from the audit-side re-execution dedup above — is >1 whenever
-		// consecutive epochs share chunks (or gzip-at-rest compresses).
+		// bytes the manifests pin, and how many of the manifests' chunk
+		// references land on a chunk another reference already named.
 		if store, err := epoch.OpenChainStore(c.mgr.Dir()); err == nil {
 			if chunks, storedBytes, err := store.Stats(); err == nil {
 				p.family("orochi_storage_chunks", "gauge", "Chunks in the chain's content-addressed store.")
 				p.sample("orochi_storage_chunks", "", float64(chunks))
 				p.family("orochi_storage_bytes", "gauge", "At-rest bytes of the chunk store (compressed).")
 				p.sample("orochi_storage_bytes", "", float64(storedBytes))
-				p.family("orochi_storage_dedup_ratio", "gauge", "Logical sealed bytes per at-rest stored byte (>1 = chunk dedup and compression winning).")
+				p.family("orochi_storage_dedup_ratio", "gauge", "Logical sealed bytes (the table-encoded artifacts the manifests pin) divided by at-rest bytes; compression included, so >1 does not by itself mean chunks are shared — compare chunk_refs with chunk_refs_unique.")
 				ratio := float64(0)
 				if storedBytes > 0 {
 					ratio = float64(bytesLogged) / float64(storedBytes)
 				}
 				p.sample("orochi_storage_dedup_ratio", "", ratio)
 			}
+		}
+		if sealed, err := epoch.ListSealed(c.mgr.Dir()); err == nil {
+			cs := epoch.CountChunkSharing(sealed)
+			p.family("orochi_storage_chunk_refs", "gauge", "Chunk references across all sealed manifests.")
+			p.sample("orochi_storage_chunk_refs", "", float64(cs.Refs))
+			p.family("orochi_storage_chunk_refs_unique", "gauge", "Distinct chunks those references name (equal to chunk_refs = no chunk is shared).")
+			p.sample("orochi_storage_chunk_refs_unique", "", float64(cs.Unique))
+			p.family("orochi_storage_chunk_ref_bytes", "gauge", "Logical (uncompressed) bytes behind all chunk references.")
+			p.sample("orochi_storage_chunk_ref_bytes", "", float64(cs.RefBytes))
+			p.family("orochi_storage_chunk_unique_bytes", "gauge", "Logical (uncompressed) bytes of the distinct chunks.")
+			p.sample("orochi_storage_chunk_unique_bytes", "", float64(cs.UniqueBytes))
 		}
 	}
 

@@ -1,10 +1,14 @@
 // Package encio holds small helpers shared by the gob+gzip codecs in
-// trace, reports, and object.
+// trace, reports, and object, and by the chunk store's at-rest
+// compression.
 package encio
 
 import (
+	"bytes"
+	"compress/gzip"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // ExpectEOF verifies that r has been fully consumed. Reading the one
@@ -19,4 +23,50 @@ func ExpectEOF(r io.Reader) error {
 	default:
 		return fmt.Errorf("trailing data after encoded stream")
 	}
+}
+
+// A gzip.Writer carries about a megabyte of deflate state and a
+// gzip.Reader its window and Huffman tables; sealing builds one per
+// chunk and the live log one per record, so both are reused. Reset
+// returns them to their initial state, so pooled and fresh instances
+// produce the same bytes.
+var (
+	gzipWriters = sync.Pool{New: func() any { return gzip.NewWriter(nil) }}
+	gzipReaders = sync.Pool{New: func() any { return new(gzip.Reader) }}
+)
+
+// Gzip compresses data into one gzip stream at the default level.
+func Gzip(data []byte) ([]byte, error) {
+	var buf bytes.Buffer
+	zw := gzipWriters.Get().(*gzip.Writer)
+	defer gzipWriters.Put(zw)
+	zw.Reset(&buf)
+	if _, err := zw.Write(data); err != nil {
+		return nil, err
+	}
+	if err := zw.Close(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// Gunzip inflates a stream produced by Gzip. The stream must inflate
+// exactly: truncated input, a checksum mismatch, and trailing garbage
+// are all errors, so stored bytes either decode whole or not at all.
+func Gunzip(data []byte) ([]byte, error) {
+	zr := gzipReaders.Get().(*gzip.Reader)
+	defer gzipReaders.Put(zr)
+	if err := zr.Reset(bytes.NewReader(data)); err != nil {
+		return nil, err
+	}
+	// ReadAll runs to the end of input: it checks the trailer checksum,
+	// and bytes after the stream fail as a bad next-member header.
+	out, err := io.ReadAll(zr)
+	if err != nil {
+		return nil, err
+	}
+	if err := zr.Close(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -57,10 +57,13 @@ type GCOptions struct {
 
 // GCResult reports what a collection pass did (or, dry-run, would do).
 type GCResult struct {
-	Epochs      int     // sealed epochs scanned
-	Compacted   []int64 // epochs compacted by this pass
-	Skipped     []int64 // retention candidates left alone (no ACCEPT decision or checkpoint)
-	LiveChunks  int
+	Epochs     int     // sealed epochs scanned
+	Compacted  []int64 // epochs compacted by this pass
+	Skipped    []int64 // retention candidates left alone (no ACCEPT decision or checkpoint)
+	LiveChunks int
+	// Sharing counts the chunk references of the epochs left
+	// re-auditable (not compacted) and the distinct chunks behind them.
+	Sharing     ChunkSharing
 	SweptChunks int
 	SweptBytes  int64 // at-rest bytes reclaimed (compressed chunk files)
 }
@@ -150,10 +153,12 @@ func GC(dir string, opts GCOptions) (*GCResult, error) {
 	// Mark: every chunk (and migrated whole-file blob) a live manifest
 	// still references.
 	live := make(map[string]bool)
+	var kept []*Sealed
 	for _, s := range sealed {
 		if compacted[s.Number] {
 			continue
 		}
+		kept = append(kept, s)
 		for _, r := range s.Manifest.ChunkRefs() {
 			live[r.SHA256] = true
 		}
@@ -171,6 +176,7 @@ func GC(dir string, opts GCOptions) (*GCResult, error) {
 		}
 	}
 	res.LiveChunks = len(live)
+	res.Sharing = CountChunkSharing(kept)
 
 	// Sweep.
 	stored, err := store.List()

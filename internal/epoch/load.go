@@ -137,15 +137,9 @@ func LoadFrom(s *Sealed, store cas.Store) (*Loaded, error) {
 			if err != nil {
 				return fail("%s: %v", label, err)
 			}
-			for _, r := range recs {
-				if r.typ != recEvents {
-					continue
-				}
-				tr, err := trace.Decode(r.payload)
-				if err != nil {
-					return fail("%s: undecodable record: %v", label, err)
-				}
-				segEvents = append(segEvents, tr.Events...)
+			segEvents, err = decodeEventRecords(new(trace.Decoder), recs)
+			if err != nil {
+				return fail("%s: %v", label, err)
 			}
 		}
 		if len(segEvents) != seg.Events {

@@ -45,9 +45,9 @@ func (o LogWriterOptions) withDefaults() LogWriterOptions {
 
 // SegmentInfo describes one finalized segment. In a whole-file (v1)
 // manifest Bytes/SHA256 are over the on-disk segment file; in a
-// chunked (v2) manifest they describe the segment's logical blob (the
-// raw-encoded trace of its events) and Chunks lists the content-
-// defined chunks that reassemble it.
+// chunked (v2) manifest they describe the segment's logical blob (its
+// events as trace.EncodeRaw writes them, each distinct response body
+// once) and Chunks lists the content-defined chunks that reassemble it.
 type SegmentInfo struct {
 	Name    string    `json:"name"`
 	Bytes   int64     `json:"bytes"`
@@ -58,7 +58,11 @@ type SegmentInfo struct {
 }
 
 // LogWriter appends trace events to length-prefixed, CRC-checksummed,
-// gzip-framed records in rotating append-only segment files. The active
+// gzip-framed records in rotating append-only segment files. The
+// records of one segment share a response-body table (trace.Encoder):
+// a record carries only the bodies no earlier record of its segment
+// introduced, and the table starts empty in every segment, so each
+// segment file decodes on its own. The active
 // segment carries a ".open" suffix; rotation finalizes it (fsync +
 // atomic rename to ".seg") and lazily opens the next one on the first
 // subsequent append. Reopening a directory with OpenLogWriter recovers
@@ -72,8 +76,9 @@ type LogWriter struct {
 	opts LogWriterOptions
 
 	mu         sync.Mutex
-	seq        int      // number of the active (or next) segment
-	f          *os.File // nil until the first append of a segment
+	seq        int            // number of the active (or next) segment
+	f          *os.File       // nil until the first append of a segment
+	enc        *trace.Encoder // body table of the active segment
 	hash       hash.Hash
 	segBytes   int64
 	segRecords int
@@ -128,13 +133,16 @@ func OpenLogWriter(dir string, opts LogWriterOptions) (*LogWriter, error) {
 }
 
 // recoverOpenSegment truncates the torn tail of the active segment at
-// path and resumes appending to it.
+// path and resumes appending to it, with the body table its surviving
+// records built. A torn tail only drops the newest records, which no
+// surviving record references.
 func (w *LogWriter) recoverOpenSegment(path string) error {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return fmt.Errorf("epoch: recover %s: %w", path, err)
 	}
 	var valid int64
+	dec := new(trace.Decoder)
 	if len(data) < len(segMagic) || string(data[:len(segMagic)]) != segMagic {
 		// Crashed before the header made it out: restart the file.
 		valid = 0
@@ -144,16 +152,15 @@ func (w *LogWriter) recoverOpenSegment(path string) error {
 			return fmt.Errorf("epoch: recover %s: %w", path, err)
 		}
 		valid = v
+		events, err := decodeEventRecords(dec, recs)
+		if err != nil {
+			return fmt.Errorf("epoch: recover %s: %w", path, err)
+		}
+		w.segEvents = len(events)
 		for _, r := range recs {
-			if r.typ != recEvents {
-				continue
+			if r.typ == recEvents {
+				w.segRecords++
 			}
-			tr, err := trace.Decode(r.payload)
-			if err != nil {
-				return fmt.Errorf("epoch: recover %s: CRC-valid record fails to decode: %w", path, err)
-			}
-			w.segEvents += len(tr.Events)
-			w.segRecords++
 		}
 		w.events += w.segEvents
 	}
@@ -170,6 +177,7 @@ func (w *LogWriter) recoverOpenSegment(path string) error {
 		return fmt.Errorf("epoch: recover %s: %w", path, err)
 	}
 	w.f = f
+	w.enc = dec.Encoder()
 	w.hash = sha256.New()
 	w.hash.Write(data[:valid])
 	w.segBytes = valid
@@ -208,18 +216,17 @@ func (w *LogWriter) flushLocked() error {
 	if len(w.pending) == 0 {
 		return nil
 	}
-	batch := &trace.Trace{Events: w.pending}
-	payload, err := batch.Encode()
-	if err != nil {
-		return err
-	}
-	n := len(w.pending)
-	w.pending = nil
 	if w.f == nil {
 		if err := w.openSegmentLocked(); err != nil {
 			return err
 		}
 	}
+	payload, err := w.enc.Encode(w.pending)
+	if err != nil {
+		return err
+	}
+	n := len(w.pending)
+	w.pending = nil
 	if err := w.writeRaw(encodeRecord(recEvents, payload)); err != nil {
 		return err
 	}
@@ -238,6 +245,7 @@ func (w *LogWriter) openSegmentLocked() error {
 		return fmt.Errorf("epoch: open segment: %w", err)
 	}
 	w.f = f
+	w.enc = new(trace.Encoder)
 	w.hash = sha256.New()
 	w.segBytes = 0
 	w.segRecords = 0
@@ -373,19 +381,31 @@ func readSegmentFile(path string, strict bool) (SegmentInfo, []trace.Event, erro
 		Records: len(recs),
 		SHA256:  cas.SumHex(data[:valid]),
 	}
+	events, err := decodeEventRecords(new(trace.Decoder), recs)
+	if err != nil {
+		return SegmentInfo{}, nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
+	}
+	info.Events = len(events)
+	return info, events, nil
+}
+
+// decodeEventRecords replays a segment's event records, in order,
+// through dec — a record may reference bodies an earlier record
+// introduced, so dec must start empty at the segment's first record —
+// and returns the events.
+func decodeEventRecords(dec *trace.Decoder, recs []record) ([]trace.Event, error) {
 	var events []trace.Event
 	for _, r := range recs {
 		if r.typ != recEvents {
 			continue
 		}
-		tr, err := trace.Decode(r.payload)
+		evs, err := dec.Decode(r.payload)
 		if err != nil {
-			return SegmentInfo{}, nil, fmt.Errorf("%s: CRC-valid record fails to decode: %w", filepath.Base(path), err)
+			return nil, fmt.Errorf("CRC-valid record fails to decode: %w", err)
 		}
-		events = append(events, tr.Events...)
+		events = append(events, evs...)
 	}
-	info.Events = len(events)
-	return info, events, nil
+	return events, nil
 }
 
 // WriteReportsFile frames the report bundle as a single-record segment

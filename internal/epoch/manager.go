@@ -54,9 +54,10 @@ type SealedSummary struct {
 	// Bytes is the epoch's logical footprint: segment artifacts plus
 	// the reports bundle (and the init snapshot for epoch 1). In
 	// whole-file mode that is the on-disk byte count; in chunked mode
-	// it is the uncompressed blob size the manifests pin — the
-	// numerator of the storage dedup ratio. Metrics sum it into the
-	// bytes-logged counter.
+	// it is the uncompressed blob size the manifests pin (segments in
+	// their body-table form, so repeated responses are already counted
+	// once per segment) — the numerator of the storage dedup ratio.
+	// Metrics sum it into the bytes-logged counter.
 	Bytes       int64
 	ManifestSHA string
 	SealedAt    time.Time
@@ -398,9 +399,9 @@ func (m *Manager) seal(job *sealJob, prevSHA string) (string, error) {
 	var repInfo FileInfo
 	if m.store != nil {
 		// Chunked sealing: segment files become content-defined chunks
-		// in the chain store (dedup against everything sealed before),
-		// and the reports bundle is chunked directly — after this the
-		// epoch dir holds only the manifest.
+		// in the chain store (a chunk it already holds is not written
+		// again), and the reports bundle is chunked directly — after
+		// this the epoch dir holds only the manifest.
 		version = ManifestVersionChunked
 		segs, err = chunkSegments(m.store, epochDir, segs)
 		if err != nil {

@@ -43,8 +43,9 @@ import (
 const (
 	segMagic = "OSG1"
 
-	// recEvents frames a batch of trace events, encoded as a
-	// trace.Trace via trace.Encode (gob+gzip).
+	// recEvents frames a batch of trace events, written by the
+	// segment's trace.Encoder (gob+gzip): the batch's response bodies
+	// are indices into a table that runs across the segment's records.
 	recEvents byte = 1
 	// recReports frames a full report bundle via reports.Encode.
 	recReports byte = 2

@@ -20,8 +20,9 @@ type StorageMode int
 const (
 	// StorageChunked (the default) seals artifacts into the chain's
 	// content-addressed store: each artifact becomes an ordered list of
-	// content-defined chunks pinned in a v2 manifest, and consecutive
-	// epochs share identical chunks instead of storing them again.
+	// content-defined chunks pinned in a v2 manifest, and a chunk two
+	// artifacts have in common is stored once (CountChunkSharing says
+	// how often that happens).
 	StorageChunked StorageMode = iota
 	// StorageWholeFile is the original v1 layout: every artifact is a
 	// whole file inside the epoch directory.
@@ -57,12 +58,51 @@ func OpenChainStore(dir string) (*cas.FS, error) {
 	return cas.OpenFS(filepath.Join(dir, CASDirName))
 }
 
+// ChunkSharing measures how far the chunk references of a set of
+// manifests land on the same chunks. Refs equal to Unique means the
+// store deduplicates nothing: every byte saved at rest is compression.
+type ChunkSharing struct {
+	// Refs counts chunk references across the manifests and RefBytes
+	// the logical (uncompressed) bytes behind them — what the manifests
+	// pin.
+	Refs     int
+	RefBytes int64
+	// Unique counts the distinct chunks referenced and UniqueBytes
+	// their logical bytes — what the store has to hold.
+	Unique      int
+	UniqueBytes int64
+}
+
+// CountChunkSharing tallies the chunk references of the given sealed
+// epochs (whole-file and damaged manifests contribute none).
+func CountChunkSharing(sealed []*Sealed) ChunkSharing {
+	var cs ChunkSharing
+	seen := make(map[string]bool)
+	for _, s := range sealed {
+		if s.Manifest == nil {
+			continue
+		}
+		for _, r := range s.Manifest.ChunkRefs() {
+			cs.Refs++
+			cs.RefBytes += r.Bytes
+			if !seen[r.SHA256] {
+				seen[r.SHA256] = true
+				cs.Unique++
+				cs.UniqueBytes += r.Bytes
+			}
+		}
+	}
+	return cs
+}
+
 // chunkSegments converts an epoch's finalized on-disk segments into
-// chunked form: each segment's events are decoded (checked against the
-// framing CRCs) and re-encoded as one raw logical blob, the blob is
-// cut into the store, and the segment file is removed. The returned
-// SegmentInfos pin the logical blob (Bytes, SHA256) plus its chunk
-// list; Name, Records, and Events carry over from the file form.
+// chunked form: each segment's records are replayed (checked against
+// the framing CRCs) into its events, the events are encoded as one
+// logical blob — a single record, so like the file it holds each
+// distinct response body once — the blob is cut into the store, and the
+// segment file is removed. The returned SegmentInfos pin the logical
+// blob (Bytes, SHA256) plus its chunk list; Name, Records, and Events
+// carry over from the file form.
 func chunkSegments(store cas.Store, epochDir string, segs []SegmentInfo) ([]SegmentInfo, error) {
 	out := make([]SegmentInfo, 0, len(segs))
 	for _, seg := range segs {

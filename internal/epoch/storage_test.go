@@ -1,17 +1,23 @@
 package epoch
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"orochi/internal/cas"
+	"orochi/internal/encio"
 	"orochi/internal/lang"
+	"orochi/internal/reports"
 	"orochi/internal/server"
+	"orochi/internal/trace"
 )
 
 // startPipelineMode is startPipeline with an explicit storage mode, for
@@ -651,5 +657,237 @@ func TestWriteManifestCleansTmpOnRenameFailure(t *testing.T) {
 	}
 	if _, serr := os.Stat(filepath.Join(dir, ManifestName+".tmp")); !os.IsNotExist(serr) {
 		t.Fatalf("stale %s.tmp left behind after failed rename: %v", ManifestName, serr)
+	}
+}
+
+// pagedEvents is mkEvents with response bodies drawn from three pages,
+// so in a log of them almost every record references bodies that an
+// earlier record of its segment introduced.
+func pagedEvents(n, from int) []trace.Event {
+	evs := mkEvents(n, from)
+	for i := range evs {
+		if evs[i].Kind == trace.Response {
+			evs[i].Body = strings.Repeat(fmt.Sprintf("<p>page %d</p>\n", (i/2)%3), 200)
+		}
+	}
+	return evs
+}
+
+// TestRecoveredSegmentSealsAndLoads crashes a log writer mid-segment,
+// tears the newest record, resumes, and seals the epoch by hand in both
+// layouts. The segment's body table spans the crash: records written
+// before it introduced every page, the torn record and the records
+// written after it only reference them. What loads back must be exactly
+// the events that survived plus the events appended after recovery.
+func TestRecoveredSegmentSealsAndLoads(t *testing.T) {
+	for _, mode := range []StorageMode{StorageChunked, StorageWholeFile} {
+		t.Run(mode.String(), func(t *testing.T) {
+			chain := t.TempDir()
+			epochDir := filepath.Join(chain, epochDirName(1))
+			opts := LogWriterOptions{SegmentEvents: 1000, BatchEvents: 10}
+			w, err := OpenLogWriter(epochDir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prefix := pagedEvents(30, 1) // 6 records of 10 events
+			appendAll(t, w, prefix)
+			if err := w.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			w.Abort() // crash
+
+			openPath := filepath.Join(epochDir, segmentName(1, false))
+			data, err := os.ReadFile(openPath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, _, err := parseSegment(data, true)
+			if err != nil || len(recs) != 6 {
+				t.Fatalf("want 6 records before the crash, got %d (%v)", len(recs), err)
+			}
+			// The last record carries no body of its own: alone it does
+			// not decode, after its predecessors it does.
+			if _, err := new(trace.Decoder).Decode(recs[5].payload); err == nil {
+				t.Fatal("the last record decodes on its own; the test no longer spans the table across records")
+			}
+			// Tear inside the last record.
+			if err := os.WriteFile(openPath, data[:len(data)-len(recs[5].payload)/2], 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			w, err = OpenLogWriter(epochDir, opts)
+			if err != nil {
+				t.Fatalf("recovery: %v", err)
+			}
+			if got := w.Events(); got != 50 {
+				t.Fatalf("recovered %d events, want 50", got)
+			}
+			suffix := pagedEvents(7, 1000)
+			appendAll(t, w, suffix)
+			segs, err := w.Finalize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(segs) != 1 {
+				t.Fatalf("want the one resumed segment, got %d", len(segs))
+			}
+			// The first record introduced all three pages. No later one
+			// stores a page again — in particular not those written after
+			// recovery, whose encoder resumed the recovered table.
+			data, err = os.ReadFile(filepath.Join(epochDir, segs[0].Name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			recs, _, err = parseSegment(data, true)
+			if err != nil || len(recs) != 7 {
+				t.Fatalf("want 5 surviving + 2 resumed records, got %d (%v)", len(recs), err)
+			}
+			for i, r := range recs[1:] {
+				raw, err := encio.Gunzip(r.payload)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if bytes.Contains(raw, []byte("<p>page ")) {
+					t.Fatalf("record %d stores a page its segment already held", i+1)
+				}
+			}
+
+			want := append(append([]trace.Event(nil), prefix[:50]...), suffix...)
+			rep := reports.NewRecorder().Finalize()
+			m := &Manifest{Epoch: 1, Events: len(want), Requests: len(want) / 2}
+			if mode == StorageChunked {
+				store, err := OpenChainStore(chain)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.Version = ManifestVersionChunked
+				if m.Segments, err = chunkSegments(store, epochDir, segs); err != nil {
+					t.Fatal(err)
+				}
+				if m.Reports, err = chunkReports(store, rep); err != nil {
+					t.Fatal(err)
+				}
+			} else {
+				m.Segments = segs
+				if m.Reports, err = WriteReportsFile(filepath.Join(epochDir, ReportsName), rep); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := WriteManifest(epochDir, m); err != nil {
+				t.Fatal(err)
+			}
+			sealed, err := ListSealed(chain)
+			if err != nil || len(sealed) != 1 {
+				t.Fatalf("ListSealed: %d epochs, %v", len(sealed), err)
+			}
+			l, err := Load(sealed[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(l.Trace.Events, want) {
+				t.Fatalf("loaded %d events that differ from the %d surviving + appended ones", len(l.Trace.Events), len(want))
+			}
+		})
+	}
+}
+
+// TestTamperedSharedBodyRejectsNamingChunk alters one byte of a response
+// body that many responses of a sealed segment share. The body is stored
+// once, so the flip would rewrite all of them; the chunk digest catches
+// it before any is decoded, and the REJECT names the chunk.
+func TestTamperedSharedBodyRejectsNamingChunk(t *testing.T) {
+	dir := t.TempDir()
+	prog, srv, mgr := startPipeline(t, dir, 40)
+	for b := 0; b < 3; b++ {
+		srv.ServeAll(burst(25, b), 4)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := ListSealed(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sealed) < 2 {
+		t.Fatalf("sealed %d epochs, want >= 2", len(sealed))
+	}
+	store, err := OpenChainStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every "now" request answers with these bytes.
+	body := []byte("t=ok r=ok")
+	var target cas.Ref
+	var at int // offset of the body inside the target chunk
+	for _, seg := range sealed[1].Manifest.Segments {
+		blob, err := cas.ReadBlob(store, seg.Chunks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.DecodeRaw(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sharers := 0
+		for _, ev := range tr.Events {
+			if ev.Kind == trace.Response && ev.Body == string(body) {
+				sharers++
+			}
+		}
+		if sharers < 2 {
+			continue
+		}
+		if n := bytes.Count(blob, body); n != 1 {
+			t.Fatalf("segment %s stores the body of %d responses %d times, want once", seg.Name, sharers, n)
+		}
+		off := int64(bytes.Index(blob, body))
+		for _, ref := range seg.Chunks {
+			if off < ref.Bytes {
+				target, at = ref, int(off)
+				break
+			}
+			off -= ref.Bytes
+		}
+		break
+	}
+	if target.SHA256 == "" {
+		t.Fatal("no segment of epoch 2 has two responses sharing a body")
+	}
+	for _, ref := range sealed[0].Manifest.ChunkRefs() {
+		if ref.SHA256 == target.SHA256 {
+			t.Fatal("the chunk is shared with epoch 1; tampering it would reject the wrong epoch")
+		}
+	}
+	chunk, err := store.Get(target.SHA256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	chunk[at] ^= 0x01
+	zdata, err := encio.Gzip(chunk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, CASDirName, target.SHA256[:2], target.SHA256)
+	if err := os.WriteFile(path, zdata, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	a := NewAuditor(prog, dir, AuditorOptions{})
+	if _, err := a.RunOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	verdicts := a.Verdicts()
+	if len(verdicts) != 2 || !verdicts[0].Accepted || verdicts[1].Accepted {
+		t.Fatalf("want epoch 1 ACCEPT then epoch 2 REJECT, got %+v", verdicts)
+	}
+	if a.ChainAccepted() {
+		t.Fatal("chain accepted over a tampered body")
+	}
+	f := verdicts[1].Forensics
+	if f == nil || f.Phase != PhaseEpochLoad || f.Check != "integrity" {
+		t.Fatalf("forensics = %+v, want an %s integrity failure", f, PhaseEpochLoad)
+	}
+	if !strings.Contains(verdicts[1].Reason, target.SHA256) {
+		t.Fatalf("reject reason %q does not name the tampered chunk %s", verdicts[1].Reason, target.SHA256)
 	}
 }

@@ -2,7 +2,6 @@ package object
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/gob"
 	"fmt"
 	"os"
@@ -67,15 +66,11 @@ func (s *Snapshot) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(raw); err != nil {
+	data, err := encio.Gzip(raw)
+	if err != nil {
 		return nil, fmt.Errorf("object: encode snapshot: %w", err)
 	}
-	if err := zw.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return data, nil
 }
 
 // DecodeSnapshotRaw deserializes a snapshot produced by EncodeRaw.
@@ -96,19 +91,11 @@ func DecodeSnapshotRaw(data []byte) (*Snapshot, error) {
 // input and trailing garbage are errors, so corrupted on-disk state can
 // never load silently as a shortened snapshot.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(data))
+	raw, err := encio.Gunzip(data)
 	if err != nil {
 		return nil, fmt.Errorf("object: decode snapshot: %w", err)
 	}
-	defer zr.Close()
-	var wire snapshotWire
-	if err := gob.NewDecoder(zr).Decode(&wire); err != nil {
-		return nil, fmt.Errorf("object: decode snapshot: %w", err)
-	}
-	if err := encio.ExpectEOF(zr); err != nil {
-		return nil, fmt.Errorf("object: decode snapshot: %w", err)
-	}
-	return decodeSnapshotWire(&wire)
+	return DecodeSnapshotRaw(raw)
 }
 
 func decodeSnapshotWire(wire *snapshotWire) (*Snapshot, error) {

@@ -15,7 +15,6 @@ package reports
 
 import (
 	"bytes"
-	"compress/gzip"
 	"encoding/gob"
 	"fmt"
 	"sort"
@@ -246,32 +245,20 @@ func (r *Reports) Encode() ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	if _, err := zw.Write(raw); err != nil {
+	data, err := encio.Gzip(raw)
+	if err != nil {
 		return nil, fmt.Errorf("reports: encode: %w", err)
 	}
-	if err := zw.Close(); err != nil {
-		return nil, fmt.Errorf("reports: encode: %w", err)
-	}
-	return buf.Bytes(), nil
+	return data, nil
 }
 
 // Decode deserializes reports produced by Encode. Truncated input and
 // trailing garbage are errors, so a corrupted on-disk bundle can never
 // pass silently as a shortened one.
 func Decode(data []byte) (*Reports, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(data))
+	raw, err := encio.Gunzip(data)
 	if err != nil {
 		return nil, fmt.Errorf("reports: decode: %w", err)
 	}
-	defer zr.Close()
-	var r Reports
-	if err := gob.NewDecoder(zr).Decode(&r); err != nil {
-		return nil, fmt.Errorf("reports: decode: %w", err)
-	}
-	if err := encio.ExpectEOF(zr); err != nil {
-		return nil, fmt.Errorf("reports: decode: %w", err)
-	}
-	return &r, nil
+	return DecodeRaw(raw)
 }
