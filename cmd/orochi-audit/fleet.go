@@ -150,8 +150,8 @@ func workerCmd(ctx context.Context, prog *lang.Program, opts fleet.WorkerOptions
 		if r.CrossCheck {
 			tag = " [cross-check]"
 		}
-		fmt.Printf("epoch %d: %s%s (fetched %d of %d bytes)\n",
-			r.Epoch, verdict, tag, r.FetchedBytes, r.LogicalBytes)
+		fmt.Printf("epoch %d: %s%s (fetched %d of %d bytes, %d on the wire)\n",
+			r.Epoch, verdict, tag, r.FetchedBytes, r.LogicalBytes, r.WireBytes)
 	}
 	stats, err := fleet.RunWorker(ctx, prog, opts)
 	if errors.Is(err, context.Canceled) || errors.Is(err, verifier.ErrAuditCanceled) {
@@ -159,7 +159,7 @@ func workerCmd(ctx context.Context, prog *lang.Program, opts fleet.WorkerOptions
 		os.Exit(130)
 	}
 	exitOn(err)
-	fmt.Printf("worker %s done: %d epochs audited (%d accepted, %d rejected, %d abandoned), %d of %d bytes fetched\n",
+	fmt.Printf("worker %s done: %d epochs audited (%d accepted, %d rejected, %d abandoned), %d of %d bytes fetched, %d on the wire\n",
 		stats.Name, stats.Epochs, stats.Accepted, stats.Rejected, stats.Abandoned,
-		stats.FetchedBytes, stats.LogicalBytes)
+		stats.FetchedBytes, stats.LogicalBytes, stats.WireBytes)
 }

@@ -196,13 +196,17 @@ type fleetResult struct {
 	EpochsPerSec1 float64 `json:"epochs_per_sec_1"`
 	EpochsPerSecN float64 `json:"epochs_per_sec_n"`
 	Speedup       float64 `json:"speedup"`
-	// LogicalBytes is what the manifests pin; ColdFetchedBytes is what
-	// a cache-less worker pulled over the wire for the whole chain;
-	// WarmFetchedBytes is the same worker re-auditing a fresh copy of
-	// the chain with its chunk cache kept (the dedup win).
+	// LogicalBytes is what the manifests pin; ColdFetchedBytes is the
+	// logical size of what a cache-less worker pulled for the whole
+	// chain and ColdWireBytes what that cost on the wire (chunks travel
+	// in their at-rest gzip form; initial-state chunks included);
+	// WarmFetchedBytes/WarmWireBytes are the same worker re-auditing a
+	// fresh copy of the chain with its chunk cache kept (the dedup win).
 	LogicalBytes     int64 `json:"logical_bytes"`
 	ColdFetchedBytes int64 `json:"cold_fetched_bytes"`
+	ColdWireBytes    int64 `json:"cold_wire_bytes"`
 	WarmFetchedBytes int64 `json:"warm_fetched_bytes"`
+	WarmWireBytes    int64 `json:"warm_wire_bytes"`
 }
 
 // benchOutput is the top-level -json document.
@@ -460,7 +464,9 @@ func fleetBench(scale, conc int) *fleetResult {
 		Speedup:          wall1.Seconds() / wallN.Seconds(),
 		LogicalBytes:     statsCold[0].LogicalBytes,
 		ColdFetchedBytes: statsCold[0].FetchedBytes,
+		ColdWireBytes:    statsCold[0].WireBytes,
 		WarmFetchedBytes: statsWarm[0].FetchedBytes,
+		WarmWireBytes:    statsWarm[0].WireBytes,
 	}
 }
 
@@ -471,10 +477,10 @@ func figFleet(scale, conc int) {
 	fmt.Println("wall-clock, and a worker's chunk cache keeps re-audits off the wire")
 	r := fleetBench(scale, conc)
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "epochs\trequests\tepochs/s (1 worker)\tepochs/s\tworkers\tspeedup\tcold fetch\twarm fetch\tlogical")
-	fmt.Fprintf(tw, "%d\t%d\t%.1f\t%.1f\t%d\t%.2fx\t%dKB\t%dKB\t%dKB\n",
+	fmt.Fprintln(tw, "epochs\trequests\tepochs/s (1 worker)\tepochs/s\tworkers\tspeedup\tcold fetch\tcold wire\twarm fetch\twarm wire\tlogical")
+	fmt.Fprintf(tw, "%d\t%d\t%.1f\t%.1f\t%d\t%.2fx\t%dKB\t%dKB\t%dKB\t%dKB\t%dKB\n",
 		r.Epochs, r.Requests, r.EpochsPerSec1, r.EpochsPerSecN, r.Workers, r.Speedup,
-		r.ColdFetchedBytes/1024, r.WarmFetchedBytes/1024, r.LogicalBytes/1024)
+		r.ColdFetchedBytes/1024, r.ColdWireBytes/1024, r.WarmFetchedBytes/1024, r.WarmWireBytes/1024, r.LogicalBytes/1024)
 	tw.Flush()
 }
 

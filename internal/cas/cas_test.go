@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"orochi/internal/encio"
 )
 
 func TestChunkerReassembles(t *testing.T) {
@@ -165,10 +167,16 @@ func TestFSDetectsCorruptChunk(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Get(sha); err == nil {
+	_, err = s.Get(sha)
+	if err == nil {
 		t.Fatal("Get returned corrupt chunk without error")
 	} else if !strings.Contains(err.Error(), "corrupt") && !strings.Contains(err.Error(), "hash to") {
 		t.Fatalf("corruption error does not describe the failure: %v", err)
+	}
+	// The forwarding read verifies too, in the same words: the artifact
+	// server relays this text and it becomes a remote REJECT reason.
+	if _, serr := s.GetStored(sha); serr == nil || serr.Error() != err.Error() {
+		t.Fatalf("GetStored of a corrupt chunk = %v, Get says %v", serr, err)
 	}
 }
 
@@ -369,5 +377,80 @@ func TestFSPutConcurrentSameDigest(t *testing.T) {
 	}
 	if len(stray) != 0 {
 		t.Fatalf("temp files left behind: %v", stray)
+	}
+}
+
+// TestFSStoredForm: the at-rest form is a first-class way in and out of
+// the store. GetStored returns a gzip stream that inflates to exactly
+// what Get returns; PutStored files such a stream as it is, and refuses
+// — leaving no file — anything that does not inflate to content hashing
+// to the name it is filed under.
+func TestFSStoredForm(t *testing.T) {
+	src, err := OpenFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := bytes.Repeat([]byte("a chunk that compresses well. "), 400)
+	sha := SumHex(data)
+	if err := src.Put(sha, data); err != nil {
+		t.Fatal(err)
+	}
+	stored, err := src.GetStored(sha)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(stored) >= len(data) {
+		t.Fatalf("stored form is %d bytes for %d logical", len(stored), len(data))
+	}
+	inflated, err := encio.Gunzip(stored)
+	if err != nil || !bytes.Equal(inflated, data) {
+		t.Fatalf("GetStored does not inflate to Get's bytes: %v", err)
+	}
+
+	dst, err := OpenFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.PutStored(sha, stored); err != nil {
+		t.Fatal(err)
+	}
+	onDisk, err := os.ReadFile(filepath.Join(dst.Root(), sha[:2], sha))
+	if err != nil || !bytes.Equal(onDisk, stored) {
+		t.Fatalf("PutStored recompressed or altered the bytes it was given: %v", err)
+	}
+	if got, err := dst.Get(sha); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("Get after PutStored = %d bytes, %v", len(got), err)
+	}
+
+	other, err := encio.Gzip([]byte("different content entirely"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, bad := range map[string][]byte{
+		"hashes to another name": other,
+		"not a gzip stream":      data,
+		"truncated stream":       stored[:len(stored)/2],
+		"trailing garbage":       append(append([]byte(nil), stored...), 0xde, 0xad),
+	} {
+		wrong := SumHex([]byte(name))
+		if name != "hashes to another name" {
+			wrong = sha
+		}
+		fresh, err := OpenFS(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fresh.PutStored(wrong, bad); err == nil {
+			t.Fatalf("%s: PutStored accepted it", name)
+		}
+		if fresh.Has(wrong) {
+			t.Fatalf("%s: a refused PutStored left a chunk behind", name)
+		}
+		if shas, _ := fresh.List(); len(shas) != 0 {
+			t.Fatalf("%s: a refused PutStored left files behind: %v", name, shas)
+		}
+	}
+	if _, err := src.GetStored(SumHex([]byte("absent"))); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("GetStored of a missing chunk = %v, want ErrNotFound", err)
 	}
 }

@@ -43,14 +43,43 @@ func (s *FS) Put(sha string, data []byte) error {
 	if !validSHA(sha) {
 		return fmt.Errorf("cas: put: bad digest %q", sha)
 	}
-	path := s.path(sha)
-	if _, err := os.Stat(path); err == nil {
+	if s.Has(sha) {
 		return nil
 	}
-	zdata, err := encio.Gzip(data)
+	stored, err := encio.Gzip(data)
 	if err != nil {
 		return fmt.Errorf("cas: put %s: %w", short(sha), err)
 	}
+	return s.writeStored(sha, stored)
+}
+
+// PutStored stores a chunk that arrives already in its at-rest form (a
+// gzip stream, as GetStored returns and the fleet ships), so a chunk
+// compressed once by whoever produced it is never compressed again.
+// The bytes are written only if they inflate to content that hashes to
+// sha; anything else is refused and leaves no file. An existing chunk
+// is left untouched.
+func (s *FS) PutStored(sha string, stored []byte) error {
+	if !validSHA(sha) {
+		return fmt.Errorf("cas: put: bad digest %q", sha)
+	}
+	if s.Has(sha) {
+		return nil
+	}
+	data, err := encio.GunzipMax(stored, maxChunkWire)
+	if err != nil {
+		return fmt.Errorf("cas: put %s: corrupt chunk: %w", short(sha), err)
+	}
+	if got := SumHex(data); got != sha {
+		return fmt.Errorf("cas: put %s: chunk bytes hash to %s, want %s", short(sha), short(got), short(sha))
+	}
+	return s.writeStored(sha, stored)
+}
+
+// writeStored lands at-rest bytes under sha: temp file, fsync, rename,
+// directory fsync.
+func (s *FS) writeStored(sha string, stored []byte) error {
+	path := s.path(sha)
 	// Each writer gets its own temp file: concurrent Puts of the same
 	// digest must not interleave writes on a shared temp path or race
 	// each other's rename — whichever rename lands last wins, and both
@@ -68,7 +97,7 @@ func (s *FS) Put(sha string, data []byte) error {
 		return fmt.Errorf("cas: put %s: %w", short(sha), err)
 	}
 	tmpPath := tmp.Name()
-	_, werr := tmp.Write(zdata)
+	_, werr := tmp.Write(stored)
 	if werr == nil {
 		werr = tmp.Sync()
 	}
@@ -96,24 +125,38 @@ func (s *FS) Put(sha string, data []byte) error {
 // Get reads and decompresses the chunk, then verifies its bytes still
 // hash to sha — every read is an integrity check.
 func (s *FS) Get(sha string) ([]byte, error) {
+	_, data, err := s.read(sha)
+	return data, err
+}
+
+// GetStored is Get for a caller that forwards the chunk rather than
+// using it: the chunk is read, inflated and verified exactly as Get
+// does (same errors, same text), and what comes back is the at-rest
+// gzip stream.
+func (s *FS) GetStored(sha string) ([]byte, error) {
+	stored, _, err := s.read(sha)
+	return stored, err
+}
+
+func (s *FS) read(sha string) (stored, data []byte, err error) {
 	if !validSHA(sha) {
-		return nil, fmt.Errorf("cas: get: bad digest %q", sha)
+		return nil, nil, fmt.Errorf("cas: get: bad digest %q", sha)
 	}
-	raw, err := os.ReadFile(s.path(sha))
+	stored, err = os.ReadFile(s.path(sha))
 	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("cas: get %s: %w", short(sha), ErrNotFound)
+		return nil, nil, fmt.Errorf("cas: get %s: %w", short(sha), ErrNotFound)
 	}
 	if err != nil {
-		return nil, fmt.Errorf("cas: get %s: %w", short(sha), err)
+		return nil, nil, fmt.Errorf("cas: get %s: %w", short(sha), err)
 	}
-	data, err := encio.Gunzip(raw)
+	data, err = encio.Gunzip(stored)
 	if err != nil {
-		return nil, fmt.Errorf("cas: get %s: corrupt chunk: %w", short(sha), err)
+		return nil, nil, fmt.Errorf("cas: get %s: corrupt chunk: %w", short(sha), err)
 	}
 	if got := SumHex(data); got != sha {
-		return nil, fmt.Errorf("cas: get %s: chunk bytes hash to %s, want %s", short(sha), short(got), short(sha))
+		return nil, nil, fmt.Errorf("cas: get %s: chunk bytes hash to %s, want %s", short(sha), short(got), short(sha))
 	}
-	return data, nil
+	return stored, data, nil
 }
 
 // Has reports whether the chunk file exists.

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"sync/atomic"
 	"time"
+
+	"orochi/internal/encio"
 )
 
 // ErrUnavailable marks a chunk fetch that failed for transport reasons:
@@ -20,17 +22,23 @@ import (
 // the same audit evidence a local read would produce.
 var ErrUnavailable = errors.New("cas: store unavailable")
 
-// maxChunkWire bounds one chunk (or one migrated whole-file blob)
-// fetched over HTTP, a backstop against a misbehaving server streaming
-// forever; real chunks are a few hundred KB.
+// maxChunkWire bounds one chunk (or one migrated whole-file blob) that
+// arrives from another process, in its stored form and again once
+// inflated — a backstop against a misbehaving peer streaming forever or
+// shipping a stream that inflates without end; real chunks are at most
+// a few hundred KB.
 const maxChunkWire = 64 << 20
 
 // HTTPStore is a read-only Store backed by a fleet artifact server
 // (internal/fleet): Get fetches /chunk/<sha> and verifies the bytes
 // against the digest client-side, so a worker composing it as the cold
 // tier of a Tiered store reads with exactly the integrity guarantees of
-// a local FS store. Error shapes mirror FS.Get byte-for-byte — a
-// missing chunk wraps ErrNotFound with the same text, and a
+// a local FS store. Chunks cross the wire in their at-rest form — the
+// gzip stream the server's store holds, sent as it is — and Get
+// inflates them; it asks for that encoding itself, so net/http does not
+// inflate behind its back and a byte-counting transport underneath
+// sees what actually crossed. Error shapes mirror FS.Get byte-for-byte
+// — a missing chunk wraps ErrNotFound with the same text, and a
 // server-side read failure relays the server's error string verbatim —
 // so an audit REJECT produced through this store is bit-identical to
 // one produced locally. Failures Get can attribute to the transport
@@ -41,8 +49,9 @@ type HTTPStore struct {
 	base   string // e.g. "http://host:8090/-/fleet"
 	client *http.Client
 
-	fetchedChunks atomic.Int64
-	fetchedBytes  atomic.Int64
+	fetchedChunks  atomic.Int64
+	fetchedLogical atomic.Int64
+	fetchedWire    atomic.Int64
 }
 
 // NewHTTPStore returns a store reading from the artifact server mounted
@@ -56,10 +65,12 @@ func NewHTTPStore(base string, client *http.Client) *HTTPStore {
 	return &HTTPStore{base: strings.TrimSuffix(base, "/"), client: client}
 }
 
-// Fetched reports how many chunks and logical bytes Get has pulled over
-// the wire — the numerator of a warm worker's cache-hit accounting.
-func (s *HTTPStore) Fetched() (chunks, bytes int64) {
-	return s.fetchedChunks.Load(), s.fetchedBytes.Load()
+// Fetched reports what Get has pulled from the server: how many chunks,
+// their logical (inflated) bytes — the numerator of a warm worker's
+// cache-hit accounting, comparable with what manifests pin — and the
+// bytes that crossed the wire for them.
+func (s *HTTPStore) Fetched() (chunks, logical, wire int64) {
+	return s.fetchedChunks.Load(), s.fetchedLogical.Load(), s.fetchedWire.Load()
 }
 
 // Get fetches and verifies one chunk. All failures are *ChunkError; the
@@ -69,31 +80,44 @@ func (s *HTTPStore) Get(sha string) ([]byte, error) {
 	if !validSHA(sha) {
 		return nil, &ChunkError{Digest: sha, Err: fmt.Errorf("cas: get: bad digest %q", sha)}
 	}
-	resp, err := s.client.Get(s.base + "/chunk/" + sha)
+	unavailable := func(format string, args ...any) ([]byte, error) {
+		return nil, &ChunkError{Digest: sha, Err: fmt.Errorf("cas: get %s: %w: %s",
+			short(sha), ErrUnavailable, fmt.Sprintf(format, args...))}
+	}
+	req, err := http.NewRequest(http.MethodGet, s.base+"/chunk/"+sha, nil)
 	if err != nil {
-		return nil, &ChunkError{Digest: sha, Err: fmt.Errorf("cas: get %s: %w: %v", short(sha), ErrUnavailable, err)}
+		return unavailable("%v", err)
+	}
+	req.Header.Set("Accept-Encoding", "gzip")
+	resp, err := s.client.Do(req)
+	if err != nil {
+		return unavailable("%v", err)
 	}
 	defer resp.Body.Close()
 	body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxChunkWire+1))
 	switch resp.StatusCode {
 	case http.StatusOK:
 		if rerr != nil {
-			return nil, &ChunkError{Digest: sha, Err: fmt.Errorf("cas: get %s: %w: reading body: %v", short(sha), ErrUnavailable, rerr)}
+			return unavailable("reading body: %v", rerr)
 		}
 		if len(body) > maxChunkWire {
-			return nil, &ChunkError{Digest: sha, Err: fmt.Errorf("cas: get %s: %w: chunk exceeds %d bytes", short(sha), ErrUnavailable, maxChunkWire)}
+			return unavailable("chunk exceeds %d bytes", maxChunkWire)
 		}
-		if got := SumHex(body); got != sha {
-			// The server verifies at-rest bytes on every read before
-			// serving them, so a mismatch here means the transport
-			// truncated or corrupted the response — retryable, never
-			// evidence against the chain.
-			return nil, &ChunkError{Digest: sha, Err: fmt.Errorf("cas: get %s: %w: fetched bytes hash to %s, want %s",
-				short(sha), ErrUnavailable, short(got), short(sha))}
+		// The server verifies at-rest bytes on every read before
+		// serving them, so a body that does not inflate, or inflates to
+		// other content, means the transport truncated or corrupted the
+		// response — retryable, never evidence against the chain.
+		data, err := encio.GunzipMax(body, maxChunkWire)
+		if err != nil {
+			return unavailable("corrupt response body: %v", err)
+		}
+		if got := SumHex(data); got != sha {
+			return unavailable("fetched bytes hash to %s, want %s", short(got), short(sha))
 		}
 		s.fetchedChunks.Add(1)
-		s.fetchedBytes.Add(int64(len(body)))
-		return body, nil
+		s.fetchedLogical.Add(int64(len(data)))
+		s.fetchedWire.Add(int64(len(body)))
+		return data, nil
 	case http.StatusNotFound:
 		// The store of record says the chunk does not exist: the same
 		// evidence, in the same words, as a local FS miss.
@@ -104,7 +128,7 @@ func (s *HTTPStore) Get(sha string) ([]byte, error) {
 		// rejects with exactly the reason a local one would.
 		return nil, &ChunkError{Digest: sha, Err: errors.New(strings.TrimSpace(string(body)))}
 	default:
-		return nil, &ChunkError{Digest: sha, Err: fmt.Errorf("cas: get %s: %w: unexpected status %s", short(sha), ErrUnavailable, resp.Status)}
+		return unavailable("unexpected status %s", resp.Status)
 	}
 }
 

@@ -1,14 +1,19 @@
 package cas
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+
+	"orochi/internal/encio"
 )
 
 // TestTieredPromoteRace hammers promote-on-read from many goroutines
@@ -67,32 +72,104 @@ func chunkServer(t *testing.T, handler http.HandlerFunc) *HTTPStore {
 	return NewHTTPStore(ts.URL+"/fleet", nil)
 }
 
+// gz is the at-rest (and wire) form of data.
+func gz(t *testing.T, data []byte) []byte {
+	t.Helper()
+	stored, err := encio.Gzip(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stored
+}
+
+// serveStored answers a chunk request the way the artifact server does:
+// the gzip stream, labelled as such.
+func serveStored(w http.ResponseWriter, r *http.Request, stored []byte) {
+	w.Header().Set("Content-Encoding", "gzip")
+	w.Header().Set("Content-Length", strconv.Itoa(len(stored)))
+	if r.Method == http.MethodGet {
+		w.Write(stored)
+	}
+}
+
 func TestHTTPStoreRoundTrip(t *testing.T) {
-	data := []byte("over the wire")
+	data := bytes.Repeat([]byte("over the wire, compressed once. "), 200)
 	sha := SumHex(data)
+	stored := gz(t, data)
 	store := chunkServer(t, func(w http.ResponseWriter, r *http.Request) {
 		if r.PathValue("sha") != sha {
 			http.Error(w, "chunk not found", http.StatusNotFound)
 			return
 		}
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		if r.Method == http.MethodGet {
-			w.Write(data)
+		if r.Method == http.MethodGet && r.Header.Get("Accept-Encoding") != "gzip" {
+			t.Errorf("Get asked for Accept-Encoding %q; it must name gzip itself or net/http inflates behind its back", r.Header.Get("Accept-Encoding"))
 		}
+		serveStored(w, r, stored)
 	})
 	if !store.Has(sha) {
 		t.Fatal("Has missed a served chunk")
 	}
 	got, err := store.Get(sha)
-	if err != nil || string(got) != string(data) {
-		t.Fatalf("Get = %q, %v", got, err)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("Get = %d bytes, %v", len(got), err)
 	}
-	chunks, bytes := store.Fetched()
-	if chunks != 1 || bytes != int64(len(data)) {
-		t.Fatalf("Fetched = %d chunks, %d bytes", chunks, bytes)
+	chunks, logical, wire := store.Fetched()
+	if chunks != 1 || logical != int64(len(data)) || wire != int64(len(stored)) {
+		t.Fatalf("Fetched = %d chunks, %d logical, %d wire; want 1, %d, %d", chunks, logical, wire, len(data), len(stored))
 	}
 	if store.Has(SumHex([]byte("absent"))) {
 		t.Fatal("Has invented a chunk")
+	}
+}
+
+// countingRoundTripper counts response body bytes as they leave the
+// real transport — what crossed the wire, before anyone inflates.
+type countingRoundTripper struct {
+	next http.RoundTripper
+	n    atomic.Int64
+}
+
+type countingReadCloser struct {
+	io.ReadCloser
+	n *atomic.Int64
+}
+
+func (c *countingReadCloser) Read(p []byte) (int, error) {
+	n, err := c.ReadCloser.Read(p)
+	c.n.Add(int64(n))
+	return n, err
+}
+
+func (c *countingRoundTripper) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := c.next.RoundTrip(req)
+	if err == nil {
+		resp.Body = &countingReadCloser{ReadCloser: resp.Body, n: &c.n}
+	}
+	return resp, err
+}
+
+// TestHTTPStoreWireIsAtRestForm: a transport that counts bytes sees the
+// compressed chunk, not its logical size — the store negotiates the
+// encoding itself, so net/http's transparent inflate stays out of it.
+func TestHTTPStoreWireIsAtRestForm(t *testing.T) {
+	data := bytes.Repeat([]byte("<tr><td>review</td><td>score 3</td></tr>\n"), 500)
+	sha := SumHex(data)
+	stored := gz(t, data)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /fleet/chunk/{sha}", func(w http.ResponseWriter, r *http.Request) { serveStored(w, r, stored) })
+	ts := httptest.NewServer(mux)
+	defer ts.Close()
+	ct := &countingRoundTripper{next: http.DefaultTransport}
+	store := NewHTTPStore(ts.URL+"/fleet", &http.Client{Transport: ct})
+	got, err := store.Get(sha)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("Get = %d bytes, %v", len(got), err)
+	}
+	if n := ct.n.Load(); n != int64(len(stored)) || n >= int64(len(data)) {
+		t.Fatalf("transport saw %d body bytes; the chunk is %d at rest, %d logical", n, len(stored), len(data))
+	}
+	if _, _, wire := store.Fetched(); wire != ct.n.Load() {
+		t.Fatalf("Fetched reports %d wire bytes, the transport counted %d", wire, ct.n.Load())
 	}
 }
 
@@ -121,37 +198,57 @@ func TestHTTPStoreNotFound(t *testing.T) {
 	}
 }
 
-// TestHTTPStoreTruncatedBody: a response cut short mid-body is the
-// transport's fault — retryable ErrUnavailable, never audit evidence.
-func TestHTTPStoreTruncatedBody(t *testing.T) {
-	data := []byte("these bytes will be cut short by the server")
+// TestHTTPStoreDamagedResponses: the server verifies at-rest bytes
+// before serving them, so a 200 whose body is cut short, does not
+// inflate, or inflates to other content was damaged in flight — every
+// such case is a retryable ErrUnavailable inside a ChunkError, never
+// audit evidence, and nothing is counted as fetched.
+func TestHTTPStoreDamagedResponses(t *testing.T) {
+	data := bytes.Repeat([]byte("these bytes will not arrive intact. "), 100)
 	sha := SumHex(data)
-	store := chunkServer(t, func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		w.Write(data[:8]) // then the handler returns: connection truncated
-	})
-	_, err := store.Get(sha)
-	var ce *ChunkError
-	if !errors.As(err, &ce) || !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("truncated body must be ErrUnavailable inside ChunkError, got %v", err)
-	}
-}
-
-// TestHTTPStoreDigestMismatch: intact 200 carrying the wrong bytes.
-// The server verifies at-rest bytes before serving, so this is
-// transport corruption — ErrUnavailable, not a verdict.
-func TestHTTPStoreDigestMismatch(t *testing.T) {
-	sha := SumHex([]byte("the true content"))
-	store := chunkServer(t, func(w http.ResponseWriter, r *http.Request) {
-		w.Write([]byte("corrupted in flight"))
-	})
-	_, err := store.Get(sha)
-	var ce *ChunkError
-	if !errors.As(err, &ce) || !errors.Is(err, ErrUnavailable) {
-		t.Fatalf("mismatched bytes must be ErrUnavailable inside ChunkError, got %v", err)
-	}
-	if !strings.Contains(err.Error(), "hash to") {
-		t.Fatalf("mismatch error should describe the digests: %v", err)
+	stored := gz(t, data)
+	flipped := append([]byte(nil), stored...)
+	flipped[len(flipped)/2] ^= 0x40
+	for _, tc := range []struct {
+		name    string
+		handler http.HandlerFunc
+		mention string
+	}{
+		{"connection cut mid-body", func(w http.ResponseWriter, r *http.Request) {
+			w.Header().Set("Content-Encoding", "gzip")
+			w.Header().Set("Content-Length", strconv.Itoa(len(stored)))
+			w.Write(stored[:8]) // then the handler returns: connection truncated
+		}, "reading body"},
+		{"gzip stream truncated", func(w http.ResponseWriter, r *http.Request) {
+			serveStored(w, r, stored[:len(stored)-6])
+		}, "corrupt response body"},
+		{"byte flipped in the stream", func(w http.ResponseWriter, r *http.Request) {
+			serveStored(w, r, flipped)
+		}, ""},
+		{"body is not gzip at all", func(w http.ResponseWriter, r *http.Request) {
+			w.Write(data)
+		}, "corrupt response body"},
+		{"intact stream of other content", func(w http.ResponseWriter, r *http.Request) {
+			serveStored(w, r, gz(t, []byte("corrupted in flight")))
+		}, "hash to"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := chunkServer(t, tc.handler)
+			_, err := store.Get(sha)
+			var ce *ChunkError
+			if !errors.As(err, &ce) || !errors.Is(err, ErrUnavailable) {
+				t.Fatalf("must be ErrUnavailable inside ChunkError, got %v", err)
+			}
+			if errors.Is(err, ErrNotFound) {
+				t.Fatalf("a damaged response is not a missing chunk: %v", err)
+			}
+			if !strings.Contains(err.Error(), tc.mention) {
+				t.Fatalf("error should mention %q: %v", tc.mention, err)
+			}
+			if chunks, logical, wire := store.Fetched(); chunks+logical+wire != 0 {
+				t.Fatalf("a failed Get was counted as fetched: %d chunks, %d logical, %d wire", chunks, logical, wire)
+			}
+		})
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 
 	"orochi/internal/console"
 	"orochi/internal/epoch"
+	"orochi/internal/fleet"
 	"orochi/internal/lang"
 	"orochi/internal/server"
 	"orochi/internal/trace"
@@ -225,8 +226,26 @@ func TestConsoleRejectAndAck(t *testing.T) {
 		}
 	}
 
+	// Which epoch the victim landed in depends on where the two serving
+	// goroutines happened to be when the manager cut, so follow the
+	// REJECT rather than assume epoch 1.
+	_, body = get(t, ts, "/-/api/verdicts")
+	var all []epoch.Decision
+	if err := json.Unmarshal([]byte(body), &all); err != nil {
+		t.Fatal(err)
+	}
+	rejected := ""
+	for _, d := range all {
+		if !d.Accepted {
+			rejected = itoa(int(d.Epoch))
+		}
+	}
+	if rejected == "" {
+		t.Fatalf("no REJECT among the stored verdicts: %s", body)
+	}
+
 	// The drill-down carries the forensics naming the tampered request.
-	_, body = get(t, ts, "/-/api/verdicts/1")
+	_, body = get(t, ts, "/-/api/verdicts/"+rejected)
 	var d epoch.Decision
 	if err := json.Unmarshal([]byte(body), &d); err != nil {
 		t.Fatal(err)
@@ -237,7 +256,7 @@ func TestConsoleRejectAndAck(t *testing.T) {
 
 	// Acknowledge through the API.
 	resp, err := ts.Client().Post(ts.URL+"/-/api/ack", "application/json",
-		strings.NewReader(`{"epoch": 1, "note": "tamper drill"}`))
+		strings.NewReader(`{"epoch": `+rejected+`, "note": "tamper drill"}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -245,7 +264,7 @@ func TestConsoleRejectAndAck(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("ack: %d", resp.StatusCode)
 	}
-	_, body = get(t, ts, "/-/api/verdicts/1")
+	_, body = get(t, ts, "/-/api/verdicts/"+rejected)
 	if err := json.Unmarshal([]byte(body), &d); err != nil {
 		t.Fatal(err)
 	}
@@ -287,6 +306,41 @@ func TestConsoleAbsentComponents(t *testing.T) {
 	}
 	if code, body := get(t, ts, "/-/"); code != http.StatusOK || !strings.Contains(body, "orochi console") {
 		t.Fatalf("bare index: %d\n%s", code, body)
+	}
+}
+
+// TestConsoleFleetMetrics: a process that coordinates a fleet audit and
+// serves its artifacts exposes the fleet families, including what the
+// chunk transport cost on the wire and how the snapshot hand-off
+// deduplicated.
+func TestConsoleFleetMetrics(t *testing.T) {
+	_, mgr, _ := buildPipeline(t, 2, nil)
+	as, err := fleet.NewArtifactServer(mgr.Dir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := fleet.NewCoordinator(mgr.Dir(), fleet.CoordinatorOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	con := console.New(console.Options{FleetArtifacts: as, FleetCoordinator: coord})
+	ts := httptest.NewServer(con.Handler())
+	defer ts.Close()
+	_, body := get(t, ts, "/-/metrics")
+	for _, want := range []string{
+		"orochi_fleet_chunks_served_total 0",
+		"orochi_fleet_chunk_bytes_served_total 0",
+		"orochi_fleet_workers 0",
+		"orochi_fleet_fetched_bytes_total 0",
+		"# TYPE orochi_fleet_wire_bytes_total counter",
+		"orochi_fleet_wire_bytes_total 0",
+		"orochi_fleet_snapshot_chunks_posted_total 0",
+		"orochi_fleet_snapshot_chunks_reused_total 0",
+	} {
+		if !strings.Contains(body, want) {
+			t.Fatalf("/-/metrics missing %q in:\n%s", want, body)
+		}
 	}
 }
 

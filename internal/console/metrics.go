@@ -198,7 +198,7 @@ func (c *Console) metrics(w http.ResponseWriter, r *http.Request) {
 		st := c.artifacts.Stats()
 		p.family("orochi_fleet_chunks_served_total", "counter", "Chunks served to fleet workers from this chain's store.")
 		p.sample("orochi_fleet_chunks_served_total", "", float64(st.ChunksServed))
-		p.family("orochi_fleet_chunk_bytes_served_total", "counter", "Chunk bytes served to fleet workers.")
+		p.family("orochi_fleet_chunk_bytes_served_total", "counter", "Chunk bytes written to fleet workers, in the at-rest (gzip) form chunks are served in.")
 		p.sample("orochi_fleet_chunk_bytes_served_total", "", float64(st.BytesServed))
 	}
 
@@ -220,8 +220,14 @@ func (c *Console) metrics(w http.ResponseWriter, r *http.Request) {
 		p.sample("orochi_fleet_bad_signature_posts_total", "", float64(st.BadSignaturePosts))
 		p.family("orochi_fleet_stale_verdicts_total", "counter", "Verdict posts ignored because their lease had expired or was never held.")
 		p.sample("orochi_fleet_stale_verdicts_total", "", float64(st.StaleVerdicts))
-		p.family("orochi_fleet_fetched_bytes_total", "counter", "Chunk bytes workers reported fetching over the wire.")
+		p.family("orochi_fleet_fetched_bytes_total", "counter", "Logical (inflated) bytes of the epoch chunks workers reported fetching.")
 		p.sample("orochi_fleet_fetched_bytes_total", "", float64(st.FetchedBytes))
+		p.family("orochi_fleet_wire_bytes_total", "counter", "Bytes that crossed the wire for every chunk workers reported fetching (epoch artifacts and initial states), in the at-rest form chunks travel in.")
+		p.sample("orochi_fleet_wire_bytes_total", "", float64(st.WireBytes))
+		p.family("orochi_fleet_snapshot_chunks_posted_total", "counter", "Final-snapshot chunks workers shipped with their verdicts and the chain store filed.")
+		p.sample("orochi_fleet_snapshot_chunks_posted_total", "", float64(st.SnapshotChunksPosted))
+		p.family("orochi_fleet_snapshot_chunks_reused_total", "counter", "Final-snapshot chunk refs in verdict posts that named a chunk the chain store already held.")
+		p.sample("orochi_fleet_snapshot_chunks_reused_total", "", float64(st.SnapshotChunksReused))
 		p.family("orochi_fleet_cache_hit_bytes_total", "counter", "Manifest-pinned bytes workers served from their local caches instead of the wire.")
 		p.sample("orochi_fleet_cache_hit_bytes_total", "", float64(st.CacheHitBytes))
 	}

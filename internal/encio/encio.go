@@ -54,16 +54,30 @@ func Gzip(data []byte) ([]byte, error) {
 // exactly: truncated input, a checksum mismatch, and trailing garbage
 // are all errors, so stored bytes either decode whole or not at all.
 func Gunzip(data []byte) ([]byte, error) {
+	return GunzipMax(data, 0)
+}
+
+// GunzipMax is Gunzip for streams that arrive from another process: a
+// stream inflating to more than max bytes (max > 0) is an error, so a
+// few hostile kilobytes cannot ask the reader for gigabytes.
+func GunzipMax(data []byte, max int64) ([]byte, error) {
 	zr := gzipReaders.Get().(*gzip.Reader)
 	defer gzipReaders.Put(zr)
 	if err := zr.Reset(bytes.NewReader(data)); err != nil {
 		return nil, err
 	}
+	var r io.Reader = zr
+	if max > 0 {
+		r = io.LimitReader(zr, max+1)
+	}
 	// ReadAll runs to the end of input: it checks the trailer checksum,
 	// and bytes after the stream fail as a bad next-member header.
-	out, err := io.ReadAll(zr)
+	out, err := io.ReadAll(r)
 	if err != nil {
 		return nil, err
+	}
+	if max > 0 && int64(len(out)) > max {
+		return nil, fmt.Errorf("stream inflates past %d bytes", max)
 	}
 	if err := zr.Close(); err != nil {
 		return nil, err

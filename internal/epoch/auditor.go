@@ -657,11 +657,6 @@ func (a *Auditor) ensurePrevSHA(start int64) error {
 	return nil
 }
 
-// checkpointPath names the persisted verified final snapshot of epoch n.
-func checkpointPath(dir string, n int64) string {
-	return filepath.Join(dir, "checkpoints", fmt.Sprintf("epoch-%06d.bin", n))
-}
-
 // flushPendingCheckpoint retries a checkpoint write that failed on a
 // previous RunOnce. It returns the write error (leaving the checkpoint
 // pending) until the write succeeds.
@@ -685,34 +680,6 @@ func (a *Auditor) flushPendingCheckpoint() error {
 
 func (a *Auditor) writeCheckpoint(n int64, snap *object.Snapshot) error {
 	return WriteCheckpoint(a.dir, n, snap)
-}
-
-// WriteCheckpoint persists epoch n's verified final snapshot under
-// <dir>/checkpoints/, where LoadCheckpoint finds it. The in-process
-// auditor and the fleet coordinator share this path so a chain is
-// resumable by either.
-func WriteCheckpoint(dir string, n int64, snap *object.Snapshot) error {
-	data, err := snap.Encode()
-	if err != nil {
-		return err
-	}
-	path := checkpointPath(dir, n)
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		return err
-	}
-	return writeFileSync(path, data)
-}
-
-// LoadCheckpoint reads the verified final snapshot of epoch n, written
-// by an auditor running with Checkpoints enabled. It lets a later run
-// audit from epoch n+1 without replaying the whole chain, trusting the
-// earlier run's verdicts.
-func LoadCheckpoint(dir string, n int64) (*object.Snapshot, error) {
-	data, err := os.ReadFile(checkpointPath(dir, n))
-	if err != nil {
-		return nil, err
-	}
-	return object.DecodeSnapshot(data)
 }
 
 // Verdicts returns a copy of the ledger so far, in epoch order.

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"time"
+
+	"orochi/internal/cas"
 )
 
 // CompactedName marks an epoch whose bulk artifacts have been evicted
@@ -41,6 +43,22 @@ func ReadCompacted(epochDir string) (*CompactedMarker, error) {
 	return &m, nil
 }
 
+// checkpointRetrievable reports whether epoch n's checkpoint parses and
+// every chunk it names is in store — what compaction needs before it
+// may let the epoch's own artifacts go.
+func checkpointRetrievable(dir string, store cas.Store, n int64) bool {
+	refs, err := LoadCheckpointRefs(dir, n)
+	if err != nil {
+		return false
+	}
+	for _, r := range refs {
+		if !store.Has(r.SHA256) {
+			return false
+		}
+	}
+	return true
+}
+
 // GCOptions tunes a collection pass.
 type GCOptions struct {
 	// DryRun reports what would be compacted and swept without
@@ -70,7 +88,8 @@ type GCResult struct {
 
 // GC garbage-collects the chain directory's chunk store: it marks the
 // chunks every sealed, non-compacted manifest references (plus the
-// whole-file blobs of migrated v1 epochs) and sweeps the rest —
+// whole-file blobs of migrated v1 epochs) and every chunk a checkpoint
+// names, and sweeps the rest —
 // orphans from crashed seals, chunks unreferenced since a compaction.
 // A damaged manifest anywhere aborts the pass: damaged seals are audit
 // evidence, and a GC that deleted their chunks would destroy it.
@@ -126,7 +145,7 @@ func GC(dir string, opts GCOptions) (*GCResult, error) {
 				res.Skipped = append(res.Skipped, s.Number)
 				continue
 			}
-			if _, err := os.Stat(checkpointPath(dir, s.Number)); err != nil {
+			if !checkpointRetrievable(dir, store, s.Number) {
 				res.Skipped = append(res.Skipped, s.Number)
 				continue
 			}
@@ -173,6 +192,23 @@ func GC(dir string, opts GCOptions) (*GCResult, error) {
 			if s.Manifest.Init != nil {
 				live[s.Manifest.Init.SHA256] = true
 			}
+		}
+	}
+	// Checkpoints are ref lists into the same store: every chunk one
+	// names stays live, for compacted epochs (the checkpoint is half of
+	// what is left of them) and re-auditable ones (-from resumes off it)
+	// alike. A checkpoint that does not parse could name any chunk, so
+	// nothing is swept past it.
+	for _, s := range sealed {
+		refs, err := LoadCheckpointRefs(dir, s.Number)
+		if os.IsNotExist(err) {
+			continue
+		}
+		if err != nil {
+			return nil, fmt.Errorf("epoch: gc: refusing to sweep past an unreadable checkpoint (delete it to drop the checkpoint, or re-audit to rewrite it): %w", err)
+		}
+		for _, r := range refs {
+			live[r.SHA256] = true
 		}
 	}
 	res.LiveChunks = len(live)

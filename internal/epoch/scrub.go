@@ -31,10 +31,14 @@ type ScrubOptions struct {
 	Seed int64
 }
 
+// checkpointArtifact is the ScrubFailure.Name of a compacted epoch's
+// checkpoint (its ref list, or with Chunk set one of its chunks).
+const checkpointArtifact = "checkpoint"
+
 // ScrubFailure names one artifact that failed its challenge.
 type ScrubFailure struct {
 	Epoch int64  `json:"epoch"`
-	Name  string `json:"name"`            // artifact (segment/reports/init/manifest)
+	Name  string `json:"name"`            // artifact (segment/reports/init/manifest/checkpoint)
 	Chunk string `json:"chunk,omitempty"` // chunk digest, "" for whole-file artifacts
 	Err   string `json:"err"`
 }
@@ -82,6 +86,25 @@ func Scrub(ctx context.Context, dir string, opts ScrubOptions) (*ScrubResult, er
 		return nil, err
 	}
 	res := &ScrubResult{}
+	// challenge reads a pseudo-random sample of an epoch's chunk refs and
+	// records every one that is missing, altered, or not the pinned size.
+	challenge := func(epoch int64, refs []cas.Ref, artifact func(i int) string) {
+		rng := rand.New(rand.NewSource(seed ^ epoch))
+		for _, i := range sampleIndexes(rng, len(refs), opts.Sample) {
+			r := refs[i]
+			data, err := store.Get(r.SHA256)
+			switch {
+			case err != nil:
+				res.Failures = append(res.Failures, ScrubFailure{
+					Epoch: epoch, Name: artifact(i), Chunk: r.SHA256, Err: err.Error()})
+			case int64(len(data)) != r.Bytes:
+				res.Failures = append(res.Failures, ScrubFailure{
+					Epoch: epoch, Name: artifact(i), Chunk: r.SHA256,
+					Err: fmt.Sprintf("chunk is %d bytes, manifest pins %d", len(data), r.Bytes)})
+			}
+			res.ChunksChecked++
+		}
+	}
 	prevSHA := ""
 	chainBroken := false
 	for _, s := range sealed {
@@ -116,33 +139,22 @@ func Scrub(ctx context.Context, dir string, opts ScrubOptions) (*ScrubResult, er
 		}
 		if marker != nil {
 			// Compacted epochs survive as decision + checkpoint; the
-			// challenge is that both still exist and the checkpoint reads.
+			// challenge is that the checkpoint's ref list still reads and
+			// its sampled chunks are still what it names.
 			res.Compacted++
-			if _, err := LoadCheckpoint(dir, s.Number); err != nil {
-				res.Failures = append(res.Failures, ScrubFailure{
-					Epoch: s.Number, Name: "checkpoint", Err: err.Error()})
-			}
 			res.FilesChecked++
+			refs, err := LoadCheckpointRefs(dir, s.Number)
+			if err != nil {
+				res.Failures = append(res.Failures, ScrubFailure{
+					Epoch: s.Number, Name: checkpointArtifact, Err: err.Error()})
+				continue
+			}
+			challenge(s.Number, refs, func(int) string { return checkpointArtifact })
 			continue
 		}
 
-		rng := rand.New(rand.NewSource(seed ^ s.Number))
 		if s.Manifest.Chunked() {
-			refs := s.Manifest.ChunkRefs()
-			for _, i := range sampleIndexes(rng, len(refs), opts.Sample) {
-				r := refs[i]
-				data, err := store.Get(r.SHA256)
-				switch {
-				case err != nil:
-					res.Failures = append(res.Failures, ScrubFailure{
-						Epoch: s.Number, Name: artifactOfChunk(s.Manifest, i), Chunk: r.SHA256, Err: err.Error()})
-				case int64(len(data)) != r.Bytes:
-					res.Failures = append(res.Failures, ScrubFailure{
-						Epoch: s.Number, Name: artifactOfChunk(s.Manifest, i), Chunk: r.SHA256,
-						Err: fmt.Sprintf("chunk is %d bytes, manifest pins %d", len(data), r.Bytes)})
-				}
-				res.ChunksChecked++
-			}
+			challenge(s.Number, s.Manifest.ChunkRefs(), func(i int) string { return artifactOfChunk(s.Manifest, i) })
 			continue
 		}
 		// Whole-file (v1) epoch: challenge each artifact where it lives —

@@ -16,8 +16,12 @@
 //	    MANIFEST.json    seal record: content digests + chain link
 //	  epoch-000002/
 //	    ...
+//	  cas/               chunk store (chunked layout: every sealed
+//	                     artifact and every checkpoint, by chunk digest)
 //	  checkpoints/
-//	    epoch-000001.bin verified final snapshot (written by the auditor)
+//	    epoch-000001.json verified final snapshot, as a list of chunk
+//	                     refs into cas/ (written by the auditor or the
+//	                     fleet coordinator)
 //
 // An epoch is sealed exactly when its MANIFEST.json exists; the manifest
 // lists every file with its SHA-256 and links to the previous epoch's

@@ -891,3 +891,119 @@ func TestTamperedSharedBodyRejectsNamingChunk(t *testing.T) {
 		t.Fatalf("reject reason %q does not name the tampered chunk %s", verdicts[1].Reason, target.SHA256)
 	}
 }
+
+// TestCheckpointsAreRefLists: a checkpoint is a list of chunk refs into
+// the chain store, and everything that touches checkpoints goes through
+// that one form — GC marks the chunks a checkpoint names (with and
+// without retention), compaction and adoption work off it, scrub
+// challenges a compacted epoch's checkpoint chunk by chunk and names
+// the one that fails, and a ref list GC cannot parse stops the sweep.
+func TestCheckpointsAreRefLists(t *testing.T) {
+	dir := t.TempDir()
+	prog := sealChain(t, dir, StorageChunked)
+	full := NewAuditor(prog, dir, AuditorOptions{Checkpoints: true})
+	if _, err := full.RunOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	fullVerdicts := full.Verdicts()
+	n := len(fullVerdicts)
+	if !full.ChainAccepted() || n < 3 {
+		t.Fatalf("full audit failed: %+v", fullVerdicts)
+	}
+	store, err := OpenChainStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkpointChunks := func() map[string]bool {
+		shas := make(map[string]bool)
+		for e := int64(1); e <= int64(n); e++ {
+			refs, err := LoadCheckpointRefs(dir, e)
+			if err != nil || len(refs) == 0 {
+				t.Fatalf("epoch %d checkpoint refs: %v (%d refs)", e, err, len(refs))
+			}
+			for _, r := range refs {
+				shas[r.SHA256] = true
+			}
+			snap, err := LoadCheckpoint(dir, e)
+			if err != nil {
+				t.Fatalf("epoch %d checkpoint does not load: %v", e, err)
+			}
+			raw, err := snap.EncodeRaw()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cas.BlobBytes(refs); got != int64(len(raw)) {
+				t.Fatalf("epoch %d checkpoint refs pin %d bytes, snapshot encodes to %d", e, got, len(raw))
+			}
+		}
+		return shas
+	}
+	before := checkpointChunks()
+
+	// No retention: nothing a checkpoint names may be swept.
+	res, err := GC(dir, GCOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.SweptChunks != 0 {
+		t.Fatalf("plain GC of a fully referenced chain swept %d chunks", res.SweptChunks)
+	}
+	// Retention: the compacted epochs' own chunks go, their checkpoints'
+	// chunks stay, and the chain still adopts to the same digest.
+	res, err = GC(dir, GCOptions{Retain: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Compacted) != n-1 || res.SweptChunks == 0 {
+		t.Fatalf("retention compacted %v and swept %d chunks", res.Compacted, res.SweptChunks)
+	}
+	for sha := range before {
+		if !store.Has(sha) {
+			t.Fatalf("GC swept checkpoint chunk %s", short(sha))
+		}
+	}
+	checkpointChunks()
+	re := NewAuditor(prog, dir, AuditorOptions{})
+	if _, err := re.RunOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if rv := re.Verdicts(); len(rv) != n || rv[n-1].ChainSHA != fullVerdicts[n-1].ChainSHA || !rv[0].Adopted {
+		t.Fatalf("adoption off ref-list checkpoints diverged: %+v", rv)
+	}
+
+	// Scrub challenges a compacted epoch through its checkpoint's chunks.
+	clean, err := Scrub(context.Background(), dir, ScrubOptions{Sample: -1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !clean.OK() || clean.Compacted != n-1 || clean.ChunksChecked == 0 {
+		t.Fatalf("scrub of an intact compacted chain: %+v", clean)
+	}
+	refs, err := LoadCheckpointRefs(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim := refs[len(refs)-1].SHA256
+	tamperChunk(t, dir, victim)
+	dirty, err := Scrub(context.Background(), dir, ScrubOptions{Sample: -1, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	named := false
+	for _, f := range dirty.Failures {
+		if f.Name == checkpointArtifact && f.Chunk == victim {
+			named = true
+		}
+	}
+	if !named {
+		t.Fatalf("scrub did not name the flipped checkpoint chunk %s: %+v", short(victim), dirty.Failures)
+	}
+
+	// A checkpoint that does not parse could name any chunk: no sweep.
+	if err := os.WriteFile(checkpointPath(dir, 2), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := GC(dir, GCOptions{}); err == nil || !strings.Contains(err.Error(), "checkpoint") {
+		t.Fatalf("GC swept past an unreadable checkpoint: %v", err)
+	}
+}

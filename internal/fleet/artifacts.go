@@ -25,15 +25,25 @@ import (
 // local read answers 502 with the store's error text as the body,
 // verbatim. cas.HTTPStore rebuilds local error shapes from those, which
 // is what keeps remote REJECT reasons bit-identical to local ones.
+//
+// A chunk is served in its at-rest form — the gzip stream the store
+// holds, labelled Content-Encoding: gzip — so serving one costs a read
+// and no compression, and the wire carries what the disk does. The
+// server still inflates and digest-checks the chunk first: the 502
+// above has to come from the store of record, in the store's words,
+// or a chunk damaged at rest would reach the worker as a transport
+// fault to retry instead of the evidence it is.
 type ArtifactServer struct {
 	dir   string
-	store cas.Store
+	store *cas.FS
 
 	chunksServed atomic.Int64
 	bytesServed  atomic.Int64
 }
 
 // ArtifactStats is a point-in-time snapshot of the serving counters.
+// BytesServed counts chunk body bytes written, in the form they were
+// sent.
 type ArtifactStats struct {
 	ChunksServed int64
 	BytesServed  int64
@@ -48,10 +58,6 @@ func NewArtifactServer(dir string) (*ArtifactServer, error) {
 	}
 	return &ArtifactServer{dir: dir, store: store}, nil
 }
-
-// Store exposes the underlying chunk store (the coordinator shares it
-// when both run in one process).
-func (a *ArtifactServer) Store() cas.Store { return a.store }
 
 // Stats snapshots the serving counters for /-/metrics.
 func (a *ArtifactServer) Stats() ArtifactStats {
@@ -114,15 +120,15 @@ func (a *ArtifactServer) manifest(w http.ResponseWriter, r *http.Request) {
 }
 
 func (a *ArtifactServer) chunk(w http.ResponseWriter, r *http.Request) {
-	sha := r.PathValue("sha")
-	data, err := a.store.Get(sha)
+	stored, err := a.store.GetStored(r.PathValue("sha"))
 	switch {
 	case err == nil:
-		a.chunksServed.Add(1)
-		a.bytesServed.Add(int64(len(data)))
 		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-		_, _ = w.Write(data)
+		w.Header().Set("Content-Encoding", "gzip")
+		w.Header().Set("Content-Length", strconv.Itoa(len(stored)))
+		n, _ := w.Write(stored)
+		a.chunksServed.Add(1)
+		a.bytesServed.Add(int64(n))
 	case errors.Is(err, cas.ErrNotFound):
 		http.Error(w, "chunk not found", http.StatusNotFound)
 	default:

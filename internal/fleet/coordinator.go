@@ -6,15 +6,17 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
 
+	"orochi/internal/cas"
 	"orochi/internal/epoch"
-	"orochi/internal/object"
 	"orochi/internal/verifier"
 )
 
@@ -22,7 +24,7 @@ import (
 type CoordinatorOptions struct {
 	// LeaseTimeout is how long a worker may hold an epoch without
 	// activity before the lease is reassigned (default 2m). Any
-	// authenticated touch — an init-snapshot poll — renews it.
+	// authenticated touch — an init request — renews it.
 	LeaseTimeout time.Duration
 	// CrossCheck is the fraction of epochs audited on CrossCheckK
 	// workers before the verdict is believed (0 = none, 1 = every
@@ -72,8 +74,18 @@ type CoordinatorStats struct {
 	CrossCheckMismatches int64
 	BadSignaturePosts    int64
 	StaleVerdicts        int64
-	FetchedBytes         int64
-	CacheHitBytes        int64
+	// FetchedBytes and CacheHitBytes are logical (inflated) chunk bytes,
+	// as workers report them: pulled from the artifact server, and pinned
+	// by a manifest but served from a worker's cache. WireBytes is what
+	// the fetched chunks cost on the wire, in their at-rest form.
+	FetchedBytes  int64
+	CacheHitBytes int64
+	WireBytes     int64
+	// SnapshotChunksPosted counts final-snapshot chunks workers shipped
+	// with their verdicts; SnapshotChunksReused counts the refs in those
+	// posts that named a chunk the chain store already held.
+	SnapshotChunksPosted int64
+	SnapshotChunksReused int64
 	Done                 bool
 	Broken               bool
 }
@@ -87,20 +99,16 @@ type activeLease struct {
 	deadline time.Time
 }
 
-// postedVerdict is a worker's validated, not-yet-published verdict.
-type postedVerdict struct {
-	post VerdictPost
-	snap *object.Snapshot // decoded final snapshot (nil on REJECT)
-}
-
 // epochState tracks one sealed epoch through lease → verdict(s) →
 // published decision.
 type epochState struct {
-	s       *epoch.Sealed
-	cross   bool // sampled for cross-checking
-	need    int  // verdicts required (1, or CrossCheckK when cross)
-	active  map[string]*activeLease
-	posted  []*postedVerdict
+	s      *epoch.Sealed
+	cross  bool // sampled for cross-checking
+	need   int  // verdicts required (1, or CrossCheckK when cross)
+	active map[string]*activeLease
+	// posted holds validated, not-yet-published verdicts; an ACCEPT's
+	// FinalSnapshot is a ref list whose every chunk is in the chain store.
+	posted  []*VerdictPost
 	decided bool
 }
 
@@ -129,19 +137,29 @@ func (st *epochState) activeWorker(worker string) bool {
 // The epoch set is fixed at construction: a fleet audit runs against a
 // chain that is not being written (the CLI holds the chain's exclusive
 // audit lock), so epochs sealed later are a different audit.
+//
+// Lock discipline: c.mu guards the ledger and the lease tables and is
+// held only for bookkeeping plus the two small fsynced writes a
+// published decision costs (its decisions.jsonl line and its checkpoint
+// ref list). Everything sized by a snapshot — parsing a post, verifying
+// and storing its chunks — happens before the lock is taken, so one
+// worker's hand-off never parks another worker's request.
 type Coordinator struct {
-	dir  string
-	opts CoordinatorOptions
-	log  *epoch.DecisionLog
-	now  func() time.Time // test hook
+	dir   string
+	opts  CoordinatorOptions
+	log   *epoch.DecisionLog
+	store *cas.FS                              // the chain's chunk store: where posted snapshots land
+	now   func() time.Time                     // test hook
+	after func(time.Duration) <-chan time.Time // test hook: the init long-poll's timeout
 
 	mu         sync.Mutex
 	states     map[int64]*epochState
 	maxKnown   int64 // highest sealed epoch under To
 	next       int64 // next epoch to decide (chain order)
 	chainSHA   string
-	prevSHA    string           // manifest digest epoch `next` must link to
-	inits      map[int64][]byte // encoded trusted initial state, by epoch
+	prevSHA    string              // manifest digest epoch `next` must link to
+	inits      map[int64][]cas.Ref // trusted initial state, by epoch, as refs into store
+	wake       chan struct{}       // closed and replaced whenever an init long-poll should look again
 	leases     map[string]*activeLease
 	workers    map[string]time.Time // worker name → last seen
 	verdicts   []epoch.Verdict
@@ -159,6 +177,9 @@ type Coordinator struct {
 	staleVerdicts        int64
 	fetchedBytes         int64
 	cacheHitBytes        int64
+	wireBytes            int64
+	snapshotChunksPosted int64
+	snapshotChunksReused int64
 }
 
 // NewCoordinator opens the chain's decision log, scans its sealed
@@ -169,6 +190,10 @@ type Coordinator struct {
 // workers fetch artifacts by chunk digest.
 func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 	opts = opts.withDefaults()
+	store, err := epoch.OpenChainStore(dir)
+	if err != nil {
+		return nil, err
+	}
 	log, err := epoch.OpenDecisionLog(dir)
 	if err != nil {
 		return nil, err
@@ -177,10 +202,13 @@ func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 		dir:     dir,
 		opts:    opts,
 		log:     log,
+		store:   store,
 		now:     time.Now,
+		after:   time.After,
 		states:  make(map[int64]*epochState),
 		next:    1,
-		inits:   make(map[int64][]byte),
+		inits:   make(map[int64][]cas.Ref),
+		wake:    make(chan struct{}),
 		leases:  make(map[string]*activeLease),
 		workers: make(map[string]time.Time),
 		done:    make(chan struct{}),
@@ -260,16 +288,13 @@ func (c *Coordinator) rehydrate() error {
 	}
 	if c.next > 1 && c.states[c.next] != nil {
 		// More epochs to audit: the hand-off needs the last accepted
-		// epoch's verified final snapshot.
-		snap, err := epoch.LoadCheckpoint(c.dir, c.next-1)
+		// epoch's verified final snapshot. Its checkpoint already is the
+		// ref list workers are handed; the chunks stay where they are.
+		refs, err := epoch.LoadCheckpointRefs(c.dir, c.next-1)
 		if err != nil {
 			return fmt.Errorf("fleet: resuming at epoch %d needs epoch %d's checkpoint: %w", c.next, c.next-1, err)
 		}
-		data, err := snap.Encode()
-		if err != nil {
-			return err
-		}
-		c.inits[c.next] = data
+		c.inits[c.next] = refs
 	}
 	return nil
 }
@@ -303,8 +328,8 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// maxPostBytes bounds request bodies; final snapshots dominate (they
-// are gzip-compressed object state).
+// maxPostBytes bounds request bodies; a verdict's shipped snapshot
+// chunks dominate.
 const maxPostBytes = 256 << 20
 
 func (c *Coordinator) readSigned(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
@@ -421,11 +446,24 @@ func (c *Coordinator) expireLocked() {
 	}
 }
 
+// maxInitWait caps how long an init request is held open waiting for
+// the previous epoch's verdict.
+const maxInitWait = 15 * time.Second
+
+// initWait is how long one init request may be held: short of
+// maxInitWait, and well inside the lease it renewed on arrival.
+func (c *Coordinator) initWait() time.Duration {
+	return min(maxInitWait, c.opts.LeaseTimeout/3)
+}
+
 // handleInit serves the trusted initial state of a leased epoch: the
-// previous epoch's verified final snapshot, once it exists. 202 means
-// not yet (the previous epoch is still being audited), 410 means the
-// lease is gone — expired, or the chain broke before this epoch — and
-// the worker must abandon the assignment.
+// ref list of the previous epoch's verified final snapshot. When that
+// verdict is not in yet the request is held until it is published (a
+// long poll: the hand-off reaches the worker when it happens, not on
+// the worker's next tick) and answered 202 only after initWait. 410
+// means the lease is gone — expired, or the chain broke before this
+// epoch, which wakes the held request — and the worker must abandon
+// the assignment.
 func (c *Coordinator) handleInit(w http.ResponseWriter, r *http.Request) {
 	n, err := strconv.ParseInt(r.PathValue("n"), 10, 64)
 	if err != nil || n <= 0 {
@@ -433,26 +471,37 @@ func (c *Coordinator) handleInit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	leaseID := r.URL.Query().Get("lease")
-	c.mu.Lock()
-	c.expireLocked()
-	l := c.leases[leaseID]
-	if l == nil || l.epoch != n {
+	var timeout <-chan time.Time
+	for {
+		c.mu.Lock()
+		c.expireLocked()
+		l := c.leases[leaseID]
+		if l == nil || l.epoch != n {
+			c.mu.Unlock()
+			http.Error(w, "lease gone", http.StatusGone)
+			return
+		}
+		l.deadline = c.now().Add(c.opts.LeaseTimeout) // activity renews
+		c.workers[l.worker] = c.now()
+		refs, ready := c.inits[n]
+		wake := c.wake
 		c.mu.Unlock()
-		http.Error(w, "lease gone", http.StatusGone)
-		return
+		if ready {
+			c.respondJSON(w, InitResponse{Epoch: n, Snapshot: refs})
+			return
+		}
+		if timeout == nil {
+			timeout = c.after(c.initWait())
+		}
+		select {
+		case <-wake:
+		case <-timeout:
+			w.WriteHeader(http.StatusAccepted)
+			return
+		case <-r.Context().Done():
+			return
+		}
 	}
-	l.deadline = c.now().Add(c.opts.LeaseTimeout) // activity renews
-	c.workers[l.worker] = c.now()
-	data := c.inits[n]
-	c.mu.Unlock()
-	if data == nil {
-		w.WriteHeader(http.StatusAccepted)
-		return
-	}
-	signResponse(w, c.opts.Key, data)
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Header().Set("Content-Length", strconv.Itoa(len(data)))
-	_, _ = w.Write(data)
 }
 
 func (c *Coordinator) handleVerdict(w http.ResponseWriter, r *http.Request) {
@@ -460,65 +509,109 @@ func (c *Coordinator) handleVerdict(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	var p VerdictPost
-	if err := json.Unmarshal(body, &p); err != nil {
-		http.Error(w, "bad verdict post", http.StatusBadRequest)
+	p, chunks, err := DecodeVerdict(body)
+	if err != nil {
+		http.Error(w, "bad verdict post: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	// Decode the snapshot outside the lock (gzip + gob): the body is
-	// already authenticated, and validation against the lease happens
-	// below before anything is believed.
-	var snap *object.Snapshot
+	// Validate against the lease before the snapshot is touched, so a
+	// late or confused post costs no store IO; then file the snapshot's
+	// chunks with the lock released; then validate again, because the
+	// lease may have expired meanwhile, and record.
+	c.mu.Lock()
+	status, msg := c.checkPostLocked(p)
+	c.mu.Unlock()
+	if status != 0 {
+		http.Error(w, msg, status)
+		return
+	}
+	var posted, reused int
 	if p.Accepted {
-		var err error
-		snap, err = object.DecodeSnapshot(p.FinalSnapshot)
-		if err != nil {
-			http.Error(w, fmt.Sprintf("undecodable final snapshot: %v", err), http.StatusBadRequest)
-			return
-		}
-		if got := snap.CanonicalDigest(); got != p.SnapshotDigest {
-			http.Error(w, "snapshot digest does not match snapshot", http.StatusBadRequest)
+		if posted, reused, err = c.storeSnapshot(p, chunks); err != nil {
+			// Keep the lease: nothing was believed, and the worker may
+			// yet post a snapshot that resolves.
+			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.expireLocked()
-	c.workers[p.Worker] = c.now()
-	l := c.leases[p.LeaseID]
-	if l == nil || l.epoch != p.Epoch || l.worker != p.Worker {
-		// Expired (reassigned) lease, or a verdict for an epoch the
-		// worker does not hold: ignored, never a verdict.
-		c.staleVerdicts++
-		http.Error(w, "stale or unknown lease", http.StatusConflict)
-		return
-	}
-	st := c.states[p.Epoch]
-	if st == nil || st.decided {
-		c.staleVerdicts++
-		http.Error(w, "stale or unknown lease", http.StatusConflict)
-		return
-	}
-	if p.ManifestSHA != st.s.ManifestSHA {
-		// The worker audited different manifest bytes than the chain
-		// holds; the post proves nothing about this epoch. Keep the
-		// lease — the worker is confused, not slow.
-		http.Error(w, "manifest digest does not match chain", http.StatusBadRequest)
+	if status, msg := c.checkPostLocked(p); status != 0 {
+		http.Error(w, msg, status)
 		return
 	}
 	// Consume the lease and stash the verdict.
-	delete(c.leases, l.id)
-	delete(st.active, l.id)
-	st.posted = append(st.posted, &postedVerdict{post: p, snap: snap})
+	st := c.states[p.Epoch]
+	delete(c.leases, p.LeaseID)
+	delete(st.active, p.LeaseID)
+	st.posted = append(st.posted, p)
 	c.fetchedBytes += p.FetchedBytes
 	if hit := p.LogicalBytes - p.FetchedBytes; hit > 0 {
 		c.cacheHitBytes += hit
 	}
+	c.wireBytes += p.WireBytes
+	c.snapshotChunksPosted += int64(posted)
+	c.snapshotChunksReused += int64(reused)
 	c.advanceLocked()
 	ack := []byte("verdict recorded\n")
 	signResponse(w, c.opts.Key, ack)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(ack)
+}
+
+// checkPostLocked validates a verdict post against the lease table and
+// the chain. It returns 0 when the post may be recorded, otherwise the
+// HTTP status and message to refuse it with.
+func (c *Coordinator) checkPostLocked(p *VerdictPost) (int, string) {
+	c.expireLocked()
+	c.workers[p.Worker] = c.now()
+	l := c.leases[p.LeaseID]
+	st := c.states[p.Epoch]
+	if l == nil || l.epoch != p.Epoch || l.worker != p.Worker || st == nil || st.decided {
+		// Expired (reassigned) lease, or a verdict for an epoch the
+		// worker does not hold: ignored, never a verdict.
+		c.staleVerdicts++
+		return http.StatusConflict, "stale or unknown lease"
+	}
+	if p.ManifestSHA != st.s.ManifestSHA {
+		// The worker audited different manifest bytes than the chain
+		// holds; the post proves nothing about this epoch. Keep the
+		// lease — the worker is confused, not slow.
+		return http.StatusBadRequest, "manifest digest does not match chain"
+	}
+	return 0, ""
+}
+
+// storeSnapshot files an ACCEPT's final snapshot in the chain store.
+// Every ref must resolve: a chunk the store holds is reused, a shipped
+// one is verified against the ref it claims and written as the at-rest
+// bytes the worker sent (cas.FS.PutStored), and one that is neither
+// refuses the post — it would leave the next epoch without its initial
+// state. It runs without c.mu: it is the only part of a hand-off whose
+// cost grows with the snapshot.
+func (c *Coordinator) storeSnapshot(p *VerdictPost, chunks [][]byte) (posted, reused int, err error) {
+	if len(p.FinalSnapshot) == 0 {
+		return 0, 0, errors.New("accepted verdict carries no final snapshot")
+	}
+	k := 0 // next entry of p.Shipped, which DecodeVerdict checked ascends
+	for idx, ref := range p.FinalSnapshot {
+		shipped := k < len(p.Shipped) && p.Shipped[k] == idx
+		switch {
+		case c.store.Has(ref.SHA256):
+			reused++
+		case shipped:
+			if err := c.store.PutStored(ref.SHA256, chunks[k]); err != nil {
+				return 0, 0, fmt.Errorf("final snapshot chunk %d: %v", idx, err)
+			}
+			posted++
+		default:
+			return 0, 0, fmt.Errorf("final snapshot chunk %d (%s) was not shipped and is not in the chain store", idx, shortSHA(ref.SHA256))
+		}
+		if shipped {
+			k++
+		}
+	}
+	return posted, reused, nil
 }
 
 // advanceLocked publishes decisions strictly in chain order: local
@@ -558,8 +651,8 @@ func (c *Coordinator) advanceLocked() {
 			c.publishLocked(st, c.rejectVerdict(st, ie.Error(),
 				&verifier.Forensics{Phase: epoch.PhaseEpochLoad, Check: "integrity"}), nil)
 		case s.Compacted:
-			v, snap := c.adoptLocked(st)
-			c.publishLocked(st, v, snap)
+			v, refs := c.adoptLocked(st)
+			c.publishLocked(st, v, refs)
 		default:
 			if len(st.posted) == 0 {
 				return // waiting on a worker
@@ -577,7 +670,7 @@ func (c *Coordinator) advanceLocked() {
 				c.epochsCrossChecked++
 			}
 			first := st.posted[0]
-			c.publishLocked(st, c.verdictFromPost(st, first), first.snap)
+			c.publishLocked(st, c.verdictFromPost(st, first), first.FinalSnapshot)
 		}
 	}
 }
@@ -601,8 +694,7 @@ func (c *Coordinator) rejectVerdict(st *epochState, reason string, f *verifier.F
 // coordinator trusts only the audit outcome and its evidence; epoch
 // identity, counts, and the chain digest come from its own manifest
 // walk.
-func (c *Coordinator) verdictFromPost(st *epochState, pv *postedVerdict) epoch.Verdict {
-	p := pv.post
+func (c *Coordinator) verdictFromPost(st *epochState, p *VerdictPost) epoch.Verdict {
 	v := epoch.Verdict{
 		Epoch:       st.s.Number,
 		ManifestSHA: st.s.ManifestSHA,
@@ -623,11 +715,14 @@ func (c *Coordinator) verdictFromPost(st *epochState, pv *postedVerdict) epoch.V
 // stored ACCEPT plus checkpoint stand in for the evicted artifacts.
 // Like the single-process path, an adoption-failure REJECT never
 // overwrites the stored decision (keepStored is handled in
-// publishLocked via Verdict semantics replicated here).
-func (c *Coordinator) adoptLocked(st *epochState) (epoch.Verdict, *object.Snapshot) {
+// publishLocked via Verdict semantics replicated here). The checkpoint
+// is adopted as the ref list it is, after a read of every chunk it
+// names — the check, and the error text, of the local auditor's
+// LoadCheckpoint.
+func (c *Coordinator) adoptLocked(st *epochState) (epoch.Verdict, []cas.Ref) {
 	s := st.s
 	d, stored := c.log.Get(s.Number)
-	reject := func(reason string) (epoch.Verdict, *object.Snapshot) {
+	reject := func(reason string) (epoch.Verdict, []cas.Ref) {
 		v := c.rejectVerdict(st, reason, &verifier.Forensics{Phase: epoch.PhaseEpochLoad, Check: "compaction"})
 		if stored {
 			v.KeepStored = true
@@ -641,7 +736,10 @@ func (c *Coordinator) adoptLocked(st *epochState) (epoch.Verdict, *object.Snapsh
 		return reject(fmt.Sprintf("epoch %d is compacted but its stored decision pins manifest %s, on disk is %s",
 			s.Number, shortSHA(d.ManifestSHA), shortSHA(s.ManifestSHA)))
 	}
-	snap, err := epoch.LoadCheckpoint(c.dir, s.Number)
+	refs, err := epoch.LoadCheckpointRefs(c.dir, s.Number)
+	if err == nil {
+		_, err = cas.ReadBlob(c.store, refs)
+	}
 	if err != nil {
 		return reject(fmt.Sprintf("epoch %d is compacted but its checkpoint is unreadable: %v", s.Number, err))
 	}
@@ -650,12 +748,13 @@ func (c *Coordinator) adoptLocked(st *epochState) (epoch.Verdict, *object.Snapsh
 		v.Events = s.Manifest.Events
 		v.Requests = s.Manifest.Requests
 	}
-	return v, snap
+	return v, refs
 }
 
 // crossMismatchLocked compares the posted replica verdicts of a
 // cross-checked epoch. Any disagreement on outcome, reason, or final
-// snapshot digest is a REJECT with forensics naming both workers —
+// snapshot (its digest and its ref list) is a REJECT with forensics
+// naming both workers —
 // per the paper's trust model the executor earns no benefit of the
 // doubt, and a disagreeing fleet cannot vouch for the epoch.
 func (c *Coordinator) crossMismatchLocked(st *epochState) (string, *verifier.Forensics) {
@@ -665,33 +764,37 @@ func (c *Coordinator) crossMismatchLocked(st *epochState) (string, *verifier.For
 			continue
 		}
 		reason := fmt.Sprintf("cross-check disagreement on epoch %d: worker %s and worker %s returned different verdicts",
-			st.s.Number, base.post.Worker, other.post.Worker)
+			st.s.Number, base.Worker, other.Worker)
 		return reason, &verifier.Forensics{
 			Phase: epoch.PhaseEpochLoad,
 			Check: "cross-check",
 			Detail: fmt.Sprintf("worker %s: %s; worker %s: %s",
-				base.post.Worker, describePost(base.post), other.post.Worker, describePost(other.post)),
+				base.Worker, describePost(base), other.Worker, describePost(other)),
 		}
 	}
 	return "", nil
 }
 
-func agreeing(a, b *postedVerdict) bool {
-	if a.post.Accepted != b.post.Accepted {
+func agreeing(a, b *VerdictPost) bool {
+	if a.Accepted != b.Accepted {
 		return false
 	}
-	if a.post.Accepted {
-		return a.post.SnapshotDigest == b.post.SnapshotDigest
+	if a.Accepted {
+		// The raw snapshot form is canonical, so honest replicas post the
+		// same ref list; the digest alone would let a replica pair a true
+		// digest with other chunks, which nobody here decodes.
+		return a.SnapshotDigest == b.SnapshotDigest &&
+			slices.Equal(a.FinalSnapshot, b.FinalSnapshot)
 	}
-	if a.post.Reason != b.post.Reason {
+	if a.Reason != b.Reason {
 		return false
 	}
-	af, _ := json.Marshal(a.post.Forensics)
-	bf, _ := json.Marshal(b.post.Forensics)
+	af, _ := json.Marshal(a.Forensics)
+	bf, _ := json.Marshal(b.Forensics)
 	return string(af) == string(bf)
 }
 
-func describePost(p VerdictPost) string {
+func describePost(p *VerdictPost) string {
 	if p.Accepted {
 		return fmt.Sprintf("ACCEPT (snapshot %.12s)", p.SnapshotDigest)
 	}
@@ -700,9 +803,12 @@ func describePost(p VerdictPost) string {
 
 // publishLocked extends the chain digest with the verdict, appends it
 // to the ledger and the durable decision log, threads the snapshot
-// hand-off forward, and on REJECT breaks the chain (dropping every
-// outstanding lease — workers learn on their next poll).
-func (c *Coordinator) publishLocked(st *epochState, v epoch.Verdict, snap *object.Snapshot) {
+// hand-off forward (snapshot is the verified final state as refs into
+// the chain store, nil on REJECT), and on REJECT breaks the chain,
+// dropping every outstanding lease. Either way held init requests are
+// woken: the next epoch's state is there, or their lease is gone.
+func (c *Coordinator) publishLocked(st *epochState, v epoch.Verdict, snapshot []cas.Ref) {
+	defer c.wakeLocked()
 	v.ChainSHA = c.extendChainLocked(v.ManifestSHA, v.Accepted)
 	st.decided = true
 	for id := range st.active {
@@ -732,20 +838,15 @@ func (c *Coordinator) publishLocked(st *epochState, v epoch.Verdict, snap *objec
 		return
 	}
 	n := st.s.Number
-	if snap != nil {
-		data, err := snap.Encode()
-		if err != nil {
-			c.err = err
-			c.finishLocked()
-			return
-		}
-		c.inits[n+1] = data
+	if snapshot != nil {
+		c.inits[n+1] = snapshot
 		delete(c.inits, n)
 		if !v.Adopted {
 			// Checkpoints make the chain resumable (and compactable) by
 			// either auditor; a failed write is a warning, not a verdict —
-			// the decision is already durable.
-			if err := epoch.WriteCheckpoint(c.dir, n, snap); err != nil {
+			// the decision is already durable. The chunks are in the store
+			// already, so this is one small file.
+			if err := epoch.WriteCheckpointRefs(c.dir, n, snapshot); err != nil {
 				c.warnings = append(c.warnings,
 					fmt.Sprintf("epoch %d: checkpoint write failed: %v", n, err))
 			}
@@ -776,6 +877,13 @@ func (c *Coordinator) finishLocked() {
 	}
 	c.finished = true
 	close(c.done)
+	c.wakeLocked()
+}
+
+// wakeLocked makes every held init request look at the state again.
+func (c *Coordinator) wakeLocked() {
+	close(c.wake)
+	c.wake = make(chan struct{})
 }
 
 // Wait blocks until the audit finishes (every sealed epoch decided, the
@@ -849,6 +957,9 @@ func (c *Coordinator) Stats() CoordinatorStats {
 		StaleVerdicts:        c.staleVerdicts,
 		FetchedBytes:         c.fetchedBytes,
 		CacheHitBytes:        c.cacheHitBytes,
+		WireBytes:            c.wireBytes,
+		SnapshotChunksPosted: c.snapshotChunksPosted,
+		SnapshotChunksReused: c.snapshotChunksReused,
 		Done:                 c.finished,
 		Broken:               c.broken,
 	}

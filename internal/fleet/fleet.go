@@ -26,6 +26,18 @@
 //     audits it with the standard verifier, and posts back an
 //     HMAC-signed verdict plus final snapshot.
 //
+// The at-rest gzip chunk is the one unit the fleet moves, in both
+// directions. The artifact server ships a chunk as the bytes its store
+// holds; a worker cuts its verified final snapshot (canonical raw
+// bytes) into chunks, posts the ordered ref list, and ships — each
+// compressed once — only the chunks the initial state it was handed
+// did not already contain; the coordinator files those bytes in the
+// chain's store as they are and from then on holds, checkpoints and
+// hands out the snapshot as a ref list, which the next worker resolves
+// through the same tiered store it reads the epoch with. A snapshot
+// that did not change costs a ref list; nobody encodes or compresses
+// it twice.
+//
 // The invariant everything here defends: a fleet audit of a chain
 // produces bit-identical verdicts, forensics, and chain ledger digest
 // to the single-process auditor, at any worker count, lease timeout,
@@ -38,9 +50,14 @@ package fleet
 import (
 	"crypto/hmac"
 	"crypto/sha256"
+	"encoding/binary"
 	"encoding/hex"
+	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 
+	"orochi/internal/cas"
 	"orochi/internal/verifier"
 )
 
@@ -50,7 +67,7 @@ const Prefix = "/-/fleet"
 
 // SigHeader carries the hex HMAC-SHA256 of the message body, keyed by
 // the shared fleet key. Verdict and lease posts are signed by workers;
-// lease and init-snapshot responses are signed by the coordinator.
+// lease and init responses are signed by the coordinator.
 const SigHeader = "X-Orochi-Fleet-Sig"
 
 // Sign returns the hex HMAC-SHA256 of body under key. An empty key
@@ -97,7 +114,7 @@ type LeaseRequest struct {
 
 // Lease is one epoch assignment. A worker holds it until it posts a
 // valid verdict or the coordinator's lease timeout expires; any
-// authenticated activity on the lease (an init poll) renews it.
+// authenticated activity on the lease (an init request) renews it.
 type Lease struct {
 	ID    string `json:"id"`
 	Epoch int64  `json:"epoch"`
@@ -107,7 +124,7 @@ type Lease struct {
 	ManifestSHA     string `json:"manifest_sha256"`
 	PrevManifestSHA string `json:"prev_manifest_sha256"`
 	// InitManifest is true when the trusted initial state comes from the
-	// epoch's own manifest (epoch 1); otherwise the worker polls the
+	// epoch's own manifest (epoch 1); otherwise the worker asks the
 	// coordinator's init endpoint for the previous epoch's verified
 	// final snapshot.
 	InitManifest bool `json:"init_manifest,omitempty"`
@@ -126,10 +143,21 @@ type LeaseResponse struct {
 	Lease   *Lease `json:"lease,omitempty"`
 }
 
-// VerdictPost is a worker's signed verdict for a leased epoch (POST
-// /-/fleet/verdict). The coordinator trusts only what it must: epoch
-// identity, chain digest, events/requests counts come from its own
-// manifest walk; the post carries the audit outcome and its evidence.
+// InitResponse answers GET /-/fleet/epoch/{n}/init (signed): the
+// trusted initial state of a leased epoch, as the ordered chunk refs of
+// the previous epoch's verified final snapshot. The chunks are in the
+// coordinator's chain store, served by the artifact surface mounted
+// beside it.
+type InitResponse struct {
+	Epoch    int64     `json:"epoch"`
+	Snapshot []cas.Ref `json:"snapshot"`
+}
+
+// VerdictPost is the header of a worker's signed verdict for a leased
+// epoch (POST /-/fleet/verdict; see EncodeVerdict for the body). The
+// coordinator trusts only what it must: epoch identity, chain digest,
+// events/requests counts come from its own manifest walk; the post
+// carries the audit outcome and its evidence.
 type VerdictPost struct {
 	LeaseID     string `json:"lease_id"`
 	Worker      string `json:"worker"`
@@ -142,19 +170,96 @@ type VerdictPost struct {
 	Forensics *verifier.Forensics `json:"forensics,omitempty"`
 	// Stats is the verifier's cost decomposition for this epoch.
 	Stats verifier.Stats `json:"stats"`
-	// FinalSnapshot is the verified final state (object.Snapshot.Encode)
-	// on ACCEPT — the next epoch's trusted initial state. Empty on
+	// FinalSnapshot is the verified final state on ACCEPT — the next
+	// epoch's trusted initial state — as the ordered refs of
+	// object.Snapshot.EncodeRaw cut by cas.DefaultChunker. Empty on
 	// REJECT.
-	FinalSnapshot []byte `json:"final_snapshot,omitempty"`
-	// SnapshotDigest is the canonical digest of FinalSnapshot's decoded
-	// content (object.Snapshot.CanonicalDigest) — the cross-check
-	// comparison key, stable across encoders.
+	FinalSnapshot []cas.Ref `json:"final_snapshot,omitempty"`
+	// Shipped lists, ascending, the indexes into FinalSnapshot whose
+	// chunk bytes follow the header. Every other chunk the coordinator
+	// must already hold (it was part of the initial state it handed out).
+	Shipped []int `json:"shipped,omitempty"`
+	// SnapshotDigest is the canonical digest of the final state
+	// (object.Snapshot.CanonicalDigest). With the ref list it is the
+	// cross-check comparison key.
 	SnapshotDigest string `json:"snapshot_digest,omitempty"`
-	// FetchedBytes and LogicalBytes account the transport: chunk bytes
-	// actually pulled over the wire for this epoch vs the logical bytes
-	// its manifest pins. logical - fetched = the worker's cache hits.
+	// FetchedBytes and LogicalBytes account the transport in logical
+	// (inflated) bytes: chunk bytes the worker pulled from the artifact
+	// server for this epoch vs the bytes its manifest pins. logical -
+	// fetched = the worker's cache hits. WireBytes is what crossed the
+	// wire for every chunk fetched for the epoch (its artifacts and its
+	// initial state), in the at-rest form chunks travel in.
 	FetchedBytes int64 `json:"fetched_bytes"`
 	LogicalBytes int64 `json:"logical_bytes"`
+	WireBytes    int64 `json:"wire_bytes"`
+}
+
+// EncodeVerdict builds the body of a verdict post: a u32 big-endian
+// length and the JSON header, then for each entry of p.Shipped a u32
+// big-endian length and that chunk's at-rest bytes (a gzip stream, as
+// cas.FS stores it) — binary, so a chunk costs its size and not
+// four-thirds of it. The signature covers the whole body.
+func EncodeVerdict(p *VerdictPost, chunks [][]byte) ([]byte, error) {
+	if len(chunks) != len(p.Shipped) {
+		return nil, fmt.Errorf("fleet: verdict ships %d chunks but carries %d", len(p.Shipped), len(chunks))
+	}
+	header, err := json.Marshal(p)
+	if err != nil {
+		return nil, err
+	}
+	size := 4 + len(header)
+	for _, c := range chunks {
+		size += 4 + len(c)
+	}
+	body := make([]byte, 0, size)
+	body = binary.BigEndian.AppendUint32(body, uint32(len(header)))
+	body = append(body, header...)
+	for _, c := range chunks {
+		body = binary.BigEndian.AppendUint32(body, uint32(len(c)))
+		body = append(body, c...)
+	}
+	return body, nil
+}
+
+// DecodeVerdict parses a verdict post body. The returned chunks alias
+// body, one per p.Shipped entry. A body whose frames do not add up to
+// exactly what the header announces is an error.
+func DecodeVerdict(body []byte) (*VerdictPost, [][]byte, error) {
+	next := func() ([]byte, error) {
+		if len(body) < 4 {
+			return nil, errors.New("fleet: truncated verdict frame")
+		}
+		n := int(binary.BigEndian.Uint32(body))
+		if n > len(body)-4 {
+			return nil, errors.New("fleet: truncated verdict frame")
+		}
+		frame := body[4 : 4+n]
+		body = body[4+n:]
+		return frame, nil
+	}
+	header, err := next()
+	if err != nil {
+		return nil, nil, err
+	}
+	var p VerdictPost
+	if err := json.Unmarshal(header, &p); err != nil {
+		return nil, nil, fmt.Errorf("fleet: bad verdict header: %w", err)
+	}
+	chunks := make([][]byte, 0, len(p.Shipped))
+	for k, idx := range p.Shipped {
+		if idx < 0 || idx >= len(p.FinalSnapshot) || (k > 0 && idx <= p.Shipped[k-1]) {
+			return nil, nil, fmt.Errorf("fleet: verdict ships chunk index %d of a %d-chunk snapshot out of order", idx, len(p.FinalSnapshot))
+		}
+		frame, err := next()
+		if err != nil {
+			return nil, nil, err
+		}
+		chunks = append(chunks, frame)
+	}
+	if len(body) != 0 {
+		return nil, nil, errors.New("fleet: trailing bytes after the verdict's chunk frames")
+	}
+	return &p, chunks, nil
 }
 
 // ChainEpoch is one row of the artifact server's chain listing.

@@ -16,6 +16,8 @@ import (
 	"testing"
 	"time"
 
+	"orochi/internal/cas"
+	"orochi/internal/encio"
 	"orochi/internal/epoch"
 	"orochi/internal/lang"
 	"orochi/internal/object"
@@ -327,14 +329,59 @@ func TestFleetCrossCheckAgreement(t *testing.T) {
 	}
 }
 
-// postJSON posts v (signed under key when non-empty) and returns the
-// response status and body.
+// postJSON posts v as JSON (signed under key when non-empty) and
+// returns the response status and body.
 func postJSON(t *testing.T, url string, key []byte, v any) (int, []byte) {
 	t.Helper()
 	body, err := json.Marshal(v)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postBody(t, url, key, body)
+}
+
+// testVerdict is a verdict post as a test holds it: the header and the
+// at-rest bytes of the chunks it ships.
+type testVerdict struct {
+	VerdictPost
+	chunks [][]byte
+}
+
+// withSnapshot fills in the post's final snapshot the way a worker
+// does — canonical raw bytes, cut by the default chunker — shipping
+// every chunk.
+func (v *testVerdict) withSnapshot(t *testing.T, snap *object.Snapshot) {
+	t.Helper()
+	raw, err := snap.EncodeRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	v.FinalSnapshot, v.Shipped, v.chunks = nil, nil, nil
+	for i, chunk := range cas.DefaultChunker.Split(raw) {
+		stored, err := encio.Gzip(chunk)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v.FinalSnapshot = append(v.FinalSnapshot, cas.Ref{SHA256: cas.SumHex(chunk), Bytes: int64(len(chunk))})
+		v.Shipped = append(v.Shipped, i)
+		v.chunks = append(v.chunks, stored)
+	}
+	v.SnapshotDigest = snap.CanonicalDigest()
+}
+
+// postVerdict posts v in the verdict frame (signed under key when
+// non-empty) and returns the response status and body.
+func postVerdict(t *testing.T, url string, key []byte, v testVerdict) (int, []byte) {
+	t.Helper()
+	body, err := EncodeVerdict(&v.VerdictPost, v.chunks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return postBody(t, url+Prefix+"/verdict", key, body)
+}
+
+func postBody(t *testing.T, url string, key, body []byte) (int, []byte) {
+	t.Helper()
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
@@ -375,7 +422,7 @@ func leaseFor(t *testing.T, url, worker string, key []byte) *Lease {
 
 // honestVerdict audits sealed[idx] locally (straight off disk) and
 // shapes the result as the verdict post an honest worker would send.
-func honestVerdict(t *testing.T, prog *lang.Program, dir string, l *Lease, worker string, init *object.Snapshot) VerdictPost {
+func honestVerdict(t *testing.T, prog *lang.Program, dir string, l *Lease, worker string, init *object.Snapshot) testVerdict {
 	t.Helper()
 	sealed, err := epoch.ListSealed(dir)
 	if err != nil {
@@ -401,7 +448,7 @@ func honestVerdict(t *testing.T, prog *lang.Program, dir string, l *Lease, worke
 	if err != nil {
 		t.Fatal(err)
 	}
-	post := VerdictPost{
+	post := testVerdict{VerdictPost: VerdictPost{
 		LeaseID:     l.ID,
 		Worker:      worker,
 		Epoch:       l.Epoch,
@@ -410,18 +457,13 @@ func honestVerdict(t *testing.T, prog *lang.Program, dir string, l *Lease, worke
 		Reason:      res.Reason,
 		Forensics:   res.Forensics,
 		Stats:       res.Stats,
-	}
+	}}
 	if res.Accepted {
 		snap, err := res.FinalSnapshot()
 		if err != nil {
 			t.Fatal(err)
 		}
-		data, err := snap.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		post.FinalSnapshot = data
-		post.SnapshotDigest = snap.CanonicalDigest()
+		post.withSnapshot(t, snap)
 	}
 	return post
 }
@@ -444,28 +486,22 @@ func TestFleetCrossCheckMismatchRejects(t *testing.T) {
 
 	// The liar invents a plausible final state: a perfectly well-formed
 	// snapshot that is not the one honest re-execution produces.
-	fake := object.EmptySnapshot()
-	fakeData, err := fake.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	evilPost := VerdictPost{
-		LeaseID:        evilLease.ID,
-		Worker:         "evil",
-		Epoch:          1,
-		ManifestSHA:    evilLease.ManifestSHA,
-		Accepted:       true,
-		FinalSnapshot:  fakeData,
-		SnapshotDigest: fake.CanonicalDigest(),
-	}
-	if status, body := postJSON(t, ts.URL+Prefix+"/verdict", nil, evilPost); status != http.StatusOK {
+	evilPost := testVerdict{VerdictPost: VerdictPost{
+		LeaseID:     evilLease.ID,
+		Worker:      "evil",
+		Epoch:       1,
+		ManifestSHA: evilLease.ManifestSHA,
+		Accepted:    true,
+	}}
+	evilPost.withSnapshot(t, object.EmptySnapshot())
+	if status, body := postVerdict(t, ts.URL, nil, evilPost); status != http.StatusOK {
 		t.Fatalf("evil post refused early: %d %s", status, body)
 	}
 	honestPost := honestVerdict(t, prog, dir, honestLease, "honest", nil)
 	if !honestPost.Accepted {
 		t.Fatalf("honest audit of epoch 1 rejected: %s", honestPost.Reason)
 	}
-	if status, body := postJSON(t, ts.URL+Prefix+"/verdict", nil, honestPost); status != http.StatusOK {
+	if status, body := postVerdict(t, ts.URL, nil, honestPost); status != http.StatusOK {
 		t.Fatalf("honest post refused: %d %s", status, body)
 	}
 
@@ -553,14 +589,14 @@ func TestFleetLeaseExpiryAndStaleVerdicts(t *testing.T) {
 	// The slow worker finally finishes — its verdict rides a dead lease
 	// and must be ignored, not recorded.
 	latePost := honestVerdict(t, prog, dir, slow, "slow", nil)
-	if status, _ := postJSON(t, ts.URL+Prefix+"/verdict", nil, latePost); status != http.StatusConflict {
+	if status, _ := postVerdict(t, ts.URL, nil, latePost); status != http.StatusConflict {
 		t.Fatalf("stale-lease verdict answered %d, want 409", status)
 	}
 	// A verdict for an epoch the worker holds no lease on: same refusal.
 	forged := latePost
 	forged.LeaseID = "0123456789abcdef0123456789abcdef"
 	forged.Worker = "forger"
-	if status, _ := postJSON(t, ts.URL+Prefix+"/verdict", nil, forged); status != http.StatusConflict {
+	if status, _ := postVerdict(t, ts.URL, nil, forged); status != http.StatusConflict {
 		t.Fatalf("unheld-epoch verdict accepted")
 	}
 	if st := coord.Stats(); st.StaleVerdicts != 2 || st.EpochsDecided != 0 {
@@ -569,7 +605,7 @@ func TestFleetLeaseExpiryAndStaleVerdicts(t *testing.T) {
 
 	// The live lease still decides the epoch.
 	goodPost := honestVerdict(t, prog, dir, fresh, "fresh", nil)
-	if status, body := postJSON(t, ts.URL+Prefix+"/verdict", nil, goodPost); status != http.StatusOK {
+	if status, body := postVerdict(t, ts.URL, nil, goodPost); status != http.StatusOK {
 		t.Fatalf("live verdict refused: %d %s", status, body)
 	}
 	if err := coord.Wait(context.Background()); err != nil {
@@ -637,8 +673,8 @@ func TestFleetRefusesBadSignatures(t *testing.T) {
 		t.Fatalf("unsigned lease request answered %d, want 403", status)
 	}
 	// Mis-keyed verdict post: refused before any lease validation runs.
-	post := VerdictPost{LeaseID: "deadbeef", Worker: "mallory", Epoch: 1, Accepted: true}
-	if status, _ := postJSON(t, ts.URL+Prefix+"/verdict", []byte("wrong-key"), post); status != http.StatusForbidden {
+	post := testVerdict{VerdictPost: VerdictPost{LeaseID: "deadbeef", Worker: "mallory", Epoch: 1, Accepted: true}}
+	if status, _ := postVerdict(t, ts.URL, []byte("wrong-key"), post); status != http.StatusForbidden {
 		t.Fatalf("mis-signed verdict answered %d, want 403", status)
 	}
 	if st := coord.Stats(); st.BadSignaturePosts != 2 || st.EpochsDecided != 0 {

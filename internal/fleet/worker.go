@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"orochi/internal/cas"
+	"orochi/internal/encio"
 	"orochi/internal/epoch"
 	"orochi/internal/lang"
 	"orochi/internal/object"
@@ -23,8 +24,10 @@ import (
 type WorkerOptions struct {
 	// Coordinator is the coordinator's base URL (scheme://host:port).
 	Coordinator string
-	// Artifacts is the artifact server's base URL; empty means the
-	// coordinator serves artifacts too (the common co-mounted setup).
+	// Artifacts is the base URL of the artifact server epochs are read
+	// from; empty means the coordinator's own (the common co-mounted
+	// setup). Initial-state snapshots always come from the coordinator's
+	// host, which serves the chain store it files them in.
 	Artifacts string
 	// Name identifies this worker in leases, forensics, and metrics
 	// (default "host:pid").
@@ -42,8 +45,9 @@ type WorkerOptions struct {
 	// Verify configures the verifier, exactly as a local audit would
 	// (engine, audit workers, dedup).
 	Verify verifier.Options
-	// InitPoll is how often to poll for a not-yet-ready trusted initial
-	// state (default 150ms).
+	// InitPoll is the back-off before asking again for a trusted initial
+	// state after the coordinator's long poll timed out (202) or the
+	// request failed (default 150ms).
 	InitPoll time.Duration
 	// FetchRetries bounds retry attempts on transient artifact-fetch
 	// failures before the lease is abandoned (default 3).
@@ -84,11 +88,14 @@ type EpochReport struct {
 	Epoch    int64
 	Accepted bool
 	Reason   string
-	// FetchedBytes is what actually crossed the wire for this epoch;
-	// LogicalBytes is what its manifest pins. The difference is the
-	// local cache's contribution.
+	// FetchedBytes is the logical size of the chunks pulled from the
+	// artifact server for this epoch; LogicalBytes is what its manifest
+	// pins. The difference is the local cache's contribution. WireBytes
+	// is what crossed the wire for every chunk fetched for the epoch,
+	// initial state included, in the at-rest form chunks travel in.
 	FetchedBytes int64
 	LogicalBytes int64
+	WireBytes    int64
 	CrossCheck   bool
 }
 
@@ -98,9 +105,10 @@ type WorkerStats struct {
 	Epochs       int
 	Accepted     int
 	Rejected     int
-	Abandoned    int // leases dropped without a verdict (transport faults, expiry)
-	FetchedBytes int64
-	LogicalBytes int64
+	Abandoned    int   // leases dropped without a verdict (transport faults, expiry)
+	FetchedBytes int64 // logical bytes of fetched epoch chunks
+	LogicalBytes int64 // bytes the audited manifests pin
+	WireBytes    int64 // bytes on the wire for every fetched chunk
 }
 
 // coldTracker wraps the remote chunk store and records whether any Get
@@ -139,10 +147,15 @@ const maxLeaseFailures = 20
 type worker struct {
 	opts    WorkerOptions
 	prog    *lang.Program
-	remote  *cas.HTTPStore
+	remote  *cas.HTTPStore // the artifact server's chunks
 	tracker *coldTracker
 	tiered  *cas.Tiered
-	stats   WorkerStats
+	// initRemote is the coordinator's chain store, where initial-state
+	// snapshots live (remote itself when one host serves both);
+	// initTiered reads it through the same hot cache.
+	initRemote *cas.HTTPStore
+	initTiered *cas.Tiered
+	stats      WorkerStats
 }
 
 // RunWorker pulls leases from the coordinator and audits them until the
@@ -157,14 +170,20 @@ func RunWorker(ctx context.Context, prog *lang.Program, opts WorkerOptions) (Wor
 		return WorkerStats{}, errors.New("fleet: worker needs a coordinator URL")
 	}
 	remote := cas.NewHTTPStore(opts.Artifacts+Prefix, opts.Client)
+	initRemote := remote
+	if opts.Artifacts != opts.Coordinator {
+		initRemote = cas.NewHTTPStore(opts.Coordinator+Prefix, opts.Client)
+	}
 	tracker := &coldTracker{inner: remote}
 	w := &worker{
-		opts:    opts,
-		prog:    prog,
-		remote:  remote,
-		tracker: tracker,
-		tiered:  &cas.Tiered{Hot: opts.Hot, Cold: tracker},
-		stats:   WorkerStats{Name: opts.Name},
+		opts:       opts,
+		prog:       prog,
+		remote:     remote,
+		tracker:    tracker,
+		tiered:     &cas.Tiered{Hot: opts.Hot, Cold: tracker},
+		initRemote: initRemote,
+		initTiered: &cas.Tiered{Hot: opts.Hot, Cold: initRemote},
+		stats:      WorkerStats{Name: opts.Name},
 	}
 	failures := 0
 	for {
@@ -243,19 +262,24 @@ func (w *worker) lease() (*LeaseResponse, error) {
 	return &resp, nil
 }
 
-// signedPost posts v as signed JSON and returns the (signature-
-// verified) response body. Non-2xx statuses are errors; 403 is fatal
-// (the fleet key does not match).
+// signedPost posts v as signed JSON; see signedPostBody.
 func (w *worker) signedPost(url string, v any) ([]byte, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
+	return w.signedPostBody(url, "application/json", body)
+}
+
+// signedPostBody posts a signed body and returns the (signature-
+// verified) response body. Non-2xx statuses are errors; 403 is fatal
+// (the fleet key does not match).
+func (w *worker) signedPostBody(url, contentType string, body []byte) ([]byte, error) {
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", contentType)
 	if sig := Sign(w.opts.Key, body); sig != "" {
 		req.Header.Set(SigHeader, sig)
 	}
@@ -295,7 +319,7 @@ func firstLine(data []byte) string {
 // reconstruct the artifacts through the tiered store, replay auditOne's
 // checks in auditOne's order, verify, and post the signed verdict.
 func (w *worker) audit(ctx context.Context, l *Lease) error {
-	_, bytesStart := w.remote.Fetched()
+	_, logicalStart, wireStart := w.remote.Fetched()
 	m, sha, err := w.fetchManifest(ctx, l)
 	if err != nil {
 		return err
@@ -314,7 +338,7 @@ func (w *worker) audit(ctx context.Context, l *Lease) error {
 			f.Detail = reason
 		}
 		post.Forensics = f
-		return w.post(ctx, l, &post, logical, bytesStart)
+		return w.post(l, &post, nil)
 	}
 
 	// Check 1: integrity — reconstruct and verify every artifact
@@ -335,6 +359,12 @@ func (w *worker) audit(ctx context.Context, l *Lease) error {
 			return ctx.Err()
 		}
 	}
+	// The load is the only phase that reads the artifact store, so what
+	// it pulled is this epoch's share of the store's running totals.
+	_, logicalNow, wireNow := w.remote.Fetched()
+	post.FetchedBytes = logicalNow - logicalStart
+	post.LogicalBytes = logical
+	post.WireBytes = wireNow - wireStart
 	if err != nil {
 		var ie *epoch.IntegrityError
 		if errors.As(err, &ie) {
@@ -353,16 +383,23 @@ func (w *worker) audit(ctx context.Context, l *Lease) error {
 
 	// Check 3: trusted initial state — the manifest's own snapshot for
 	// the first epoch, the previous epoch's verified final snapshot
-	// (fetched from the coordinator) otherwise.
+	// (handed out by the coordinator as chunk refs) otherwise. Either
+	// way its chunks are ones the coordinator holds, so the final
+	// snapshot need not ship them back.
 	var init *object.Snapshot
+	var initRefs []cas.Ref
 	if l.InitManifest {
 		if loaded.Init == nil {
 			return reject(fmt.Sprintf("epoch %d has no trusted initial state (no chained snapshot, no init in manifest)", l.Epoch),
 				&verifier.Forensics{Phase: epoch.PhaseEpochLoad, Check: "missing-init"})
 		}
 		init = loaded.Init
+		initRefs = m.Init.Chunks
 	} else {
-		init, err = w.fetchInit(ctx, l)
+		_, _, initWireStart := w.initRemote.Fetched()
+		init, initRefs, err = w.fetchInit(ctx, l)
+		_, _, initWireNow := w.initRemote.Fetched()
+		post.WireBytes += initWireNow - initWireStart
 		if err != nil {
 			return err
 		}
@@ -384,14 +421,57 @@ func (w *worker) audit(ctx context.Context, l *Lease) error {
 	if err != nil {
 		return &fatalError{err}
 	}
-	data, err := snap.Encode()
+	raw, err := snap.EncodeRaw()
+	if err != nil {
+		return &fatalError{err}
+	}
+	chunks, err := w.chunkSnapshot(&post, raw, initRefs)
 	if err != nil {
 		return &fatalError{err}
 	}
 	post.Accepted = true
-	post.FinalSnapshot = data
 	post.SnapshotDigest = snap.CanonicalDigest()
-	return w.post(ctx, l, &post, logical, bytesStart)
+	return w.post(l, &post, chunks)
+}
+
+// chunkSnapshot cuts a verified final snapshot's raw bytes into chunks,
+// fills in post.FinalSnapshot (every ref) and post.Shipped (the chunks
+// the coordinator cannot have: those not among the refs of the initial
+// state this audit started from), and returns the shipped chunks'
+// at-rest bytes. Each new chunk is compressed here, once: the
+// coordinator stores these bytes as they are, and the hot cache takes
+// them too, so auditing the next epoch finds its initial state at home.
+func (w *worker) chunkSnapshot(post *VerdictPost, raw []byte, held []cas.Ref) ([][]byte, error) {
+	known := make(map[string]bool, len(held))
+	for _, r := range held {
+		known[r.SHA256] = true
+	}
+	storedHot, _ := w.opts.Hot.(interface {
+		PutStored(sha string, stored []byte) error
+	})
+	var shipped [][]byte
+	for i, chunk := range cas.DefaultChunker.Split(raw) {
+		sha := cas.SumHex(chunk)
+		post.FinalSnapshot = append(post.FinalSnapshot, cas.Ref{SHA256: sha, Bytes: int64(len(chunk))})
+		if known[sha] {
+			continue
+		}
+		known[sha] = true
+		stored, err := encio.Gzip(chunk)
+		if err != nil {
+			return nil, err
+		}
+		post.Shipped = append(post.Shipped, i)
+		shipped = append(shipped, stored)
+		// Best effort, like Tiered's promotion: a cache that cannot take
+		// the chunk costs a fetch later, nothing else.
+		if storedHot != nil {
+			_ = storedHot.PutStored(sha, stored)
+		} else {
+			_ = w.opts.Hot.Put(sha, chunk)
+		}
+	}
+	return shipped, nil
 }
 
 // fetchManifest pulls the leased epoch's raw manifest bytes and pins
@@ -431,25 +511,37 @@ func (w *worker) fetchManifest(ctx context.Context, l *Lease) (*epoch.Manifest, 
 	return nil, "", fmt.Errorf("%w: %v", errAbandoned, lastErr)
 }
 
-// fetchInit polls the coordinator for the previous epoch's verified
-// final snapshot. 202 means not ready (the previous epoch is still
-// under audit — each poll renews the lease); 410 means the lease died
-// or the chain broke before this epoch, so the assignment is abandoned.
-func (w *worker) fetchInit(ctx context.Context, l *Lease) (*object.Snapshot, error) {
+// fetchInit asks the coordinator for the previous epoch's verified
+// final snapshot and assembles it from its chunk refs through the hot
+// cache: a worker that audited the previous epoch, or holds the chunks
+// that did not change since an earlier one, fetches nothing. The
+// coordinator holds the request until the state exists; 202 means it
+// gave up waiting for now (each request renews the lease), and 410
+// means the lease died or the chain broke before this epoch, so the
+// assignment is abandoned.
+func (w *worker) fetchInit(ctx context.Context, l *Lease) (*object.Snapshot, []cas.Ref, error) {
 	url := fmt.Sprintf("%s%s/epoch/%d/init?lease=%s", w.opts.Coordinator, Prefix, l.Epoch, l.ID)
 	failures := 0
+	// retry backs off before another attempt, or gives up on the lease
+	// after FetchRetries consecutive failures.
+	retry := func(cause any) error {
+		failures++
+		if failures >= w.opts.FetchRetries {
+			return fmt.Errorf("%w: init fetch: %v", errAbandoned, cause)
+		}
+		if !sleepCtx(ctx, w.opts.InitPoll) {
+			return ctx.Err()
+		}
+		return nil
+	}
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		resp, err := w.opts.Client.Get(url)
 		if err != nil {
-			failures++
-			if failures >= w.opts.FetchRetries {
-				return nil, fmt.Errorf("%w: init fetch: %v", errAbandoned, err)
-			}
-			if !sleepCtx(ctx, w.opts.InitPoll) {
-				return nil, ctx.Err()
+			if err := retry(err); err != nil {
+				return nil, nil, err
 			}
 			continue
 		}
@@ -458,47 +550,61 @@ func (w *worker) fetchInit(ctx context.Context, l *Lease) (*object.Snapshot, err
 		switch resp.StatusCode {
 		case http.StatusOK:
 			if rerr != nil {
-				failures++
-				if failures >= w.opts.FetchRetries {
-					return nil, fmt.Errorf("%w: init fetch: %v", errAbandoned, rerr)
+				if err := retry(rerr); err != nil {
+					return nil, nil, err
 				}
 				continue
 			}
 			if !VerifySig(w.opts.Key, data, resp.Header.Get(SigHeader)) {
-				return nil, &fatalError{errors.New("fleet: init snapshot not signed with the fleet key")}
+				return nil, nil, &fatalError{errors.New("fleet: init snapshot not signed with the fleet key")}
 			}
-			snap, err := object.DecodeSnapshot(data)
+			var ir InitResponse
+			if err := json.Unmarshal(data, &ir); err != nil || ir.Epoch != l.Epoch {
+				return nil, nil, &fatalError{fmt.Errorf("fleet: bad init response for epoch %d: %v", l.Epoch, err)}
+			}
+			raw, err := cas.ReadBlob(w.initTiered, ir.Snapshot)
+			if errors.Is(err, cas.ErrUnavailable) {
+				// Transport trouble fetching a chunk: ask again.
+				if err := retry(err); err != nil {
+					return nil, nil, err
+				}
+				continue
+			}
 			if err != nil {
-				return nil, &fatalError{fmt.Errorf("fleet: undecodable init snapshot for epoch %d: %w", l.Epoch, err)}
+				// The coordinator's own store cannot produce a chunk it
+				// handed out: nothing a retry or another worker fixes.
+				return nil, nil, &fatalError{fmt.Errorf("fleet: init snapshot for epoch %d: %w", l.Epoch, err)}
 			}
-			return snap, nil
+			snap, err := object.DecodeSnapshotRaw(raw)
+			if err != nil {
+				return nil, nil, &fatalError{fmt.Errorf("fleet: undecodable init snapshot for epoch %d: %w", l.Epoch, err)}
+			}
+			return snap, ir.Snapshot, nil
 		case http.StatusAccepted:
 			failures = 0
 			if !sleepCtx(ctx, w.opts.InitPoll) {
-				return nil, ctx.Err()
+				return nil, nil, ctx.Err()
 			}
 		case http.StatusGone:
-			return nil, fmt.Errorf("%w: epoch %d lease gone (expired, or the chain broke earlier)", errAbandoned, l.Epoch)
+			return nil, nil, fmt.Errorf("%w: epoch %d lease gone (expired, or the chain broke earlier)", errAbandoned, l.Epoch)
 		default:
-			failures++
-			if failures >= w.opts.FetchRetries {
-				return nil, fmt.Errorf("%w: init fetch: status %s", errAbandoned, resp.Status)
-			}
-			if !sleepCtx(ctx, w.opts.InitPoll) {
-				return nil, ctx.Err()
+			if err := retry("status " + resp.Status); err != nil {
+				return nil, nil, err
 			}
 		}
 	}
 }
 
-// post sends the signed verdict and updates the worker's tallies. A 409
-// means the lease expired under us and the epoch was reassigned — the
-// verdict is ignored by the coordinator, and counted abandoned here.
-func (w *worker) post(ctx context.Context, l *Lease, p *VerdictPost, logical, bytesStart int64) error {
-	_, bytesNow := w.remote.Fetched()
-	p.FetchedBytes = bytesNow - bytesStart
-	p.LogicalBytes = logical
-	_, err := w.signedPost(w.opts.Coordinator+Prefix+"/verdict", p)
+// post sends the signed verdict — header plus the snapshot chunks it
+// ships — and updates the worker's tallies. A 409 means the lease
+// expired under us and the epoch was reassigned — the verdict is
+// ignored by the coordinator, and counted abandoned here.
+func (w *worker) post(l *Lease, p *VerdictPost, chunks [][]byte) error {
+	body, err := EncodeVerdict(p, chunks)
+	if err != nil {
+		return &fatalError{err}
+	}
+	_, err = w.signedPostBody(w.opts.Coordinator+Prefix+"/verdict", "application/octet-stream", body)
 	if err != nil {
 		if errors.Is(err, errStaleLease) {
 			return fmt.Errorf("%w: %v", errAbandoned, err)
@@ -518,6 +624,7 @@ func (w *worker) post(ctx context.Context, l *Lease, p *VerdictPost, logical, by
 	}
 	w.stats.FetchedBytes += p.FetchedBytes
 	w.stats.LogicalBytes += p.LogicalBytes
+	w.stats.WireBytes += p.WireBytes
 	if w.opts.OnEpoch != nil {
 		w.opts.OnEpoch(EpochReport{
 			Epoch:        l.Epoch,
@@ -525,6 +632,7 @@ func (w *worker) post(ctx context.Context, l *Lease, p *VerdictPost, logical, by
 			Reason:       p.Reason,
 			FetchedBytes: p.FetchedBytes,
 			LogicalBytes: p.LogicalBytes,
+			WireBytes:    p.WireBytes,
 			CrossCheck:   l.CrossCheck,
 		})
 	}

@@ -162,11 +162,14 @@ func init() {
 					} else {
 						to = ToString(args[1])
 					}
-					subject = strings.ReplaceAll(subject, from, to)
+					var err error
+					if subject, err = replaceAllBudgeted(subject, from, to, line); err != nil {
+						return nil, err
+					}
 				}
 				return subject, nil
 			}
-			return strings.ReplaceAll(subject, ToString(args[0]), ToString(args[1])), nil
+			return replaceAllBudgeted(subject, ToString(args[0]), ToString(args[1]), line)
 		},
 		"strtolower": func(ex *exec, args []Value, line int) (Value, error) {
 			if err := wantArgs("strtolower", args, 1, 1, line); err != nil {
@@ -211,7 +214,11 @@ func init() {
 			if n > 1<<22 {
 				return nil, &RuntimeError{Msg: "str_repeat(): count too large", Line: line}
 			}
-			return strings.Repeat(ToString(args[0]), int(n)), nil
+			s := ToString(args[0])
+			if n > 0 && len(s) > maxStringBytes/int(n) {
+				return nil, stringBudget(maxStringBytes+1, line)
+			}
+			return strings.Repeat(s, int(n)), nil
 		},
 		"str_pad": func(ex *exec, args []Value, line int) (Value, error) {
 			if err := wantArgs("str_pad", args, 2, 3, line); err != nil {
@@ -225,6 +232,9 @@ func init() {
 			}
 			if pad == "" || len(s) >= width {
 				return s, nil
+			}
+			if err := stringBudget(width, line); err != nil {
+				return nil, err
 			}
 			var b strings.Builder
 			b.WriteString(s)
@@ -264,8 +274,13 @@ func init() {
 				arr = a
 			}
 			parts := make([]string, 0, arr.Len())
+			total := 0
 			for _, v := range arr.Values() {
 				parts = append(parts, ToString(v))
+				total += len(sep) + len(parts[len(parts)-1])
+				if err := stringBudget(total, line); err != nil {
+					return nil, err
+				}
 			}
 			return strings.Join(parts, sep), nil
 		},
@@ -299,6 +314,9 @@ func init() {
 			dec := 0
 			if len(args) == 2 {
 				dec = int(ToInt(args[1]))
+			}
+			if err := stringBudget(dec, line); err != nil {
+				return nil, err
 			}
 			s := strconv.FormatFloat(ToFloat(args[0]), 'f', dec, 64)
 			// Insert thousands separators.
@@ -783,6 +801,18 @@ func extremum(name string, args []Value, line int, better func(cmp int) bool) (V
 		}
 	}
 	return best, nil
+}
+
+// replaceAllBudgeted is strings.ReplaceAll held to the string budget:
+// every occurrence can grow the subject by len(to)-len(from), so the
+// result's length is known before it is built.
+func replaceAllBudgeted(subject, from, to string, line int) (string, error) {
+	if grow := len(to) - len(from); grow > 0 {
+		if n := strings.Count(subject, from); n > 0 && grow > (maxStringBytes-len(subject))/n {
+			return "", stringBudget(maxStringBytes+1, line)
+		}
+	}
+	return strings.ReplaceAll(subject, from, to), nil
 }
 
 // phpSprintf implements the subset of sprintf the applications use:

@@ -96,7 +96,7 @@ func (ex *exec) invokeBuiltin(name string, fn builtinFn, args []Value, line int)
 	}
 	if !anyMulti {
 		ex.countInstr(false)
-		return fn(ex, args, line)
+		return ex.callBudgeted(fn, args, line)
 	}
 	ex.countInstr(true)
 	return ex.forLanes(func(i int) (Value, error) {
@@ -106,8 +106,23 @@ func (ex *exec) invokeBuiltin(name string, fn builtinFn, args []Value, line int)
 			// differently in the original executions.
 			laneArgs[j] = CloneValue(MaterializeLane(a, i))
 		}
-		return fn(ex, laneArgs, line)
+		return ex.callBudgeted(fn, laneArgs, line)
 	})
+}
+
+// callBudgeted runs a builtin and holds whatever string it returns to
+// the string budget, so one that grows its input (json_encode,
+// htmlspecialchars, ...) cannot be iterated into an exponential; the
+// few that can overshoot in a single call check before they allocate.
+func (ex *exec) callBudgeted(fn builtinFn, args []Value, line int) (Value, error) {
+	v, err := fn(ex, args, line)
+	if s, ok := v.(string); ok && err == nil {
+		err = stringBudget(len(s), line)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return v, nil
 }
 
 // callRefBuiltin handles builtins whose first argument is by-reference

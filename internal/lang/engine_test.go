@@ -367,6 +367,43 @@ func TestEngineEquivalenceStepLimit(t *testing.T) {
 	}
 }
 
+// TestEngineEquivalenceStringBudget: every way a script can grow a
+// string faster than the call-depth and step budgets can stop it ends
+// in the same canonical fault, at the same step, under both engines,
+// one lane or several — instead of in 2^depth bytes of memory. The
+// first row is the script FuzzEngineEquivalence found hanging both
+// engines.
+func TestEngineEquivalenceStringBudget(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"doubling recursion", `function f($n){if($n)f($n.$n);}f($_GET["x"]);`},
+		{"doubling loop", `$s = "ab" . $_GET["x"]; while (1) { $s .= $s; }`},
+		{"str_repeat product", `$s = str_repeat("0123456789" . $_GET["x"], 4000); echo strlen(str_repeat($s, 4000));`},
+		{"str_pad width", `echo strlen(str_pad($_GET["x"], 1099511627776, "-"));`},
+		{"implode separators", `$s = str_repeat("s" . $_GET["x"], 400000); echo strlen(implode($s, array(1, 2, 3, 4, 5, 6, 7, 8, 9)));`},
+		{"str_replace growth", `$s = str_repeat("a", 3000); echo strlen(str_replace("a", $s . $_GET["x"], $s));`},
+		{"iterated growing builtin", `$s = "\"" . $_GET["x"]; while (1) { $s = json_encode($s); }`},
+		{"number_format decimals", `echo strlen(number_format(1, 1073741824)) . $_GET["x"];`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			diffScript(t, tc.src, engineInputs("1"))
+			diffScript(t, tc.src, engineInputs("2", "1", "2"))
+			prog := MustCompile(map[string]string{"main": tc.src})
+			obs := runEngine(EngineCompiled, prog, ModeRecord, "main", engineInputs("1"), 200_000)
+			if obs.Err != "string length limit exceeded" {
+				t.Fatalf("want the string-budget fault, got %q (fault %q)", obs.Err, obs.Fault)
+			}
+		})
+	}
+	// At the limit is fine; one byte over is not.
+	prog := MustCompile(map[string]string{"main": `$s = str_repeat("x", intval($_GET["x"])); echo strlen($s . "y");`})
+	for n, wantErr := range map[int]string{maxStringBytes - 1: "", maxStringBytes: "string length limit exceeded"} {
+		in := []RequestInput{{Get: map[string]string{"x": fmt.Sprint(n)}}}
+		if obs := runEngine(EngineCompiled, prog, ModeRecord, "main", in, 1000); obs.Err != wantErr {
+			t.Fatalf("%d bytes + 1: error %q, want %q", n, obs.Err, wantErr)
+		}
+	}
+}
+
 // FuzzEngineEquivalence generates scripts and inputs and requires the
 // reference and the production engine to agree on every observable: output bytes, control-flow
 // digest, op/step/instruction counts, and fault renderings — at lane

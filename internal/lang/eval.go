@@ -8,6 +8,25 @@ import (
 
 const maxCallDepth = 200
 
+// maxStringBytes bounds every string a script builds. Without it the
+// other two budgets arrive too late: a value that doubles per call
+// (f($n . $n)) or per iteration needs 2^depth bytes long before depth
+// reaches maxCallDepth or the step counter its limit. It is a constant
+// of the language, like maxCallDepth, so the server and every verifier
+// fault on the same operation with the same message.
+const maxStringBytes = 4 << 20
+
+// stringBudget faults when a string of n bytes is over the budget. The
+// cores that can grow a string by more than a constant factor call it
+// with the length they are about to allocate; everything else is
+// checked on the value it returns.
+func stringBudget(n int, line int) error {
+	if n > maxStringBytes {
+		return &RuntimeError{Msg: "string length limit exceeded", Line: line}
+	}
+	return nil
+}
+
 func (ex *exec) evalExpr(sc *scope, e Expr) (Value, error) {
 	switch x := e.(type) {
 	case *Lit:
@@ -380,7 +399,11 @@ func scalarBinary(op string, l, r Value, line int) (Value, error) {
 		}
 		return ToInt(l) % ri, nil
 	case ".":
-		return ToString(l) + ToString(r), nil
+		ls, rs := ToString(l), ToString(r)
+		if err := stringBudget(len(ls)+len(rs), line); err != nil {
+			return nil, err
+		}
+		return ls + rs, nil
 	case "==":
 		return LooseEqual(l, r), nil
 	case "!=":

@@ -14,10 +14,10 @@ import (
 // CanonicalDigest returns a SHA-256 over a canonical rendering of the
 // snapshot's logical content: registers and KV pairs in sorted key
 // order, tables sorted by name with rows in order. Two snapshots with
-// the same state always produce the same digest, regardless of map
-// iteration order — unlike Encode, whose gob maps serialize in
-// whatever order the runtime walks them. This is the comparison key
-// for distributed audit: a coordinator cross-checking final snapshots
+// the same state always produce the same digest, and the digest does
+// not depend on the serialized form (it is unchanged across the wire
+// formats EncodeRaw has had). This is the comparison key for
+// distributed audit: a coordinator cross-checking final snapshots
 // posted by independent workers compares these digests, and any
 // disagreement is evidence.
 func (s *Snapshot) CanonicalDigest() string {

@@ -5,6 +5,7 @@ import (
 	"encoding/gob"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 
 	"orochi/internal/encio"
@@ -15,10 +16,20 @@ import (
 
 // snapshotWire is the gob shape of a Snapshot: language and SQL values
 // travel as tagged strings so no interface registration is needed.
+// Registers and KV are key-sorted pair lists, not maps — gob walks a
+// map in whatever order the runtime does, and the raw form must be a
+// function of the state alone: the fleet hands snapshots off as
+// content-addressed chunks, so the same state has to cut to the same
+// chunks on every worker and from one epoch to the next.
 type snapshotWire struct {
-	Registers map[string]string
-	KV        map[string]string
+	Registers []pairWire
+	KV        []pairWire
 	Tables    []tableWire
+}
+
+type pairWire struct {
+	Key string
+	Val string
 }
 
 type tableWire struct {
@@ -28,28 +39,36 @@ type tableWire struct {
 	Rows     [][]string
 }
 
+func sortedPairs(m map[string]lang.Value) []pairWire {
+	out := make([]pairWire, 0, len(m))
+	for k, v := range m {
+		out = append(out, pairWire{Key: k, Val: lang.EncodeValue(v)})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
+	return out
+}
+
 // EncodeRaw serializes the snapshot with gob, uncompressed — the
 // logical form the content-addressed store chunks (compression moves
-// down to the chunk layer).
+// down to the chunk layer). The bytes are canonical: registers and KV
+// pairs in key order, tables in name order (rows keep their order,
+// which is state), so equal states encode to equal bytes.
 func (s *Snapshot) EncodeRaw() ([]byte, error) {
 	wire := snapshotWire{
-		Registers: make(map[string]string, len(s.Registers)),
-		KV:        make(map[string]string, len(s.KV)),
+		Registers: sortedPairs(s.Registers),
+		KV:        sortedPairs(s.KV),
+		Tables:    make([]tableWire, 0, len(s.Tables)),
 	}
-	for k, v := range s.Registers {
-		wire.Registers[k] = lang.EncodeValue(v)
-	}
-	for k, v := range s.KV {
-		wire.KV[k] = lang.EncodeValue(v)
-	}
-	for _, t := range s.Tables {
-		tw := tableWire{Name: t.Name, Cols: t.Cols, NextAuto: t.NextAuto}
-		for _, row := range t.Rows {
+	tables := append([]*sqlmini.Table(nil), s.Tables...)
+	sort.SliceStable(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
+	for _, t := range tables {
+		tw := tableWire{Name: t.Name, Cols: t.Cols, NextAuto: t.NextAuto, Rows: make([][]string, len(t.Rows))}
+		for r, row := range t.Rows {
 			enc := make([]string, len(row))
 			for i, v := range row {
 				enc[i] = encodeSQLVal(v)
 			}
-			tw.Rows = append(tw.Rows, enc)
+			tw.Rows[r] = enc
 		}
 		wire.Tables = append(wire.Tables, tw)
 	}
@@ -99,23 +118,13 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) {
 }
 
 func decodeSnapshotWire(wire *snapshotWire) (*Snapshot, error) {
-	out := &Snapshot{
-		Registers: make(map[string]lang.Value, len(wire.Registers)),
-		KV:        make(map[string]lang.Value, len(wire.KV)),
+	out := &Snapshot{}
+	var err error
+	if out.Registers, err = decodePairs("register", wire.Registers); err != nil {
+		return nil, err
 	}
-	for k, enc := range wire.Registers {
-		v, err := lang.DecodeValue(enc)
-		if err != nil {
-			return nil, err
-		}
-		out.Registers[k] = v
-	}
-	for k, enc := range wire.KV {
-		v, err := lang.DecodeValue(enc)
-		if err != nil {
-			return nil, err
-		}
-		out.KV[k] = v
+	if out.KV, err = decodePairs("kv", wire.KV); err != nil {
+		return nil, err
 	}
 	for _, tw := range wire.Tables {
 		rows := make([][]sqlmini.Val, len(tw.Rows))
@@ -135,6 +144,24 @@ func decodeSnapshotWire(wire *snapshotWire) (*Snapshot, error) {
 			return nil, err
 		}
 		out.Tables = append(out.Tables, t)
+	}
+	return out, nil
+}
+
+// decodePairs rebuilds one map from its pair list. Keys must ascend
+// strictly, as EncodeRaw writes them: a repeated key would otherwise
+// load as whichever copy came last.
+func decodePairs(kind string, pairs []pairWire) (map[string]lang.Value, error) {
+	out := make(map[string]lang.Value, len(pairs))
+	for i, p := range pairs {
+		if i > 0 && pairs[i-1].Key >= p.Key {
+			return nil, fmt.Errorf("object: decode snapshot: %s keys out of order at %q", kind, p.Key)
+		}
+		v, err := lang.DecodeValue(p.Val)
+		if err != nil {
+			return nil, err
+		}
+		out[p.Key] = v
 	}
 	return out, nil
 }
