@@ -60,9 +60,8 @@ func serveArtifactsCmd(ctx context.Context, dir, addr string) {
 
 // coordinateCmd runs a fleet audit of an epoch chain: artifact server,
 // coordinator, and console on one listener. It blocks until every
-// sealed epoch is decided (or the chain breaks), prints the ledger in
-// exactly the single-process auditor's format, and exits with the same
-// status codes.
+// sealed epoch is decided (or the chain breaks), then prints the ledger
+// and exits as the single-process auditor does (printLedger).
 func coordinateCmd(ctx context.Context, dir, addr string, opts fleet.CoordinatorOptions) {
 	lock := lockChainOrExit(dir, "-coordinate")
 	defer lock.Unlock()
@@ -95,42 +94,8 @@ func coordinateCmd(ctx context.Context, dir, addr string, opts fleet.Coordinator
 	for _, warn := range coord.Warnings() {
 		fmt.Fprintln(os.Stderr, "orochi-audit:", warn)
 	}
-	printFleetLedger(dir, coord, opts.To)
-}
-
-// printFleetLedger renders the coordinator's ledger in auditEpochs'
-// exact format — the bit-identical output the fleet gate compares.
-func printFleetLedger(dir string, coord *fleet.Coordinator, to int64) {
-	verdicts := coord.Verdicts()
-	if len(verdicts) == 0 {
-		fmt.Fprintf(os.Stderr, "orochi-audit: no sealed epochs to audit in %s\n", dir)
-		os.Exit(2)
-	}
-	var requests int
-	for _, v := range verdicts {
-		requests += v.Requests
-		if v.Accepted {
-			fmt.Printf("epoch %d: ACCEPT — %d requests, %d events, audit %v (chain %.12s)\n",
-				v.Epoch, v.Requests, v.Events, v.AuditTime, v.ChainSHA)
-		} else {
-			fmt.Printf("epoch %d: REJECT — %s (chain %.12s)\n", v.Epoch, v.Reason, v.ChainSHA)
-		}
-	}
-	last := verdicts[len(verdicts)-1]
-	if !coord.ChainAccepted() {
-		fmt.Printf("chain verdict: REJECT at epoch %d (ledger %.12s)\n", last.Epoch, last.ChainSHA)
-		fmt.Printf("(stored forensics: orochi-audit -epochs %s -explain %d)\n", dir, last.Epoch)
-		os.Exit(1)
-	}
-	if gap := coord.Incomplete(); gap > 0 {
-		unreachable, err := sealedPastGap(dir, gap, to)
-		exitOn(err)
-		fmt.Printf("chain verdict: INCOMPLETE — epoch %d is not sealed but %d later sealed epoch(s) exist and cannot be verified\n",
-			gap, unreachable)
-		os.Exit(1)
-	}
-	fmt.Printf("chain verdict: ACCEPT — %d epochs, %d requests (ledger %.12s)\n",
-		len(verdicts), requests, last.ChainSHA)
+	// Group statistics are the workers' to print (-worker -stats).
+	printLedger(dir, coord.Ledger(), opts.To, false)
 }
 
 // workerCmd runs a fleet audit worker against a coordinator until the

@@ -374,7 +374,6 @@ func scrubChain(ctx context.Context, dir string, sample int) {
 
 // auditEpochs verifies a sealed epoch chain and prints the ledger.
 func auditEpochs(ctx context.Context, prog *lang.Program, dir string, from, to int64, workers int, checkpoints bool, verify verifier.Options) {
-	stats := verify.CollectStats
 	opts := epoch.AuditorOptions{
 		Workers:     workers,
 		From:        from,
@@ -396,7 +395,15 @@ func auditEpochs(ctx context.Context, prog *lang.Program, dir string, from, to i
 		fmt.Fprintln(os.Stderr, "orochi-audit:", err)
 	})
 	exitOn(err)
-	verdicts := a.Verdicts()
+	printLedger(dir, a.Ledger(), to, verify.CollectStats)
+}
+
+// printLedger renders a finished chain audit — the local auditor's or
+// the fleet coordinator's, both feed an epoch.Ledger — and exits 1 on
+// anything but a clean ACCEPT of every sealed epoch (2 when there was
+// nothing to audit).
+func printLedger(dir string, ledger *epoch.Ledger, to int64, stats bool) {
+	verdicts := ledger.Verdicts()
 	if len(verdicts) == 0 {
 		fmt.Fprintf(os.Stderr, "orochi-audit: no sealed epochs to audit in %s\n", dir)
 		os.Exit(2)
@@ -418,7 +425,7 @@ func auditEpochs(ctx context.Context, prog *lang.Program, dir string, from, to i
 		}
 	}
 	last := verdicts[len(verdicts)-1]
-	if !a.ChainAccepted() {
+	if !ledger.ChainAccepted() {
 		fmt.Printf("chain verdict: REJECT at epoch %d (ledger %.12s)\n", last.Epoch, last.ChainSHA)
 		fmt.Printf("(stored forensics: orochi-audit -epochs %s -explain %d)\n", dir, last.Epoch)
 		os.Exit(1)
@@ -428,11 +435,11 @@ func auditEpochs(ctx context.Context, prog *lang.Program, dir string, from, to i
 	// must not read as a clean ACCEPT of the whole directory. An error
 	// here means completeness could not be checked at all — also not an
 	// ACCEPT.
-	unreachable, err := sealedPastGap(dir, a.NextEpoch(), to)
+	unreachable, err := sealedPastGap(dir, ledger.Next(), to)
 	exitOn(err)
 	if unreachable > 0 {
 		fmt.Printf("chain verdict: INCOMPLETE — epoch %d is not sealed but %d later sealed epoch(s) exist and cannot be verified\n",
-			a.NextEpoch(), unreachable)
+			ledger.Next(), unreachable)
 		os.Exit(1)
 	}
 	fmt.Printf("chain verdict: ACCEPT — %d epochs, %d requests (ledger %.12s)\n",

@@ -33,30 +33,27 @@ func checkpointPath(dir string, n int64) string {
 	return filepath.Join(dir, "checkpoints", fmt.Sprintf("epoch-%06d.json", n))
 }
 
-// WriteCheckpoint stores epoch n's verified final snapshot in the
-// chain's chunk store and records its ref list where LoadCheckpoint
-// finds it.
-func WriteCheckpoint(dir string, n int64, snap *object.Snapshot) error {
-	raw, err := snap.EncodeRaw()
-	if err != nil {
-		return err
+// writeCheckpoint records st as epoch n's checkpoint where
+// LoadCheckpoint finds it. A state held only in memory (the local
+// auditor's) is cut into the chain's chunk store first; one that
+// arrives as refs (the fleet coordinator files a worker's chunks as
+// they are posted) costs the one small file. The file is fsynced: the
+// chunks it names were durable before it.
+func writeCheckpoint(dir string, n int64, st State) error {
+	refs := st.Refs
+	if refs == nil {
+		raw, err := st.Snap.EncodeRaw()
+		if err != nil {
+			return err
+		}
+		store, err := OpenChainStore(dir)
+		if err != nil {
+			return err
+		}
+		if refs, err = cas.WriteBlob(store, cas.DefaultChunker, raw); err != nil {
+			return err
+		}
 	}
-	store, err := OpenChainStore(dir)
-	if err != nil {
-		return err
-	}
-	refs, err := cas.WriteBlob(store, cas.DefaultChunker, raw)
-	if err != nil {
-		return err
-	}
-	return WriteCheckpointRefs(dir, n, refs)
-}
-
-// WriteCheckpointRefs records epoch n's checkpoint as refs, for a
-// caller that has already put every chunk in the chain's store (the
-// fleet coordinator stores the chunks a worker posts as they arrive).
-// The file is fsynced: the chunks it names were durable before it.
-func WriteCheckpointRefs(dir string, n int64, refs []cas.Ref) error {
 	data, err := json.Marshal(checkpointFile{Epoch: n, Chunks: refs})
 	if err != nil {
 		return err
@@ -91,17 +88,28 @@ func LoadCheckpointRefs(dir string, n int64) ([]cas.Ref, error) {
 // replaying the whole chain, trusting the earlier run's verdicts. A
 // missing or altered chunk surfaces as the *cas.ChunkError naming it.
 func LoadCheckpoint(dir string, n int64) (*object.Snapshot, error) {
+	st, err := loadCheckpoint(dir, n)
+	return st.Snap, err
+}
+
+// loadCheckpoint is LoadCheckpoint keeping the ref list beside the
+// snapshot it decodes to.
+func loadCheckpoint(dir string, n int64) (State, error) {
 	refs, err := LoadCheckpointRefs(dir, n)
 	if err != nil {
-		return nil, err
+		return State{}, err
 	}
 	store, err := OpenChainStore(dir)
 	if err != nil {
-		return nil, err
+		return State{}, err
 	}
 	raw, err := cas.ReadBlob(store, refs)
 	if err != nil {
-		return nil, err
+		return State{}, err
 	}
-	return object.DecodeSnapshotRaw(raw)
+	snap, err := object.DecodeSnapshotRaw(raw)
+	if err != nil {
+		return State{}, err
+	}
+	return State{Snap: snap, Refs: refs}, nil
 }

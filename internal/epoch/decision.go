@@ -359,17 +359,6 @@ func (l *DecisionLog) Close() error {
 	return l.f.Close()
 }
 
-// DecisionFromVerdict converts a ledger Verdict into its durable form.
-// The fleet coordinator persists remote verdicts through it so
-// decisions.jsonl is identical whether an epoch was audited in-process
-// or on a worker.
-func DecisionFromVerdict(v Verdict) Decision { return decisionFromVerdict(v) }
-
-// VerdictFromDecision rebuilds a ledger Verdict from its durable form —
-// the restart-rehydration path, shared by the in-process auditor and
-// the fleet coordinator.
-func VerdictFromDecision(d Decision) Verdict { return verdictFromDecision(d) }
-
 // decisionFromVerdict converts a ledger Verdict into its durable form.
 func decisionFromVerdict(v Verdict) Decision {
 	return Decision{

@@ -166,6 +166,25 @@ type Sealed struct {
 	Compacted bool
 }
 
+// readSealed classifies epoch n's directory under the chain directory:
+// nil when it holds no manifest (not sealed yet), otherwise the sealed
+// epoch — with Err set when the manifest is damaged.
+func readSealed(dir string, n int64) *Sealed {
+	epochDir := filepath.Join(dir, epochDirName(n))
+	m, sha, err := ReadManifest(epochDir)
+	switch {
+	case os.IsNotExist(err):
+		return nil
+	case err != nil:
+		return &Sealed{Number: n, Dir: epochDir, ManifestSHA: sha, Err: err}
+	case m.Epoch != n:
+		return &Sealed{Number: n, Dir: epochDir, ManifestSHA: sha,
+			Err: fmt.Errorf("epoch: manifest in %s claims epoch %d", epochDir, m.Epoch)}
+	}
+	marker, _ := ReadCompacted(epochDir)
+	return &Sealed{Number: n, Dir: epochDir, Manifest: m, ManifestSHA: sha, Compacted: marker != nil}
+}
+
 // ListSealed scans dir for sealed epochs (those whose manifest exists,
 // intact or damaged) and returns them in epoch order. Unsealed epoch
 // directories — the one currently being written, or debris from a
@@ -180,26 +199,11 @@ func ListSealed(dir string) ([]*Sealed, error) {
 		if !e.IsDir() {
 			continue
 		}
-		n := epochDirNumber(e.Name())
-		if n == 0 {
-			continue
+		if n := epochDirNumber(e.Name()); n != 0 {
+			if s := readSealed(dir, n); s != nil {
+				out = append(out, s)
+			}
 		}
-		epochDir := filepath.Join(dir, e.Name())
-		m, sha, err := ReadManifest(epochDir)
-		switch {
-		case os.IsNotExist(err):
-			continue // not sealed yet
-		case err != nil:
-			out = append(out, &Sealed{Number: n, Dir: epochDir, ManifestSHA: sha, Err: err})
-			continue
-		case m.Epoch != n:
-			out = append(out, &Sealed{Number: n, Dir: epochDir, ManifestSHA: sha,
-				Err: fmt.Errorf("epoch: manifest in %s claims epoch %d", epochDir, m.Epoch)})
-			continue
-		}
-		marker, _ := ReadCompacted(epochDir)
-		out = append(out, &Sealed{Number: n, Dir: epochDir, Manifest: m, ManifestSHA: sha,
-			Compacted: marker != nil})
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Number < out[j].Number })
 	return out, nil

@@ -3,7 +3,6 @@ package fleet
 import (
 	"context"
 	"crypto/rand"
-	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -108,8 +107,7 @@ type epochState struct {
 	active map[string]*activeLease
 	// posted holds validated, not-yet-published verdicts; an ACCEPT's
 	// FinalSnapshot is a ref list whose every chunk is in the chain store.
-	posted  []*VerdictPost
-	decided bool
+	posted []*VerdictPost
 }
 
 // outstanding is how many verdicts are already secured or in flight.
@@ -127,48 +125,41 @@ func (st *epochState) activeWorker(worker string) bool {
 	return false
 }
 
-// Coordinator walks a sealed chain's manifest hash chain and hands out
-// lease-based epoch assignments to workers, in chain order, with
-// snapshot hand-off: epoch N+1's trusted initial state is the verified
-// final snapshot posted for epoch N. It owns the chain's durable
-// decision log, so -explain, the console, and restart rehydration see
-// fleet verdicts exactly as in-process ones.
+// Coordinator drives the chain's epoch.Ledger with remote executors: it
+// hands out lease-based epoch assignments to workers, in chain order,
+// collects their verdicts (a quorum of them for cross-checked epochs),
+// and publishes each to the ledger, which threads the hand-off: epoch
+// N+1's trusted initial state is the verified final snapshot posted for
+// epoch N. The ledger is the in-process auditor's, so the digests, the
+// decision log (-explain, the console, restart rehydration), compacted
+// adoption and checkpoints are the same code either way.
 //
 // The epoch set is fixed at construction: a fleet audit runs against a
 // chain that is not being written (the CLI holds the chain's exclusive
 // audit lock), so epochs sealed later are a different audit.
 //
-// Lock discipline: c.mu guards the ledger and the lease tables and is
-// held only for bookkeeping plus the two small fsynced writes a
-// published decision costs (its decisions.jsonl line and its checkpoint
-// ref list). Everything sized by a snapshot — parsing a post, verifying
-// and storing its chunks — happens before the lock is taken, so one
-// worker's hand-off never parks another worker's request.
+// Lock discipline: c.mu guards the lease tables and serializes the
+// ledger's writers, and is held only for bookkeeping plus the two small
+// fsynced writes a published decision costs (its decisions.jsonl line
+// and its checkpoint ref list). Everything sized by a snapshot — parsing
+// a post, verifying and storing its chunks — happens before the lock is
+// taken, so one worker's hand-off never parks another worker's request.
 type Coordinator struct {
-	dir   string
-	opts  CoordinatorOptions
-	log   *epoch.DecisionLog
-	store *cas.FS                              // the chain's chunk store: where posted snapshots land
-	now   func() time.Time                     // test hook
-	after func(time.Duration) <-chan time.Time // test hook: the init long-poll's timeout
+	opts   CoordinatorOptions
+	ledger *epoch.Ledger
+	store  *cas.FS                              // the chain's chunk store: where posted snapshots land
+	now    func() time.Time                     // test hook
+	after  func(time.Duration) <-chan time.Time // test hook: the init long-poll's timeout
 
-	mu         sync.Mutex
-	states     map[int64]*epochState
-	maxKnown   int64 // highest sealed epoch under To
-	next       int64 // next epoch to decide (chain order)
-	chainSHA   string
-	prevSHA    string              // manifest digest epoch `next` must link to
-	inits      map[int64][]cas.Ref // trusted initial state, by epoch, as refs into store
-	wake       chan struct{}       // closed and replaced whenever an init long-poll should look again
-	leases     map[string]*activeLease
-	workers    map[string]time.Time // worker name → last seen
-	verdicts   []epoch.Verdict
-	broken     bool
-	incomplete int64 // first missing epoch when the chain has a seal gap
-	finished   bool
-	err        error // internal fault that aborted the audit
-	warnings   []string
-	done       chan struct{}
+	mu       sync.Mutex
+	states   map[int64]*epochState // every sealed epoch under To
+	maxKnown int64                 // highest of them
+	wake     chan struct{}         // closed and replaced whenever an init long-poll should look again
+	leases   map[string]*activeLease
+	workers  map[string]time.Time // worker name → last seen
+	finished bool
+	err      error // internal fault that aborted the audit
+	done     chan struct{}
 
 	leasesReassigned     int64
 	epochsCrossChecked   int64
@@ -183,11 +174,12 @@ type Coordinator struct {
 }
 
 // NewCoordinator opens the chain's decision log, scans its sealed
-// epochs, and resumes from the last stored decision: a contiguous
-// accepted prefix is rehydrated (the hand-off continues from its
-// checkpoint), a stored REJECT leaves the chain broken, and a fresh
-// chain starts at epoch 1. Only chunked (v2) chains are coordinated —
-// workers fetch artifacts by chunk digest.
+// epochs, and resumes after the contiguous decided prefix — the local
+// auditor's rehydration (epoch.NewLedger) with From computed: an
+// accepted prefix continues from its last checkpoint, a stored REJECT
+// leaves the chain broken (re-audit past one with the single-process
+// auditor's -from), and a fresh chain starts at epoch 1. Only chunked
+// (v2) chains are coordinated — workers fetch artifacts by chunk digest.
 func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 	opts = opts.withDefaults()
 	store, err := epoch.OpenChainStore(dir)
@@ -199,15 +191,11 @@ func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
-		dir:     dir,
 		opts:    opts,
-		log:     log,
 		store:   store,
 		now:     time.Now,
 		after:   time.After,
 		states:  make(map[int64]*epochState),
-		next:    1,
-		inits:   make(map[int64][]cas.Ref),
 		wake:    make(chan struct{}),
 		leases:  make(map[string]*activeLease),
 		workers: make(map[string]time.Time),
@@ -233,70 +221,31 @@ func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 			st.need = opts.CrossCheckK
 		}
 		c.states[s.Number] = st
-		if s.Number > c.maxKnown {
-			c.maxKnown = s.Number
-		}
+		c.maxKnown = max(c.maxKnown, s.Number)
 	}
-	if err := c.rehydrate(); err != nil {
-		log.Close()
-		return nil, err
-	}
-	c.mu.Lock()
-	if c.broken {
-		// A stored REJECT poisons the chain for this run too; re-audit
-		// past one with the single-process auditor's -from/-init.
-		c.finishLocked()
-	} else {
-		c.advanceLocked()
-	}
-	c.mu.Unlock()
-	return c, nil
-}
-
-// rehydrate resumes from the durable decision log: the contiguous
-// decided prefix starting at epoch 1 is replayed into the ledger, and
-// when it ends in an ACCEPT with more epochs to audit, the hand-off
-// resumes from that epoch's checkpoint. Mirrors Auditor.rehydrate: a
-// decision with no chain digest cannot seed the digest sequence.
-func (c *Coordinator) rehydrate() error {
-	byEpoch := make(map[int64]epoch.Decision)
-	for _, d := range c.log.Decisions() {
-		byEpoch[d.Epoch] = d
-	}
-	for n := int64(1); ; n++ {
-		if c.opts.To > 0 && n > c.opts.To {
-			break
-		}
-		d, ok := byEpoch[n]
+	from, accepted := int64(1), true
+	for ; accepted && (opts.To == 0 || from <= opts.To); from++ {
+		d, ok := log.Get(from)
 		if !ok {
 			break
 		}
-		v := epoch.VerdictFromDecision(d)
-		c.verdicts = append(c.verdicts, v)
-		if st := c.states[n]; st != nil {
-			st.decided = true
-		}
-		if v.ChainSHA != "" {
-			c.chainSHA = v.ChainSHA
-		}
-		if !v.Accepted {
-			c.broken = true
-			return nil
-		}
-		c.prevSHA = v.ManifestSHA
-		c.next = n + 1
+		accepted = d.Accepted
 	}
-	if c.next > 1 && c.states[c.next] != nil {
+	var init epoch.State
+	if from > 1 && accepted && c.states[from] != nil {
 		// More epochs to audit: the hand-off needs the last accepted
 		// epoch's verified final snapshot. Its checkpoint already is the
 		// ref list workers are handed; the chunks stay where they are.
-		refs, err := epoch.LoadCheckpointRefs(c.dir, c.next-1)
-		if err != nil {
-			return fmt.Errorf("fleet: resuming at epoch %d needs epoch %d's checkpoint: %w", c.next, c.next-1, err)
+		if init.Refs, err = epoch.LoadCheckpointRefs(dir, from-1); err != nil {
+			log.Close()
+			return nil, fmt.Errorf("fleet: resuming at epoch %d needs epoch %d's checkpoint: %w", from, from-1, err)
 		}
-		c.inits[c.next] = refs
 	}
-	return nil
+	c.ledger = epoch.NewLedger(dir, log, from, init, true)
+	c.mu.Lock()
+	c.advanceLocked()
+	c.mu.Unlock()
+	return c, nil
 }
 
 // crossFor deterministically samples an epoch for cross-checking from
@@ -385,20 +334,17 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 // grantLocked finds the lowest leasable epoch within the lookahead
-// window. Damaged and compacted epochs are decided locally (never
-// leased); a gap in the chain stops the walk — nothing past it can be
-// decided this run.
+// window. Epochs with a damaged manifest and compacted epochs are
+// decided by the ledger (never leased); a gap in the chain stops the
+// walk — nothing past it can be decided this run.
 func (c *Coordinator) grantLocked(worker string) *Lease {
-	limit := c.next + int64(c.opts.Lookahead)
-	for n := c.next; n <= c.maxKnown && n < limit; n++ {
-		if c.opts.To > 0 && n > c.opts.To {
-			return nil
-		}
+	next := c.ledger.Next()
+	for n := next; n <= c.maxKnown && n < next+int64(c.opts.Lookahead); n++ {
 		st := c.states[n]
 		if st == nil {
 			return nil // seal gap
 		}
-		if st.decided || st.s.Err != nil || st.s.Compacted {
+		if st.s.Err != nil || st.s.Compacted {
 			continue
 		}
 		if st.outstanding() >= st.need || st.activeWorker(worker) {
@@ -483,10 +429,13 @@ func (c *Coordinator) handleInit(w http.ResponseWriter, r *http.Request) {
 		}
 		l.deadline = c.now().Add(c.opts.LeaseTimeout) // activity renews
 		c.workers[l.worker] = c.now()
-		refs, ready := c.inits[n]
+		var refs []cas.Ref
+		if n == c.ledger.Next() {
+			refs = c.ledger.Init().Refs
+		}
 		wake := c.wake
 		c.mu.Unlock()
-		if ready {
+		if refs != nil {
 			c.respondJSON(w, InitResponse{Epoch: n, Snapshot: refs})
 			return
 		}
@@ -567,7 +516,7 @@ func (c *Coordinator) checkPostLocked(p *VerdictPost) (int, string) {
 	c.workers[p.Worker] = c.now()
 	l := c.leases[p.LeaseID]
 	st := c.states[p.Epoch]
-	if l == nil || l.epoch != p.Epoch || l.worker != p.Worker || st == nil || st.decided {
+	if l == nil || l.epoch != p.Epoch || l.worker != p.Worker || st == nil {
 		// Expired (reassigned) lease, or a verdict for an epoch the
 		// worker does not hold: ignored, never a verdict.
 		c.staleVerdicts++
@@ -605,7 +554,7 @@ func (c *Coordinator) storeSnapshot(p *VerdictPost, chunks [][]byte) (posted, re
 			}
 			posted++
 		default:
-			return 0, 0, fmt.Errorf("final snapshot chunk %d (%s) was not shipped and is not in the chain store", idx, shortSHA(ref.SHA256))
+			return 0, 0, fmt.Errorf("final snapshot chunk %d (%.12s) was not shipped and is not in the chain store", idx, ref.SHA256)
 		}
 		if shipped {
 			k++
@@ -614,141 +563,62 @@ func (c *Coordinator) storeSnapshot(p *VerdictPost, chunks [][]byte) (posted, re
 	return posted, reused, nil
 }
 
-// advanceLocked publishes decisions strictly in chain order: local
-// decisions (damaged manifests, compacted adoptions) are made on the
-// spot; leased epochs wait for their verdict quorum. It stops at the
-// first epoch that is not ready, and finishes the audit when the chain
-// is exhausted, bounded by To, broken, or gapped.
+// advanceLocked publishes decisions strictly in chain order: what the
+// ledger can decide by itself (damaged manifests, compacted adoptions)
+// is decided on the spot; leased epochs wait for their verdict quorum.
+// It stops at the first epoch that is not ready, and finishes the audit
+// when the chain is broken, exhausted, bounded by To, or gapped (the
+// ledger's Next then names an unsealed epoch with sealed ones past it —
+// nothing past a gap can be audited, there is no hand-off).
 func (c *Coordinator) advanceLocked() {
-	for !c.broken && !c.finished && c.err == nil {
-		if c.opts.To > 0 && c.next > c.opts.To {
+	for !c.finished {
+		st := c.states[c.ledger.Next()]
+		if !c.ledger.ChainAccepted() || st == nil {
 			c.finishLocked()
 			return
 		}
-		st := c.states[c.next]
-		if st == nil {
-			if c.next <= c.maxKnown {
-				// Seal gap: later epochs exist but this one never sealed.
-				// Nothing past the gap can be audited (no hand-off), so
-				// the run finishes incomplete — same as the single-process
-				// auditor's sealedPastGap outcome.
-				c.incomplete = c.next
-			}
-			c.finishLocked()
+		v, final, err := c.ledger.DecideLocally(st.s)
+		if err != nil {
+			c.failLocked(err)
 			return
 		}
-		if st.decided {
-			// Rehydrated prefix; position already advanced in rehydrate.
-			c.next++
-			continue
-		}
-		s := st.s
-		switch {
-		case s.Err != nil:
-			// Damaged manifest: decided locally, exactly as auditOne's
-			// integrity reject (the load error names the damage).
-			ie := &epoch.IntegrityError{Epoch: s.Number, Detail: fmt.Sprintf("damaged manifest: %v", s.Err)}
-			c.publishLocked(st, c.rejectVerdict(st, ie.Error(),
-				&verifier.Forensics{Phase: epoch.PhaseEpochLoad, Check: "integrity"}), nil)
-		case s.Compacted:
-			v, refs := c.adoptLocked(st)
-			c.publishLocked(st, v, refs)
-		default:
+		if v == nil {
 			if len(st.posted) == 0 {
 				return // waiting on a worker
 			}
-			if st.cross {
-				if reason, f := c.crossMismatchLocked(st); f != nil {
-					c.epochsCrossChecked++
-					c.crossCheckMismatches++
-					c.publishLocked(st, c.rejectVerdict(st, reason, f), nil)
-					continue
-				}
-				if len(st.posted) < st.need {
-					return // waiting on replicas
-				}
-				c.epochsCrossChecked++
+			v, final = c.verdictFromPosts(st)
+			if v == nil {
+				return // waiting on replicas
 			}
-			first := st.posted[0]
-			c.publishLocked(st, c.verdictFromPost(st, first), first.FinalSnapshot)
 		}
+		c.publishLocked(st, *v, final)
 	}
 }
 
-// rejectVerdict builds a locally-decided REJECT, replicating
-// auditOne's reject closure (Detail defaults to the reason).
-func (c *Coordinator) rejectVerdict(st *epochState, reason string, f *verifier.Forensics) epoch.Verdict {
-	v := epoch.Verdict{Epoch: st.s.Number, ManifestSHA: st.s.ManifestSHA, Reason: reason}
-	if st.s.Manifest != nil {
-		v.Events = st.s.Manifest.Events
-		v.Requests = st.s.Manifest.Requests
-	}
-	if f != nil && f.Detail == "" {
-		f.Detail = reason
-	}
-	v.Forensics = f
-	return v
-}
-
-// verdictFromPost builds the ledger verdict from a worker's post. The
-// coordinator trusts only the audit outcome and its evidence; epoch
-// identity, counts, and the chain digest come from its own manifest
-// walk.
-func (c *Coordinator) verdictFromPost(st *epochState, p *VerdictPost) epoch.Verdict {
-	v := epoch.Verdict{
-		Epoch:       st.s.Number,
-		ManifestSHA: st.s.ManifestSHA,
-		Accepted:    p.Accepted,
-		Reason:      p.Reason,
-		Forensics:   p.Forensics,
-		AuditTime:   p.Stats.Total,
-		Stats:       p.Stats,
-	}
-	if st.s.Manifest != nil {
-		v.Events = st.s.Manifest.Events
-		v.Requests = st.s.Manifest.Requests
-	}
-	return v
-}
-
-// adoptLocked replicates auditOne's compacted-epoch adoption: the
-// stored ACCEPT plus checkpoint stand in for the evicted artifacts.
-// Like the single-process path, an adoption-failure REJECT never
-// overwrites the stored decision (keepStored is handled in
-// publishLocked via Verdict semantics replicated here). The checkpoint
-// is adopted as the ref list it is, after a read of every chunk it
-// names — the check, and the error text, of the local auditor's
-// LoadCheckpoint.
-func (c *Coordinator) adoptLocked(st *epochState) (epoch.Verdict, []cas.Ref) {
-	s := st.s
-	d, stored := c.log.Get(s.Number)
-	reject := func(reason string) (epoch.Verdict, []cas.Ref) {
-		v := c.rejectVerdict(st, reason, &verifier.Forensics{Phase: epoch.PhaseEpochLoad, Check: "compaction"})
-		if stored {
-			v.KeepStored = true
+// verdictFromPosts builds the ledger verdict of a leased epoch from the
+// posts in hand, or returns nil while a cross-checked epoch still waits
+// for replicas. The coordinator trusts only the audit outcome and its
+// evidence; epoch identity and counts come from its own manifest walk,
+// the chain digest from the ledger. Replicas that disagree are a REJECT
+// naming both workers.
+func (c *Coordinator) verdictFromPosts(st *epochState) (*epoch.Verdict, epoch.State) {
+	v := epoch.NewVerdict(st.s)
+	if st.cross {
+		if reason, f := c.crossMismatchLocked(st); f != nil {
+			c.epochsCrossChecked++
+			c.crossCheckMismatches++
+			v = v.Reject(reason, f)
+			return &v, epoch.State{}
 		}
-		return v, nil
+		if len(st.posted) < st.need {
+			return nil, epoch.State{}
+		}
+		c.epochsCrossChecked++
 	}
-	if !stored || !d.Accepted {
-		return reject(fmt.Sprintf("epoch %d is compacted but the decision log holds no ACCEPT for it", s.Number))
-	}
-	if d.ManifestSHA != s.ManifestSHA {
-		return reject(fmt.Sprintf("epoch %d is compacted but its stored decision pins manifest %s, on disk is %s",
-			s.Number, shortSHA(d.ManifestSHA), shortSHA(s.ManifestSHA)))
-	}
-	refs, err := epoch.LoadCheckpointRefs(c.dir, s.Number)
-	if err == nil {
-		_, err = cas.ReadBlob(c.store, refs)
-	}
-	if err != nil {
-		return reject(fmt.Sprintf("epoch %d is compacted but its checkpoint is unreadable: %v", s.Number, err))
-	}
-	v := epoch.Verdict{Epoch: s.Number, ManifestSHA: s.ManifestSHA, Accepted: true, Adopted: true}
-	if s.Manifest != nil {
-		v.Events = s.Manifest.Events
-		v.Requests = s.Manifest.Requests
-	}
-	return v, refs
+	p := st.posted[0]
+	v.Accepted, v.Reason, v.Forensics = p.Accepted, p.Reason, p.Forensics
+	v.AuditTime, v.Stats = p.Stats.Total, p.Stats
+	return &v, epoch.State{Refs: p.FinalSnapshot}
 }
 
 // crossMismatchLocked compares the posted replica verdicts of a
@@ -801,74 +671,38 @@ func describePost(p *VerdictPost) string {
 	return fmt.Sprintf("REJECT (%s)", p.Reason)
 }
 
-// publishLocked extends the chain digest with the verdict, appends it
-// to the ledger and the durable decision log, threads the snapshot
-// hand-off forward (snapshot is the verified final state as refs into
-// the chain store, nil on REJECT), and on REJECT breaks the chain,
-// dropping every outstanding lease. Either way held init requests are
-// woken: the next epoch's state is there, or their lease is gone.
-func (c *Coordinator) publishLocked(st *epochState, v epoch.Verdict, snapshot []cas.Ref) {
+// publishLocked hands an epoch's verdict to the ledger — which extends
+// the chain digest, records the decision durably, threads the snapshot
+// hand-off forward (final is the verified final state as refs into the
+// chain store, zero on REJECT) and writes its checkpoint — and retires
+// the epoch's leases; on REJECT the chain is broken and every
+// outstanding lease goes. Either way held init requests are woken: the
+// next epoch's state is there, or their lease is gone.
+func (c *Coordinator) publishLocked(st *epochState, v epoch.Verdict, final epoch.State) {
 	defer c.wakeLocked()
-	v.ChainSHA = c.extendChainLocked(v.ManifestSHA, v.Accepted)
-	st.decided = true
-	for id := range st.active {
+	retire := st.active
+	if !v.Accepted {
+		retire = c.leases
+	}
+	for id, l := range retire {
 		delete(c.leases, id)
-		delete(st.active, id)
+		delete(c.states[l.epoch].active, id)
 	}
 	st.posted = nil
-	c.verdicts = append(c.verdicts, v)
-	if !v.Adopted && !v.KeepStored {
-		if err := c.log.Append(epoch.DecisionFromVerdict(v)); err != nil {
-			// The ledger is the product; a log that cannot take verdicts
-			// aborts the audit as an internal fault, not a REJECT.
-			c.err = err
-			c.finishLocked()
-			return
-		}
+	var ck *epoch.CheckpointError
+	if err := c.ledger.Publish(v, final); err != nil && !errors.As(err, &ck) {
+		// The ledger is the product; a log that cannot take verdicts
+		// aborts the audit as an internal fault, not a REJECT. A
+		// checkpoint that cannot be written stays parked in the ledger,
+		// which retries it with every later publish and at the finish.
+		c.failLocked(err)
 	}
-	if !v.Accepted {
-		c.broken = true
-		for id, l := range c.leases {
-			delete(c.leases, id)
-			if s := c.states[l.epoch]; s != nil {
-				delete(s.active, id)
-			}
-		}
-		c.finishLocked()
-		return
-	}
-	n := st.s.Number
-	if snapshot != nil {
-		c.inits[n+1] = snapshot
-		delete(c.inits, n)
-		if !v.Adopted {
-			// Checkpoints make the chain resumable (and compactable) by
-			// either auditor; a failed write is a warning, not a verdict —
-			// the decision is already durable. The chunks are in the store
-			// already, so this is one small file.
-			if err := epoch.WriteCheckpointRefs(c.dir, n, snapshot); err != nil {
-				c.warnings = append(c.warnings,
-					fmt.Sprintf("epoch %d: checkpoint write failed: %v", n, err))
-			}
-		}
-	}
-	c.prevSHA = v.ManifestSHA
-	c.next = n + 1
 }
 
-// extendChainLocked advances the running ledger digest — the same
-// H(prev || manifestSHA || verdict byte) as Auditor.extendChain.
-func (c *Coordinator) extendChainLocked(manifestSHA string, accepted bool) string {
-	h := sha256.New()
-	h.Write([]byte(c.chainSHA))
-	h.Write([]byte(manifestSHA))
-	if accepted {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
-	}
-	c.chainSHA = hex.EncodeToString(h.Sum(nil))
-	return c.chainSHA
+// failLocked aborts the audit on an internal fault, which Wait reports.
+func (c *Coordinator) failLocked(err error) {
+	c.err = err
+	c.finishLocked()
 }
 
 func (c *Coordinator) finishLocked() {
@@ -876,6 +710,7 @@ func (c *Coordinator) finishLocked() {
 		return
 	}
 	c.finished = true
+	_ = c.ledger.FlushCheckpoints() // what still fails is reported by Warnings
 	close(c.done)
 	c.wakeLocked()
 }
@@ -900,57 +735,38 @@ func (c *Coordinator) Wait(ctx context.Context) error {
 	return c.err
 }
 
+// Ledger exposes the chain ledger the coordinator feeds.
+func (c *Coordinator) Ledger() *epoch.Ledger { return c.ledger }
+
 // Verdicts returns a copy of the ledger so far, in chain order.
-func (c *Coordinator) Verdicts() []epoch.Verdict {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]epoch.Verdict(nil), c.verdicts...)
-}
+func (c *Coordinator) Verdicts() []epoch.Verdict { return c.ledger.Verdicts() }
 
 // ChainAccepted reports whether every decided epoch accepted.
-func (c *Coordinator) ChainAccepted() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return !c.broken
-}
+func (c *Coordinator) ChainAccepted() bool { return c.ledger.ChainAccepted() }
 
 // ChainSHA returns the running ledger digest.
-func (c *Coordinator) ChainSHA() string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.chainSHA
-}
+func (c *Coordinator) ChainSHA() string { return c.ledger.ChainSHA() }
 
-// Incomplete returns the first unsealed epoch number when the chain has
-// a seal gap (later epochs exist but could not be audited), 0 otherwise.
-func (c *Coordinator) Incomplete() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.incomplete
-}
-
-// Warnings returns non-fatal problems (failed checkpoint writes).
+// Warnings returns the non-fatal problems the audit ended with: the
+// checkpoints that stayed unwritten through every retry, each of which
+// a later -from resume, coordinator restart or compaction will miss.
 func (c *Coordinator) Warnings() []string {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.warnings...)
+	var out []string
+	for _, ck := range c.ledger.UnwrittenCheckpoints() {
+		out = append(out, fmt.Sprintf("epoch %d: checkpoint write failed: %v", ck.Epoch, ck.Err))
+	}
+	return out
 }
 
 // Stats snapshots the fleet counters.
 func (c *Coordinator) Stats() CoordinatorStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	decided := 0
-	for _, st := range c.states {
-		if st.decided {
-			decided++
-		}
-	}
 	return CoordinatorStats{
 		WorkersSeen:          len(c.workers),
 		LeasesActive:         len(c.leases),
 		LeasesReassigned:     c.leasesReassigned,
-		EpochsDecided:        decided,
+		EpochsDecided:        len(c.ledger.Verdicts()),
 		EpochsCrossChecked:   c.epochsCrossChecked,
 		CrossCheckMismatches: c.crossCheckMismatches,
 		BadSignaturePosts:    c.badSignaturePosts,
@@ -961,12 +777,12 @@ func (c *Coordinator) Stats() CoordinatorStats {
 		SnapshotChunksPosted: c.snapshotChunksPosted,
 		SnapshotChunksReused: c.snapshotChunksReused,
 		Done:                 c.finished,
-		Broken:               c.broken,
+		Broken:               !c.ledger.ChainAccepted(),
 	}
 }
 
 // Close releases the decision log.
-func (c *Coordinator) Close() error { return c.log.Close() }
+func (c *Coordinator) Close() error { return c.ledger.Decisions().Close() }
 
 func newLeaseID() string {
 	var b [16]byte
@@ -974,14 +790,4 @@ func newLeaseID() string {
 		panic(err) // crypto/rand never fails on supported platforms
 	}
 	return hex.EncodeToString(b[:])
-}
-
-// shortSHA matches the epoch package's short(): digests truncate to 12
-// hex chars in human-facing messages, which the replicated reject
-// reasons must reproduce byte-for-byte.
-func shortSHA(sha string) string {
-	if len(sha) > 12 {
-		return sha[:12]
-	}
-	return sha
 }

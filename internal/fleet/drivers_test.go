@@ -1,0 +1,296 @@
+package fleet
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+
+	"orochi/internal/epoch"
+	"orochi/internal/lang"
+)
+
+// The local auditor and the fleet coordinator are two drivers of one
+// epoch.Ledger. These tests run both over the same chains and compare
+// what each leaves behind.
+
+// localAudit runs the in-process auditor to exhaustion on dir and
+// closes its decision log, so the log can be read back.
+func localAudit(t *testing.T, prog *lang.Program, dir string, opts epoch.AuditorOptions) *epoch.Auditor {
+	t.Helper()
+	a := epoch.NewAuditor(prog, dir, opts)
+	if _, err := a.DrainSealed(context.Background(), time.Millisecond, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Decisions().Close(); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// fleetAudit runs a coordinator and two workers to completion on dir
+// and closes the coordinator's decision log.
+func fleetAudit(t *testing.T, prog *lang.Program, dir string) *Coordinator {
+	t.Helper()
+	coord, ts := startFleet(t, dir, CoordinatorOptions{})
+	runWorkers(t, prog, ts.URL, 2, nil)
+	if err := coord.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return coord
+}
+
+// compactChain leaves dir the way retention leaves a chain that both
+// drivers still have work on: fully audited with checkpoints, every
+// epoch but the first and the newest `retain` compacted to decision +
+// checkpoint, and epoch 1's own decision forgotten — so an audit starts
+// at epoch 1, audits it, adopts the compacted epochs and audits the
+// rest. (Epoch 1 escapes compaction by losing its checkpoint first.)
+func compactChain(t *testing.T, prog *lang.Program, dir string, retain int) {
+	t.Helper()
+	if a := localAudit(t, prog, dir, epoch.AuditorOptions{Checkpoints: true}); !a.ChainAccepted() {
+		t.Fatalf("chain did not audit clean before compaction: %+v", a.Verdicts())
+	}
+	if err := os.Remove(filepath.Join(dir, "checkpoints", "epoch-000001.json")); err != nil {
+		t.Fatal(err)
+	}
+	res, err := epoch.GC(dir, epoch.GCOptions{Retain: retain})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Compacted) == 0 || res.Compacted[0] != 2 {
+		t.Fatalf("retention compacted %v, want epoch 2 onwards", res.Compacted)
+	}
+	path := filepath.Join(dir, epoch.DecisionLogName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept [][]byte
+	for _, line := range bytes.SplitAfter(data, []byte("\n")) {
+		var ev struct {
+			Decision *epoch.Decision `json:"decision"`
+		}
+		if len(line) > 0 {
+			if err := json.Unmarshal(line, &ev); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if ev.Decision == nil || ev.Decision.Epoch != 1 {
+			kept = append(kept, line)
+		}
+	}
+	if err := os.WriteFile(path, bytes.Join(kept, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// rewriteManifest changes epoch n's manifest bytes — and so its digest
+// — without changing anything a reader of the manifest sees.
+func rewriteManifest(t *testing.T, dir string, n int64) {
+	t.Helper()
+	path := filepath.Join(dir, epoch.EpochDirName(n), epoch.ManifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patched := strings.Replace(string(data), "{\n", "{\n  \"future_field\": 1,\n", 1)
+	if patched == string(data) {
+		t.Fatal("manifest not rewritten")
+	}
+	if err := os.WriteFile(path, []byte(patched), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCompactedEpochMustLinkInBothDrivers: a compacted epoch is adopted
+// only if its manifest links to the previous epoch's manifest as it is
+// on disk. Epoch 1's manifest is rewritten after epoch 2 was compacted;
+// epoch 2 must then REJECT with the same reason and ledger digest
+// whether the chain is audited in-process or by a fleet. (The
+// coordinator used to adopt it without the link check and ACCEPT the
+// whole chain.)
+func TestCompactedEpochMustLinkInBothDrivers(t *testing.T) {
+	master := t.TempDir()
+	prog := sealTestChain(t, master)
+	compactChain(t, prog, master, 2)
+	rewriteManifest(t, master, 1)
+
+	local := localAudit(t, prog, copyChain(t, master), epoch.AuditorOptions{})
+	want := normalize(t, local.Verdicts())
+	if len(want) != 2 || !want[0].Accepted || want[1].Accepted ||
+		!strings.Contains(want[1].Reason, "manifest chain mismatch") {
+		t.Fatalf("local audit should ACCEPT epoch 1 and REJECT epoch 2 on its link: %+v", want)
+	}
+	coord := fleetAudit(t, prog, copyChain(t, master))
+	requireSameLedger(t, "fleet", normalize(t, coord.Verdicts()), want)
+	if coord.ChainAccepted() || coord.ChainSHA() != want[1].ChainSHA {
+		t.Fatalf("fleet chain: accepted=%v digest %.12s, want REJECT at %.12s",
+			coord.ChainAccepted(), coord.ChainSHA(), want[1].ChainSHA)
+	}
+}
+
+// normDecisions reads dir's decision log back with everything that
+// legitimately differs between two audits of two copies of one chain
+// blanked: when each verdict was decided, how long its phases took, and
+// the copy's path (a damaged manifest's reason names its file).
+func normDecisions(t *testing.T, dir string) []string {
+	t.Helper()
+	ds, err := epoch.ReadDecisions(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []string
+	for _, d := range ds {
+		d.DecidedAt = time.Time{}
+		d.Timings = epoch.DecisionTimings{}
+		line, err := json.Marshal(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, strings.ReplaceAll(string(line), dir, "<chain>"))
+	}
+	return out
+}
+
+// normalizeAt is normalize with the chain copy's path blanked.
+func normalizeAt(t *testing.T, vs []epoch.Verdict, dir string) []normVerdict {
+	out := normalize(t, vs)
+	for i := range out {
+		out[i].Reason = strings.ReplaceAll(out[i].Reason, dir, "<chain>")
+		out[i].Forensics = strings.ReplaceAll(out[i].Forensics, dir, "<chain>")
+	}
+	return out
+}
+
+// TestDecisionLogSameFromBothDrivers is the golden cross-driver test:
+// the local auditor and a two-worker fleet must leave the same
+// decisions.jsonl behind on a clean chain, a chain with a flipped chunk,
+// one with a damaged manifest, and a retention-compacted one.
+func TestDecisionLogSameFromBothDrivers(t *testing.T) {
+	master := t.TempDir()
+	prog := sealTestChain(t, master)
+	sealed, err := epoch.ListSealed(master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sealed) < 4 {
+		t.Fatalf("sealed %d epochs, want >= 4", len(sealed))
+	}
+	chains := map[string]func(dir string){
+		"clean":   func(string) {},
+		"flipped": func(dir string) { tamperChunk(t, dir, uniqueChunk(t, sealed, 1)) },
+		"damaged": func(dir string) {
+			path := filepath.Join(dir, epoch.EpochDirName(3), epoch.ManifestName)
+			if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+		},
+		"compacted": func(dir string) { compactChain(t, prog, dir, 2) },
+	}
+	for name, prepare := range chains {
+		src := copyChain(t, master)
+		prepare(src)
+		localDir, fleetDir := copyChain(t, src), copyChain(t, src)
+		local := localAudit(t, prog, localDir, epoch.AuditorOptions{})
+		coord := fleetAudit(t, prog, fleetDir)
+		requireSameLedger(t, name, normalizeAt(t, coord.Verdicts(), fleetDir), normalizeAt(t, local.Verdicts(), localDir))
+		if clean := name == "clean" || name == "compacted"; local.ChainAccepted() != clean || coord.ChainAccepted() != clean {
+			t.Fatalf("%s: chain accepted local=%v fleet=%v, want %v", name, local.ChainAccepted(), coord.ChainAccepted(), clean)
+		}
+		got, want := normDecisions(t, fleetDir), normDecisions(t, localDir)
+		if len(got) != len(want) {
+			t.Fatalf("%s: fleet logged %d decisions, local %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: decision %d differs\nfleet: %s\nlocal: %s", name, i+1, got[i], want[i])
+			}
+		}
+		if name == "compacted" {
+			adopted := 0
+			for _, v := range coord.Verdicts() {
+				if v.Adopted {
+					adopted++
+				}
+			}
+			if adopted == 0 {
+				t.Fatal("compacted: the fleet adopted no epoch")
+			}
+		}
+	}
+}
+
+// TestFleetCheckpointRetry: a checkpoint the coordinator could not write
+// is retried with the next publish, as the local auditor retries it —
+// a transient failure must not cost the chain the checkpoint a later
+// resume or compaction needs — and Warnings reports only what is still
+// unwritten when the audit ends.
+func TestFleetCheckpointRetry(t *testing.T) {
+	master := t.TempDir()
+	prog := sealTestChain(t, master)
+	// A plain file where checkpoints/ must go makes every write fail.
+	block := func(dir string) string {
+		blocker := filepath.Join(dir, "checkpoints")
+		if err := os.WriteFile(blocker, []byte("in the way"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return blocker
+	}
+	// One worker, so epochs are posted one at a time; healAfter runs once
+	// the coordinator has answered epoch 1's post.
+	audit := func(dir string, opts CoordinatorOptions, healAfter func()) *Coordinator {
+		coord, ts := startFleet(t, dir, opts)
+		ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
+		defer cancel()
+		_, err := RunWorker(ctx, prog, WorkerOptions{Coordinator: ts.URL, Name: "w", InitPoll: 10 * time.Millisecond,
+			OnEpoch: func(r EpochReport) {
+				if r.Epoch == 1 {
+					healAfter()
+				}
+			}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := coord.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return coord
+	}
+
+	// Healed after epoch 1 was published without its checkpoint: the next
+	// publish writes both.
+	dir := copyChain(t, master)
+	blocker := block(dir)
+	coord := audit(dir, CoordinatorOptions{}, func() {
+		if _, err := epoch.LoadCheckpointRefs(dir, 1); err == nil {
+			t.Error("checkpoint written through the blocker")
+		}
+		if err := os.Remove(blocker); err != nil {
+			t.Error(err)
+		}
+	})
+	if w := coord.Warnings(); len(w) != 0 {
+		t.Fatalf("every checkpoint was written in the end, yet: %v", w)
+	}
+	for _, v := range coord.Verdicts() {
+		if _, err := epoch.LoadCheckpoint(dir, v.Epoch); err != nil {
+			t.Fatalf("epoch %d's checkpoint missing after the retry: %v", v.Epoch, err)
+		}
+	}
+
+	// Never healed: the audit still finishes, and says what it owes.
+	dir = copyChain(t, master)
+	block(dir)
+	coord = audit(dir, CoordinatorOptions{To: 1}, func() {})
+	if w := coord.Warnings(); len(w) != 1 || !strings.Contains(w[0], "epoch 1: checkpoint write failed") {
+		t.Fatalf("warnings = %v, want epoch 1's unwritten checkpoint", w)
+	}
+}

@@ -11,15 +11,16 @@
 //     transport needs no trust; a warm worker fetches only chunks it
 //     lacks (the gapid isolate-server model).
 //
-//   - The coordinator walks the manifest hash chain and hands out
-//     lease-based epoch assignments in chain order with snapshot
-//     hand-off: epoch N+1's trusted initial state is the verified final
-//     snapshot posted for epoch N, exactly the in-process auditor's
-//     threading. Timed-out leases are reassigned; a sampled fraction of
+//   - The coordinator drives the chain's epoch.Ledger — the one the
+//     in-process auditor drives — with remote executors: it hands out
+//     lease-based epoch assignments in chain order and publishes the
+//     verdicts that come back, so the snapshot hand-off (epoch N+1's
+//     trusted initial state is the verified final snapshot posted for
+//     epoch N), the ledger digest, decisions.jsonl, compacted-epoch
+//     adoption and checkpoints are the local auditor's code, not a copy
+//     of it. Timed-out leases are reassigned; a sampled fraction of
 //     epochs is optionally cross-checked on k workers before the
-//     verdict is believed; verdicts persist into the chain's durable
-//     decisions.jsonl, so -explain, the console, and restart
-//     rehydration work unchanged.
+//     verdict is believed.
 //
 //   - A worker (orochi-audit -worker) pulls a lease, reconstructs the
 //     epoch through a tiered store (local cache over cas.HTTPStore),
@@ -38,12 +39,11 @@
 // that did not change costs a ref list; nobody encodes or compresses
 // it twice.
 //
-// The invariant everything here defends: a fleet audit of a chain
-// produces bit-identical verdicts, forensics, and chain ledger digest
-// to the single-process auditor, at any worker count, lease timeout,
-// or cross-check rate. The worker replays auditOne's checks in
-// auditOne's order (integrity, manifest chain, trusted init,
-// verification) with the same reason strings, and cas.HTTPStore
+// A fleet audit of a chain produces bit-identical verdicts, forensics,
+// and chain ledger digest to the single-process auditor, at any worker
+// count, lease timeout, or cross-check rate: a worker decides its epoch
+// with epoch.AuditEpoch, the function the local auditor calls, the
+// coordinator publishes to the same epoch.Ledger, and cas.HTTPStore
 // reconstructs local store error shapes byte-for-byte.
 package fleet
 
@@ -120,7 +120,7 @@ type Lease struct {
 	Epoch int64  `json:"epoch"`
 	// ManifestSHA pins the manifest bytes the worker must fetch;
 	// PrevManifestSHA is the digest this epoch's manifest must link to
-	// (the chain check, performed worker-side in auditOne's order).
+	// (the chain check is the worker's: epoch.AuditEpoch makes it).
 	ManifestSHA     string `json:"manifest_sha256"`
 	PrevManifestSHA string `json:"prev_manifest_sha256"`
 	// InitManifest is true when the trusted initial state comes from the

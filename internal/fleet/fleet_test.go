@@ -193,17 +193,7 @@ func runWorkers(t *testing.T, prog *lang.Program, url string, n int, key []byte)
 // singleAudit runs the in-process auditor to exhaustion on dir.
 func singleAudit(t *testing.T, prog *lang.Program, dir string) []epoch.Verdict {
 	t.Helper()
-	a := epoch.NewAuditor(prog, dir, epoch.AuditorOptions{})
-	for {
-		n, err := a.RunOnce(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if n == 0 {
-			break
-		}
-	}
-	return a.Verdicts()
+	return localAudit(t, prog, dir, epoch.AuditorOptions{}).Verdicts()
 }
 
 // normVerdict is the bit-identical surface of a verdict: everything but

@@ -393,10 +393,8 @@ func TestRestartResumesFromRefListCheckpoint(t *testing.T) {
 		t.Fatalf("restart touched the snapshot's chunks: %v", err)
 	}
 	defer coord2.Close()
-	coord2.mu.Lock()
-	got := coord2.inits[3]
-	coord2.mu.Unlock()
-	if !slices.Equal(got, refs) || len(coord2.Verdicts()) != 2 {
+	got := coord2.Ledger().Init().Refs
+	if !slices.Equal(got, refs) || coord2.Ledger().Next() != 3 || len(coord2.Verdicts()) != 2 {
 		t.Fatalf("restart did not resume from the checkpoint's ref list: %d refs, %d verdicts", len(got), len(coord2.Verdicts()))
 	}
 }

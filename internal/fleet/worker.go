@@ -315,45 +315,36 @@ func firstLine(data []byte) string {
 	return string(data)
 }
 
-// audit runs one leased epoch start to finish: fetch the manifest,
-// reconstruct the artifacts through the tiered store, replay auditOne's
-// checks in auditOne's order, verify, and post the signed verdict.
+// audit runs one leased epoch start to finish: fetch the manifest, the
+// artifacts (through the tiered store) and the trusted initial state,
+// hand them to epoch.AuditEpoch — the executor the local auditor calls —
+// and post the signed verdict.
 func (w *worker) audit(ctx context.Context, l *Lease) error {
 	_, logicalStart, wireStart := w.remote.Fetched()
 	m, sha, err := w.fetchManifest(ctx, l)
 	if err != nil {
 		return err
 	}
-	logical := int64(0)
-	for _, ref := range m.ChunkRefs() {
-		logical += ref.Bytes
-	}
 	sealed := &epoch.Sealed{Number: l.Epoch, Manifest: m, ManifestSHA: sha}
-
 	post := VerdictPost{LeaseID: l.ID, Worker: w.opts.Name, Epoch: l.Epoch, ManifestSHA: sha}
-	reject := func(reason string, f *verifier.Forensics) error {
-		post.Accepted = false
-		post.Reason = reason
-		if f != nil && f.Detail == "" {
-			f.Detail = reason
-		}
-		post.Forensics = f
-		return w.post(l, &post, nil)
+	for _, ref := range m.ChunkRefs() {
+		post.LogicalBytes += ref.Bytes
 	}
 
-	// Check 1: integrity — reconstruct and verify every artifact
-	// against the manifest, retrying transport faults (which are never
-	// audit evidence; see coldTracker).
+	// Reconstruct and verify every artifact against the manifest,
+	// retrying transport faults (which are never audit evidence; see
+	// coldTracker).
 	var loaded *epoch.Loaded
+	var loadErr error
 	for attempt := 0; ; attempt++ {
 		w.tracker.reset()
-		loaded, err = epoch.LoadFrom(sealed, w.tiered)
-		if err == nil || !w.tracker.sawUnavailable() {
+		loaded, loadErr = epoch.LoadFrom(sealed, w.tiered)
+		if loadErr == nil || !w.tracker.sawUnavailable() {
 			break
 		}
 		if attempt+1 >= w.opts.FetchRetries {
 			return fmt.Errorf("%w: epoch %d artifacts unavailable after %d attempts: %v",
-				errAbandoned, l.Epoch, attempt+1, err)
+				errAbandoned, l.Epoch, attempt+1, loadErr)
 		}
 		if !sleepCtx(ctx, 250*time.Millisecond) {
 			return ctx.Err()
@@ -363,39 +354,21 @@ func (w *worker) audit(ctx context.Context, l *Lease) error {
 	// it pulled is this epoch's share of the store's running totals.
 	_, logicalNow, wireNow := w.remote.Fetched()
 	post.FetchedBytes = logicalNow - logicalStart
-	post.LogicalBytes = logical
 	post.WireBytes = wireNow - wireStart
-	if err != nil {
-		var ie *epoch.IntegrityError
-		if errors.As(err, &ie) {
-			return reject(err.Error(), &verifier.Forensics{Phase: epoch.PhaseEpochLoad, Check: "integrity"})
-		}
-		return &fatalError{err}
-	}
 
-	// Check 2: the manifest must link to the chain the coordinator is
-	// walking.
-	if m.PrevManifestSHA256 != l.PrevManifestSHA {
-		return reject(fmt.Sprintf("manifest chain mismatch: epoch %d links to %s, previous manifest is %s",
-			l.Epoch, shortSHA(m.PrevManifestSHA256), shortSHA(l.PrevManifestSHA)),
-			&verifier.Forensics{Phase: epoch.PhaseEpochLoad, Check: "manifest-chain"})
-	}
-
-	// Check 3: trusted initial state — the manifest's own snapshot for
-	// the first epoch, the previous epoch's verified final snapshot
-	// (handed out by the coordinator as chunk refs) otherwise. Either
-	// way its chunks are ones the coordinator holds, so the final
-	// snapshot need not ship them back.
+	// Trusted initial state: the manifest's own snapshot for the first
+	// epoch (AuditEpoch's default), the previous epoch's verified final
+	// snapshot — handed out by the coordinator as chunk refs — otherwise.
+	// Either way its chunks are ones the coordinator holds, so the final
+	// snapshot need not ship them back. An epoch that did not load is a
+	// REJECT whatever its initial state, so it does not wait for one.
 	var init *object.Snapshot
 	var initRefs []cas.Ref
 	if l.InitManifest {
-		if loaded.Init == nil {
-			return reject(fmt.Sprintf("epoch %d has no trusted initial state (no chained snapshot, no init in manifest)", l.Epoch),
-				&verifier.Forensics{Phase: epoch.PhaseEpochLoad, Check: "missing-init"})
+		if m.Init != nil {
+			initRefs = m.Init.Chunks
 		}
-		init = loaded.Init
-		initRefs = m.Init.Chunks
-	} else {
+	} else if loadErr == nil {
 		_, _, initWireStart := w.initRemote.Fetched()
 		init, initRefs, err = w.fetchInit(ctx, l)
 		_, _, initWireNow := w.initRemote.Fetched()
@@ -405,21 +378,16 @@ func (w *worker) audit(ctx context.Context, l *Lease) error {
 		}
 	}
 
-	// Check 4: verification proper, exactly as a local audit.
-	res, err := verifier.AuditContext(ctx, w.prog, loaded.Trace, loaded.Reports, init, w.opts.Verify)
+	v, snap, err := epoch.AuditEpoch(ctx, w.prog, sealed, loaded, loadErr, l.PrevManifestSHA, init, w.opts.Verify)
 	if err != nil {
 		if errors.Is(err, verifier.ErrAuditCanceled) {
 			return err
 		}
 		return &fatalError{err}
 	}
-	post.Stats = res.Stats
-	if !res.Accepted {
-		return reject(res.Reason, res.Forensics)
-	}
-	snap, err := res.FinalSnapshot()
-	if err != nil {
-		return &fatalError{err}
+	post.Accepted, post.Reason, post.Forensics, post.Stats = v.Accepted, v.Reason, v.Forensics, v.Stats
+	if !v.Accepted {
+		return w.post(l, &post, nil)
 	}
 	raw, err := snap.EncodeRaw()
 	if err != nil {
@@ -429,7 +397,6 @@ func (w *worker) audit(ctx context.Context, l *Lease) error {
 	if err != nil {
 		return &fatalError{err}
 	}
-	post.Accepted = true
 	post.SnapshotDigest = snap.CanonicalDigest()
 	return w.post(l, &post, chunks)
 }
@@ -496,13 +463,13 @@ func (w *worker) fetchManifest(ctx context.Context, l *Lease) (*epoch.Manifest, 
 			continue
 		}
 		if got := cas.SumHex(data); got != l.ManifestSHA {
-			lastErr = fmt.Errorf("fleet: manifest bytes hash to %s, lease pins %s", shortSHA(got), shortSHA(l.ManifestSHA))
+			lastErr = fmt.Errorf("fleet: manifest bytes hash to %.12s, lease pins %.12s", got, l.ManifestSHA)
 			continue
 		}
 		var m epoch.Manifest
 		if err := json.Unmarshal(data, &m); err != nil || m.Epoch != l.Epoch {
-			// The coordinator never leases a damaged manifest, so this is
-			// transport corruption or a confused server — abandon.
+			// The coordinator never leases a manifest that does not parse,
+			// so this is transport corruption or a confused server — abandon.
 			lastErr = fmt.Errorf("fleet: undecodable manifest for epoch %d: %v", l.Epoch, err)
 			break
 		}
