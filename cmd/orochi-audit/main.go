@@ -47,8 +47,17 @@
 // read an in-flight seal's chunks as orphans, and a second decision-log
 // writer could race a live append.
 //
+// A chain is stamped with the format generation of the build that
+// sealed it (epoch.ManifestVersion, in every manifest). A chain of
+// another generation is refused, never audited: it says nothing about
+// the server, so it is no REJECT and nothing is written to its decision
+// log. Every mode that reads a chain (-epochs, -coordinate, -gc,
+// -scrub, -serve-artifacts, -explain) then exits 3; audit it with the
+// build that sealed it, or re-serve.
+//
 // Exit status: 0 = accepted, 1 = rejected (or scrub failures),
-// 2 = usage/IO error, 130 = canceled.
+// 2 = usage/IO error, 3 = chain sealed by a build of another format
+// generation, 130 = canceled.
 package main
 
 import (
@@ -250,8 +259,11 @@ func main() {
 // explainEpoch renders one epoch's stored decision — the durable record
 // the auditor appended when it published the verdict — without touching
 // the chain's evidence or re-running anything. Exit status mirrors the
-// verdict: 0 for ACCEPT, 1 for REJECT, 2 when no decision exists.
+// verdict: 0 for ACCEPT, 1 for REJECT, 2 when no decision exists (3
+// for a chain of another format generation, whose log this build did
+// not write).
 func explainEpoch(dir string, n int64) {
+	exitOn(epoch.CheckChainFormat(dir))
 	decisions, err := epoch.ReadDecisions(dir)
 	if os.IsNotExist(err) {
 		fmt.Fprintf(os.Stderr, "orochi-audit: no decision log in %s (has anything been audited there?)\n", dir)
@@ -508,10 +520,13 @@ func exitOn(err error) {
 		return
 	}
 	fmt.Fprintln(os.Stderr, "orochi-audit:", err)
-	if errors.Is(err, verifier.ErrAuditCanceled) {
+	switch {
+	case errors.Is(err, verifier.ErrAuditCanceled):
 		// Interrupted, not faulted: no verdict exists either way, and a
 		// later run picks up exactly where the evidence stands.
 		os.Exit(130)
+	case errors.Is(err, epoch.ErrChainFormat):
+		os.Exit(3)
 	}
 	os.Exit(2)
 }

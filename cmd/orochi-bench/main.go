@@ -31,7 +31,6 @@ import (
 	"net/http/httptest"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"sort"
 	"sync"
@@ -64,7 +63,7 @@ func main() {
 	var stop context.CancelFunc
 	benchCtx, stop = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fig := flag.String("fig", "all", "which figure/table to regenerate (8, 8lat, 9, 10, 11, frontier, workers, serve, fleet, storage, all)")
+	fig := flag.String("fig", "all", "which figure/table to regenerate (8, 8lat, 9, 10, 11, frontier, workers, serve, fleet, all)")
 	scale := flag.Int("scale", 10, "divide paper-sized workloads by this factor (1 = full size)")
 	conc := flag.Int("concurrency", 8, "in-flight requests while serving")
 	// The paper-shape figures default to the sequential audit so the
@@ -99,8 +98,6 @@ func main() {
 		figServe(*scale)
 	case "fleet":
 		figFleet(*scale, *conc)
-	case "storage":
-		figStorage(*scale, *conc)
 	case "all":
 		fig8(*scale, *conc, *auditWorkers)
 		fig9(*scale, *conc, *auditWorkers)
@@ -110,7 +107,6 @@ func main() {
 		figWorkers(*scale, *conc)
 		figServe(*scale)
 		figFleet(*scale, *conc)
-		figStorage(*scale, *conc)
 		fig8lat(*scale, *conc)
 	case "frontier":
 		figFrontier()
@@ -138,45 +134,6 @@ type benchResult struct {
 	// DedupRatio is requests replayed per re-executed group batch — the
 	// same figure /-/metrics exposes as orochi_audit_dedup_ratio.
 	DedupRatio float64 `json:"dedup_ratio"`
-	// Storage compares the content-addressed epoch layout against the
-	// whole-file (v1) layout for the same workload.
-	Storage *storageResult `json:"storage,omitempty"`
-}
-
-// storageResult measures the sealed-epoch storage layer: the same
-// workload is sealed twice — chunked (content-addressed) and
-// whole-file (v1) — and the at-rest footprints and wall times compared.
-type storageResult struct {
-	// Epochs sealed in the measured chain.
-	Epochs int `json:"epochs"`
-	// LogicalBytes is what the manifests pin: the uncompressed
-	// artifact bytes the chain vouches for.
-	LogicalBytes int64 `json:"logical_bytes"`
-	// StoredBytes/Chunks describe the chunk store at rest (per-chunk
-	// gzip); WholeFileBytes is the v1 layout's at-rest footprint
-	// (gzip-compressed whole artifacts) for the same workload.
-	StoredBytes    int64 `json:"stored_bytes"`
-	Chunks         int   `json:"chunks"`
-	WholeFileBytes int64 `json:"whole_file_bytes"`
-	// ChunkRefs counts the chunk references across all manifests and
-	// ChunkUnique the distinct chunks they name (LogicalBytes and
-	// UniqueBytes are their logical bytes); equal counts mean no chunk
-	// is shared and every byte saved at rest is compression.
-	ChunkRefs   int   `json:"chunk_refs"`
-	ChunkUnique int   `json:"chunk_unique"`
-	UniqueBytes int64 `json:"unique_bytes"`
-	// DedupRatio is logical bytes per stored byte (chunk sharing plus
-	// compression; the console's orochi_storage_dedup_ratio).
-	// ChunkShareRatio isolates chunk-level sharing: referenced chunk
-	// bytes across all manifests per unique chunk byte (1.0 = no chunk
-	// appears twice).
-	DedupRatio      float64 `json:"dedup_ratio"`
-	ChunkShareRatio float64 `json:"chunk_share_ratio"`
-	// SealOverhead and LoadOverhead are chunked wall time over
-	// whole-file wall time for serve+seal and for loading every sealed
-	// epoch back (1.0 = free).
-	SealOverhead float64 `json:"seal_overhead"`
-	LoadOverhead float64 `json:"load_overhead"`
 }
 
 // fleetResult is the -json "fleet" section: the distributed-audit
@@ -244,7 +201,6 @@ func benchJSON(path string, scale, conc, auditWorkers int) {
 			AuditNsPerReq:  res.Stats.Total.Nanoseconds() / int64(served.Requests),
 			AuditSpeedup:   float64(baseAudit) / float64(res.Stats.Total),
 			DedupRatio:     dedup,
-			Storage:        storageBench(item.w, conc),
 		})
 	}
 	out.Fleet = fleetBench(scale, conc)
@@ -259,98 +215,7 @@ func benchJSON(path string, scale, conc, auditWorkers int) {
 	check(err)
 }
 
-// storageBench seals the workload twice — chunked and whole-file —
-// into multi-epoch chains and measures footprints and overheads.
-func storageBench(w *workload.Workload, conc int) *storageResult {
-	sealChain := func(mode epoch.StorageMode) (string, time.Duration) {
-		dir, err := os.MkdirTemp("", "orochi-bench-storage-")
-		check(err)
-		prog := w.App.Compile()
-		srv := server.New(prog, server.Options{Record: true})
-		check(srv.Setup(w.App.Schema))
-		check(srv.Setup(w.Seed))
-		// ~4 epochs: each request is a request+response event pair, and
-		// serving in four bursts gives the manager balanced cut points.
-		events := len(w.Requests) / 2
-		if events < 32 {
-			events = 32
-		}
-		mgr, err := epoch.StartManager(dir, srv, srv.Snapshot(), epoch.ManagerOptions{
-			EpochEvents: events, Storage: mode})
-		check(err)
-		start := time.Now()
-		q := (len(w.Requests) + 3) / 4
-		for i := 0; i < len(w.Requests); i += q {
-			end := i + q
-			if end > len(w.Requests) {
-				end = len(w.Requests)
-			}
-			srv.ServeAll(w.Requests[i:end], conc)
-		}
-		check(mgr.Close())
-		return dir, time.Since(start)
-	}
-	loadChain := func(dir string) time.Duration {
-		sealed, err := epoch.ListSealed(dir)
-		check(err)
-		start := time.Now()
-		for _, s := range sealed {
-			_, err := epoch.Load(s)
-			check(err)
-		}
-		return time.Since(start)
-	}
-
-	chunkedDir, chunkedSeal := sealChain(epoch.StorageChunked)
-	defer os.RemoveAll(chunkedDir)
-	wholeDir, wholeSeal := sealChain(epoch.StorageWholeFile)
-	defer os.RemoveAll(wholeDir)
-	chunkedLoad := loadChain(chunkedDir)
-	wholeLoad := loadChain(wholeDir)
-
-	res := &storageResult{
-		SealOverhead: float64(chunkedSeal) / float64(wholeSeal),
-		LoadOverhead: float64(chunkedLoad) / float64(wholeLoad),
-	}
-	sealed, err := epoch.ListSealed(chunkedDir)
-	check(err)
-	res.Epochs = len(sealed)
-	cs := epoch.CountChunkSharing(sealed)
-	res.ChunkRefs, res.ChunkUnique = cs.Refs, cs.Unique
-	res.LogicalBytes, res.UniqueBytes = cs.RefBytes, cs.UniqueBytes
-	if cs.UniqueBytes > 0 {
-		res.ChunkShareRatio = float64(cs.RefBytes) / float64(cs.UniqueBytes)
-	}
-	store, err := epoch.OpenChainStore(chunkedDir)
-	check(err)
-	chunks, storedBytes, err := store.Stats()
-	check(err)
-	res.Chunks, res.StoredBytes = chunks, storedBytes
-	if storedBytes > 0 {
-		res.DedupRatio = float64(cs.RefBytes) / float64(storedBytes)
-	}
-	res.WholeFileBytes = dirFileBytes(wholeDir)
-	return res
-}
-
-// figStorage prints the storage section as a table.
-func figStorage(scale, conc int) {
-	fmt.Println("== Sealed-epoch storage: content-addressed chunks vs whole files ==")
-	fmt.Println("   logical = the table-encoded artifacts the manifests pin; refs = unique means")
-	fmt.Println("   no chunk is shared, and logical/stored is compression alone")
-	tw := tabwriter.NewWriter(os.Stdout, 0, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "app\tepochs\tchunk refs\tunique\tlogical B\tunique B\tstored B\twhole-file B\tlogical/stored\tseal overhead\tload overhead")
-	for _, item := range workloads(scale) {
-		r := storageBench(item.w, conc)
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%d\t%d\t%d\t%.2f\t%.2fx\t%.2fx\n",
-			item.name, r.Epochs, r.ChunkRefs, r.ChunkUnique, r.LogicalBytes, r.UniqueBytes,
-			r.StoredBytes, r.WholeFileBytes, r.DedupRatio, r.SealOverhead, r.LoadOverhead)
-	}
-	tw.Flush()
-	fmt.Println()
-}
-
-// fleetBench seals a chunked chain once and audits it through the
+// fleetBench seals a chain once and audits it through the
 // fleet stack (artifact server + coordinator + RunWorker over loopback
 // HTTP) three times: a cold single worker (the sequential reference
 // and the wire bytes a cache-less worker must pull), the same worker
@@ -375,8 +240,7 @@ func fleetBench(scale, conc int) *fleetResult {
 	if events < 32 {
 		events = 32
 	}
-	mgr, err := epoch.StartManager(src, srv, srv.Snapshot(), epoch.ManagerOptions{
-		EpochEvents: events, Storage: epoch.StorageChunked})
+	mgr, err := epoch.StartManager(src, srv, srv.Snapshot(), epoch.ManagerOptions{EpochEvents: events})
 	check(err)
 	q := (len(w.Requests) + 7) / 8
 	for i := 0; i < len(w.Requests); i += q {
@@ -482,28 +346,6 @@ func figFleet(scale, conc int) {
 		r.Epochs, r.Requests, r.EpochsPerSec1, r.EpochsPerSecN, r.Workers, r.Speedup,
 		r.ColdFetchedBytes/1024, r.ColdWireBytes/1024, r.WarmFetchedBytes/1024, r.WarmWireBytes/1024, r.LogicalBytes/1024)
 	tw.Flush()
-}
-
-// dirFileBytes sums the at-rest bytes of every artifact file under a
-// whole-file chain directory (segments, reports, init; manifests too —
-// both layouts carry those).
-func dirFileBytes(dir string) int64 {
-	var total int64
-	entries, err := os.ReadDir(dir)
-	check(err)
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		files, err := os.ReadDir(filepath.Join(dir, e.Name()))
-		check(err)
-		for _, f := range files {
-			if fi, err := f.Info(); err == nil && !f.IsDir() {
-				total += fi.Size()
-			}
-		}
-	}
-	return total
 }
 
 func workloads(scale int) []struct {

@@ -65,7 +65,6 @@ func main() {
 	epochDir := flag.String("epoch-dir", "", "enable the epoch pipeline, writing sealed epochs to this directory")
 	epochEvents := flag.Int("epoch-events", 4096, "seal an epoch after this many trace events (with -epoch-dir)")
 	epochAudit := flag.Bool("epoch-audit", true, "run the background auditor over sealed epochs (with -epoch-dir)")
-	storage := flag.String("storage", "", "sealed-epoch storage layout (with -epoch-dir): chunked (content-addressed, deduplicated; default) or whole-file (the v1 layout)")
 	scrubEvery := flag.Duration("scrub-interval", 0, "run the retrievability self-audit over the epoch dir at this interval (with -epoch-dir; 0 = off); failures become REJECT decisions")
 	auditWorkers := flag.Int("audit-workers", 0, "concurrent re-execution workers in the background auditor (0 = half the CPUs, to leave room for serving; 1 = sequential)")
 	faultRate := flag.Float64("fault-rate", 0, "inject faulting requests (unknown script, undefined function, bad SQL) into the workload at this rate; the audit must still ACCEPT")
@@ -112,9 +111,8 @@ func main() {
 	var stopAudit, stopScrub context.CancelFunc
 	var auditDone chan struct{}
 	if *epochDir != "" {
-		mode, err := epoch.ParseStorageMode(*storage)
-		exitOn(err)
-		mgr, err = epoch.StartManager(*epochDir, srv, snap, epoch.ManagerOptions{EpochEvents: *epochEvents, Storage: mode})
+		var err error
+		mgr, err = epoch.StartManager(*epochDir, srv, snap, epoch.ManagerOptions{EpochEvents: *epochEvents})
 		exitOn(err)
 		if *epochAudit {
 			// The background auditor shares the machine with live

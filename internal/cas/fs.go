@@ -13,8 +13,8 @@ import (
 // FS is the local-filesystem chunk store. Chunks live two levels deep
 // (<root>/<sha[:2]>/<sha>) so no single directory grows unbounded, and
 // each chunk is gzip-compressed at rest — chunking operates on logical
-// (uncompressed) bytes so dedup works, compression recovers the disk
-// savings the old whole-file gzip segments had. Writes are atomic
+// (uncompressed) bytes so dedup works, and compression at rest is
+// where most of the disk saving comes from. Writes are atomic
 // (temp file + fsync + rename + dir fsync), matching the durability
 // discipline of the epoch log writer.
 type FS struct {
@@ -56,9 +56,9 @@ func (s *FS) Put(sha string, data []byte) error {
 // PutStored stores a chunk that arrives already in its at-rest form (a
 // gzip stream, as GetStored returns and the fleet ships), so a chunk
 // compressed once by whoever produced it is never compressed again.
-// The bytes are written only if they inflate to content that hashes to
-// sha; anything else is refused and leaves no file. An existing chunk
-// is left untouched.
+// The bytes are written only if they are within a chunk's bounds and
+// inflate to content that hashes to sha; anything else is refused and
+// leaves no file. An existing chunk is left untouched.
 func (s *FS) PutStored(sha string, stored []byte) error {
 	if !validSHA(sha) {
 		return fmt.Errorf("cas: put: bad digest %q", sha)
@@ -66,7 +66,10 @@ func (s *FS) PutStored(sha string, stored []byte) error {
 	if s.Has(sha) {
 		return nil
 	}
-	data, err := encio.GunzipMax(stored, maxChunkWire)
+	if int64(len(stored)) > maxChunkStored {
+		return fmt.Errorf("cas: put %s: corrupt chunk: %d bytes stored, a chunk is at most %d", short(sha), len(stored), maxChunkStored)
+	}
+	data, err := encio.GunzipMax(stored, maxChunkInflated)
 	if err != nil {
 		return fmt.Errorf("cas: put %s: corrupt chunk: %w", short(sha), err)
 	}

@@ -22,12 +22,19 @@ import (
 // the same audit evidence a local read would produce.
 var ErrUnavailable = errors.New("cas: store unavailable")
 
-// maxChunkWire bounds one chunk (or one migrated whole-file blob) that
-// arrives from another process, in its stored form and again once
-// inflated — a backstop against a misbehaving peer streaming forever or
-// shipping a stream that inflates without end; real chunks are at most
-// a few hundred KB.
-const maxChunkWire = 64 << 20
+// Bounds on one chunk that arrives from another process — a backstop
+// against a misbehaving peer streaming forever or shipping a stream
+// that inflates without end. Every chunk a chain holds was cut by
+// DefaultChunker (WriteBlob for sealed artifacts and checkpoints,
+// DefaultChunker.Split for the snapshots fleet workers ship), so none
+// inflates past its Max. The stored (gzip) form may exceed that by
+// deflate's framing on incompressible bytes — 5 bytes per stored block
+// plus an 18-byte gzip header and trailer — which 1 KiB covers with
+// room to spare.
+var (
+	maxChunkInflated = int64(DefaultChunker.Max)
+	maxChunkStored   = maxChunkInflated + 1<<10
+)
 
 // HTTPStore is a read-only Store backed by a fleet artifact server
 // (internal/fleet): Get fetches /chunk/<sha> and verifies the bytes
@@ -94,20 +101,20 @@ func (s *HTTPStore) Get(sha string) ([]byte, error) {
 		return unavailable("%v", err)
 	}
 	defer resp.Body.Close()
-	body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxChunkWire+1))
+	body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxChunkStored+1))
 	switch resp.StatusCode {
 	case http.StatusOK:
 		if rerr != nil {
 			return unavailable("reading body: %v", rerr)
 		}
-		if len(body) > maxChunkWire {
-			return unavailable("chunk exceeds %d bytes", maxChunkWire)
+		if int64(len(body)) > maxChunkStored {
+			return unavailable("chunk exceeds %d bytes", maxChunkStored)
 		}
 		// The server verifies at-rest bytes on every read before
 		// serving them, so a body that does not inflate, or inflates to
 		// other content, means the transport truncated or corrupted the
 		// response — retryable, never evidence against the chain.
-		data, err := encio.GunzipMax(body, maxChunkWire)
+		data, err := encio.GunzipMax(body, maxChunkInflated)
 		if err != nil {
 			return unavailable("corrupt response body: %v", err)
 		}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -202,39 +203,60 @@ func TestHTTPStoreNotFound(t *testing.T) {
 // before serving them, so a 200 whose body is cut short, does not
 // inflate, or inflates to other content was damaged in flight — every
 // such case is a retryable ErrUnavailable inside a ChunkError, never
-// audit evidence, and nothing is counted as fetched.
+// audit evidence, and nothing is counted as fetched. A stream past a
+// chunk's bounds (DefaultChunker.Max inflated) is no chunk either, and
+// FS.PutStored refuses it without leaving a file.
 func TestHTTPStoreDamagedResponses(t *testing.T) {
 	data := bytes.Repeat([]byte("these bytes will not arrive intact. "), 100)
 	sha := SumHex(data)
 	stored := gz(t, data)
 	flipped := append([]byte(nil), stored...)
 	flipped[len(flipped)/2] ^= 0x40
+	// One byte past the chunker's cap, and a stored form past its bound.
+	tooBig := bytes.Repeat([]byte{'x'}, DefaultChunker.Max+1)
+	tooBigStored := gz(t, tooBig)
+	tooLong := make([]byte, maxChunkStored+1)
+	rand.New(rand.NewSource(1)).Read(tooLong)
 	for _, tc := range []struct {
 		name    string
 		handler http.HandlerFunc
 		mention string
+		// sha overrides the digest asked for; putStored, when set, is
+		// also offered to FS.PutStored, which must refuse it.
+		sha       string
+		putStored []byte
 	}{
 		{"connection cut mid-body", func(w http.ResponseWriter, r *http.Request) {
 			w.Header().Set("Content-Encoding", "gzip")
 			w.Header().Set("Content-Length", strconv.Itoa(len(stored)))
 			w.Write(stored[:8]) // then the handler returns: connection truncated
-		}, "reading body"},
+		}, "reading body", "", nil},
 		{"gzip stream truncated", func(w http.ResponseWriter, r *http.Request) {
 			serveStored(w, r, stored[:len(stored)-6])
-		}, "corrupt response body"},
+		}, "corrupt response body", "", nil},
 		{"byte flipped in the stream", func(w http.ResponseWriter, r *http.Request) {
 			serveStored(w, r, flipped)
-		}, ""},
+		}, "", "", nil},
 		{"body is not gzip at all", func(w http.ResponseWriter, r *http.Request) {
 			w.Write(data)
-		}, "corrupt response body"},
+		}, "corrupt response body", "", nil},
 		{"intact stream of other content", func(w http.ResponseWriter, r *http.Request) {
 			serveStored(w, r, gz(t, []byte("corrupted in flight")))
-		}, "hash to"},
+		}, "hash to", "", nil},
+		{"stream inflates past the chunk bound", func(w http.ResponseWriter, r *http.Request) {
+			serveStored(w, r, tooBigStored)
+		}, "inflates past", SumHex(tooBig), tooBigStored},
+		{"stored form past its bound", func(w http.ResponseWriter, r *http.Request) {
+			serveStored(w, r, tooLong)
+		}, "exceeds", SumHex(tooLong), tooLong},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			want := sha
+			if tc.sha != "" {
+				want = tc.sha
+			}
 			store := chunkServer(t, tc.handler)
-			_, err := store.Get(sha)
+			_, err := store.Get(want)
 			var ce *ChunkError
 			if !errors.As(err, &ce) || !errors.Is(err, ErrUnavailable) {
 				t.Fatalf("must be ErrUnavailable inside ChunkError, got %v", err)
@@ -248,7 +270,40 @@ func TestHTTPStoreDamagedResponses(t *testing.T) {
 			if chunks, logical, wire := store.Fetched(); chunks+logical+wire != 0 {
 				t.Fatalf("a failed Get was counted as fetched: %d chunks, %d logical, %d wire", chunks, logical, wire)
 			}
+			if tc.putStored == nil {
+				return
+			}
+			fs, err := OpenFS(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.PutStored(want, tc.putStored); err == nil {
+				t.Fatal("PutStored accepted a stream past a chunk's bounds")
+			}
+			if shas, _ := fs.List(); len(shas) != 0 || fs.Has(want) {
+				t.Fatalf("a refused PutStored left files behind: %v", shas)
+			}
 		})
+	}
+}
+
+// TestHTTPStoreChunkAtTheBound: the bounds admit every chunk the chunker
+// can cut — DefaultChunker.Max incompressible bytes travel and file.
+func TestHTTPStoreChunkAtTheBound(t *testing.T) {
+	data := make([]byte, DefaultChunker.Max)
+	rand.New(rand.NewSource(2)).Read(data)
+	sha := SumHex(data)
+	stored := gz(t, data)
+	store := chunkServer(t, func(w http.ResponseWriter, r *http.Request) { serveStored(w, r, stored) })
+	if got, err := store.Get(sha); err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("Get of a full-size incompressible chunk (%d bytes stored) = %d bytes, %v", len(stored), len(got), err)
+	}
+	fs, err := OpenFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.PutStored(sha, stored); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -77,9 +77,10 @@ type Auditor struct {
 	never chan struct{}
 
 	ledger *Ledger
-	// logErr parks a failed open of the decision log; the first RunOnce
-	// surfaces it, keeping NewAuditor's signature error-free.
-	logErr error
+	// openErr parks a chain this build cannot read (ErrChainFormat) or a
+	// failed open of the decision log; the first RunOnce surfaces it,
+	// keeping NewAuditor's signature error-free.
+	openErr error
 
 	mu       sync.Mutex
 	progress Progress
@@ -88,12 +89,22 @@ type Auditor struct {
 // NewAuditor builds an auditor over the epoch chain in dir. It opens
 // the chain's durable decision log (creating it on first use) and
 // starts the ledger at From with the decisions of earlier epochs
-// replayed into it (see NewLedger). A failed log open does not fail
-// construction; it surfaces as the first RunOnce's error.
+// replayed into it (see NewLedger). A chain of another format
+// generation is refused before the log is touched. Neither that nor a
+// failed log open fails construction; each surfaces as the first
+// RunOnce's error.
 func NewAuditor(prog *lang.Program, dir string, opts AuditorOptions) *Auditor {
 	opts = opts.withDefaults()
-	log, logErr := OpenDecisionLog(dir)
-	return &Auditor{dir: dir, prog: prog, opts: opts, never: make(chan struct{}), logErr: logErr,
+	var log *DecisionLog
+	openErr := CheckChainFormat(dir)
+	if openErr == nil {
+		if log, openErr = OpenDecisionLog(dir); openErr != nil {
+			// No durable ledger, no audits: publishing verdicts that
+			// vanish on restart would silently defeat the decision log.
+			openErr = fmt.Errorf("epoch: decision log unavailable: %w", openErr)
+		}
+	}
+	return &Auditor{dir: dir, prog: prog, opts: opts, never: make(chan struct{}), openErr: openErr,
 		ledger: NewLedger(dir, log, opts.From, State{Snap: opts.Init}, opts.Checkpoints)}
 }
 
@@ -202,10 +213,8 @@ func (a *Auditor) RunOnce(ctx context.Context) (int, error) {
 		// full epoch load just to discard it inside the verifier.
 		return 0, canceled(ctx)
 	}
-	if a.logErr != nil {
-		// No durable ledger, no audits: publishing verdicts that vanish
-		// on restart would silently defeat the decision log.
-		return 0, fmt.Errorf("epoch: decision log unavailable: %w", a.logErr)
+	if a.openErr != nil {
+		return 0, a.openErr
 	}
 	if !a.ledger.ChainAccepted() {
 		return 0, nil
@@ -226,10 +235,13 @@ func (a *Auditor) RunOnce(ctx context.Context) (int, error) {
 	// closes, and later sealed epochs stay unaudited — surfaced by
 	// callers comparing NextEpoch against what exists on disk. It stops
 	// at a damaged manifest too: that is a REJECT, and the chain ends
-	// there.
+	// there. An epoch 1 sealed after construction is format-checked here.
 	var batch []*Sealed
 	for n := a.ledger.Next(); a.opts.To == 0 || n <= a.opts.To; n++ {
-		s := readSealed(a.dir, n)
+		s, err := readSealed(a.dir, n)
+		if err != nil {
+			return 0, err
+		}
 		if s == nil {
 			break
 		}

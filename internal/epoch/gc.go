@@ -87,10 +87,9 @@ type GCResult struct {
 }
 
 // GC garbage-collects the chain directory's chunk store: it marks the
-// chunks every sealed, non-compacted manifest references (plus the
-// whole-file blobs of migrated v1 epochs) and every chunk a checkpoint
-// names, and sweeps the rest —
-// orphans from crashed seals, chunks unreferenced since a compaction.
+// chunks every sealed, non-compacted manifest references and every
+// chunk a checkpoint names, and sweeps the rest — orphans from crashed
+// seals, chunks unreferenced since a compaction.
 // A damaged manifest anywhere aborts the pass: damaged seals are audit
 // evidence, and a GC that deleted their chunks would destroy it.
 func GC(dir string, opts GCOptions) (*GCResult, error) {
@@ -169,8 +168,7 @@ func GC(dir string, opts GCOptions) (*GCResult, error) {
 		}
 	}
 
-	// Mark: every chunk (and migrated whole-file blob) a live manifest
-	// still references.
+	// Mark: every chunk a live manifest still references.
 	live := make(map[string]bool)
 	var kept []*Sealed
 	for _, s := range sealed {
@@ -180,18 +178,6 @@ func GC(dir string, opts GCOptions) (*GCResult, error) {
 		kept = append(kept, s)
 		for _, r := range s.Manifest.ChunkRefs() {
 			live[r.SHA256] = true
-		}
-		if !s.Manifest.Chunked() {
-			// Migrated v1 epochs store whole files under their manifest
-			// digests; keep those blobs live whether or not the files
-			// have been migrated yet (Put is keyed by the same digest).
-			for _, seg := range s.Manifest.Segments {
-				live[seg.SHA256] = true
-			}
-			live[s.Manifest.Reports.SHA256] = true
-			if s.Manifest.Init != nil {
-				live[s.Manifest.Init.SHA256] = true
-			}
 		}
 	}
 	// Checkpoints are ref lists into the same store: every chunk one

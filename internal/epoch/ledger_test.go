@@ -36,7 +36,7 @@ func patchManifest(t *testing.T, dir string, n int64) {
 // what publishing it does to the stored decision.
 func TestLedgerDecidesLocally(t *testing.T) {
 	master := t.TempDir()
-	prog := sealChain(t, master, StorageChunked)
+	prog := sealChain(t, master)
 	full := NewAuditor(prog, master, AuditorOptions{Checkpoints: true})
 	if _, err := full.RunOnce(t.Context()); err != nil || !full.ChainAccepted() || len(full.Verdicts()) < 3 {
 		t.Fatalf("full audit: %v, %+v", err, full.Verdicts())
@@ -115,7 +115,11 @@ func TestLedgerDecidesLocally(t *testing.T) {
 				t.Fatal(err)
 			}
 			l := NewLedger(dir, log, 2, init, true)
-			v, final, err := l.DecideLocally(readSealed(dir, 2))
+			s, err := readSealed(dir, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v, final, err := l.DecideLocally(s)
 			if err != nil {
 				t.Fatal(err)
 			}

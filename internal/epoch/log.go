@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"orochi/internal/cas"
-	"orochi/internal/reports"
 	"orochi/internal/trace"
 )
 
@@ -43,11 +42,11 @@ func (o LogWriterOptions) withDefaults() LogWriterOptions {
 	return o
 }
 
-// SegmentInfo describes one finalized segment. In a whole-file (v1)
-// manifest Bytes/SHA256 are over the on-disk segment file; in a
-// chunked (v2) manifest they describe the segment's logical blob (its
-// events as trace.EncodeRaw writes them, each distinct response body
-// once) and Chunks lists the content-defined chunks that reassemble it.
+// SegmentInfo describes one finalized segment. While the epoch is
+// live, Bytes/SHA256 are over the on-disk segment file; in a manifest
+// they describe the segment's logical blob (its events as
+// trace.EncodeRaw writes them, each distinct response body once) and
+// Chunks lists the content-defined chunks that reassemble it.
 type SegmentInfo struct {
 	Name    string    `json:"name"`
 	Bytes   int64     `json:"bytes"`
@@ -157,11 +156,7 @@ func (w *LogWriter) recoverOpenSegment(path string) error {
 			return fmt.Errorf("epoch: recover %s: %w", path, err)
 		}
 		w.segEvents = len(events)
-		for _, r := range recs {
-			if r.typ == recEvents {
-				w.segRecords++
-			}
-		}
+		w.segRecords = len(recs)
 		w.events += w.segEvents
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
@@ -389,15 +384,16 @@ func readSegmentFile(path string, strict bool) (SegmentInfo, []trace.Event, erro
 	return info, events, nil
 }
 
-// decodeEventRecords replays a segment's event records, in order,
-// through dec — a record may reference bodies an earlier record
-// introduced, so dec must start empty at the segment's first record —
-// and returns the events.
+// decodeEventRecords replays a segment's records, in order, through
+// dec — a record may reference bodies an earlier record introduced, so
+// dec must start empty at the segment's first record — and returns the
+// events. Every record must be an events record: a CRC-valid record of
+// another type was written by no build of this format.
 func decodeEventRecords(dec *trace.Decoder, recs []record) ([]trace.Event, error) {
 	var events []trace.Event
 	for _, r := range recs {
 		if r.typ != recEvents {
-			continue
+			return nil, fmt.Errorf("CRC-valid record of unknown type %d", r.typ)
 		}
 		evs, err := dec.Decode(r.payload)
 		if err != nil {
@@ -406,47 +402,6 @@ func decodeEventRecords(dec *trace.Decoder, recs []record) ([]trace.Event, error
 		events = append(events, evs...)
 	}
 	return events, nil
-}
-
-// WriteReportsFile frames the report bundle as a single-record segment
-// at path (same CRC'd record format as the event log) and returns its
-// file metadata for the manifest.
-func WriteReportsFile(path string, rep *reports.Reports) (FileInfo, error) {
-	payload, err := rep.Encode()
-	if err != nil {
-		return FileInfo{}, err
-	}
-	data := segmentBytes(record{typ: recReports, payload: payload})
-	if err := writeFileSync(path, data); err != nil {
-		return FileInfo{}, err
-	}
-	return FileInfo{Name: filepath.Base(path), Bytes: int64(len(data)), SHA256: cas.SumHex(data)}, nil
-}
-
-// decodeReportsSegment parses a single-record reports segment image —
-// the shared reader under ReadReportsFile and the audit-time Load.
-func decodeReportsSegment(data []byte) (*reports.Reports, error) {
-	recs, _, err := parseSegment(data, true)
-	if err != nil {
-		return nil, err
-	}
-	if len(recs) != 1 || recs[0].typ != recReports {
-		return nil, fmt.Errorf("want exactly one reports record, got %d records", len(recs))
-	}
-	return reports.Decode(recs[0].payload)
-}
-
-// ReadReportsFile reads a report bundle written by WriteReportsFile.
-func ReadReportsFile(path string) (*reports.Reports, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := decodeReportsSegment(data)
-	if err != nil {
-		return nil, fmt.Errorf("%s: %w", filepath.Base(path), err)
-	}
-	return rep, nil
 }
 
 // segmentName formats the file name of segment n.

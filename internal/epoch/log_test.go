@@ -1,13 +1,13 @@
 package epoch
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"orochi/internal/reports"
 	"orochi/internal/trace"
 )
 
@@ -205,43 +205,6 @@ func TestFinalizedSegmentTamperDetected(t *testing.T) {
 	}
 }
 
-func TestReportsFileRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	rep := &reports.Reports{
-		Groups:   map[uint64][]string{7: {"r1", "r2"}},
-		Scripts:  map[uint64]string{7: "view"},
-		OpCounts: map[string]int{"r1": 3, "r2": 1},
-		NonDet:   map[string][]reports.NDEntry{"r1": {{Fn: "time", Value: "i42"}}},
-	}
-	path := filepath.Join(dir, ReportsName)
-	info, err := WriteReportsFile(path, rep)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.SHA256 == "" || info.Bytes == 0 {
-		t.Fatalf("bad file info: %+v", info)
-	}
-	got, err := ReadReportsFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.Groups[7]) != 2 || got.Scripts[7] != "view" || got.OpCounts["r1"] != 3 {
-		t.Fatalf("round trip mismatch: %+v", got)
-	}
-	// Tamper: any byte flip must be detected by the record CRC.
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0x10
-	if err := os.WriteFile(path, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ReadReportsFile(path); err == nil {
-		t.Fatal("tampered reports file read back without error")
-	}
-}
-
 func TestStaleOpenSegmentRemoved(t *testing.T) {
 	dir := t.TempDir()
 	w, err := OpenLogWriter(dir, LogWriterOptions{SegmentEvents: 10, BatchEvents: 5})
@@ -273,5 +236,39 @@ func TestParseSegmentStrictRejectsJunk(t *testing.T) {
 	}
 	if _, _, err := parseSegment([]byte("NOPE"), true); err == nil || !strings.Contains(err.Error(), "magic") {
 		t.Fatalf("bad magic not rejected: %v", err)
+	}
+}
+
+// segmentBytes frames records into a complete standalone segment image.
+func segmentBytes(recs ...record) []byte {
+	var buf bytes.Buffer
+	buf.WriteString(segMagic)
+	for _, r := range recs {
+		buf.Write(encodeRecord(r.typ, r.payload))
+	}
+	return buf.Bytes()
+}
+
+// TestUnknownRecordTypeRefused: recEvents is the only record type, so a
+// CRC-valid record of any other type is refused rather than skipped —
+// by the strict reader of finalized segments and by crash recovery of
+// an active one alike.
+func TestUnknownRecordTypeRefused(t *testing.T) {
+	events, err := new(trace.Encoder).Encode(mkEvents(2, 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	img := segmentBytes(record{typ: recEvents, payload: events}, record{typ: 2, payload: []byte("not events")})
+	for _, name := range []string{segmentName(1, true), segmentName(1, false)} {
+		dir := t.TempDir()
+		if err := os.WriteFile(filepath.Join(dir, name), img, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ReadLogEvents(dir); err == nil || !strings.Contains(err.Error(), "unknown type 2") {
+			t.Fatalf("%s: ReadLogEvents = %v, want the type-2 record refused", name, err)
+		}
+		if _, err := OpenLogWriter(dir, LogWriterOptions{}); err == nil || !strings.Contains(err.Error(), "unknown type 2") {
+			t.Fatalf("%s: OpenLogWriter = %v, want the type-2 record refused", name, err)
+		}
 	}
 }

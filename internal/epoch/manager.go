@@ -29,10 +29,6 @@ type ManagerOptions struct {
 	TeeBuffer int
 	// Log tunes the per-epoch segmented log.
 	Log LogWriterOptions
-	// Storage selects the sealed-artifact layout: StorageChunked (the
-	// default) seals into the chain's content-addressed store,
-	// StorageWholeFile keeps the original whole-file epoch dirs.
-	Storage StorageMode
 }
 
 func (o ManagerOptions) withDefaults() ManagerOptions {
@@ -52,12 +48,11 @@ type SealedSummary struct {
 	Requests int
 	Segments int
 	// Bytes is the epoch's logical footprint: segment artifacts plus
-	// the reports bundle (and the init snapshot for epoch 1). In
-	// whole-file mode that is the on-disk byte count; in chunked mode
-	// it is the uncompressed blob size the manifests pin (segments in
-	// their body-table form, so repeated responses are already counted
-	// once per segment) — the numerator of the storage dedup ratio.
-	// Metrics sum it into the bytes-logged counter.
+	// the reports bundle (and the init snapshot for epoch 1), as the
+	// uncompressed blob sizes the manifest pins (segments in their
+	// body-table form, so repeated responses are already counted once
+	// per segment) — the numerator of the storage dedup ratio. Metrics
+	// sum it into the bytes-logged counter.
 	Bytes       int64
 	ManifestSHA string
 	SealedAt    time.Time
@@ -91,8 +86,8 @@ type Manager struct {
 	dir  string
 	srv  *server.Server
 	opts ManagerOptions
-	// store is the chain's chunk store (nil in whole-file mode). Only
-	// the sealer goroutine writes to it.
+	// store is the chain's chunk store. Only the sealer goroutine writes
+	// to it.
 	store *cas.FS
 	// lock is the chain directory's exclusive lock, held for the whole
 	// serving run so offline maintenance (orochi-audit -gc/-scrub)
@@ -209,12 +204,8 @@ func StartManager(dir string, srv *server.Server, init *object.Snapshot, opts Ma
 		notify:   make(chan struct{}, 1),
 	}
 	m.teeQ = make(chan teeMsg, m.opts.TeeBuffer)
-	if m.opts.Storage == StorageChunked {
-		store, err := OpenChainStore(dir)
-		if err != nil {
-			return nil, err
-		}
-		m.store = store
+	if m.store, err = OpenChainStore(dir); err != nil {
+		return nil, err
 	}
 	cur, err := m.openEpoch(1)
 	if err != nil {
@@ -222,23 +213,11 @@ func StartManager(dir string, srv *server.Server, init *object.Snapshot, opts Ma
 	}
 	// The first epoch ships the trusted initial snapshot; later epochs
 	// don't — the verifier derives their initial state itself (§4.5).
-	if m.store != nil {
-		info, err := chunkSnapshot(m.store, init)
-		if err != nil {
-			return nil, fmt.Errorf("epoch: write init snapshot: %w", err)
-		}
-		cur.initInfo = &info
-	} else {
-		initData, err := init.Encode()
-		if err != nil {
-			return nil, err
-		}
-		initPath := filepath.Join(m.dir, epochDirName(1), InitName)
-		if err := writeFileSync(initPath, initData); err != nil {
-			return nil, fmt.Errorf("epoch: write init snapshot: %w", err)
-		}
-		cur.initInfo = &FileInfo{Name: InitName, Bytes: int64(len(initData)), SHA256: cas.SumHex(initData)}
+	info, err := chunkSnapshot(m.store, init)
+	if err != nil {
+		return nil, fmt.Errorf("epoch: write init snapshot: %w", err)
 	}
+	cur.initInfo = &info
 	m.cur = cur
 	go m.teeLoop()
 	go m.sealLoop()
@@ -395,30 +374,20 @@ func (m *Manager) seal(job *sealJob, prevSHA string) (string, error) {
 		return "", fmt.Errorf("epoch: seal %d: %w", job.number, err)
 	}
 	epochDir := filepath.Join(m.dir, epochDirName(job.number))
-	version := 0
-	var repInfo FileInfo
-	if m.store != nil {
-		// Chunked sealing: segment files become content-defined chunks
-		// in the chain store (a chunk it already holds is not written
-		// again), and the reports bundle is chunked directly — after
-		// this the epoch dir holds only the manifest.
-		version = ManifestVersionChunked
-		segs, err = chunkSegments(m.store, epochDir, segs)
-		if err != nil {
-			return "", fmt.Errorf("epoch: seal %d: %w", job.number, err)
-		}
-		repInfo, err = chunkReports(m.store, job.rec.Finalize())
-		if err != nil {
-			return "", fmt.Errorf("epoch: seal %d: %w", job.number, err)
-		}
-	} else {
-		repInfo, err = WriteReportsFile(filepath.Join(epochDir, ReportsName), job.rec.Finalize())
-		if err != nil {
-			return "", fmt.Errorf("epoch: seal %d: %w", job.number, err)
-		}
+	// Segment files become content-defined chunks in the chain store (a
+	// chunk it already holds is not written again), and the reports
+	// bundle is chunked directly — after this the epoch dir holds only
+	// the manifest.
+	segs, err = chunkSegments(m.store, epochDir, segs)
+	if err != nil {
+		return "", fmt.Errorf("epoch: seal %d: %w", job.number, err)
+	}
+	repInfo, err := chunkReports(m.store, job.rec.Finalize())
+	if err != nil {
+		return "", fmt.Errorf("epoch: seal %d: %w", job.number, err)
 	}
 	manifest := &Manifest{
-		Version:            version,
+		Version:            ManifestVersion,
 		Epoch:              job.number,
 		SealedUnix:         time.Now().Unix(),
 		Events:             job.events,

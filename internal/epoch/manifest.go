@@ -2,6 +2,7 @@ package epoch
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -11,24 +12,29 @@ import (
 	"orochi/internal/cas"
 )
 
-// Standard file names inside an epoch directory.
+// The manifest's file name in an epoch directory, and the names it
+// gives the reports bundle and the init snapshot (which live in the
+// chunk store, not as files).
 const (
 	ManifestName = "MANIFEST.json"
 	ReportsName  = "reports.seg"
 	InitName     = "init.bin"
 )
 
-// ManifestVersionChunked marks a manifest whose artifacts live in the
-// chain's content-addressed store as ordered chunk lists. Version 0
-// (the field absent) is the original whole-file layout: every artifact
-// is a file in the epoch directory, pinned by its file digest.
-const ManifestVersionChunked = 2
+// ManifestVersion is the chain format generation this build writes and
+// reads: the layout of the manifest and of every artifact it pins. A
+// format change bumps it; a chain of any other generation is refused
+// with ErrChainFormat, never decoded by a second reader.
+const ManifestVersion = 2
 
-// FileInfo pins one epoch artifact by name, size, and content digest.
-// In a whole-file (v1) manifest the digest is over the artifact's
-// on-disk file bytes. In a chunked (v2) manifest Bytes and SHA256
-// describe the logical (uncompressed) blob and Chunks lists the
-// content-defined chunks that reassemble it, in order.
+// ErrChainFormat reports a chain whose epoch 1 manifest carries a format
+// generation other than ManifestVersion. A build cannot read it, which
+// says nothing about the server that sealed it: it is never a verdict.
+var ErrChainFormat = errors.New("chain written by another build")
+
+// FileInfo pins one epoch artifact by name, size, and content digest:
+// Bytes and SHA256 describe the logical (uncompressed) blob and Chunks
+// lists the content-defined chunks that reassemble it, in order.
 type FileInfo struct {
 	Name   string    `json:"name"`
 	Bytes  int64     `json:"bytes"`
@@ -42,16 +48,15 @@ type FileInfo struct {
 // with any sealed artifact — or with a past manifest itself — breaks
 // verification of everything downstream.
 type Manifest struct {
-	// Version is the storage schema: 0/absent for whole-file epochs,
-	// ManifestVersionChunked for content-addressed ones.
-	Version    int   `json:"version,omitempty"`
+	// Version is the chain format generation (ManifestVersion).
+	Version    int   `json:"version"`
 	Epoch      int64 `json:"epoch"`
 	SealedUnix int64 `json:"sealed_unix"`
 	Events     int   `json:"events"`
 	Requests   int   `json:"requests"`
 	// Segments lists the event-log segments in order.
 	Segments []SegmentInfo `json:"segments"`
-	// Reports pins the report bundle file.
+	// Reports pins the report bundle.
 	Reports FileInfo `json:"reports"`
 	// Init pins the trusted initial snapshot; only the first epoch of a
 	// chain carries one — later epochs derive their trusted initial
@@ -62,13 +67,9 @@ type Manifest struct {
 	PrevManifestSHA256 string `json:"prev_manifest_sha256"`
 }
 
-// Chunked reports whether the manifest's artifacts live in the chain's
-// content-addressed store.
-func (m *Manifest) Chunked() bool { return m.Version >= ManifestVersionChunked }
-
 // ChunkRefs returns every chunk reference the manifest pins, across
-// segments, reports, and the init snapshot (empty for v1 manifests).
-// GC marks live chunks through it; scrub samples from it.
+// segments, reports, and the init snapshot. GC marks live chunks
+// through it; scrub samples from it.
 func (m *Manifest) ChunkRefs() []cas.Ref {
 	var refs []cas.Ref
 	for _, seg := range m.Segments {
@@ -168,27 +169,47 @@ type Sealed struct {
 
 // readSealed classifies epoch n's directory under the chain directory:
 // nil when it holds no manifest (not sealed yet), otherwise the sealed
-// epoch — with Err set when the manifest is damaged.
-func readSealed(dir string, n int64) *Sealed {
+// epoch — with Err set when the manifest is damaged. Epoch 1's format
+// generation is the chain's: any other one is an ErrChainFormat error,
+// not a sealed epoch. A later epoch that differs from it is a damaged
+// manifest like any other — the server writes the stamp, so the stamp
+// cannot excuse an epoch from its audit.
+func readSealed(dir string, n int64) (*Sealed, error) {
 	epochDir := filepath.Join(dir, epochDirName(n))
 	m, sha, err := ReadManifest(epochDir)
 	switch {
 	case os.IsNotExist(err):
-		return nil
+		return nil, nil
 	case err != nil:
-		return &Sealed{Number: n, Dir: epochDir, ManifestSHA: sha, Err: err}
+		return &Sealed{Number: n, Dir: epochDir, ManifestSHA: sha, Err: err}, nil
+	case m.Version != ManifestVersion && n == 1:
+		return nil, fmt.Errorf("epoch: %s: %w: its format generation is %d, this build reads generation %d",
+			dir, ErrChainFormat, m.Version, ManifestVersion)
+	case m.Version != ManifestVersion:
+		return &Sealed{Number: n, Dir: epochDir, ManifestSHA: sha,
+			Err: fmt.Errorf("epoch: manifest in %s is format generation %d, the chain's is %d", epochDir, m.Version, ManifestVersion)}, nil
 	case m.Epoch != n:
 		return &Sealed{Number: n, Dir: epochDir, ManifestSHA: sha,
-			Err: fmt.Errorf("epoch: manifest in %s claims epoch %d", epochDir, m.Epoch)}
+			Err: fmt.Errorf("epoch: manifest in %s claims epoch %d", epochDir, m.Epoch)}, nil
 	}
 	marker, _ := ReadCompacted(epochDir)
-	return &Sealed{Number: n, Dir: epochDir, Manifest: m, ManifestSHA: sha, Compacted: marker != nil}
+	return &Sealed{Number: n, Dir: epochDir, Manifest: m, ManifestSHA: sha, Compacted: marker != nil}, nil
+}
+
+// CheckChainFormat returns an ErrChainFormat error when the chain in
+// dir was sealed in a format generation this build does not read. A
+// chain whose epoch 1 is not sealed yet, or is damaged, passes: the
+// first is this build's to write, the second its audit's to REJECT.
+func CheckChainFormat(dir string) error {
+	_, err := readSealed(dir, 1)
+	return err
 }
 
 // ListSealed scans dir for sealed epochs (those whose manifest exists,
 // intact or damaged) and returns them in epoch order. Unsealed epoch
 // directories — the one currently being written, or debris from a
-// crash — are skipped.
+// crash — are skipped. A chain of another format generation is an
+// ErrChainFormat error.
 func ListSealed(dir string) ([]*Sealed, error) {
 	entries, err := os.ReadDir(dir)
 	if err != nil {
@@ -200,7 +221,11 @@ func ListSealed(dir string) ([]*Sealed, error) {
 			continue
 		}
 		if n := epochDirNumber(e.Name()); n != 0 {
-			if s := readSealed(dir, n); s != nil {
+			s, err := readSealed(dir, n)
+			if err != nil {
+				return nil, err
+			}
+			if s != nil {
 				out = append(out, s)
 			}
 		}

@@ -9,27 +9,30 @@
 //
 //	<dir>/
 //	  epoch-000001/
-//	    seg-000001.seg   finalized log segment (events)
-//	    seg-000002.open  active segment (torn tail allowed until sealed)
-//	    reports.seg      report bundle, written at seal
-//	    init.bin         trusted initial snapshot (first epoch only)
-//	    MANIFEST.json    seal record: content digests + chain link
+//	    seg-000001.seg   finalized log segment (live epoch only: sealing
+//	    seg-000002.open  moves segments into cas/; an active segment may
+//	                     carry a torn tail until then)
+//	    MANIFEST.json    seal record: chunk refs and digests of every
+//	                     artifact (segments, reports, the trusted init
+//	                     snapshot in epoch 1) + chain link
+//	    COMPACTED.json   retention compaction marker (see GC)
 //	  epoch-000002/
 //	    ...
-//	  cas/               chunk store (chunked layout: every sealed
-//	                     artifact and every checkpoint, by chunk digest)
+//	  cas/               chunk store: every sealed artifact and every
+//	                     checkpoint, by chunk digest
 //	  checkpoints/
 //	    epoch-000001.json verified final snapshot, as a list of chunk
 //	                     refs into cas/ (written by the auditor or the
 //	                     fleet coordinator)
+//	  decisions.jsonl    the verdict ledger
 //
 // An epoch is sealed exactly when its MANIFEST.json exists; the manifest
-// lists every file with its SHA-256 and links to the previous epoch's
+// pins every artifact by SHA-256 and links to the previous epoch's
 // manifest digest, forming a hash chain over the whole serving history.
+// Its "version" is the chain's format generation (ManifestVersion).
 package epoch
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -41,9 +44,10 @@ import (
 //	record  = u32le payloadLen | u8 recordType | payload | u32le crc
 //	crc     = CRC-32C over recordType || payload
 //
-// Records are length-prefixed so a reader can skip payloads it does not
-// understand, and CRC-checksummed so a torn or corrupted tail is
-// detected at the exact record where the damage starts.
+// Records are length-prefixed so a torn tail is found without decoding
+// payloads, and CRC-checksummed so a torn or corrupted tail is detected
+// at the exact record where the damage starts. recEvents is the only
+// record type; a reader refuses any other.
 const (
 	segMagic = "OSG1"
 
@@ -51,8 +55,6 @@ const (
 	// segment's trace.Encoder (gob+gzip): the batch's response bodies
 	// are indices into a table that runs across the segment's records.
 	recEvents byte = 1
-	// recReports frames a full report bundle via reports.Encode.
-	recReports byte = 2
 
 	// recHeaderLen is payload length (4) + record type (1).
 	recHeaderLen = 5
@@ -139,14 +141,4 @@ func parseSegment(data []byte, strict bool) (recs []record, validLen int64, err 
 func encodeRecord(typ byte, payload []byte) []byte {
 	buf := make([]byte, 0, recHeaderLen+len(payload)+recTrailerLen)
 	return appendRecord(buf, typ, payload)
-}
-
-// segmentBytes frames records into a complete standalone segment image.
-func segmentBytes(recs ...record) []byte {
-	var buf bytes.Buffer
-	buf.WriteString(segMagic)
-	for _, r := range recs {
-		buf.Write(encodeRecord(r.typ, r.payload))
-	}
-	return buf.Bytes()
 }

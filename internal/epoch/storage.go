@@ -14,44 +14,6 @@ import (
 // CASDirName is the chain directory's content-addressed chunk store.
 const CASDirName = "cas"
 
-// StorageMode selects how sealed artifacts are stored.
-type StorageMode int
-
-const (
-	// StorageChunked (the default) seals artifacts into the chain's
-	// content-addressed store: each artifact becomes an ordered list of
-	// content-defined chunks pinned in a v2 manifest, and a chunk two
-	// artifacts have in common is stored once (CountChunkSharing says
-	// how often that happens).
-	StorageChunked StorageMode = iota
-	// StorageWholeFile is the original v1 layout: every artifact is a
-	// whole file inside the epoch directory.
-	StorageWholeFile
-)
-
-func (m StorageMode) String() string {
-	switch m {
-	case StorageChunked:
-		return "chunked"
-	case StorageWholeFile:
-		return "whole-file"
-	default:
-		return fmt.Sprintf("StorageMode(%d)", int(m))
-	}
-}
-
-// ParseStorageMode maps the CLI flag values onto a StorageMode.
-func ParseStorageMode(s string) (StorageMode, error) {
-	switch s {
-	case "", "chunked", "cas":
-		return StorageChunked, nil
-	case "whole-file", "wholefile", "file":
-		return StorageWholeFile, nil
-	default:
-		return 0, fmt.Errorf("epoch: unknown storage mode %q (want chunked or whole-file)", s)
-	}
-}
-
 // OpenChainStore opens (creating if needed) the chain directory's
 // chunk store at <dir>/cas.
 func OpenChainStore(dir string) (*cas.FS, error) {
@@ -74,7 +36,7 @@ type ChunkSharing struct {
 }
 
 // CountChunkSharing tallies the chunk references of the given sealed
-// epochs (whole-file and damaged manifests contribute none).
+// epochs (damaged manifests contribute none).
 func CountChunkSharing(sealed []*Sealed) ChunkSharing {
 	var cs ChunkSharing
 	seen := make(map[string]bool)
@@ -160,63 +122,4 @@ func chunkSnapshot(store cas.Store, snap *object.Snapshot) (FileInfo, error) {
 		return FileInfo{}, err
 	}
 	return FileInfo{Name: InitName, Bytes: int64(len(raw)), SHA256: cas.SumHex(raw), Chunks: refs}, nil
-}
-
-// MigrateChain moves a whole-file (v1) chain's sealed artifacts into
-// the chain's chunk store, each file stored as one blob keyed by the
-// digest its manifest already pins. Manifests are not rewritten — the
-// hash chain, prior decisions, and checkpoints all stay bit-identical
-// — and the load path falls back from the epoch directory to the
-// store, so a migrated chain audits exactly as before. Files are
-// verified against their manifest digests before the originals are
-// removed. It returns the number of files moved; chunked (v2) epochs
-// are left alone.
-func MigrateChain(dir string) (int, error) {
-	sealed, err := ListSealed(dir)
-	if err != nil {
-		return 0, err
-	}
-	store, err := OpenChainStore(dir)
-	if err != nil {
-		return 0, err
-	}
-	moved := 0
-	for _, s := range sealed {
-		if s.Err != nil {
-			return moved, fmt.Errorf("epoch: migrate: epoch %d has a damaged manifest (audit evidence, not migrating): %w", s.Number, s.Err)
-		}
-		if s.Manifest.Chunked() {
-			continue
-		}
-		var files []FileInfo
-		for _, seg := range s.Manifest.Segments {
-			files = append(files, FileInfo{Name: seg.Name, Bytes: seg.Bytes, SHA256: seg.SHA256})
-		}
-		files = append(files, s.Manifest.Reports)
-		if s.Manifest.Init != nil {
-			files = append(files, *s.Manifest.Init)
-		}
-		for _, fi := range files {
-			path := filepath.Join(s.Dir, fi.Name)
-			data, err := os.ReadFile(path)
-			if os.IsNotExist(err) && store.Has(fi.SHA256) {
-				continue // already migrated
-			}
-			if err != nil {
-				return moved, fmt.Errorf("epoch: migrate epoch %d: %s: %w", s.Number, fi.Name, err)
-			}
-			if got := cas.SumHex(data); got != fi.SHA256 {
-				return moved, fmt.Errorf("epoch: migrate epoch %d: %s: digest mismatch (manifest %s, disk %s) — refusing to move damaged evidence",
-					s.Number, fi.Name, short(fi.SHA256), short(got))
-			}
-			if err := store.Put(fi.SHA256, data); err != nil {
-				return moved, fmt.Errorf("epoch: migrate epoch %d: %s: %w", s.Number, fi.Name, err)
-			}
-			if err := os.Remove(path); err != nil {
-				return moved, fmt.Errorf("epoch: migrate epoch %d: %s: %w", s.Number, fi.Name, err)
-			}
-			moved++
-		}
-	}
-	return moved, nil
 }

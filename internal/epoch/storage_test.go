@@ -16,34 +16,13 @@ import (
 	"orochi/internal/encio"
 	"orochi/internal/lang"
 	"orochi/internal/reports"
-	"orochi/internal/server"
 	"orochi/internal/trace"
 )
 
-// startPipelineMode is startPipeline with an explicit storage mode, for
-// exercising the whole-file (v1) layout and the migration path.
-func startPipelineMode(t *testing.T, dir string, epochEvents int, mode StorageMode) (*lang.Program, *server.Server, *Manager) {
-	t.Helper()
-	prog := compilePipelineApp(t)
-	srv := server.New(prog, server.Options{Record: true})
-	if err := srv.Setup(pipelineSchema); err != nil {
-		t.Fatal(err)
-	}
-	mgr, err := StartManager(dir, srv, srv.Snapshot(), ManagerOptions{
-		EpochEvents: epochEvents,
-		Storage:     mode,
-		Log:         LogWriterOptions{SegmentEvents: 16, BatchEvents: 4},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog, srv, mgr
-}
-
 // sealChain seals >= 3 epochs into dir and returns the program.
-func sealChain(t *testing.T, dir string, mode StorageMode) *lang.Program {
+func sealChain(t *testing.T, dir string) *lang.Program {
 	t.Helper()
-	prog, srv, mgr := startPipelineMode(t, dir, 20, mode)
+	prog, srv, mgr := startPipeline(t, dir, 20)
 	for b := 0; b < 3; b++ {
 		srv.ServeAll(burst(12, b), 3) // 24 events per burst >= 20
 	}
@@ -55,7 +34,7 @@ func sealChain(t *testing.T, dir string, mode StorageMode) *lang.Program {
 
 func TestGCSweepsOrphanChunks(t *testing.T) {
 	dir := t.TempDir()
-	prog := sealChain(t, dir, StorageChunked)
+	prog := sealChain(t, dir)
 
 	// Plant an orphan — debris a crashed seal would leave behind.
 	store, err := OpenChainStore(dir)
@@ -108,7 +87,7 @@ func TestGCSweepsOrphanChunks(t *testing.T) {
 
 func TestGCRetentionSkipsUnverifiedEpochs(t *testing.T) {
 	dir := t.TempDir()
-	sealChain(t, dir, StorageChunked)
+	sealChain(t, dir)
 
 	// No audit has run: no decisions, no checkpoints — nothing may be
 	// compacted, however old.
@@ -126,7 +105,7 @@ func TestGCRetentionSkipsUnverifiedEpochs(t *testing.T) {
 
 func TestGCRetentionCompactsAndAuditorAdopts(t *testing.T) {
 	dir := t.TempDir()
-	prog := sealChain(t, dir, StorageChunked)
+	prog := sealChain(t, dir)
 
 	full := NewAuditor(prog, dir, AuditorOptions{Checkpoints: true})
 	if _, err := full.RunOnce(context.Background()); err != nil {
@@ -207,7 +186,7 @@ func TestGCRetentionCompactsAndAuditorAdopts(t *testing.T) {
 
 func TestScrubDetectsTamperAndRecordsDecision(t *testing.T) {
 	dir := t.TempDir()
-	sealChain(t, dir, StorageChunked)
+	sealChain(t, dir)
 
 	clean, err := Scrub(context.Background(), dir, ScrubOptions{Sample: -1, Seed: 7})
 	if err != nil {
@@ -270,7 +249,7 @@ func TestScrubDetectsTamperAndRecordsDecision(t *testing.T) {
 
 func TestScrubDetectsMissingChunk(t *testing.T) {
 	dir := t.TempDir()
-	sealChain(t, dir, StorageChunked)
+	sealChain(t, dir)
 	sealed, err := ListSealed(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +273,7 @@ func TestScrubDetectsMissingChunk(t *testing.T) {
 
 func TestScrubberRunOnceSharesDecisionLog(t *testing.T) {
 	dir := t.TempDir()
-	prog := sealChain(t, dir, StorageChunked)
+	prog := sealChain(t, dir)
 	a := NewAuditor(prog, dir, AuditorOptions{})
 	if _, err := a.RunOnce(context.Background()); err != nil {
 		t.Fatal(err)
@@ -357,7 +336,7 @@ func decisionLogLines(t *testing.T, dir string) int {
 
 func TestScrubNeverReopensAckedReject(t *testing.T) {
 	dir := t.TempDir()
-	prog := sealChain(t, dir, StorageChunked)
+	prog := sealChain(t, dir)
 	sealed, err := ListSealed(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +385,7 @@ func TestScrubNeverReopensAckedReject(t *testing.T) {
 
 func TestCompactedAdoptionFailureKeepsStoredAccept(t *testing.T) {
 	dir := t.TempDir()
-	prog := sealChain(t, dir, StorageChunked)
+	prog := sealChain(t, dir)
 
 	full := NewAuditor(prog, dir, AuditorOptions{Checkpoints: true})
 	if _, err := full.RunOnce(context.Background()); err != nil {
@@ -460,7 +439,7 @@ func TestCompactedAdoptionFailureKeepsStoredAccept(t *testing.T) {
 
 func TestLockChainExcludesMaintenance(t *testing.T) {
 	dir := t.TempDir()
-	_, srv, mgr := startPipelineMode(t, dir, 1000, StorageChunked)
+	_, srv, mgr := startPipeline(t, dir, 1000)
 	srv.ServeAll(burst(10, 0), 2)
 
 	// A live manager holds the chain lock: maintenance must be refused.
@@ -487,7 +466,7 @@ func TestLockChainExcludesMaintenance(t *testing.T) {
 	relock.Unlock()
 }
 
-// copyTree copies a chain directory for migration parity tests.
+// copyTree copies a chain directory.
 func copyTree(t *testing.T, src, dst string) {
 	t.Helper()
 	err := filepath.WalkDir(src, func(path string, d fs.DirEntry, err error) error {
@@ -513,83 +492,6 @@ func copyTree(t *testing.T, src, dst string) {
 	}
 }
 
-func TestMigrateChainAuditsBitIdentical(t *testing.T) {
-	orig := t.TempDir()
-	prog := sealChain(t, orig, StorageWholeFile)
-
-	migrated := t.TempDir()
-	copyTree(t, orig, migrated)
-	moved, err := MigrateChain(migrated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if moved == 0 {
-		t.Fatal("migration moved nothing")
-	}
-	// Idempotent: a second pass finds everything already in the store.
-	if again, err := MigrateChain(migrated); err != nil || again != 0 {
-		t.Fatalf("second migration pass moved %d (err %v), want 0", again, err)
-	}
-
-	// The epoch dirs hold only manifests now; the bytes live in the CAS
-	// under the digests the (untouched) manifests already pin.
-	sealedM, err := ListSealed(migrated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	store, err := OpenChainStore(migrated)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, s := range sealedM {
-		for _, seg := range s.Manifest.Segments {
-			if _, err := os.Stat(filepath.Join(s.Dir, seg.Name)); !os.IsNotExist(err) {
-				t.Fatalf("epoch %d still holds %s after migration", s.Number, seg.Name)
-			}
-			if !store.Has(seg.SHA256) {
-				t.Fatalf("epoch %d segment %s missing from store", s.Number, seg.Name)
-			}
-		}
-	}
-
-	// Both chains — whole-file and migrated — must audit bit-identically
-	// at any worker count: same manifests, same verdicts, same ChainSHA.
-	for _, workers := range []int{1, 8} {
-		av := auditVerdicts(t, prog, orig, workers)
-		bv := auditVerdicts(t, prog, migrated, workers)
-		if len(av) != len(bv) || len(av) < 3 {
-			t.Fatalf("workers=%d: verdict counts differ: %d vs %d", workers, len(av), len(bv))
-		}
-		for i := range av {
-			if !av[i].Accepted || !bv[i].Accepted {
-				t.Fatalf("workers=%d epoch %d rejected: %q / %q", workers, av[i].Epoch, av[i].Reason, bv[i].Reason)
-			}
-			if av[i].ManifestSHA != bv[i].ManifestSHA || av[i].ChainSHA != bv[i].ChainSHA {
-				t.Fatalf("workers=%d epoch %d digests diverged after migration", workers, av[i].Epoch)
-			}
-		}
-	}
-
-	// The migrated chain scrubs clean, and GC keeps its blobs live.
-	res, err := Scrub(context.Background(), migrated, ScrubOptions{Sample: -1, Seed: 11})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.OK() {
-		t.Fatalf("migrated chain failed scrub: %+v", res.Failures)
-	}
-	gc, err := GC(migrated, GCOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gc.SweptChunks != 0 {
-		t.Fatalf("GC swept %d live migrated blobs", gc.SweptChunks)
-	}
-	if post := auditVerdicts(t, prog, migrated, 2); !post[len(post)-1].Accepted {
-		t.Fatal("migrated chain rejected after GC")
-	}
-}
-
 func auditVerdicts(t *testing.T, prog *lang.Program, dir string, workers int) []Verdict {
 	t.Helper()
 	a := NewAuditor(prog, dir, AuditorOptions{Workers: workers})
@@ -601,7 +503,7 @@ func auditVerdicts(t *testing.T, prog *lang.Program, dir string, workers int) []
 
 func TestManifestUnknownFieldsAudit(t *testing.T) {
 	dir := t.TempDir()
-	prog, srv, mgr := startPipelineMode(t, dir, 1000, StorageChunked)
+	prog, srv, mgr := startPipeline(t, dir, 1000)
 	srv.ServeAll(burst(10, 0), 2)
 	if err := mgr.Close(); err != nil { // single sealed epoch
 		t.Fatal(err)
@@ -634,7 +536,7 @@ func TestManifestUnknownFieldsAudit(t *testing.T) {
 	if sha != cas.SumHex([]byte(patched)) {
 		t.Fatal("digest must cover the on-disk bytes, unknown fields included")
 	}
-	if m.Epoch != sealed[0].Number || !m.Chunked() {
+	if m.Epoch != sealed[0].Number || m.Version != ManifestVersion {
 		t.Fatalf("known fields lost around the unknown one: %+v", m)
 	}
 
@@ -674,120 +576,113 @@ func pagedEvents(n, from int) []trace.Event {
 }
 
 // TestRecoveredSegmentSealsAndLoads crashes a log writer mid-segment,
-// tears the newest record, resumes, and seals the epoch by hand in both
-// layouts. The segment's body table spans the crash: records written
-// before it introduced every page, the torn record and the records
-// written after it only reference them. What loads back must be exactly
+// tears the newest record, resumes, and seals the epoch by hand. The
+// segment's body table spans the crash: records written before it
+// introduced every page, the torn record and the records written after
+// it only reference them. What loads back must be exactly
 // the events that survived plus the events appended after recovery.
+// The epoch is sealed in the chunked layout, the only one left.
 func TestRecoveredSegmentSealsAndLoads(t *testing.T) {
-	for _, mode := range []StorageMode{StorageChunked, StorageWholeFile} {
-		t.Run(mode.String(), func(t *testing.T) {
-			chain := t.TempDir()
-			epochDir := filepath.Join(chain, epochDirName(1))
-			opts := LogWriterOptions{SegmentEvents: 1000, BatchEvents: 10}
-			w, err := OpenLogWriter(epochDir, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prefix := pagedEvents(30, 1) // 6 records of 10 events
-			appendAll(t, w, prefix)
-			if err := w.Flush(); err != nil {
-				t.Fatal(err)
-			}
-			w.Abort() // crash
+	t.Run("chunked", recoveredSegmentSealsAndLoads)
+}
 
-			openPath := filepath.Join(epochDir, segmentName(1, false))
-			data, err := os.ReadFile(openPath)
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs, _, err := parseSegment(data, true)
-			if err != nil || len(recs) != 6 {
-				t.Fatalf("want 6 records before the crash, got %d (%v)", len(recs), err)
-			}
-			// The last record carries no body of its own: alone it does
-			// not decode, after its predecessors it does.
-			if _, err := new(trace.Decoder).Decode(recs[5].payload); err == nil {
-				t.Fatal("the last record decodes on its own; the test no longer spans the table across records")
-			}
-			// Tear inside the last record.
-			if err := os.WriteFile(openPath, data[:len(data)-len(recs[5].payload)/2], 0o644); err != nil {
-				t.Fatal(err)
-			}
+func recoveredSegmentSealsAndLoads(t *testing.T) {
+	chain := t.TempDir()
+	epochDir := filepath.Join(chain, epochDirName(1))
+	opts := LogWriterOptions{SegmentEvents: 1000, BatchEvents: 10}
+	w, err := OpenLogWriter(epochDir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prefix := pagedEvents(30, 1) // 6 records of 10 events
+	appendAll(t, w, prefix)
+	if err := w.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	w.Abort() // crash
 
-			w, err = OpenLogWriter(epochDir, opts)
-			if err != nil {
-				t.Fatalf("recovery: %v", err)
-			}
-			if got := w.Events(); got != 50 {
-				t.Fatalf("recovered %d events, want 50", got)
-			}
-			suffix := pagedEvents(7, 1000)
-			appendAll(t, w, suffix)
-			segs, err := w.Finalize()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(segs) != 1 {
-				t.Fatalf("want the one resumed segment, got %d", len(segs))
-			}
-			// The first record introduced all three pages. No later one
-			// stores a page again — in particular not those written after
-			// recovery, whose encoder resumed the recovered table.
-			data, err = os.ReadFile(filepath.Join(epochDir, segs[0].Name))
-			if err != nil {
-				t.Fatal(err)
-			}
-			recs, _, err = parseSegment(data, true)
-			if err != nil || len(recs) != 7 {
-				t.Fatalf("want 5 surviving + 2 resumed records, got %d (%v)", len(recs), err)
-			}
-			for i, r := range recs[1:] {
-				raw, err := encio.Gunzip(r.payload)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if bytes.Contains(raw, []byte("<p>page ")) {
-					t.Fatalf("record %d stores a page its segment already held", i+1)
-				}
-			}
+	openPath := filepath.Join(epochDir, segmentName(1, false))
+	data, err := os.ReadFile(openPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err := parseSegment(data, true)
+	if err != nil || len(recs) != 6 {
+		t.Fatalf("want 6 records before the crash, got %d (%v)", len(recs), err)
+	}
+	// The last record carries no body of its own: alone it does
+	// not decode, after its predecessors it does.
+	if _, err := new(trace.Decoder).Decode(recs[5].payload); err == nil {
+		t.Fatal("the last record decodes on its own; the test no longer spans the table across records")
+	}
+	// Tear inside the last record.
+	if err := os.WriteFile(openPath, data[:len(data)-len(recs[5].payload)/2], 0o644); err != nil {
+		t.Fatal(err)
+	}
 
-			want := append(append([]trace.Event(nil), prefix[:50]...), suffix...)
-			rep := reports.NewRecorder().Finalize()
-			m := &Manifest{Epoch: 1, Events: len(want), Requests: len(want) / 2}
-			if mode == StorageChunked {
-				store, err := OpenChainStore(chain)
-				if err != nil {
-					t.Fatal(err)
-				}
-				m.Version = ManifestVersionChunked
-				if m.Segments, err = chunkSegments(store, epochDir, segs); err != nil {
-					t.Fatal(err)
-				}
-				if m.Reports, err = chunkReports(store, rep); err != nil {
-					t.Fatal(err)
-				}
-			} else {
-				m.Segments = segs
-				if m.Reports, err = WriteReportsFile(filepath.Join(epochDir, ReportsName), rep); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if _, err := WriteManifest(epochDir, m); err != nil {
-				t.Fatal(err)
-			}
-			sealed, err := ListSealed(chain)
-			if err != nil || len(sealed) != 1 {
-				t.Fatalf("ListSealed: %d epochs, %v", len(sealed), err)
-			}
-			l, err := Load(sealed[0])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(l.Trace.Events, want) {
-				t.Fatalf("loaded %d events that differ from the %d surviving + appended ones", len(l.Trace.Events), len(want))
-			}
-		})
+	w, err = OpenLogWriter(epochDir, opts)
+	if err != nil {
+		t.Fatalf("recovery: %v", err)
+	}
+	if got := w.Events(); got != 50 {
+		t.Fatalf("recovered %d events, want 50", got)
+	}
+	suffix := pagedEvents(7, 1000)
+	appendAll(t, w, suffix)
+	segs, err := w.Finalize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(segs) != 1 {
+		t.Fatalf("want the one resumed segment, got %d", len(segs))
+	}
+	// The first record introduced all three pages. No later one
+	// stores a page again — in particular not those written after
+	// recovery, whose encoder resumed the recovered table.
+	data, err = os.ReadFile(filepath.Join(epochDir, segs[0].Name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs, _, err = parseSegment(data, true)
+	if err != nil || len(recs) != 7 {
+		t.Fatalf("want 5 surviving + 2 resumed records, got %d (%v)", len(recs), err)
+	}
+	for i, r := range recs[1:] {
+		raw, err := encio.Gunzip(r.payload)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Contains(raw, []byte("<p>page ")) {
+			t.Fatalf("record %d stores a page its segment already held", i+1)
+		}
+	}
+
+	want := append(append([]trace.Event(nil), prefix[:50]...), suffix...)
+	rep := reports.NewRecorder().Finalize()
+	m := &Manifest{Version: ManifestVersion, Epoch: 1, Events: len(want), Requests: len(want) / 2}
+	store, err := OpenChainStore(chain)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.Segments, err = chunkSegments(store, epochDir, segs); err != nil {
+		t.Fatal(err)
+	}
+	if m.Reports, err = chunkReports(store, rep); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := WriteManifest(epochDir, m); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := ListSealed(chain)
+	if err != nil || len(sealed) != 1 {
+		t.Fatalf("ListSealed: %d epochs, %v", len(sealed), err)
+	}
+	l, err := Load(sealed[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(l.Trace.Events, want) {
+		t.Fatalf("loaded %d events that differ from the %d surviving + appended ones", len(l.Trace.Events), len(want))
 	}
 }
 
@@ -900,7 +795,7 @@ func TestTamperedSharedBodyRejectsNamingChunk(t *testing.T) {
 // the one that fails, and a ref list GC cannot parse stops the sweep.
 func TestCheckpointsAreRefLists(t *testing.T) {
 	dir := t.TempDir()
-	prog := sealChain(t, dir, StorageChunked)
+	prog := sealChain(t, dir)
 	full := NewAuditor(prog, dir, AuditorOptions{Checkpoints: true})
 	if _, err := full.RunOnce(context.Background()); err != nil {
 		t.Fatal(err)

@@ -50,8 +50,12 @@ type ArtifactStats struct {
 }
 
 // NewArtifactServer opens the chain directory's chunk store and returns
-// a server over it.
+// a server over it. A chain of another format generation is refused
+// (epoch.ErrChainFormat): its workers could only misread it.
 func NewArtifactServer(dir string) (*ArtifactServer, error) {
+	if err := epoch.CheckChainFormat(dir); err != nil {
+		return nil, err
+	}
 	store, err := epoch.OpenChainStore(dir)
 	if err != nil {
 		return nil, err

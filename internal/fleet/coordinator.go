@@ -178,10 +178,14 @@ type Coordinator struct {
 // auditor's rehydration (epoch.NewLedger) with From computed: an
 // accepted prefix continues from its last checkpoint, a stored REJECT
 // leaves the chain broken (re-audit past one with the single-process
-// auditor's -from), and a fresh chain starts at epoch 1. Only chunked
-// (v2) chains are coordinated — workers fetch artifacts by chunk digest.
+// auditor's -from), and a fresh chain starts at epoch 1. A chain of
+// another format generation is refused (epoch.ErrChainFormat) before
+// its decision log is touched.
 func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 	opts = opts.withDefaults()
+	if err := epoch.CheckChainFormat(dir); err != nil {
+		return nil, err
+	}
 	store, err := epoch.OpenChainStore(dir)
 	if err != nil {
 		return nil, err
@@ -209,10 +213,6 @@ func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 	for _, s := range sealed {
 		if opts.To > 0 && s.Number > opts.To {
 			continue
-		}
-		if s.Manifest != nil && !s.Manifest.Chunked() && !s.Compacted {
-			log.Close()
-			return nil, fmt.Errorf("fleet: epoch %d uses the whole-file layout; fleet audit requires the chunked layout (-epoch-storage chunked)", s.Number)
 		}
 		st := &epochState{s: s, active: make(map[string]*activeLease)}
 		st.cross = c.crossFor(s)

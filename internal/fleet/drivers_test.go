@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -292,5 +294,108 @@ func TestFleetCheckpointRetry(t *testing.T) {
 	coord = audit(dir, CoordinatorOptions{To: 1}, func() {})
 	if w := coord.Warnings(); len(w) != 1 || !strings.Contains(w[0], "epoch 1: checkpoint write failed") {
 		t.Fatalf("warnings = %v, want epoch 1's unwritten checkpoint", w)
+	}
+}
+
+// setManifestVersion rewrites the format stamp of epoch n's manifest:
+// to version, or out of the file when version is negative.
+func setManifestVersion(t *testing.T, dir string, n int64, version int) {
+	t.Helper()
+	path := filepath.Join(dir, epoch.EpochDirName(n), epoch.ManifestName)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stamp := fmt.Sprintf("  \"version\": %d,\n", epoch.ManifestVersion)
+	repl := ""
+	if version >= 0 {
+		repl = fmt.Sprintf("  \"version\": %d,\n", version)
+	}
+	patched := strings.Replace(string(data), stamp, repl, 1)
+	if patched == string(data) {
+		t.Fatal("manifest version not rewritten")
+	}
+	if err := os.WriteFile(path, []byte(patched), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestForeignFormatRefusedNotRejected: a chain whose epoch 1 carries
+// another format generation was sealed by another build. Nothing here
+// can read it, and that is no evidence against the server: every entry
+// point refuses it with epoch.ErrChainFormat, no verdict is published,
+// and the decision log is neither created nor touched. The stamp only
+// speaks for the chain through epoch 1: a later epoch that differs is a
+// damaged manifest, which both drivers REJECT identically.
+func TestForeignFormatRefusedNotRejected(t *testing.T) {
+	master := t.TempDir()
+	prog := sealTestChain(t, master)
+	audited := copyChain(t, master)
+	if a := localAudit(t, prog, audited, epoch.AuditorOptions{Checkpoints: true}); !a.ChainAccepted() {
+		t.Fatalf("chain did not audit clean: %+v", a.Verdicts())
+	}
+	ctx := context.Background()
+	for _, tc := range []struct {
+		name    string
+		version int
+	}{{"version absent", -1}, {"version 1", 1}, {"version 3", 3}} {
+		for _, src := range []string{master, audited} {
+			dir := copyChain(t, src)
+			setManifestVersion(t, dir, 1, tc.version)
+			logPath := filepath.Join(dir, epoch.DecisionLogName)
+			before, beforeErr := os.ReadFile(logPath)
+			refused := func(what string, err error) {
+				t.Helper()
+				if !errors.Is(err, epoch.ErrChainFormat) {
+					t.Fatalf("%s: %s = %v, want epoch.ErrChainFormat", tc.name, what, err)
+				}
+			}
+
+			a := epoch.NewAuditor(prog, dir, epoch.AuditorOptions{})
+			if a.Decisions() != nil {
+				t.Fatalf("%s: NewAuditor opened the decision log of a chain it cannot read", tc.name)
+			}
+			_, err := a.RunOnce(ctx)
+			refused("RunOnce", err)
+			_, err = a.DrainSealed(ctx, time.Millisecond, nil)
+			refused("DrainSealed", err)
+			if vs := a.Verdicts(); len(vs) != 0 {
+				t.Fatalf("%s: the auditor published %+v", tc.name, vs)
+			}
+			_, err = NewCoordinator(dir, CoordinatorOptions{})
+			refused("NewCoordinator", err)
+			_, err = NewArtifactServer(dir)
+			refused("NewArtifactServer", err)
+			_, err = epoch.GC(dir, epoch.GCOptions{})
+			refused("GC", err)
+			_, err = epoch.Scrub(ctx, dir, epoch.ScrubOptions{Sample: -1})
+			refused("Scrub", err)
+			_, err = epoch.ListSealed(dir)
+			refused("ListSealed", err)
+
+			after, afterErr := os.ReadFile(logPath)
+			if !bytes.Equal(before, after) || (beforeErr == nil) != (afterErr == nil) {
+				t.Fatalf("%s: decisions.jsonl changed under a refused chain (before: %d bytes, %v; after: %d bytes, %v)",
+					tc.name, len(before), beforeErr, len(after), afterErr)
+			}
+		}
+	}
+
+	// Only epoch 3 restamped: the chain is this build's, epoch 3's
+	// manifest is damaged, and both drivers REJECT it alike.
+	src := copyChain(t, master)
+	setManifestVersion(t, src, 3, 3)
+	localDir, fleetDir := copyChain(t, src), copyChain(t, src)
+	local := localAudit(t, prog, localDir, epoch.AuditorOptions{})
+	want := normalizeAt(t, local.Verdicts(), localDir)
+	if len(want) != 3 || !want[0].Accepted || !want[1].Accepted || want[2].Accepted ||
+		!strings.Contains(want[2].Reason, "damaged manifest: ") || !strings.Contains(want[2].Reason, "format generation 3") {
+		t.Fatalf("local audit should ACCEPT epochs 1-2 and REJECT epoch 3's manifest: %+v", want)
+	}
+	coord := fleetAudit(t, prog, fleetDir)
+	requireSameLedger(t, "restamped epoch 3", normalizeAt(t, coord.Verdicts(), fleetDir), want)
+	if coord.ChainAccepted() || coord.ChainSHA() != want[2].ChainSHA {
+		t.Fatalf("fleet chain: accepted=%v digest %.12s, want REJECT at %.12s",
+			coord.ChainAccepted(), coord.ChainSHA(), want[2].ChainSHA)
 	}
 }

@@ -44,7 +44,6 @@ func sealTestChain(t *testing.T, dir string) *lang.Program {
 	}
 	mgr, err := epoch.StartManager(dir, srv, srv.Snapshot(), epoch.ManagerOptions{
 		EpochEvents: 30,
-		Storage:     epoch.StorageChunked,
 		Log:         epoch.LogWriterOptions{SegmentEvents: 16, BatchEvents: 4},
 	})
 	if err != nil {

@@ -111,7 +111,7 @@ func sealQuietChain(t *testing.T, dir string) *lang.Program {
 	if err := srv.Setup(seed); err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := epoch.StartManager(dir, srv, srv.Snapshot(), epoch.ManagerOptions{EpochEvents: 20, Storage: epoch.StorageChunked})
+	mgr, err := epoch.StartManager(dir, srv, srv.Snapshot(), epoch.ManagerOptions{EpochEvents: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
