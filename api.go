@@ -126,15 +126,6 @@ func AuditContext(ctx context.Context, prog *Program, tr *Trace, rep *Reports, i
 	return verifier.AuditContext(ctx, prog, tr, rep, init, opts)
 }
 
-// Audit runs AuditContext with a background context.
-//
-// Deprecated: use AuditContext, which supports cancellation and
-// progress observation. This wrapper remains so pre-context callers
-// keep compiling.
-func Audit(prog *Program, tr *Trace, rep *Reports, init *Snapshot, opts AuditOptions) (*AuditResult, error) {
-	return verifier.AuditContext(context.Background(), prog, tr, rep, init, opts)
-}
-
 // ErrAuditCanceled is returned (wrapped, with the context's cause) by
 // the context-aware audits when their context is cancelled mid-flight.
 // Cancellation is never a verdict: no REJECT is recorded, and the same
@@ -164,37 +155,6 @@ const (
 // no grouping acceleration — useful as an independent cross-check.
 func OOOAuditContext(ctx context.Context, prog *Program, tr *Trace, rep *Reports, init *Snapshot) (*AuditResult, error) {
 	return verifier.OOOAuditContext(ctx, prog, tr, rep, init)
-}
-
-// OOOAudit runs OOOAuditContext with a background context.
-//
-// Deprecated: use OOOAuditContext, which supports cancellation.
-func OOOAudit(prog *Program, tr *Trace, rep *Reports, init *Snapshot) (*AuditResult, error) {
-	return verifier.OOOAuditContext(context.Background(), prog, tr, rep, init)
-}
-
-// PatchResult classifies each audited request under a patched program.
-type PatchResult = verifier.PatchResult
-
-// Patch classifications (see verifier.PatchClass).
-const (
-	PatchUnchangedClass    = verifier.PatchUnchanged
-	PatchChangedClass      = verifier.PatchChanged
-	PatchInconclusiveClass = verifier.PatchInconclusive
-)
-
-// PatchAuditContext implements patch-based auditing (§7, after Poirot):
-// replay an audited period against a patched program and report which
-// responses would have differed (unchanged / changed / inconclusive).
-func PatchAuditContext(ctx context.Context, patched *Program, tr *Trace, rep *Reports, init *Snapshot) (*PatchResult, error) {
-	return verifier.PatchAuditContext(ctx, patched, tr, rep, init)
-}
-
-// PatchAudit runs PatchAuditContext with a background context.
-//
-// Deprecated: use PatchAuditContext, which supports cancellation.
-func PatchAudit(patched *Program, tr *Trace, rep *Reports, init *Snapshot) (*PatchResult, error) {
-	return verifier.PatchAuditContext(context.Background(), patched, tr, rep, init)
 }
 
 // HTTPHandler is the HTTP-native front door: it returns srv as an

@@ -1,6 +1,7 @@
 package orochi_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -20,7 +21,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if body != "hello world" {
 		t.Fatalf("body = %q", body)
 	}
-	res, err := orochi.Audit(prog, srv.Trace(), srv.Reports(), snap, orochi.AuditOptions{})
+	res, err := orochi.AuditContext(context.Background(), prog, srv.Trace(), srv.Reports(), snap, orochi.AuditOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestQuickstartTamperRejected(t *testing.T) {
 	})
 	snap := srv.Snapshot()
 	srv.Handle(orochi.Input{Script: "hello", Get: map[string]string{"name": "x"}})
-	res, err := orochi.Audit(prog, srv.Trace(), srv.Reports(), snap, orochi.AuditOptions{})
+	res, err := orochi.AuditContext(context.Background(), prog, srv.Trace(), srv.Reports(), snap, orochi.AuditOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,6 +13,7 @@
 package orochi_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -56,7 +57,7 @@ func benchFig8Audit(b *testing.B, w *workload.Workload) {
 		// Workers defaults to all CPUs: speedup_x measures the full
 		// engine (dedup × parallelism) against single-core naive
 		// re-execution. BenchmarkAuditWorkers* isolates the scaling.
-		res, err := served.Audit(verifier.Options{})
+		res, err := served.AuditContext(context.Background(), verifier.Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -79,8 +80,7 @@ func BenchmarkFig8AuditWiki(b *testing.B)   { benchFig8Audit(b, benchWorkloads()
 func BenchmarkFig8AuditForum(b *testing.B)  { benchFig8Audit(b, benchWorkloads()["Forum"]) }
 func BenchmarkFig8AuditHotCRP(b *testing.B) { benchFig8Audit(b, benchWorkloads()["HotCRP"]) }
 
-// --- Parallel audit engine: worker-pool scaling (cmd/orochi-bench
-// -fig workers runs the paper-sized sweep) ---
+// --- Parallel audit engine: worker-pool scaling ---
 
 func benchAuditWorkers(b *testing.B, w *workload.Workload) {
 	served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: 8})
@@ -94,7 +94,7 @@ func benchAuditWorkers(b *testing.B, w *workload.Workload) {
 	for _, workers := range widths {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				res, err := served.Audit(verifier.Options{Workers: workers})
+				res, err := served.AuditContext(context.Background(), verifier.Options{Workers: workers})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -140,13 +140,12 @@ func BenchmarkFig8ServeOrochiHotCRP(b *testing.B) {
 
 // --- Sharded serving path: throughput vs in-flight requests ---
 
-// BenchmarkServeConcurrency sweeps ServeAll concurrency for the
+// BenchmarkServeConcurrency sweeps ServeAllContext concurrency for the
 // recording executor on the lock-striped serving path (object-store
 // shards, striped recorder, RW database lock, lock-free server stats).
 // On a multi-core runner req/s should rise with the goroutine count
 // instead of flat-lining on global mutexes; the "/shards=1" variants pin
-// the single-stripe reference. cmd/orochi-bench -fig serve prints the
-// paper-sized comparison table.
+// the single-stripe reference.
 func BenchmarkServeConcurrency(b *testing.B) {
 	w := benchWorkloads()["Forum"]
 	widths := []int{1, 2, 4, 8}
@@ -275,7 +274,7 @@ func benchFig9(b *testing.B, w *workload.Workload) {
 	for i := 0; i < b.N; i++ {
 		// Sequential: the Fig. 9 decomposition reports CPU costs, which
 		// only add up on one worker (DBQuery is summed across workers).
-		res, err := served.Audit(verifier.Options{Workers: 1})
+		res, err := served.AuditContext(context.Background(), verifier.Options{Workers: 1})
 		if err != nil || !res.Accepted {
 			b.Fatalf("audit: %v %v", err, res)
 		}
@@ -404,7 +403,7 @@ func BenchmarkFig11GroupStats(b *testing.B) {
 	b.ResetTimer()
 	var last *verifier.Result
 	for i := 0; i < b.N; i++ {
-		res, err := served.Audit(verifier.Options{CollectStats: true})
+		res, err := served.AuditContext(context.Background(), verifier.Options{CollectStats: true})
 		if err != nil || !res.Accepted {
 			b.Fatalf("audit: %v", err)
 		}
@@ -526,7 +525,7 @@ func BenchmarkAblationGroupedAudit(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		// Sequential, so the ablation isolates grouping against the
 		// (unparallelized) OOO audit rather than measuring worker count.
-		res, err := served.Audit(verifier.Options{Workers: 1})
+		res, err := served.AuditContext(context.Background(), verifier.Options{Workers: 1})
 		if err != nil || !res.Accepted {
 			b.Fatalf("%v %v", err, res)
 		}
@@ -541,7 +540,7 @@ func BenchmarkAblationOOOAudit(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := verifier.OOOAudit(served.Program, served.Trace, served.Reports, served.Snapshot)
+		res, err := verifier.OOOAuditContext(context.Background(), served.Program, served.Trace, served.Reports, served.Snapshot)
 		if err != nil || !res.Accepted {
 			b.Fatalf("%v %v", err, res)
 		}
@@ -558,7 +557,7 @@ func BenchmarkAuditSmall(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := served.Audit(verifier.Options{})
+		res, err := served.AuditContext(context.Background(), verifier.Options{})
 		if err != nil || !res.Accepted {
 			b.Fatal(err)
 		}

@@ -97,7 +97,6 @@ func main() {
 	workers := flag.Int("workers", 2, "epochs loaded/integrity-checked concurrently (with -epochs)")
 	auditWorkers := flag.Int("audit-workers", 0, "concurrent re-execution workers inside each audit (0 = all CPUs, 1 = sequential)")
 	checkpoints := flag.Bool("checkpoints", true, "persist verified final snapshots for resumable audits (with -epochs)")
-	maxGroup := flag.Int("max-group", 0, "cap requests re-executed per SIMD batch (0 = verifier default of 3000); verdicts are identical at any setting")
 	stats := flag.Bool("stats", false, "print per-group statistics")
 	progress := flag.Bool("progress", false, "stream audit progress (phases, groups re-executed, ops replayed) to stderr")
 	withErrors := flag.Bool("with-errors", false, "the serve run injected faulting requests (orochi-serve -fault-rate); audit against the app extended with the fault scripts")
@@ -155,7 +154,7 @@ func main() {
 		return
 	}
 
-	vopts := verifier.Options{MaxGroup: *maxGroup, CollectStats: *stats, Workers: *auditWorkers}
+	vopts := verifier.Options{CollectStats: *stats, Workers: *auditWorkers}
 	if *progress {
 		vopts.Observer = &progressPrinter{}
 	}

@@ -9,42 +9,32 @@
 //	orochi-bench -fig 10           Fig. 10 per-instruction costs
 //	orochi-bench -fig 11           Fig. 11 group characteristics
 //	orochi-bench -fig frontier     §3.5/§A.8 time-precedence algorithm
-//	orochi-bench -fig workers      parallel audit: speedup vs sequential per worker count
-//	orochi-bench -fig serve        serving throughput vs concurrency, global-ish lock vs sharded
-//	orochi-bench -fig fleet        distributed audit: 1 vs N fleet workers, cold vs warm fetch
 //	orochi-bench -fig all          everything
 //
 // -audit-workers sets the verifier's worker pool for the audit-running
-// figures (0 = all CPUs); -fig workers sweeps worker counts in the
-// style of `go test -cpu` and reports the speedup over one worker.
+// figures (0 = all CPUs). A figure exits 1 if any audit behind it
+// REJECTs. Worker and serving-concurrency sweeps are Go benchmarks
+// (BenchmarkAuditWorkers*, BenchmarkServeConcurrency in bench_test.go);
+// the end-to-end pipeline is measured by bench/.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"math"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
-	"sync"
 	"syscall"
 	"text/tabwriter"
 	"time"
 
-	"orochi/internal/cas"
 	"orochi/internal/core"
-	"orochi/internal/epoch"
-	"orochi/internal/fleet"
 	"orochi/internal/harness"
 	"orochi/internal/lang"
-	"orochi/internal/server"
 	"orochi/internal/trace"
 	"orochi/internal/verifier"
 	"orochi/internal/workload"
@@ -55,31 +45,18 @@ import (
 // half-printed table behind a hung Ctrl-C.
 var benchCtx = context.Background()
 
-// benchMaxGroup routes the -max-group flag into every audit a figure
-// runs (0 = the verifier's default SIMD batch cap).
-var benchMaxGroup int
-
 func main() {
 	var stop context.CancelFunc
 	benchCtx, stop = signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	fig := flag.String("fig", "all", "which figure/table to regenerate (8, 8lat, 9, 10, 11, frontier, workers, serve, fleet, all)")
+	fig := flag.String("fig", "all", "which figure/table to regenerate (8, 8lat, 9, 10, 11, frontier, all)")
 	scale := flag.Int("scale", 10, "divide paper-sized workloads by this factor (1 = full size)")
 	conc := flag.Int("concurrency", 8, "in-flight requests while serving")
 	// The paper-shape figures default to the sequential audit so the
 	// printed columns stay comparable to the paper's single-core
-	// reference numbers (and Fig. 9's CPU decomposition adds up);
-	// parallelism is measured by the dedicated -fig workers sweep.
+	// reference numbers (and Fig. 9's CPU decomposition adds up).
 	auditWorkers := flag.Int("audit-workers", 1, "verifier worker pool for the audit-running figures (1 = sequential/paper-faithful, 0 = all CPUs)")
-	jsonOut := flag.String("json", "", "machine-readable mode: measure the headline numbers (Fig-8 audit cost per request, serve req/s, speedup, dedup ratio) and write them as JSON to this file ('-' = stdout), instead of printing figures")
-	maxGroup := flag.Int("max-group", 0, "cap requests re-executed per SIMD batch in the audits behind the figures (0 = verifier default of 3000); lane-width experiments, verdicts identical at any setting")
 	flag.Parse()
-	benchMaxGroup = *maxGroup
-
-	if *jsonOut != "" {
-		benchJSON(*jsonOut, *scale, *conc, *auditWorkers)
-		return
-	}
 
 	switch *fig {
 	case "8":
@@ -92,21 +69,12 @@ func main() {
 		fig10()
 	case "11":
 		fig11(*scale, *conc, *auditWorkers)
-	case "workers":
-		figWorkers(*scale, *conc)
-	case "serve":
-		figServe(*scale)
-	case "fleet":
-		figFleet(*scale, *conc)
 	case "all":
 		fig8(*scale, *conc, *auditWorkers)
 		fig9(*scale, *conc, *auditWorkers)
 		fig10()
 		fig11(*scale, *conc, *auditWorkers)
 		figFrontier()
-		figWorkers(*scale, *conc)
-		figServe(*scale)
-		figFleet(*scale, *conc)
 		fig8lat(*scale, *conc)
 	case "frontier":
 		figFrontier()
@@ -114,238 +82,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "unknown -fig %q\n", *fig)
 		os.Exit(2)
 	}
-}
-
-// benchResult is one application's row of the -json output: the
-// headline evaluation numbers in machine-readable form, so CI (and the
-// committed BENCH_seed.json baseline) can diff runs without parsing the
-// human tables.
-type benchResult struct {
-	App string `json:"app"`
-	// Requests served (and audited) in the measured period.
-	Requests int `json:"requests"`
-	// ServeReqPerSec is recording-mode serving throughput.
-	ServeReqPerSec float64 `json:"serve_req_per_sec"`
-	// AuditNsPerReq is total audit time divided by requests (the Fig-8
-	// audit-cost unit), and AuditSpeedup the baseline-replay time over
-	// the deduplicated audit time (Fig-8's headline column).
-	AuditNsPerReq int64   `json:"audit_ns_per_req"`
-	AuditSpeedup  float64 `json:"audit_speedup"`
-	// DedupRatio is requests replayed per re-executed group batch — the
-	// same figure /-/metrics exposes as orochi_audit_dedup_ratio.
-	DedupRatio float64 `json:"dedup_ratio"`
-}
-
-// fleetResult is the -json "fleet" section: the distributed-audit
-// stack (artifact server + coordinator + workers over loopback HTTP)
-// measured against the same sealed chain at one worker and at a small
-// fleet, plus the chunk-cache effect on wire bytes. Verdicts are the
-// gate, not the measurement — every run must ACCEPT with the same
-// ledger a single-process audit produces.
-type fleetResult struct {
-	// Epochs/Requests describe the sealed chain every run audits.
-	Epochs   int `json:"epochs"`
-	Requests int `json:"requests"`
-	// Workers is the fleet width of the parallel run (capped at 4).
-	Workers int `json:"workers"`
-	// EpochsPerSec1/N are decided epochs per wall-second with one cold
-	// worker vs Workers cold workers; Speedup is their ratio.
-	EpochsPerSec1 float64 `json:"epochs_per_sec_1"`
-	EpochsPerSecN float64 `json:"epochs_per_sec_n"`
-	Speedup       float64 `json:"speedup"`
-	// LogicalBytes is what the manifests pin; ColdFetchedBytes is the
-	// logical size of what a cache-less worker pulled for the whole
-	// chain and ColdWireBytes what that cost on the wire (chunks travel
-	// in their at-rest gzip form; initial-state chunks included);
-	// WarmFetchedBytes/WarmWireBytes are the same worker re-auditing a
-	// fresh copy of the chain with its chunk cache kept (the dedup win).
-	LogicalBytes     int64 `json:"logical_bytes"`
-	ColdFetchedBytes int64 `json:"cold_fetched_bytes"`
-	ColdWireBytes    int64 `json:"cold_wire_bytes"`
-	WarmFetchedBytes int64 `json:"warm_fetched_bytes"`
-	WarmWireBytes    int64 `json:"warm_wire_bytes"`
-}
-
-// benchOutput is the top-level -json document.
-type benchOutput struct {
-	Scale        int           `json:"scale"`
-	Concurrency  int           `json:"concurrency"`
-	AuditWorkers int           `json:"audit_workers"`
-	Results      []benchResult `json:"results"`
-	Fleet        *fleetResult  `json:"fleet,omitempty"`
-}
-
-// benchJSON measures each paper workload once (serve → baseline replay
-// → deduplicated audit) and writes the results as JSON.
-func benchJSON(path string, scale, conc, auditWorkers int) {
-	out := benchOutput{Scale: scale, Concurrency: conc, AuditWorkers: auditWorkers}
-	for _, item := range workloads(scale) {
-		served, err := harness.Serve(item.w, harness.ServeConfig{Record: true, Concurrency: conc})
-		check(err)
-		baseAudit, err := harness.BaselineReplay(item.w, served)
-		check(err)
-		res, err := served.AuditContext(benchCtx, verifier.Options{Workers: auditWorkers, MaxGroup: benchMaxGroup})
-		check(err)
-		if !res.Accepted {
-			fmt.Fprintf(os.Stderr, "%s: AUDIT REJECTED: %s\n", item.name, res.Reason)
-			os.Exit(1)
-		}
-		dedup := 0.0
-		if res.Stats.GroupBatches > 0 {
-			dedup = float64(res.Stats.RequestsReplayed) / float64(res.Stats.GroupBatches)
-		}
-		out.Results = append(out.Results, benchResult{
-			App:            item.name,
-			Requests:       served.Requests,
-			ServeReqPerSec: float64(served.Requests) / served.ServeWall.Seconds(),
-			AuditNsPerReq:  res.Stats.Total.Nanoseconds() / int64(served.Requests),
-			AuditSpeedup:   float64(baseAudit) / float64(res.Stats.Total),
-			DedupRatio:     dedup,
-		})
-	}
-	out.Fleet = fleetBench(scale, conc)
-	data, err := json.MarshalIndent(out, "", "  ")
-	check(err)
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-	} else {
-		err = os.WriteFile(path, data, 0o644)
-	}
-	check(err)
-}
-
-// fleetBench seals a chain once and audits it through the
-// fleet stack (artifact server + coordinator + RunWorker over loopback
-// HTTP) three times: a cold single worker (the sequential reference
-// and the wire bytes a cache-less worker must pull), the same worker
-// again with its chunk cache kept (the warm bytes), and a cold
-// N-worker fleet (the parallel wall-clock). Each run gets its own copy
-// of the chain because the coordinator writes decisions and the chain
-// ledger into the directory it audits.
-func fleetBench(scale, conc int) *fleetResult {
-	w := workload.Wiki(workload.DefaultWikiParams().Scale(scale))
-	prog := w.App.Compile()
-
-	src, err := os.MkdirTemp("", "orochi-bench-fleet-")
-	check(err)
-	defer os.RemoveAll(src)
-	srv := server.New(prog, server.Options{Record: true})
-	check(srv.Setup(w.App.Schema))
-	check(srv.Setup(w.Seed))
-	// ~8 epochs: a request is a request+response event pair, and
-	// serving in eight bursts gives the manager balanced cut points —
-	// enough epochs that a small fleet has parallelism to find.
-	events := len(w.Requests) / 4
-	if events < 32 {
-		events = 32
-	}
-	mgr, err := epoch.StartManager(src, srv, srv.Snapshot(), epoch.ManagerOptions{EpochEvents: events})
-	check(err)
-	q := (len(w.Requests) + 7) / 8
-	for i := 0; i < len(w.Requests); i += q {
-		end := i + q
-		if end > len(w.Requests) {
-			end = len(w.Requests)
-		}
-		srv.ServeAll(w.Requests[i:end], conc)
-	}
-	check(mgr.Close())
-
-	runFleet := func(workers int, hots []cas.Store) (time.Duration, []fleet.WorkerStats, []epoch.Verdict) {
-		dir, err := os.MkdirTemp("", "orochi-bench-fleet-run-")
-		check(err)
-		defer os.RemoveAll(dir)
-		check(os.CopyFS(dir, os.DirFS(src)))
-		as, err := fleet.NewArtifactServer(dir)
-		check(err)
-		coord, err := fleet.NewCoordinator(dir, fleet.CoordinatorOptions{RetryMS: 10})
-		check(err)
-		mux := http.NewServeMux()
-		mux.Handle(fleet.Prefix+"/", as.Handler())
-		coordHandler := coord.Handler()
-		mux.Handle("POST "+fleet.Prefix+"/lease", coordHandler)
-		mux.Handle("POST "+fleet.Prefix+"/verdict", coordHandler)
-		mux.Handle("GET "+fleet.Prefix+"/epoch/{n}/init", coordHandler)
-		ts := httptest.NewServer(mux)
-
-		stats := make([]fleet.WorkerStats, workers)
-		var wg sync.WaitGroup
-		start := time.Now()
-		for i := 0; i < workers; i++ {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				st, err := fleet.RunWorker(benchCtx, prog, fleet.WorkerOptions{
-					Coordinator: ts.URL,
-					Name:        fmt.Sprintf("bench-w%d", i),
-					Hot:         hots[i],
-					InitPoll:    5 * time.Millisecond,
-				})
-				check(err)
-				stats[i] = st
-			}(i)
-		}
-		check(coord.Wait(benchCtx))
-		wall := time.Since(start)
-		wg.Wait()
-		ts.Close()
-		if !coord.ChainAccepted() {
-			fmt.Fprintln(os.Stderr, "orochi-bench: fleet audit REJECTED")
-			os.Exit(1)
-		}
-		verdicts := coord.Verdicts()
-		check(coord.Close())
-		return wall, stats, verdicts
-	}
-
-	coldCache := cas.NewMemory()
-	wall1, statsCold, verdicts := runFleet(1, []cas.Store{coldCache})
-	_, statsWarm, _ := runFleet(1, []cas.Store{coldCache})
-	n := runtime.GOMAXPROCS(0)
-	if n > 4 {
-		n = 4
-	}
-	if n < 2 {
-		n = 2
-	}
-	hots := make([]cas.Store, n)
-	for i := range hots {
-		hots[i] = cas.NewMemory()
-	}
-	wallN, _, _ := runFleet(n, hots)
-
-	var requests int
-	for _, v := range verdicts {
-		requests += v.Requests
-	}
-	return &fleetResult{
-		Epochs:           len(verdicts),
-		Requests:         requests,
-		Workers:          n,
-		EpochsPerSec1:    float64(len(verdicts)) / wall1.Seconds(),
-		EpochsPerSecN:    float64(len(verdicts)) / wallN.Seconds(),
-		Speedup:          wall1.Seconds() / wallN.Seconds(),
-		LogicalBytes:     statsCold[0].LogicalBytes,
-		ColdFetchedBytes: statsCold[0].FetchedBytes,
-		ColdWireBytes:    statsCold[0].WireBytes,
-		WarmFetchedBytes: statsWarm[0].FetchedBytes,
-		WarmWireBytes:    statsWarm[0].WireBytes,
-	}
-}
-
-// figFleet prints the fleet section as a table.
-func figFleet(scale, conc int) {
-	fmt.Printf("\n=== Distributed audit: fleet of workers over HTTP (scale 1/%d) ===\n", scale)
-	fmt.Println("verdicts and ledger are identical at any worker count; the fleet buys")
-	fmt.Println("wall-clock, and a worker's chunk cache keeps re-audits off the wire")
-	r := fleetBench(scale, conc)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "epochs\trequests\tepochs/s (1 worker)\tepochs/s\tworkers\tspeedup\tcold fetch\tcold wire\twarm fetch\twarm wire\tlogical")
-	fmt.Fprintf(tw, "%d\t%d\t%.1f\t%.1f\t%d\t%.2fx\t%dKB\t%dKB\t%dKB\t%dKB\t%dKB\n",
-		r.Epochs, r.Requests, r.EpochsPerSec1, r.EpochsPerSecN, r.Workers, r.Speedup,
-		r.ColdFetchedBytes/1024, r.ColdWireBytes/1024, r.WarmFetchedBytes/1024, r.WarmWireBytes/1024, r.LogicalBytes/1024)
-	tw.Flush()
 }
 
 func workloads(scale int) []struct {
@@ -382,7 +118,7 @@ func fig8(scale, conc, auditWorkers int) {
 		// Baseline audit = sequential re-execution of the trace.
 		baseAudit, err := harness.BaselineReplay(item.w, served)
 		check(err)
-		res, err := served.AuditContext(benchCtx, verifier.Options{Workers: auditWorkers, MaxGroup: benchMaxGroup})
+		res, err := served.AuditContext(benchCtx, verifier.Options{Workers: auditWorkers})
 		check(err)
 		if !res.Accepted {
 			fmt.Fprintf(os.Stderr, "%s: AUDIT REJECTED: %s\n", item.name, res.Reason)
@@ -519,7 +255,7 @@ func fig9(scale, conc, auditWorkers int) {
 		check(err)
 		base, err := harness.BaselineReplay(item.w, served)
 		check(err)
-		res, err := served.AuditContext(benchCtx, verifier.Options{Workers: auditWorkers, MaxGroup: benchMaxGroup})
+		res, err := served.AuditContext(benchCtx, verifier.Options{Workers: auditWorkers})
 		check(err)
 		if !res.Accepted {
 			fmt.Fprintf(os.Stderr, "%s: AUDIT REJECTED: %s\n", item.name, res.Reason)
@@ -685,7 +421,7 @@ func fig11(scale, conc, auditWorkers int) {
 	w := workload.Wiki(workload.DefaultWikiParams().Scale(scale))
 	served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: conc})
 	check(err)
-	res, err := served.AuditContext(benchCtx, verifier.Options{CollectStats: true, Workers: auditWorkers, MaxGroup: benchMaxGroup})
+	res, err := served.AuditContext(benchCtx, verifier.Options{CollectStats: true, Workers: auditWorkers})
 	check(err)
 	if !res.Accepted {
 		fmt.Fprintf(os.Stderr, "AUDIT REJECTED: %s\n", res.Reason)
@@ -714,96 +450,6 @@ func fig11(scale, conc, auditWorkers int) {
 			break
 		}
 		fmt.Fprintf(tw, "%s\t%d\t%d\t%.4f\n", g.Script, g.N, g.Len, g.Alpha)
-	}
-	tw.Flush()
-}
-
-// figWorkers sweeps the verifier's worker pool in the style of `go test
-// -cpu`: each workload is served once, then audited at 1, 2, 4, ...
-// workers, reporting the audit time and the speedup over the sequential
-// (one-worker) audit. The verdict must be identical at every width.
-func figWorkers(scale, conc int) {
-	max := runtime.GOMAXPROCS(0)
-	fmt.Printf("\n=== Parallel audit: worker sweep 1..%d (scale 1/%d) ===\n", max, scale)
-	fmt.Println("groups re-execute independently (§3.1, §4.7): audit time should")
-	fmt.Println("shrink with workers while the verdict stays bit-identical")
-	var widths []int
-	for wN := 1; wN < max; wN *= 2 {
-		widths = append(widths, wN)
-	}
-	widths = append(widths, max)
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	header := "app"
-	for _, wN := range widths {
-		header += fmt.Sprintf("\tw=%d", wN)
-	}
-	fmt.Fprintln(tw, header+"\tspeedup")
-	for _, item := range workloads(scale) {
-		served, err := harness.Serve(item.w, harness.ServeConfig{Record: true, Concurrency: conc})
-		check(err)
-		row := item.name
-		var seq, best time.Duration
-		for _, wN := range widths {
-			// Best of 2 runs per width to keep scheduler noise out.
-			var t time.Duration = math.MaxInt64
-			for rep := 0; rep < 2; rep++ {
-				res, err := served.AuditContext(benchCtx, verifier.Options{Workers: wN, MaxGroup: benchMaxGroup})
-				check(err)
-				if !res.Accepted {
-					fmt.Fprintf(os.Stderr, "%s: AUDIT REJECTED at %d workers: %s\n", item.name, wN, res.Reason)
-					os.Exit(1)
-				}
-				if res.Stats.Total < t {
-					t = res.Stats.Total
-				}
-			}
-			if wN == 1 {
-				seq = t
-			}
-			if best == 0 || t < best {
-				best = t
-			}
-			row += "\t" + round(t)
-		}
-		fmt.Fprintf(tw, "%s\t%.2fx\n", row, float64(seq)/float64(best))
-	}
-	tw.Flush()
-}
-
-// figServe sweeps serving concurrency for the recording executor,
-// comparing one lock stripe (≈ the old global-mutex serving path) with
-// the default sharded configuration. Each cell serves the workload once
-// (best of 2) and reports requests/second; the sharded column should
-// keep climbing with goroutine count where the single stripe flattens.
-func figServe(scale int) {
-	maxConc := runtime.GOMAXPROCS(0)
-	fmt.Printf("\n=== Serving throughput vs concurrency: striped vs single-stripe (scale 1/%d) ===\n", scale)
-	fmt.Println("per-object shard locks + lock-free executor stats: serving should scale")
-	fmt.Println("with in-flight requests instead of serializing on global mutexes")
-	var widths []int
-	for c := 1; c < maxConc; c *= 2 {
-		widths = append(widths, c)
-	}
-	widths = append(widths, maxConc)
-	rate := func(w *workload.Workload, conc, shards int) float64 {
-		best := 0.0
-		for rep := 0; rep < 2; rep++ {
-			served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: conc, Shards: shards})
-			check(err)
-			if r := float64(served.Requests) / served.ServeWall.Seconds(); r > best {
-				best = r
-			}
-		}
-		return best
-	}
-	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "app\tconcurrency\tshards=1 req/s\tsharded req/s\tspeedup")
-	for _, item := range workloads(scale) {
-		for _, conc := range widths {
-			one := rate(item.w, conc, 1)
-			many := rate(item.w, conc, 0)
-			fmt.Fprintf(tw, "%s\t%d\t%.0f\t%.0f\t%.2fx\n", item.name, conc, one, many, many/one)
-		}
 	}
 	tw.Flush()
 }

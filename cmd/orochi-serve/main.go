@@ -68,9 +68,7 @@ func main() {
 	scrubEvery := flag.Duration("scrub-interval", 0, "run the retrievability self-audit over the epoch dir at this interval (with -epoch-dir; 0 = off); failures become REJECT decisions")
 	auditWorkers := flag.Int("audit-workers", 0, "concurrent re-execution workers in the background auditor (0 = half the CPUs, to leave room for serving; 1 = sequential)")
 	faultRate := flag.Float64("fault-rate", 0, "inject faulting requests (unknown script, undefined function, bad SQL) into the workload at this rate; the audit must still ACCEPT")
-	shards := flag.Int("shards", 0, "lock-stripe count for the object store and recorder (0 = default); reports are identical at every setting")
 	tamperReq := flag.Int64("tamper-request", 0, "misbehaving-executor demo: corrupt the Nth audited request's response between the executor and the collector — the collector records (and the client sees) the tampered bytes, and the audit must REJECT naming that request")
-	maxGroup := flag.Int("max-group", 0, "cap requests re-executed per SIMD batch in the background auditor (0 = verifier default of 3000); verdicts are identical at any setting")
 	flag.Parse()
 
 	app := apps.ByName(*appName)
@@ -97,7 +95,7 @@ func main() {
 	}
 
 	prog := w.App.Compile()
-	srv := server.New(prog, server.Options{Record: true, Shards: *shards})
+	srv := server.New(prog, server.Options{Record: true})
 	exitOn(srv.Setup(w.App.Schema))
 	exitOn(srv.Setup(w.Seed))
 	snap := srv.Snapshot()
@@ -125,7 +123,7 @@ func main() {
 			auditor = epoch.NewAuditor(prog, *epochDir, epoch.AuditorOptions{
 				Notify:      mgr.Notify(),
 				Checkpoints: true,
-				Verify:      verifier.Options{Workers: vw, MaxGroup: *maxGroup},
+				Verify:      verifier.Options{Workers: vw},
 			})
 			var auditCtx context.Context
 			auditCtx, stopAudit = context.WithCancel(context.Background())

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -45,7 +46,7 @@ echo "<p>Hello, " . htmlspecialchars($name) . "! Visit #" . $visits . "</p>";
 
 	// 4. Audit: the verifier gets the trusted trace, the UNTRUSTED
 	//    reports, and the initial state.
-	res, err := orochi.Audit(prog, srv.Trace(), srv.Reports(), initialState, orochi.AuditOptions{})
+	res, err := orochi.AuditContext(context.Background(), prog, srv.Trace(), srv.Reports(), initialState, orochi.AuditOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}

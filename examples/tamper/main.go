@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -99,7 +100,7 @@ func runScenario(tamperResp func(string, string) string, tamperRep func(*orochi.
 	if tamperRep != nil {
 		tamperRep(rep)
 	}
-	res, err := orochi.Audit(prog, srv.Trace(), rep, snap, orochi.AuditOptions{})
+	res, err := orochi.AuditContext(context.Background(), prog, srv.Trace(), rep, snap, orochi.AuditOptions{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func figure4a() {
 		Registers: map[string]lang.Value{"A": int64(0), "B": int64(0)},
 		KV:        map[string]lang.Value{},
 	}
-	res, err := verifier.Audit(prog, tr, rep, init, verifier.Options{})
+	res, err := verifier.AuditContext(context.Background(), prog, tr, rep, init, verifier.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -36,7 +37,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := served.Audit(verifier.Options{CollectStats: true})
+	res, err := served.AuditContext(context.Background(), verifier.Options{CollectStats: true})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package apps_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -235,7 +236,7 @@ func TestWorkloadsAuditEndToEnd(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := served.Audit(verifier.Options{CollectStats: true})
+			res, err := served.AuditContext(context.Background(), verifier.Options{CollectStats: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +274,7 @@ func TestWorkloadTamperDetectedEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := served.Audit(verifier.Options{})
+	res, err := served.AuditContext(context.Background(), verifier.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -60,7 +60,7 @@ func buildPipeline(t *testing.T, bursts int, tamper func(rid, body string) strin
 		t.Fatal(err)
 	}
 	for b := 0; b < bursts; b++ {
-		srv.ServeAll(hits(8), 2)
+		srv.ServeAllContext(context.Background(), hits(8), 2)
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)

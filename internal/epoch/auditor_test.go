@@ -35,7 +35,7 @@ func TestAuditorCheckpointRetry(t *testing.T) {
 	dir := t.TempDir()
 	prog, srv, mgr := startPipeline(t, dir, 20)
 	for b := 0; b < 3; b++ {
-		srv.ServeAll(burst(12, b), 3) // 24 events per burst >= 20
+		srv.ServeAllContext(context.Background(), burst(12, b), 3) // 24 events per burst >= 20
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
@@ -131,7 +131,7 @@ func TestAuditorRunRetriesCheckpointWrites(t *testing.T) {
 	dir := t.TempDir()
 	prog, srv, mgr := startPipeline(t, dir, 20)
 	for b := 0; b < 2; b++ {
-		srv.ServeAll(burst(12, b), 3) // 24 events per burst >= 20: 2 epochs
+		srv.ServeAllContext(context.Background(), burst(12, b), 3) // 24 events per burst >= 20: 2 epochs
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
@@ -183,7 +183,7 @@ func TestAuditorRunRetriesCheckpointWrites(t *testing.T) {
 func TestAuditorRunSurfacesPersistentCheckpointFailure(t *testing.T) {
 	dir := t.TempDir()
 	prog, srv, mgr := startPipeline(t, dir, 20)
-	srv.ServeAll(burst(12, 0), 3)
+	srv.ServeAllContext(context.Background(), burst(12, 0), 3)
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestAuditorParallelVerifyMatches(t *testing.T) {
 	dir := t.TempDir()
 	prog, srv, mgr := startPipeline(t, dir, 20)
 	for b := 0; b < 2; b++ {
-		srv.ServeAll(burst(12, b), 3)
+		srv.ServeAllContext(context.Background(), burst(12, b), 3)
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)

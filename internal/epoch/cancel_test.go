@@ -37,7 +37,7 @@ func TestAuditorCancellationPublishesNoVerdict(t *testing.T) {
 	dir := t.TempDir()
 	prog, srv, mgr := startPipeline(t, dir, 20)
 	for b := 0; b < 3; b++ {
-		srv.ServeAll(burst(12, b), 3) // 24 events per burst >= 20: seals epochs
+		srv.ServeAllContext(context.Background(), burst(12, b), 3) // 24 events per burst >= 20: seals epochs
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
@@ -103,7 +103,7 @@ func TestAuditorCancellationPublishesNoVerdict(t *testing.T) {
 func TestDrainSealedCancelled(t *testing.T) {
 	dir := t.TempDir()
 	prog, srv, mgr := startPipeline(t, dir, 20)
-	srv.ServeAll(burst(12, 0), 3)
+	srv.ServeAllContext(context.Background(), burst(12, 0), 3)
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}

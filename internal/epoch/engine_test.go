@@ -26,7 +26,7 @@ func TestChainVerdictsEngineIndependent(t *testing.T) {
 		if end > len(w.Requests) {
 			end = len(w.Requests)
 		}
-		srv.ServeAll(w.Requests[i:end], 4)
+		srv.ServeAllContext(context.Background(), w.Requests[i:end], 4)
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)

@@ -113,7 +113,7 @@ func TestEpochPipelineEndToEnd(t *testing.T) {
 	// 3 bursts of 25 requests = 50 events each >= 40: each burst ends
 	// with a cut, plus Close seals nothing extra (last burst cut).
 	for b := 0; b < 3; b++ {
-		srv.ServeAll(burst(25, b), 4)
+		srv.ServeAllContext(context.Background(), burst(25, b), 4)
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
@@ -212,7 +212,7 @@ func TestEpochTamperBreaksChain(t *testing.T) {
 	dir := t.TempDir()
 	prog, srv, mgr := startPipeline(t, dir, 40)
 	for b := 0; b < 3; b++ {
-		srv.ServeAll(burst(25, b), 4)
+		srv.ServeAllContext(context.Background(), burst(25, b), 4)
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
@@ -266,7 +266,7 @@ func TestSnapshotChainingAcrossEpochs(t *testing.T) {
 	prog, srv, mgr := startPipeline(t, dir, 12)
 
 	// Epoch 1: alice visits twice and creates a post.
-	srv.ServeAll([]trace.Input{
+	srv.ServeAllContext(context.Background(), []trace.Input{
 		{Script: "visit", Cookie: map[string]string{"user": "alice"}},
 		{Script: "visit", Cookie: map[string]string{"user": "alice"}},
 		{Script: "post", Post: map[string]string{"title": "first"}},
@@ -277,7 +277,7 @@ func TestSnapshotChainingAcrossEpochs(t *testing.T) {
 	// Epoch 2: her third visit and a vote on the epoch-1 post — both
 	// reproducible only from epoch 1's final state. Concurrency 1 keeps
 	// the trace order deterministic for the response check below.
-	srv.ServeAll([]trace.Input{
+	srv.ServeAllContext(context.Background(), []trace.Input{
 		{Script: "visit", Cookie: map[string]string{"user": "alice"}},
 		{Script: "vote", Get: map[string]string{"id": "1"}},
 		{Script: "now"},
@@ -301,7 +301,7 @@ func TestSnapshotChainingAcrossEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res1, err := verifier.Audit(prog, ep1.Trace, ep1.Reports, ep1.Init, verifier.Options{})
+	res1, err := verifier.AuditContext(context.Background(), prog, ep1.Trace, ep1.Reports, ep1.Init, verifier.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +316,7 @@ func TestSnapshotChainingAcrossEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := verifier.Audit(prog, ep2.Trace, ep2.Reports, chained, verifier.Options{})
+	res2, err := verifier.AuditContext(context.Background(), prog, ep2.Trace, ep2.Reports, chained, verifier.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +328,7 @@ func TestSnapshotChainingAcrossEpochs(t *testing.T) {
 		t.Fatalf("epoch 2 visit response %q does not continue epoch 1's session", body)
 	}
 	// A stale initial state (epoch 1's start) must be rejected.
-	res2stale, err := verifier.Audit(prog, ep2.Trace, ep2.Reports, object.EmptySnapshot(), verifier.Options{})
+	res2stale, err := verifier.AuditContext(context.Background(), prog, ep2.Trace, ep2.Reports, object.EmptySnapshot(), verifier.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -376,7 +376,7 @@ func TestServeWhileAudit(t *testing.T) {
 	}()
 
 	for b := 0; b < 5; b++ {
-		srv.ServeAll(burst(16, b), 4) // 32 events per burst >= 30
+		srv.ServeAllContext(context.Background(), burst(16, b), 4) // 32 events per burst >= 30
 	}
 	// Let the background auditor make progress while serving could
 	// still continue, then drain and close.
@@ -505,7 +505,7 @@ func TestEpochPipelineSurvivesFaultedPeriods(t *testing.T) {
 		if end > len(w.Requests) {
 			end = len(w.Requests)
 		}
-		srv.ServeAll(w.Requests[i:end], 4)
+		srv.ServeAllContext(context.Background(), w.Requests[i:end], 4)
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
@@ -561,7 +561,7 @@ func TestEpochTamperedErrorBodyRejectsChain(t *testing.T) {
 		if end > len(w.Requests) {
 			end = len(w.Requests)
 		}
-		srv.ServeAll(w.Requests[i:end], 4)
+		srv.ServeAllContext(context.Background(), w.Requests[i:end], 4)
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
@@ -597,7 +597,7 @@ func TestAuditorCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	prog, srv, mgr := startPipeline(t, dir, 20)
 	for b := 0; b < 3; b++ {
-		srv.ServeAll(burst(12, b), 3) // 24 events per burst >= 20
+		srv.ServeAllContext(context.Background(), burst(12, b), 3) // 24 events per burst >= 20
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
@@ -647,7 +647,7 @@ func TestManagerRefusesDirtyDir(t *testing.T) {
 	dir := t.TempDir()
 	prog, srv, mgr := startPipeline(t, dir, 12)
 	_ = prog
-	srv.ServeAll(burst(8, 0), 2)
+	srv.ServeAllContext(context.Background(), burst(8, 0), 2)
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -667,7 +667,7 @@ func TestDamagedManifestRejects(t *testing.T) {
 	dir := t.TempDir()
 	prog, srv, mgr := startPipeline(t, dir, 20)
 	for b := 0; b < 3; b++ {
-		srv.ServeAll(burst(12, b), 3)
+		srv.ServeAllContext(context.Background(), burst(12, b), 3)
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)

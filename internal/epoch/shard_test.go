@@ -32,7 +32,7 @@ func TestEpochCutMidBurstSharded(t *testing.T) {
 	// One continuous stream, no deliberate drain points: cuts happen
 	// mid-burst wherever the trace is momentarily balanced.
 	const n = 240
-	srv.ServeAll(burst(n, 1), 6)
+	srv.ServeAllContext(context.Background(), burst(n, 1), 6)
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ func sealChain(t *testing.T, dir string) *lang.Program {
 	t.Helper()
 	prog, srv, mgr := startPipeline(t, dir, 20)
 	for b := 0; b < 3; b++ {
-		srv.ServeAll(burst(12, b), 3) // 24 events per burst >= 20
+		srv.ServeAllContext(context.Background(), burst(12, b), 3) // 24 events per burst >= 20
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
@@ -440,7 +440,7 @@ func TestCompactedAdoptionFailureKeepsStoredAccept(t *testing.T) {
 func TestLockChainExcludesMaintenance(t *testing.T) {
 	dir := t.TempDir()
 	_, srv, mgr := startPipeline(t, dir, 1000)
-	srv.ServeAll(burst(10, 0), 2)
+	srv.ServeAllContext(context.Background(), burst(10, 0), 2)
 
 	// A live manager holds the chain lock: maintenance must be refused.
 	if _, err := LockChain(dir); !errors.Is(err, ErrChainBusy) {
@@ -504,7 +504,7 @@ func auditVerdicts(t *testing.T, prog *lang.Program, dir string, workers int) []
 func TestManifestUnknownFieldsAudit(t *testing.T) {
 	dir := t.TempDir()
 	prog, srv, mgr := startPipeline(t, dir, 1000)
-	srv.ServeAll(burst(10, 0), 2)
+	srv.ServeAllContext(context.Background(), burst(10, 0), 2)
 	if err := mgr.Close(); err != nil { // single sealed epoch
 		t.Fatal(err)
 	}
@@ -694,7 +694,7 @@ func TestTamperedSharedBodyRejectsNamingChunk(t *testing.T) {
 	dir := t.TempDir()
 	prog, srv, mgr := startPipeline(t, dir, 40)
 	for b := 0; b < 3; b++ {
-		srv.ServeAll(burst(25, b), 4)
+		srv.ServeAllContext(context.Background(), burst(25, b), 4)
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)

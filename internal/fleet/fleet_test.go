@@ -54,7 +54,7 @@ func sealTestChain(t *testing.T, dir string) *lang.Program {
 		if end > len(w.Requests) {
 			end = len(w.Requests)
 		}
-		srv.ServeAll(w.Requests[i:end], 4)
+		srv.ServeAllContext(context.Background(), w.Requests[i:end], 4)
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
@@ -433,7 +433,7 @@ func honestVerdict(t *testing.T, prog *lang.Program, dir string, l *Lease, worke
 	if init == nil {
 		init = ld.Init
 	}
-	res, err := verifier.Audit(prog, ld.Trace, ld.Reports, init, verifier.Options{})
+	res, err := verifier.AuditContext(context.Background(), prog, ld.Trace, ld.Reports, init, verifier.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

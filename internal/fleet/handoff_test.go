@@ -120,7 +120,7 @@ func sealQuietChain(t *testing.T, dir string) *lang.Program {
 		for i := range reqs {
 			reqs[i] = trace.Input{Script: "view", Get: map[string]string{"page": "Page_007"}}
 		}
-		srv.ServeAll(reqs, 2)
+		srv.ServeAllContext(context.Background(), reqs, 2)
 	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)

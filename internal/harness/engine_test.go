@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -143,7 +144,7 @@ func TestDualEngineFaultClasses(t *testing.T) {
 
 	for _, e := range allEngines {
 		for _, maxGroup := range []int{1, 0} {
-			res, err := ref.Audit(verifier.Options{Engine: e.eng, MaxGroup: maxGroup})
+			res, err := ref.AuditContext(context.Background(), verifier.Options{Engine: e.eng, MaxGroup: maxGroup})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -166,7 +167,7 @@ func TestDualEngineVerdictEquivalence(t *testing.T) {
 	honest := serveDeterministic(t, w, lang.EngineCompiled)
 	for _, e := range allEngines {
 		for _, workers := range []int{1, 8} {
-			res, err := honest.Audit(verifier.Options{Engine: e.eng, Workers: workers})
+			res, err := honest.AuditContext(context.Background(), verifier.Options{Engine: e.eng, Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -200,7 +201,7 @@ func TestDualEngineVerdictEquivalence(t *testing.T) {
 	var wantForensics *verifier.Forensics
 	for i, e := range allEngines {
 		for _, workers := range []int{1, 8} {
-			res, aerr := tampered.Audit(verifier.Options{Engine: e.eng, Workers: workers})
+			res, aerr := tampered.AuditContext(context.Background(), verifier.Options{Engine: e.eng, Workers: workers})
 			if aerr != nil {
 				t.Fatal(aerr)
 			}

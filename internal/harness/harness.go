@@ -77,7 +77,9 @@ func Serve(w *workload.Workload, cfg ServeConfig) (*Served, error) {
 	}
 	snap := srv.Snapshot()
 	start := time.Now()
-	srv.ServeAll(w.Requests, cfg.Concurrency)
+	if err := srv.ServeAllContext(context.Background(), w.Requests, cfg.Concurrency); err != nil {
+		return nil, fmt.Errorf("harness: serve: %w", err)
+	}
 	wall := time.Since(start)
 	cpu, n := srv.CPU()
 	out := &Served{
@@ -102,13 +104,6 @@ func (s *Served) AuditContext(ctx context.Context, opts verifier.Options) (*veri
 		return nil, fmt.Errorf("harness: serving run did not record reports")
 	}
 	return verifier.AuditContext(ctx, s.Program, s.Trace, s.Reports, s.Snapshot, opts)
-}
-
-// Audit runs the verifier over the served results.
-//
-// Deprecated: use AuditContext, which supports cancellation.
-func (s *Served) Audit(opts verifier.Options) (*verifier.Result, error) {
-	return s.AuditContext(context.Background(), opts)
 }
 
 // Sizes summarizes the storage-related quantities of Fig. 8: compressed

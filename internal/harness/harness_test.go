@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"testing"
 
 	"orochi/internal/verifier"
@@ -22,7 +23,7 @@ func TestServeAndAudit(t *testing.T) {
 	if served.ServeCPU <= 0 || served.ServeWall <= 0 {
 		t.Fatal("timings must be positive")
 	}
-	res, err := served.Audit(verifier.Options{})
+	res, err := served.AuditContext(context.Background(), verifier.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestServeWithoutRecording(t *testing.T) {
 	if served.Reports != nil {
 		t.Fatal("baseline must not have reports")
 	}
-	if _, err := served.Audit(verifier.Options{}); err == nil {
+	if _, err := served.AuditContext(context.Background(), verifier.Options{}); err == nil {
 		t.Fatal("audit without reports must error")
 	}
 }

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"context"
 	"testing"
 	"time"
 
@@ -58,7 +59,7 @@ func TestShardedRecordingsAudit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := served.Audit(verifier.Options{})
+			res, err := served.AuditContext(context.Background(), verifier.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,18 +17,18 @@ import (
 // (Program.compiled), so Phase-3 never recompiles what serving already
 // compiled.
 //
-// The cache is LRU-bounded: a long-lived serve that audits many patched
-// sources (PatchAudit) would otherwise accumulate one program per
-// distinct source forever. Eviction only drops the cache's reference —
-// a *Program is immutable after compilation and every holder keeps its
-// own pointer, so a program in use by a server or an in-flight audit
-// is unaffected; only a future CompileCached of the same bytes pays a
-// recompile.
+// The cache is LRU-bounded: a long-lived process that compiles many
+// distinct sources (the public CompileApp, orochi-audit -src) would
+// otherwise keep one program per source forever. Eviction only drops
+// the cache's reference — a *Program is immutable after compilation and
+// every holder keeps its own pointer, so a program in use by a server
+// or an in-flight audit is unaffected; only a future CompileCached of
+// the same bytes pays a recompile.
 
 // progCacheCap bounds the cached program count. 128 programs is far
 // above any live serving set (one per app version in play) while
-// keeping the worst case — a patch sweep over thousands of variants —
-// at a bounded footprint.
+// keeping the worst case — a caller compiling thousands of distinct
+// sources — at a bounded footprint.
 const progCacheCap = 128
 
 var (

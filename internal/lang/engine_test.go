@@ -304,6 +304,40 @@ function h3($s, $suffix = "!") { return $s . $suffix; }
 function h2x($s) { return h3($s) . h3($s, "?", "extra"); }
 function h1($s) { return h2x($s) . h3("tail"); }
 echo h1($_GET["x"]);`},
+	// Constant expressions and constant-guarded code: both engines
+	// evaluate them at run time, on every lane.
+	{"constant arithmetic", `
+function scaled($v, $k = 2 * 3 + 1) { return $v * $k; }
+echo 1 + 2 * 3 - 4 / 2, "|", 7 / 2, "|", 7 % 3, "|", 9223372036854775807 + 1;
+echo "|" . "a" . "b" . 3 . 1.5 . true . null;
+echo "|", -5, -(2 + 3), -"4", -"x", -1.5, !0, !1, !"";
+echo "|" . (1 < 2) . (2 <= 1) . ("a" == 0) . (1 === 1.0) . ("1" != "01") . (2 !== 2);
+echo "|" . ((1 < 2) ? "lt" : "ge") . (0 ? "t" : "f") . (1 && 0) . (0 || 2);
+echo "|" . scaled(intval($_GET["x"])) . (10 - 3 . "x") . $_GET["x"];`},
+	{"constant echo args", `
+echo "a", 1+2, "b";
+echo 1.5, true, null, "-", $_GET["x"], "z", 4, 5;`},
+	{"constant-false bodies", `
+if (false) { echo "dead"; no_such_fn(); } elseif (1) { echo "live"; } else { echo "else-dead"; }
+if (0) { echo "never"; } elseif (intval($_GET["x"]) > 1) { echo "dyn"; } elseif (true) { echo "T"; } else { no_such_fn(); }
+while (false) { echo "never"; no_such_fn(); }
+for ($i = 0; false; $i++) { echo "never"; }
+for (;false;) { no_such_fn(); }
+echo "i=" . $i;
+echo (false ? no_such_fn() : "ternary");`},
+	{"constant switch", `
+switch (2) { case 1: echo "one"; break; case 1 + 1: echo "two"; case 3: echo "fall"; break; default: echo "def"; }
+switch ("a") { case "b": no_such_fn(); break; default: echo "d"; }
+switch (2) { case $_GET["x"]: echo "dyn"; break; case 2: echo "const"; break; }
+switch (0) { default: echo "first-default"; }`},
+	{"constant fault modulo", `
+echo "pre";
+echo 1 % 0;
+echo "unreached";`},
+	{"constant fault division", `
+echo $_GET["x"];
+$q = 10 / (2 - 2);
+echo "unreached";`},
 }
 
 func TestEngineEquivalence(t *testing.T) {

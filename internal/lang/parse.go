@@ -40,10 +40,6 @@ func Compile(files map[string]string) (*Program, error) {
 		prog.Scripts[name] = &Script{Name: name, Body: body}
 	}
 	prog.NumSites = int(siteCounter)
-	// Front-end constant folding: every engine executes the folded AST,
-	// so the engines cannot disagree, and the pass preserves the digest
-	// stream, step counts and fault behavior by construction (fold.go).
-	foldProgram(prog)
 	return prog, nil
 }
 

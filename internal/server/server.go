@@ -259,14 +259,6 @@ func (s *Server) ServeAllContext(ctx context.Context, inputs []trace.Input, conc
 	return nil
 }
 
-// ServeAll handles the inputs with the given concurrency, returning when
-// every request has completed.
-//
-// Deprecated: use ServeAllContext, which supports cancellation.
-func (s *Server) ServeAll(inputs []trace.Input, concurrency int) {
-	_ = s.ServeAllContext(context.Background(), inputs, concurrency)
-}
-
 // NewPeriod closes the current audit period: the collector restarts and,
 // when recording, a fresh recorder replaces the old one (whose reports
 // the caller should already have taken via Reports). The server must be

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -117,7 +118,7 @@ func TestServeAllConcurrent(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		inputs = append(inputs, trace.Input{Script: "add", Get: map[string]string{"v": fmt.Sprint(i)}})
 	}
-	srv.ServeAll(inputs, 8)
+	srv.ServeAllContext(context.Background(), inputs, 8)
 	r, err := srv.Store.DB.Exec(`SELECT COUNT(*) FROM kvs`)
 	if err != nil {
 		t.Fatal(err)

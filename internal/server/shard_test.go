@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -56,7 +57,7 @@ func TestSwapRecorderRacingServeAll(t *testing.T) {
 		}
 	}()
 
-	srv.ServeAll(inputs, 8)
+	srv.ServeAllContext(context.Background(), inputs, 8)
 	close(stop)
 	swapper.Wait()
 	if rec := srv.SwapRecorder(); rec != nil {

@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -26,7 +27,7 @@ func serveTampered(t *testing.T, prog *lang.Program, inputs []trace.Input,
 		t.Fatal(err)
 	}
 	snap := srv.Snapshot()
-	srv.ServeAll(inputs, 4)
+	srv.ServeAllContext(context.Background(), inputs, 4)
 	return srv.Trace(), &serverArtifacts{srv: srv, snap: snap}
 }
 
@@ -215,7 +216,7 @@ func TestSmallGroupBatchingMatchesUnbatched(t *testing.T) {
 	inputs := sampleInputs(60)
 	tr, art := serveWorkload(t, prog, inputs, 4)
 
-	base, err := Audit(prog, tr, art.srv.Reports(), art.snap,
+	base, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap,
 		Options{MaxGroup: 4, SmallGroup: -1, Workers: 1, CollectStats: true})
 	if err != nil {
 		t.Fatal(err)
@@ -232,7 +233,7 @@ func TestSmallGroupBatchingMatchesUnbatched(t *testing.T) {
 	for _, small := range []int{0, 2, 1000} {
 		for _, workers := range []int{1, 8} {
 			name := fmt.Sprintf("small=%d/workers=%d", small, workers)
-			res, err := Audit(prog, tr, art.srv.Reports(), art.snap,
+			res, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap,
 				Options{MaxGroup: 4, SmallGroup: small, Workers: workers, CollectStats: true})
 			if err != nil {
 				t.Fatal(err)
@@ -284,7 +285,7 @@ func TestSmallGroupBatchingRejectDeterminism(t *testing.T) {
 		return body
 	})
 
-	base, err := Audit(prog, tr, arts.srv.Reports(), arts.snap,
+	base, err := AuditContext(context.Background(), prog, tr, arts.srv.Reports(), arts.snap,
 		Options{MaxGroup: 4, SmallGroup: -1, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -294,7 +295,7 @@ func TestSmallGroupBatchingRejectDeterminism(t *testing.T) {
 	}
 	for _, small := range []int{0, 2} {
 		for _, workers := range []int{1, 8} {
-			res, err := Audit(prog, tr, arts.srv.Reports(), arts.snap,
+			res, err := AuditContext(context.Background(), prog, tr, arts.srv.Reports(), arts.snap,
 				Options{MaxGroup: 4, SmallGroup: small, Workers: workers})
 			if err != nil {
 				t.Fatal(err)

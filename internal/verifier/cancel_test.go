@@ -222,14 +222,10 @@ func TestCancelledBeforeStart(t *testing.T) {
 		!errors.Is(err, ErrAuditCanceled) {
 		t.Fatalf("OOOAuditContext on a dead context: res=%v err=%v", res, err)
 	}
-	if res, err := PatchAuditContext(ctx, prog, tr, rep, art.snap); res != nil ||
-		!errors.Is(err, ErrAuditCanceled) {
-		t.Fatalf("PatchAuditContext on a dead context: res=%v err=%v", res, err)
-	}
 
-	// The deprecated wrappers still work and agree with the baseline.
-	res, err := Audit(prog, tr, rep, art.snap, Options{})
+	// The same period under a live context still ACCEPTs.
+	res, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{})
 	if err != nil || !res.Accepted {
-		t.Fatalf("deprecated Audit wrapper: res=%+v err=%v", res, err)
+		t.Fatalf("AuditContext on a live context: res=%+v err=%v", res, err)
 	}
 }

@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"context"
 	"testing"
 
 	"orochi/internal/trace"
@@ -26,8 +27,8 @@ func TestAuditPeriodChaining(t *testing.T) {
 		{Script: "visit", Cookie: map[string]string{"user": "alice"}},
 		{Script: "now"},
 	}
-	srv.ServeAll(period1, 3)
-	res1, err := Audit(prog, srv.Trace(), srv.Reports(), initState, Options{})
+	srv.ServeAllContext(context.Background(), period1, 3)
+	res1, err := AuditContext(context.Background(), prog, srv.Trace(), srv.Reports(), initState, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,9 +49,9 @@ func TestAuditPeriodChaining(t *testing.T) {
 		{Script: "list"},
 		{Script: "post", Post: map[string]string{"title": "third"}}, // id continues from autoinc
 	}
-	srv.ServeAll(period2, 2)
+	srv.ServeAllContext(context.Background(), period2, 2)
 	tr2 := srv.Trace()
-	res2, err := Audit(prog, tr2, srv.Reports(), chained, Options{})
+	res2, err := AuditContext(context.Background(), prog, tr2, srv.Reports(), chained, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +93,12 @@ func TestChainingCarriesAutoIncrementPastDeletedMax(t *testing.T) {
 		t.Fatal(err)
 	}
 	initState := srv.Snapshot()
-	srv.ServeAll([]trace.Input{
+	srv.ServeAllContext(context.Background(), []trace.Input{
 		{Script: "post", Post: map[string]string{"title": "kept"}},
 		{Script: "post", Post: map[string]string{"title": "doomed"}},
 		{Script: "unpost", Get: map[string]string{"id": "2"}},
 	}, 1)
-	res1, err := Audit(prog, srv.Trace(), srv.Reports(), initState, Options{})
+	res1, err := AuditContext(context.Background(), prog, srv.Trace(), srv.Reports(), initState, Options{})
 	if err != nil || !res1.Accepted {
 		t.Fatalf("period 1: %v %+v", err, res1)
 	}
@@ -106,7 +107,7 @@ func TestChainingCarriesAutoIncrementPastDeletedMax(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.NewPeriod()
-	srv.ServeAll([]trace.Input{
+	srv.ServeAllContext(context.Background(), []trace.Input{
 		{Script: "post", Post: map[string]string{"title": "after"}},
 		{Script: "list"},
 	}, 1)
@@ -118,7 +119,7 @@ func TestChainingCarriesAutoIncrementPastDeletedMax(t *testing.T) {
 	if !sawThird {
 		t.Fatal("the live server did not assign id 3: the scenario is not exercised")
 	}
-	res2, err := Audit(prog, tr2, srv.Reports(), chained, Options{})
+	res2, err := AuditContext(context.Background(), prog, tr2, srv.Reports(), chained, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,21 +137,21 @@ func TestChainedSnapshotRejectedIfStale(t *testing.T) {
 		t.Fatal(err)
 	}
 	initState := srv.Snapshot()
-	srv.ServeAll([]trace.Input{
+	srv.ServeAllContext(context.Background(), []trace.Input{
 		{Script: "post", Post: map[string]string{"title": "x"}},
 		{Script: "visit", Cookie: map[string]string{"user": "bob"}},
 	}, 1)
-	res1, err := Audit(prog, srv.Trace(), srv.Reports(), initState, Options{})
+	res1, err := AuditContext(context.Background(), prog, srv.Trace(), srv.Reports(), initState, Options{})
 	if err != nil || !res1.Accepted {
 		t.Fatalf("period 1: %v %v", err, res1)
 	}
 	srv.NewPeriod()
-	srv.ServeAll([]trace.Input{
+	srv.ServeAllContext(context.Background(), []trace.Input{
 		{Script: "visit", Cookie: map[string]string{"user": "bob"}}, // visit 2 online
 		{Script: "list"}, // shows 1 post online
 	}, 1)
 	// Audit period 2 against the STALE (empty) state.
-	res2, err := Audit(prog, srv.Trace(), srv.Reports(), initState, Options{})
+	res2, err := AuditContext(context.Background(), prog, srv.Trace(), srv.Reports(), initState, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

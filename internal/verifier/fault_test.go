@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -73,7 +74,7 @@ func serveFaultMix(t *testing.T, prog *lang.Program) *server.Server {
 		{Script: "strset"},
 		{Script: "strset"},
 	}
-	srv.ServeAll(inputs, 2)
+	srv.ServeAllContext(context.Background(), inputs, 2)
 	return srv
 }
 
@@ -82,7 +83,7 @@ func TestFaultMixAccepts(t *testing.T) {
 	srv := serveFaultMix(t, prog)
 	snap := srv.Snapshot()
 	_ = snap
-	res, err := Audit(prog, srv.Trace(), srv.Reports(), nil, Options{})
+	res, err := AuditContext(context.Background(), prog, srv.Trace(), srv.Reports(), nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestFaultMixOOOAccepts(t *testing.T) {
 	// The Appendix A out-of-order audit covers faulted requests too.
 	prog := compileFaultApp(t)
 	srv := serveFaultMix(t, prog)
-	res, err := OOOAudit(prog, srv.Trace(), srv.Reports(), nil)
+	res, err := OOOAuditContext(context.Background(), prog, srv.Trace(), srv.Reports(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +135,7 @@ func TestFaultAfterStateOpsRecordsPartialM(t *testing.T) {
 	if got := rep.OpCounts[rid]; got != 2 {
 		t.Fatalf("M(%s) = %d, want 2 (session_set + session_get before the fault)", rid, got)
 	}
-	res, err := Audit(prog, srv.Trace(), rep, nil, Options{})
+	res, err := AuditContext(context.Background(), prog, srv.Trace(), rep, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +171,7 @@ func TestForgedErrorGroupRejected(t *testing.T) {
 	rep.Groups[boomTag] = append(rep.Groups[boomTag], rep.Groups[okTag]...)
 	delete(rep.Groups, okTag)
 	delete(rep.Scripts, okTag)
-	res, err := Audit(prog, srv.Trace(), rep, srv.Snapshot(), Options{})
+	res, err := AuditContext(context.Background(), prog, srv.Trace(), rep, srv.Snapshot(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestRelocatedFaultSiteRejected(t *testing.T) {
 	rep.Groups[sqlTag] = append(rep.Groups[sqlTag], rep.Groups[boomTag]...)
 	delete(rep.Groups, boomTag)
 	delete(rep.Scripts, boomTag)
-	res, err := Audit(prog, srv.Trace(), rep, srv.Snapshot(), Options{})
+	res, err := AuditContext(context.Background(), prog, srv.Trace(), rep, srv.Snapshot(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,7 +234,7 @@ func TestForgedUnknownScriptDenialRejected(t *testing.T) {
 	rep.Groups = map[uint64][]string{d.Sum(): {rid}}
 	rep.Scripts = map[uint64]string{d.Sum(): "zzz"}
 	rep.OpCounts = map[string]int{rid: 0}
-	res, err := Audit(prog, srv.Trace(), rep, srv.Snapshot(), Options{})
+	res, err := AuditContext(context.Background(), prog, srv.Trace(), rep, srv.Snapshot(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +258,7 @@ func TestTamperedFaultSiteRejected(t *testing.T) {
 	if !strings.Contains(body, "line 7") {
 		t.Fatalf("tamper did not fire: %q", body)
 	}
-	res, err := Audit(prog, srv.Trace(), srv.Reports(), srv.Snapshot(), Options{})
+	res, err := AuditContext(context.Background(), prog, srv.Trace(), srv.Reports(), srv.Snapshot(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +287,7 @@ func TestPerLaneFaultDivergenceRejected(t *testing.T) {
 	}
 	rep.Groups = map[uint64][]string{keep: all}
 	rep.Scripts = map[uint64]string{keep: "divzero"}
-	res, err := Audit(prog, srv.Trace(), rep, srv.Snapshot(), Options{})
+	res, err := AuditContext(context.Background(), prog, srv.Trace(), rep, srv.Snapshot(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,7 +317,7 @@ func TestUndecodableRegisterWriteRejected(t *testing.T) {
 	if !tampered {
 		t.Fatal("no register write found to tamper")
 	}
-	res, err := Audit(prog, srv.Trace(), rep, srv.Snapshot(), Options{})
+	res, err := AuditContext(context.Background(), prog, srv.Trace(), rep, srv.Snapshot(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +346,7 @@ func TestFaultedPeriodChainsSnapshot(t *testing.T) {
 	}
 	tr2, rep2 := srv.Trace(), srv.Reports()
 
-	res1, err := Audit(prog, tr1, rep1, nil, Options{})
+	res1, err := AuditContext(context.Background(), prog, tr1, rep1, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -356,7 +357,7 @@ func TestFaultedPeriodChainsSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res2, err := Audit(prog, tr2, rep2, chained, Options{})
+	res2, err := AuditContext(context.Background(), prog, tr2, rep2, chained, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,7 +366,7 @@ func TestFaultedPeriodChainsSnapshot(t *testing.T) {
 	}
 	// Under a stale initial state the branch flips: re-execution
 	// completes with "no mark" while the trace says the request faulted.
-	res2stale, err := Audit(prog, tr2, rep2, nil, Options{})
+	res2stale, err := AuditContext(context.Background(), prog, tr2, rep2, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"context"
 	"testing"
 
 	"orochi/internal/lang"
@@ -70,7 +71,7 @@ func fig4Audit(t *testing.T, tr *trace.Trace, rep *reports.Reports) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Audit(prog, tr, rep, fig4Snapshot(), Options{})
+	res, err := AuditContext(context.Background(), prog, tr, rep, fig4Snapshot(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

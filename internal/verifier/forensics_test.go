@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestForensicsPinpointTamperedRequest(t *testing.T) {
 			})
 			rep := art.srv.Reports()
 
-			seq, err := Audit(prog, tr, rep, art.snap, Options{Workers: 1})
+			seq, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -87,7 +88,7 @@ func TestForensicsPinpointTamperedRequest(t *testing.T) {
 			// Bit-identical at any worker count, across repeated parallel
 			// schedules.
 			for run := 0; run < 3; run++ {
-				par, err := Audit(prog, tr, rep, art.snap, Options{Workers: 8})
+				par, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{Workers: 8})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -131,7 +132,7 @@ func TestForensicsPhase2ObjectCoordinates(t *testing.T) {
 	}
 	var first *Forensics
 	for _, workers := range []int{1, 4} {
-		res, err := Audit(prog, tr, rep, art.snap, Options{Workers: workers})
+		res, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -160,7 +161,7 @@ func TestForensicsPhase2ObjectCoordinates(t *testing.T) {
 func TestForensicsNilOnAccept(t *testing.T) {
 	prog := compileApp(t)
 	tr, art := serveWorkload(t, prog, sampleInputs(16), 2)
-	res, err := Audit(prog, tr, art.srv.Reports(), art.snap, Options{})
+	res, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

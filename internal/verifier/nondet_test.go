@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -41,7 +42,7 @@ func TestNonDetTimeBackwardsRejected(t *testing.T) {
 			rep2.NonDet[rid][1].Value = lang.EncodeValue(lang.Value(int64(1_000_000_000)))
 		}
 	}
-	res, err := Audit(prog2, srv.Trace(), rep2, srv.Snapshot(), Options{})
+	res, err := AuditContext(context.Background(), prog2, srv.Trace(), rep2, srv.Snapshot(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,7 +65,7 @@ func TestNonDetFnMismatchRejected(t *testing.T) {
 		}
 	}
 	prog := compileApp(t)
-	res, err := Audit(prog, tr, rep, art.snap, Options{})
+	res, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +81,7 @@ func TestNonDetExhaustionRejected(t *testing.T) {
 		rep.NonDet[rid] = rep.NonDet[rid][:0]
 	}
 	prog := compileApp(t)
-	res, err := Audit(prog, tr, rep, art.snap, Options{})
+	res, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestNonDetUndecodableRejected(t *testing.T) {
 		}
 	}
 	prog := compileApp(t)
-	res, err := Audit(prog, tr, rep, art.snap, Options{})
+	res, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +116,7 @@ func TestWrongScriptInGroupRejected(t *testing.T) {
 	for tag := range rep.Scripts {
 		rep.Scripts[tag] = "now" // claim a different entry point
 	}
-	res, err := Audit(prog, tr, rep, art.snap, Options{})
+	res, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +133,7 @@ func TestUnknownScriptInGroupRejected(t *testing.T) {
 	for tag := range rep.Scripts {
 		rep.Scripts[tag] = "no-such-script"
 	}
-	res, err := Audit(prog, tr, rep, art.snap, Options{})
+	res, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +147,7 @@ func TestMaxStepsGuard(t *testing.T) {
 	// rejection rather than a hang.
 	prog := compileApp(t)
 	tr, art := serveWorkload(t, prog, sampleInputs(5), 1)
-	res, err := Audit(prog, tr, art.srv.Reports(), art.snap, Options{MaxSteps: 10})
+	res, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap, Options{MaxSteps: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestServer500Audits(t *testing.T) {
 	if !strings.HasPrefix(body, "HTTP 500") {
 		t.Fatalf("body = %q", body)
 	}
-	res, err := Audit(prog, srv.Trace(), srv.Reports(), srv.Snapshot(), Options{})
+	res, err := AuditContext(context.Background(), prog, srv.Trace(), srv.Reports(), srv.Snapshot(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestServer500TamperedBodyRejected(t *testing.T) {
 	if !strings.HasPrefix(body, "HTTP 500") {
 		t.Fatalf("body = %q", body)
 	}
-	res, err := Audit(prog, srv.Trace(), srv.Reports(), srv.Snapshot(), Options{})
+	res, err := AuditContext(context.Background(), prog, srv.Trace(), srv.Reports(), srv.Snapshot(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -213,11 +214,11 @@ func TestServer500TamperedBodyRejected(t *testing.T) {
 func TestVerdictDeterminism(t *testing.T) {
 	prog := compileApp(t)
 	tr, art := serveWorkload(t, prog, sampleInputs(20), 4)
-	r1, err := Audit(prog, tr, art.srv.Reports(), art.snap, Options{})
+	r1, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := Audit(prog, tr, art.srv.Reports(), art.snap, Options{})
+	r2, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

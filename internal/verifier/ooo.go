@@ -33,13 +33,6 @@ import (
 // turn for that (rid, opnum). This is exactly OOOExec's "run rid up to
 // its next event" discipline.
 
-// OOOAudit verifies tr against rep with a background context.
-//
-// Deprecated: use OOOAuditContext, which supports cancellation.
-func OOOAudit(prog *lang.Program, tr *trace.Trace, rep *reports.Reports, init *object.Snapshot) (*Result, error) {
-	return OOOAuditContext(context.Background(), prog, tr, rep, init)
-}
-
 // OOOAuditContext verifies tr against rep by out-of-order, per-request
 // re-execution following a topological sort of the event graph.
 // Cancelling ctx abandons the audit between schedule steps with an

@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"context"
 	"testing"
 
 	"orochi/internal/lang"
@@ -13,7 +14,7 @@ import (
 func TestOOOAcceptsHonest(t *testing.T) {
 	prog := compileApp(t)
 	tr, art := serveWorkload(t, prog, sampleInputs(30), 6)
-	res, err := OOOAudit(prog, tr, art.srv.Reports(), art.snap)
+	res, err := OOOAuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +78,11 @@ func TestOOODifferentialWithSIMD(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rep := art.srv.Reports().Clone()
 			tc.mut(rep)
-			simd, err := Audit(prog, tr, rep, art.snap, Options{})
+			simd, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
-			ooo, err := OOOAudit(prog, tr, rep, art.snap)
+			ooo, err := OOOAuditContext(context.Background(), prog, tr, rep, art.snap)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -118,7 +119,7 @@ func TestOOORejectsFigure4a(t *testing.T) {
 	}}
 	olA := []reports.OpEntry{rOp("r2", 2, "A"), wOp("r1", 1, "A")}
 	olB := []reports.OpEntry{wOp("r2", 1, "B"), rOp("r1", 2, "B")}
-	res, err := OOOAudit(prog, tr, fig4Reports(olA, olB), fig4Snapshot())
+	res, err := OOOAuditContext(context.Background(), prog, tr, fig4Reports(olA, olB), fig4Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +142,7 @@ func TestOOOAcceptsFigure4c(t *testing.T) {
 	}}
 	olA := []reports.OpEntry{wOp("r1", 1, "A"), rOp("r2", 2, "A")}
 	olB := []reports.OpEntry{wOp("r2", 1, "B"), rOp("r1", 2, "B")}
-	res, err := OOOAudit(prog, tr, fig4Reports(olA, olB), fig4Snapshot())
+	res, err := OOOAuditContext(context.Background(), prog, tr, fig4Reports(olA, olB), fig4Snapshot())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestOOORejectsTamperedResponse(t *testing.T) {
 			break
 		}
 	}
-	res, err := OOOAudit(prog, tr, art.srv.Reports(), art.snap)
+	res, err := OOOAuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,7 +200,7 @@ func TestOOOExtraOpsRejected(t *testing.T) {
 		}
 		rep.OpLogs[i] = kept
 	}
-	res, err := OOOAudit(prog, tr, rep, art.snap)
+	res, err := OOOAuditContext(context.Background(), prog, tr, rep, art.snap)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -63,7 +64,7 @@ func serveParallelWorkload(t *testing.T, w *workload.Workload, conc int,
 		t.Fatal(err)
 	}
 	snap := srv.Snapshot()
-	srv.ServeAll(w.Requests, conc)
+	srv.ServeAllContext(context.Background(), w.Requests, conc)
 	return prog, srv.Trace(), &serverArtifacts{srv: srv, snap: snap}
 }
 
@@ -86,11 +87,11 @@ func TestParallelAuditMatchesSequential(t *testing.T) {
 	for name, w := range parallelWorkloads() {
 		t.Run(name, func(t *testing.T) {
 			prog, tr, art := serveParallelWorkload(t, w, 6, nil)
-			seq, err := Audit(prog, tr, art.srv.Reports(), art.snap, Options{Workers: 1, CollectStats: true})
+			seq, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap, Options{Workers: 1, CollectStats: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			par, err := Audit(prog, tr, art.srv.Reports(), art.snap, Options{Workers: 8, CollectStats: true})
+			par, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap, Options{Workers: 8, CollectStats: true})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -144,7 +145,7 @@ func TestParallelAuditRejectDeterminism(t *testing.T) {
 				}
 				return body
 			})
-			seq, err := Audit(prog, tr, art.srv.Reports(), art.snap, Options{Workers: 1})
+			seq, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap, Options{Workers: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -152,7 +153,7 @@ func TestParallelAuditRejectDeterminism(t *testing.T) {
 				t.Fatal("tampered response must be rejected")
 			}
 			for _, workers := range []int{2, 8} {
-				par, err := Audit(prog, tr, art.srv.Reports(), art.snap, Options{Workers: workers})
+				par, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap, Options{Workers: workers})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -177,7 +178,7 @@ func TestParallelAuditSmallChunks(t *testing.T) {
 	}
 	tr, art := serveWorkload(t, prog, inputs, 4)
 	for _, workers := range []int{1, 3, 8} {
-		res, err := Audit(prog, tr, art.srv.Reports(), art.snap, Options{MaxGroup: 4, Workers: workers})
+		res, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap, Options{MaxGroup: 4, Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -220,9 +221,9 @@ func TestRejectedAuditCarriesTimings(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := srv.Snapshot()
-	srv.ServeAll(inputs, 1)
+	srv.ServeAllContext(context.Background(), inputs, 1)
 	for _, workers := range []int{1, 4} {
-		res, err := Audit(prog, srv.Trace(), srv.Reports(), snap, Options{Workers: workers})
+		res, err := AuditContext(context.Background(), prog, srv.Trace(), srv.Reports(), snap, Options{Workers: workers})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,7 +267,7 @@ func TestPhase2RejectCarriesDBRedo(t *testing.T) {
 	if !forged {
 		t.Fatal("no KV write found to forge")
 	}
-	res, err := Audit(prog, tr, rep, art.snap, Options{})
+	res, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

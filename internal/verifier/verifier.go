@@ -162,15 +162,6 @@ func (r *Result) FinalSnapshot() (*object.Snapshot, error) {
 	return snap, nil
 }
 
-// Audit runs the full audit with a background context.
-//
-// Deprecated: use AuditContext, which supports cancellation and
-// progress observation. This wrapper remains for callers predating the
-// context-aware API.
-func Audit(prog *lang.Program, tr *trace.Trace, rep *reports.Reports, init *object.Snapshot, opts Options) (*Result, error) {
-	return AuditContext(context.Background(), prog, tr, rep, init, opts)
-}
-
 // AuditContext runs the full audit. A non-nil error reports an internal
 // fault (not a verification verdict); verification verdicts are in
 // Result. Cancelling ctx abandons the audit between work items — the

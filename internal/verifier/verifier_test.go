@@ -1,6 +1,7 @@
 package verifier
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"testing"
@@ -85,7 +86,7 @@ func serveWorkload(t *testing.T, prog *lang.Program, inputs []trace.Input, concu
 		t.Fatal(err)
 	}
 	snap := srv.Snapshot()
-	srv.ServeAll(inputs, concurrency)
+	srv.ServeAllContext(context.Background(), inputs, concurrency)
 	return srv.Trace(), &serverArtifacts{srv: srv, snap: snap}
 }
 
@@ -96,7 +97,7 @@ type serverArtifacts struct {
 
 func mustAudit(t *testing.T, prog *lang.Program, tr *trace.Trace, art *serverArtifacts) *Result {
 	t.Helper()
-	res, err := Audit(prog, tr, art.srv.Reports(), art.snap, Options{CollectStats: true})
+	res, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap, Options{CollectStats: true})
 	if err != nil {
 		t.Fatalf("audit error: %v", err)
 	}
@@ -216,8 +217,8 @@ func TestAuditRejectsTamperedResponse(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := srv.Snapshot()
-	srv.ServeAll(sampleInputs(20), 4)
-	res, err := Audit(prog, srv.Trace(), srv.Reports(), snap, Options{})
+	srv.ServeAllContext(context.Background(), sampleInputs(20), 4)
+	res, err := AuditContext(context.Background(), prog, srv.Trace(), srv.Reports(), snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestAuditRejectsForgedWriteValue(t *testing.T) {
 	if !forged {
 		t.Fatal("no register write found to forge")
 	}
-	res, err := Audit(prog, tr, rep, art.snap, Options{})
+	res, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +270,7 @@ func TestAuditRejectsDroppedLogEntry(t *testing.T) {
 			break
 		}
 	}
-	res, err := Audit(prog, tr, rep, art.snap, Options{})
+	res, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +289,7 @@ func TestAuditRejectsDuplicatedLogEntry(t *testing.T) {
 			break
 		}
 	}
-	res, err := Audit(prog, tr, rep, art.snap, Options{})
+	res, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +308,7 @@ func TestAuditRejectsWrongOpCount(t *testing.T) {
 			break
 		}
 	}
-	res, err := Audit(prog, tr, rep, art.snap, Options{})
+	res, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +327,7 @@ func TestAuditRejectsOmittedRequestFromGroups(t *testing.T) {
 			break
 		}
 	}
-	res, err := Audit(prog, tr, rep, art.snap, Options{})
+	res, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +365,7 @@ func TestAuditRejectsWrongGrouping(t *testing.T) {
 	rep.Groups[visitTag] = append(rep.Groups[visitTag], rep.Groups[listTag]...)
 	delete(rep.Groups, listTag)
 	delete(rep.Scripts, listTag)
-	res, err := Audit(prog, tr, rep, art.snap, Options{})
+	res, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +392,7 @@ func TestAuditRejectsForgedNonDet(t *testing.T) {
 	if !forged {
 		t.Fatal("no mt_rand record found")
 	}
-	res, err := Audit(prog, tr, rep, art.snap, Options{})
+	res, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -404,7 +405,7 @@ func TestAuditRejectsUnbalancedTrace(t *testing.T) {
 	prog := compileApp(t)
 	tr, art := serveWorkload(t, prog, sampleInputs(5), 1)
 	tr.Events = tr.Events[:len(tr.Events)-1] // drop final response
-	res, err := Audit(prog, tr, art.srv.Reports(), art.snap, Options{})
+	res, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +424,7 @@ func TestAuditRejectsDuplicateObjectIdentity(t *testing.T) {
 	// Split the first object's log into two logs with the same identity.
 	rep.Objects = append(rep.Objects, rep.Objects[0])
 	rep.OpLogs = append(rep.OpLogs, nil)
-	res, err := Audit(prog, tr, rep, art.snap, Options{})
+	res, err := AuditContext(context.Background(), prog, tr, rep, art.snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +483,7 @@ func TestAuditSmallMaxGroupChunks(t *testing.T) {
 		inputs = append(inputs, trace.Input{Script: "list"})
 	}
 	tr, art := serveWorkload(t, prog, inputs, 1)
-	res, err := Audit(prog, tr, art.srv.Reports(), art.snap, Options{MaxGroup: 3})
+	res, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap, Options{MaxGroup: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -495,7 +496,7 @@ func TestAuditEmptyTrace(t *testing.T) {
 	prog := compileApp(t)
 	srv := server.New(prog, server.Options{Record: true})
 	snap := srv.Snapshot()
-	res, err := Audit(prog, srv.Trace(), srv.Reports(), snap, Options{})
+	res, err := AuditContext(context.Background(), prog, srv.Trace(), srv.Reports(), snap, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

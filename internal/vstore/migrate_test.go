@@ -2,6 +2,7 @@ package vstore_test
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"orochi/internal/harness"
@@ -29,7 +30,7 @@ func TestMigrateFinalMatchesSQLTextOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			res, err := served.Audit(verifier.Options{Workers: 2})
+			res, err := served.AuditContext(context.Background(), verifier.Options{Workers: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

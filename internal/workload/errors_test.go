@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -51,7 +52,7 @@ func TestWithErrorsServesAndAudits(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := srv.Snapshot()
-	srv.ServeAll(w.Requests, 4)
+	srv.ServeAllContext(context.Background(), w.Requests, 4)
 
 	faulted := 0
 	for _, ev := range srv.Trace().Requests() {
@@ -62,7 +63,7 @@ func TestWithErrorsServesAndAudits(t *testing.T) {
 	if faulted == 0 {
 		t.Fatal("error mix produced no faulted responses")
 	}
-	res, err := verifier.Audit(prog, srv.Trace(), srv.Reports(), snap, verifier.Options{})
+	res, err := verifier.AuditContext(context.Background(), prog, srv.Trace(), srv.Reports(), snap, verifier.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
