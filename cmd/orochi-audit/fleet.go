@@ -94,6 +94,9 @@ func coordinateCmd(ctx context.Context, dir, addr string, opts fleet.Coordinator
 	for _, warn := range coord.Warnings() {
 		fmt.Fprintln(os.Stderr, "orochi-audit:", warn)
 	}
+	st := coord.Stats()
+	fmt.Fprintf(os.Stderr, "orochi-audit: fleet: at most %d epoch(s) in flight past the ledger, %d verdict(s) discarded for an initial-state mismatch\n",
+		st.MaxEpochsInFlight, st.InitMismatches)
 	// Group statistics are the workers' to print (-worker -stats).
 	printLedger(dir, coord.Ledger(), opts.To, false)
 }

@@ -13,10 +13,12 @@
 // With -epochs it instead verifies an epoch chain produced by
 // orochi-serve's epoch pipeline: each sealed epoch's segments and
 // report bundle are integrity-checked against the manifest digests, the
-// manifests' hash chain is validated, and the epochs are audited in
-// sequence — epoch N+1's trusted initial state is epoch N's verified
-// final snapshot. -from/-to select a sub-range; auditing from the
-// middle resumes from the checkpoint a previous run persisted.
+// manifests' hash chain is validated, and the epochs are audited —
+// -workers of them at once, epoch N+1 from the final state epoch N's
+// redo fixes — and decided in sequence: epoch N+1's trusted initial
+// state is epoch N's verified final snapshot. -from/-to select a
+// sub-range; auditing from the middle resumes from the checkpoint a
+// previous run persisted.
 //
 //	orochi-audit -app wiki -epochs ./epochs
 //	orochi-audit -app wiki -epochs ./epochs -from 3 -to 5
@@ -94,7 +96,7 @@ func main() {
 	epochsDir := flag.String("epochs", "", "audit an epoch chain directory instead of single trace/report files")
 	from := flag.Int64("from", 0, "first epoch to audit (with -epochs; default 1, >1 resumes from a checkpoint)")
 	to := flag.Int64("to", 0, "last epoch to audit (with -epochs; default: all sealed)")
-	workers := flag.Int("workers", 2, "epochs loaded/integrity-checked concurrently (with -epochs)")
+	workers := flag.Int("workers", 2, "epochs audited concurrently (with -epochs); verdicts are published in chain order")
 	auditWorkers := flag.Int("audit-workers", 0, "concurrent re-execution workers inside each audit (0 = all CPUs, 1 = sequential)")
 	checkpoints := flag.Bool("checkpoints", true, "persist verified final snapshots for resumable audits (with -epochs)")
 	stats := flag.Bool("stats", false, "print per-group statistics")

@@ -332,6 +332,8 @@ func TestConsoleFleetMetrics(t *testing.T) {
 		"orochi_fleet_chunks_served_total 0",
 		"orochi_fleet_chunk_bytes_served_total 0",
 		"orochi_fleet_workers 0",
+		"orochi_fleet_init_mismatch_total 0",
+		"# TYPE orochi_fleet_epochs_in_flight gauge",
 		"orochi_fleet_fetched_bytes_total 0",
 		"# TYPE orochi_fleet_wire_bytes_total counter",
 		"orochi_fleet_wire_bytes_total 0",

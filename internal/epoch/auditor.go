@@ -14,10 +14,12 @@ import (
 
 // AuditorOptions configures a chain auditor.
 type AuditorOptions struct {
-	// Workers bounds how many epochs are loaded and integrity-checked
-	// concurrently, ahead of the (inherently sequential) verification
-	// stage (default 2). Verification is sequential because epoch N+1's
-	// trusted initial state is epoch N's verified final snapshot.
+	// Workers bounds how many epochs are audited at once (default 2).
+	// Epoch N+1 is audited from epoch N's candidate final state, fixed
+	// once N's redo (verifier Phases 1–2) has run, so N+1 re-executes
+	// while N still does; verdicts are published in chain order and
+	// N+1's only once N ACCEPTed, so the ledger is the same at any
+	// setting.
 	Workers int
 	// Poll is how often Run rescans for newly sealed epochs when no
 	// notification channel fires (default 250ms).
@@ -41,11 +43,12 @@ type AuditorOptions struct {
 	// Verify configures the underlying verifier.
 	Verify verifier.Options
 	// Observer, if non-nil, receives the per-epoch audit progress
-	// callbacks (verifier.Observer) for whichever epoch is currently
-	// under verification. The auditor additionally tracks the same
-	// stream itself and exposes it as Progress() for status endpoints,
-	// so most callers need no Observer of their own. It supersedes
-	// Verify.Observer, which the auditor overrides per epoch.
+	// callbacks (verifier.Observer) of every epoch under verification;
+	// with Workers > 1 the streams of several epochs interleave. The
+	// auditor additionally tracks the same stream itself and exposes it
+	// as Progress() for status endpoints, so most callers need no
+	// Observer of their own. It supersedes Verify.Observer, which the
+	// auditor overrides per epoch.
 	Observer verifier.Observer
 }
 
@@ -62,11 +65,12 @@ func (o AuditorOptions) withDefaults() AuditorOptions {
 	return o
 }
 
-// Auditor drives a Ledger in-process: it discovers sealed epochs,
-// prefetches them, and audits them in chain order, continuously or in
-// batches, concurrently with live serving. What a verdict does to the
-// chain — including that a single REJECT, such as a flipped byte in a
-// sealed segment, leaves later epochs unaudited — is the Ledger's.
+// Auditor drives a Ledger in-process: it discovers sealed epochs and
+// audits up to Workers of them at once, publishing in chain order,
+// continuously or in batches, concurrently with live serving. What a
+// verdict does to the chain — including that a single REJECT, such as a
+// flipped byte in a sealed segment, leaves later epochs unaudited — is
+// the Ledger's.
 type Auditor struct {
 	dir  string
 	prog *lang.Program
@@ -83,7 +87,7 @@ type Auditor struct {
 	openErr error
 
 	mu       sync.Mutex
-	progress Progress
+	progress map[int64]*Progress // one slot per epoch under verification
 }
 
 // NewAuditor builds an auditor over the epoch chain in dir. It opens
@@ -198,13 +202,13 @@ func (a *Auditor) notifyChan() <-chan struct{} {
 	return a.never // never fires; the Poll timer drives us
 }
 
-// RunOnce audits every currently sealed, not-yet-audited epoch in chain
-// order and returns how many verdicts it appended. A REJECT stops the
-// chain; a non-nil error is an internal fault (not a verdict).
-// Cancelling ctx abandons the epoch currently under verification with
-// an error matching verifier.ErrAuditCanceled — its verdict is NOT
+// RunOnce audits every currently sealed, not-yet-audited epoch,
+// publishing in chain order, and returns how many verdicts it appended.
+// A REJECT stops the chain; a non-nil error is an internal fault (not a
+// verdict). Cancelling ctx abandons the epochs under verification with
+// an error matching verifier.ErrAuditCanceled — their verdicts are NOT
 // published and the auditor's position does not advance, so the next
-// RunOnce re-audits it whole (symmetric with the retryable
+// RunOnce re-audits them whole (symmetric with the retryable
 // CheckpointError path: transient interruptions never turn into
 // spurious REJECTs).
 func (a *Auditor) RunOnce(ctx context.Context) (int, error) {
@@ -254,68 +258,175 @@ func (a *Auditor) RunOnce(ctx context.Context) (int, error) {
 		return 0, nil
 	}
 
-	// Stage 1 (worker pool): load + integrity-check epochs concurrently.
-	// A semaphore slot is held from load start until stage 2 consumes
-	// the result, so at most Workers fully decoded epochs sit in memory
-	// ahead of the (slower) sequential verification stage. A single
-	// dispatcher acquires slots in chain order — were loaders to race
-	// for slots themselves, later epochs could hold every slot while
-	// the consumer waits on an earlier epoch that can never start.
-	futures := make([]chan loadResult, len(batch))
-	for i := range futures {
-		futures[i] = make(chan loadResult, 1)
-	}
-	sem := make(chan struct{}, a.opts.Workers)
-	go func() {
-		for i, s := range batch {
-			sem <- struct{}{}
-			go func(i int, s *Sealed) {
-				if s.Err != nil || s.Compacted {
-					// Nothing to load: the ledger decides these itself.
-					futures[i] <- loadResult{}
-					return
-				}
-				l, err := Load(s)
-				futures[i] <- loadResult{loaded: l, err: err}
-			}(i, s)
-		}
-	}()
-	consumed := 0
-	defer func() {
-		// On an early return (verifier fault or chain break), drain the
-		// abandoned prefetches in the background so their loader
-		// goroutines don't block on the semaphore forever.
-		go func(from int) {
-			for i := from; i < len(batch); i++ {
-				<-futures[i]
-				<-sem
-			}
-		}(consumed)
-	}()
-
-	// Stage 2 (sequential): decide in chain order; the ledger threads
-	// each verified final snapshot forward.
+	// Runs of epochs that need an executor go to the audit pool; the
+	// ledger decides a damaged or compacted epoch itself, between runs,
+	// so an adopted checkpoint seeds the next run's first epoch.
 	audited := 0
-	for i, s := range batch {
-		r := <-futures[i]
-		<-sem
-		consumed = i + 1
-		verdict, final, err := a.auditOne(ctx, s, r)
+	for len(batch) > 0 {
+		n := 0
+		for n < len(batch) && batch[n].Err == nil && !batch[n].Compacted {
+			n++
+		}
+		if n > 0 {
+			k, err := a.auditRun(ctx, batch[:n])
+			audited += k
+			if err != nil || !a.ledger.ChainAccepted() {
+				return audited, err
+			}
+			batch = batch[n:]
+			continue
+		}
+		v, final, err := a.ledger.DecideLocally(batch[0])
 		if err != nil {
 			return audited, err
 		}
-		if err := a.ledger.Publish(*verdict, final); err != nil {
+		if err := a.ledger.Publish(*v, final); err != nil {
+			return audited + 1, err
+		}
+		audited++
+		if !v.Accepted {
+			break
+		}
+		batch = batch[1:]
+	}
+	return audited, nil
+}
+
+// errNoCandidate ends the audit of an epoch whose predecessor handed on
+// no candidate state. It is never published: the predecessor's own
+// outcome — a REJECT, a fault or a cancellation — stops the run first.
+var errNoCandidate = errors.New("epoch: the previous epoch handed on no candidate state")
+
+// auditRun audits a run of consecutive epochs that each need the
+// executor, up to Workers of them at once, and publishes their verdicts
+// in chain order. Each slot of the audit pool loads its epoch, waits for
+// the previous epoch's candidate final state, prepares (verifier Phases
+// 1–2), hands its own candidate on and re-executes; so epoch n+1 is
+// loaded, redone and re-executed while epoch n still re-executes.
+//
+// Soundness is by induction and holds by construction: a verdict is
+// published only after every earlier one, the run stops at the first
+// REJECT, and epoch n's ACCEPT publishes as the next trusted initial
+// state the very snapshot epoch n+1 was audited from — so the ledger,
+// every decision and every checkpoint are what the sequential walk
+// produces. After a REJECT or a fault everything later is cancelled and
+// discarded; auditRun returns once every slot has stopped.
+func (a *Auditor) auditRun(ctx context.Context, run []*Sealed) (int, error) {
+	prevSHA, err := a.ledger.PrevSHA()
+	if err != nil {
+		return 0, err
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+	// hand[i] carries the initial state of run[i]: the ledger's for the
+	// first epoch, then each epoch's candidate, exactly one send each
+	// (nil when an epoch has none to give).
+	hand := make([]chan *object.Snapshot, len(run)+1)
+	results := make([]chan slotResult, len(run))
+	for i := range hand {
+		hand[i] = make(chan *object.Snapshot, 1)
+		if i < len(run) {
+			results[i] = make(chan slotResult, 1)
+		}
+	}
+	hand[0] <- a.ledger.Init().Snap
+	sem := make(chan struct{}, a.opts.Workers)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		// One dispatcher takes slots in chain order, so an epoch only ever
+		// waits on an earlier one that already holds a slot.
+		for i, s := range run {
+			select {
+			case sem <- struct{}{}:
+			case <-ctx.Done():
+				return
+			}
+			prev := prevSHA
+			if i > 0 {
+				prev = run[i-1].ManifestSHA
+			}
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				results[i] <- a.auditSlot(ctx, s, prev, i == 0, hand[i], hand[i+1])
+			}()
+		}
+	}()
+
+	audited := 0
+	for i := range run {
+		var r slotResult
+		select {
+		case r = <-results[i]:
+		case <-ctx.Done():
+			return audited, canceled(ctx)
+		}
+		<-sem
+		if r.err != nil {
+			return audited, r.err
+		}
+		if err := a.ledger.Publish(r.v, r.final); err != nil {
 			// The verdict is published in memory; a log that cannot take
 			// it is an internal fault the caller must see, and a checkpoint
 			// that cannot be written is parked in the ledger and retried.
 			return audited + 1, err
 		}
 		audited++
-		if !verdict.Accepted {
+		if !r.v.Accepted {
 			break
 		}
 	}
 	return audited, nil
+}
+
+type slotResult struct {
+	v     Verdict
+	final State // the verified final state, on ACCEPT
+	err   error
+}
+
+// auditSlot audits one epoch of a run from the initial state in `in`
+// and sends its candidate on `out` as soon as Phases 1–2 fix it. first
+// marks the run's first epoch, whose nil initial state means the one its
+// manifest pins. A cancellation mid-verification surfaces as the
+// verifier's typed error (no verdict, no chain extension); the epoch
+// stays unaudited for the next pass.
+func (a *Auditor) auditSlot(ctx context.Context, s *Sealed, prevSHA string, first bool,
+	in <-chan *object.Snapshot, out chan<- *object.Snapshot) slotResult {
+	var cand *object.Snapshot
+	handed := false
+	handOn := func() {
+		if !handed {
+			handed = true
+			out <- cand
+		}
+	}
+	defer handOn()
+	loaded, loadErr := Load(s)
+	init := <-in
+	if init == nil && !first {
+		return slotResult{err: errNoCandidate}
+	}
+	vopts := a.opts.Verify
+	vopts.Observer = a.beginProgress(s.Number)
+	defer a.endProgress(s.Number)
+	v, p, err := PrepareEpoch(ctx, s, loaded, loadErr, prevSHA, init, vopts)
+	if p == nil {
+		return slotResult{v: v, err: err}
+	}
+	if cand, err = p.Candidate(); err != nil {
+		return slotResult{err: err}
+	}
+	handOn()
+	if v, err = Finish(ctx, a.prog, v, p, vopts); err != nil || !v.Accepted {
+		return slotResult{v: v, err: err}
+	}
+	return slotResult{v: v, final: State{Snap: cand}}
 }
 
 // DrainSealed synchronously audits every currently sealed,
@@ -354,31 +465,6 @@ func (a *Auditor) DrainSealed(ctx context.Context, wait time.Duration, onRetry f
 			return total, nil
 		}
 	}
-}
-
-type loadResult struct {
-	loaded *Loaded
-	err    error
-}
-
-// auditOne produces the verdict for the ledger's next epoch and, on
-// acceptance, the verified final state that seeds the one after. A
-// cancellation mid-verification surfaces as the verifier's typed error
-// (no verdict, no chain extension); the epoch stays unaudited for the
-// next pass.
-func (a *Auditor) auditOne(ctx context.Context, s *Sealed, r loadResult) (*Verdict, State, error) {
-	if v, final, err := a.ledger.DecideLocally(s); v != nil || err != nil {
-		return v, final, err
-	}
-	prevSHA, err := a.ledger.PrevSHA()
-	if err != nil {
-		return nil, State{}, err
-	}
-	vopts := a.opts.Verify
-	vopts.Observer = a.beginProgress(s.Number)
-	defer a.endProgress()
-	v, snap, err := AuditEpoch(ctx, a.prog, s, r.loaded, r.err, prevSHA, a.ledger.Init().Snap, vopts)
-	return &v, State{Snap: snap}, err
 }
 
 // Verdicts returns a copy of the ledger so far, in epoch order.

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -246,6 +248,82 @@ func TestAuditorParallelVerifyMatches(t *testing.T) {
 		if seq[i].Accepted != par[i].Accepted || seq[i].Reason != par[i].Reason ||
 			seq[i].ChainSHA != par[i].ChainSHA {
 			t.Fatalf("epoch %d verdicts differ: %+v vs %+v", seq[i].Epoch, seq[i], par[i])
+		}
+	}
+}
+
+// overlapWatch is an observer that holds the first re-execution phase
+// until a second epoch is under audit (or a deadline passes), and
+// records the deepest in-flight count and progress line it saw.
+type overlapWatch struct {
+	a       *Auditor
+	once    sync.Once
+	mu      sync.Mutex
+	deepest Progress
+}
+
+func (o *overlapWatch) note() {
+	p := o.a.Progress()
+	o.mu.Lock()
+	if p.InFlight > o.deepest.InFlight {
+		o.deepest = p
+	}
+	o.mu.Unlock()
+}
+
+func (o *overlapWatch) PhaseStart(phase string, _ int) {
+	if phase == verifier.PhaseReExec {
+		o.once.Do(func() {
+			for deadline := time.Now().Add(5 * time.Second); o.a.Progress().InFlight < 2 && time.Now().Before(deadline); {
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+	o.note()
+}
+func (o *overlapWatch) PhaseEnd(string, time.Duration)      {}
+func (o *overlapWatch) GroupReexecuted(string, uint64, int) { o.note() }
+func (o *overlapWatch) OpsReplayed(int)                     {}
+func (o *overlapWatch) Verdict(bool, string)                {}
+
+// TestAuditorOverlapsEpochs: with Workers 2 the next epoch is audited
+// from the candidate state while the one before still re-executes —
+// Progress names the older epoch and counts both — and the ledger is
+// the one the sequential walk (Workers 1) publishes.
+func TestAuditorOverlapsEpochs(t *testing.T) {
+	dir := t.TempDir()
+	prog, srv, mgr := startPipeline(t, dir, 20)
+	for b := 0; b < 4; b++ {
+		srv.ServeAllContext(context.Background(), burst(12, b), 3)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	run := func(workers int, obs verifier.Observer) *Auditor {
+		a := NewAuditor(prog, dir, AuditorOptions{Workers: workers, Observer: obs})
+		if w, ok := obs.(*overlapWatch); ok {
+			w.a = a
+		}
+		if _, err := a.DrainSealed(context.Background(), time.Millisecond, nil); err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	watch := &overlapWatch{}
+	seq, par := run(1, nil), run(2, watch)
+	if p := watch.deepest; p.InFlight != 2 || !strings.Contains(p.String(), "2 epoch(s) in flight") {
+		t.Fatalf("never saw two epochs in flight: %+v %q", p, p.String())
+	}
+	if p := par.Progress(); p.Epoch != 0 || p.InFlight != 0 {
+		t.Fatalf("progress not cleared after the drain: %+v", p)
+	}
+	want, got := seq.Verdicts(), par.Verdicts()
+	if len(want) < 3 || len(got) != len(want) {
+		t.Fatalf("ledgers of %d and %d epochs, want the same >= 3", len(want), len(got))
+	}
+	for i := range want {
+		if !got[i].Accepted || got[i].ChainSHA != want[i].ChainSHA || got[i].ManifestSHA != want[i].ManifestSHA {
+			t.Fatalf("epoch %d: %+v, sequential %+v", want[i].Epoch, got[i], want[i])
 		}
 	}
 }

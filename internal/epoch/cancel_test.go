@@ -46,10 +46,12 @@ func TestAuditorCancellationPublishesNoVerdict(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	obs := &cancelOnGroup{cancel: cancel}
-	// Workers: 1 keeps the cancellation point deterministic: with a
-	// sequential pool the cancel always lands before the epoch's
-	// remaining group tasks, so the first epoch can never finish.
+	// Workers: 1 keeps the cancellation point deterministic: with one
+	// epoch in flight and a sequential pool the cancel always lands
+	// before the first epoch's remaining group tasks, so it can never
+	// finish.
 	a := NewAuditor(prog, dir, AuditorOptions{
+		Workers:  1,
 		Observer: obs,
 		Verify:   verifier.Options{Workers: 1},
 	})

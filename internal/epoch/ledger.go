@@ -103,18 +103,21 @@ type State struct {
 	Refs []cas.Ref
 }
 
-// AuditEpoch is the executor: it decides one sealed epoch whose
-// artifacts had to be read, in the fixed order integrity (loadErr, from
-// Load) → manifest link → trusted initial state → verification, and on
-// ACCEPT returns the verified final snapshot. init nil means the
-// snapshot the epoch's own manifest pins. It is a plain function of its
-// arguments, so the local auditor calls it directly and a fleet worker
-// calls it between a fetch and a post, and every epoch-level REJECT
-// reads the same from both. The verdict carries no chain digest; the
-// Ledger it is published to assigns one. An error is an internal fault
-// or a cancellation (verifier.ErrAuditCanceled), never a verdict.
-func AuditEpoch(ctx context.Context, prog *lang.Program, s *Sealed, loaded *Loaded, loadErr error,
-	prevSHA string, init *object.Snapshot, vopts verifier.Options) (Verdict, *object.Snapshot, error) {
+// PrepareEpoch is the first half of the executor: it checks one sealed
+// epoch whose artifacts had to be read, in the fixed order integrity
+// (loadErr, from Load) → manifest link → trusted initial state →
+// verification Phases 1–2 (verifier.Prepare). init nil means the
+// snapshot the epoch's own manifest pins. It returns either a decided
+// verdict — a REJECT — or, with the verdict still open, the prepared
+// audit, whose Candidate is the final state an ACCEPT will vouch for
+// and which Finish completes. It is a plain function of its arguments,
+// so the local auditor calls it directly and a fleet worker calls it
+// between a fetch and a post, and every epoch-level REJECT reads the
+// same from both. The verdict carries no chain digest; the Ledger it is
+// published to assigns one. An error is an internal fault or a
+// cancellation (verifier.ErrAuditCanceled), never a verdict.
+func PrepareEpoch(ctx context.Context, s *Sealed, loaded *Loaded, loadErr error,
+	prevSHA string, init *object.Snapshot, vopts verifier.Options) (Verdict, *verifier.Prepared, error) {
 	v := NewVerdict(s)
 	if loadErr != nil {
 		var ie *IntegrityError
@@ -135,21 +138,32 @@ func AuditEpoch(ctx context.Context, prog *lang.Program, s *Sealed, loaded *Load
 		}
 		init = loaded.Init
 	}
-	res, err := verifier.AuditContext(ctx, prog, loaded.Trace, loaded.Reports, init, vopts)
-	if err != nil {
-		return v, nil, err
+	p, res, err := verifier.Prepare(ctx, loaded.Trace, loaded.Reports, init, vopts)
+	if p == nil && err == nil {
+		v = v.withResult(res)
 	}
+	return v, p, err
+}
+
+// Finish is the second half of the executor: it re-executes a prepared
+// epoch (verifier Phases 3–4) and decides v. Errors are PrepareEpoch's.
+func Finish(ctx context.Context, prog *lang.Program, v Verdict, p *verifier.Prepared, vopts verifier.Options) (Verdict, error) {
+	res, err := p.ReExec(ctx, prog, vopts)
+	if err != nil {
+		return v, err
+	}
+	return v.withResult(res), nil
+}
+
+// withResult decides v by the verifier's result.
+func (v Verdict) withResult(res *verifier.Result) Verdict {
 	v.AuditTime = res.Stats.Total
 	v.Stats = res.Stats
 	if !res.Accepted {
-		return v.Reject(res.Reason, res.Forensics), nil, nil
-	}
-	snap, err := res.FinalSnapshot()
-	if err != nil {
-		return v, nil, err
+		return v.Reject(res.Reason, res.Forensics)
 	}
 	v.Accepted = true
-	return v, snap, nil
+	return v
 }
 
 // CheckpointError reports a failed write of an epoch's verified final
@@ -305,7 +319,7 @@ func (l *Ledger) PrevSHA() (string, error) {
 // — retention evicted its bulk artifacts, it survives as its stored
 // ACCEPT plus checkpoint — is adopted, the checkpoint becoming the next
 // epoch's trusted initial state. It returns a nil verdict for an epoch
-// that has to be audited (AuditEpoch).
+// that has to be audited (PrepareEpoch, Finish).
 //
 // Adoption checks the chain link against the on-disk manifest, that the
 // stored decision pins that exact manifest, and that the checkpoint

@@ -23,7 +23,8 @@ import (
 type CoordinatorOptions struct {
 	// LeaseTimeout is how long a worker may hold an epoch without
 	// activity before the lease is reassigned (default 2m). Any
-	// authenticated touch — an init request — renews it.
+	// authenticated touch — an init request, a candidate post — renews
+	// it.
 	LeaseTimeout time.Duration
 	// CrossCheck is the fraction of epochs audited on CrossCheckK
 	// workers before the verdict is believed (0 = none, 1 = every
@@ -37,10 +38,6 @@ type CoordinatorOptions struct {
 	Key []byte
 	// To bounds the audit to epochs 1..To (0 = every sealed epoch).
 	To int64
-	// Lookahead is how many epochs past the decision point may be
-	// leased speculatively (default 8). Later epochs' verification can
-	// overlap earlier epochs' — only the snapshot hand-off serializes.
-	Lookahead int
 	// RetryMS is the wait hint returned when no lease is available
 	// (default 300).
 	RetryMS int
@@ -52,9 +49,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	}
 	if o.CrossCheckK <= 0 {
 		o.CrossCheckK = 2
-	}
-	if o.Lookahead <= 0 {
-		o.Lookahead = 8
 	}
 	if o.RetryMS <= 0 {
 		o.RetryMS = 300
@@ -73,6 +67,15 @@ type CoordinatorStats struct {
 	CrossCheckMismatches int64
 	BadSignaturePosts    int64
 	StaleVerdicts        int64
+	// InitMismatches counts verdicts discarded because the initial state
+	// they were audited from is not the state the ledger published for
+	// the epoch before (a candidate that lost); 0 on an honest fleet.
+	InitMismatches int64
+	// EpochsInFlight counts the epochs past the ledger's next that hold
+	// a lease, a candidate or an unpublished verdict; MaxEpochsInFlight
+	// is the most there ever were at once.
+	EpochsInFlight    int
+	MaxEpochsInFlight int
 	// FetchedBytes and CacheHitBytes are logical (inflated) chunk bytes,
 	// as workers report them: pulled from the artifact server, and pinned
 	// by a manifest but served from a worker's cache. WireBytes is what
@@ -80,9 +83,9 @@ type CoordinatorStats struct {
 	FetchedBytes  int64
 	CacheHitBytes int64
 	WireBytes     int64
-	// SnapshotChunksPosted counts final-snapshot chunks workers shipped
-	// with their verdicts; SnapshotChunksReused counts the refs in those
-	// posts that named a chunk the chain store already held.
+	// SnapshotChunksPosted counts candidate-snapshot chunks workers
+	// shipped; SnapshotChunksReused counts the refs in those posts that
+	// named a chunk the chain store already held.
 	SnapshotChunksPosted int64
 	SnapshotChunksReused int64
 	Done                 bool
@@ -98,16 +101,36 @@ type activeLease struct {
 	deadline time.Time
 }
 
-// epochState tracks one sealed epoch through lease → verdict(s) →
-// published decision.
+// epochState tracks one sealed epoch through lease → candidate →
+// verdict(s) → published decision.
 type epochState struct {
 	s      *epoch.Sealed
 	cross  bool // sampled for cross-checking
 	need   int  // verdicts required (1, or CrossCheckK when cross)
 	active map[string]*activeLease
+	// cands holds the candidate final states posted for this epoch, in
+	// post order, one per lease: ref lists whose every chunk is in the
+	// chain store. The first is what the next epoch's init hands out
+	// while this one is undecided.
+	cands []*VerdictPost
 	// posted holds validated, not-yet-published verdicts; an ACCEPT's
-	// FinalSnapshot is a ref list whose every chunk is in the chain store.
+	// FinalSnapshot is its lease's candidate.
 	posted []*VerdictPost
+}
+
+// candidate returns the candidate the lease posted, or nil.
+func (st *epochState) candidate(leaseID string) *VerdictPost {
+	for _, p := range st.cands {
+		if p.LeaseID == leaseID {
+			return p
+		}
+	}
+	return nil
+}
+
+// dropCandidate forgets the candidate the lease posted, if any.
+func (st *epochState) dropCandidate(leaseID string) {
+	st.cands = slices.DeleteFunc(st.cands, func(p *VerdictPost) bool { return p.LeaseID == leaseID })
 }
 
 // outstanding is how many verdicts are already secured or in flight.
@@ -126,13 +149,16 @@ func (st *epochState) activeWorker(worker string) bool {
 }
 
 // Coordinator drives the chain's epoch.Ledger with remote executors: it
-// hands out lease-based epoch assignments to workers, in chain order,
-// collects their verdicts (a quorum of them for cross-checked epochs),
-// and publishes each to the ledger, which threads the hand-off: epoch
-// N+1's trusted initial state is the verified final snapshot posted for
-// epoch N. The ledger is the in-process auditor's, so the digests, the
-// decision log (-explain, the console, restart rehydration), compacted
-// adoption and checkpoints are the same code either way.
+// hands out lease-based epoch assignments to workers, lowest epoch
+// first, collects their candidates and verdicts (a quorum of verdicts
+// for cross-checked epochs), and publishes verdicts to the ledger in
+// chain order. Epoch N+1 is audited from a candidate posted for epoch N
+// as soon as N's redo has fixed one, so all leased epochs re-execute at
+// once; its verdict is published only if that candidate is the final
+// state the ledger published for N (advanceLocked). The ledger is the
+// in-process auditor's, so the digests, the decision log (-explain, the
+// console, restart rehydration), compacted adoption and checkpoints are
+// the same code either way.
 //
 // The epoch set is fixed at construction: a fleet audit runs against a
 // chain that is not being written (the CLI holds the chain's exclusive
@@ -166,6 +192,8 @@ type Coordinator struct {
 	crossCheckMismatches int64
 	badSignaturePosts    int64
 	staleVerdicts        int64
+	initMismatches       int64
+	maxInFlight          int
 	fetchedBytes         int64
 	cacheHitBytes        int64
 	wireBytes            int64
@@ -326,6 +354,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		resp.Done = true
 	} else if l := c.grantLocked(req.Worker); l != nil {
 		resp.Lease = l
+		c.noteInFlightLocked()
 	} else {
 		resp.RetryMS = c.opts.RetryMS
 	}
@@ -333,21 +362,17 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.respondJSON(w, resp)
 }
 
-// grantLocked finds the lowest leasable epoch within the lookahead
-// window. Epochs with a damaged manifest and compacted epochs are
-// decided by the ledger (never leased); a gap in the chain stops the
-// walk — nothing past it can be decided this run.
+// grantLocked leases the lowest epoch that has neither a lease nor its
+// verdict quorum. Compacted epochs are decided by the ledger (never
+// leased); a gap in the chain or a damaged manifest stops the walk —
+// nothing past either can be decided this run.
 func (c *Coordinator) grantLocked(worker string) *Lease {
-	next := c.ledger.Next()
-	for n := next; n <= c.maxKnown && n < next+int64(c.opts.Lookahead); n++ {
+	for n := c.ledger.Next(); n <= c.maxKnown; n++ {
 		st := c.states[n]
-		if st == nil {
-			return nil // seal gap
+		if st == nil || st.s.Err != nil {
+			return nil
 		}
-		if st.s.Err != nil || st.s.Compacted {
-			continue
-		}
-		if st.outstanding() >= st.need || st.activeWorker(worker) {
+		if st.s.Compacted || st.outstanding() >= st.need || st.activeWorker(worker) {
 			continue
 		}
 		var prevSHA string
@@ -376,24 +401,32 @@ func (c *Coordinator) grantLocked(worker string) *Lease {
 	return nil
 }
 
-// expireLocked reassigns timed-out leases: the lease is dropped, so the
-// next worker asking for work picks the epoch up. A verdict posted on a
-// dropped lease is stale and answered 409.
+// expireLocked reassigns timed-out leases: the lease and its candidate
+// are dropped, so the next worker asking for work picks the epoch up. A
+// post on a dropped lease is stale and answered 409.
 func (c *Coordinator) expireLocked() {
 	now := c.now()
 	for id, l := range c.leases {
 		if now.After(l.deadline) {
-			delete(c.leases, id)
-			if st := c.states[l.epoch]; st != nil {
-				delete(st.active, id)
-			}
+			c.dropLeaseLocked(id)
 			c.leasesReassigned++
 		}
 	}
 }
 
+// dropLeaseLocked forgets a lease that will post no verdict, and the
+// candidate it posted.
+func (c *Coordinator) dropLeaseLocked(id string) {
+	l := c.leases[id]
+	delete(c.leases, id)
+	if st := c.states[l.epoch]; st != nil {
+		delete(st.active, id)
+		st.dropCandidate(id)
+	}
+}
+
 // maxInitWait caps how long an init request is held open waiting for
-// the previous epoch's verdict.
+// the previous epoch's candidate.
 const maxInitWait = 15 * time.Second
 
 // initWait is how long one init request may be held: short of
@@ -402,14 +435,16 @@ func (c *Coordinator) initWait() time.Duration {
 	return min(maxInitWait, c.opts.LeaseTimeout/3)
 }
 
-// handleInit serves the trusted initial state of a leased epoch: the
-// ref list of the previous epoch's verified final snapshot. When that
-// verdict is not in yet the request is held until it is published (a
-// long poll: the hand-off reaches the worker when it happens, not on
-// the worker's next tick) and answered 202 only after initWait. 410
-// means the lease is gone — expired, or the chain broke before this
-// epoch, which wakes the held request — and the worker must abandon
-// the assignment.
+// handleInit serves the initial state a leased epoch is to be audited
+// from, as a ref list into the chain store: the ledger's trusted state
+// when the epoch is the ledger's next, otherwise the first candidate
+// posted for the epoch before. When there is none yet the request is
+// held until one is posted (a long poll: the hand-off reaches the
+// worker when it happens, not on the worker's next tick) and answered
+// 202 only after initWait. 410 means the lease is gone — expired, the
+// chain broke before this epoch, or an earlier epoch short of its
+// verdicts has no lease, which nobody would ever pick up while every
+// worker waits here — and the worker must abandon the assignment.
 func (c *Coordinator) handleInit(w http.ResponseWriter, r *http.Request) {
 	n, err := strconv.ParseInt(r.PathValue("n"), 10, 64)
 	if err != nil || n <= 0 {
@@ -422,6 +457,10 @@ func (c *Coordinator) handleInit(w http.ResponseWriter, r *http.Request) {
 		c.mu.Lock()
 		c.expireLocked()
 		l := c.leases[leaseID]
+		if l != nil && l.epoch == n && c.orphanBeforeLocked(n) {
+			c.dropLeaseLocked(leaseID)
+			l = nil
+		}
 		if l == nil || l.epoch != n {
 			c.mu.Unlock()
 			http.Error(w, "lease gone", http.StatusGone)
@@ -432,6 +471,8 @@ func (c *Coordinator) handleInit(w http.ResponseWriter, r *http.Request) {
 		var refs []cas.Ref
 		if n == c.ledger.Next() {
 			refs = c.ledger.Init().Refs
+		} else if prev := c.states[n-1]; prev != nil && len(prev.cands) > 0 {
+			refs = prev.cands[0].FinalSnapshot
 		}
 		wake := c.wake
 		c.mu.Unlock()
@@ -453,6 +494,24 @@ func (c *Coordinator) handleInit(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// orphanBeforeLocked reports whether an epoch between the ledger's next
+// and n is short of its verdicts with no lease on it.
+func (c *Coordinator) orphanBeforeLocked(n int64) bool {
+	for m := c.ledger.Next(); m < n; m++ {
+		st := c.states[m]
+		if !st.s.Compacted && len(st.active) == 0 && len(st.posted) < st.need {
+			return true
+		}
+	}
+	return false
+}
+
+// handleVerdict records a worker's post on its lease. A candidate
+// (VerdictPost.Candidate) ships the epoch's candidate final state, the
+// one its verdict will vouch for, and wakes the init requests waiting on
+// it; a verdict carries no state of its own — an ACCEPT's final state is
+// its lease's candidate — and names the initial state it was audited
+// from.
 func (c *Coordinator) handleVerdict(w http.ResponseWriter, r *http.Request) {
 	body, ok := c.readSigned(w, r)
 	if !ok {
@@ -461,6 +520,10 @@ func (c *Coordinator) handleVerdict(w http.ResponseWriter, r *http.Request) {
 	p, chunks, err := DecodeVerdict(body)
 	if err != nil {
 		http.Error(w, "bad verdict post: "+err.Error(), http.StatusBadRequest)
+		return
+	}
+	if p.Candidate != (len(p.FinalSnapshot) > 0) {
+		http.Error(w, "bad verdict post: a candidate carries a final snapshot, a verdict none", http.StatusBadRequest)
 		return
 	}
 	// Validate against the lease before the snapshot is touched, so a
@@ -475,7 +538,7 @@ func (c *Coordinator) handleVerdict(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var posted, reused int
-	if p.Accepted {
+	if p.Candidate {
 		if posted, reused, err = c.storeSnapshot(p, chunks); err != nil {
 			// Keep the lease: nothing was believed, and the worker may
 			// yet post a snapshot that resolves.
@@ -489,36 +552,52 @@ func (c *Coordinator) handleVerdict(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, msg, status)
 		return
 	}
-	// Consume the lease and stash the verdict.
 	st := c.states[p.Epoch]
-	delete(c.leases, p.LeaseID)
-	delete(st.active, p.LeaseID)
-	st.posted = append(st.posted, p)
-	c.fetchedBytes += p.FetchedBytes
-	if hit := p.LogicalBytes - p.FetchedBytes; hit > 0 {
-		c.cacheHitBytes += hit
+	if p.Candidate {
+		st.dropCandidate(p.LeaseID)
+		st.cands = append(st.cands, p)
+		c.leases[p.LeaseID].deadline = c.now().Add(c.opts.LeaseTimeout)
+		c.snapshotChunksPosted += int64(posted)
+		c.snapshotChunksReused += int64(reused)
+		c.wakeLocked()
+	} else {
+		if p.Accepted {
+			cand := st.candidate(p.LeaseID)
+			if cand == nil {
+				http.Error(w, "accepted verdict on a lease that posted no candidate", http.StatusBadRequest)
+				return
+			}
+			p.FinalSnapshot, p.SnapshotDigest = cand.FinalSnapshot, cand.SnapshotDigest
+		}
+		// Consume the lease and stash the verdict.
+		delete(c.leases, p.LeaseID)
+		delete(st.active, p.LeaseID)
+		st.posted = append(st.posted, p)
+		c.fetchedBytes += p.FetchedBytes
+		if hit := p.LogicalBytes - p.FetchedBytes; hit > 0 {
+			c.cacheHitBytes += hit
+		}
+		c.wireBytes += p.WireBytes
+		c.advanceLocked()
 	}
-	c.wireBytes += p.WireBytes
-	c.snapshotChunksPosted += int64(posted)
-	c.snapshotChunksReused += int64(reused)
-	c.advanceLocked()
-	ack := []byte("verdict recorded\n")
+	c.noteInFlightLocked()
+	ack := []byte("recorded\n")
 	signResponse(w, c.opts.Key, ack)
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(ack)
 }
 
-// checkPostLocked validates a verdict post against the lease table and
-// the chain. It returns 0 when the post may be recorded, otherwise the
-// HTTP status and message to refuse it with.
+// checkPostLocked validates a post against the lease table and the
+// chain. It returns 0 when the post may be recorded, otherwise the HTTP
+// status and message to refuse it with.
 func (c *Coordinator) checkPostLocked(p *VerdictPost) (int, string) {
 	c.expireLocked()
 	c.workers[p.Worker] = c.now()
 	l := c.leases[p.LeaseID]
 	st := c.states[p.Epoch]
 	if l == nil || l.epoch != p.Epoch || l.worker != p.Worker || st == nil {
-		// Expired (reassigned) lease, or a verdict for an epoch the
-		// worker does not hold: ignored, never a verdict.
+		// Expired (reassigned) lease, or a post for an epoch the worker
+		// does not hold: ignored, never a verdict.
 		c.staleVerdicts++
 		return http.StatusConflict, "stale or unknown lease"
 	}
@@ -531,7 +610,7 @@ func (c *Coordinator) checkPostLocked(p *VerdictPost) (int, string) {
 	return 0, ""
 }
 
-// storeSnapshot files an ACCEPT's final snapshot in the chain store.
+// storeSnapshot files a candidate's final snapshot in the chain store.
 // Every ref must resolve: a chunk the store holds is reused, a shipped
 // one is verified against the ref it claims and written as the at-rest
 // bytes the worker sent (cas.FS.PutStored), and one that is neither
@@ -539,9 +618,6 @@ func (c *Coordinator) checkPostLocked(p *VerdictPost) (int, string) {
 // state. It runs without c.mu: it is the only part of a hand-off whose
 // cost grows with the snapshot.
 func (c *Coordinator) storeSnapshot(p *VerdictPost, chunks [][]byte) (posted, reused int, err error) {
-	if len(p.FinalSnapshot) == 0 {
-		return 0, 0, errors.New("accepted verdict carries no final snapshot")
-	}
 	k := 0 // next entry of p.Shipped, which DecodeVerdict checked ascends
 	for idx, ref := range p.FinalSnapshot {
 		shipped := k < len(p.Shipped) && p.Shipped[k] == idx
@@ -583,6 +659,7 @@ func (c *Coordinator) advanceLocked() {
 			return
 		}
 		if v == nil {
+			c.discardForeignInitLocked(st)
 			if len(st.posted) == 0 {
 				return // waiting on a worker
 			}
@@ -593,6 +670,32 @@ func (c *Coordinator) advanceLocked() {
 		}
 		c.publishLocked(st, *v, final)
 	}
+}
+
+// discardForeignInitLocked is the fleet's soundness check, and its only
+// one: a verdict for the ledger's next epoch is believed only if the
+// initial state it was audited from is the state the ledger published
+// for the epoch before (for epoch 1, the manifest's own, named by no
+// refs). A verdict audited from any other candidate is discarded and
+// counted, with the candidate its lease posted, and the epoch is leased
+// again. So every verdict, forensics record and chain digest published
+// is the one the sequential walk would give.
+func (c *Coordinator) discardForeignInitLocked(st *epochState) {
+	init := c.ledger.Init().Refs
+	kept := st.posted[:0]
+	for _, p := range st.posted {
+		if slices.Equal(p.InitRefs, init) {
+			kept = append(kept, p)
+			continue
+		}
+		c.initMismatches++
+		st.dropCandidate(p.LeaseID)
+	}
+	if len(kept) < len(st.posted) {
+		// Workers held on later epochs look again: this one needs a lease.
+		c.wakeLocked()
+	}
+	st.posted = kept
 }
 
 // verdictFromPosts builds the ledger verdict of a leased epoch from the
@@ -684,11 +787,10 @@ func (c *Coordinator) publishLocked(st *epochState, v epoch.Verdict, final epoch
 	if !v.Accepted {
 		retire = c.leases
 	}
-	for id, l := range retire {
-		delete(c.leases, id)
-		delete(c.states[l.epoch].active, id)
+	for id := range retire {
+		c.dropLeaseLocked(id)
 	}
-	st.posted = nil
+	st.posted, st.cands = nil, nil
 	var ck *epoch.CheckpointError
 	if err := c.ledger.Publish(v, final); err != nil && !errors.As(err, &ck) {
 		// The ledger is the product; a log that cannot take verdicts
@@ -713,6 +815,23 @@ func (c *Coordinator) finishLocked() {
 	_ = c.ledger.FlushCheckpoints() // what still fails is reported by Warnings
 	close(c.done)
 	c.wakeLocked()
+}
+
+// noteInFlightLocked records the in-flight depth's high-water mark.
+func (c *Coordinator) noteInFlightLocked() {
+	c.maxInFlight = max(c.maxInFlight, c.inFlightLocked())
+}
+
+// inFlightLocked counts the epochs past the ledger's next that hold a
+// lease, a candidate or an unpublished verdict.
+func (c *Coordinator) inFlightLocked() int {
+	n := 0
+	for e := c.ledger.Next() + 1; e <= c.maxKnown; e++ {
+		if st := c.states[e]; st != nil && len(st.active)+len(st.cands)+len(st.posted) > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // wakeLocked makes every held init request look at the state again.
@@ -771,6 +890,9 @@ func (c *Coordinator) Stats() CoordinatorStats {
 		CrossCheckMismatches: c.crossCheckMismatches,
 		BadSignaturePosts:    c.badSignaturePosts,
 		StaleVerdicts:        c.staleVerdicts,
+		InitMismatches:       c.initMismatches,
+		EpochsInFlight:       c.inFlightLocked(),
+		MaxEpochsInFlight:    c.maxInFlight,
 		FetchedBytes:         c.fetchedBytes,
 		CacheHitBytes:        c.cacheHitBytes,
 		WireBytes:            c.wireBytes,

@@ -9,11 +9,14 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"orochi/internal/epoch"
 	"orochi/internal/lang"
+	"orochi/internal/server"
+	"orochi/internal/workload"
 )
 
 // The local auditor and the fleet coordinator are two drivers of one
@@ -36,9 +39,9 @@ func localAudit(t *testing.T, prog *lang.Program, dir string, opts epoch.Auditor
 
 // fleetAudit runs a coordinator and two workers to completion on dir
 // and closes the coordinator's decision log.
-func fleetAudit(t *testing.T, prog *lang.Program, dir string) *Coordinator {
+func fleetAudit(t *testing.T, prog *lang.Program, dir string, opts CoordinatorOptions) *Coordinator {
 	t.Helper()
-	coord, ts := startFleet(t, dir, CoordinatorOptions{})
+	coord, ts := startFleet(t, dir, opts)
 	runWorkers(t, prog, ts.URL, 2, nil)
 	if err := coord.Wait(context.Background()); err != nil {
 		t.Fatal(err)
@@ -131,7 +134,7 @@ func TestCompactedEpochMustLinkInBothDrivers(t *testing.T) {
 		!strings.Contains(want[1].Reason, "manifest chain mismatch") {
 		t.Fatalf("local audit should ACCEPT epoch 1 and REJECT epoch 2 on its link: %+v", want)
 	}
-	coord := fleetAudit(t, prog, copyChain(t, master))
+	coord := fleetAudit(t, prog, copyChain(t, master), CoordinatorOptions{})
 	requireSameLedger(t, "fleet", normalize(t, coord.Verdicts()), want)
 	if coord.ChainAccepted() || coord.ChainSHA() != want[1].ChainSHA {
 		t.Fatalf("fleet chain: accepted=%v digest %.12s, want REJECT at %.12s",
@@ -202,7 +205,7 @@ func TestDecisionLogSameFromBothDrivers(t *testing.T) {
 		prepare(src)
 		localDir, fleetDir := copyChain(t, src), copyChain(t, src)
 		local := localAudit(t, prog, localDir, epoch.AuditorOptions{})
-		coord := fleetAudit(t, prog, fleetDir)
+		coord := fleetAudit(t, prog, fleetDir, CoordinatorOptions{})
 		requireSameLedger(t, name, normalizeAt(t, coord.Verdicts(), fleetDir), normalizeAt(t, local.Verdicts(), localDir))
 		if clean := name == "clean" || name == "compacted"; local.ChainAccepted() != clean || coord.ChainAccepted() != clean {
 			t.Fatalf("%s: chain accepted local=%v fleet=%v, want %v", name, local.ChainAccepted(), coord.ChainAccepted(), clean)
@@ -392,10 +395,92 @@ func TestForeignFormatRefusedNotRejected(t *testing.T) {
 		!strings.Contains(want[2].Reason, "damaged manifest: ") || !strings.Contains(want[2].Reason, "format generation 3") {
 		t.Fatalf("local audit should ACCEPT epochs 1-2 and REJECT epoch 3's manifest: %+v", want)
 	}
-	coord := fleetAudit(t, prog, fleetDir)
+	coord := fleetAudit(t, prog, fleetDir, CoordinatorOptions{})
 	requireSameLedger(t, "restamped epoch 3", normalizeAt(t, coord.Verdicts(), fleetDir), want)
 	if coord.ChainAccepted() || coord.ChainSHA() != want[2].ChainSHA {
 		t.Fatalf("fleet chain: accepted=%v digest %.12s, want REJECT at %.12s",
 			coord.ChainAccepted(), coord.ChainSHA(), want[2].ChainSHA)
+	}
+}
+
+// sealTamperedChain seals a seven-epoch chain from the faulted wiki
+// workload, served one request at a time so that epoch k holds requests
+// 10(k-1) to 10k-1, through an executor that flips one bit of the 26th
+// response — request r000026, in epoch 3. It returns that request's id.
+func sealTamperedChain(t *testing.T, dir string) (*lang.Program, string) {
+	t.Helper()
+	w := workload.WithErrors(
+		workload.Wiki(workload.WikiParams{Requests: 70, Pages: 5, ZipfS: 0.53, Seed: 9}),
+		workload.ErrorMixParams{Rate: 0.2, Seed: 9})
+	prog := w.App.Compile()
+	var served atomic.Int64
+	tampered := ""
+	srv := server.New(prog, server.Options{Record: true, TamperResponse: func(rid, body string) string {
+		if served.Add(1) != 26 {
+			return body
+		}
+		tampered = rid
+		b := []byte(body)
+		b[0] ^= 0x20
+		return string(b)
+	}})
+	if err := srv.Setup(w.App.Schema); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Setup(w.Seed); err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := epoch.StartManager(dir, srv, srv.Snapshot(), epoch.ManagerOptions{EpochEvents: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.ServeAllContext(context.Background(), w.Requests, 1)
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return prog, tampered
+}
+
+// TestMidChainTamperSameLedger: with a response tampered in epoch 3 of
+// seven, epoch 4 onwards are audited from epoch 3's candidate while
+// epoch 3 still re-executes — and none of it may show. The local
+// auditor at Workers 1, 2 and 4 and a two-worker fleet, plain and
+// cross-checking every epoch, must all publish epochs 1–2 ACCEPT and
+// epoch 3 REJECT with the same forensics and digests, nothing after
+// it, and leave the same decisions.jsonl behind. Workers 1 is the
+// sequential walk: one epoch in flight at a time.
+func TestMidChainTamperSameLedger(t *testing.T) {
+	master := t.TempDir()
+	prog, rid := sealTamperedChain(t, master)
+	if sealed, err := epoch.ListSealed(master); err != nil || len(sealed) < 6 {
+		t.Fatalf("sealed %d epochs (%v), want >= 6", len(sealed), err)
+	}
+	refDir := copyChain(t, master)
+	want := normalizeAt(t, localAudit(t, prog, refDir, epoch.AuditorOptions{Workers: 1}).Verdicts(), refDir)
+	if len(want) != 3 || !want[0].Accepted || !want[1].Accepted || want[2].Accepted ||
+		!strings.Contains(want[2].Forensics, `"request_id":"`+rid+`"`) {
+		t.Fatalf("sequential audit should ACCEPT epochs 1-2 and REJECT epoch 3 naming %s: %+v", rid, want)
+	}
+	wantLog := normDecisions(t, refDir)
+	check := func(label, dir string, got []epoch.Verdict) {
+		t.Helper()
+		requireSameLedger(t, label, normalizeAt(t, got, dir), want)
+		gotLog := normDecisions(t, dir)
+		if strings.Join(gotLog, "\n") != strings.Join(wantLog, "\n") {
+			t.Fatalf("%s: decisions.jsonl differs\ngot:  %s\nwant: %s", label, gotLog, wantLog)
+		}
+	}
+	for _, workers := range []int{2, 4} {
+		dir := copyChain(t, master)
+		check(fmt.Sprintf("local workers=%d", workers), dir,
+			localAudit(t, prog, dir, epoch.AuditorOptions{Workers: workers}).Verdicts())
+	}
+	for name, opts := range map[string]CoordinatorOptions{"fleet": {}, "fleet cross-check": {CrossCheck: 1}} {
+		dir := copyChain(t, master)
+		coord := fleetAudit(t, prog, dir, opts)
+		check(name, dir, coord.Verdicts())
+		if st := coord.Stats(); st.InitMismatches != 0 {
+			t.Fatalf("%s: %d init mismatches on an honest fleet", name, st.InitMismatches)
+		}
 	}
 }

@@ -1,8 +1,9 @@
 // Package fleet distributes the audit of a sealed epoch chain across
-// machines. The paper's audit phase (§5) is offline and embarrassingly
-// parallel across epochs: each sealed epoch is a self-contained,
-// hash-chained artifact, which makes it an ideal unit of remote work.
-// Three roles cooperate:
+// machines. The paper's audit phase (§5) is offline, and parallel across
+// epochs once each epoch has its initial state: that state is the
+// previous epoch's final state, which the previous epoch's redo
+// (verifier Phases 1–2, a small share of its audit) fixes before its
+// re-execution starts. Three roles cooperate:
 //
 //   - The artifact server exposes chain state, epoch manifests, and
 //     content-addressed chunks straight out of the chain's cas.Store
@@ -12,24 +13,27 @@
 //     lacks (the gapid isolate-server model).
 //
 //   - The coordinator drives the chain's epoch.Ledger — the one the
-//     in-process auditor drives — with remote executors: it hands out
-//     lease-based epoch assignments in chain order and publishes the
-//     verdicts that come back, so the snapshot hand-off (epoch N+1's
-//     trusted initial state is the verified final snapshot posted for
-//     epoch N), the ledger digest, decisions.jsonl, compacted-epoch
-//     adoption and checkpoints are the local auditor's code, not a copy
-//     of it. Timed-out leases are reassigned; a sampled fraction of
-//     epochs is optionally cross-checked on k workers before the
-//     verdict is believed.
+//     in-process auditor drives — with remote executors: it leases each
+//     worker the lowest epoch nobody holds, hands a leased epoch the
+//     candidate final state posted for the epoch before it, and
+//     publishes the verdicts that come back in chain order, so the
+//     ledger digest, decisions.jsonl, compacted-epoch adoption and
+//     checkpoints are the local auditor's code, not a copy of it. A
+//     verdict is published only if the state it was audited from is the
+//     one the ledger published for the epoch before; otherwise it is
+//     discarded and the epoch leased again. Timed-out leases are
+//     reassigned; a sampled fraction of epochs is optionally
+//     cross-checked on k workers before the verdict is believed.
 //
 //   - A worker (orochi-audit -worker) pulls a lease, reconstructs the
 //     epoch through a tiered store (local cache over cas.HTTPStore),
-//     audits it with the standard verifier, and posts back an
-//     HMAC-signed verdict plus final snapshot.
+//     runs the standard verifier's Phases 1–2, posts the candidate final
+//     state they fix, re-executes, and posts back an HMAC-signed
+//     verdict.
 //
 // The at-rest gzip chunk is the one unit the fleet moves, in both
 // directions. The artifact server ships a chunk as the bytes its store
-// holds; a worker cuts its verified final snapshot (canonical raw
+// holds; a worker cuts its candidate final snapshot (canonical raw
 // bytes) into chunks, posts the ordered ref list, and ships — each
 // compressed once — only the chunks the initial state it was handed
 // did not already contain; the coordinator files those bytes in the
@@ -42,9 +46,10 @@
 // A fleet audit of a chain produces bit-identical verdicts, forensics,
 // and chain ledger digest to the single-process auditor, at any worker
 // count, lease timeout, or cross-check rate: a worker decides its epoch
-// with epoch.AuditEpoch, the function the local auditor calls, the
-// coordinator publishes to the same epoch.Ledger, and cas.HTTPStore
-// reconstructs local store error shapes byte-for-byte.
+// with epoch.PrepareEpoch and epoch.Finish, the functions the local
+// auditor calls, the coordinator publishes to the same epoch.Ledger only
+// verdicts audited from the state that ledger published, and
+// cas.HTTPStore reconstructs local store error shapes byte-for-byte.
 package fleet
 
 import (
@@ -114,19 +119,20 @@ type LeaseRequest struct {
 
 // Lease is one epoch assignment. A worker holds it until it posts a
 // valid verdict or the coordinator's lease timeout expires; any
-// authenticated activity on the lease (an init request) renews it.
+// authenticated activity on the lease (an init request, a candidate
+// post) renews it.
 type Lease struct {
 	ID    string `json:"id"`
 	Epoch int64  `json:"epoch"`
 	// ManifestSHA pins the manifest bytes the worker must fetch;
 	// PrevManifestSHA is the digest this epoch's manifest must link to
-	// (the chain check is the worker's: epoch.AuditEpoch makes it).
+	// (the chain check is the worker's: epoch.PrepareEpoch makes it).
 	ManifestSHA     string `json:"manifest_sha256"`
 	PrevManifestSHA string `json:"prev_manifest_sha256"`
-	// InitManifest is true when the trusted initial state comes from the
-	// epoch's own manifest (epoch 1); otherwise the worker asks the
-	// coordinator's init endpoint for the previous epoch's verified
-	// final snapshot.
+	// InitManifest is true when the initial state comes from the epoch's
+	// own manifest (epoch 1); otherwise the worker asks the coordinator's
+	// init endpoint for it (InitResponse) and names what it got in its
+	// verdict (VerdictPost.InitRefs).
 	InitManifest bool `json:"init_manifest,omitempty"`
 	// CrossCheck marks a replica assignment of a sampled epoch.
 	CrossCheck bool `json:"cross_check,omitempty"`
@@ -144,36 +150,48 @@ type LeaseResponse struct {
 }
 
 // InitResponse answers GET /-/fleet/epoch/{n}/init (signed): the
-// trusted initial state of a leased epoch, as the ordered chunk refs of
-// the previous epoch's verified final snapshot. The chunks are in the
-// coordinator's chain store, served by the artifact surface mounted
-// beside it.
+// initial state to audit a leased epoch from, as the ordered chunk refs
+// of a final snapshot of the previous epoch — the one the ledger
+// published when epoch n is the ledger's next, otherwise a candidate
+// posted for epoch n-1, which the coordinator believes only once it is
+// the one published. The chunks are in the coordinator's chain store,
+// served by the artifact surface mounted beside it.
 type InitResponse struct {
 	Epoch    int64     `json:"epoch"`
 	Snapshot []cas.Ref `json:"snapshot"`
 }
 
-// VerdictPost is the header of a worker's signed verdict for a leased
-// epoch (POST /-/fleet/verdict; see EncodeVerdict for the body). The
-// coordinator trusts only what it must: epoch identity, chain digest,
-// events/requests counts come from its own manifest walk; the post
-// carries the audit outcome and its evidence.
+// VerdictPost is the header of a worker's signed post for a leased
+// epoch (POST /-/fleet/verdict; see EncodeVerdict for the body): a
+// candidate, sent once Phases 1–2 pass, carrying the candidate final
+// state (FinalSnapshot and its chunks); then the verdict, carrying the
+// audit outcome, its evidence and InitRefs. An ACCEPT's final state is
+// its lease's candidate. The coordinator trusts only what it must:
+// epoch identity, chain digest, events/requests counts come from its
+// own manifest walk.
 type VerdictPost struct {
 	LeaseID     string `json:"lease_id"`
 	Worker      string `json:"worker"`
 	Epoch       int64  `json:"epoch"`
 	ManifestSHA string `json:"manifest_sha256"`
-	Accepted    bool   `json:"accepted"`
-	Reason      string `json:"reason,omitempty"`
+	// Candidate marks the candidate stage.
+	Candidate bool `json:"candidate,omitempty"`
+	// InitRefs names the initial state the verdict was audited from, as
+	// the init endpoint handed it out (empty for the manifest's own). The
+	// verdict is believed only if they are the final state the ledger
+	// published for the epoch before.
+	InitRefs []cas.Ref `json:"init_refs,omitempty"`
+	Accepted bool      `json:"accepted"`
+	Reason   string    `json:"reason,omitempty"`
 	// Forensics is the structured evidence behind a REJECT, exactly as
 	// the in-process auditor would record it.
 	Forensics *verifier.Forensics `json:"forensics,omitempty"`
 	// Stats is the verifier's cost decomposition for this epoch.
 	Stats verifier.Stats `json:"stats"`
-	// FinalSnapshot is the verified final state on ACCEPT — the next
+	// FinalSnapshot is a candidate's final state — on ACCEPT, the next
 	// epoch's trusted initial state — as the ordered refs of
-	// object.Snapshot.EncodeRaw cut by cas.DefaultChunker. Empty on
-	// REJECT.
+	// object.Snapshot.EncodeRaw cut by cas.DefaultChunker. Empty on a
+	// verdict.
 	FinalSnapshot []cas.Ref `json:"final_snapshot,omitempty"`
 	// Shipped lists, ascending, the indexes into FinalSnapshot whose
 	// chunk bytes follow the header. Every other chunk the coordinator

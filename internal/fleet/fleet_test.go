@@ -329,33 +329,46 @@ func postJSON(t *testing.T, url string, key []byte, v any) (int, []byte) {
 	return postBody(t, url, key, body)
 }
 
-// testVerdict is a verdict post as a test holds it: the header and the
-// at-rest bytes of the chunks it ships.
+// testVerdict is a post as a test holds it — a candidate or a
+// verdict: the header and the at-rest bytes of the chunks it ships.
 type testVerdict struct {
 	VerdictPost
 	chunks [][]byte
 }
 
-// withSnapshot fills in the post's final snapshot the way a worker
-// does — canonical raw bytes, cut by the default chunker — shipping
-// every chunk.
-func (v *testVerdict) withSnapshot(t *testing.T, snap *object.Snapshot) {
+// refsOf cuts snap the way a worker does — canonical raw bytes, cut by
+// the default chunker — and returns the refs and each chunk's at-rest
+// bytes.
+func refsOf(t *testing.T, snap *object.Snapshot) ([]cas.Ref, [][]byte) {
 	t.Helper()
 	raw, err := snap.EncodeRaw()
 	if err != nil {
 		t.Fatal(err)
 	}
-	v.FinalSnapshot, v.Shipped, v.chunks = nil, nil, nil
-	for i, chunk := range cas.DefaultChunker.Split(raw) {
-		stored, err := encio.Gzip(chunk)
+	var refs []cas.Ref
+	var stored [][]byte
+	for _, chunk := range cas.DefaultChunker.Split(raw) {
+		gz, err := encio.Gzip(chunk)
 		if err != nil {
 			t.Fatal(err)
 		}
-		v.FinalSnapshot = append(v.FinalSnapshot, cas.Ref{SHA256: cas.SumHex(chunk), Bytes: int64(len(chunk))})
-		v.Shipped = append(v.Shipped, i)
-		v.chunks = append(v.chunks, stored)
+		refs = append(refs, cas.Ref{SHA256: cas.SumHex(chunk), Bytes: int64(len(chunk))})
+		stored = append(stored, gz)
 	}
-	v.SnapshotDigest = snap.CanonicalDigest()
+	return refs, stored
+}
+
+// candidateOf returns the candidate post of lease l carrying snap,
+// shipping every chunk.
+func candidateOf(t *testing.T, l *Lease, worker string, snap *object.Snapshot) testVerdict {
+	t.Helper()
+	v := testVerdict{VerdictPost: VerdictPost{LeaseID: l.ID, Worker: worker, Epoch: l.Epoch,
+		ManifestSHA: l.ManifestSHA, Candidate: true, SnapshotDigest: snap.CanonicalDigest()}}
+	v.FinalSnapshot, v.chunks = refsOf(t, snap)
+	for i := range v.chunks {
+		v.Shipped = append(v.Shipped, i)
+	}
+	return v
 }
 
 // postVerdict posts v in the verdict frame (signed under key when
@@ -367,6 +380,19 @@ func postVerdict(t *testing.T, url string, key []byte, v testVerdict) (int, []by
 		t.Fatal(err)
 	}
 	return postBody(t, url+Prefix+"/verdict", key, body)
+}
+
+// postAll posts each post in turn, stopping at the first refusal, and
+// returns the last status and body.
+func postAll(t *testing.T, url string, key []byte, posts ...testVerdict) (int, []byte) {
+	t.Helper()
+	status, body := 0, []byte(nil)
+	for _, p := range posts {
+		if status, body = postVerdict(t, url, key, p); status != http.StatusOK {
+			break
+		}
+	}
+	return status, body
 }
 
 func postBody(t *testing.T, url string, key, body []byte) (int, []byte) {
@@ -409,9 +435,11 @@ func leaseFor(t *testing.T, url, worker string, key []byte) *Lease {
 	return resp.Lease
 }
 
-// honestVerdict audits sealed[idx] locally (straight off disk) and
-// shapes the result as the verdict post an honest worker would send.
-func honestVerdict(t *testing.T, prog *lang.Program, dir string, l *Lease, worker string, init *object.Snapshot) testVerdict {
+// honestPosts audits the leased epoch locally (straight off disk) from
+// init (nil: the manifest's own) and shapes the result as the posts an
+// honest worker sends: its candidate and its verdict, or, when Phases
+// 1–2 reject, the verdict alone.
+func honestPosts(t *testing.T, prog *lang.Program, dir string, l *Lease, worker string, init *object.Snapshot) []testVerdict {
 	t.Helper()
 	sealed, err := epoch.ListSealed(dir)
 	if err != nil {
@@ -426,35 +454,37 @@ func honestVerdict(t *testing.T, prog *lang.Program, dir string, l *Lease, worke
 	if target == nil {
 		t.Fatalf("epoch %d not sealed in %s", l.Epoch, dir)
 	}
-	ld, err := epoch.Load(target)
+	ld, loadErr := epoch.Load(target)
+	ctx := context.Background()
+	v, p, err := epoch.PrepareEpoch(ctx, target, ld, loadErr, l.PrevManifestSHA, init, verifier.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if init == nil {
-		init = ld.Init
+	var posts []testVerdict
+	if p != nil {
+		snap, err := p.Candidate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		posts = append(posts, candidateOf(t, l, worker, snap))
+		if v, err = epoch.Finish(ctx, prog, v, p, verifier.Options{}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	res, err := verifier.AuditContext(context.Background(), prog, ld.Trace, ld.Reports, init, verifier.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	post := testVerdict{VerdictPost: VerdictPost{
+	verdict := testVerdict{VerdictPost: VerdictPost{
 		LeaseID:     l.ID,
 		Worker:      worker,
 		Epoch:       l.Epoch,
 		ManifestSHA: l.ManifestSHA,
-		Accepted:    res.Accepted,
-		Reason:      res.Reason,
-		Forensics:   res.Forensics,
-		Stats:       res.Stats,
+		Accepted:    v.Accepted,
+		Reason:      v.Reason,
+		Forensics:   v.Forensics,
+		Stats:       v.Stats,
 	}}
-	if res.Accepted {
-		snap, err := res.FinalSnapshot()
-		if err != nil {
-			t.Fatal(err)
-		}
-		post.withSnapshot(t, snap)
+	if init != nil {
+		verdict.InitRefs, _ = refsOf(t, init)
 	}
-	return post
+	return append(posts, verdict)
 }
 
 // TestFleetCrossCheckMismatchRejects replays the malicious-replica
@@ -475,22 +505,21 @@ func TestFleetCrossCheckMismatchRejects(t *testing.T) {
 
 	// The liar invents a plausible final state: a perfectly well-formed
 	// snapshot that is not the one honest re-execution produces.
-	evilPost := testVerdict{VerdictPost: VerdictPost{
+	evilVerdict := testVerdict{VerdictPost: VerdictPost{
 		LeaseID:     evilLease.ID,
 		Worker:      "evil",
 		Epoch:       1,
 		ManifestSHA: evilLease.ManifestSHA,
 		Accepted:    true,
 	}}
-	evilPost.withSnapshot(t, object.EmptySnapshot())
-	if status, body := postVerdict(t, ts.URL, nil, evilPost); status != http.StatusOK {
+	if status, body := postAll(t, ts.URL, nil, candidateOf(t, evilLease, "evil", object.EmptySnapshot()), evilVerdict); status != http.StatusOK {
 		t.Fatalf("evil post refused early: %d %s", status, body)
 	}
-	honestPost := honestVerdict(t, prog, dir, honestLease, "honest", nil)
-	if !honestPost.Accepted {
-		t.Fatalf("honest audit of epoch 1 rejected: %s", honestPost.Reason)
+	honest := honestPosts(t, prog, dir, honestLease, "honest", nil)
+	if v := honest[len(honest)-1]; !v.Accepted {
+		t.Fatalf("honest audit of epoch 1 rejected: %s", v.Reason)
 	}
-	if status, body := postVerdict(t, ts.URL, nil, honestPost); status != http.StatusOK {
+	if status, body := postAll(t, ts.URL, nil, honest...); status != http.StatusOK {
 		t.Fatalf("honest post refused: %d %s", status, body)
 	}
 
@@ -575,14 +604,14 @@ func TestFleetLeaseExpiryAndStaleVerdicts(t *testing.T) {
 		t.Fatalf("LeasesReassigned = %d, want 1", st.LeasesReassigned)
 	}
 
-	// The slow worker finally finishes — its verdict rides a dead lease
-	// and must be ignored, not recorded.
-	latePost := honestVerdict(t, prog, dir, slow, "slow", nil)
-	if status, _ := postVerdict(t, ts.URL, nil, latePost); status != http.StatusConflict {
-		t.Fatalf("stale-lease verdict answered %d, want 409", status)
+	// The slow worker finally finishes — its posts ride a dead lease and
+	// must be ignored, not recorded.
+	latePosts := honestPosts(t, prog, dir, slow, "slow", nil)
+	if status, _ := postAll(t, ts.URL, nil, latePosts...); status != http.StatusConflict {
+		t.Fatalf("stale-lease post answered %d, want 409", status)
 	}
-	// A verdict for an epoch the worker holds no lease on: same refusal.
-	forged := latePost
+	// A post for an epoch the worker holds no lease on: same refusal.
+	forged := latePosts[len(latePosts)-1]
 	forged.LeaseID = "0123456789abcdef0123456789abcdef"
 	forged.Worker = "forger"
 	if status, _ := postVerdict(t, ts.URL, nil, forged); status != http.StatusConflict {
@@ -593,8 +622,7 @@ func TestFleetLeaseExpiryAndStaleVerdicts(t *testing.T) {
 	}
 
 	// The live lease still decides the epoch.
-	goodPost := honestVerdict(t, prog, dir, fresh, "fresh", nil)
-	if status, body := postVerdict(t, ts.URL, nil, goodPost); status != http.StatusOK {
+	if status, body := postAll(t, ts.URL, nil, honestPosts(t, prog, dir, fresh, "fresh", nil)...); status != http.StatusOK {
 		t.Fatalf("live verdict refused: %d %s", status, body)
 	}
 	if err := coord.Wait(context.Background()); err != nil {

@@ -24,16 +24,17 @@ import (
 	"orochi/internal/lang"
 	"orochi/internal/server"
 	"orochi/internal/trace"
+	"orochi/internal/verifier"
 )
 
 // wireTap is the workers' http.RoundTripper in hand-off tests: it
-// records every verdict post, every init response, and which chunk
+// records every candidate post, every init response, and which chunk
 // digests were asked for over the wire.
 type wireTap struct {
-	mu       sync.Mutex
-	verdicts []tappedVerdict
-	inits    [][]cas.Ref
-	fetched  map[string]int // chunk digest -> GETs
+	mu      sync.Mutex
+	cands   []tappedVerdict
+	inits   [][]cas.Ref
+	fetched map[string]int // chunk digest -> GETs
 }
 
 type tappedVerdict struct {
@@ -57,9 +58,11 @@ func (w *wireTap) RoundTrip(req *http.Request) (*http.Response, error) {
 		for _, c := range chunks {
 			n += len(c)
 		}
-		w.mu.Lock()
-		w.verdicts = append(w.verdicts, tappedVerdict{post: p, chunkBytes: n})
-		w.mu.Unlock()
+		if p.Candidate {
+			w.mu.Lock()
+			w.cands = append(w.cands, tappedVerdict{post: p, chunkBytes: n})
+			w.mu.Unlock()
+		}
 	}
 	if i := strings.Index(path, "/chunk/"); i >= 0 && req.Method == http.MethodGet {
 		w.mu.Lock()
@@ -148,7 +151,7 @@ func runTappedWorker(t *testing.T, prog *lang.Program, url string) *wireTap {
 }
 
 // TestUnchangedSnapshotPostsNoChunks: when an epoch leaves the state as
-// it found it, the verdict ships the ref list and not one chunk byte,
+// it found it, the candidate ships the ref list and not one chunk byte,
 // the coordinator counts every ref as reused, and the checkpoint it
 // writes names the same chunks as the one before.
 func TestUnchangedSnapshotPostsNoChunks(t *testing.T) {
@@ -159,17 +162,17 @@ func TestUnchangedSnapshotPostsNoChunks(t *testing.T) {
 	if err := coord.Wait(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if !coord.ChainAccepted() || len(tap.verdicts) < 3 {
-		t.Fatalf("quiet chain: accepted=%v after %d verdicts: %+v", coord.ChainAccepted(), len(tap.verdicts), coord.Verdicts())
+	if !coord.ChainAccepted() || len(tap.cands) < 3 {
+		t.Fatalf("quiet chain: accepted=%v after %d candidates: %+v", coord.ChainAccepted(), len(tap.cands), coord.Verdicts())
 	}
-	first := tap.verdicts[0]
+	first := tap.cands[0]
 	if len(first.post.Shipped) == 0 || first.chunkBytes == 0 {
 		t.Fatalf("epoch 1 filled the render cache, its post must ship the changed chunks: %+v", first.post.Shipped)
 	}
 	if len(first.post.Shipped) >= len(first.post.FinalSnapshot) {
 		t.Fatalf("epoch 1 shipped all %d chunks though most of the state is the manifest's own init", len(first.post.FinalSnapshot))
 	}
-	for _, v := range tap.verdicts[1:] {
+	for _, v := range tap.cands[1:] {
 		if len(v.post.Shipped) != 0 || v.chunkBytes != 0 {
 			t.Fatalf("epoch %d changed nothing but its post ships %d chunks (%d bytes)", v.post.Epoch, len(v.post.Shipped), v.chunkBytes)
 		}
@@ -184,7 +187,7 @@ func TestUnchangedSnapshotPostsNoChunks(t *testing.T) {
 	if st.SnapshotChunksReused == 0 {
 		t.Fatalf("no snapshot chunk counted as reused: %+v", st)
 	}
-	for n := int64(1); n <= int64(len(tap.verdicts)); n++ {
+	for n := int64(1); n <= int64(len(tap.cands)); n++ {
 		refs, err := epoch.LoadCheckpointRefs(dir, n)
 		if err != nil || !slices.Equal(refs, first.post.FinalSnapshot) {
 			t.Fatalf("checkpoint %d is not the posted ref list: %v", n, err)
@@ -221,10 +224,10 @@ func TestWorkerKeepsItsOwnSnapshot(t *testing.T) {
 	}
 	changed := 0
 	for i, refs := range tap.inits {
-		if !slices.Equal(refs, tap.verdicts[i].post.FinalSnapshot) {
-			t.Fatalf("epoch %d was handed something other than epoch %d's posted snapshot", i+2, i+1)
+		if !slices.Equal(refs, tap.cands[i].post.FinalSnapshot) {
+			t.Fatalf("epoch %d was handed something other than epoch %d's candidate", i+2, i+1)
 		}
-		changed += len(tap.verdicts[i].post.Shipped)
+		changed += len(tap.cands[i].post.Shipped)
 		for _, r := range refs {
 			// A chunk a manifest also pins is fetched as an artifact.
 			if tap.fetched[r.SHA256] > 0 && !inManifest[r.SHA256] {
@@ -237,19 +240,24 @@ func TestWorkerKeepsItsOwnSnapshot(t *testing.T) {
 	}
 }
 
-// TestVerdictSnapshotMustResolve: a post whose chunk bytes are not what
-// their ref names, or whose ref list names a chunk nobody shipped and
-// the store lacks, is refused 400 and decides nothing — and leaves
-// nothing behind in the store; the same lease then takes the honest
-// post.
+// TestVerdictSnapshotMustResolve: a candidate whose chunk bytes are not
+// what their ref names, or whose ref list names a chunk nobody shipped
+// and the store lacks, is refused 400 and decides nothing — and leaves
+// nothing behind in the store; so is a candidate without a snapshot, a
+// verdict with one, and an ACCEPT whose lease posted no candidate. The
+// same lease then takes the honest posts.
 func TestVerdictSnapshotMustResolve(t *testing.T) {
 	dir := t.TempDir()
 	prog := sealTestChain(t, dir)
 	coord, ts := startFleet(t, dir, CoordinatorOptions{To: 1})
 	l := leaseFor(t, ts.URL, "w", nil)
-	honest := honestVerdict(t, prog, dir, l, "w", nil)
-	if !honest.Accepted || len(honest.chunks) < 2 {
-		t.Fatalf("need an ACCEPT with several chunks: accepted=%v chunks=%d", honest.Accepted, len(honest.chunks))
+	posts := honestPosts(t, prog, dir, l, "w", nil)
+	honest, verdict := posts[0], posts[len(posts)-1]
+	if len(posts) != 2 || !verdict.Accepted || len(honest.chunks) < 2 {
+		t.Fatalf("need an ACCEPT with several chunks: accepted=%v chunks=%d", verdict.Accepted, len(honest.chunks))
+	}
+	if status, body := postVerdict(t, ts.URL, nil, verdict); status != http.StatusBadRequest {
+		t.Fatalf("ACCEPT before its candidate answered %d: %s", status, body)
 	}
 	store, err := epoch.OpenChainStore(dir)
 	if err != nil {
@@ -285,7 +293,12 @@ func TestVerdictSnapshotMustResolve(t *testing.T) {
 	empty := honest
 	empty.FinalSnapshot, empty.Shipped, empty.chunks = nil, nil, nil
 	if status, body := postVerdict(t, ts.URL, nil, empty); status != http.StatusBadRequest {
-		t.Fatalf("ACCEPT without a snapshot answered %d: %s", status, body)
+		t.Fatalf("candidate without a snapshot answered %d: %s", status, body)
+	}
+	laden := honest
+	laden.Candidate = false
+	if status, body := postVerdict(t, ts.URL, nil, laden); status != http.StatusBadRequest {
+		t.Fatalf("verdict carrying a snapshot answered %d: %s", status, body)
 	}
 
 	if st := coord.Stats(); st.EpochsDecided != 0 || st.SnapshotChunksPosted != 0 {
@@ -297,8 +310,8 @@ func TestVerdictSnapshotMustResolve(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "checkpoints")); !os.IsNotExist(err) {
 		t.Fatalf("a refused post wrote a checkpoint: %v", err)
 	}
-	if status, body := postVerdict(t, ts.URL, nil, honest); status != http.StatusOK {
-		t.Fatalf("honest post on the kept lease refused: %d %s", status, body)
+	if status, body := postAll(t, ts.URL, nil, posts...); status != http.StatusOK {
+		t.Fatalf("honest posts on the kept lease refused: %d %s", status, body)
 	}
 	if err := coord.Wait(context.Background()); err != nil {
 		t.Fatal(err)
@@ -417,9 +430,9 @@ func getInit(url string, l *Lease) (int, []cas.Ref, error) {
 }
 
 // TestInitLongPoll: an init request for a state that does not exist yet
-// is held, not bounced — it answers the moment the previous epoch's
-// verdict is published, answers 410 the moment the chain breaks, and
-// answers 202 only when the (fake) clock runs out.
+// is held, not bounced — it answers the moment a candidate for the
+// previous epoch is posted, answers 410 the moment the chain breaks,
+// and answers 202 only when the (fake) clock runs out.
 func TestInitLongPoll(t *testing.T) {
 	dir := t.TempDir()
 	prog := sealTestChain(t, dir)
@@ -447,7 +460,7 @@ func TestInitLongPoll(t *testing.T) {
 	l2 := leaseFor(t, ts.URL, "b", nil)
 	l3 := leaseFor(t, ts.URL, "c", nil)
 	if l1.Epoch != 1 || l2.Epoch != 2 || l3.Epoch != 3 {
-		t.Fatalf("lookahead leases: %d %d %d", l1.Epoch, l2.Epoch, l3.Epoch)
+		t.Fatalf("each worker should lease the lowest free epoch: %d %d %d", l1.Epoch, l2.Epoch, l3.Epoch)
 	}
 	type answer struct {
 		status int
@@ -485,14 +498,19 @@ func TestInitLongPoll(t *testing.T) {
 		}
 	}
 
-	// Publish wakes: epoch 2's holder gets epoch 1's snapshot as posted.
+	// A candidate wakes: epoch 2's holder gets epoch 1's candidate while
+	// epoch 1 is still undecided.
 	w2 := ask(l2)
-	post1 := honestVerdict(t, prog, dir, l1, "a", nil)
-	if status, body := postVerdict(t, ts.URL, nil, post1); status != http.StatusOK {
-		t.Fatalf("epoch 1 post refused: %d %s", status, body)
+	posts1 := honestPosts(t, prog, dir, l1, "a", nil)
+	cand1 := posts1[0]
+	if status, body := postVerdict(t, ts.URL, nil, cand1); status != http.StatusOK {
+		t.Fatalf("epoch 1 candidate refused: %d %s", status, body)
 	}
-	if a := wait(w2); a.status != http.StatusOK || !slices.Equal(a.refs, post1.FinalSnapshot) {
-		t.Fatalf("held request answered %d with %d refs after the publish", a.status, len(a.refs))
+	if a := wait(w2); a.status != http.StatusOK || !slices.Equal(a.refs, cand1.FinalSnapshot) {
+		t.Fatalf("held request answered %d with %d refs after the candidate", a.status, len(a.refs))
+	}
+	if len(coord.Verdicts()) != 0 {
+		t.Fatal("a candidate published a verdict")
 	}
 
 	// Timeout: epoch 3 waits on epoch 2; the clock runs out first.
@@ -502,18 +520,19 @@ func TestInitLongPoll(t *testing.T) {
 		t.Fatalf("timed-out request answered %d, want 202", a.status)
 	}
 
-	// Chain break wakes: epoch 2 REJECTs, epoch 3's lease is gone.
+	// Chain break wakes: epoch 2 REJECTs from epoch 1's candidate, epoch
+	// 1's verdict publishes both, and epoch 3's lease is gone.
 	w3 = ask(l3)
 	reject := testVerdict{VerdictPost: VerdictPost{LeaseID: l2.ID, Worker: "b", Epoch: 2, ManifestSHA: l2.ManifestSHA,
-		Reason: "output mismatch (test)"}}
-	if status, body := postVerdict(t, ts.URL, nil, reject); status != http.StatusOK {
-		t.Fatalf("epoch 2 REJECT refused: %d %s", status, body)
+		InitRefs: cand1.FinalSnapshot, Reason: "output mismatch (test)"}}
+	if status, body := postAll(t, ts.URL, nil, reject, posts1[1]); status != http.StatusOK {
+		t.Fatalf("epoch 2 REJECT or epoch 1 ACCEPT refused: %d %s", status, body)
 	}
 	if a := wait(w3); a.status != http.StatusGone {
 		t.Fatalf("request held across a chain break answered %d, want 410", a.status)
 	}
-	if coord.ChainAccepted() {
-		t.Fatal("chain accepted despite the REJECT")
+	if v := coord.Verdicts(); coord.ChainAccepted() || len(v) != 2 || !v[0].Accepted || v[1].Accepted {
+		t.Fatalf("want epoch 1 ACCEPT, epoch 2 REJECT: %+v", v)
 	}
 }
 
@@ -584,5 +603,202 @@ func TestArtifactChunkWireForm(t *testing.T) {
 	// The same words are what a remote worker rejects with.
 	if _, err := cas.NewHTTPStore(ts.URL+Prefix, nil).Get(ref.SHA256); err == nil || !strings.Contains(err.Error(), want.Error()) {
 		t.Fatalf("HTTPStore did not relay the store's words: %v", err)
+	}
+}
+
+// fakeClock is a coordinator clock the test moves by hand.
+type fakeClock struct {
+	mu  sync.Mutex
+	now time.Time
+}
+
+func (c *fakeClock) Now() time.Time {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.now
+}
+
+func (c *fakeClock) Advance(d time.Duration) {
+	c.mu.Lock()
+	c.now = c.now.Add(d)
+	c.mu.Unlock()
+}
+
+// referenceAudit runs the sequential in-process audit, with
+// checkpoints, on a copy of dir and returns the copy and the chain
+// digest it reached.
+func referenceAudit(t *testing.T, prog *lang.Program, dir string) (string, string) {
+	t.Helper()
+	ref := copyChain(t, dir)
+	a := localAudit(t, prog, ref, epoch.AuditorOptions{Workers: 1, Checkpoints: true})
+	if !a.ChainAccepted() {
+		t.Fatalf("reference audit rejected: %+v", a.Verdicts())
+	}
+	return ref, a.Ledger().ChainSHA()
+}
+
+// TestForgedCandidateIsDiscarded: a hand-rolled worker posts a wrong
+// candidate for epoch 1 — the honest state plus a register nobody
+// reads — and goes silent. Epoch 2, audited from it, ACCEPTs; but once
+// an honest worker has published epoch 1, that verdict names an initial
+// state the ledger never published, so it is discarded (one init
+// mismatch) and epoch 2 is leased and audited again. The ledger ends on
+// the reference digest, and every state it checkpoints is the
+// reference's.
+func TestForgedCandidateIsDiscarded(t *testing.T) {
+	dir := t.TempDir()
+	prog := sealTestChain(t, dir)
+	ref, want := referenceAudit(t, prog, dir)
+	clock := &fakeClock{now: time.Now()}
+	as, err := NewArtifactServer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(dir, CoordinatorOptions{LeaseTimeout: time.Minute, RetryMS: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	coord.now = clock.Now
+	ts := newFleetServer(t, as, coord)
+
+	evil := leaseFor(t, ts.URL, "evil", nil)
+	l2 := leaseFor(t, ts.URL, "b", nil)
+	if evil.Epoch != 1 || l2.Epoch != 2 {
+		t.Fatalf("leases: %d %d", evil.Epoch, l2.Epoch)
+	}
+	sealed, err := epoch.ListSealed(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ld, err := epoch.Load(sealed[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, p, err := epoch.PrepareEpoch(context.Background(), sealed[0], ld, nil, "", nil, verifier.Options{})
+	if err != nil || p == nil {
+		t.Fatalf("epoch 1 did not prepare: %v", err)
+	}
+	forged, err := p.Candidate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged.Registers["forged"] = int64(1)
+	if status, body := postVerdict(t, ts.URL, nil, candidateOf(t, evil, "evil", forged)); status != http.StatusOK {
+		t.Fatalf("forged candidate refused: %d %s", status, body)
+	}
+	forgedRefs, _ := refsOf(t, forged)
+	if status, refs, err := getInit(ts.URL, l2); err != nil || status != http.StatusOK || !slices.Equal(refs, forgedRefs) {
+		t.Fatalf("epoch 2 was not handed the forged candidate: %d %v", status, err)
+	}
+	posts := honestPosts(t, prog, dir, l2, "b", forged)
+	if v := posts[len(posts)-1]; !v.Accepted {
+		t.Fatalf("epoch 2 audited from the forged state rejected: %s", v.Reason)
+	}
+	if status, body := postAll(t, ts.URL, nil, posts...); status != http.StatusOK {
+		t.Fatalf("epoch 2 posts refused: %d %s", status, body)
+	}
+
+	clock.Advance(2 * time.Minute) // the forger's lease expires
+	runWorkers(t, prog, ts.URL, 1, nil)
+	if err := coord.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	st := coord.Stats()
+	if st.InitMismatches != 1 {
+		t.Fatalf("InitMismatches = %d, want 1", st.InitMismatches)
+	}
+	if !coord.ChainAccepted() || coord.ChainSHA() != want {
+		t.Fatalf("ledger ends on %.12s (accepted %v), want the reference %.12s", coord.ChainSHA(), coord.ChainAccepted(), want)
+	}
+	for _, s := range sealed {
+		got, err := epoch.LoadCheckpointRefs(dir, s.Number)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if wantRefs, err := epoch.LoadCheckpointRefs(ref, s.Number); err != nil || !slices.Equal(got, wantRefs) {
+			t.Fatalf("epoch %d's checkpointed state is not the reference's (%v)", s.Number, err)
+		}
+	}
+}
+
+// TestInitAbandonsForOrphanedEarlierEpoch: worker a leases epoch 1 and
+// goes silent; worker b leases epoch 2 and waits for its initial state.
+// Once a's lease has timed out nobody holds epoch 1, and b — which asks
+// only for init, never for a new lease, while it waits — must be told
+// to let go: its init request answers 410, its next lease is epoch 1,
+// and it audits the chain to the reference digest.
+func TestInitAbandonsForOrphanedEarlierEpoch(t *testing.T) {
+	dir := t.TempDir()
+	prog := sealTestChain(t, dir)
+	_, want := referenceAudit(t, prog, dir)
+	clock := &fakeClock{now: time.Now()}
+	as, err := NewArtifactServer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(dir, CoordinatorOptions{LeaseTimeout: time.Minute, RetryMS: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	coord.now = clock.Now
+	waiting := make(chan struct{}, 1)
+	coord.after = func(time.Duration) <-chan time.Time {
+		select {
+		case waiting <- struct{}{}:
+		default:
+		}
+		ch := make(chan time.Time, 1)
+		ch <- time.Time{} // held requests time out at once: 202
+		return ch
+	}
+	ts := newFleetServer(t, as, coord)
+
+	if l := leaseFor(t, ts.URL, "a", nil); l.Epoch != 1 {
+		t.Fatalf("a leased epoch %d, want 1", l.Epoch)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	var mu sync.Mutex
+	var order []int64
+	done := make(chan error, 1)
+	var stats WorkerStats
+	go func() {
+		var err error
+		stats, err = RunWorker(ctx, prog, WorkerOptions{Coordinator: ts.URL, Name: "b", InitPoll: time.Millisecond,
+			OnEpoch: func(r EpochReport) {
+				mu.Lock()
+				order = append(order, r.Epoch)
+				mu.Unlock()
+			}})
+		done <- err
+	}()
+	// Move the clock in two steps, each past an init request of b's, so
+	// b's renewals keep its own lease alive while a's runs out.
+	for step := 0; step < 2; step++ {
+		for seen := 0; seen < 2; seen++ { // the second is surely a request sent after the last step
+			select {
+			case <-waiting:
+			case <-ctx.Done():
+				t.Fatal("b never waited for epoch 2's initial state")
+			}
+		}
+		clock.Advance(40 * time.Second)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("worker b: %v (an orphaned epoch 1 must not hold b forever)", err)
+	}
+	if err := coord.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if len(order) == 0 || order[0] != 1 || stats.Abandoned != 1 {
+		t.Fatalf("b audited epochs %v after %d abandoned leases; want epoch 1 first, after abandoning epoch 2", order, stats.Abandoned)
+	}
+	if st := coord.Stats(); st.LeasesReassigned != 1 {
+		t.Fatalf("%d leases timed out, want a's alone", st.LeasesReassigned)
+	}
+	if !coord.ChainAccepted() || coord.ChainSHA() != want {
+		t.Fatalf("ledger ends on %.12s (accepted %v), want the reference %.12s", coord.ChainSHA(), coord.ChainAccepted(), want)
 	}
 }

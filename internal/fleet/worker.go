@@ -316,9 +316,11 @@ func firstLine(data []byte) string {
 }
 
 // audit runs one leased epoch start to finish: fetch the manifest, the
-// artifacts (through the tiered store) and the trusted initial state,
-// hand them to epoch.AuditEpoch — the executor the local auditor calls —
-// and post the signed verdict.
+// artifacts (through the tiered store) and the initial state, prepare
+// the epoch with epoch.PrepareEpoch (the local auditor's executor),
+// post the candidate final state it fixes, so the worker holding the
+// next epoch can start from it, then finish with epoch.Finish and post
+// the signed verdict.
 func (w *worker) audit(ctx context.Context, l *Lease) error {
 	_, logicalStart, wireStart := w.remote.Fetched()
 	m, sha, err := w.fetchManifest(ctx, l)
@@ -356,29 +358,39 @@ func (w *worker) audit(ctx context.Context, l *Lease) error {
 	post.FetchedBytes = logicalNow - logicalStart
 	post.WireBytes = wireNow - wireStart
 
-	// Trusted initial state: the manifest's own snapshot for the first
-	// epoch (AuditEpoch's default), the previous epoch's verified final
-	// snapshot — handed out by the coordinator as chunk refs — otherwise.
-	// Either way its chunks are ones the coordinator holds, so the final
-	// snapshot need not ship them back. An epoch that did not load is a
-	// REJECT whatever its initial state, so it does not wait for one.
+	// Initial state: the manifest's own snapshot for the first epoch
+	// (PrepareEpoch's default), otherwise what the coordinator hands out
+	// as chunk refs — which the verdict names, for the coordinator to
+	// check against what it published. Either way its chunks are ones the
+	// coordinator holds, so the candidate need not ship them back.
 	var init *object.Snapshot
-	var initRefs []cas.Ref
+	var held []cas.Ref
 	if l.InitManifest {
 		if m.Init != nil {
-			initRefs = m.Init.Chunks
+			held = m.Init.Chunks
 		}
-	} else if loadErr == nil {
+	} else {
 		_, _, initWireStart := w.initRemote.Fetched()
-		init, initRefs, err = w.fetchInit(ctx, l)
+		init, post.InitRefs, err = w.fetchInit(ctx, l)
 		_, _, initWireNow := w.initRemote.Fetched()
 		post.WireBytes += initWireNow - initWireStart
 		if err != nil {
 			return err
 		}
+		held = post.InitRefs
 	}
 
-	v, snap, err := epoch.AuditEpoch(ctx, w.prog, sealed, loaded, loadErr, l.PrevManifestSHA, init, w.opts.Verify)
+	v, p, err := epoch.PrepareEpoch(ctx, sealed, loaded, loadErr, l.PrevManifestSHA, init, w.opts.Verify)
+	if p != nil {
+		var snap *object.Snapshot
+		if snap, err = p.Candidate(); err != nil {
+			return &fatalError{err}
+		}
+		if err := w.postCandidate(l, snap, held); err != nil {
+			return err
+		}
+		v, err = epoch.Finish(ctx, w.prog, v, p, w.opts.Verify)
+	}
 	if err != nil {
 		if errors.Is(err, verifier.ErrAuditCanceled) {
 			return err
@@ -386,22 +398,29 @@ func (w *worker) audit(ctx context.Context, l *Lease) error {
 		return &fatalError{err}
 	}
 	post.Accepted, post.Reason, post.Forensics, post.Stats = v.Accepted, v.Reason, v.Forensics, v.Stats
-	if !v.Accepted {
-		return w.post(l, &post, nil)
+	if err := w.send(&post, nil); err != nil {
+		return err
 	}
+	w.tally(l, &post)
+	return nil
+}
+
+// postCandidate posts the candidate final state of the leased epoch.
+func (w *worker) postCandidate(l *Lease, snap *object.Snapshot, held []cas.Ref) error {
 	raw, err := snap.EncodeRaw()
 	if err != nil {
 		return &fatalError{err}
 	}
-	chunks, err := w.chunkSnapshot(&post, raw, initRefs)
+	cand := VerdictPost{LeaseID: l.ID, Worker: w.opts.Name, Epoch: l.Epoch, ManifestSHA: l.ManifestSHA,
+		Candidate: true, SnapshotDigest: snap.CanonicalDigest()}
+	chunks, err := w.chunkSnapshot(&cand, raw, held)
 	if err != nil {
 		return &fatalError{err}
 	}
-	post.SnapshotDigest = snap.CanonicalDigest()
-	return w.post(l, &post, chunks)
+	return w.send(&cand, chunks)
 }
 
-// chunkSnapshot cuts a verified final snapshot's raw bytes into chunks,
+// chunkSnapshot cuts a candidate final snapshot's raw bytes into chunks,
 // fills in post.FinalSnapshot (every ref) and post.Shipped (the chunks
 // the coordinator cannot have: those not among the refs of the initial
 // state this audit started from), and returns the shipped chunks'
@@ -478,14 +497,15 @@ func (w *worker) fetchManifest(ctx context.Context, l *Lease) (*epoch.Manifest, 
 	return nil, "", fmt.Errorf("%w: %v", errAbandoned, lastErr)
 }
 
-// fetchInit asks the coordinator for the previous epoch's verified
-// final snapshot and assembles it from its chunk refs through the hot
-// cache: a worker that audited the previous epoch, or holds the chunks
-// that did not change since an earlier one, fetches nothing. The
-// coordinator holds the request until the state exists; 202 means it
-// gave up waiting for now (each request renews the lease), and 410
-// means the lease died or the chain broke before this epoch, so the
-// assignment is abandoned.
+// fetchInit asks the coordinator for the leased epoch's initial state —
+// a final snapshot of the previous epoch, published or candidate — and
+// assembles it from its chunk refs through the hot cache: a worker that
+// audited the previous epoch, or holds the chunks that did not change
+// since an earlier one, fetches nothing. The coordinator holds the
+// request until the state exists; 202 means it gave up waiting for now
+// (each request renews the lease), and 410 means the lease died, the
+// chain broke before this epoch, or an earlier epoch needs a worker, so
+// the assignment is abandoned.
 func (w *worker) fetchInit(ctx context.Context, l *Lease) (*object.Snapshot, []cas.Ref, error) {
 	url := fmt.Sprintf("%s%s/epoch/%d/init?lease=%s", w.opts.Coordinator, Prefix, l.Epoch, l.ID)
 	failures := 0
@@ -553,7 +573,7 @@ func (w *worker) fetchInit(ctx context.Context, l *Lease) (*object.Snapshot, []c
 				return nil, nil, ctx.Err()
 			}
 		case http.StatusGone:
-			return nil, nil, fmt.Errorf("%w: epoch %d lease gone (expired, or the chain broke earlier)", errAbandoned, l.Epoch)
+			return nil, nil, fmt.Errorf("%w: epoch %d lease gone (expired, the chain broke earlier, or an earlier epoch needs a worker)", errAbandoned, l.Epoch)
 		default:
 			if err := retry("status " + resp.Status); err != nil {
 				return nil, nil, err
@@ -562,11 +582,11 @@ func (w *worker) fetchInit(ctx context.Context, l *Lease) (*object.Snapshot, []c
 	}
 }
 
-// post sends the signed verdict — header plus the snapshot chunks it
-// ships — and updates the worker's tallies. A 409 means the lease
-// expired under us and the epoch was reassigned — the verdict is
-// ignored by the coordinator, and counted abandoned here.
-func (w *worker) post(l *Lease, p *VerdictPost, chunks [][]byte) error {
+// send posts a signed candidate or verdict — header plus the snapshot
+// chunks it ships. A 409 means the lease expired under us and the epoch
+// was reassigned — the post is ignored by the coordinator, and the
+// assignment abandoned here.
+func (w *worker) send(p *VerdictPost, chunks [][]byte) error {
 	body, err := EncodeVerdict(p, chunks)
 	if err != nil {
 		return &fatalError{err}
@@ -579,10 +599,15 @@ func (w *worker) post(l *Lease, p *VerdictPost, chunks [][]byte) error {
 		if isFatal(err) {
 			return err
 		}
-		// Transport failure posting the verdict: the lease will expire
-		// and the epoch be reassigned; drop it here.
-		return fmt.Errorf("%w: verdict post: %v", errAbandoned, err)
+		// Transport failure posting: the lease will expire and the epoch
+		// be reassigned; drop it here.
+		return fmt.Errorf("%w: post: %v", errAbandoned, err)
 	}
+	return nil
+}
+
+// tally adds a posted verdict to the worker's totals.
+func (w *worker) tally(l *Lease, p *VerdictPost) {
 	w.stats.Epochs++
 	if p.Accepted {
 		w.stats.Accepted++
@@ -603,5 +628,4 @@ func (w *worker) post(l *Lease, p *VerdictPost, chunks [][]byte) error {
 			CrossCheck:   l.CrossCheck,
 		})
 	}
-	return nil
 }

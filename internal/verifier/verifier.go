@@ -144,68 +144,65 @@ func (r *Result) FinalSnapshot() (*object.Snapshot, error) {
 	if !r.Accepted {
 		return nil, fmt.Errorf("verifier: FinalSnapshot on a rejected audit")
 	}
-	tables, err := r.FinalDB.MigrateFinal()
+	return finalSnapshot(r.FinalDB, r.finalKV, r.finalRegs)
+}
+
+// finalSnapshot assembles a period's final state: the versioned
+// database's latest rows, and copies of the final KV and register
+// values.
+func finalSnapshot(vdb *vstore.VersionedDB, kv, regs map[string]lang.Value) (*object.Snapshot, error) {
+	tables, err := vdb.MigrateFinal()
 	if err != nil {
 		return nil, err
 	}
 	snap := &object.Snapshot{
-		Registers: make(map[string]lang.Value, len(r.finalRegs)),
-		KV:        make(map[string]lang.Value, len(r.finalKV)),
+		Registers: make(map[string]lang.Value, len(regs)),
+		KV:        make(map[string]lang.Value, len(kv)),
 		Tables:    tables,
 	}
-	for k, v := range r.finalRegs {
+	for k, v := range regs {
 		snap.Registers[k] = lang.CloneValue(v)
 	}
-	for k, v := range r.finalKV {
+	for k, v := range kv {
 		snap.KV[k] = lang.CloneValue(v)
 	}
 	return snap, nil
 }
 
-// AuditContext runs the full audit. A non-nil error reports an internal
-// fault (not a verification verdict); verification verdicts are in
-// Result. Cancelling ctx abandons the audit between work items — the
-// worker pools stop pulling tasks, AuditContext returns an error
-// matching ErrAuditCanceled, and no verdict is produced (cancellation
-// is never a REJECT): re-auditing the same period later yields the
-// verdict the uncancelled run would have reached, bit for bit.
-func AuditContext(ctx context.Context, prog *lang.Program, tr *trace.Trace, rep *reports.Reports, init *object.Snapshot, opts Options) (*Result, error) {
-	if opts.MaxGroup <= 0 {
-		opts.MaxGroup = 3000
-	}
-	if opts.SmallGroup == 0 {
-		opts.SmallGroup = 8
-	}
-	workers := normWorkers(opts.Workers)
+// Prepared is an audit whose Phases 1–2 have passed. The operation logs
+// are ordered and redone into the versioned stores, so the period's
+// final state is fixed: it is a function of the initial state and the
+// reported logs alone, and Candidate reads it off now. What is left,
+// ReExec, only vouches for that state — which is why a chain of periods
+// can start auditing period n+1 from period n's candidate while period
+// n re-executes, as long as the next audit's initial state is believed
+// only once this one ACCEPTs.
+type Prepared struct {
+	tr    *trace.Trace
+	rep   *reports.Reports
+	init  *object.Snapshot
+	env   *auditEnv
+	stats Stats         // the Phase 1–2 timings
+	spent time.Duration // wall time inside Prepare
+}
+
+// Prepare validates the trace and reports and runs Phases 1–2
+// (ProcessOpReports and the versioned redo). It returns either the
+// audit's REJECT, when validation or one of those phases fails, or the
+// Prepared audit. A non-nil error is an internal fault or a
+// cancellation (ErrAuditCanceled), never a verdict.
+func Prepare(ctx context.Context, tr *trace.Trace, rep *reports.Reports, init *object.Snapshot, opts Options) (*Prepared, *Result, error) {
 	obs := hook{opts.Observer}
 	if init == nil {
 		init = object.EmptySnapshot()
 	}
 	if ctx.Err() != nil {
-		return nil, auditCanceled(ctx)
+		return nil, nil, auditCanceled(ctx)
 	}
 	start := time.Now()
-	res := &Result{}
-	var env *auditEnv
-	reject := func(reason string, f *Forensics) (*Result, error) {
-		res.Accepted = false
-		res.Reason = reason
-		if f == nil {
-			f = &Forensics{Phase: PhaseValidation, Check: "unclassified"}
-		}
-		if f.Detail == "" {
-			f.Detail = reason
-		}
-		res.Forensics = f
-		if env != nil {
-			// A rejected audit still reports the versioned-query time it
-			// spent (the Fig. 9 decomposition); a mid-Phase-3 reject would
-			// otherwise under-report DBQuery as zero.
-			res.Stats.DBQuery = env.dbQueryTime()
-		}
-		res.Stats.Total = time.Since(start)
-		obs.verdict(false, reason)
-		return res, nil
+	p := &Prepared{tr: tr, rep: rep, init: init}
+	reject := func(reason string, f *Forensics) (*Prepared, *Result, error) {
+		return nil, rejectResult(p.stats, p.env, time.Since(start), reason, f, obs), nil
 	}
 
 	// The trace must be balanced before SSCO_AUDIT runs (§3).
@@ -229,24 +226,24 @@ func AuditContext(ctx context.Context, prog *lang.Program, tr *trace.Trace, rep 
 	t0 := time.Now()
 	obs.phaseStart(PhaseProcessOpReports, 0)
 	proc, err := core.ProcessOpReports(tr, rep)
-	res.Stats.ProcOpRep = time.Since(t0)
+	p.stats.ProcOpRep = time.Since(t0)
 	if err != nil {
 		var rej *core.RejectError
 		if errors.As(err, &rej) {
 			return reject(rej.Error(), forensicsFromReject(PhaseProcessOpReports, rej))
 		}
-		return nil, err
+		return nil, nil, err
 	}
-	obs.phaseEnd(PhaseProcessOpReports, res.Stats.ProcOpRep)
+	obs.phaseEnd(PhaseProcessOpReports, p.stats.ProcOpRep)
 	if ctx.Err() != nil {
-		return nil, auditCanceled(ctx)
+		return nil, nil, auditCanceled(ctx)
 	}
 
 	// Phase 2: versioned redo (§4.5), parallel across independent
 	// objects — the DB logs, the KV logs, and each register log have no
 	// cross-object ordering constraints.
 	t0 = time.Now()
-	env = &auditEnv{
+	p.env = &auditEnv{
 		rep:       rep,
 		opMap:     proc.OpMap,
 		vdb:       vstore.NewVersionedDB(),
@@ -257,8 +254,8 @@ func AuditContext(ctx context.Context, prog *lang.Program, tr *trace.Trace, rep 
 		convCache: make(map[*sqlmini.Result]lang.Value),
 	}
 	for _, tbl := range init.Tables {
-		if err := env.vdb.LoadInitial(tbl); err != nil {
-			return nil, err
+		if err := p.env.vdb.LoadInitial(tbl); err != nil {
+			return nil, nil, err
 		}
 	}
 	kvKeys := make([]string, 0, len(init.KV))
@@ -267,20 +264,66 @@ func AuditContext(ctx context.Context, prog *lang.Program, tr *trace.Trace, rep 
 	}
 	sort.Strings(kvKeys)
 	for _, k := range kvKeys {
-		env.vkv.LoadInitial(k, init.KV[k])
+		p.env.vkv.LoadInitial(k, init.KV[k])
 	}
-	redoRej, redoDone := runRedo(ctx, env, rep, workers, obs)
-	res.Stats.DBRedo = time.Since(t0)
+	redoRej, redoDone := runRedo(ctx, p.env, rep, normWorkers(opts.Workers), obs)
+	p.stats.DBRedo = time.Since(t0)
 	if !redoDone {
 		// Cancelled mid-redo: some object logs never replayed, so even an
 		// observed failure cannot be arbitrated to the first one in object
 		// order. No verdict — the next audit redoes the phase whole.
-		return nil, auditCanceled(ctx)
+		return nil, nil, auditCanceled(ctx)
 	}
 	if redoRej != nil {
 		return reject(redoRej.msg, redoRej.f)
 	}
-	obs.phaseEnd(PhaseRedo, res.Stats.DBRedo)
+	obs.phaseEnd(PhaseRedo, p.stats.DBRedo)
+	p.spent = time.Since(start)
+	return p, nil, nil
+}
+
+// rejectResult builds a REJECT verdict with its forensics, reporting the
+// versioned-query time the audit spent (the Fig. 9 decomposition; a
+// mid-Phase-3 reject would otherwise under-report DBQuery as zero).
+func rejectResult(stats Stats, env *auditEnv, total time.Duration, reason string, f *Forensics, obs hook) *Result {
+	if f == nil {
+		f = &Forensics{Phase: PhaseValidation, Check: "unclassified"}
+	}
+	if f.Detail == "" {
+		f.Detail = reason
+	}
+	if env != nil {
+		stats.DBQuery = env.dbQueryTime()
+	}
+	stats.Total = total
+	obs.verdict(false, reason)
+	return &Result{Reason: reason, Forensics: f, Stats: stats}
+}
+
+// Candidate returns the period's final state as Phases 1–2 fixed it:
+// the state an ACCEPT of this audit vouches for, and what
+// Result.FinalSnapshot returns after it. Like FinalSnapshot, its tables
+// share rows with the versioned database. Call it before ReExec, not
+// during it: Phase 3 builds indexes in the database it migrates.
+func (p *Prepared) Candidate() (*object.Snapshot, error) {
+	return finalSnapshot(p.env.vdb, p.env.vkv.Final(), finalRegisters(p.rep, p.init))
+}
+
+// ReExec runs Phase 3, grouped re-execution, and Phase 4, the coverage
+// check, and returns the verdict. Errors are as in AuditContext.
+func (p *Prepared) ReExec(ctx context.Context, prog *lang.Program, opts Options) (*Result, error) {
+	if opts.MaxGroup <= 0 {
+		opts.MaxGroup = 3000
+	}
+	if opts.SmallGroup == 0 {
+		opts.SmallGroup = 8
+	}
+	obs := hook{opts.Observer}
+	start := time.Now()
+	res := &Result{Stats: p.stats}
+	reject := func(reason string, f *Forensics) (*Result, error) {
+		return rejectResult(res.Stats, p.env, p.spent+time.Since(start), reason, f, obs), nil
+	}
 
 	// Phase 3: grouped re-execution (Fig. 12 ReExec2) on a worker pool —
 	// groups are independent and re-execute "in any order" (§3.1, §4.7).
@@ -288,14 +331,14 @@ func AuditContext(ctx context.Context, prog *lang.Program, tr *trace.Trace, rep 
 	// segments; Phase 4 then only checks coverage. Task outcomes are
 	// folded in canonical group order, so the verdict, statistics, and
 	// final state never depend on worker scheduling.
-	inputs := tr.Inputs()
-	responses := tr.Responses()
+	inputs := p.tr.Inputs()
+	responses := p.tr.Responses()
 	produced := make(map[string]bool, len(inputs))
 
-	t0 = time.Now()
-	tasks := buildGroupTasks(rep, opts.MaxGroup)
+	t0 := time.Now()
+	tasks := buildGroupTasks(p.rep, opts.MaxGroup)
 	obs.phaseStart(PhaseReExec, len(tasks))
-	for _, out := range runGroupTasks(ctx, prog, env, tasks, inputs, responses, opts, workers, obs) {
+	for _, out := range runGroupTasks(ctx, prog, p.env, tasks, inputs, responses, opts, normWorkers(opts.Workers), obs) {
 		if out == nil {
 			// This task was never run because ctx was cancelled. Scanning
 			// in task order guarantees every task before a published
@@ -322,7 +365,7 @@ func AuditContext(ctx context.Context, prog *lang.Program, tr *trace.Trace, rep 
 		res.Stats.GroupBatches++
 	}
 	res.Stats.ReExec = time.Since(t0)
-	res.Stats.DBQuery = env.dbQueryTime()
+	res.Stats.DBQuery = p.env.dbQueryTime()
 	obs.phaseEnd(PhaseReExec, res.Stats.ReExec)
 
 	// Phase 4: every traced request must have been re-executed and
@@ -346,13 +389,29 @@ func AuditContext(ctx context.Context, prog *lang.Program, tr *trace.Trace, rep 
 	res.Stats.Other = time.Since(t0)
 	obs.phaseEnd(PhaseCoverage, res.Stats.Other)
 	res.Stats.RequestsReplayed = len(produced)
-	res.Stats.Total = time.Since(start)
+	res.Stats.Total = p.spent + time.Since(start)
 	res.Accepted = true
-	res.FinalDB = env.vdb
-	res.finalKV = env.vkv.Final()
-	res.finalRegs = finalRegisters(rep, init)
+	res.FinalDB = p.env.vdb
+	res.finalKV = p.env.vkv.Final()
+	res.finalRegs = finalRegisters(p.rep, p.init)
 	obs.verdict(true, "")
 	return res, nil
+}
+
+// AuditContext runs the full audit: Prepare, then ReExec. A non-nil
+// error reports an internal fault (not a verification verdict);
+// verification verdicts are in Result. Cancelling ctx abandons the
+// audit between work items — the worker pools stop pulling tasks,
+// AuditContext returns an error matching ErrAuditCanceled, and no
+// verdict is produced (cancellation is never a REJECT): re-auditing the
+// same period later yields the verdict the uncancelled run would have
+// reached, bit for bit.
+func AuditContext(ctx context.Context, prog *lang.Program, tr *trace.Trace, rep *reports.Reports, init *object.Snapshot, opts Options) (*Result, error) {
+	p, res, err := Prepare(ctx, tr, rep, init, opts)
+	if p == nil {
+		return res, err
+	}
+	return p.ReExec(ctx, prog, opts)
 }
 
 // finalRegisters derives each register's post-period value: its last
