@@ -1,6 +1,6 @@
-// Package encio holds small helpers shared by the gob+gzip codecs in
-// trace, reports, and object, and by the chunk store's at-rest
-// compression.
+// Package encio holds the canonical codec that trace, reports and
+// object encode their artifacts with, and the gzip helpers those
+// artifacts and the chunk store's at-rest form share.
 package encio
 
 import (
@@ -10,20 +10,6 @@ import (
 	"io"
 	"sync"
 )
-
-// ExpectEOF verifies that r has been fully consumed. Reading the one
-// extra byte also forces a gzip reader to validate its trailer
-// checksum, so truncated-then-repadded streams cannot slip through.
-func ExpectEOF(r io.Reader) error {
-	switch n, err := io.CopyN(io.Discard, r, 1); {
-	case err == io.EOF && n == 0:
-		return nil
-	case err != nil && err != io.EOF:
-		return err
-	default:
-		return fmt.Errorf("trailing data after encoded stream")
-	}
-}
 
 // A gzip.Writer carries about a megabyte of deflate state and a
 // gzip.Reader its window and Huffman tables; sealing builds one per
@@ -83,4 +69,23 @@ func GunzipMax(data []byte, max int64) ([]byte, error) {
 		return nil, err
 	}
 	return out, nil
+}
+
+// Compress gzips the raw encoding an artifact's EncodeRaw returned.
+func Compress(raw []byte, err error) ([]byte, error) {
+	if err != nil {
+		return nil, err
+	}
+	return Gzip(raw)
+}
+
+// Decompress inflates a gzipped artifact and decodes the raw encoding
+// inside with decodeRaw; what names the artifact in a gzip error.
+func Decompress[T any](what string, data []byte, decodeRaw func([]byte) (T, error)) (T, error) {
+	raw, err := Gunzip(data)
+	if err != nil {
+		var zero T
+		return zero, fmt.Errorf("%s: decode: %w", what, err)
+	}
+	return decodeRaw(raw)
 }

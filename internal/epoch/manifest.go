@@ -24,8 +24,9 @@ const (
 // ManifestVersion is the chain format generation this build writes and
 // reads: the layout of the manifest and of every artifact it pins. A
 // format change bumps it; a chain of any other generation is refused
-// with ErrChainFormat, never decoded by a second reader.
-const ManifestVersion = 2
+// with ErrChainFormat, never decoded by a second reader. Generation 3
+// encodes the trace, reports and snapshots with encio's canonical codec.
+const ManifestVersion = 3
 
 // ErrChainFormat reports a chain whose epoch 1 manifest carries a format
 // generation other than ManifestVersion. A build cannot read it, which

@@ -52,7 +52,7 @@ const (
 	segMagic = "OSG1"
 
 	// recEvents frames a batch of trace events, written by the
-	// segment's trace.Encoder (gob+gzip): the batch's response bodies
+	// segment's trace.Encoder (gzipped): the batch's response bodies
 	// are indices into a table that runs across the segment's records.
 	recEvents byte = 1
 

@@ -567,7 +567,7 @@ func (c *Coordinator) handleVerdict(w http.ResponseWriter, r *http.Request) {
 				http.Error(w, "accepted verdict on a lease that posted no candidate", http.StatusBadRequest)
 				return
 			}
-			p.FinalSnapshot, p.SnapshotDigest = cand.FinalSnapshot, cand.SnapshotDigest
+			p.FinalSnapshot = cand.FinalSnapshot
 		}
 		// Consume the lease and stash the verdict.
 		delete(c.leases, p.LeaseID)
@@ -726,10 +726,9 @@ func (c *Coordinator) verdictFromPosts(st *epochState) (*epoch.Verdict, epoch.St
 
 // crossMismatchLocked compares the posted replica verdicts of a
 // cross-checked epoch. Any disagreement on outcome, reason, or final
-// snapshot (its digest and its ref list) is a REJECT with forensics
-// naming both workers —
-// per the paper's trust model the executor earns no benefit of the
-// doubt, and a disagreeing fleet cannot vouch for the epoch.
+// snapshot (its ref list) is a REJECT with forensics naming both
+// workers — per the paper's trust model the executor earns no benefit
+// of the doubt, and a disagreeing fleet cannot vouch for the epoch.
 func (c *Coordinator) crossMismatchLocked(st *epochState) (string, *verifier.Forensics) {
 	base := st.posted[0]
 	for _, other := range st.posted[1:] {
@@ -753,11 +752,9 @@ func agreeing(a, b *VerdictPost) bool {
 		return false
 	}
 	if a.Accepted {
-		// The raw snapshot form is canonical, so honest replicas post the
-		// same ref list; the digest alone would let a replica pair a true
-		// digest with other chunks, which nobody here decodes.
-		return a.SnapshotDigest == b.SnapshotDigest &&
-			slices.Equal(a.FinalSnapshot, b.FinalSnapshot)
+		// The raw snapshot form is canonical, so the ref list is the
+		// state's identity: honest replicas post the same one.
+		return slices.Equal(a.FinalSnapshot, b.FinalSnapshot)
 	}
 	if a.Reason != b.Reason {
 		return false
@@ -768,10 +765,14 @@ func agreeing(a, b *VerdictPost) bool {
 }
 
 func describePost(p *VerdictPost) string {
-	if p.Accepted {
-		return fmt.Sprintf("ACCEPT (snapshot %.12s)", p.SnapshotDigest)
+	switch {
+	case !p.Accepted:
+		return fmt.Sprintf("REJECT (%s)", p.Reason)
+	case len(p.FinalSnapshot) == 0:
+		return "ACCEPT (no snapshot)"
+	default:
+		return fmt.Sprintf("ACCEPT (snapshot %.12s)", p.FinalSnapshot[0].SHA256)
 	}
-	return fmt.Sprintf("REJECT (%s)", p.Reason)
 }
 
 // publishLocked hands an epoch's verdict to the ledger — which extends

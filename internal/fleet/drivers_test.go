@@ -341,7 +341,11 @@ func TestForeignFormatRefusedNotRejected(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		version int
-	}{{"version absent", -1}, {"version 1", 1}, {"version 3", 3}} {
+	}{
+		{"version absent", -1},
+		{"an older build's version", epoch.ManifestVersion - 1},
+		{"a newer build's version", epoch.ManifestVersion + 1},
+	} {
 		for _, src := range []string{master, audited} {
 			dir := copyChain(t, src)
 			setManifestVersion(t, dir, 1, tc.version)
@@ -387,12 +391,13 @@ func TestForeignFormatRefusedNotRejected(t *testing.T) {
 	// Only epoch 3 restamped: the chain is this build's, epoch 3's
 	// manifest is damaged, and both drivers REJECT it alike.
 	src := copyChain(t, master)
-	setManifestVersion(t, src, 3, 3)
+	newer := epoch.ManifestVersion + 1
+	setManifestVersion(t, src, 3, newer)
 	localDir, fleetDir := copyChain(t, src), copyChain(t, src)
 	local := localAudit(t, prog, localDir, epoch.AuditorOptions{})
 	want := normalizeAt(t, local.Verdicts(), localDir)
 	if len(want) != 3 || !want[0].Accepted || !want[1].Accepted || want[2].Accepted ||
-		!strings.Contains(want[2].Reason, "damaged manifest: ") || !strings.Contains(want[2].Reason, "format generation 3") {
+		!strings.Contains(want[2].Reason, "damaged manifest: ") || !strings.Contains(want[2].Reason, fmt.Sprintf("format generation %d", newer)) {
 		t.Fatalf("local audit should ACCEPT epochs 1-2 and REJECT epoch 3's manifest: %+v", want)
 	}
 	coord := fleetAudit(t, prog, fleetDir, CoordinatorOptions{})

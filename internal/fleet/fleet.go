@@ -197,10 +197,6 @@ type VerdictPost struct {
 	// chunk bytes follow the header. Every other chunk the coordinator
 	// must already hold (it was part of the initial state it handed out).
 	Shipped []int `json:"shipped,omitempty"`
-	// SnapshotDigest is the canonical digest of the final state
-	// (object.Snapshot.CanonicalDigest). With the ref list it is the
-	// cross-check comparison key.
-	SnapshotDigest string `json:"snapshot_digest,omitempty"`
 	// FetchedBytes and LogicalBytes account the transport in logical
 	// (inflated) bytes: chunk bytes the worker pulled from the artifact
 	// server for this epoch vs the bytes its manifest pins. logical -

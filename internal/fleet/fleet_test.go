@@ -363,7 +363,7 @@ func refsOf(t *testing.T, snap *object.Snapshot) ([]cas.Ref, [][]byte) {
 func candidateOf(t *testing.T, l *Lease, worker string, snap *object.Snapshot) testVerdict {
 	t.Helper()
 	v := testVerdict{VerdictPost: VerdictPost{LeaseID: l.ID, Worker: worker, Epoch: l.Epoch,
-		ManifestSHA: l.ManifestSHA, Candidate: true, SnapshotDigest: snap.CanonicalDigest()}}
+		ManifestSHA: l.ManifestSHA, Candidate: true}}
 	v.FinalSnapshot, v.chunks = refsOf(t, snap)
 	for i := range v.chunks {
 		v.Shipped = append(v.Shipped, i)

@@ -253,8 +253,8 @@ func TestVerdictSnapshotMustResolve(t *testing.T) {
 	l := leaseFor(t, ts.URL, "w", nil)
 	posts := honestPosts(t, prog, dir, l, "w", nil)
 	honest, verdict := posts[0], posts[len(posts)-1]
-	if len(posts) != 2 || !verdict.Accepted || len(honest.chunks) < 2 {
-		t.Fatalf("need an ACCEPT with several chunks: accepted=%v chunks=%d", verdict.Accepted, len(honest.chunks))
+	if len(posts) != 2 || !verdict.Accepted || len(honest.chunks) == 0 {
+		t.Fatalf("need an ACCEPT with a snapshot: accepted=%v chunks=%d", verdict.Accepted, len(honest.chunks))
 	}
 	if status, body := postVerdict(t, ts.URL, nil, verdict); status != http.StatusBadRequest {
 		t.Fatalf("ACCEPT before its candidate answered %d: %s", status, body)
@@ -362,19 +362,16 @@ func TestVerdictFrameRoundTrip(t *testing.T) {
 }
 
 // TestCrossCheckComparesRefLists: replicas agree on an ACCEPT only when
-// digest and ref list both match — the coordinator decodes neither, so
-// a true digest must not vouch for other chunks.
+// their ref lists match — the raw snapshot form is canonical, so the
+// list is the final state's identity.
 func TestCrossCheckComparesRefLists(t *testing.T) {
 	refs := []cas.Ref{{SHA256: "aa", Bytes: 10}, {SHA256: "bb", Bytes: 20}}
-	a := &VerdictPost{Accepted: true, SnapshotDigest: "d", FinalSnapshot: refs}
-	if !agreeing(a, &VerdictPost{Accepted: true, SnapshotDigest: "d", FinalSnapshot: slices.Clone(refs)}) {
+	a := &VerdictPost{Accepted: true, FinalSnapshot: refs}
+	if !agreeing(a, &VerdictPost{Accepted: true, FinalSnapshot: slices.Clone(refs)}) {
 		t.Fatal("identical ACCEPTs disagree")
 	}
-	if agreeing(a, &VerdictPost{Accepted: true, SnapshotDigest: "d", FinalSnapshot: refs[:1]}) {
-		t.Fatal("same digest over a different ref list passed the cross-check")
-	}
-	if agreeing(a, &VerdictPost{Accepted: true, SnapshotDigest: "e", FinalSnapshot: refs}) {
-		t.Fatal("same ref list under a different digest passed the cross-check")
+	if agreeing(a, &VerdictPost{Accepted: true, FinalSnapshot: refs[:1]}) {
+		t.Fatal("a different ref list passed the cross-check")
 	}
 }
 

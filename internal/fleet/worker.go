@@ -412,7 +412,7 @@ func (w *worker) postCandidate(l *Lease, snap *object.Snapshot, held []cas.Ref) 
 		return &fatalError{err}
 	}
 	cand := VerdictPost{LeaseID: l.ID, Worker: w.opts.Name, Epoch: l.Epoch, ManifestSHA: l.ManifestSHA,
-		Candidate: true, SnapshotDigest: snap.CanonicalDigest()}
+		Candidate: true}
 	chunks, err := w.chunkSnapshot(&cand, raw, held)
 	if err != nil {
 		return &fatalError{err}

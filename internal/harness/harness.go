@@ -119,12 +119,7 @@ type Sizes struct {
 
 // Sizes computes the size accounting for this run.
 func (s *Served) Sizes() (*Sizes, error) {
-	out := &Sizes{DBPlainBytes: s.Server.Store.DB.SizeBytes()}
-	tb, err := encodeTraceSize(s.Trace)
-	if err != nil {
-		return nil, err
-	}
-	out.TraceBytes = tb
+	out := &Sizes{DBPlainBytes: s.Server.Store.DB.SizeBytes(), TraceBytes: traceSize(s.Trace)}
 	if s.Reports != nil {
 		enc, err := s.Reports.Encode()
 		if err != nil {
@@ -148,9 +143,10 @@ func (s *Served) Sizes() (*Sizes, error) {
 	return out, nil
 }
 
-func encodeTraceSize(tr *trace.Trace) (int, error) {
-	// The trace's wire size: sum of request/response payloads, gzipped
-	// via the reports encoder for a like-for-like comparison.
+// traceSize is the trace's size as the collector would ship it,
+// uncompressed: the sum of the events' field lengths plus a few bytes of
+// framing per event and per parameter.
+func traceSize(tr *trace.Trace) int {
 	var total int
 	for i := range tr.Events {
 		ev := &tr.Events[i]
@@ -167,7 +163,7 @@ func encodeTraceSize(tr *trace.Trace) (int, error) {
 			total += len(k) + len(v) + 2
 		}
 	}
-	return total, nil
+	return total
 }
 
 // BaselineReplay re-executes every request sequentially on a fresh

@@ -13,7 +13,7 @@ import (
 // TestShardedReportByteEquivalence pins the acceptance criterion of the
 // sharded serving path on a real workload: for a fixed deterministic
 // serving run (sequential, fixed clock and seed), Shards=1 and Shards=N
-// produce byte-identical canonical reports.
+// produce byte-identical reports.
 func TestShardedReportByteEquivalence(t *testing.T) {
 	w := workload.Wiki(workload.DefaultWikiParams().Scale(100))
 	fixed := time.Unix(1700000000, 0)
@@ -25,7 +25,7 @@ func TestShardedReportByteEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return served.Reports.CanonicalBytes()
+		return rawReports(t, served)
 	}
 	base := run(1)
 	for _, shards := range []int{4, 32} {
@@ -33,6 +33,15 @@ func TestShardedReportByteEquivalence(t *testing.T) {
 			t.Fatalf("Shards=%d reports differ from Shards=1 (lengths %d vs %d)", shards, len(base), len(got))
 		}
 	}
+}
+
+func rawReports(t *testing.T, served *Served) []byte {
+	t.Helper()
+	raw, err := served.Reports.EncodeRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
 }
 
 // TestShardedRecordingsAudit: recordings collected on the sharded

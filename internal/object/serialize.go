@@ -1,12 +1,11 @@
 package object
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"math"
 	"os"
+	"slices"
 	"sort"
-	"strconv"
 
 	"orochi/internal/encio"
 
@@ -14,156 +13,151 @@ import (
 	"orochi/internal/sqlmini"
 )
 
-// snapshotWire is the gob shape of a Snapshot: language and SQL values
-// travel as tagged strings so no interface registration is needed.
-// Registers and KV are key-sorted pair lists, not maps — gob walks a
-// map in whatever order the runtime does, and the raw form must be a
-// function of the state alone: the fleet hands snapshots off as
-// content-addressed chunks, so the same state has to cut to the same
-// chunks on every worker and from one epoch to the next.
-type snapshotWire struct {
-	Registers []pairWire
-	KV        []pairWire
-	Tables    []tableWire
-}
+// A snapshot encodes as the magic "OSNP", the registers and the KV
+// store as key-sorted pairs of key and lang.EncodeValue, and the tables
+// in name order, each as its columns, its next auto-increment value and
+// its rows in order (row order is state). Each SQL value is a tag byte
+// and its payload. So the raw form is a function of the state alone:
+// the fleet hands snapshots off as content-addressed chunks, and the
+// same state has to cut to the same chunks on every worker and from one
+// epoch to the next.
 
-type pairWire struct {
-	Key string
-	Val string
-}
+const snapshotMagic = "OSNP"
 
-type tableWire struct {
-	Name     string
-	Cols     []sqlmini.Column
-	NextAuto int64
-	Rows     [][]string
-}
+// SQL value tags.
+const (
+	sqlNull byte = iota
+	sqlInt
+	sqlFloat
+	sqlText
+)
 
-func sortedPairs(m map[string]lang.Value) []pairWire {
-	out := make([]pairWire, 0, len(m))
-	for k, v := range m {
-		out = append(out, pairWire{Key: k, Val: lang.EncodeValue(v)})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
-	return out
-}
-
-// EncodeRaw serializes the snapshot with gob, uncompressed — the
-// logical form the content-addressed store chunks (compression moves
-// down to the chunk layer). The bytes are canonical: registers and KV
-// pairs in key order, tables in name order (rows keep their order,
-// which is state), so equal states encode to equal bytes.
+// EncodeRaw serializes the snapshot uncompressed — the logical form the
+// content-addressed store chunks (compression moves down to the chunk
+// layer). Equal states encode to equal bytes.
 func (s *Snapshot) EncodeRaw() ([]byte, error) {
-	wire := snapshotWire{
-		Registers: sortedPairs(s.Registers),
-		KV:        sortedPairs(s.KV),
-		Tables:    make([]tableWire, 0, len(s.Tables)),
+	w := encio.NewWriter(snapshotMagic)
+	putValue := func(k string, v lang.Value) {
+		w.String(k)
+		w.String(lang.EncodeValue(v))
 	}
-	tables := append([]*sqlmini.Table(nil), s.Tables...)
+	encio.WriteMap(w, s.Registers, putValue)
+	encio.WriteMap(w, s.KV, putValue)
+	tables := slices.Clone(s.Tables)
 	sort.SliceStable(tables, func(i, j int) bool { return tables[i].Name < tables[j].Name })
+	w.Uint(uint64(len(tables)))
 	for _, t := range tables {
-		tw := tableWire{Name: t.Name, Cols: t.Cols, NextAuto: t.NextAuto, Rows: make([][]string, len(t.Rows))}
+		w.String(t.Name)
+		encio.WriteList(w, t.Cols, func(c sqlmini.Column) {
+			w.String(c.Name)
+			w.Byte(byte(c.Type))
+			w.Bool(c.AutoInc)
+		})
+		w.Int(t.NextAuto)
+		w.Uint(uint64(len(t.Rows)))
 		for r, row := range t.Rows {
-			enc := make([]string, len(row))
-			for i, v := range row {
-				enc[i] = encodeSQLVal(v)
+			if len(row) != len(t.Cols) {
+				return nil, fmt.Errorf("object: encode snapshot: table %s row %d has %d values for %d columns", t.Name, r, len(row), len(t.Cols))
 			}
-			tw.Rows[r] = enc
+			for _, v := range row {
+				switch x := v.(type) {
+				case nil:
+					w.Byte(sqlNull)
+				case int64:
+					w.Byte(sqlInt)
+					w.Int(x)
+				case float64:
+					w.Byte(sqlFloat)
+					w.Uint(math.Float64bits(x))
+				case string:
+					w.Byte(sqlText)
+					w.String(x)
+				default:
+					return nil, fmt.Errorf("object: encode snapshot: table %s holds a %T", t.Name, v)
+				}
+			}
 		}
-		wire.Tables = append(wire.Tables, tw)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
-		return nil, fmt.Errorf("object: encode snapshot: %w", err)
-	}
-	return buf.Bytes(), nil
+	return w.Bytes(), nil
 }
 
-// Encode serializes the snapshot (gob+gzip).
+// Encode serializes the snapshot gzipped.
 func (s *Snapshot) Encode() ([]byte, error) {
-	raw, err := s.EncodeRaw()
-	if err != nil {
-		return nil, err
-	}
-	data, err := encio.Gzip(raw)
-	if err != nil {
-		return nil, fmt.Errorf("object: encode snapshot: %w", err)
-	}
-	return data, nil
+	return encio.Compress(s.EncodeRaw())
 }
 
-// DecodeSnapshotRaw deserializes a snapshot produced by EncodeRaw.
-// Trailing garbage is an error, matching DecodeSnapshot's strictness.
+// DecodeSnapshotRaw deserializes a snapshot produced by EncodeRaw. Input
+// is untrusted: anything but the canonical encoding of some state,
+// trailing bytes included, is an error. (The sizes handed to ReadList
+// and ReadMap are the fewest bytes an entry encodes to.)
 func DecodeSnapshotRaw(data []byte) (*Snapshot, error) {
-	br := bytes.NewReader(data)
-	var wire snapshotWire
-	if err := gob.NewDecoder(br).Decode(&wire); err != nil {
+	r := encio.NewReader(data, snapshotMagic)
+	// A value must be in the one form lang.EncodeValue writes.
+	getValue := func() (string, lang.Value) {
+		k, enc := r.String(), r.String()
+		v, err := lang.DecodeValue(enc)
+		if err == nil && lang.EncodeValue(v) != enc {
+			err = fmt.Errorf("not in canonical form")
+		}
+		if err != nil {
+			r.Failf("value of %q: %v", k, err)
+		}
+		return k, v
+	}
+	out := &Snapshot{Registers: encio.ReadMap(r, 2, getValue), KV: encio.ReadMap(r, 2, getValue)}
+	n := r.Len(7) // name, a column, next auto, rows
+	for i := 0; i < n; i++ {
+		name := r.String()
+		if i > 0 && name <= out.Tables[i-1].Name {
+			r.Failf("tables out of order at %q", name)
+		}
+		cols := encio.ReadList(r, 3, func() sqlmini.Column {
+			c := sqlmini.Column{Name: r.String(), Type: sqlmini.ColType(r.Byte()), AutoInc: r.Bool()}
+			if c.Type < sqlmini.IntCol || c.Type > sqlmini.TextCol {
+				r.Failf("table %q column %q has unknown type %d", name, c.Name, c.Type)
+			}
+			return c
+		})
+		if len(cols) == 0 {
+			r.Failf("table %q has no columns", name)
+		}
+		nextAuto := r.Int()
+		// A row is one value per column, each at least its tag byte.
+		rows := make([][]sqlmini.Val, r.Len(max(len(cols), 1)))
+		for k := range rows {
+			rows[k] = make([]sqlmini.Val, len(cols))
+			for j := range rows[k] {
+				switch tag := r.Byte(); tag {
+				case sqlNull:
+				case sqlInt:
+					rows[k][j] = r.Int()
+				case sqlFloat:
+					rows[k][j] = math.Float64frombits(r.Uint())
+				case sqlText:
+					rows[k][j] = r.String()
+				default:
+					r.Failf("table %q row %d: unknown SQL value tag %d", name, k, tag)
+				}
+			}
+		}
+		t, err := sqlmini.NewTable(name, cols, rows, nextAuto)
+		if err != nil {
+			r.Failf("%v", err)
+			t = &sqlmini.Table{Name: name}
+		}
+		out.Tables = append(out.Tables, t)
+	}
+	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("object: decode snapshot: %w", err)
 	}
-	if err := encio.ExpectEOF(br); err != nil {
-		return nil, fmt.Errorf("object: decode snapshot: %w", err)
-	}
-	return decodeSnapshotWire(&wire)
+	return out, nil
 }
 
 // DecodeSnapshot deserializes a snapshot produced by Encode. Truncated
 // input and trailing garbage are errors, so corrupted on-disk state can
 // never load silently as a shortened snapshot.
 func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	raw, err := encio.Gunzip(data)
-	if err != nil {
-		return nil, fmt.Errorf("object: decode snapshot: %w", err)
-	}
-	return DecodeSnapshotRaw(raw)
-}
-
-func decodeSnapshotWire(wire *snapshotWire) (*Snapshot, error) {
-	out := &Snapshot{}
-	var err error
-	if out.Registers, err = decodePairs("register", wire.Registers); err != nil {
-		return nil, err
-	}
-	if out.KV, err = decodePairs("kv", wire.KV); err != nil {
-		return nil, err
-	}
-	for _, tw := range wire.Tables {
-		rows := make([][]sqlmini.Val, len(tw.Rows))
-		for i, enc := range tw.Rows {
-			row := make([]sqlmini.Val, len(enc))
-			for j, e := range enc {
-				v, err := decodeSQLVal(e)
-				if err != nil {
-					return nil, err
-				}
-				row[j] = v
-			}
-			rows[i] = row
-		}
-		t, err := sqlmini.NewTable(tw.Name, tw.Cols, rows, tw.NextAuto)
-		if err != nil {
-			return nil, err
-		}
-		out.Tables = append(out.Tables, t)
-	}
-	return out, nil
-}
-
-// decodePairs rebuilds one map from its pair list. Keys must ascend
-// strictly, as EncodeRaw writes them: a repeated key would otherwise
-// load as whichever copy came last.
-func decodePairs(kind string, pairs []pairWire) (map[string]lang.Value, error) {
-	out := make(map[string]lang.Value, len(pairs))
-	for i, p := range pairs {
-		if i > 0 && pairs[i-1].Key >= p.Key {
-			return nil, fmt.Errorf("object: decode snapshot: %s keys out of order at %q", kind, p.Key)
-		}
-		v, err := lang.DecodeValue(p.Val)
-		if err != nil {
-			return nil, err
-		}
-		out[p.Key] = v
-	}
-	return out, nil
+	return encio.Decompress("object: snapshot", data, DecodeSnapshotRaw)
 }
 
 // WriteFile stores the snapshot at path.
@@ -182,46 +176,4 @@ func ReadSnapshotFile(path string) (*Snapshot, error) {
 		return nil, err
 	}
 	return DecodeSnapshot(data)
-}
-
-func encodeSQLVal(v sqlmini.Val) string {
-	switch x := v.(type) {
-	case nil:
-		return "n"
-	case int64:
-		return "i" + strconv.FormatInt(x, 10)
-	case float64:
-		return "f" + strconv.FormatFloat(x, 'g', -1, 64)
-	case string:
-		return "s" + x
-	default:
-		return "s" + fmt.Sprintf("%v", v)
-	}
-}
-
-func decodeSQLVal(e string) (sqlmini.Val, error) {
-	if e == "" {
-		return nil, fmt.Errorf("object: empty encoded SQL value")
-	}
-	body := e[1:]
-	switch e[0] {
-	case 'n':
-		return nil, nil
-	case 'i':
-		n, err := strconv.ParseInt(body, 10, 64)
-		if err != nil {
-			return nil, err
-		}
-		return n, nil
-	case 'f':
-		f, err := strconv.ParseFloat(body, 64)
-		if err != nil {
-			return nil, err
-		}
-		return f, nil
-	case 's':
-		return body, nil
-	default:
-		return nil, fmt.Errorf("object: bad SQL value tag %q", e[0])
-	}
 }

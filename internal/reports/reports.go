@@ -14,8 +14,6 @@
 package reports
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 
@@ -103,35 +101,13 @@ type Reports struct {
 	NonDet map[string][]NDEntry
 }
 
-// Clone deep-copies the reports (tamper tests mutate copies).
+// Clone deep-copies the reports (tamper tests mutate copies): the copy
+// is the decoding of their encoding.
 func (r *Reports) Clone() *Reports {
-	out := &Reports{
-		Groups:   make(map[uint64][]string, len(r.Groups)),
-		Scripts:  make(map[uint64]string, len(r.Scripts)),
-		Objects:  append([]ObjectID(nil), r.Objects...),
-		OpLogs:   make([][]OpEntry, len(r.OpLogs)),
-		OpCounts: make(map[string]int, len(r.OpCounts)),
-		NonDet:   make(map[string][]NDEntry, len(r.NonDet)),
-	}
-	for k, v := range r.Groups {
-		out.Groups[k] = append([]string(nil), v...)
-	}
-	for k, v := range r.Scripts {
-		out.Scripts[k] = v
-	}
-	for i, log := range r.OpLogs {
-		cl := make([]OpEntry, len(log))
-		copy(cl, log)
-		for j := range cl {
-			cl[j].Stmts = append([]string(nil), cl[j].Stmts...)
-		}
-		out.OpLogs[i] = cl
-	}
-	for k, v := range r.OpCounts {
-		out.OpCounts[k] = v
-	}
-	for k, v := range r.NonDet {
-		out.NonDet[k] = append([]NDEntry(nil), v...)
+	raw, _ := r.EncodeRaw() // never fails
+	out, err := DecodeRaw(raw)
+	if err != nil {
+		panic("reports: clone: " + err.Error())
 	}
 	return out
 }
@@ -165,100 +141,92 @@ func (r *Reports) SortGroups() []uint64 {
 	return tags
 }
 
-// CanonicalBytes renders the reports into a deterministic byte form.
-// Encode (gob) is not canonical — Go randomizes map iteration order — so
-// equivalence tests and content comparisons use this rendering: every
-// map is emitted in sorted key order, slices in their stored order, and
-// every OpEntry field is spelled out. Two Reports values describing the
-// same recorded history produce identical CanonicalBytes regardless of
-// how (or with how many recorder stripes) they were collected.
-func (r *Reports) CanonicalBytes() []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "groups %d\n", len(r.Groups))
-	for _, tag := range r.SortGroups() {
-		fmt.Fprintf(&b, "group %x script %q rids %q\n", tag, r.Scripts[tag], r.Groups[tag])
-	}
-	fmt.Fprintf(&b, "objects %d\n", len(r.Objects))
-	for i, id := range r.Objects {
-		fmt.Fprintf(&b, "object %d %v ops %d\n", i, id, len(r.OpLogs[i]))
-		for j, e := range r.OpLogs[i] {
-			fmt.Fprintf(&b, "  op %d rid %q opnum %d type %d key %q value %q stmts %q ok %v\n",
-				j, e.RID, e.Opnum, e.Type, e.Key, e.Value, e.Stmts, e.OK)
-		}
-	}
-	rids := make([]string, 0, len(r.OpCounts))
-	for rid := range r.OpCounts {
-		rids = append(rids, rid)
-	}
-	sort.Strings(rids)
-	fmt.Fprintf(&b, "opcounts %d\n", len(rids))
-	for _, rid := range rids {
-		fmt.Fprintf(&b, "m %q %d\n", rid, r.OpCounts[rid])
-	}
-	nds := make([]string, 0, len(r.NonDet))
-	for rid := range r.NonDet {
-		nds = append(nds, rid)
-	}
-	sort.Strings(nds)
-	fmt.Fprintf(&b, "nondet %d\n", len(nds))
-	for _, rid := range nds {
-		fmt.Fprintf(&b, "nd %q", rid)
-		for _, e := range r.NonDet[rid] {
-			fmt.Fprintf(&b, " %q=%q", e.Fn, e.Value)
-		}
-		b.WriteByte('\n')
-	}
-	return b.Bytes()
-}
+const reportsMagic = "ORPT"
 
-// EncodeRaw serializes the reports with gob, uncompressed — the
-// logical form the content-addressed store chunks so consecutive
-// epochs' shared report structure actually dedups (compression moves
-// down to the chunk layer).
+// EncodeRaw serializes the reports uncompressed, in the canonical form
+// (encio): every map in key order, the object list and the logs in
+// their stored order. It is the logical form the content-addressed store
+// chunks, so consecutive epochs' shared report structure dedups
+// (compression moves down to the chunk layer), and its digest is the
+// reports' identity: two Reports values describing the same recorded
+// history encode to the same bytes, however many recorder stripes
+// collected them. It never fails.
 func (r *Reports) EncodeRaw() ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(r); err != nil {
-		return nil, fmt.Errorf("reports: encode: %w", err)
-	}
-	return buf.Bytes(), nil
+	w := encio.NewWriter(reportsMagic)
+	encio.WriteMap(w, r.Groups, func(tag uint64, rids []string) {
+		w.Uint(tag)
+		encio.WriteList(w, rids, w.String)
+	})
+	encio.WriteMap(w, r.Scripts, func(tag uint64, script string) {
+		w.Uint(tag)
+		w.String(script)
+	})
+	encio.WriteList(w, r.Objects, func(id ObjectID) {
+		w.Byte(byte(id.Kind))
+		w.String(id.Name)
+	})
+	encio.WriteList(w, r.OpLogs, func(log []OpEntry) {
+		encio.WriteList(w, log, func(e OpEntry) {
+			w.String(e.RID)
+			w.Int(int64(e.Opnum))
+			w.Byte(byte(e.Type))
+			w.String(e.Key)
+			w.String(e.Value)
+			encio.WriteList(w, e.Stmts, w.String)
+			w.Bool(e.OK)
+		})
+	})
+	encio.WriteMap(w, r.OpCounts, func(rid string, n int) {
+		w.String(rid)
+		w.Int(int64(n))
+	})
+	encio.WriteMap(w, r.NonDet, func(rid string, nd []NDEntry) {
+		w.String(rid)
+		encio.WriteList(w, nd, func(e NDEntry) {
+			w.String(e.Fn)
+			w.String(e.Value)
+		})
+	})
+	return w.Bytes(), nil
 }
 
-// DecodeRaw deserializes reports produced by EncodeRaw. Trailing
-// garbage is an error, matching Decode's strictness.
+// DecodeRaw deserializes reports produced by EncodeRaw. Input is
+// untrusted: anything but the canonical encoding of some Reports value,
+// trailing bytes included, is an error. (The sizes handed to ReadList
+// and ReadMap are the fewest bytes an entry encodes to.)
 func DecodeRaw(data []byte) (*Reports, error) {
-	br := bytes.NewReader(data)
-	var r Reports
-	if err := gob.NewDecoder(br).Decode(&r); err != nil {
+	r := encio.NewReader(data, reportsMagic)
+	strs := func() []string { return encio.ReadList(r, 1, r.String) }
+	out := &Reports{
+		Groups:  encio.ReadMap(r, 2, func() (uint64, []string) { return r.Uint(), strs() }),
+		Scripts: encio.ReadMap(r, 2, func() (uint64, string) { return r.Uint(), r.String() }),
+		Objects: encio.ReadList(r, 2, func() ObjectID { return ObjectID{Kind: ObjectKind(r.Byte()), Name: r.String()} }),
+		OpLogs: encio.ReadList(r, 1, func() []OpEntry {
+			return encio.ReadList(r, 7, func() OpEntry {
+				return OpEntry{RID: r.String(), Opnum: int(r.Int()), Type: lang.OpType(r.Byte()),
+					Key: r.String(), Value: r.String(), Stmts: strs(), OK: r.Bool()}
+			})
+		}),
+		OpCounts: encio.ReadMap(r, 2, func() (string, int) { return r.String(), int(r.Int()) }),
+		NonDet: encio.ReadMap(r, 2, func() (string, []NDEntry) {
+			return r.String(), encio.ReadList(r, 2, func() NDEntry { return NDEntry{Fn: r.String(), Value: r.String()} })
+		}),
+	}
+	if err := r.Close(); err != nil {
 		return nil, fmt.Errorf("reports: decode: %w", err)
 	}
-	if err := encio.ExpectEOF(br); err != nil {
-		return nil, fmt.Errorf("reports: decode: %w", err)
-	}
-	return &r, nil
+	return out, nil
 }
 
-// Encode serializes the reports with gob and gzip — the wire format the
-// verifier downloads, and the basis of the report-size accounting in
-// Fig. 8.
+// Encode serializes the reports gzipped — the wire format the verifier
+// downloads, and the basis of the report-size accounting in Fig. 8.
 func (r *Reports) Encode() ([]byte, error) {
-	raw, err := r.EncodeRaw()
-	if err != nil {
-		return nil, err
-	}
-	data, err := encio.Gzip(raw)
-	if err != nil {
-		return nil, fmt.Errorf("reports: encode: %w", err)
-	}
-	return data, nil
+	return encio.Compress(r.EncodeRaw())
 }
 
 // Decode deserializes reports produced by Encode. Truncated input and
 // trailing garbage are errors, so a corrupted on-disk bundle can never
 // pass silently as a shortened one.
 func Decode(data []byte) (*Reports, error) {
-	raw, err := encio.Gunzip(data)
-	if err != nil {
-		return nil, fmt.Errorf("reports: decode: %w", err)
-	}
-	return DecodeRaw(raw)
+	return encio.Decompress("reports", data, DecodeRaw)
 }

@@ -1,9 +1,8 @@
 package trace
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
+	"maps"
 	"os"
 
 	"orochi/internal/encio"
@@ -11,76 +10,88 @@ import (
 
 // A web server's responses repeat (the same page, the same error, the
 // same redirect), so every serialized form of a trace stores each
-// distinct response body once, in a body table, and each Response event
-// carries an index into the table instead of its body. A table can span
+// distinct response body once, in a body table. A record is the magic
+// "OTRC", the event count, per event its kind, RID, time, input and
+// body, and then the bodies the record adds to the table, in table
+// order. A Response's body is a reference into the table, where a
+// reference equal to the table's size so far means a new body. (The new
+// bodies come after the events, not after each reference: events and
+// bodies each compress better among their own kind.) A table can span
 // several records: the live log writes one record per batch of events,
-// and a record lists only the bodies no earlier record of its segment
+// and a record carries only the bodies no earlier record of its segment
 // introduced. A whole trace (EncodeRaw, Encode, WriteFile) is a single
 // record over an empty table.
 
-// wireRecord is the serialized form of a run of events.
-type wireRecord struct {
-	// Events holds the events in order. The Body of a Response event is
-	// empty here and travels through Refs; every other field, and the
-	// Body of any other kind of event, is stored as is.
-	Events []Event
-	// Bodies are the response bodies this record adds to the table, in
-	// order of first occurrence.
-	Bodies []string
-	// Refs holds one table index per Response event, in event order. An
-	// index may name any body added by this record or an earlier one.
-	Refs []uint32
-}
+const traceMagic = "OTRC"
 
 // Encoder writes the records that share one body table. The zero value
 // is an encoder over an empty table. An Encoder whose Encode returned an
 // error must not be used again: its table may be ahead of what was
 // written.
 type Encoder struct {
-	index map[string]uint32 // response body → table index
-	size  uint32            // bodies in the table
+	index map[string]uint64 // response body → table index
 }
 
-// Encode serializes events as the next record (gob+gzip). Decoding it
+// Encode serializes events as the next record, gzipped. Decoding it
 // needs every record the encoder wrote before it, in order.
 func (e *Encoder) Encode(events []Event) ([]byte, error) {
-	raw, err := e.encodeRaw(events)
-	if err != nil {
-		return nil, err
-	}
-	data, err := encio.Gzip(raw)
-	if err != nil {
-		return nil, fmt.Errorf("trace: encode: %w", err)
-	}
-	return data, nil
+	return encio.Compress(e.encodeRaw(events))
 }
 
 func (e *Encoder) encodeRaw(events []Event) ([]byte, error) {
 	if e.index == nil {
-		e.index = make(map[string]uint32)
+		e.index = make(map[string]uint64)
 	}
-	rec := wireRecord{Events: make([]Event, len(events))}
-	copy(rec.Events, events)
-	for i := range rec.Events {
-		ev := &rec.Events[i]
+	w := encio.NewWriter(traceMagic)
+	w.Uint(uint64(len(events)))
+	var added []string
+	for i := range events {
+		ev := &events[i]
+		if ev.Kind > Response {
+			return nil, fmt.Errorf("trace: encode: event %d has unknown kind %d", i, ev.Kind)
+		}
+		w.Byte(byte(ev.Kind))
+		w.String(ev.RID)
+		w.Int(ev.Time)
+		w.String(ev.In.Script)
+		writeParams(w, ev.In.Get)
+		writeParams(w, ev.In.Post)
+		writeParams(w, ev.In.Cookie)
 		if ev.Kind != Response {
+			w.String(ev.Body)
 			continue
 		}
 		ref, ok := e.index[ev.Body]
 		if !ok {
-			ref = e.size
-			e.size++
+			ref = uint64(len(e.index))
 			e.index[ev.Body] = ref
-			rec.Bodies = append(rec.Bodies, ev.Body)
+			added = append(added, ev.Body)
 		}
-		rec.Refs = append(rec.Refs, ref)
-		ev.Body = ""
+		w.Uint(ref)
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(&rec); err != nil {
-		return nil, fmt.Errorf("trace: encode: %w", err)
+	for _, body := range added {
+		w.String(body)
 	}
-	return buf.Bytes(), nil
+	return w.Bytes(), nil
+}
+
+// writeParams writes a request parameter map: whether it is non-nil,
+// then its pairs.
+func writeParams(w *encio.Writer, m map[string]string) {
+	w.Bool(m != nil)
+	if m != nil {
+		encio.WriteMap(w, m, func(k, v string) {
+			w.String(k)
+			w.String(v)
+		})
+	}
+}
+
+func readParams(r *encio.Reader) map[string]string {
+	if !r.Bool() {
+		return nil
+	}
+	return encio.ReadMap(r, 2, func() (string, string) { return r.String(), r.String() })
 }
 
 // Decoder reads back, in order, the records an Encoder wrote. The zero
@@ -91,68 +102,76 @@ func (e *Encoder) encodeRaw(events []Event) ([]byte, error) {
 // not be used again.
 type Decoder struct {
 	bodies []string
+	index  map[string]uint64 // body → table index, to refuse a body added twice
 }
 
 // Decode deserializes the next record produced by Encoder.Encode.
 func (d *Decoder) Decode(data []byte) ([]Event, error) {
-	raw, err := encio.Gunzip(data)
-	if err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
-	}
-	return d.decodeRaw(raw)
+	return encio.Decompress("trace", data, d.decodeRaw)
 }
 
+// minEvent is the fewest bytes an event encodes to: kind, RID, time,
+// script, three parameter maps, body.
+const minEvent = 8
+
 func (d *Decoder) decodeRaw(data []byte) ([]Event, error) {
-	r := bytes.NewReader(data)
-	var rec wireRecord
-	if err := gob.NewDecoder(r).Decode(&rec); err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
+	if d.index == nil {
+		d.index = make(map[string]uint64)
 	}
-	if err := encio.ExpectEOF(r); err != nil {
-		return nil, fmt.Errorf("trace: decode: %w", err)
-	}
-	responses := 0
-	for i := range rec.Events {
-		if rec.Events[i].Kind == Response {
-			responses++
+	r := encio.NewReader(data, traceMagic)
+	events := make([]Event, r.Len(minEvent))
+	refs := make([]uint64, len(events)) // each Response's body reference
+	size := uint64(len(d.bodies))       // the table's, with the bodies this record adds
+	for i := range events {
+		ev := &events[i]
+		ev.Kind = EventKind(r.Byte())
+		if ev.Kind > Response {
+			r.Failf("event %d has unknown kind %d", i, ev.Kind)
 		}
-	}
-	if responses != len(rec.Refs) {
-		return nil, fmt.Errorf("trace: decode: %d body references for %d response events", len(rec.Refs), responses)
-	}
-	d.bodies = append(d.bodies, rec.Bodies...)
-	refs := rec.Refs
-	for i := range rec.Events {
-		ev := &rec.Events[i]
+		ev.RID = r.String()
+		ev.Time = r.Int()
+		ev.In.Script = r.String()
+		ev.In.Get = readParams(r)
+		ev.In.Post = readParams(r)
+		ev.In.Cookie = readParams(r)
 		if ev.Kind != Response {
+			ev.Body = r.String()
 			continue
 		}
-		if ev.Body != "" {
-			return nil, fmt.Errorf("trace: decode: response event %d carries its body inline", i)
+		switch refs[i] = r.Uint(); {
+		case refs[i] == size:
+			size++
+		case refs[i] > size:
+			r.Failf("response event %d references body %d of a table of %d", i, refs[i], size)
 		}
-		if int(refs[0]) >= len(d.bodies) {
-			return nil, fmt.Errorf("trace: decode: response event %d references body %d of a table of %d", i, refs[0], len(d.bodies))
-		}
-		ev.Body = d.bodies[refs[0]]
-		refs = refs[1:]
 	}
-	return rec.Events, nil
+	for ref := uint64(len(d.bodies)); ref < size; ref++ {
+		body := r.String()
+		if prev, dup := d.index[body]; dup {
+			r.Failf("body %d repeats body %d", ref, prev)
+		}
+		d.index[body] = ref
+		d.bodies = append(d.bodies, body)
+	}
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("trace: decode: %w", err)
+	}
+	for i := range events {
+		if events[i].Kind == Response {
+			events[i].Body = d.bodies[refs[i]]
+		}
+	}
+	return events, nil
 }
 
 // Encoder returns an encoder that continues d's table: its next record
 // may reference every body d has decoded. This is how a log writer
 // resumes a segment it recovered after a crash.
 func (d *Decoder) Encoder() *Encoder {
-	e := &Encoder{index: make(map[string]uint32, len(d.bodies)), size: uint32(len(d.bodies))}
-	for i, b := range d.bodies {
-		// Only a foreign writer lists a body twice; referencing either
-		// copy decodes the same.
-		e.index[b] = uint32(i)
-	}
-	return e
+	return &Encoder{index: maps.Clone(d.index)}
 }
 
-// EncodeRaw serializes the trace with gob, uncompressed: one record
+// EncodeRaw serializes the trace uncompressed: one record
 // over an empty table. This is the logical form the content-addressed
 // store chunks, with compression pushed down to the chunk layer.
 func (t *Trace) EncodeRaw() ([]byte, error) {
@@ -169,7 +188,7 @@ func DecodeRaw(data []byte) (*Trace, error) {
 	return &Trace{Events: events}, nil
 }
 
-// Encode serializes the trace with gob+gzip — the format the collector
+// Encode serializes the trace gzipped — the format the collector
 // ships to the verifier and cmd/orochi-audit reads from disk.
 func (t *Trace) Encode() ([]byte, error) {
 	return new(Encoder).Encode(t.Events)
@@ -180,11 +199,7 @@ func (t *Trace) Encode() ([]byte, error) {
 // not at all, so corruption can never pass silently as an empty or
 // shortened trace.
 func Decode(data []byte) (*Trace, error) {
-	events, err := new(Decoder).Decode(data)
-	if err != nil {
-		return nil, err
-	}
-	return &Trace{Events: events}, nil
+	return encio.Decompress("trace", data, DecodeRaw)
 }
 
 // WriteFile stores the encoded trace at path.

@@ -66,8 +66,8 @@ func TestMigrateFinalMatchesSQLTextOracle(t *testing.T) {
 	}
 }
 
-// encodeTables encodes the tables alone (the snapshot's maps, which gob
-// writes in no fixed order, stay empty), so equal tables give equal bytes.
+// encodeTables encodes the tables alone (the snapshot's maps stay
+// empty), so equal tables give equal bytes.
 func encodeTables(t *testing.T, tables []*sqlmini.Table) []byte {
 	t.Helper()
 	b, err := (&object.Snapshot{Registers: map[string]lang.Value{}, KV: map[string]lang.Value{}, Tables: tables}).Encode()
