@@ -203,13 +203,13 @@ func NewHTTPRequest(base string, in Input) (*http.Request, error) {
 	return httpfront.NewRequest(base, in)
 }
 
-// EpochManager runs the online half of the epoch pipeline: it streams
-// the collector's trace into durable, checksummed, append-only log
-// segments and seals serving periods ("epochs") behind content-digest
-// manifests chained by hash, without pausing serving.
+// EpochManager runs the online half of the epoch pipeline: it cuts the
+// collector's trace into serving periods ("epochs") at balanced points
+// and seals each one into a content-addressed chunk store behind a
+// content-digest manifest chained by hash, without pausing serving.
 type EpochManager = epoch.Manager
 
-// EpochManagerOptions tunes epoch rotation and the segmented log.
+// EpochManagerOptions tunes epoch rotation.
 type EpochManagerOptions = epoch.ManagerOptions
 
 // EpochAuditor verifies a chain of sealed epochs — continuously, in the
@@ -222,14 +222,6 @@ type EpochAuditorOptions = epoch.AuditorOptions
 
 // EpochVerdict is one entry of the audit ledger.
 type EpochVerdict = epoch.Verdict
-
-// EpochLogWriter is the durable segmented write-ahead log under the
-// epoch pipeline: length-prefixed, CRC-checksummed, gzip-framed records
-// in rotating append-only segments with torn-tail recovery.
-type EpochLogWriter = epoch.LogWriter
-
-// EpochLogWriterOptions tunes segment rotation and batching.
-type EpochLogWriterOptions = epoch.LogWriterOptions
 
 // StartEpochManager begins epoch-segmented serving for srv (which must
 // record reports) with init as the first epoch's trusted initial

@@ -1,27 +1,20 @@
-// Command orochi-audit verifies a recorded serving period from disk: it
-// loads the application sources, the collector's trace, the executor's
-// (untrusted) reports, and the initial object snapshot, runs the full
-// SSCO audit, and reports ACCEPT or REJECT with the cost decomposition.
-//
-//	orochi-audit -app wiki -trace trace.bin -reports reports.bin -state state.bin
-//	orochi-audit -src ./myapp -trace ... -reports ... -state ...
-//
-// Re-execution fans out across all CPUs by default; -audit-workers N
-// bounds the worker pool (1 = sequential). The verdict is identical at
-// any worker count.
-//
-// With -epochs it instead verifies an epoch chain produced by
-// orochi-serve's epoch pipeline: each sealed epoch's segments and
-// report bundle are integrity-checked against the manifest digests, the
-// manifests' hash chain is validated, and the epochs are audited —
-// -workers of them at once, epoch N+1 from the final state epoch N's
-// redo fixes — and decided in sequence: epoch N+1's trusted initial
-// state is epoch N's verified final snapshot. -from/-to select a
-// sub-range; auditing from the middle resumes from the checkpoint a
-// previous run persisted.
+// Command orochi-audit verifies an epoch chain produced by
+// orochi-serve's epoch pipeline against the application sources (-app
+// or -src): each sealed epoch's trace and report bundle are
+// integrity-checked against the manifest digests, the manifests' hash
+// chain is validated, and the epochs get the full SSCO audit — -workers
+// of them at once, epoch N+1 from the final state epoch N's redo fixes
+// — and are decided in sequence: epoch N+1's trusted initial state is
+// epoch N's verified final snapshot. -from/-to select a sub-range;
+// auditing from the middle resumes from the checkpoint a previous run
+// persisted.
 //
 //	orochi-audit -app wiki -epochs ./epochs
-//	orochi-audit -app wiki -epochs ./epochs -from 3 -to 5
+//	orochi-audit -src ./myapp -epochs ./epochs -from 3 -to 5
+//
+// Re-execution inside each audit fans out across all CPUs by default;
+// -audit-workers N bounds the worker pool (1 = sequential). The verdict
+// is identical at any worker count.
 //
 // Long audits are cancellable and observable: SIGINT/SIGTERM abandons
 // the audit cleanly (no verdict is recorded for the interrupted epoch —
@@ -80,9 +73,6 @@ import (
 	"orochi/internal/epoch"
 	"orochi/internal/fleet"
 	"orochi/internal/lang"
-	"orochi/internal/object"
-	"orochi/internal/reports"
-	"orochi/internal/trace"
 	"orochi/internal/verifier"
 	"orochi/internal/workload"
 )
@@ -90,10 +80,7 @@ import (
 func main() {
 	appName := flag.String("app", "", "built-in application to audit (wiki, forum, hotcrp)")
 	srcDir := flag.String("src", "", "directory of application sources (alternative to -app)")
-	tracePath := flag.String("trace", "", "trace file from the collector")
-	repPath := flag.String("reports", "", "report bundle from the executor")
-	statePath := flag.String("state", "", "initial object snapshot (optional; empty state if absent)")
-	epochsDir := flag.String("epochs", "", "audit an epoch chain directory instead of single trace/report files")
+	epochsDir := flag.String("epochs", "", "epoch chain directory to audit (or to maintain, serve or explain)")
 	from := flag.Int64("from", 0, "first epoch to audit (with -epochs; default 1, >1 resumes from a checkpoint)")
 	to := flag.Int64("to", 0, "last epoch to audit (with -epochs; default: all sealed)")
 	workers := flag.Int("workers", 2, "epochs audited concurrently (with -epochs); verdicts are published in chain order")
@@ -200,61 +187,14 @@ func main() {
 		return
 	}
 
-	if *epochsDir != "" {
-		if *tracePath != "" || *repPath != "" || *statePath != "" {
-			fmt.Fprintln(os.Stderr, "orochi-audit: -epochs replaces -trace/-reports/-state")
-			os.Exit(2)
-		}
-		prog, err := loadProgram(*appName, *srcDir, *withErrors)
-		exitOn(err)
-		auditEpochs(ctx, prog, *epochsDir, *from, *to, *workers, *checkpoints, vopts)
-		return
-	}
-
-	if *tracePath == "" || *repPath == "" {
-		fmt.Fprintln(os.Stderr, "orochi-audit: -trace and -reports are required (or -epochs)")
+	if *epochsDir == "" {
+		fmt.Fprintln(os.Stderr, "orochi-audit: -epochs is required (or -worker)")
 		flag.Usage()
 		os.Exit(2)
 	}
-
 	prog, err := loadProgram(*appName, *srcDir, *withErrors)
 	exitOn(err)
-
-	tr, err := trace.ReadFile(*tracePath)
-	exitOn(err)
-	repData, err := os.ReadFile(*repPath)
-	exitOn(err)
-	rep, err := reports.Decode(repData)
-	exitOn(err)
-	init := object.EmptySnapshot()
-	if *statePath != "" {
-		init, err = object.ReadSnapshotFile(*statePath)
-		exitOn(err)
-	}
-
-	res, err := verifier.AuditContext(ctx, prog, tr, rep, init, vopts)
-	exitOn(err)
-
-	st := res.Stats
-	fmt.Printf("requests: %d   ops: %d   groups: %d\n",
-		tr.RequestCount(), rep.TotalOps(), len(rep.Groups))
-	fmt.Printf("audit time: %v (procopre %v, db redo %v, re-exec %v [db query %v], other %v)\n",
-		st.Total, st.ProcOpRep, st.DBRedo, st.ReExec, st.DBQuery, st.Other)
-	if st.DedupHits+st.DedupMisses > 0 {
-		fmt.Printf("query dedup: %d hits / %d issued\n", st.DedupHits, st.DedupHits+st.DedupMisses)
-	}
-	if *stats {
-		for _, g := range st.Groups {
-			fmt.Printf("  group %016x %-14s n=%-6d len=%-8d alpha=%.3f\n",
-				g.Tag, g.Script, g.N, g.Len, g.Alpha)
-		}
-	}
-	if res.Accepted {
-		fmt.Println("verdict: ACCEPT — responses are consistent with the program")
-		return
-	}
-	fmt.Printf("verdict: REJECT — %s\n", res.Reason)
-	os.Exit(1)
+	auditEpochs(ctx, prog, *epochsDir, *from, *to, *workers, *checkpoints, vopts)
 }
 
 // explainEpoch renders one epoch's stored decision — the durable record

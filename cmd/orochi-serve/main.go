@@ -1,28 +1,25 @@
 // Command orochi-serve fronts one of the sample applications with a real
 // net/http server, playing the online phase of OROCHI: the embedded
 // collector records the trace at the HTTP boundary (the paper's
-// middlebox), the recording runtime produces reports, and on shutdown
-// (or on demand via /-/flush) the trace, reports, and initial snapshot
-// are written to disk for cmd/orochi-audit.
+// middlebox) and the recording runtime produces reports. The epoch
+// pipeline cuts them into epochs every -epoch-events events (at
+// balanced boundaries) and seals each into the chain directory
+// -epoch-dir, and a background auditor verifies sealed epochs while
+// serving continues. On shutdown (SIGINT/SIGTERM) in-flight requests
+// drain and the final epoch is sealed; cmd/orochi-audit -epochs <dir>
+// verifies the chain offline.
 //
-//	orochi-serve -app wiki -listen :8090 -out ./audit-data
+//	orochi-serve -app wiki -listen :8090 -epoch-dir ./epochs
 //
 // Application scripts map to URL paths: GET /view?page=X runs the "view"
 // script with $_GET['page']='X'; POST bodies become $_POST; cookies
-// become $_COOKIE. Two control endpoints exist outside the audited
-// surface: /-/flush writes the artifacts, /-/stats reports counters.
+// become $_COOKIE. Control endpoints under /-/ exist outside the audited
+// surface: /-/epochs reports the live pipeline state and the per-epoch
+// verdict ledger, /-/stats reports counters.
 //
 // Optionally, -drive N self-drives the server with N workload requests
-// through HTTP (a built-in load generator), then flushes and exits —
-// the zero-setup path to produce audit artifacts.
-//
-// With -epoch-dir the server runs the epoch pipeline instead of the
-// monolithic flush: the trace streams into durable checksummed log
-// segments, epochs are sealed every -epoch-events events (at balanced
-// boundaries), and a background auditor verifies sealed epochs while
-// serving continues. GET /-/epochs reports the live pipeline state and
-// the per-epoch verdict ledger; cmd/orochi-audit -epochs <dir> verifies
-// the chain offline.
+// through HTTP (a built-in load generator), then shuts down — the
+// zero-setup path to a sealed, audited chain.
 //
 //	orochi-serve -app wiki -drive 2000 -epoch-events 500 -epoch-dir ./epochs
 package main
@@ -37,7 +34,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -59,13 +55,12 @@ import (
 func main() {
 	appName := flag.String("app", "wiki", "application to serve (wiki, forum, hotcrp)")
 	listen := flag.String("listen", ":8090", "listen address")
-	outDir := flag.String("out", "audit-data", "directory for trace/reports/state artifacts")
-	drive := flag.Int("drive", 0, "self-drive N workload requests over HTTP, then flush and exit")
+	drive := flag.Int("drive", 0, "self-drive N workload requests over HTTP, then shut down")
 	conc := flag.Int("concurrency", 8, "self-drive concurrency")
-	epochDir := flag.String("epoch-dir", "", "enable the epoch pipeline, writing sealed epochs to this directory")
-	epochEvents := flag.Int("epoch-events", 4096, "seal an epoch after this many trace events (with -epoch-dir)")
-	epochAudit := flag.Bool("epoch-audit", true, "run the background auditor over sealed epochs (with -epoch-dir)")
-	scrubEvery := flag.Duration("scrub-interval", 0, "run the retrievability self-audit over the epoch dir at this interval (with -epoch-dir; 0 = off); failures become REJECT decisions")
+	epochDir := flag.String("epoch-dir", "epochs", "chain directory the epoch pipeline seals into (must hold no chain yet)")
+	epochEvents := flag.Int("epoch-events", 4096, "seal an epoch after this many trace events")
+	epochAudit := flag.Bool("epoch-audit", true, "run the background auditor over sealed epochs")
+	scrubEvery := flag.Duration("scrub-interval", 0, "run the retrievability self-audit over the epoch dir at this interval (0 = off); failures become REJECT decisions")
 	auditWorkers := flag.Int("audit-workers", 0, "concurrent re-execution workers in the background auditor (0 = half the CPUs, to leave room for serving; 1 = sequential)")
 	faultRate := flag.Float64("fault-rate", 0, "inject faulting requests (unknown script, undefined function, bad SQL) into the workload at this rate; the audit must still ACCEPT")
 	tamperReq := flag.Int64("tamper-request", 0, "misbehaving-executor demo: corrupt the Nth audited request's response between the executor and the collector — the collector records (and the client sees) the tampered bytes, and the audit must REJECT naming that request")
@@ -98,110 +93,66 @@ func main() {
 	srv := server.New(prog, server.Options{Record: true})
 	exitOn(srv.Setup(w.App.Schema))
 	exitOn(srv.Setup(w.Seed))
-	snap := srv.Snapshot()
 
-	// Epoch mode: stream the trace into durable segments and audit
-	// sealed epochs in the background. Classic mode: buffer in RAM and
-	// flush one artifact set on demand.
-	var mgr *epoch.Manager
+	mgr, err := epoch.StartManager(*epochDir, srv, srv.Snapshot(), epoch.ManagerOptions{EpochEvents: *epochEvents})
+	exitOn(err)
 	var auditor *epoch.Auditor
 	var scrubber *epoch.Scrubber
 	var stopAudit, stopScrub context.CancelFunc
 	var auditDone chan struct{}
-	if *epochDir != "" {
-		var err error
-		mgr, err = epoch.StartManager(*epochDir, srv, snap, epoch.ManagerOptions{EpochEvents: *epochEvents})
-		exitOn(err)
-		if *epochAudit {
-			// The background auditor shares the machine with live
-			// serving: default its worker pool to half the CPUs so epoch
-			// audits don't starve request handling.
-			vw := *auditWorkers
-			if vw <= 0 {
-				vw = max(1, runtime.GOMAXPROCS(0)/2)
-			}
-			auditor = epoch.NewAuditor(prog, *epochDir, epoch.AuditorOptions{
-				Notify:      mgr.Notify(),
-				Checkpoints: true,
-				Verify:      verifier.Options{Workers: vw},
-			})
-			var auditCtx context.Context
-			auditCtx, stopAudit = context.WithCancel(context.Background())
-			auditDone = make(chan struct{})
-			go func() {
-				defer close(auditDone)
-				// A cancelled Run is the expected shutdown path: the epoch
-				// it was verifying publishes no verdict and is re-audited by
-				// the catch-up drain below.
-				if err := auditor.Run(auditCtx); err != nil && !errors.Is(err, context.Canceled) {
-					fmt.Fprintln(os.Stderr, "orochi-serve: auditor:", err)
-				}
-			}()
+	if *epochAudit {
+		// The background auditor shares the machine with live
+		// serving: default its worker pool to half the CPUs so epoch
+		// audits don't starve request handling.
+		vw := *auditWorkers
+		if vw <= 0 {
+			vw = max(1, runtime.GOMAXPROCS(0)/2)
 		}
-		if *scrubEvery > 0 {
-			// The scrubber must share the auditor's decision log — two
-			// writers on one decisions.jsonl would corrupt the event
-			// stream. Without a background auditor it opens the log itself.
-			var dlog *epoch.DecisionLog
-			if auditor != nil {
-				dlog = auditor.Decisions()
-			} else {
-				var err error
-				dlog, err = epoch.OpenDecisionLog(*epochDir)
-				exitOn(err)
+		auditor = epoch.NewAuditor(prog, *epochDir, epoch.AuditorOptions{
+			Notify:      mgr.Notify(),
+			Checkpoints: true,
+			Verify:      verifier.Options{Workers: vw},
+		})
+		var auditCtx context.Context
+		auditCtx, stopAudit = context.WithCancel(context.Background())
+		auditDone = make(chan struct{})
+		go func() {
+			defer close(auditDone)
+			// A cancelled Run is the expected shutdown path: the epoch
+			// it was verifying publishes no verdict and is re-audited by
+			// the catch-up drain below.
+			if err := auditor.Run(auditCtx); err != nil && !errors.Is(err, context.Canceled) {
+				fmt.Fprintln(os.Stderr, "orochi-serve: auditor:", err)
 			}
-			scrubber = epoch.NewScrubber(*epochDir, dlog, epoch.ScrubberOptions{Interval: *scrubEvery})
-			var scrubCtx context.Context
-			scrubCtx, stopScrub = context.WithCancel(context.Background())
-			go scrubber.Run(scrubCtx)
-		}
-	} else {
-		exitOn(os.MkdirAll(*outDir, 0o755))
-		exitOn(snap.WriteFile(filepath.Join(*outDir, "state.bin")))
+		}()
 	}
-
-	var flushMu sync.Mutex
-	flush := func() error {
-		flushMu.Lock()
-		defer flushMu.Unlock()
-		if err := srv.Trace().WriteFile(filepath.Join(*outDir, "trace.bin")); err != nil {
-			return err
+	if *scrubEvery > 0 {
+		// The scrubber must share the auditor's decision log — two
+		// writers on one decisions.jsonl would corrupt the event
+		// stream. Without a background auditor it opens the log itself.
+		var dlog *epoch.DecisionLog
+		if auditor != nil {
+			dlog = auditor.Decisions()
+		} else {
+			dlog, err = epoch.OpenDecisionLog(*epochDir)
+			exitOn(err)
 		}
-		rep := srv.Reports()
-		data, err := rep.Encode()
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(filepath.Join(*outDir, "reports.bin"), data, 0o644)
+		scrubber = epoch.NewScrubber(*epochDir, dlog, epoch.ScrubberOptions{Interval: *scrubEvery})
+		var scrubCtx context.Context
+		scrubCtx, stopScrub = context.WithCancel(context.Background())
+		go scrubber.Run(scrubCtx)
 	}
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/-/flush", func(rw http.ResponseWriter, r *http.Request) {
-		if mgr != nil {
-			http.Error(rw, "epoch mode: artifacts are sealed continuously under "+*epochDir+"; see /-/epochs", http.StatusConflict)
-			return
-		}
-		if err := flush(); err != nil {
-			http.Error(rw, err.Error(), http.StatusInternalServerError)
-			return
-		}
-		fmt.Fprintf(rw, "flushed to %s\n", *outDir)
-	})
-	// The operations console serves everything else under /-/: the live
-	// throughput counters (/-/stats), the epoch timeline and verdict
-	// ledger (/-/epochs and the JSON API), and Prometheus metrics
-	// (/-/metrics). /-/flush above shadows the console's mux because it
-	// needs this process's flush closure.
-	// In epoch mode the chain's manifests and chunks are also served to
-	// fleet audit workers under /-/fleet/ (everything there is pinned by
-	// digest, so serving it is read-only and trust-free).
-	var artifacts *fleet.ArtifactServer
-	if mgr != nil {
-		var aerr error
-		artifacts, aerr = fleet.NewArtifactServer(*epochDir)
-		exitOn(aerr)
-		mux.Handle(fleet.Prefix+"/", artifacts.Handler())
-	}
+	// The operations console serves the control surface under /-/: the
+	// live throughput counters (/-/stats), the epoch timeline and
+	// verdict ledger (/-/epochs and the JSON API), and Prometheus
+	// metrics (/-/metrics). The chain's manifests and chunks are also
+	// served to fleet audit workers under /-/fleet/ (everything there is
+	// pinned by digest, so serving it is read-only and trust-free).
+	artifacts, err := fleet.NewArtifactServer(*epochDir)
+	exitOn(err)
+	mux.Handle(fleet.Prefix+"/", artifacts.Handler())
 	con := console.New(console.Options{Server: srv, Manager: mgr, Auditor: auditor, Scrubber: scrubber,
 		FleetArtifacts: artifacts})
 	mux.Handle(httpfront.ControlPrefix, con.Handler())
@@ -224,9 +175,8 @@ func main() {
 
 	// Graceful shutdown — triggered by the driver finishing or by
 	// SIGINT/SIGTERM — drains in-flight requests before main proceeds,
-	// so the final epoch is cut at a balanced point (and classic mode
-	// can flush a complete artifact set). httpSrv.Shutdown waits for
-	// open HTTP connections; the InFlight poll below is the
+	// so the final epoch is cut at a balanced point. httpSrv.Shutdown
+	// waits for open HTTP connections; the InFlight poll below is the
 	// belt-and-suspenders check that the executor itself is idle before
 	// the final epoch is sealed.
 	drained := make(chan struct{}, 2)
@@ -251,64 +201,40 @@ func main() {
 			if err := driveWorkload(*listen, w, *drive, *conc); err != nil {
 				fmt.Fprintln(os.Stderr, "orochi-serve: drive:", err)
 			}
-			if mgr == nil {
-				if err := flush(); err != nil {
-					fmt.Fprintln(os.Stderr, "orochi-serve: flush:", err)
-				}
-				fmt.Printf("drove %d requests; artifacts in %s\n", *drive, *outDir)
-			}
 			shutdown()
 		}()
 	}
 
-	if mgr != nil {
-		fmt.Printf("serving %s on %s (epoch pipeline -> %s, sealing every %d events; GET /-/epochs for status)\n",
-			*appName, *listen, *epochDir, *epochEvents)
-	} else {
-		fmt.Printf("serving %s on %s (artifacts -> %s; POST /-/flush to write them)\n",
-			*appName, *listen, *outDir)
-	}
+	fmt.Printf("serving %s on %s (epoch pipeline -> %s, sealing every %d events; GET /-/epochs for status)\n",
+		*appName, *listen, *epochDir, *epochEvents)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		exitOn(err)
 	}
 	<-drained
 
-	if mgr == nil && *drive == 0 {
-		// Interactive classic mode: flush a complete artifact set on
-		// graceful shutdown so Ctrl-C never loses the period.
-		if err := flush(); err != nil {
-			fmt.Fprintln(os.Stderr, "orochi-serve: flush:", err)
-		} else {
-			fmt.Printf("flushed artifacts to %s\n", *outDir)
-		}
+	// In-flight requests have drained, so the final epoch ends at a
+	// balanced point: seal it and let the auditor catch up with
+	// everything that sealed.
+	if stopScrub != nil {
+		stopScrub()
 	}
-
-	if mgr != nil {
-		// In-flight requests have drained, so the final epoch ends at a
-		// balanced point: seal it and let the auditor catch up with
-		// everything that sealed.
-		if stopScrub != nil {
-			stopScrub()
-		}
-		exitOn(mgr.Close())
-		if auditor != nil {
-			// Stop the background loop before the catch-up pass so two
-			// RunOnce calls never interleave.
-			stopAudit()
-			<-auditDone
-			_, derr := auditor.DrainSealed(context.Background(), 200*time.Millisecond, func(err error) {
-				fmt.Fprintln(os.Stderr, "orochi-serve:", err)
-			})
-			exitOn(derr)
-			printLedger(os.Stdout, mgr, auditor)
-			if !auditor.ChainAccepted() {
-				os.Exit(1)
-			}
-		} else {
-			st := mgr.Status()
-			fmt.Printf("sealed %d epochs under %s (audit with: orochi-audit -app %s -epochs %s)\n",
-				len(st.Sealed), *epochDir, *appName, *epochDir)
-		}
+	exitOn(mgr.Close())
+	if auditor == nil {
+		fmt.Printf("sealed %d epochs under %s (audit with: orochi-audit -app %s -epochs %s)\n",
+			len(mgr.Status().Sealed), *epochDir, *appName, *epochDir)
+		return
+	}
+	// Stop the background loop before the catch-up pass so two
+	// RunOnce calls never interleave.
+	stopAudit()
+	<-auditDone
+	_, err = auditor.DrainSealed(context.Background(), 200*time.Millisecond, func(err error) {
+		fmt.Fprintln(os.Stderr, "orochi-serve:", err)
+	})
+	exitOn(err)
+	printLedger(os.Stdout, mgr, auditor)
+	if !auditor.ChainAccepted() {
+		os.Exit(1)
 	}
 }
 

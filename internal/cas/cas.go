@@ -1,5 +1,5 @@
 // Package cas is a content-addressed chunk store for sealed epoch
-// artifacts. Blobs (segment traces, report bundles, snapshots) are cut
+// artifacts. Blobs (epoch traces, report bundles, snapshots) are cut
 // into content-defined chunks, each keyed by the SHA-256 of its bytes;
 // a blob is then just an ordered list of chunk references, and two
 // blobs that cut to an identical chunk store it once. On the traces

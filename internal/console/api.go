@@ -31,7 +31,6 @@ type SealedView struct {
 	Epoch       int64     `json:"epoch"`
 	Events      int       `json:"events"`
 	Requests    int       `json:"requests"`
-	Segments    int       `json:"segments"`
 	Bytes       int64     `json:"bytes"`
 	ManifestSHA string    `json:"manifest_sha256"`
 	SealedAt    time.Time `json:"sealed_at"`
@@ -58,8 +57,7 @@ func (c *Console) epochsView() EpochsView {
 	for _, s := range st.Sealed {
 		view.Sealed = append(view.Sealed, SealedView{
 			Epoch: s.Epoch, Events: s.Events, Requests: s.Requests,
-			Segments: s.Segments, Bytes: s.Bytes,
-			ManifestSHA: s.ManifestSHA, SealedAt: s.SealedAt,
+			Bytes: s.Bytes, ManifestSHA: s.ManifestSHA, SealedAt: s.SealedAt,
 		})
 	}
 	if a := c.auditor; a != nil {

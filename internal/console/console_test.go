@@ -52,10 +52,7 @@ func buildPipeline(t *testing.T, bursts int, tamper func(rid, body string) strin
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	mgr, err := epoch.StartManager(dir, srv, srv.Snapshot(), epoch.ManagerOptions{
-		EpochEvents: 8,
-		Log:         epoch.LogWriterOptions{SegmentEvents: 16, BatchEvents: 4},
-	})
+	mgr, err := epoch.StartManager(dir, srv, srv.Snapshot(), epoch.ManagerOptions{EpochEvents: 8})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -75,8 +75,8 @@ th, td { border: 1px solid #999; padding: 2px 8px; text-align: left; }
 {{- with .Audit}} &middot; audit next epoch {{.NextEpoch}}, {{.Progress}}
 {{- if .ChainAccepted}} &middot; <span class="accept">chain ACCEPT</span>{{else}} &middot; <span class="reject">chain REJECT</span>{{end}}{{end}}</p>
 <table>
-<tr><th>epoch</th><th>events</th><th>requests</th><th>segments</th><th>bytes</th><th>manifest</th></tr>
-{{range .Sealed}}<tr><td>{{.Epoch}}</td><td>{{.Events}}</td><td>{{.Requests}}</td><td>{{.Segments}}</td><td>{{.Bytes}}</td><td>{{printf "%.12s" .ManifestSHA}}</td></tr>
+<tr><th>epoch</th><th>events</th><th>requests</th><th>bytes</th><th>manifest</th></tr>
+{{range .Sealed}}<tr><td>{{.Epoch}}</td><td>{{.Events}}</td><td>{{.Requests}}</td><td>{{.Bytes}}</td><td>{{printf "%.12s" .ManifestSHA}}</td></tr>
 {{end}}</table>
 {{end}}
 

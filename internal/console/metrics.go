@@ -58,7 +58,7 @@ func (c *Console) metrics(w http.ResponseWriter, r *http.Request) {
 		}
 		p.family("orochi_epochs_sealed_total", "counter", "Epochs sealed by the pipeline since start.")
 		p.sample("orochi_epochs_sealed_total", "", float64(len(st.Sealed)))
-		p.family("orochi_epoch_bytes_logged_total", "counter", "On-disk bytes of sealed epochs (segments, reports, init snapshot).")
+		p.family("orochi_epoch_bytes_logged_total", "counter", "On-disk bytes of sealed epochs (trace, reports, init snapshot).")
 		p.sample("orochi_epoch_bytes_logged_total", "", float64(bytesLogged))
 		p.family("orochi_epoch_current_events", "gauge", "Trace events buffered in the epoch currently being cut.")
 		p.sample("orochi_epoch_current_events", "", float64(st.CurrentEvents))

@@ -56,8 +56,8 @@ func writeEpochStatus(wr io.Writer, mgr *epoch.Manager, auditor *epoch.Auditor) 
 	}
 	fmt.Fprintf(wr, "sealed epochs: %d\n", len(st.Sealed))
 	for _, s := range st.Sealed {
-		fmt.Fprintf(wr, "  epoch %d: %d events, %d requests, %d segments, %d bytes, manifest %.12s\n",
-			s.Epoch, s.Events, s.Requests, s.Segments, s.Bytes, s.ManifestSHA)
+		fmt.Fprintf(wr, "  epoch %d: %d events, %d requests, %d bytes, manifest %.12s\n",
+			s.Epoch, s.Events, s.Requests, s.Bytes, s.ManifestSHA)
 	}
 	if auditor == nil {
 		fmt.Fprintln(wr, "background audit: disabled")

@@ -18,8 +18,8 @@ import (
 const DecisionLogName = "decisions.jsonl"
 
 // PhaseEpochLoad tags forensics for epoch-level rejects raised before
-// the verifier ran: integrity failures (a damaged segment or reports
-// file), manifest chain breaks, and a missing trusted initial state.
+// the verifier ran: integrity failures (a damaged trace or reports
+// artifact), manifest chain breaks, and a missing trusted initial state.
 const PhaseEpochLoad = "epoch-load"
 
 // Resolution states of a decision. A decision is born open; an operator

@@ -53,10 +53,7 @@ func servedPins(t *testing.T, w *workload.Workload) []string {
 	if err := srv.Setup(w.Seed); err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := StartManager(dir, srv, srv.Snapshot(), ManagerOptions{
-		EpochEvents: 60,
-		Log:         LogWriterOptions{SegmentEvents: 32, BatchEvents: 4},
-	})
+	mgr, err := StartManager(dir, srv, srv.Snapshot(), ManagerOptions{EpochEvents: 60})
 	if err != nil {
 		t.Fatal(err)
 	}

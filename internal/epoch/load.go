@@ -36,7 +36,7 @@ type Loaded struct {
 	Init *object.Snapshot
 }
 
-// Load reads a sealed epoch's segments, reports, and (if present)
+// Load reads a sealed epoch's trace, reports, and (if present)
 // initial snapshot from the chain's chunk store, verifying every chunk
 // by digest on the way, every artifact against the manifest's SHA-256
 // digests, and the decoded event counts against the manifest. Failures
@@ -90,7 +90,7 @@ func LoadFrom(s *Sealed, store cas.Store) (*Loaded, error) {
 	var events []trace.Event
 	for _, seg := range s.Manifest.Segments {
 		label := fmt.Sprintf("segment %s", seg.Name)
-		data, err := readArtifact(label, FileInfo{Name: seg.Name, Bytes: seg.Bytes, SHA256: seg.SHA256, Chunks: seg.Chunks})
+		data, err := readArtifact(label, seg.FileInfo)
 		if err != nil {
 			return fail("%v", err)
 		}

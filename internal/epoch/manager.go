@@ -22,37 +22,34 @@ type ManagerOptions struct {
 	// first balanced point — no requests in flight — at or after the
 	// threshold, so every sealed epoch is independently auditable.
 	EpochEvents int
-	// TeeBuffer is the capacity of the event queue between the
-	// collector tap and the disk-writer goroutine (default 4096).
-	// Serving only blocks on the log when the writer falls this far
-	// behind.
-	TeeBuffer int
-	// Log tunes the per-epoch segmented log.
-	Log LogWriterOptions
 }
 
 func (o ManagerOptions) withDefaults() ManagerOptions {
 	if o.EpochEvents <= 0 {
 		o.EpochEvents = 4096
 	}
-	if o.TeeBuffer <= 0 {
-		o.TeeBuffer = 4096
-	}
 	return o
 }
+
+// sealBacklog is how many cut epochs may wait for the sealer. A cut
+// beyond it blocks the collector, and with it serving, until the sealer
+// catches up. Every waiting epoch holds its events and reports in
+// memory, so the backlog is a few epochs: enough to ride out a seal
+// that takes longer than serving the next epoch, not enough to hide a
+// sealer that cannot keep up.
+const sealBacklog = 4
 
 // SealedSummary is one entry of the manager's seal history.
 type SealedSummary struct {
 	Epoch    int64
 	Events   int
 	Requests int
-	Segments int
-	// Bytes is the epoch's logical footprint: segment artifacts plus
-	// the reports bundle (and the init snapshot for epoch 1), as the
-	// uncompressed blob sizes the manifest pins (segments in their
-	// body-table form, so repeated responses are already counted once
-	// per segment) — the numerator of the storage dedup ratio. Metrics
-	// sum it into the bytes-logged counter.
+	// Bytes is the epoch's logical footprint: the trace and the reports
+	// bundle (and the init snapshot for epoch 1), as the uncompressed
+	// blob sizes the manifest pins (the trace in its body-table form, so
+	// repeated responses are already counted once per epoch) — the
+	// numerator of the storage dedup ratio. Metrics sum it into the
+	// bytes-logged counter.
 	Bytes       int64
 	ManifestSHA string
 	SealedAt    time.Time
@@ -69,19 +66,16 @@ type ManagerStatus struct {
 }
 
 // Manager runs the online half of the epoch pipeline. Installed as the
-// collector's Tap, it tees every trace event toward the current epoch's
-// segmented log and, once the event threshold is crossed and the trace
-// is balanced, cuts the epoch: the collector's buffer and the server's
-// recorder are swapped atomically at the boundary (inside the
-// collector's critical section, so no event or report entry straddles
-// it) and the finished epoch is sealed in the background.
+// collector's Tap, it asks for a cut once the current epoch holds
+// EpochEvents events; at the next balanced point the collector hands it
+// the epoch's events, and the server's recorder is swapped in the same
+// critical section, so no event or report entry straddles the boundary.
+// The finished epoch is queued for the sealer goroutine, which encodes
+// its trace once, straight into the chain's chunk store.
 //
-// No disk I/O happens under the collector's lock: the tap only enqueues
-// onto a buffered channel drained by a dedicated writer goroutine
-// (which batches, compresses, and rotates segments), and sealing runs
-// on a further goroutine behind it. Serving therefore never pauses for
-// compression, fsync, or sealing — only sustained writer backlog
-// (TeeBuffer) applies backpressure.
+// The tap does no I/O and takes no lock of its own: Event only compares
+// a count, and Cut only queues the epoch. Serving pauses for sealing
+// only when sealBacklog epochs are already waiting.
 type Manager struct {
 	dir  string
 	srv  *server.Server
@@ -94,32 +88,23 @@ type Manager struct {
 	// cannot sweep an in-flight seal's chunks or write the decision log
 	// concurrently. Released by Close (or process exit).
 	lock *ChainLock
+	// init pins the trusted initial snapshot, which only epoch 1 ships.
+	init *FileInfo
 
-	// mu guards the tap-side state. Only the tap (under the collector's
-	// lock), Close, and Status take it; the writer and sealer
-	// goroutines never do.
-	mu     sync.Mutex
-	cur    *liveEpoch
-	closed bool
-	// failedEvents counts events since the last discard cut once the
-	// pipeline has failed, so dead-pipeline periods keep being cut (and
-	// dropped) instead of accumulating in the collector forever.
-	failedEvents int
-
-	// teeQ carries events and seal markers, in trace order, to the
-	// writer goroutine. Cut enqueues the marker after the epoch's last
-	// event and before the next epoch's first, so FIFO order guarantees
-	// an epoch's writer has received everything before it is sealed.
-	teeQ    chan teeMsg
-	teeDone chan struct{}
+	// number is the epoch being collected and events the count of its
+	// events so far. The tap writes both under the collector's lock;
+	// Status reads them.
+	number atomic.Int64
+	events atomic.Int64
+	closed atomic.Bool
 
 	sealQ    chan *sealJob
 	sealDone chan struct{}
 	notify   chan struct{} // capacity 1; signaled after every seal
 
-	// failed flips on the first pipeline error: the tap stops teeing
-	// and cutting (epochs sealed after a hole could never be audited),
-	// the writer drops events, and queued seals abort.
+	// failed flips on the first pipeline error: cuts keep coming at the
+	// usual cadence but their epochs are discarded, and queued seals
+	// abort (epochs sealed after a hole could never be audited).
 	failed atomic.Bool
 
 	// histMu guards the sealer-side state and the error slot.
@@ -128,29 +113,10 @@ type Manager struct {
 	pipeErr error
 }
 
-type liveEpoch struct {
-	number   int64
-	writer   *LogWriter
-	events   int
-	requests int
-	initInfo *FileInfo // epoch 1 only
-}
-
-type teeMsg struct {
-	ev trace.Event
-	w  *LogWriter
-	// job, when non-nil, marks an epoch boundary: the writer goroutine
-	// forwards it to the sealer (the event fields are unused).
-	job *sealJob
-}
-
 type sealJob struct {
-	number   int64
-	writer   *LogWriter
-	rec      *reports.Recorder
-	events   int
-	requests int
-	initInfo *FileInfo
+	number int64
+	events []trace.Event
+	rec    *reports.Recorder
 }
 
 // StartManager begins epoch-segmented serving for srv, whose recording
@@ -198,17 +164,12 @@ func StartManager(dir string, srv *server.Server, init *object.Snapshot, opts Ma
 		srv:      srv,
 		lock:     lock,
 		opts:     opts.withDefaults(),
-		teeDone:  make(chan struct{}),
-		sealQ:    make(chan *sealJob, 16),
+		sealQ:    make(chan *sealJob, sealBacklog),
 		sealDone: make(chan struct{}),
 		notify:   make(chan struct{}, 1),
 	}
-	m.teeQ = make(chan teeMsg, m.opts.TeeBuffer)
+	m.number.Store(1)
 	if m.store, err = OpenChainStore(dir); err != nil {
-		return nil, err
-	}
-	cur, err := m.openEpoch(1)
-	if err != nil {
 		return nil, err
 	}
 	// The first epoch ships the trusted initial snapshot; later epochs
@@ -217,21 +178,11 @@ func StartManager(dir string, srv *server.Server, init *object.Snapshot, opts Ma
 	if err != nil {
 		return nil, fmt.Errorf("epoch: write init snapshot: %w", err)
 	}
-	cur.initInfo = &info
-	m.cur = cur
-	go m.teeLoop()
+	m.init = &info
 	go m.sealLoop()
 	srv.Collector.SetTap(m)
 	started = true
 	return m, nil
-}
-
-func (m *Manager) openEpoch(n int64) (*liveEpoch, error) {
-	w, err := OpenLogWriter(filepath.Join(m.dir, epochDirName(n)), m.opts.Log)
-	if err != nil {
-		return nil, err
-	}
-	return &liveEpoch{number: n, writer: w}, nil
 }
 
 // fail records the first pipeline error and stops the pipeline; serving
@@ -245,102 +196,31 @@ func (m *Manager) fail(err error) {
 	m.failed.Store(true)
 }
 
-// Event implements trace.Tap: it tees ev toward the current epoch's log
-// and requests a cut once the epoch threshold is reached. It runs under
-// the collector's lock, so it must stay cheap: the disk work happens on
-// the writer goroutine behind teeQ.
-func (m *Manager) Event(ev trace.Event, open, total int) bool {
-	if m.failed.Load() {
-		// The pipeline is dead but serving continues: keep requesting
-		// cuts at the usual cadence so Cut can discard the period —
-		// otherwise the collector's buffer and the recorder would grow
-		// without bound until OOM.
-		m.mu.Lock()
-		m.failedEvents++
-		cut := m.failedEvents >= m.opts.EpochEvents
-		if cut {
-			m.failedEvents = 0
-		}
-		m.mu.Unlock()
-		return cut
-	}
-	m.mu.Lock()
-	if m.closed || m.cur == nil {
-		m.mu.Unlock()
-		return false
-	}
-	w := m.cur.writer
-	m.cur.events++
-	if ev.Kind == trace.Request {
-		m.cur.requests++
-	}
-	cut := m.cur.events >= m.opts.EpochEvents
-	m.mu.Unlock()
-	m.teeQ <- teeMsg{ev: ev, w: w}
-	return cut
+// Event implements trace.Tap: it requests a cut once the epoch holds
+// EpochEvents events. After a pipeline failure the cuts keep coming, so
+// Cut can discard each period instead of the collector and the recorder
+// growing without bound.
+func (m *Manager) Event(_ trace.Event, _, total int) bool {
+	m.events.Store(int64(total))
+	return total >= m.opts.EpochEvents
 }
 
 // Cut implements trace.Tap: the collector calls it at a balanced point
-// after Event returned true. It runs under the collector's lock, so the
-// recorder swap here is atomic with the trace cut — no request's events
-// or report records can straddle the epoch boundary. The events
-// themselves were already teed by Event; the seal marker enqueued here
-// follows them in FIFO order.
+// after Event returned true, handing over the epoch's events. It runs
+// under the collector's lock, so the recorder swap here is atomic with
+// the trace cut — no request's events or report records can straddle
+// the epoch boundary.
 func (m *Manager) Cut(events []trace.Event) {
+	rec := m.srv.SwapRecorder()
+	n := m.number.Add(1) - 1
+	m.events.Store(0)
 	if m.failed.Load() {
-		// Discard the period: the collector has already dropped its
-		// buffer, and swapping the recorder away releases the report
-		// state. Nothing is written — the chain ended at the failure.
-		m.srv.SwapRecorder()
+		// The chain ended at the failure: swapping the recorder away
+		// released the period's report state, and its events go with
+		// this call.
 		return
 	}
-	m.mu.Lock()
-	if m.closed || m.cur == nil {
-		m.mu.Unlock()
-		return
-	}
-	cur := m.cur
-	next, err := m.openEpoch(cur.number + 1)
-	if err != nil {
-		m.mu.Unlock()
-		m.fail(err)
-		return
-	}
-	job := &sealJob{
-		number:   cur.number,
-		writer:   cur.writer,
-		rec:      m.srv.SwapRecorder(),
-		events:   cur.events,
-		requests: cur.requests,
-		initInfo: cur.initInfo,
-	}
-	m.cur = next
-	m.mu.Unlock()
-	m.teeQ <- teeMsg{job: job}
-}
-
-// teeLoop is the single disk-writer goroutine: it appends events to
-// their epoch's log and forwards seal markers to the sealer, in the
-// order the tap produced them.
-func (m *Manager) teeLoop() {
-	defer close(m.teeDone)
-	for msg := range m.teeQ {
-		if msg.job != nil {
-			if m.failed.Load() {
-				msg.job.writer.Abort()
-				continue
-			}
-			m.sealQ <- msg.job
-			continue
-		}
-		if m.failed.Load() {
-			continue
-		}
-		if err := msg.w.AppendEvent(msg.ev); err != nil {
-			m.fail(err)
-		}
-	}
-	close(m.sealQ)
+	m.sealQ <- &sealJob{number: n, events: events, rec: rec}
 }
 
 // sealLoop is the single background sealer; running seals on one
@@ -352,12 +232,11 @@ func (m *Manager) sealLoop() {
 		if m.failed.Load() {
 			// A hole already exists in the chain; sealing anything
 			// after it would only produce unauditable epochs.
-			job.writer.Abort()
 			continue
 		}
 		sha, err := m.seal(job, prevSHA)
 		if err != nil {
-			m.fail(err)
+			m.fail(fmt.Errorf("epoch: seal %d: %w", job.number, err))
 			continue
 		}
 		prevSHA = sha
@@ -368,52 +247,45 @@ func (m *Manager) sealLoop() {
 	}
 }
 
+// seal writes the epoch's trace and reports into the chunk store, then
+// creates its directory and writes the manifest pinning them.
 func (m *Manager) seal(job *sealJob, prevSHA string) (string, error) {
-	segs, err := job.writer.Finalize()
+	traceInfo, err := chunkTrace(m.store, job.events)
 	if err != nil {
-		return "", fmt.Errorf("epoch: seal %d: %w", job.number, err)
-	}
-	epochDir := filepath.Join(m.dir, epochDirName(job.number))
-	// Segment files become content-defined chunks in the chain store (a
-	// chunk it already holds is not written again), and the reports
-	// bundle is chunked directly — after this the epoch dir holds only
-	// the manifest.
-	segs, err = chunkSegments(m.store, epochDir, segs)
-	if err != nil {
-		return "", fmt.Errorf("epoch: seal %d: %w", job.number, err)
+		return "", err
 	}
 	repInfo, err := chunkReports(m.store, job.rec.Finalize())
 	if err != nil {
-		return "", fmt.Errorf("epoch: seal %d: %w", job.number, err)
+		return "", err
 	}
 	manifest := &Manifest{
 		Version:            ManifestVersion,
 		Epoch:              job.number,
 		SealedUnix:         time.Now().Unix(),
-		Events:             job.events,
-		Requests:           job.requests,
-		Segments:           segs,
+		Events:             len(job.events),
+		Requests:           (&trace.Trace{Events: job.events}).RequestCount(),
+		Segments:           []SegmentInfo{traceInfo},
 		Reports:            repInfo,
-		Init:               job.initInfo,
 		PrevManifestSHA256: prevSHA,
+	}
+	bytes := traceInfo.Bytes + repInfo.Bytes
+	if job.number == 1 {
+		manifest.Init = m.init
+		bytes += m.init.Bytes
+	}
+	epochDir := filepath.Join(m.dir, epochDirName(job.number))
+	if err := os.Mkdir(epochDir, 0o755); err != nil {
+		return "", err
 	}
 	sha, err := WriteManifest(epochDir, manifest)
 	if err != nil {
-		return "", fmt.Errorf("epoch: seal %d: %w", job.number, err)
-	}
-	bytes := repInfo.Bytes
-	for _, seg := range segs {
-		bytes += seg.Bytes
-	}
-	if job.initInfo != nil {
-		bytes += job.initInfo.Bytes
+		return "", err
 	}
 	m.histMu.Lock()
 	m.sealed = append(m.sealed, SealedSummary{
 		Epoch:       job.number,
-		Events:      job.events,
-		Requests:    job.requests,
-		Segments:    len(segs),
+		Events:      manifest.Events,
+		Requests:    manifest.Requests,
 		Bytes:       bytes,
 		ManifestSHA: sha,
 		SealedAt:    time.Now(),
@@ -427,48 +299,23 @@ func (m *Manager) seal(job *sealJob, prevSHA string) (string, error) {
 // wherever the trace stands, and an unbalanced tail would be rejected
 // by its audit. Close returns the first pipeline error, if any.
 func (m *Manager) Close() error {
-	// Detach the tap before taking m.mu: the collector invokes the tap
-	// while holding its own lock and the tap then takes m.mu, so the
-	// reverse order here could deadlock. Once SetTap returns, no tap
-	// call is in flight (the collector serializes them), so nothing
-	// can race the queue shutdown below.
+	// Once SetTap returns no tap call is in flight (the collector makes
+	// them under its lock) and none will come, so nothing can race the
+	// queue shutdown below.
 	m.srv.Collector.SetTap(nil)
-	m.mu.Lock()
-	if m.closed {
-		m.mu.Unlock()
+	if !m.closed.CompareAndSwap(false, true) {
 		return m.firstErr()
 	}
-	m.closed = true
-	cur := m.cur
-	m.cur = nil
-	m.mu.Unlock()
-	if cur != nil {
-		if (cur.events > 0 || cur.number == 1) && !m.failed.Load() {
-			// Seal the final (possibly short) epoch. The collector's
-			// buffer for it is discarded by Reset below; the log
-			// already holds every event.
-			m.teeQ <- teeMsg{job: &sealJob{
-				number:   cur.number,
-				writer:   cur.writer,
-				rec:      m.srv.SwapRecorder(),
-				events:   cur.events,
-				requests: cur.requests,
-				initInfo: cur.initInfo,
-			}}
-		} else {
-			// Nothing was served since the last cut (or the pipeline
-			// already failed): drop the dangling epoch directory
-			// rather than sealing a vacuous or unauditable epoch.
-			cur.writer.Abort()
-			if cur.events == 0 && cur.number > 1 {
-				os.Remove(filepath.Join(m.dir, epochDirName(cur.number)))
-			}
-		}
-	}
-	close(m.teeQ)
-	<-m.teeDone
-	<-m.sealDone
+	// The final (possibly short) epoch is what the collector still
+	// buffers. An empty one is sealed only as epoch 1, which every chain
+	// needs for its trusted initial snapshot.
+	events := m.srv.Collector.Trace().Events
 	m.srv.Collector.Reset()
+	if n := m.number.Load(); (len(events) > 0 || n == 1) && !m.failed.Load() {
+		m.sealQ <- &sealJob{number: n, events: events, rec: m.srv.SwapRecorder()}
+	}
+	close(m.sealQ)
+	<-m.sealDone
 	m.lock.Unlock() // the chain is quiescent; maintenance may run now
 	return m.firstErr()
 }
@@ -491,12 +338,10 @@ func (m *Manager) Dir() string { return m.dir }
 // Status reports the pipeline's current state.
 func (m *Manager) Status() ManagerStatus {
 	st := ManagerStatus{Dir: m.dir}
-	m.mu.Lock()
-	if m.cur != nil {
-		st.CurrentEpoch = m.cur.number
-		st.CurrentEvents = m.cur.events
+	if !m.closed.Load() {
+		st.CurrentEpoch = m.number.Load()
+		st.CurrentEvents = int(m.events.Load())
 	}
-	m.mu.Unlock()
 	if err := m.firstErr(); err != nil {
 		st.Err = err.Error()
 	}

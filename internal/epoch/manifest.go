@@ -1,3 +1,33 @@
+// Package epoch is the durable serving pipeline: it seals the
+// collector's trace and the executor's reports for each serving period
+// ("epoch") into a content-addressed chunk store behind a manifest, and
+// audits sealed epochs in the background while serving continues (§4.1,
+// §5 deployment model, made continuous).
+//
+// Layout of an epoch directory tree:
+//
+//	<dir>/
+//	  epoch-000001/
+//	    MANIFEST.json    seal record: chunk refs and digests of every
+//	                     artifact (the trace, the reports, the trusted
+//	                     init snapshot in epoch 1) + chain link
+//	    COMPACTED.json   retention compaction marker (see GC)
+//	  epoch-000002/
+//	    ...
+//	  cas/               chunk store: every sealed artifact and every
+//	                     checkpoint, by chunk digest
+//	  checkpoints/
+//	    epoch-000001.json verified final snapshot, as a list of chunk
+//	                     refs into cas/ (written by the auditor or the
+//	                     fleet coordinator)
+//	  decisions.jsonl    the verdict ledger
+//
+// An epoch is sealed exactly when its MANIFEST.json exists, and the
+// sealer creates the epoch directory only to write it: an epoch still
+// being served, or queued for sealing, has no directory. The manifest
+// pins every artifact by SHA-256 and links to the previous epoch's
+// manifest digest, forming a hash chain over the whole serving history.
+// Its "version" is the chain's format generation (ManifestVersion).
 package epoch
 
 import (
@@ -13,10 +43,11 @@ import (
 )
 
 // The manifest's file name in an epoch directory, and the names it
-// gives the reports bundle and the init snapshot (which live in the
-// chunk store, not as files).
+// gives the trace, the reports bundle and the init snapshot (which live
+// in the chunk store, not as files).
 const (
 	ManifestName = "MANIFEST.json"
+	TraceName    = "trace.seg"
 	ReportsName  = "reports.seg"
 	InitName     = "init.bin"
 )
@@ -43,6 +74,14 @@ type FileInfo struct {
 	Chunks []cas.Ref `json:"chunks,omitempty"`
 }
 
+// SegmentInfo pins a trace artifact: its events as trace.EncodeRaw
+// writes them (each distinct response body once), and how many there
+// are.
+type SegmentInfo struct {
+	FileInfo
+	Events int `json:"events"`
+}
+
 // Manifest is the seal record of one epoch. Writing it (atomically, as
 // the last step of sealing) is what makes an epoch visible to auditors;
 // its PrevManifestSHA256 links epochs into a hash chain, so tampering
@@ -55,7 +94,8 @@ type Manifest struct {
 	SealedUnix int64 `json:"sealed_unix"`
 	Events     int   `json:"events"`
 	Requests   int   `json:"requests"`
-	// Segments lists the event-log segments in order.
+	// Segments pins the epoch's trace: the events of its entries, in
+	// order. The sealer writes one entry, TraceName.
 	Segments []SegmentInfo `json:"segments"`
 	// Reports pins the report bundle.
 	Reports FileInfo `json:"reports"`
@@ -107,6 +147,40 @@ func WriteManifest(dir string, m *Manifest) (string, error) {
 		return "", err
 	}
 	return cas.SumHex(data), nil
+}
+
+// writeFileSync writes data to path and fsyncs the file and directory.
+func writeFileSync(path string, data []byte) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// syncDir fsyncs a directory so renames and creates within it are
+// durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("epoch: sync %s: %w", dir, err)
+	}
+	return nil
 }
 
 // ReadManifest loads an epoch's manifest and returns it with the digest

@@ -1,6 +1,7 @@
 package epoch
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"os"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"orochi/internal/cas"
 	"orochi/internal/lang"
 	"orochi/internal/object"
 	"orochi/internal/server"
@@ -96,10 +98,7 @@ func startPipeline(t *testing.T, dir string, epochEvents int) (*lang.Program, *s
 	if err := srv.Setup(pipelineSchema); err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := StartManager(dir, srv, srv.Snapshot(), ManagerOptions{
-		EpochEvents: epochEvents,
-		Log:         LogWriterOptions{SegmentEvents: 16, BatchEvents: 4},
-	})
+	mgr, err := StartManager(dir, srv, srv.Snapshot(), ManagerOptions{EpochEvents: epochEvents})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,9 +125,11 @@ func TestEpochPipelineEndToEnd(t *testing.T) {
 	if len(sealed) < 3 {
 		t.Fatalf("sealed %d epochs, want >= 3", len(sealed))
 	}
-	// Segment rotation happened inside epochs (50 events, 16/segment).
-	if len(sealed[0].Manifest.Segments) < 3 {
-		t.Fatalf("epoch 1 has %d segments, want >= 3", len(sealed[0].Manifest.Segments))
+	// Each epoch's trace is one artifact, however many events it holds.
+	for _, s := range sealed {
+		if segs := s.Manifest.Segments; len(segs) != 1 || segs[0].Name != TraceName {
+			t.Fatalf("epoch %d pins trace artifacts %+v, want exactly one %s", s.Number, segs, TraceName)
+		}
 	}
 	// The manifest hash chain must link every epoch to its predecessor.
 	if sealed[0].Manifest.PrevManifestSHA256 != "" {
@@ -447,10 +448,7 @@ func startFaultedPipeline(t *testing.T, dir string, w *workload.Workload, opts s
 	if err := srv.Setup(w.Seed); err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := StartManager(dir, srv, srv.Snapshot(), ManagerOptions{
-		EpochEvents: 30,
-		Log:         LogWriterOptions{SegmentEvents: 16, BatchEvents: 4},
-	})
+	mgr, err := StartManager(dir, srv, srv.Snapshot(), ManagerOptions{EpochEvents: 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -692,5 +690,173 @@ func TestDamagedManifestRejects(t *testing.T) {
 	}
 	if a.ChainAccepted() {
 		t.Fatal("chain accepted despite damaged manifest")
+	}
+}
+
+// requireOnlySealedEpochs checks that every epoch directory under dir
+// holds its manifest and nothing else: the trace of an epoch still
+// being served lives only in memory, and sealing writes its artifacts
+// to the chunk store.
+func requireOnlySealedEpochs(t *testing.T, dir string) {
+	t.Helper()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if epochDirNumber(e.Name()) == 0 {
+			continue
+		}
+		files, err := os.ReadDir(filepath.Join(dir, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, f := range files {
+			names = append(names, f.Name())
+		}
+		if len(names) != 1 || names[0] != ManifestName {
+			t.Fatalf("%s holds %v, want only %s", e.Name(), names, ManifestName)
+		}
+	}
+}
+
+// TestChainDirHoldsOnlySealedEpochs: the live epoch never reaches disk
+// before it is sealed, and each sealed epoch pins its trace as one
+// artifact whose body table spans the whole epoch.
+func TestChainDirHoldsOnlySealedEpochs(t *testing.T) {
+	dir := t.TempDir()
+	_, srv, mgr := startPipeline(t, dir, 40)
+	// One request at a time, every response is a balanced point, so
+	// each burst of 40 events is exactly one epoch.
+	for b := 0; b < 3; b++ {
+		srv.ServeAllContext(context.Background(), burst(20, b), 1)
+	}
+	srv.ServeAllContext(context.Background(), burst(10, 3), 1) // mid-epoch
+	deadline := time.Now().Add(10 * time.Second)
+	for len(mgr.Status().Sealed) < 3 {
+		if time.Now().After(deadline) {
+			t.Fatalf("sealed %d of 3 cut epochs", len(mgr.Status().Sealed))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if st := mgr.Status(); st.CurrentEpoch != 4 || st.CurrentEvents != 20 {
+		t.Fatalf("status: epoch %d with %d events, want epoch 4 with 20", st.CurrentEpoch, st.CurrentEvents)
+	}
+	requireOnlySealedEpochs(t, dir)
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	requireOnlySealedEpochs(t, dir)
+
+	sealed, err := ListSealed(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sealed) != 4 {
+		t.Fatalf("sealed %d epochs, want 4", len(sealed))
+	}
+	store, err := OpenChainStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared := 0
+	for _, s := range sealed {
+		if len(s.Manifest.Segments) != 1 {
+			t.Fatalf("epoch %d pins %d trace artifacts, want 1", s.Number, len(s.Manifest.Segments))
+		}
+		blob, err := cas.ReadBlob(store, s.Manifest.Segments[0].Chunks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tr, err := trace.DecodeRaw(blob)
+		if err != nil {
+			t.Fatal(err)
+		}
+		responses := make(map[string]int)
+		for _, ev := range tr.Events {
+			if ev.Kind == trace.Response {
+				responses[ev.Body]++
+			}
+		}
+		// Bodies answered more than once are long enough not to occur
+		// inside another field, so counting their bytes counts copies.
+		for body, n := range responses {
+			if n < 2 {
+				continue
+			}
+			shared++
+			if got := bytes.Count(blob, []byte(body)); got != 1 {
+				t.Fatalf("epoch %d stores the body %q of %d responses %d times, want once", s.Number, body, n, got)
+			}
+		}
+	}
+	if shared == 0 {
+		t.Fatal("no epoch has two responses sharing a body; the test checks nothing")
+	}
+}
+
+// TestSealFailureStopsChainKeepsServing blocks epoch 3's directory with
+// a file. Its seal fails, and the chain ends there: serving continues,
+// every later period is cut and discarded, the error surfaces through
+// Status and Close, and the epochs sealed before the failure still
+// audit.
+func TestSealFailureStopsChainKeepsServing(t *testing.T) {
+	dir := t.TempDir()
+	prog, srv, mgr := startPipeline(t, dir, 40)
+	if err := os.WriteFile(filepath.Join(dir, epochDirName(3)), []byte("in the way"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	const bursts = 10
+	for b := 0; b < bursts; b++ {
+		if err := srv.ServeAllContext(context.Background(), burst(25, b), 4); err != nil {
+			t.Fatalf("burst %d: %v", b, err)
+		}
+		// Each burst of 50 events ends in a cut, sealed or discarded.
+		if n := srv.Trace().Len(); n >= 40 {
+			t.Fatalf("after burst %d the collector buffers %d events", b, n)
+		}
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for mgr.Status().Err == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("the failed seal never surfaced in Status")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// Serving still runs against the live state: 6 posts per burst.
+	if _, body := srv.Handle(trace.Input{Script: "post", Post: map[string]string{"title": "after"}}); body != fmt.Sprintf("created post %d", 6*bursts+1) {
+		t.Fatalf("served %q after the failure", body)
+	}
+	st := mgr.Status()
+	err := mgr.Close()
+	if err == nil || err.Error() != st.Err || !strings.Contains(err.Error(), "seal 3") {
+		t.Fatalf("Close = %v, want the failure Status reported (%q)", err, st.Err)
+	}
+
+	sealed, lerr := ListSealed(dir)
+	if lerr != nil {
+		t.Fatal(lerr)
+	}
+	if len(sealed) != 2 || sealed[0].Number != 1 || sealed[1].Number != 2 {
+		t.Fatalf("sealed %+v, want epochs 1 and 2 only", sealed)
+	}
+	for n := int64(4); n <= bursts+1; n++ {
+		if _, err := os.Stat(filepath.Join(dir, epochDirName(n))); !os.IsNotExist(err) {
+			t.Fatalf("epoch %d has a directory after the chain ended at epoch 3: %v", n, err)
+		}
+	}
+	// Without the blocker, which an auditor would read as a damaged
+	// epoch 3, the chain is the two epochs sealed before the failure.
+	if err := os.Remove(filepath.Join(dir, epochDirName(3))); err != nil {
+		t.Fatal(err)
+	}
+	a := NewAuditor(prog, dir, AuditorOptions{})
+	if _, err := a.RunOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	verdicts := a.Verdicts()
+	if len(verdicts) != 2 || !verdicts[0].Accepted || !verdicts[1].Accepted || !a.ChainAccepted() {
+		t.Fatalf("want epochs 1-2 ACCEPT, got %+v", verdicts)
 	}
 }

@@ -21,10 +21,7 @@ func TestEpochCutMidBurstSharded(t *testing.T) {
 	if err := srv.Setup(pipelineSchema); err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := StartManager(dir, srv, srv.Snapshot(), ManagerOptions{
-		EpochEvents: 30,
-		Log:         LogWriterOptions{SegmentEvents: 16, BatchEvents: 4},
-	})
+	mgr, err := StartManager(dir, srv, srv.Snapshot(), ManagerOptions{EpochEvents: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

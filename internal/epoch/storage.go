@@ -1,8 +1,6 @@
 package epoch
 
 import (
-	"fmt"
-	"os"
 	"path/filepath"
 
 	"orochi/internal/cas"
@@ -57,69 +55,44 @@ func CountChunkSharing(sealed []*Sealed) ChunkSharing {
 	return cs
 }
 
-// chunkSegments converts an epoch's finalized on-disk segments into
-// chunked form: each segment's records are replayed (checked against
-// the framing CRCs) into its events, the events are encoded as one
-// logical blob — a single record, so like the file it holds each
-// distinct response body once — the blob is cut into the store, and the
-// segment file is removed. The returned SegmentInfos pin the logical
-// blob (Bytes, SHA256) plus its chunk list; Name, Records, and Events
-// carry over from the file form.
-func chunkSegments(store cas.Store, epochDir string, segs []SegmentInfo) ([]SegmentInfo, error) {
-	out := make([]SegmentInfo, 0, len(segs))
-	for _, seg := range segs {
-		path := filepath.Join(epochDir, seg.Name)
-		_, events, err := readSegmentFile(path, true)
-		if err != nil {
-			return nil, fmt.Errorf("epoch: chunk segment %s: %w", seg.Name, err)
-		}
-		raw, err := (&trace.Trace{Events: events}).EncodeRaw()
-		if err != nil {
-			return nil, fmt.Errorf("epoch: chunk segment %s: %w", seg.Name, err)
-		}
-		refs, err := cas.WriteBlob(store, cas.DefaultChunker, raw)
-		if err != nil {
-			return nil, fmt.Errorf("epoch: chunk segment %s: %w", seg.Name, err)
-		}
-		out = append(out, SegmentInfo{
-			Name:    seg.Name,
-			Bytes:   int64(len(raw)),
-			Records: seg.Records,
-			Events:  seg.Events,
-			SHA256:  cas.SumHex(raw),
-			Chunks:  refs,
-		})
-		if err := os.Remove(path); err != nil {
-			return nil, fmt.Errorf("epoch: chunk segment %s: %w", seg.Name, err)
-		}
+// chunkTrace seals an epoch's events into the store as one blob, the
+// trace.EncodeRaw form (each distinct response body once), and returns
+// the SegmentInfo pinning it.
+func chunkTrace(store cas.Store, events []trace.Event) (SegmentInfo, error) {
+	raw, err := (&trace.Trace{Events: events}).EncodeRaw()
+	if err != nil {
+		return SegmentInfo{}, err
 	}
-	return out, nil
+	fi, err := chunkBlob(store, TraceName, raw)
+	return SegmentInfo{FileInfo: fi, Events: len(events)}, err
 }
 
-// chunkReports seals a report bundle directly into the store (no
-// intermediate file) and returns the FileInfo pinning its raw blob.
+// chunkReports seals a report bundle into the store and returns the
+// FileInfo pinning its raw blob.
 func chunkReports(store cas.Store, rep *reports.Reports) (FileInfo, error) {
 	raw, err := rep.EncodeRaw()
 	if err != nil {
 		return FileInfo{}, err
 	}
-	refs, err := cas.WriteBlob(store, cas.DefaultChunker, raw)
-	if err != nil {
-		return FileInfo{}, err
-	}
-	return FileInfo{Name: ReportsName, Bytes: int64(len(raw)), SHA256: cas.SumHex(raw), Chunks: refs}, nil
+	return chunkBlob(store, ReportsName, raw)
 }
 
-// chunkSnapshot seals a snapshot directly into the store and returns
-// the FileInfo pinning its raw blob.
+// chunkSnapshot seals a snapshot into the store and returns the
+// FileInfo pinning its raw blob.
 func chunkSnapshot(store cas.Store, snap *object.Snapshot) (FileInfo, error) {
 	raw, err := snap.EncodeRaw()
 	if err != nil {
 		return FileInfo{}, err
 	}
+	return chunkBlob(store, InitName, raw)
+}
+
+// chunkBlob cuts raw into the store (a chunk it already holds is not
+// written again) and pins it under name.
+func chunkBlob(store cas.Store, name string, raw []byte) (FileInfo, error) {
 	refs, err := cas.WriteBlob(store, cas.DefaultChunker, raw)
 	if err != nil {
 		return FileInfo{}, err
 	}
-	return FileInfo{Name: InitName, Bytes: int64(len(raw)), SHA256: cas.SumHex(raw), Chunks: refs}, nil
+	return FileInfo{Name: name, Bytes: int64(len(raw)), SHA256: cas.SumHex(raw), Chunks: refs}, nil
 }

@@ -4,18 +4,15 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"reflect"
 	"strings"
 	"testing"
 
 	"orochi/internal/cas"
 	"orochi/internal/encio"
 	"orochi/internal/lang"
-	"orochi/internal/reports"
 	"orochi/internal/trace"
 )
 
@@ -559,130 +556,6 @@ func TestWriteManifestCleansTmpOnRenameFailure(t *testing.T) {
 	}
 	if _, serr := os.Stat(filepath.Join(dir, ManifestName+".tmp")); !os.IsNotExist(serr) {
 		t.Fatalf("stale %s.tmp left behind after failed rename: %v", ManifestName, serr)
-	}
-}
-
-// pagedEvents is mkEvents with response bodies drawn from three pages,
-// so in a log of them almost every record references bodies that an
-// earlier record of its segment introduced.
-func pagedEvents(n, from int) []trace.Event {
-	evs := mkEvents(n, from)
-	for i := range evs {
-		if evs[i].Kind == trace.Response {
-			evs[i].Body = strings.Repeat(fmt.Sprintf("<p>page %d</p>\n", (i/2)%3), 200)
-		}
-	}
-	return evs
-}
-
-// TestRecoveredSegmentSealsAndLoads crashes a log writer mid-segment,
-// tears the newest record, resumes, and seals the epoch by hand. The
-// segment's body table spans the crash: records written before it
-// introduced every page, the torn record and the records written after
-// it only reference them. What loads back must be exactly
-// the events that survived plus the events appended after recovery.
-// The epoch is sealed in the chunked layout, the only one left.
-func TestRecoveredSegmentSealsAndLoads(t *testing.T) {
-	t.Run("chunked", recoveredSegmentSealsAndLoads)
-}
-
-func recoveredSegmentSealsAndLoads(t *testing.T) {
-	chain := t.TempDir()
-	epochDir := filepath.Join(chain, epochDirName(1))
-	opts := LogWriterOptions{SegmentEvents: 1000, BatchEvents: 10}
-	w, err := OpenLogWriter(epochDir, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prefix := pagedEvents(30, 1) // 6 records of 10 events
-	appendAll(t, w, prefix)
-	if err := w.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	w.Abort() // crash
-
-	openPath := filepath.Join(epochDir, segmentName(1, false))
-	data, err := os.ReadFile(openPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, _, err := parseSegment(data, true)
-	if err != nil || len(recs) != 6 {
-		t.Fatalf("want 6 records before the crash, got %d (%v)", len(recs), err)
-	}
-	// The last record carries no body of its own: alone it does
-	// not decode, after its predecessors it does.
-	if _, err := new(trace.Decoder).Decode(recs[5].payload); err == nil {
-		t.Fatal("the last record decodes on its own; the test no longer spans the table across records")
-	}
-	// Tear inside the last record.
-	if err := os.WriteFile(openPath, data[:len(data)-len(recs[5].payload)/2], 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	w, err = OpenLogWriter(epochDir, opts)
-	if err != nil {
-		t.Fatalf("recovery: %v", err)
-	}
-	if got := w.Events(); got != 50 {
-		t.Fatalf("recovered %d events, want 50", got)
-	}
-	suffix := pagedEvents(7, 1000)
-	appendAll(t, w, suffix)
-	segs, err := w.Finalize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) != 1 {
-		t.Fatalf("want the one resumed segment, got %d", len(segs))
-	}
-	// The first record introduced all three pages. No later one
-	// stores a page again — in particular not those written after
-	// recovery, whose encoder resumed the recovered table.
-	data, err = os.ReadFile(filepath.Join(epochDir, segs[0].Name))
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, _, err = parseSegment(data, true)
-	if err != nil || len(recs) != 7 {
-		t.Fatalf("want 5 surviving + 2 resumed records, got %d (%v)", len(recs), err)
-	}
-	for i, r := range recs[1:] {
-		raw, err := encio.Gunzip(r.payload)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Contains(raw, []byte("<p>page ")) {
-			t.Fatalf("record %d stores a page its segment already held", i+1)
-		}
-	}
-
-	want := append(append([]trace.Event(nil), prefix[:50]...), suffix...)
-	rep := reports.NewRecorder().Finalize()
-	m := &Manifest{Version: ManifestVersion, Epoch: 1, Events: len(want), Requests: len(want) / 2}
-	store, err := OpenChainStore(chain)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Segments, err = chunkSegments(store, epochDir, segs); err != nil {
-		t.Fatal(err)
-	}
-	if m.Reports, err = chunkReports(store, rep); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := WriteManifest(epochDir, m); err != nil {
-		t.Fatal(err)
-	}
-	sealed, err := ListSealed(chain)
-	if err != nil || len(sealed) != 1 {
-		t.Fatalf("ListSealed: %d epochs, %v", len(sealed), err)
-	}
-	l, err := Load(sealed[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(l.Trace.Events, want) {
-		t.Fatalf("loaded %d events that differ from the %d surviving + appended ones", len(l.Trace.Events), len(want))
 	}
 }
 

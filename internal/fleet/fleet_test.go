@@ -42,10 +42,7 @@ func sealTestChain(t *testing.T, dir string) *lang.Program {
 	if err := srv.Setup(w.Seed); err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := epoch.StartManager(dir, srv, srv.Snapshot(), epoch.ManagerOptions{
-		EpochEvents: 30,
-		Log:         epoch.LogWriterOptions{SegmentEvents: 16, BatchEvents: 4},
-	})
+	mgr, err := epoch.StartManager(dir, srv, srv.Snapshot(), epoch.ManagerOptions{EpochEvents: 30})
 	if err != nil {
 		t.Fatal(err)
 	}

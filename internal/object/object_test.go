@@ -299,17 +299,17 @@ func TestDecodeSnapshotRejectsTruncatedAndTrailing(t *testing.T) {
 	s := NewStore()
 	s.KvSet("k", lang.Value("v"), nil, "", 0)
 	snap := s.Snapshot()
-	data, err := snap.Encode()
+	data, err := snap.EncodeRaw()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := DecodeSnapshot(data[:len(data)-4]); err == nil {
-		t.Fatal("DecodeSnapshot accepted truncated input")
+	if _, err := DecodeSnapshotRaw(data[:len(data)-1]); err == nil {
+		t.Fatal("DecodeSnapshotRaw accepted truncated input")
 	}
-	if _, err := DecodeSnapshot(append(data, 0x00, 0x01)); err == nil {
-		t.Fatal("DecodeSnapshot accepted trailing garbage")
+	if _, err := DecodeSnapshotRaw(append(data, 0x00, 0x01)); err == nil {
+		t.Fatal("DecodeSnapshotRaw accepted trailing garbage")
 	}
-	if _, err := DecodeSnapshot(data); err != nil {
-		t.Fatalf("clean stream rejected: %v", err)
+	if _, err := DecodeSnapshotRaw(data); err != nil {
+		t.Fatalf("clean encoding rejected: %v", err)
 	}
 }

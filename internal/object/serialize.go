@@ -3,7 +3,6 @@ package object
 import (
 	"fmt"
 	"math"
-	"os"
 	"slices"
 	"sort"
 
@@ -81,11 +80,6 @@ func (s *Snapshot) EncodeRaw() ([]byte, error) {
 	return w.Bytes(), nil
 }
 
-// Encode serializes the snapshot gzipped.
-func (s *Snapshot) Encode() ([]byte, error) {
-	return encio.Compress(s.EncodeRaw())
-}
-
 // DecodeSnapshotRaw deserializes a snapshot produced by EncodeRaw. Input
 // is untrusted: anything but the canonical encoding of some state,
 // trailing bytes included, is an error. (The sizes handed to ReadList
@@ -151,29 +145,4 @@ func DecodeSnapshotRaw(data []byte) (*Snapshot, error) {
 		return nil, fmt.Errorf("object: decode snapshot: %w", err)
 	}
 	return out, nil
-}
-
-// DecodeSnapshot deserializes a snapshot produced by Encode. Truncated
-// input and trailing garbage are errors, so corrupted on-disk state can
-// never load silently as a shortened snapshot.
-func DecodeSnapshot(data []byte) (*Snapshot, error) {
-	return encio.Decompress("object: snapshot", data, DecodeSnapshotRaw)
-}
-
-// WriteFile stores the snapshot at path.
-func (s *Snapshot) WriteFile(path string) error {
-	data, err := s.Encode()
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
-}
-
-// ReadSnapshotFile loads a snapshot stored by WriteFile.
-func ReadSnapshotFile(path string) (*Snapshot, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return DecodeSnapshot(data)
 }

@@ -51,7 +51,7 @@ type Options struct {
 	// Tap, if set, is installed on the embedded collector: it observes
 	// every trace event in order and may cut audit periods at balanced
 	// boundaries. The epoch pipeline (internal/epoch) installs its
-	// manager here to tee the live trace into a durable segmented log.
+	// manager here to cut the live trace into epochs and seal them.
 	Tap trace.Tap
 	// Engine is the test seam for the reference engine: nil runs the
 	// production engine; differential tests set lang.EngineInterp. The

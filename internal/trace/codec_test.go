@@ -55,45 +55,6 @@ func sameEvents(a, b []Event) bool {
 	return len(a) == 0 && len(b) == 0 || reflect.DeepEqual(a, b)
 }
 
-// streamRoundTrip writes events as records whose lengths come from cuts
-// (cycled; a zero is an empty record) through one Encoder, and reads
-// them back through one Decoder — in the gzipped form the log stores, or
-// raw, which is what the fuzzer can afford one event at a time.
-func streamRoundTrip(t *testing.T, events []Event, cuts []byte, gz bool) []Event {
-	t.Helper()
-	var enc Encoder
-	var dec Decoder
-	var out []Event
-	empty := false
-	for i, rest := 0, events; ; i++ {
-		n := len(rest)
-		if len(cuts) > 0 {
-			n = min(n, int(cuts[i%len(cuts)])%33)
-			if n == 0 && empty {
-				n = min(1, len(rest)) // cuts of all zeros would never finish
-			}
-		}
-		empty = n == 0
-		encode, decode := enc.encodeRaw, dec.decodeRaw
-		if gz {
-			encode, decode = enc.Encode, dec.Decode
-		}
-		data, err := encode(rest[:n])
-		if err != nil {
-			t.Fatalf("record %d: encode: %v", i, err)
-		}
-		got, err := decode(data)
-		if err != nil {
-			t.Fatalf("record %d: decode: %v", i, err)
-		}
-		out = append(out, got...)
-		if rest = rest[n:]; len(rest) == 0 {
-			break
-		}
-	}
-	return out
-}
-
 // artifactSeeds are the raw encodings, less their magic, of one small
 // reports bundle and one small snapshot: starting points from which the
 // fuzzer mutates real layouts rather than searching for them.
@@ -151,26 +112,23 @@ func decodeCanonically[T any](t *testing.T, name string, in []byte, decode func(
 // users. Any bytes, behind each artifact's magic, go to the trace,
 // reports and snapshot decoders, which must fail cleanly or decode to a
 // value whose encoding is those bytes. Events built from the same bytes
-// must survive the trace codec one-shot, gzipped, and streamed as
-// records cut wherever cuts says.
+// must survive the trace codec.
 func FuzzCodec(f *testing.F) {
-	f.Add([]byte{}, []byte{})
-	f.Add([]byte{5, 1, 9, 5, 1, 9, 4, 2, 0, 1, 0, 0}, []byte{1})
-	f.Add([]byte{0x7d, 3, 40, 0x7c, 3, 40, 0x05, 3, 40, 0x06, 3, 40, 0x05, 3, 40}, []byte{2, 0, 3})
-	f.Add(bytes.Repeat([]byte{5, 7, 63}, 40), []byte{16, 1})
+	f.Add([]byte{})
+	f.Add([]byte{5, 1, 9, 5, 1, 9, 4, 2, 0, 1, 0, 0})
+	f.Add([]byte{0x7d, 3, 40, 0x7c, 3, 40, 0x05, 3, 40, 0x06, 3, 40, 0x05, 3, 40})
+	f.Add(bytes.Repeat([]byte{5, 7, 63}, 40))
 	for _, seed := range artifactSeeds(f) {
-		f.Add(seed, []byte{})
+		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, data, cuts []byte) {
+	f.Fuzz(func(t *testing.T, data []byte) {
 		behind := func(magic string) []byte { return append([]byte(magic), data...) }
 		decodeCanonically(t, "trace", behind(traceMagic), DecodeRaw, (*Trace).EncodeRaw)
 		decodeCanonically(t, "reports", behind("ORPT"), reports.DecodeRaw, (*reports.Reports).EncodeRaw)
 		decodeCanonically(t, "snapshot", behind("OSNP"), object.DecodeSnapshotRaw, (*object.Snapshot).EncodeRaw)
 
 		events := eventsFromBytes(data[:min(len(data), 3*256)])
-		tr := &Trace{Events: events}
-
-		raw, err := tr.EncodeRaw()
+		raw, err := (&Trace{Events: events}).EncodeRaw()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -180,26 +138,6 @@ func FuzzCodec(f *testing.F) {
 		}
 		if !sameEvents(got.Events, events) {
 			t.Fatalf("EncodeRaw/DecodeRaw changed the events:\n got %+v\nwant %+v", got.Events, events)
-		}
-
-		zdata, err := tr.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err = Decode(zdata)
-		if err != nil {
-			t.Fatalf("Decode: %v", err)
-		}
-		if !sameEvents(got.Events, events) {
-			t.Fatalf("Encode/Decode changed the events:\n got %+v\nwant %+v", got.Events, events)
-		}
-
-		// Wherever the record boundaries fall, the same events come back.
-		if got := streamRoundTrip(t, events, cuts, true); !sameEvents(got, events) {
-			t.Fatalf("streaming with cuts %v changed the events:\n got %+v\nwant %+v", cuts, got, events)
-		}
-		if got := streamRoundTrip(t, events, []byte{1}, false); !sameEvents(got, events) {
-			t.Fatalf("one event per record changed the events:\n got %+v\nwant %+v", got, events)
 		}
 	})
 }
@@ -241,60 +179,8 @@ func TestEqualBodiesEncodeOnce(t *testing.T) {
 	}
 }
 
-// TestStreamRecordsCarryOnlyNewBodies checks the cross-record table: a
-// body an earlier record introduced is not written again, and a record
-// cannot be decoded without the records before it.
-func TestStreamRecordsCarryOnlyNewBodies(t *testing.T) {
-	page := strings.Repeat("page ", 1000)
-	other := strings.Repeat("other ", 1000)
-	var enc Encoder
-	first, err := enc.Encode([]Event{req("r1", 1), {Kind: Response, RID: "r1", Time: 2, Body: page}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	second, err := enc.Encode([]Event{
-		req("r2", 3), {Kind: Response, RID: "r2", Time: 4, Body: page},
-		req("r3", 5), {Kind: Response, RID: "r3", Time: 6, Body: other},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var dec Decoder
-	a, err := dec.Decode(first)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := dec.Decode(second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a[1].Body != page || b[1].Body != page || b[3].Body != other {
-		t.Fatal("bodies did not survive the stream")
-	}
-	if unsafe.StringData(a[1].Body) != unsafe.StringData(b[1].Body) {
-		t.Fatal("a body referenced across records decoded to a second copy")
-	}
-	// The second record alone does not decode: its first reference names
-	// a body only the first record's table holds.
-	if _, err := new(Decoder).Decode(second); err == nil {
-		t.Fatal("a record decoded without its predecessor")
-	}
-	// A recovered writer continues the table: no body is written twice.
-	third, err := dec.Encoder().Encode([]Event{req("r4", 7), {Kind: Response, RID: "r4", Time: 8, Body: other}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := dec.Decode(third)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if unsafe.StringData(c[1].Body) != unsafe.StringData(b[3].Body) {
-		t.Fatal("a record written after recovery carried a body the table already held")
-	}
-}
-
-// TestDecodeRejectsMalformedRecords feeds the decoder blobs no Encoder
-// writes. Each must fail with an error — not panic, and not decode to a
+// TestDecodeRejectsMalformedRecords feeds the decoder blobs EncodeRaw
+// never writes. Each must fail with an error — not panic, and not decode to a
 // trace that differs from what was sealed.
 func TestDecodeRejectsMalformedRecords(t *testing.T) {
 	// event writes one event field by field; params are the request's

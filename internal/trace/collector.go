@@ -56,8 +56,8 @@ func NewCollector() *Collector {
 }
 
 // SetTap installs (or, with nil, removes) the stream tap. The epoch
-// pipeline uses it to tee events into a durable log and to cut epoch
-// boundaries at balanced points.
+// pipeline uses it to cut epoch boundaries at balanced points and take
+// each epoch's events for sealing.
 func (c *Collector) SetTap(t Tap) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

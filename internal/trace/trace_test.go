@@ -386,15 +386,15 @@ func TestDecodeRejectsTruncated(t *testing.T) {
 		{Kind: Request, RID: "r1", Time: 1, In: Input{Script: "s"}},
 		{Kind: Response, RID: "r1", Time: 2, Body: "x"},
 	}}
-	data, err := tr.Encode()
+	data, err := tr.EncodeRaw()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(data[:len(data)-4]); err == nil {
-		t.Fatal("Decode accepted truncated input")
+	if _, err := DecodeRaw(data[:len(data)-1]); err == nil {
+		t.Fatal("DecodeRaw accepted truncated input")
 	}
-	if _, err := Decode(data[:len(data)/2]); err == nil {
-		t.Fatal("Decode accepted half the stream")
+	if _, err := DecodeRaw(data[:len(data)/2]); err == nil {
+		t.Fatal("DecodeRaw accepted half the encoding")
 	}
 }
 
@@ -403,15 +403,15 @@ func TestDecodeRejectsTrailingGarbage(t *testing.T) {
 		{Kind: Request, RID: "r1", Time: 1, In: Input{Script: "s"}},
 		{Kind: Response, RID: "r1", Time: 2, Body: "x"},
 	}}
-	data, err := tr.Encode()
+	data, err := tr.EncodeRaw()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Decode(append(data, 0xDE, 0xAD)); err == nil {
-		t.Fatal("Decode accepted trailing garbage")
+	if _, err := DecodeRaw(append(data, 0xDE, 0xAD)); err == nil {
+		t.Fatal("DecodeRaw accepted trailing garbage")
 	}
-	// The clean stream still round-trips.
-	got, err := Decode(data)
+	// The clean encoding still round-trips.
+	got, err := DecodeRaw(data)
 	if err != nil {
 		t.Fatal(err)
 	}

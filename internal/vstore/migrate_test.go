@@ -70,7 +70,7 @@ func TestMigrateFinalMatchesSQLTextOracle(t *testing.T) {
 // empty), so equal tables give equal bytes.
 func encodeTables(t *testing.T, tables []*sqlmini.Table) []byte {
 	t.Helper()
-	b, err := (&object.Snapshot{Registers: map[string]lang.Value{}, KV: map[string]lang.Value{}, Tables: tables}).Encode()
+	b, err := (&object.Snapshot{Registers: map[string]lang.Value{}, KV: map[string]lang.Value{}, Tables: tables}).EncodeRaw()
 	if err != nil {
 		t.Fatal(err)
 	}
