@@ -183,12 +183,6 @@ type Foreach struct {
 	Body    []Stmt
 	Site    Site
 	Line    int
-	// MutatesVal is computed at parse time: whether the body can mutate
-	// the value variable's *interior* (indexed assignment, interior
-	// unset/incdec, or a by-reference builtin). When false the
-	// interpreter binds the element without a deep copy — the dominant
-	// cost of rendering loops otherwise.
-	MutatesVal bool
 }
 
 // Switch with strict case matching (PHP uses loose; we use loose too).

@@ -28,6 +28,10 @@ func wantArgs(name string, args []Value, min, max int, line int) error {
 
 var builtins map[string]builtinFn
 
+// htmlEscaper is htmlspecialchars' table, built once: a strings.Replacer
+// is safe for concurrent use.
+var htmlEscaper = strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "'", "&#039;")
+
 var refBuiltins = map[string]refBuiltinFn{
 	"sort": func(ex *exec, arr *Array, rest []Value, line int) (Value, error) {
 		arr.SortValues(func(x, y Value) bool { return Compare(x, y) < 0 })
@@ -43,7 +47,7 @@ var refBuiltins = map[string]refBuiltinFn{
 	},
 	"array_push": func(ex *exec, arr *Array, rest []Value, line int) (Value, error) {
 		for _, v := range rest {
-			arr.Append(CloneValue(v))
+			arr.Append(v) // refBuiltinApply copied the arguments
 		}
 		return int64(arr.Len()), nil
 	},
@@ -343,8 +347,7 @@ func init() {
 			if err := wantArgs("htmlspecialchars", args, 1, 1, line); err != nil {
 				return nil, err
 			}
-			r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;", "'", "&#039;")
-			return r.Replace(ToString(args[0])), nil
+			return htmlEscaper.Replace(ToString(args[0])), nil
 		},
 		"nl2br": func(ex *exec, args []Value, line int) (Value, error) {
 			if err := wantArgs("nl2br", args, 1, 1, line); err != nil {
@@ -433,7 +436,7 @@ func init() {
 			}
 			out := NewArray()
 			for _, v := range a.Values() {
-				out.Append(CloneValue(v))
+				out.Append(ex.copyValue(v))
 			}
 			return out, nil
 		},
@@ -496,9 +499,9 @@ func init() {
 				}
 				for _, k := range a.Keys() {
 					if k.IsInt {
-						out.Append(CloneValue(a.m[k]))
+						out.Append(ex.copyValue(a.m[k]))
 					} else {
-						out.Set(k, CloneValue(a.m[k]))
+						out.Set(k, ex.copyValue(a.m[k]))
 					}
 				}
 			}
@@ -539,9 +542,9 @@ func init() {
 			for i := off; i < end; i++ {
 				k := a.keys[i]
 				if k.IsInt {
-					out.Append(CloneValue(a.m[k]))
+					out.Append(ex.copyValue(a.m[k]))
 				} else {
-					out.Set(k, CloneValue(a.m[k]))
+					out.Set(k, ex.copyValue(a.m[k]))
 				}
 			}
 			return out, nil
@@ -558,9 +561,9 @@ func init() {
 			for i := a.Len() - 1; i >= 0; i-- {
 				k := a.keys[i]
 				if k.IsInt {
-					out.Append(CloneValue(a.m[k]))
+					out.Append(ex.copyValue(a.m[k]))
 				} else {
-					out.Set(k, CloneValue(a.m[k]))
+					out.Set(k, ex.copyValue(a.m[k]))
 				}
 			}
 			return out, nil

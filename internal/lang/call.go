@@ -37,7 +37,7 @@ func (ex *exec) evalCall(sc *scope, call *Call) (Value, error) {
 }
 
 // callUser invokes a user-defined function with PHP value semantics
-// (arguments are copies).
+// (arguments and the returned value are copies).
 func (ex *exec) callUser(sc *scope, fn *FuncDecl, call *Call) (Value, error) {
 	if ex.callDepth >= maxCallDepth {
 		return nil, &RuntimeError{Msg: "maximum call depth exceeded", Line: call.Line}
@@ -49,7 +49,7 @@ func (ex *exec) callUser(sc *scope, fn *FuncDecl, call *Call) (Value, error) {
 			if err != nil {
 				return nil, err
 			}
-			frame.vars[p.Name] = CloneValue(v)
+			frame.vars[p.Name] = ex.copyValue(v)
 			continue
 		}
 		if p.Default != nil {
@@ -76,25 +76,34 @@ func (ex *exec) callUser(sc *scope, fn *FuncDecl, call *Call) (Value, error) {
 		return nil, err
 	}
 	if c == ctrlReturn {
-		return CloneValue(rv), nil
+		return ex.copyValue(rv), nil
 	}
 	return nil, nil
 }
 
-// invokeBuiltin runs a pure builtin, splitting per-lane when any argument
-// contains a multivalue (§4.3 "Built-in functions"): the runtime splits
-// the multivalue arguments into univalues, deep-copies container
-// arguments, executes the builtin once per lane, and merges the results
-// back into a multivalue.
-func (ex *exec) invokeBuiltin(name string, fn builtinFn, args []Value, line int) (Value, error) {
-	anyMulti := false
-	for _, a := range args {
-		if DeepContainsMulti(a) {
-			anyMulti = true
-			break
+// anyMulti reports whether some value holds a multivalue, at any depth:
+// the split decision of builtin and state-op calls. With one lane no
+// multivalue exists (NewMulti collapses every one-lane vector), so the
+// walk is skipped.
+func (ex *exec) anyMulti(vals ...Value) bool {
+	if ex.lanes == 1 {
+		return false
+	}
+	for _, v := range vals {
+		if DeepContainsMulti(v) {
+			return true
 		}
 	}
-	if !anyMulti {
+	return false
+}
+
+// invokeBuiltin runs a pure builtin, splitting per-lane when any argument
+// contains a multivalue (§4.3 "Built-in functions"): the runtime splits
+// the multivalue arguments into univalues, copies container arguments,
+// executes the builtin once per lane, and merges the results back into a
+// multivalue.
+func (ex *exec) invokeBuiltin(name string, fn builtinFn, args []Value, line int) (Value, error) {
+	if !ex.anyMulti(args...) {
 		ex.countInstr(false)
 		return ex.callBudgeted(fn, args, line)
 	}
@@ -102,9 +111,7 @@ func (ex *exec) invokeBuiltin(name string, fn builtinFn, args []Value, line int)
 	return ex.forLanes(func(i int) (Value, error) {
 		laneArgs := make([]Value, len(args))
 		for j, a := range args {
-			// Deep copy: the builtin could have modified its argument
-			// differently in the original executions.
-			laneArgs[j] = CloneValue(MaterializeLane(a, i))
+			laneArgs[j] = ex.copyValue(MaterializeLane(a, i))
 		}
 		return ex.callBudgeted(fn, laneArgs, line)
 	})
@@ -161,24 +168,20 @@ func (ex *exec) callRefBuiltin(sc *scope, call *Call) (Value, error) {
 
 // refBuiltinApply is the engine-independent core of a by-reference
 // builtin call: the current target value in, (result, new target value)
-// out. Both engines route through it so the per-lane clone/merge rules
-// stay identical.
+// out. Both engines route through it so the per-lane copy/merge rules
+// stay identical. The builtin writes the array refTarget hands it; the
+// caller stores the new target back.
 func (ex *exec) refBuiltinApply(name string, fn refBuiltinFn, cur Value, rest []Value, line int) (Value, Value, error) {
-	anyMulti := DeepContainsMulti(cur)
-	for _, a := range rest {
-		if DeepContainsMulti(a) {
-			anyMulti = true
-		}
+	// Copy the arguments first: array_push($a, $a) must push the array
+	// $a held before the push.
+	for j, a := range rest {
+		rest[j] = ex.copyValue(a)
 	}
-	if !anyMulti {
+	if !ex.anyMulti(cur) && !ex.anyMulti(rest...) {
 		ex.countInstr(false)
-		arr, ok := cur.(*Array)
-		if !ok {
-			if cur == nil {
-				arr = NewArray()
-			} else {
-				return nil, nil, &RuntimeError{Msg: name + "() expects an array", Line: line}
-			}
+		arr, err := refTarget(name, cur, line)
+		if err != nil {
+			return nil, nil, err
 		}
 		result, err := fn(ex, arr, rest, line)
 		if err != nil {
@@ -189,18 +192,13 @@ func (ex *exec) refBuiltinApply(name string, fn refBuiltinFn, cur Value, rest []
 	ex.countInstr(true)
 	tgtVals := make([]Value, ex.lanes)
 	result, err := ex.forLanes(func(i int) (Value, error) {
-		laneCur := CloneValue(MaterializeLane(cur, i))
-		arr, ok := laneCur.(*Array)
-		if !ok {
-			if laneCur == nil {
-				arr = NewArray()
-			} else {
-				return nil, &RuntimeError{Msg: name + "() expects an array", Line: line}
-			}
+		arr, err := refTarget(name, ex.copyValue(MaterializeLane(cur, i)), line)
+		if err != nil {
+			return nil, err
 		}
 		laneRest := make([]Value, len(rest))
 		for j, a := range rest {
-			laneRest[j] = CloneValue(MaterializeLane(a, i))
+			laneRest[j] = ex.copyValue(MaterializeLane(a, i))
 		}
 		r, err := fn(ex, arr, laneRest, line)
 		if err != nil {
@@ -213,6 +211,19 @@ func (ex *exec) refBuiltinApply(name string, fn refBuiltinFn, cur Value, rest []
 		return nil, nil, err
 	}
 	return result, NewMulti(tgtVals), nil
+}
+
+// refTarget is the array a by-reference builtin writes for target value
+// cur: cur's array taken for writing, or a new one for null.
+func refTarget(name string, cur Value, line int) (*Array, error) {
+	switch c := cur.(type) {
+	case *Array:
+		return c.Own(), nil
+	case nil:
+		return NewArray(), nil
+	default:
+		return nil, &RuntimeError{Msg: name + "() expects an array", Line: line}
+	}
 }
 
 // callStateOp issues a shared-object operation through the bridge. In
@@ -237,14 +248,7 @@ func (ex *exec) stateOpCore(name string, args []Value, line int) (Value, error) 
 	if ex.bridge == nil {
 		return nil, &RuntimeError{Msg: "no shared-state bridge configured", Line: line}
 	}
-	anyMulti := false
-	for _, a := range args {
-		if DeepContainsMulti(a) {
-			anyMulti = true
-			break
-		}
-	}
-	ex.countInstr(anyMulti)
+	ex.countInstr(ex.anyMulti(args...))
 	// Validate the call shape BEFORE consuming an opnum: a call that
 	// faults on its arguments never reaches a shared object, so it must
 	// not count toward report M — the server records no log entry for
@@ -361,14 +365,7 @@ func (ex *exec) callNonDet(sc *scope, call *Call) (Value, error) {
 
 // nonDetCore is the engine-independent core of a nondet builtin call.
 func (ex *exec) nonDetCore(name string, args []Value) (Value, error) {
-	anyMulti := false
-	for _, a := range args {
-		if DeepContainsMulti(a) {
-			anyMulti = true
-			break
-		}
-	}
-	ex.countInstr(anyMulti)
+	ex.countInstr(ex.anyMulti(args...))
 	return ex.forLanes(func(i int) (Value, error) {
 		laneArgs := make([]Value, len(args))
 		for j, a := range args {

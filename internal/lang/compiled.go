@@ -616,7 +616,7 @@ func (cc *compiler) compileForeach(st *Foreach) cstmt {
 	}
 	valAcc := cc.access(st.ValVar)
 	body := cc.compileStmts(st.Body)
-	site, line, mutates := st.Site, st.Line, st.MutatesVal
+	site, line := st.Site, st.Line
 	return func(fr *cframe) (ctrl, Value, error) {
 		ex := fr.ex
 		if err := ex.step(); err != nil {
@@ -626,15 +626,15 @@ func (cc *compiler) compileForeach(st *Foreach) cstmt {
 		if err != nil {
 			return ctrlNone, nil, err
 		}
-		switch subj := subject.(type) {
+		// Iterate a copy of the subject, as exec.execForeach does.
+		switch subj := ex.copyValue(subject).(type) {
 		case *Array:
-			keys, vals := subj.snapshot()
-			for it := range keys {
+			for _, k := range subj.keys {
 				ex.branch(site, 1)
 				if hasKey {
-					keyAcc.set(fr, keys[it].Value())
+					keyAcc.set(fr, k.Value())
 				}
-				valAcc.set(fr, bindElem(vals[it], mutates))
+				valAcc.set(fr, ex.copyValue(subj.m[k]))
 				c, rv, err := runCStmts(fr, body)
 				if err != nil {
 					return ctrlNone, nil, err
@@ -650,32 +650,13 @@ func (cc *compiler) compileForeach(st *Foreach) cstmt {
 			ex.branch(site, 0)
 			return ctrlNone, nil, nil
 		case *Multi:
-			laneKeys := make([][]Key, ex.lanes)
-			laneVals := make([][]Value, ex.lanes)
-			n := -1
-			if _, err := ex.forLanes(func(i int) (Value, error) {
-				a, ok := MaterializeLane(subj.V[i], i).(*Array)
-				if !ok {
-					return nil, &RuntimeError{Msg: "foreach over non-array", Line: line}
-				}
-				if n == -1 {
-					n = a.Len()
-				} else if a.Len() != n {
-					return nil, ErrDivergence
-				}
-				laneKeys[i], laneVals[i] = a.snapshot()
-				return nil, nil
-			}); err != nil {
+			arrs, n, err := ex.foreachLanes(subj, line)
+			if err != nil {
 				return ctrlNone, nil, err
 			}
 			for it := 0; it < n; it++ {
 				ex.branch(site, 1)
-				keys := make([]Value, ex.lanes)
-				vals := make([]Value, ex.lanes)
-				for i := 0; i < ex.lanes; i++ {
-					keys[i] = laneKeys[i][it].Value()
-					vals[i] = bindElem(laneVals[i][it], mutates)
-				}
+				keys, vals := ex.foreachLaneElems(arrs, it)
 				if hasKey {
 					keyAcc.set(fr, NewMulti(keys))
 				}
@@ -849,7 +830,7 @@ func (cc *compiler) compileExpr(e Expr) cexpr {
 					return nil, err
 				}
 				if ent.key == nil {
-					arr.Append(CloneValue(v))
+					arr.Append(fr.ex.copyValue(v))
 					continue
 				}
 				kv, err := ent.key(fr)
@@ -863,7 +844,7 @@ func (cc *compiler) compileExpr(e Expr) cexpr {
 				if err != nil {
 					return nil, &RuntimeError{Msg: err.Error(), Line: line}
 				}
-				arr.Set(k, CloneValue(v))
+				arr.Set(k, fr.ex.copyValue(v))
 			}
 			return arr, nil
 		}
@@ -1038,7 +1019,8 @@ func evalCArgs(fr *cframe, args []cexpr) ([]Value, error) {
 	return vals, nil
 }
 
-// callCFunc mirrors exec.callUser: arguments are copies, defaults are
+// callCFunc mirrors exec.callUser: arguments are copies (shared, like
+// every copy the production engine makes), defaults are
 // evaluated in the new frame, extra arguments are evaluated in the
 // caller's frame for their effects and discarded.
 func callCFunc(fr *cframe, cf *cfunc, args []cexpr, line int) (Value, error) {
@@ -1055,7 +1037,7 @@ func callCFunc(fr *cframe, cf *cfunc, args []cexpr, line int) (Value, error) {
 				return nil, err
 			}
 			if p.slot >= 0 {
-				fr2.locals[p.slot] = CloneValue(v)
+				fr2.locals[p.slot] = ex.copyValue(v)
 				fr2.set[p.slot] = true
 			}
 			continue
@@ -1091,7 +1073,7 @@ func callCFunc(fr *cframe, cf *cfunc, args []cexpr, line int) (Value, error) {
 		return nil, err
 	}
 	if c == ctrlReturn {
-		return CloneValue(rv), nil
+		return ex.copyValue(rv), nil
 	}
 	return nil, nil
 }
@@ -1138,8 +1120,10 @@ func readCLV(fr *cframe, t *clval) (Value, error) {
 func assignCLV(fr *cframe, t *clval, val Value) error {
 	ex := fr.ex
 	if len(t.steps) == 0 {
-		t.acc.set(fr, CloneValue(val))
-		ex.countInstr(DeepContainsMulti(val))
+		t.acc.set(fr, ex.copyValue(val))
+		if ex.stats {
+			ex.countInstr(DeepContainsMulti(val))
+		}
 		return nil
 	}
 	idxs := make([]Value, len(t.steps))
@@ -1158,14 +1142,10 @@ func assignCLV(fr *cframe, t *clval, val Value) error {
 		idxs[i] = v
 	}
 	root := t.acc.get(fr)
-	multi := DeepContainsMulti(root) || DeepContainsMulti(val)
-	for _, iv := range idxs {
-		if _, isApp := iv.(appendMarker); !isApp && IsMulti(iv) {
-			multi = true
-		}
+	if ex.stats {
+		ex.countInstr(pathIsMulti(root, idxs, val))
 	}
-	ex.countInstr(multi)
-	newRoot, err := ex.setPath(root, idxs, val, t.line)
+	newRoot, err := ex.setPath(root, idxs, ex.copyValue(val), t.line)
 	if err != nil {
 		return err
 	}
@@ -1209,18 +1189,24 @@ func unsetCLV(fr *cframe, t *clval) error {
 		t.acc.unset(fr)
 		return nil
 	}
-	parent := &clval{acc: t.acc, steps: t.steps[:len(t.steps)-1], line: t.line}
-	parentVal, err := readCLV(fr, parent)
+	idxs := make([]Value, len(t.steps))
+	for i, stepE := range t.steps {
+		if stepE == nil {
+			return unsetAppendError(i == len(t.steps)-1, t.line)
+		}
+		v, err := stepE(fr)
+		if err != nil {
+			return err
+		}
+		idxs[i] = v
+	}
+	root := t.acc.get(fr)
+	newRoot, err := fr.ex.unsetPath(root, idxs, t.line)
 	if err != nil {
 		return err
 	}
-	last := t.steps[len(t.steps)-1]
-	if last == nil {
-		return &RuntimeError{Msg: "unset on append-index", Line: t.line}
+	if newRoot != root {
+		t.acc.set(fr, newRoot)
 	}
-	idx, err := last(fr)
-	if err != nil {
-		return err
-	}
-	return fr.ex.unsetIn(parentVal, idx, t.line)
+	return nil
 }

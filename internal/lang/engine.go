@@ -16,7 +16,9 @@ import (
 //     records with it and the verifier re-executes with it.
 //   - EngineInterp: the original tree-walking interpreter, kept solely
 //     as the executable reference semantics the differential tests and
-//     FuzzEngineEquivalence compare the production engine against.
+//     FuzzEngineEquivalence compare the production engine against. It
+//     copies arrays eagerly where the production engine shares them
+//     copy-on-write, so the differential checks the sharing too.
 //
 // The interface is the test seam that lets whole workloads run under
 // the reference; it is not a tuning option and no CLI exposes it.
@@ -163,6 +165,7 @@ func (interpEngine) Run(prog *Program, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	defer ex.releaseSession()
+	ex.eager = true
 	script, ok := prog.Scripts[cfg.Script]
 	if !ok {
 		return unknownScriptResult(cfg, ex.lanes)

@@ -338,6 +338,82 @@ echo "unreached";`},
 echo $_GET["x"];
 $q = 10 / (2 - 2);
 echo "unreached";`},
+	// Aliasing: every way two holders can come to share one array, each
+	// followed by a write that must reach only the writer's copy.
+	{"alias nested write", `
+$a = array(array(1, $_GET["x"]), array(3));
+$b = $a;
+$b[0][1] = 2;
+$b[1][] = intval($_GET["x"]);
+echo json_encode($a) . json_encode($b);`},
+	{"alias write after return", `
+function same($v) { return $v; }
+function touch($v) { $v["t"][] = $_GET["x"]; return $v; }
+$a = array("t" => array(0), "k" => $_GET["x"]);
+$b = same($a);
+$b["t"][] = 1;
+$c = touch($a);
+$c["k"] = "c";
+echo json_encode($a) . json_encode($b) . json_encode($c);`},
+	{"alias unset through copy", `
+$a = array("n" => array("x" => 1, "y" => $_GET["x"]), "m" => 2);
+$b = $a;
+unset($b["n"]["x"]);
+unset($b["m"]);
+$c = $b;
+unset($c["n"]["missing"]["deeper"]);
+unset($c["n"]["y"]);
+echo json_encode($a) . json_encode($b) . json_encode($c);`},
+	{"alias sort copy", `
+$a = array(3, intval($_GET["x"]), 1, array(2));
+$copy = $a;
+sort($copy);
+$nested = array("l" => array(9, intval($_GET["x"]), 5));
+$n2 = $nested;
+sort($n2["l"]);
+array_push($copy, $copy);
+echo json_encode($a) . json_encode($copy) . json_encode($nested) . json_encode($n2);`},
+	{"alias array union", `
+$a = array("p" => array(1), "q" => $_GET["x"]);
+$b = array("q" => "b", "r" => array(2));
+$u = $a + $b;
+$u["p"][] = 10;
+$u["r"][] = 20;
+$a["p"][] = 11;
+$b["r"][] = 21;
+$a += $a;
+echo json_encode($a) . json_encode($b) . json_encode($u);`},
+	{"alias global array", `
+function add($v) { global $g; $g["list"][] = $v; return $g; }
+function peek() { global $g; $local = $g; $local["list"][] = "peek"; return count($local["list"]); }
+$g = array("list" => array("seed"));
+$snap = $g;
+$r = add($_GET["x"]);
+$r["list"][] = "caller";
+echo peek() . json_encode($g) . json_encode($snap) . json_encode($r);
+$g = $snap;
+$g["list"][0] = "reset";
+echo json_encode($snap);`},
+	{"alias multivalue key", `
+$shared = array("u1" => array("n" => 1), "u2" => array("n" => 2), "1" => 0);
+$keep = $shared;
+$shared[$_GET["x"]]["n"] = 9;
+$shared[$_GET["x"]][] = $_GET["x"];
+echo json_encode($keep) . json_encode($shared);
+$m = array();
+$m[$_GET["x"]] = array(5);
+$m2 = $m;
+$m2[$_GET["x"]][] = 6;
+echo json_encode($m) . json_encode($m2);
+foreach ($keep as $k => $v) { $keep[$k] = $_GET["x"]; echo is_array($v) ? count($v) : $v; }
+echo json_encode($keep);`},
+	{"alias self assignment", `
+$a = array(1, array($_GET["x"]));
+$a[] = $a;
+$a[1][] = $a;
+$b = array($_GET["x"]);
+$b[0] = $b;
+echo json_encode($a) . json_encode($b);`},
 }
 
 func TestEngineEquivalence(t *testing.T) {

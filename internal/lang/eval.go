@@ -90,7 +90,7 @@ func (ex *exec) evalExpr(sc *scope, e Expr) (Value, error) {
 				return nil, err
 			}
 			if ent.Key == nil {
-				arr.Append(CloneValue(v))
+				arr.Append(ex.copyValue(v))
 				continue
 			}
 			kv, err := ex.evalExpr(sc, ent.Key)
@@ -104,7 +104,7 @@ func (ex *exec) evalExpr(sc *scope, e Expr) (Value, error) {
 			if err != nil {
 				return nil, &RuntimeError{Msg: err.Error(), Line: x.Line}
 			}
-			arr.Set(k, CloneValue(v))
+			arr.Set(k, ex.copyValue(v))
 		}
 		return arr, nil
 	case *IssetExpr:
@@ -436,7 +436,8 @@ func arith(op string, l, r Value, line int) (Value, error) {
 			if !ok2 {
 				return nil, &RuntimeError{Msg: "unsupported operand types", Line: line}
 			}
-			la := l.(*Array).Clone()
+			// The union is a new array: l's cells, shared, plus r's.
+			la := CloneValue(l).(*Array).Own()
 			for _, k := range ra.keys {
 				if _, exists := la.Get(k); !exists {
 					la.Set(k, CloneValue(ra.m[k]))
@@ -587,8 +588,10 @@ func (ex *exec) execAssign(sc *scope, st *Assign) error {
 // the multivalue into the cell.
 func (ex *exec) assignTo(sc *scope, lv *LValue, val Value) error {
 	if len(lv.Steps) == 0 {
-		sc.set(lv.Name, CloneValue(val))
-		ex.countInstr(DeepContainsMulti(val))
+		sc.set(lv.Name, ex.copyValue(val))
+		if ex.stats {
+			ex.countInstr(DeepContainsMulti(val))
+		}
 		return nil
 	}
 	// Evaluate the index expressions once, in order.
@@ -608,14 +611,12 @@ func (ex *exec) assignTo(sc *scope, lv *LValue, val Value) error {
 		idxs[i] = v
 	}
 	root := sc.get(lv.Name)
-	multi := DeepContainsMulti(root) || DeepContainsMulti(val)
-	for _, iv := range idxs {
-		if _, isApp := iv.(appendMarker); !isApp && IsMulti(iv) {
-			multi = true
-		}
+	if ex.stats {
+		ex.countInstr(pathIsMulti(root, idxs, val))
 	}
-	ex.countInstr(multi)
-	newRoot, err := ex.setPath(root, idxs, val, lv.Line)
+	// val is copied before setPath takes the root for writing, so that
+	// $a[0] = $a stores the array $a held before the write.
+	newRoot, err := ex.setPath(root, idxs, ex.copyValue(val), lv.Line)
 	if err != nil {
 		return err
 	}
@@ -623,14 +624,30 @@ func (ex *exec) assignTo(sc *scope, lv *LValue, val Value) error {
 	return nil
 }
 
+// pathIsMulti is the Fig. 11 accounting of an indexed assignment: it
+// executes multivalently if the container, the stored value or a key
+// holds a multivalue. Callers compute it only when collecting stats.
+func pathIsMulti(root Value, idxs []Value, val Value) bool {
+	if DeepContainsMulti(root) || DeepContainsMulti(val) {
+		return true
+	}
+	for _, iv := range idxs {
+		if IsMulti(iv) {
+			return true
+		}
+	}
+	return false
+}
+
 // appendMarker marks the $a[] append step in an index path.
 type appendMarker struct{}
 
 // setPath writes val at the index path idxs under cur and returns the
-// (possibly replaced) container.
+// container to store back: cur itself, or the copy of it the write went
+// to when cur is shared.
 func (ex *exec) setPath(cur Value, idxs []Value, val Value, line int) (Value, error) {
 	if len(idxs) == 0 {
-		return CloneValue(val), nil
+		return ex.copyValue(val), nil
 	}
 	idx := idxs[0]
 	switch c := cur.(type) {
@@ -639,7 +656,8 @@ func (ex *exec) setPath(cur Value, idxs []Value, val Value, line int) (Value, er
 		return ex.setPath(NewArray(), idxs, val, line)
 	case *Array:
 		if _, isApp := idx.(appendMarker); isApp {
-			c.Append(CloneValue(val))
+			c = c.Own()
+			c.Append(ex.copyValue(val))
 			return c, nil
 		}
 		if IsMulti(idx) {
@@ -650,7 +668,7 @@ func (ex *exec) setPath(cur Value, idxs []Value, val Value, line int) (Value, er
 			lanes := ex.lanes
 			perLane := make([]Value, lanes)
 			for i := 0; i < lanes; i++ {
-				laneCur := CloneValue(MaterializeLane(c, i))
+				laneCur := ex.copyValue(MaterializeLane(c, i))
 				nv, err := ex.setPath(laneCur, laneIdxPath(idxs, i), MaterializeLane(val, i), line)
 				if err != nil {
 					return nil, err
@@ -663,7 +681,8 @@ func (ex *exec) setPath(cur Value, idxs []Value, val Value, line int) (Value, er
 		if err != nil {
 			return nil, &RuntimeError{Msg: err.Error(), Line: line}
 		}
-		child, _ := c.Get(k)
+		c = c.Own()
+		child, _ := c.Get(k) // from the copy: Own copied multivalue cells
 		nv, err := ex.setPath(child, idxs[1:], val, line)
 		if err != nil {
 			return nil, err
@@ -671,7 +690,8 @@ func (ex *exec) setPath(cur Value, idxs []Value, val Value, line int) (Value, er
 		c.Set(k, nv)
 		return c, nil
 	case *Multi:
-		// The container itself is a multivalue: write per lane.
+		// The container itself is a multivalue: write per lane. Its
+		// holder owns the lane vector (CloneValue and Own copy it).
 		for i := range c.V {
 			nv, err := ex.setPath(c.V[i], laneIdxPath(idxs, i), MaterializeLane(val, i), line)
 			if err != nil {
@@ -705,53 +725,89 @@ func (ex *exec) execUnset(sc *scope, lv *LValue) error {
 		sc.unset(lv.Name)
 		return nil
 	}
-	// Navigate to the parent container, then delete the final key.
-	parentPath := &LValue{Name: lv.Name, Steps: lv.Steps[:len(lv.Steps)-1], Line: lv.Line}
-	parent, err := ex.readLValue(sc, parentPath)
+	idxs := make([]Value, len(lv.Steps))
+	for i, step := range lv.Steps {
+		if step.Idx == nil {
+			return unsetAppendError(i == len(lv.Steps)-1, lv.Line)
+		}
+		v, err := ex.evalExpr(sc, step.Idx)
+		if err != nil {
+			return err
+		}
+		idxs[i] = v
+	}
+	root := sc.get(lv.Name)
+	newRoot, err := ex.unsetPath(root, idxs, lv.Line)
 	if err != nil {
 		return err
 	}
-	last := lv.Steps[len(lv.Steps)-1]
-	if last.Idx == nil {
-		return &RuntimeError{Msg: "unset on append-index", Line: lv.Line}
+	if newRoot != root {
+		sc.set(lv.Name, newRoot)
 	}
-	idx, err := ex.evalExpr(sc, last.Idx)
-	if err != nil {
-		return err
-	}
-	return ex.unsetIn(parent, idx, lv.Line)
+	return nil
 }
 
-// unsetIn deletes parent[idx]. Shared by both engines so the multivalue
-// and non-array fault rules cannot drift.
-func (ex *exec) unsetIn(parent, idx Value, line int) error {
-	switch c := parent.(type) {
+// unsetAppendError is the fault of an append step $a[] in an unset path.
+func unsetAppendError(last bool, line int) error {
+	if last {
+		return &RuntimeError{Msg: "unset on append-index", Line: line}
+	}
+	return &RuntimeError{Msg: "cannot read append-index", Line: line}
+}
+
+// unsetPath deletes the element the index path idxs names under cur and
+// returns the container to store back: cur itself, or the copy of it the
+// deletion went to when cur (or an array on the path) is shared. A
+// missing element is not an error, and copies nothing. Shared by both
+// engines so the multivalue and non-array fault rules cannot drift.
+func (ex *exec) unsetPath(cur Value, idxs []Value, line int) (Value, error) {
+	idx, last := idxs[0], len(idxs) == 1
+	switch c := cur.(type) {
+	case nil:
+		return nil, nil
 	case *Array:
 		if IsMulti(idx) {
-			return &FallbackError{Reason: "unset with multivalue key"}
+			return nil, &FallbackError{Reason: "unset with multivalue key"}
 		}
 		k, err := NormalizeKey(idx)
 		if err != nil {
-			return &RuntimeError{Msg: err.Error(), Line: line}
+			return nil, &RuntimeError{Msg: err.Error(), Line: line}
 		}
-		c.Delete(k)
-		return nil
+		if _, ok := c.Get(k); !ok {
+			return c, nil
+		}
+		c = c.Own()
+		if last {
+			c.Delete(k)
+			return c, nil
+		}
+		child, _ := c.Get(k) // from the copy: Own copied multivalue cells
+		nv, err := ex.unsetPath(child, idxs[1:], line)
+		if err != nil {
+			return nil, err
+		}
+		c.Set(k, nv)
+		return c, nil
 	case *Multi:
+		// The container itself is a multivalue: delete per lane.
 		for i := range c.V {
-			a, ok := c.V[i].(*Array)
-			if !ok {
-				return &RuntimeError{Msg: "unset on non-array", Line: line}
+			if _, isArr := c.V[i].(*Array); last && !isArr {
+				return nil, &RuntimeError{Msg: "unset on non-array", Line: line}
 			}
-			k, err := NormalizeKey(Lane(idx, i))
+			nv, err := ex.unsetPath(c.V[i], laneIdxPath(idxs, i), line)
 			if err != nil {
-				return &RuntimeError{Msg: err.Error(), Line: line}
+				return nil, err
 			}
-			a.Delete(k)
+			c.V[i] = nv
 		}
-		return nil
-	case nil:
-		return nil
+		return c, nil
+	case string:
+		// Reading through a string yields strings, never an array.
+		return nil, &RuntimeError{Msg: "unset on non-array", Line: line}
 	default:
-		return &RuntimeError{Msg: "unset on non-array", Line: line}
+		if last {
+			return nil, &RuntimeError{Msg: "unset on non-array", Line: line}
+		}
+		return nil, &RuntimeError{Msg: "cannot index " + TypeName(cur), Line: line}
 	}
 }

@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// The foreach implementation binds elements without a deep copy when the
-// parser proves the body cannot mutate the element's interior. These
-// tests pin down both the analysis and the observable semantics.
+// foreach iterates a copy of its subject and binds copies of its
+// elements. In the production engine both copies share the arrays (the
+// writer copies), in the reference engine they are eager; these tests
+// pin down the observable semantics.
 
 func TestForeachValueMutationIsolated(t *testing.T) {
 	// Mutating $v's interior must not affect the subject array.
@@ -107,51 +108,25 @@ echo $out;`
 	}
 }
 
-func TestMutationAnalysis(t *testing.T) {
-	cases := []struct {
-		src     string
-		mutates bool
-	}{
-		{`foreach ($a as $v) { echo $v; }`, false},
-		{`foreach ($a as $v) { $x = $v; }`, false},
-		{`foreach ($a as $v) { $v = 1; }`, false},          // slot replacement only
-		{`foreach ($a as $v) { $v[0] = 1; }`, true},        // interior write
-		{`foreach ($a as $v) { $v["k"]["j"] = 1; }`, true}, // deep interior write
-		{`foreach ($a as $v) { sort($v); }`, true},         // ref builtin
-		{`foreach ($a as $v) { array_push($v, 1); }`, true},
-		{`foreach ($a as $v) { unset($v[0]); }`, true},
-		{`foreach ($a as $v) { $v[0]++; }`, true},
-		{`foreach ($a as $v) { $v++; }`, false},                             // scalar incdec replaces slot
-		{`foreach ($a as $v) { if ($v) { $v[1] = 2; } }`, true},             // nested in if
-		{`foreach ($a as $v) { while (false) { $v[1] = 2; } }`, true},       // nested in while
-		{`foreach ($a as $v) { foreach ($v as $w) { $w[0] = 1; } }`, false}, // inner loop mutates $w, not $v
-		{`foreach ($a as $v) { foreach ($b as $w) { $v[0] = 1; } }`, true},
-		{`foreach ($a as $v) { $b = [$v[0]]; }`, false}, // read-only use
-		{`foreach ($a as $v) { global $v; }`, true},     // rebinding: conservative
-		{`foreach ($a as $v) { $x = count($v); }`, false},
-	}
-	for _, c := range cases {
-		prog, err := Compile(map[string]string{"m": c.src})
+// TestForeachSubjectInteriorWriteIsolated: a write into an element of
+// the subject variable during the loop must not reach the element the
+// loop bound, at any depth, as in PHP. Both engines must print 11.
+func TestForeachSubjectInteriorWriteIsolated(t *testing.T) {
+	src := `$a = []; $a[0][0] = 1; $a[1][0] = 2; foreach ($a as $k => $v) { $a[$k][] = 9; echo count($v); }`
+	prog := MustCompile(map[string]string{"main": src})
+	for _, eng := range []Engine{EngineInterp, EngineCompiled} {
+		res, err := Run(prog, Config{
+			Mode: ModePlain, Script: "main", RIDs: []string{"r1"},
+			Inputs: []RequestInput{{}}, Engine: eng,
+		})
 		if err != nil {
-			t.Fatalf("%s: %v", c.src, err)
+			t.Fatalf("%s: %v", eng.Name(), err)
 		}
-		fe := findForeach(prog.Scripts["m"].Body)
-		if fe == nil {
-			t.Fatalf("%s: no foreach found", c.src)
-		}
-		if fe.MutatesVal != c.mutates {
-			t.Errorf("%s: MutatesVal = %v, want %v", c.src, fe.MutatesVal, c.mutates)
+		if got := res.Output(0); got != "11" {
+			t.Errorf("%s: got %q, want %q", eng.Name(), got, "11")
 		}
 	}
-}
-
-func findForeach(stmts []Stmt) *Foreach {
-	for _, s := range stmts {
-		if fe, ok := s.(*Foreach); ok {
-			return fe
-		}
-	}
-	return nil
+	diffScript(t, src, engineInputs("1", "2"))
 }
 
 func TestForeachSIMDMutationEquivalence(t *testing.T) {

@@ -167,6 +167,10 @@ type exec struct {
 	globals map[string]Value
 	opnum   int
 
+	// eager is set by the reference engine, which copies arrays eagerly
+	// (deepCopy) where the production engine shares them (CloneValue).
+	eager bool
+
 	steps      int64
 	maxSteps   int64
 	stats      bool
@@ -186,6 +190,14 @@ type exec struct {
 	// ses, when non-nil, donated the free lists above and takes them
 	// back when the run finishes. See session.go.
 	ses *Session
+}
+
+// copyValue is PHP's by-value copy as this run's engine implements it.
+func (ex *exec) copyValue(v Value) Value {
+	if ex.eager {
+		return deepCopy(v)
+	}
+	return CloneValue(v)
 }
 
 func (ex *exec) countInstr(multi bool) {
@@ -466,20 +478,16 @@ func (ex *exec) execForeach(sc *scope, st *Foreach) (ctrl, Value, error) {
 	if err != nil {
 		return ctrlNone, nil, err
 	}
-	switch subj := subject.(type) {
+	// PHP iterates over a copy of the subject: writes to the subject
+	// variable in the body, at any depth, do not reach the loop.
+	switch subj := ex.copyValue(subject).(type) {
 	case *Array:
-		// PHP iterates over a copy of the array. A full deep clone is
-		// only necessary when the body can mutate the element's
-		// interior; otherwise a shallow snapshot of (key, value) pairs
-		// suffices: replacing cells or keys in the subject during the
-		// loop cannot disturb the snapshot.
-		keys, vals := subj.snapshot()
-		for it := range keys {
+		for _, k := range subj.keys {
 			ex.branch(st.Site, 1)
 			if st.KeyVar != "" {
-				sc.set(st.KeyVar, keys[it].Value())
+				sc.set(st.KeyVar, k.Value())
 			}
-			sc.set(st.ValVar, bindElem(vals[it], st.MutatesVal))
+			sc.set(st.ValVar, ex.copyValue(subj.m[k]))
 			c, rv, err := ex.execStmts(sc, st.Body)
 			if err != nil {
 				return ctrlNone, nil, err
@@ -496,36 +504,14 @@ func (ex *exec) execForeach(sc *scope, st *Foreach) (ctrl, Value, error) {
 		return ctrlNone, nil, nil
 	case *Multi:
 		// The container itself is a multivalue: lock-step iteration over
-		// per-lane materialized arrays. A non-array lane is a per-lane
-		// fault, merged under the error-group rule: every lane faulting
-		// identically is a shared group fault, anything mixed diverged.
-		laneKeys := make([][]Key, ex.lanes)
-		laneVals := make([][]Value, ex.lanes)
-		n := -1
-		if _, err := ex.forLanes(func(i int) (Value, error) {
-			a, ok := MaterializeLane(subj.V[i], i).(*Array)
-			if !ok {
-				return nil, &RuntimeError{Msg: "foreach over non-array", Line: st.Line}
-			}
-			if n == -1 {
-				n = a.Len()
-			} else if a.Len() != n {
-				// Different iteration counts = control-flow divergence.
-				return nil, ErrDivergence
-			}
-			laneKeys[i], laneVals[i] = a.snapshot()
-			return nil, nil
-		}); err != nil {
+		// per-lane materialized arrays.
+		arrs, n, err := ex.foreachLanes(subj, st.Line)
+		if err != nil {
 			return ctrlNone, nil, err
 		}
 		for it := 0; it < n; it++ {
 			ex.branch(st.Site, 1)
-			keys := make([]Value, ex.lanes)
-			vals := make([]Value, ex.lanes)
-			for i := 0; i < ex.lanes; i++ {
-				keys[i] = laneKeys[i][it].Value()
-				vals[i] = bindElem(laneVals[i][it], st.MutatesVal)
-			}
+			keys, vals := ex.foreachLaneElems(arrs, it)
 			if st.KeyVar != "" {
 				sc.set(st.KeyVar, NewMulti(keys))
 			}
@@ -552,16 +538,42 @@ func (ex *exec) execForeach(sc *scope, st *Foreach) (ctrl, Value, error) {
 	}
 }
 
-// bindElem prepares an element value for binding to the foreach value
-// variable. PHP binds a copy; the deep copy is only observable when the
-// body mutates the element's interior, which the parser detected
-// statically (Foreach.MutatesVal), so the common read-only rendering
-// loop binds the element without copying.
-func bindElem(v Value, mutates bool) Value {
-	if mutates {
-		return CloneValue(v)
+// foreachLanes materializes each lane of a multivalue foreach subject
+// (already copied, so nothing writes the lanes during the loop) and
+// checks that every lane iterates the same number of times. A non-array
+// lane is a per-lane fault, merged under the error-group rule: every
+// lane faulting identically is a shared group fault, anything mixed
+// diverged. Shared by both engines.
+func (ex *exec) foreachLanes(subj *Multi, line int) ([]*Array, int, error) {
+	arrs := make([]*Array, ex.lanes)
+	n := -1
+	_, err := ex.forLanes(func(i int) (Value, error) {
+		a, ok := MaterializeLane(subj.V[i], i).(*Array)
+		if !ok {
+			return nil, &RuntimeError{Msg: "foreach over non-array", Line: line}
+		}
+		if n == -1 {
+			n = a.Len()
+		} else if a.Len() != n {
+			// Different iteration counts = control-flow divergence.
+			return nil, ErrDivergence
+		}
+		arrs[i] = a
+		return nil, nil
+	})
+	return arrs, n, err
+}
+
+// foreachLaneElems returns the per-lane key and value of iteration it.
+func (ex *exec) foreachLaneElems(arrs []*Array, it int) (keys, vals []Value) {
+	keys = make([]Value, len(arrs))
+	vals = make([]Value, len(arrs))
+	for i, a := range arrs {
+		k := a.keys[it]
+		keys[i] = k.Value()
+		vals[i] = ex.copyValue(a.m[k])
 	}
-	return v
+	return keys, vals
 }
 
 func (ex *exec) execSwitch(sc *scope, st *Switch) (ctrl, Value, error) {

@@ -48,8 +48,9 @@ func IsMulti(v Value) bool {
 	return ok
 }
 
-// Lane extracts lane i of v. For a univalue it returns v itself; callers
-// that will mutate the result must clone it.
+// Lane extracts lane i of v. For a univalue it returns v itself, which
+// may be shared with other lanes: callers write it only through
+// Array.Own, like any other array.
 func Lane(v Value, i int) Value {
 	if m, ok := v.(*Multi); ok {
 		return m.V[i]
@@ -57,16 +58,9 @@ func Lane(v Value, i int) Value {
 	return v
 }
 
-// LaneClone extracts lane i of v, deep-copying so the result is
-// exclusively owned. This implements scalar expansion (§4.3): expanding
-// a univalue into per-lane copies.
-func LaneClone(v Value, i int) Value {
-	return CloneValue(Lane(v, i))
-}
-
 // Expand turns v into an explicit per-lane slice of length lanes,
-// deep-copying a univalue into every lane (scalar expansion). The caller
-// owns all returned values.
+// handing a univalue to every lane with CloneValue (scalar expansion):
+// the lanes share one array until a lane writes its own copy.
 func Expand(v Value, lanes int) []Value {
 	out := make([]Value, lanes)
 	if m, ok := v.(*Multi); ok {
@@ -76,8 +70,9 @@ func Expand(v Value, lanes int) []Value {
 		copy(out, m.V)
 		return out
 	}
+	v = CloneValue(v)
 	for i := range out {
-		out[i] = CloneValue(v)
+		out[i] = v
 	}
 	return out
 }
@@ -102,8 +97,11 @@ func DeepContainsMulti(v Value) bool {
 	case *Multi:
 		return true
 	case *Array:
-		for _, k := range x.keys {
-			if DeepContainsMulti(x.m[k]) {
+		if !x.nested {
+			return false
+		}
+		for _, cv := range x.m {
+			if DeepContainsMulti(cv) {
 				return true
 			}
 		}

@@ -525,147 +525,7 @@ func (p *parser) parseForeach() (Stmt, error) {
 		return nil, err
 	}
 	st.Body = body
-	st.MutatesVal = stmtsMutateInterior(body, st.ValVar)
 	return st, nil
-}
-
-// stmtsMutateInterior reports whether the statements can mutate the
-// interior of variable name: an indexed assignment ($v[...] = x), an
-// indexed increment, unset of an element, or a by-reference builtin
-// whose target is $v. Plain reassignment ($v = x) only replaces the
-// variable slot and is not interior mutation.
-func stmtsMutateInterior(stmts []Stmt, name string) bool {
-	for _, s := range stmts {
-		if stmtMutatesInterior(s, name) {
-			return true
-		}
-	}
-	return false
-}
-
-func lvalueMutatesInterior(lv *LValue, name string) bool {
-	return lv.Name == name && len(lv.Steps) > 0
-}
-
-func stmtMutatesInterior(s Stmt, name string) bool {
-	switch x := s.(type) {
-	case *ExprStmt:
-		return exprMutatesInterior(x.E, name)
-	case *Assign:
-		return lvalueMutatesInterior(x.Target, name) || exprMutatesInterior(x.RHS, name)
-	case *If:
-		for _, c := range x.Conds {
-			if exprMutatesInterior(c, name) {
-				return true
-			}
-		}
-		for _, b := range x.Bodies {
-			if stmtsMutateInterior(b, name) {
-				return true
-			}
-		}
-		return stmtsMutateInterior(x.Else, name)
-	case *While:
-		return exprMutatesInterior(x.Cond, name) || stmtsMutateInterior(x.Body, name)
-	case *For:
-		if x.Init != nil && stmtMutatesInterior(x.Init, name) {
-			return true
-		}
-		if x.Cond != nil && exprMutatesInterior(x.Cond, name) {
-			return true
-		}
-		if x.Post != nil && stmtMutatesInterior(x.Post, name) {
-			return true
-		}
-		return stmtsMutateInterior(x.Body, name)
-	case *Foreach:
-		return exprMutatesInterior(x.Subject, name) || stmtsMutateInterior(x.Body, name)
-	case *Switch:
-		if exprMutatesInterior(x.Subject, name) {
-			return true
-		}
-		for _, c := range x.Cases {
-			if exprMutatesInterior(c.Match, name) || stmtsMutateInterior(c.Body, name) {
-				return true
-			}
-		}
-		return stmtsMutateInterior(x.Default, name)
-	case *Return:
-		return x.E != nil && exprMutatesInterior(x.E, name)
-	case *Echo:
-		for _, a := range x.Args {
-			if exprMutatesInterior(a, name) {
-				return true
-			}
-		}
-		return false
-	case *Unset:
-		for _, lv := range x.Targets {
-			if lvalueMutatesInterior(lv, name) {
-				return true
-			}
-		}
-		return false
-	case *Global:
-		// `global $v` rebinds the name to the global slot: the binding
-		// aliasing assumption breaks, so treat as mutating.
-		for _, n := range x.Names {
-			if n == name {
-				return true
-			}
-		}
-		return false
-	default:
-		return false
-	}
-}
-
-func exprMutatesInterior(e Expr, name string) bool {
-	switch x := e.(type) {
-	case nil:
-		return false
-	case *Lit, *Var, *IssetExpr, *EmptyExpr:
-		return false
-	case *Index:
-		if x.Idx != nil && exprMutatesInterior(x.Idx, name) {
-			return true
-		}
-		return exprMutatesInterior(x.Target, name)
-	case *Binary:
-		return exprMutatesInterior(x.L, name) || exprMutatesInterior(x.R, name)
-	case *Logical:
-		return exprMutatesInterior(x.L, name) || exprMutatesInterior(x.R, name)
-	case *Unary:
-		return exprMutatesInterior(x.E, name)
-	case *Ternary:
-		return exprMutatesInterior(x.Cond, name) || exprMutatesInterior(x.Then, name) || exprMutatesInterior(x.Else, name)
-	case *IncDec:
-		return lvalueMutatesInterior(x.Target, name)
-	case *Call:
-		if _, isRef := refBuiltins[x.Name]; isRef && len(x.Args) > 0 {
-			if lv, err := exprToLValue(x.Args[0]); err == nil && lv.Name == name {
-				return true
-			}
-		}
-		for _, a := range x.Args {
-			if exprMutatesInterior(a, name) {
-				return true
-			}
-		}
-		return false
-	case *ArrayLit:
-		for _, ent := range x.Entries {
-			if ent.Key != nil && exprMutatesInterior(ent.Key, name) {
-				return true
-			}
-			if exprMutatesInterior(ent.Val, name) {
-				return true
-			}
-		}
-		return false
-	default:
-		return true // unknown node: be conservative
-	}
 }
 
 func (p *parser) parseSwitch() (Stmt, error) {

@@ -59,8 +59,8 @@ func (ex *exec) getFrame(cf *cfunc) *cframe {
 }
 
 // putFrame recycles fr. The caller must be done with the frame's
-// locals; the returned value of a call is cloned before the frame is
-// released.
+// locals; the returned value of a call is copied (shared) before the
+// frame is released.
 func (ex *exec) putFrame(fr *cframe) {
 	ex.frames = append(ex.frames, fr)
 }

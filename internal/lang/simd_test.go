@@ -416,13 +416,16 @@ func TestMultiInvariants(t *testing.T) {
 	if v := NewMulti([]Value{a1, a2}); IsMulti(v) {
 		t.Fatal("deep-equal arrays must collapse")
 	}
-	// Expand clones per lane.
+	// Expand shares the univalue across lanes; a lane that writes
+	// writes its own copy.
 	arr := NewArray()
 	arr.Append("x")
 	lanes := Expand(arr, 3)
-	lanes[0].(*Array).Append("y")
-	if lanes[1].(*Array).Len() != 1 {
-		t.Fatal("Expand must deep-copy per lane")
+	lane0 := lanes[0].(*Array).Own()
+	lane0.Append("y")
+	lanes[0] = lane0
+	if lanes[1].(*Array).Len() != 1 || arr.Len() != 1 || lane0.Len() != 2 {
+		t.Fatal("a write to one lane of Expand must not reach the others")
 	}
 }
 

@@ -7,7 +7,9 @@ package lang
 
 import (
 	"fmt"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -23,10 +25,12 @@ import (
 //	*Array       – PHP array (ordered hash)
 //	*Multi       – a multivalue (verifier-side SIMD-on-demand only)
 //
-// Arrays are value types, as in PHP: they are deep-copied when assigned
-// between variables, passed to functions, returned, or stored inside
-// other arrays. Within a single variable slot an *Array is exclusively
-// owned and may be mutated in place.
+// Arrays are value types, as in PHP, implemented copy-on-write as PHP
+// and HHVM do. Assigning an array, passing it, returning it or storing
+// it in another array shares it (CloneValue marks it shared and returns
+// the same pointer); a shared array is never written again, and a holder
+// that writes one writes a shallow copy of it instead (Array.Own). An array
+// that is not marked has one holder, who may write it in place.
 type Value interface{}
 
 // Key is an array key: either an int or a string, mirroring PHP's key
@@ -62,16 +66,24 @@ func NormalizeKey(v Value) (Key, error) {
 }
 
 // canonicalIntString reports whether s is the canonical decimal form of
-// an int64 (as PHP treats "10" but not "010" or "1.0" as int keys).
+// an int64 (as PHP treats "10" but not "010" or "1.0" as int keys). It
+// allocates nothing: only -?[1-9][0-9]*|0 reaches ParseInt, which then
+// fails only on overflow.
 func canonicalIntString(s string) (int64, bool) {
-	if s == "" {
+	digits := s
+	if len(digits) > 0 && digits[0] == '-' {
+		digits = digits[1:]
+	}
+	if digits == "" || digits[0] == '0' && (len(digits) > 1 || len(s) > 1) {
 		return 0, false
+	}
+	for i := 0; i < len(digits); i++ {
+		if digits[i] < '0' || digits[i] > '9' {
+			return 0, false
+		}
 	}
 	n, err := strconv.ParseInt(s, 10, 64)
 	if err != nil {
-		return 0, false
-	}
-	if strconv.FormatInt(n, 10) != s {
 		return 0, false
 	}
 	return n, true
@@ -97,6 +109,16 @@ type Array struct {
 	keys    []Key
 	m       map[Key]Value
 	nextIdx int64
+	// shared is set once the array may have more than one holder, and
+	// never cleared: from then on nobody writes it (Set and Delete
+	// panic), and a holder that writes takes a copy with Own. Every array
+	// below a shared one is shared too. Only the array's one holder sets
+	// the mark, so an array reachable from several goroutines must be
+	// marked before it is published.
+	shared bool
+	// nested records that some cell is, or once was, an array or a
+	// multivalue: marking and the multivalue walks skip a flat array.
+	nested bool
 }
 
 // NewArray returns an empty array.
@@ -116,6 +138,11 @@ func (a *Array) Get(k Key) (Value, bool) {
 // Set inserts or replaces the value at key k, preserving insertion order
 // for existing keys.
 func (a *Array) Set(k Key, v Value) {
+	a.mustOwn()
+	switch v.(type) {
+	case *Array, *Multi:
+		a.nested = true
+	}
 	if _, ok := a.m[k]; !ok {
 		a.keys = append(a.keys, k)
 	}
@@ -132,6 +159,7 @@ func (a *Array) Append(v Value) {
 
 // Delete removes key k if present (PHP unset).
 func (a *Array) Delete(k Key) {
+	a.mustOwn()
 	if _, ok := a.m[k]; !ok {
 		return
 	}
@@ -157,39 +185,59 @@ func (a *Array) Values() []Value {
 	return out
 }
 
-// snapshot returns the keys and cell values at this instant, without
-// copying the cells. The foreach implementation iterates snapshots: the
-// subject may be restructured during the loop without disturbing the
-// iteration, which matches PHP's iterate-over-a-copy behaviour for every
-// program that does not mutate element interiors through the subject
-// while iterating.
-func (a *Array) snapshot() ([]Key, []Value) {
-	keys := make([]Key, len(a.keys))
-	copy(keys, a.keys)
-	vals := make([]Value, len(a.keys))
-	for i, k := range a.keys {
-		vals[i] = a.m[k]
+// mustOwn panics on a write to a shared array: some other holder would
+// see it.
+func (a *Array) mustOwn() {
+	if a.shared {
+		panic("lang: write to a shared array")
 	}
-	return keys, vals
 }
 
-// Clone deep-copies the array (PHP assignment semantics).
-func (a *Array) Clone() *Array {
-	out := &Array{
-		keys:    make([]Key, len(a.keys)),
-		m:       make(map[Key]Value, len(a.m)),
-		nextIdx: a.nextIdx,
+// Own returns an array the caller may write that holds what a holds: a
+// itself when a has one holder, else a shallow copy. The copy's child
+// arrays stay shared (their writers copy them in turn); its multivalue
+// cells are copied, because setPath writes a multivalue's lanes in
+// place.
+func (a *Array) Own() *Array {
+	if !a.shared {
+		return a
 	}
-	copy(out.keys, a.keys)
-	for k, v := range a.m {
-		out.m[k] = CloneValue(v)
+	out := &Array{keys: slices.Clone(a.keys), m: maps.Clone(a.m), nextIdx: a.nextIdx, nested: a.nested}
+	if a.nested {
+		for k, v := range out.m {
+			if m, ok := v.(*Multi); ok {
+				out.m[k] = &Multi{V: slices.Clone(m.V)}
+			}
+		}
 	}
 	return out
+}
+
+// share marks every array in v shared, stopping at arrays already
+// marked (everything below those is marked already).
+func share(v Value) {
+	switch x := v.(type) {
+	case *Array:
+		if x.shared {
+			return
+		}
+		x.shared = true
+		if x.nested {
+			for _, cv := range x.m {
+				share(cv)
+			}
+		}
+	case *Multi:
+		for _, lv := range x.V {
+			share(lv)
+		}
+	}
 }
 
 // SortValues re-sorts the array by value with fresh integer keys (PHP
 // sort()). cmp orders two values.
 func (a *Array) SortValues(cmp func(x, y Value) bool) {
+	a.mustOwn()
 	vals := a.Values()
 	sort.SliceStable(vals, func(i, j int) bool { return cmp(vals[i], vals[j]) })
 	a.keys = a.keys[:0]
@@ -202,6 +250,7 @@ func (a *Array) SortValues(cmp func(x, y Value) bool) {
 
 // SortKeys re-orders the array's keys in place (PHP ksort()).
 func (a *Array) SortKeys() {
+	a.mustOwn()
 	sort.SliceStable(a.keys, func(i, j int) bool { return keyLess(a.keys[i], a.keys[j]) })
 }
 
@@ -215,15 +264,34 @@ func keyLess(x, y Key) bool {
 	return x.IsInt // ints sort before strings
 }
 
-// CloneValue deep-copies v. Scalars are immutable and returned as-is.
+// CloneValue is PHP's by-value copy: the value to hand to a new holder.
+// An array is marked shared, with everything below it, and returned as
+// is; a multivalue gets a fresh lane vector over shared lanes, because
+// lane writes replace lanes in place. Scalars are immutable and returned
+// as is.
 func CloneValue(v Value) Value {
+	share(v)
+	if m, ok := v.(*Multi); ok {
+		return &Multi{V: slices.Clone(m.V)}
+	}
+	return v
+}
+
+// deepCopy is the by-value copy of the reference engine, which keeps
+// PHP's semantics the eager way: a fresh, unshared copy of every array
+// in v.
+func deepCopy(v Value) Value {
 	switch x := v.(type) {
 	case *Array:
-		return x.Clone()
+		out := &Array{keys: slices.Clone(x.keys), m: make(map[Key]Value, len(x.m)), nextIdx: x.nextIdx, nested: x.nested}
+		for k, cv := range x.m {
+			out.m[k] = deepCopy(cv)
+		}
+		return out
 	case *Multi:
 		out := make([]Value, len(x.V))
 		for i, lv := range x.V {
-			out[i] = CloneValue(lv)
+			out[i] = deepCopy(lv)
 		}
 		return &Multi{V: out}
 	default:

@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -142,7 +143,8 @@ func TestCompareConsistencyQuick(t *testing.T) {
 }
 
 // CloneValue must produce values Equal to the original and disjoint in
-// mutation.
+// mutation: writes through the ownership path (Own, at every level)
+// never reach the original.
 func TestCloneQuick(t *testing.T) {
 	f := func(i int64, s string) bool {
 		a := NewArray()
@@ -154,13 +156,56 @@ func TestCloneQuick(t *testing.T) {
 		if !Equal(a, cl) {
 			return false
 		}
+		cl = cl.Own()
 		cl.Append("extra")
 		innerClone, _ := cl.Get(Key{I: 1, IsInt: true})
-		innerClone.(*Array).Append("deep")
-		return a.Len() == 2 && mustGetArr(a, 1).Len() == 1
+		innerOwn := innerClone.(*Array).Own()
+		innerOwn.Append("deep")
+		cl.Set(Key{I: 1, IsInt: true}, innerOwn)
+		return a.Len() == 2 && mustGetArr(a, 1).Len() == 1 &&
+			cl.Len() == 3 && mustGetArr(cl, 1).Len() == 2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCanonicalIntStringQuick: the allocation-free check agrees with
+// the definition it replaced, a ParseInt/FormatInt round trip.
+func TestCanonicalIntStringQuick(t *testing.T) {
+	ref := func(s string) (int64, bool) {
+		if s == "" {
+			return 0, false
+		}
+		n, err := strconv.ParseInt(s, 10, 64)
+		if err != nil || strconv.FormatInt(n, 10) != s {
+			return 0, false
+		}
+		return n, true
+	}
+	agree := func(s string) bool {
+		n, ok := canonicalIntString(s)
+		wn, wok := ref(s)
+		return n == wn && ok == wok
+	}
+	for _, s := range []string{"-0", "+1", "01", "0", "", "-", "1e3", " 1",
+		"9223372036854775807", "9223372036854775808", "-9223372036854775808"} {
+		if !agree(s) {
+			t.Errorf("%q: canonicalIntString disagrees with ParseInt+FormatInt", s)
+		}
+	}
+	if err := quick.Check(agree, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	affixes := []string{"", "", "-", "+", "0", "-0", " ", "9", "x", "."}
+	nearInt := func(n int64, pre, suf uint8) bool {
+		return agree(affixes[int(pre)%len(affixes)] + strconv.FormatInt(n, 10) + affixes[int(suf)%len(affixes)])
+	}
+	if err := quick.Check(nearInt, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { canonicalIntString("page_title") }); n != 0 {
+		t.Fatalf("a non-numeric key allocates %v times", n)
 	}
 }
 

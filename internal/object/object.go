@@ -79,9 +79,9 @@ func (s *Store) shard(kind reports.ObjectKind, name string) *storeShard {
 }
 
 // RegisterRead atomically reads register name, logging under the shard
-// lock. The clone happens outside the critical section: stored values
-// are never mutated in place (every write stores a fresh clone), so the
-// reference grabbed under the lock stays immutable.
+// lock. Stored arrays are shared (marked by the writer before they were
+// published), so lang.CloneValue copies nothing and only reads the mark:
+// a request that writes the value writes its own copy (lang.Array.Own).
 func (s *Store) RegisterRead(name string, rec *reports.Recorder, rid string, opnum int) lang.Value {
 	sh := s.shard(reports.RegisterObj, name)
 	sh.mu.Lock()
@@ -95,8 +95,10 @@ func (s *Store) RegisterRead(name string, rec *reports.Recorder, rid string, opn
 	return lang.CloneValue(v)
 }
 
-// RegisterWrite atomically writes register name. The clone and the
-// canonical encoding are computed before the critical section.
+// RegisterWrite atomically writes register name. The value is marked
+// shared (lang.CloneValue) by the writing request, its only holder,
+// before it is published under the lock; the canonical encoding is
+// computed before the critical section too.
 func (s *Store) RegisterWrite(name string, v lang.Value, rec *reports.Recorder, rid string, opnum int) {
 	cl := lang.CloneValue(v)
 	var enc string
@@ -155,7 +157,8 @@ type Snapshot struct {
 	Tables    []*sqlmini.Table
 }
 
-// Snapshot captures the current object state. Call it only at balanced
+// Snapshot captures the current object state; its values are the stored,
+// shared ones (CloneValue only reads their marks). Call it only at balanced
 // points (no requests in flight), as the audit boundary requires; shard
 // locks are taken one at a time, so a mid-traffic call would not be an
 // atomic cut across shards.

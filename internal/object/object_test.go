@@ -26,15 +26,17 @@ func TestRegisterCloneIsolation(t *testing.T) {
 	arr := lang.NewArray()
 	arr.Append("a")
 	s.RegisterWrite("r", arr, nil, "rid", 1)
+	arr = arr.Own() // the writer's next write takes a copy
 	arr.Append("mutated")
 	got := s.RegisterRead("r", nil, "rid", 2).(*lang.Array)
 	if got.Len() != 1 {
-		t.Fatal("write must clone")
+		t.Fatal("a write after RegisterWrite reached the register")
 	}
+	got = got.Own()
 	got.Append("reader-mutation")
 	got2 := s.RegisterRead("r", nil, "rid", 3).(*lang.Array)
 	if got2.Len() != 1 {
-		t.Fatal("read must clone")
+		t.Fatal("a reader's write reached the register")
 	}
 }
 

@@ -96,7 +96,9 @@ func DecodeSnapshotRaw(data []byte) (*Snapshot, error) {
 		if err != nil {
 			r.Failf("value of %q: %v", k, err)
 		}
-		return k, v
+		// Marked shared here, on the decoding goroutine: a snapshot's
+		// values are read by concurrent audit workers.
+		return k, lang.CloneValue(v)
 	}
 	out := &Snapshot{Registers: encio.ReadMap(r, 2, getValue), KV: encio.ReadMap(r, 2, getValue)}
 	n := r.Len(7) // name, a column, next auto, rows

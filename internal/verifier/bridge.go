@@ -37,7 +37,8 @@ type auditEnv struct {
 	vdb      *vstore.VersionedDB
 	vkv      *vstore.VersionedKV
 	dbLogIdx int
-	// initRegs holds the initial register values (pre-audit snapshot).
+	// initRegs holds the initial register values (pre-audit snapshot),
+	// marked shared before Phase 3 reads them from every worker.
 	initRegs map[string]lang.Value
 	// sqlCache memoizes parsed SQL (statements repeat massively across
 	// lanes and groups); convCache memoizes the language-value shape of
@@ -81,7 +82,8 @@ func (env *auditEnv) convert(r *sqlmini.Result) lang.Value {
 	if v, ok := env.convCache[r]; ok {
 		return v
 	}
-	v := resultToLang(r)
+	// Marked shared before it is published to other workers.
+	v := lang.CloneValue(resultToLang(r))
 	env.convCache[r] = v
 	return v
 }

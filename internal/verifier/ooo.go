@@ -86,7 +86,7 @@ func OOOAuditContext(ctx context.Context, prog *lang.Program, tr *trace.Trace, r
 		vdb:       vstore.NewVersionedDB(),
 		vkv:       vstore.NewVersionedKV(),
 		dbLogIdx:  -1,
-		initRegs:  init.Registers,
+		initRegs:  sharedValues(init.Registers),
 		sqlCache:  make(map[string]sqlmini.Stmt),
 		convCache: make(map[*sqlmini.Result]lang.Value),
 	}

@@ -1,0 +1,91 @@
+package verifier
+
+import (
+	"context"
+	"fmt"
+	"strings"
+	"testing"
+
+	"orochi/internal/lang"
+	"orochi/internal/server"
+	"orochi/internal/trace"
+)
+
+// TestSharedArraysAcrossGoroutines: an array-valued register and an
+// array-valued KV entry of the initial state are read by many requests
+// at once on the server, and by every Phase-3 worker in the audit; each
+// reader writes its own copy. Readers only ever read the arrays' shared
+// marks, so under -race this fails if a published array is left
+// unmarked (two goroutines would race to mark it) or if any write
+// reaches a stored value in place (the other readers would see it).
+func TestSharedArraysAcrossGoroutines(t *testing.T) {
+	prog, err := lang.Compile(map[string]string{"read": `
+$n = intval($_GET["n"]);
+for ($i = 0; $i < $n % 8; $i++) { echo "."; }
+$cfg = apc_get("cfg");
+$prefs = session_get("prefs");
+$cfg["seen"][] = $_GET["id"];
+$prefs["theme"] = "t" . $_GET["id"];
+foreach ($cfg["items"] as $i => $item) { $cfg["items"][$i] = $item . $_GET["id"]; }
+unset($prefs["nested"]["lang"]);
+sort($cfg["items"]);
+echo json_encode($cfg) . json_encode($prefs);
+echo "|" . json_encode(apc_get("cfg")) . json_encode(session_get("prefs"));
+`})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// build returns fresh, unmarked copies of the initial arrays.
+	build := func() (cfg, prefs *lang.Array) {
+		key := func(s string) lang.Key { k, _ := lang.NormalizeKey(s); return k }
+		items := lang.NewArray()
+		for _, it := range []string{"b", "a", "c"} {
+			items.Append(it)
+		}
+		cfg = lang.NewArray()
+		cfg.Set(key("items"), items)
+		cfg.Set(key("seen"), lang.NewArray())
+		nested := lang.NewArray()
+		nested.Set(key("lang"), "en")
+		nested.Set(key("tz"), "UTC")
+		prefs = lang.NewArray()
+		prefs.Set(key("nested"), nested)
+		return cfg, prefs
+	}
+	const want = `|{"items":["b","a","c"],"seen":[]}{"nested":{"lang":"en","tz":"UTC"}}`
+
+	srv := server.New(prog, server.Options{Record: true})
+	cfg, prefs := build()
+	srv.SetupKV("cfg", cfg)
+	srv.Store.RegisterWrite("prefs", prefs, nil, "", 0)
+	init := srv.Snapshot()
+	// The audit starts from unmarked copies, as a hand-built snapshot
+	// holds them: the verifier must mark what its workers share.
+	init.KV["cfg"], init.Registers["prefs"] = build()
+
+	var inputs []trace.Input
+	for i := 0; i < 96; i++ {
+		inputs = append(inputs, trace.Input{Script: "read", Get: map[string]string{
+			"n": fmt.Sprint(i % 8), "id": fmt.Sprint(i),
+		}})
+	}
+	if err := srv.ServeAllContext(context.Background(), inputs, 16); err != nil {
+		t.Fatal(err)
+	}
+	tr := srv.Trace()
+	for _, ev := range tr.Events {
+		if ev.Kind == trace.Response && !strings.HasSuffix(ev.Body, want) {
+			t.Fatalf("a request saw another request's write: %s", ev.Body)
+		}
+	}
+	res, err := AuditContext(context.Background(), prog, tr, srv.Reports(), init, Options{Workers: 8, CollectStats: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Accepted {
+		t.Fatalf("honest run rejected: %s", res.Reason)
+	}
+	if res.Stats.InstrMulti == 0 {
+		t.Fatal("no group re-executed multivalently; the test lost its lanes")
+	}
+}

@@ -148,8 +148,8 @@ func (r *Result) FinalSnapshot() (*object.Snapshot, error) {
 }
 
 // finalSnapshot assembles a period's final state: the versioned
-// database's latest rows, and copies of the final KV and register
-// values.
+// database's latest rows, and the final KV and register values, marked
+// shared (CloneValue) before the snapshot is handed on.
 func finalSnapshot(vdb *vstore.VersionedDB, kv, regs map[string]lang.Value) (*object.Snapshot, error) {
 	tables, err := vdb.MigrateFinal()
 	if err != nil {
@@ -249,7 +249,7 @@ func Prepare(ctx context.Context, tr *trace.Trace, rep *reports.Reports, init *o
 		vdb:       vstore.NewVersionedDB(),
 		vkv:       vstore.NewVersionedKV(),
 		dbLogIdx:  -1,
-		initRegs:  init.Registers,
+		initRegs:  sharedValues(init.Registers),
 		sqlCache:  make(map[string]sqlmini.Stmt),
 		convCache: make(map[*sqlmini.Result]lang.Value),
 	}
@@ -412,6 +412,16 @@ func AuditContext(ctx context.Context, prog *lang.Program, tr *trace.Trace, rep 
 		return res, err
 	}
 	return p.ReExec(ctx, prog, opts)
+}
+
+// sharedValues copies m with every value marked shared (CloneValue), so
+// that concurrent readers of the copy never write a mark.
+func sharedValues(m map[string]lang.Value) map[string]lang.Value {
+	out := make(map[string]lang.Value, len(m))
+	for k, v := range m {
+		out[k] = lang.CloneValue(v)
+	}
+	return out
 }
 
 // finalRegisters derives each register's post-period value: its last

@@ -16,7 +16,9 @@ import (
 // Concurrency contract: the build phase (LoadInitial, AddSet) must run
 // on a single goroutine; after it completes, Get/Final/Keys are pure
 // reads and safe from any number of goroutines — the parallel verifier
-// consults the store from every re-execution worker.
+// consults the store from every re-execution worker. The build phase
+// marks every stored array shared (lang.CloneValue), so the workers
+// that read one only read its mark.
 type VersionedKV struct {
 	m map[string][]kvVersion
 }
