@@ -135,8 +135,8 @@ var ErrAuditCanceled = verifier.ErrAuditCanceled
 // AuditObserver receives progress callbacks from a running audit —
 // phase starts and ends, control-flow groups re-executed, operations
 // replayed into the versioned stores, and the verdict. Set it via
-// AuditOptions.Observer (or EpochAuditorOptions.Observer for the
-// background chain auditor). See verifier.Observer for the callback
+// AuditOptions.Observer (or EpochAuditorOptions.Verify.Observer for
+// the background chain auditor). See verifier.Observer for the callback
 // contract; with AuditOptions.Workers > 1 some callbacks fire
 // concurrently.
 type AuditObserver = verifier.Observer

@@ -101,8 +101,7 @@ func main() {
 	coordinatorURL := flag.String("coordinator", "", "coordinator base URL for -worker (e.g. http://host:8090)")
 	artifactsURL := flag.String("artifacts", "", "artifact server base URL for -worker (default: the coordinator)")
 	fleetKey := flag.String("fleet-key", "", "shared HMAC key authenticating fleet traffic (must match across coordinator and workers; empty = unsigned)")
-	crossCheck := flag.Float64("cross-check", 0, "fraction of epochs audited on -cross-check-k workers before the verdict is believed (with -coordinate; 1 = every epoch)")
-	crossCheckK := flag.Int("cross-check-k", 2, "independent verdicts required for a cross-checked epoch (with -coordinate)")
+	crossCheck := flag.Float64("cross-check", 0, "fraction of epochs, in [0, 1], whose verdict is believed only once two leases agree on it (with -coordinate; 1 = every epoch)")
 	leaseTimeout := flag.Duration("lease-timeout", 2*time.Minute, "inactivity timeout before an epoch lease is reassigned (with -coordinate)")
 	workerCache := flag.String("worker-cache", "", "directory for the worker's persistent chunk cache (default: in-memory; a warm cache fetches only missing chunks)")
 	workerName := flag.String("worker-name", "", "worker identity in leases and forensics (default host:pid)")
@@ -180,7 +179,6 @@ func main() {
 		coordinateCmd(ctx, *epochsDir, *coordinate, fleet.CoordinatorOptions{
 			LeaseTimeout: *leaseTimeout,
 			CrossCheck:   *crossCheck,
-			CrossCheckK:  *crossCheckK,
 			Key:          []byte(*fleetKey),
 			To:           *to,
 		})

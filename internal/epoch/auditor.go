@@ -40,16 +40,13 @@ type AuditorOptions struct {
 	// resume from the middle of the chain (default off; the CLI enables
 	// it).
 	Checkpoints bool
-	// Verify configures the underlying verifier.
+	// Verify configures the underlying verifier. Its Observer, if
+	// non-nil, receives the audit progress callbacks of every epoch
+	// under verification; with Workers > 1 the streams of several
+	// epochs interleave. The auditor additionally tracks the same
+	// stream itself and exposes it as Progress() for status endpoints,
+	// so most callers need no Observer of their own.
 	Verify verifier.Options
-	// Observer, if non-nil, receives the per-epoch audit progress
-	// callbacks (verifier.Observer) of every epoch under verification;
-	// with Workers > 1 the streams of several epochs interleave. The
-	// auditor additionally tracks the same stream itself and exposes it
-	// as Progress() for status endpoints, so most callers need no
-	// Observer of their own. It supersedes Verify.Observer, which the
-	// auditor overrides per epoch.
-	Observer verifier.Observer
 }
 
 func (o AuditorOptions) withDefaults() AuditorOptions {

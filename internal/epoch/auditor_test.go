@@ -300,7 +300,7 @@ func TestAuditorOverlapsEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	run := func(workers int, obs verifier.Observer) *Auditor {
-		a := NewAuditor(prog, dir, AuditorOptions{Workers: workers, Observer: obs})
+		a := NewAuditor(prog, dir, AuditorOptions{Workers: workers, Verify: verifier.Options{Observer: obs}})
 		if w, ok := obs.(*overlapWatch); ok {
 			w.a = a
 		}

@@ -51,9 +51,8 @@ func TestAuditorCancellationPublishesNoVerdict(t *testing.T) {
 	// before the first epoch's remaining group tasks, so it can never
 	// finish.
 	a := NewAuditor(prog, dir, AuditorOptions{
-		Workers:  1,
-		Observer: obs,
-		Verify:   verifier.Options{Workers: 1},
+		Workers: 1,
+		Verify:  verifier.Options{Workers: 1, Observer: obs},
 	})
 
 	err := a.Run(ctx)

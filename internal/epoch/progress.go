@@ -73,8 +73,7 @@ func (a *Auditor) Progress() Progress {
 // beginProgress arms progress tracking for epoch n and returns the
 // verifier.Observer to install for its audit: a tracker that mirrors
 // the callback stream into epoch n's progress slot and forwards it to
-// the user-supplied observer (AuditorOptions.Observer, falling back to
-// Verify.Observer for callers that set it directly).
+// the user-supplied observer (AuditorOptions.Verify.Observer).
 func (a *Auditor) beginProgress(n int64) verifier.Observer {
 	p := &Progress{Epoch: n}
 	a.mu.Lock()
@@ -83,11 +82,7 @@ func (a *Auditor) beginProgress(n int64) verifier.Observer {
 	}
 	a.progress[n] = p
 	a.mu.Unlock()
-	user := a.opts.Observer
-	if user == nil {
-		user = a.opts.Verify.Observer
-	}
-	return &progressObserver{a: a, p: p, user: user}
+	return &progressObserver{a: a, p: p, user: a.opts.Verify.Observer}
 }
 
 // endProgress clears epoch n's progress slot once its verification

@@ -26,14 +26,11 @@ type CoordinatorOptions struct {
 	// authenticated touch — an init request, a candidate post — renews
 	// it.
 	LeaseTimeout time.Duration
-	// CrossCheck is the fraction of epochs audited on CrossCheckK
-	// workers before the verdict is believed (0 = none, 1 = every
-	// epoch). Epochs are sampled deterministically from their manifest
-	// digest, so reruns pick the same epochs.
+	// CrossCheck is the fraction of epochs, in [0, 1], whose verdict
+	// is believed only once crossCheckQuorum leases agree on it (0 =
+	// none, 1 = every epoch). Epochs are sampled deterministically from
+	// their manifest digest, so reruns pick the same epochs.
 	CrossCheck float64
-	// CrossCheckK is how many independent verdicts a sampled epoch
-	// needs (default 2).
-	CrossCheckK int
 	// Key is the shared fleet HMAC key; empty disables signing.
 	Key []byte
 	// To bounds the audit to epochs 1..To (0 = every sealed epoch).
@@ -47,14 +44,15 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	if o.LeaseTimeout <= 0 {
 		o.LeaseTimeout = 2 * time.Minute
 	}
-	if o.CrossCheckK <= 0 {
-		o.CrossCheckK = 2
-	}
 	if o.RetryMS <= 0 {
 		o.RetryMS = 300
 	}
 	return o
 }
+
+// crossCheckQuorum is how many agreeing verdicts a cross-checked epoch
+// needs before one is published.
+const crossCheckQuorum = 2
 
 // CoordinatorStats is a point-in-time snapshot of the fleet counters
 // surfaced on /-/metrics.
@@ -106,7 +104,7 @@ type activeLease struct {
 type epochState struct {
 	s      *epoch.Sealed
 	cross  bool // sampled for cross-checking
-	need   int  // verdicts required (1, or CrossCheckK when cross)
+	need   int  // verdicts required (1, or crossCheckQuorum when cross)
 	active map[string]*activeLease
 	// cands holds the candidate final states posted for this epoch, in
 	// post order, one per lease: ref lists whose every chunk is in the
@@ -208,8 +206,12 @@ type Coordinator struct {
 // leaves the chain broken (re-audit past one with the single-process
 // auditor's -from), and a fresh chain starts at epoch 1. A chain of
 // another format generation is refused (epoch.ErrChainFormat) before
-// its decision log is touched.
+// its decision log is touched, and so is a CrossCheck outside [0, 1]
+// or NaN.
 func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
+	if !(opts.CrossCheck >= 0 && opts.CrossCheck <= 1) {
+		return nil, fmt.Errorf("fleet: cross-check fraction %v is outside [0, 1]", opts.CrossCheck)
+	}
 	opts = opts.withDefaults()
 	if err := epoch.CheckChainFormat(dir); err != nil {
 		return nil, err
@@ -246,7 +248,7 @@ func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 		st.cross = c.crossFor(s)
 		st.need = 1
 		if st.cross {
-			st.need = opts.CrossCheckK
+			st.need = crossCheckQuorum
 		}
 		c.states[s.Number] = st
 		c.maxKnown = max(c.maxKnown, s.Number)

@@ -23,7 +23,8 @@
 //     one the ledger published for the epoch before; otherwise it is
 //     discarded and the epoch leased again. Timed-out leases are
 //     reassigned; a sampled fraction of epochs is optionally
-//     cross-checked on k workers before the verdict is believed.
+//     cross-checked: audited under two leases whose verdicts must agree
+//     before one is believed.
 //
 //   - A worker (orochi-audit -worker) pulls a lease, reconstructs the
 //     epoch through a tiered store (local cache over cas.HTTPStore),

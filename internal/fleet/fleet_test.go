@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -299,7 +300,7 @@ func TestFleetCrossCheckAgreement(t *testing.T) {
 	for _, workers := range []int{1, 2} {
 		label := fmt.Sprintf("workers=%d", workers)
 		dir := copyChain(t, master)
-		coord, ts := startFleet(t, dir, CoordinatorOptions{CrossCheck: 1, CrossCheckK: 2})
+		coord, ts := startFleet(t, dir, CoordinatorOptions{CrossCheck: 1})
 		runWorkers(t, prog, ts.URL, workers, nil)
 		if err := coord.Wait(context.Background()); err != nil {
 			t.Fatalf("%s: %v", label, err)
@@ -484,6 +485,31 @@ func honestPosts(t *testing.T, prog *lang.Program, dir string, l *Lease, worker 
 	return append(posts, verdict)
 }
 
+// TestNewCoordinatorRefusesCrossCheckFraction: a cross-check rate is a
+// fraction of epochs. A percentage typed by mistake (50), a rate above
+// one, a negative one, or NaN used to mean "every epoch", "none" or
+// "never" without a word; the coordinator refuses them on a chain it
+// would otherwise audit, and accepts the ends of [0, 1].
+func TestNewCoordinatorRefusesCrossCheckFraction(t *testing.T) {
+	dir := t.TempDir()
+	sealTestChain(t, dir)
+	for _, f := range []float64{-0.1, 1.5, 50, math.NaN(), math.Inf(1)} {
+		if coord, err := NewCoordinator(dir, CoordinatorOptions{CrossCheck: f}); err == nil {
+			coord.Close()
+			t.Errorf("CrossCheck %v: coordinator opened, want an error", f)
+		} else if !strings.Contains(err.Error(), "outside [0, 1]") {
+			t.Errorf("CrossCheck %v: error %q does not name the range", f, err)
+		}
+	}
+	for _, f := range []float64{0, 0.5, 1} {
+		coord, err := NewCoordinator(dir, CoordinatorOptions{CrossCheck: f})
+		if err != nil {
+			t.Fatalf("CrossCheck %v: %v", f, err)
+		}
+		coord.Close()
+	}
+}
+
 // TestFleetCrossCheckMismatchRejects replays the malicious-replica
 // scenario: one honest worker and one lying worker both audit a
 // cross-checked epoch; their final snapshots disagree, so the verdict
@@ -492,7 +518,7 @@ func honestPosts(t *testing.T, prog *lang.Program, dir string, l *Lease, worker 
 func TestFleetCrossCheckMismatchRejects(t *testing.T) {
 	dir := t.TempDir()
 	prog := sealTestChain(t, dir)
-	coord, ts := startFleet(t, dir, CoordinatorOptions{CrossCheck: 1, CrossCheckK: 2})
+	coord, ts := startFleet(t, dir, CoordinatorOptions{CrossCheck: 1})
 
 	evilLease := leaseFor(t, ts.URL, "evil", nil)
 	honestLease := leaseFor(t, ts.URL, "honest", nil)
@@ -724,7 +750,7 @@ func TestFleetRefusesBadSignatures(t *testing.T) {
 func TestFleetWarmWorkerFetchesLess(t *testing.T) {
 	dir := t.TempDir()
 	prog := sealTestChain(t, dir)
-	coord, ts := startFleet(t, dir, CoordinatorOptions{CrossCheck: 1, CrossCheckK: 2})
+	coord, ts := startFleet(t, dir, CoordinatorOptions{CrossCheck: 1})
 
 	var mu sync.Mutex
 	visits := make(map[int64][]EpochReport)

@@ -49,9 +49,6 @@ type WorkerOptions struct {
 	// state after the coordinator's long poll timed out (202) or the
 	// request failed (default 150ms).
 	InitPoll time.Duration
-	// FetchRetries bounds retry attempts on transient artifact-fetch
-	// failures before the lease is abandoned (default 3).
-	FetchRetries int
 	// OnEpoch, when non-nil, observes each completed assignment (the
 	// CLI prints per-epoch progress from it).
 	OnEpoch func(EpochReport)
@@ -76,9 +73,6 @@ func (o WorkerOptions) withDefaults() WorkerOptions {
 	}
 	if o.InitPoll <= 0 {
 		o.InitPoll = 150 * time.Millisecond
-	}
-	if o.FetchRetries <= 0 {
-		o.FetchRetries = 3
 	}
 	return o
 }
@@ -143,6 +137,10 @@ var errAbandoned = errors.New("fleet: lease abandoned")
 // maxLeaseFailures bounds consecutive failed lease polls (coordinator
 // unreachable) before the worker gives up.
 const maxLeaseFailures = 20
+
+// fetchRetries bounds the attempts at an artifact or init-state fetch
+// that keeps failing transiently before the lease is abandoned.
+const fetchRetries = 3
 
 type worker struct {
 	opts    WorkerOptions
@@ -344,7 +342,7 @@ func (w *worker) audit(ctx context.Context, l *Lease) error {
 		if loadErr == nil || !w.tracker.sawUnavailable() {
 			break
 		}
-		if attempt+1 >= w.opts.FetchRetries {
+		if attempt+1 >= fetchRetries {
 			return fmt.Errorf("%w: epoch %d artifacts unavailable after %d attempts: %v",
 				errAbandoned, l.Epoch, attempt+1, loadErr)
 		}
@@ -466,7 +464,7 @@ func (w *worker) chunkSnapshot(post *VerdictPost, raw []byte, held []cas.Ref) ([
 func (w *worker) fetchManifest(ctx context.Context, l *Lease) (*epoch.Manifest, string, error) {
 	url := fmt.Sprintf("%s%s/epoch/%d/manifest", w.opts.Artifacts, Prefix, l.Epoch)
 	var lastErr error
-	for attempt := 0; attempt < w.opts.FetchRetries; attempt++ {
+	for attempt := 0; attempt < fetchRetries; attempt++ {
 		if attempt > 0 && !sleepCtx(ctx, 250*time.Millisecond) {
 			return nil, "", ctx.Err()
 		}
@@ -510,10 +508,10 @@ func (w *worker) fetchInit(ctx context.Context, l *Lease) (*object.Snapshot, []c
 	url := fmt.Sprintf("%s%s/epoch/%d/init?lease=%s", w.opts.Coordinator, Prefix, l.Epoch, l.ID)
 	failures := 0
 	// retry backs off before another attempt, or gives up on the lease
-	// after FetchRetries consecutive failures.
+	// after fetchRetries consecutive failures.
 	retry := func(cause any) error {
 		failures++
-		if failures >= w.opts.FetchRetries {
+		if failures >= fetchRetries {
 			return fmt.Errorf("%w: init fetch: %v", errAbandoned, cause)
 		}
 		if !sleepCtx(ctx, w.opts.InitPoll) {

@@ -96,9 +96,6 @@ func newExec(prog *Program, cfg Config) (*exec, error) {
 		ex.digest = NewDigest(cfg.Script)
 	}
 	ex.super = buildSuperglobals(cfg.Inputs)
-	if cfg.Session != nil {
-		cfg.Session.adopt(ex)
-	}
 	return ex, nil
 }
 
@@ -164,7 +161,6 @@ func (interpEngine) Run(prog *Program, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer ex.releaseSession()
 	ex.eager = true
 	script, ok := prog.Scripts[cfg.Script]
 	if !ok {
@@ -189,12 +185,12 @@ func (compiledEngine) Run(prog *Program, cfg Config) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer ex.releaseSession()
 	cs, ok := cp.scripts[cfg.Script]
 	if !ok {
 		return unknownScriptResult(cfg, ex.lanes)
 	}
-	ex.globalSlots(cp.res.nglobals)
+	ex.gslots = make([]Value, cp.res.nglobals)
+	ex.gset = make([]bool, cp.res.nglobals)
 	fr := &cframe{ex: ex}
 	_, _, rerr := runCStmts(fr, cs.body)
 	return finishRun(ex, rerr)

@@ -67,10 +67,6 @@ type Config struct {
 	// production engine (EngineCompiled); the differential tests set
 	// EngineInterp to compare against it. Not a tuning option.
 	Engine Engine
-	// Session, when non-nil, recycles execution scratch state (frame
-	// and lane-slice free lists, global slot arrays) across sequential
-	// Runs on one goroutine. Purely a performance knob; see Session.
-	Session *Session
 }
 
 // Result is the outcome of one execution.
@@ -187,9 +183,6 @@ type exec struct {
 	// locking. See pool.go.
 	laneSlices [][]Value
 	frames     []*cframe
-	// ses, when non-nil, donated the free lists above and takes them
-	// back when the run finishes. See session.go.
-	ses *Session
 }
 
 // copyValue is PHP's by-value copy as this run's engine implements it.

@@ -13,12 +13,12 @@ import (
 )
 
 // These tests pin the Phase-3 task construction: buildGroupTasks'
-// chunking edge cases and the small-group packing pass. Packing is pure
-// scheduling — the packed task order must replay the exact canonical
-// (tag, chunk) sequence a sequential audit runs, and audit results must
-// be bit-identical at any SmallGroup setting.
+// chunking edge cases, and an audit splintered into many tiny batches
+// giving bit-identical results at any Workers setting.
 
-// serveTampered is serveWorkload with a response-tampering hook.
+// serveTampered is a sequential serveWorkload with a response-tampering
+// hook: one serving goroutine keeps rids in input order, so the tampered
+// rid's batch is fixed.
 func serveTampered(t *testing.T, prog *lang.Program, inputs []trace.Input,
 	tamper func(rid, body string) string) (*trace.Trace, *serverArtifacts) {
 	t.Helper()
@@ -27,7 +27,7 @@ func serveTampered(t *testing.T, prog *lang.Program, inputs []trace.Input,
 		t.Fatal(err)
 	}
 	snap := srv.Snapshot()
-	srv.ServeAllContext(context.Background(), inputs, 4)
+	srv.ServeAllContext(context.Background(), inputs, 1)
 	return srv.Trace(), &serverArtifacts{srv: srv, snap: snap}
 }
 
@@ -112,172 +112,76 @@ func TestBuildGroupTasksDedupesAcrossChunks(t *testing.T) {
 	}
 }
 
-// syntheticTasks builds a task list shaped like a real Phase 3: runs of
-// tiny groups interleaved with full-size batches, across scripts.
-func syntheticTasks() []groupTask {
-	var tasks []groupTask
-	add := func(script string, n int) {
-		tasks = append(tasks, groupTask{
-			tag: uint64(len(tasks)), script: script, rids: ridRange(n),
-		})
-	}
-	for i := 0; i < 6; i++ {
-		add("view", 1)
-	}
-	add("view", 40)
-	add("view", 2)
-	add("edit", 3)
-	add("edit", 3)
-	add("view", 7)
-	add("view", 8) // at threshold 8: never packed
-	for i := 0; i < 30; i++ {
-		add("list", 2)
-	}
-	return tasks
-}
-
-// TestPackGroupTasksOrderProperty: for any threshold and cap, the
-// concatenation of the packs must be exactly 0..len(tasks)-1 — the
-// packed schedule replays the canonical (tag, chunk) sequence with no
-// reordering, loss, or duplication.
-func TestPackGroupTasksOrderProperty(t *testing.T) {
-	tasks := syntheticTasks()
-	for _, threshold := range []int{-1, 0, 1, 2, 8, 100} {
-		for _, maxGroup := range []int{1, 4, 10, 3000} {
-			packs := packGroupTasks(tasks, threshold, maxGroup)
-			var flat []int
-			for _, pack := range packs {
-				if len(pack) == 0 {
-					t.Fatalf("threshold=%d maxGroup=%d: empty pack", threshold, maxGroup)
-				}
-				flat = append(flat, pack...)
-			}
-			if len(flat) != len(tasks) {
-				t.Fatalf("threshold=%d maxGroup=%d: %d indices for %d tasks", threshold, maxGroup, len(flat), len(tasks))
-			}
-			for i, idx := range flat {
-				if idx != i {
-					t.Fatalf("threshold=%d maxGroup=%d: position %d holds task %d — canonical order broken",
-						threshold, maxGroup, i, idx)
-				}
-			}
-		}
-	}
-}
-
-// TestPackGroupTasksInvariants checks the packing rules themselves:
-// only sub-threshold same-script neighbors coalesce, packs respect the
-// combined-rid cap, and a non-positive threshold disables packing.
-func TestPackGroupTasksInvariants(t *testing.T) {
-	tasks := syntheticTasks()
-	const threshold, maxGroup = 8, 10
-	packs := packGroupTasks(tasks, threshold, maxGroup)
-	sawMulti := false
-	for _, pack := range packs {
-		if len(pack) == 1 {
-			continue
-		}
-		sawMulti = true
-		total := 0
-		for _, i := range pack {
-			if len(tasks[i].rids) >= threshold {
-				t.Fatalf("task %d with %d rids packed at threshold %d", i, len(tasks[i].rids), threshold)
-			}
-			if tasks[i].script != tasks[pack[0]].script {
-				t.Fatalf("pack mixes scripts %q and %q", tasks[pack[0]].script, tasks[i].script)
-			}
-			total += len(tasks[i].rids)
-		}
-		if total > maxGroup {
-			t.Fatalf("pack holds %d rids, cap %d", total, maxGroup)
-		}
-	}
-	if !sawMulti {
-		t.Fatal("no multi-task pack formed on a workload full of tiny groups")
-	}
-
-	for _, disabled := range []int{0, -1} {
-		for _, pack := range packGroupTasks(tasks, disabled, maxGroup) {
-			if len(pack) != 1 {
-				t.Fatalf("threshold %d must disable packing, got pack of %d", disabled, len(pack))
-			}
-		}
-	}
-}
-
-// TestSmallGroupBatchingMatchesUnbatched audits one recorded run at
-// several SmallGroup × Workers settings — packing disabled, default,
-// and aggressive — and requires bit-identical verdicts, replay counts,
-// instruction counts, per-group stats, and final snapshots. MaxGroup 4
-// splinters the workload into many small batches so packs actually
-// form.
-func TestSmallGroupBatchingMatchesUnbatched(t *testing.T) {
+// TestSplinteredAuditWorkersIndependent audits one recorded run split
+// by MaxGroup 4 into many tiny batches at Workers 1 and 8, and requires
+// bit-identical verdicts, replay counts, instruction and dedup counts,
+// per-group stats, and final snapshots.
+func TestSplinteredAuditWorkersIndependent(t *testing.T) {
 	prog := compileApp(t)
 	inputs := sampleInputs(60)
 	tr, art := serveWorkload(t, prog, inputs, 4)
 
-	base, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap,
-		Options{MaxGroup: 4, SmallGroup: -1, Workers: 1, CollectStats: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !base.Accepted {
-		t.Fatalf("baseline rejected: %s", base.Reason)
-	}
-	baseSnap, err := base.FinalSnapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseFP := snapshotFingerprint(t, baseSnap)
-
-	for _, small := range []int{0, 2, 1000} {
-		for _, workers := range []int{1, 8} {
-			name := fmt.Sprintf("small=%d/workers=%d", small, workers)
-			res, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap,
-				Options{MaxGroup: 4, SmallGroup: small, Workers: workers, CollectStats: true})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Accepted != base.Accepted || res.Reason != base.Reason {
-				t.Fatalf("%s: verdict (%v, %q), baseline (%v, %q)",
-					name, res.Accepted, res.Reason, base.Accepted, base.Reason)
-			}
-			if res.Stats.RequestsReplayed != base.Stats.RequestsReplayed ||
-				res.Stats.GroupBatches != base.Stats.GroupBatches {
-				t.Fatalf("%s: replayed %d in %d batches, baseline %d in %d",
-					name, res.Stats.RequestsReplayed, res.Stats.GroupBatches,
-					base.Stats.RequestsReplayed, base.Stats.GroupBatches)
-			}
-			if res.Stats.InstrUni != base.Stats.InstrUni || res.Stats.InstrMulti != base.Stats.InstrMulti {
-				t.Fatalf("%s: instruction counts (%d,%d), baseline (%d,%d)",
-					name, res.Stats.InstrUni, res.Stats.InstrMulti, base.Stats.InstrUni, base.Stats.InstrMulti)
-			}
-			if res.Stats.DedupHits != base.Stats.DedupHits || res.Stats.DedupMisses != base.Stats.DedupMisses {
-				t.Fatalf("%s: dedup (%d,%d), baseline (%d,%d)",
-					name, res.Stats.DedupHits, res.Stats.DedupMisses, base.Stats.DedupHits, base.Stats.DedupMisses)
-			}
-			if !reflect.DeepEqual(res.Stats.Groups, base.Stats.Groups) {
-				t.Fatalf("%s: per-group stats diverge from baseline", name)
-			}
-			snap, err := res.FinalSnapshot()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fp := snapshotFingerprint(t, snap); fp != baseFP {
-				t.Fatalf("%s: final snapshot diverges from baseline", name)
-			}
+	audit := func(workers int) *Result {
+		res, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap,
+			Options{MaxGroup: 4, Workers: workers, CollectStats: true})
+		if err != nil {
+			t.Fatal(err)
 		}
+		return res
+	}
+	seq, par := audit(1), audit(8)
+	if !seq.Accepted {
+		t.Fatalf("sequential audit rejected: %s", seq.Reason)
+	}
+	if par.Accepted != seq.Accepted || par.Reason != seq.Reason {
+		t.Fatalf("verdict (%v, %q), sequential (%v, %q)", par.Accepted, par.Reason, seq.Accepted, seq.Reason)
+	}
+	if par.Stats.RequestsReplayed != seq.Stats.RequestsReplayed ||
+		par.Stats.GroupBatches != seq.Stats.GroupBatches {
+		t.Fatalf("replayed %d in %d batches, sequential %d in %d",
+			par.Stats.RequestsReplayed, par.Stats.GroupBatches,
+			seq.Stats.RequestsReplayed, seq.Stats.GroupBatches)
+	}
+	tags := make(map[uint64]bool)
+	for _, g := range seq.Stats.Groups {
+		tags[g.Tag] = true
+	}
+	if seq.Stats.GroupBatches <= len(tags) {
+		t.Fatalf("%d batches for %d groups: MaxGroup 4 split no group",
+			seq.Stats.GroupBatches, len(tags))
+	}
+	if par.Stats.InstrUni != seq.Stats.InstrUni || par.Stats.InstrMulti != seq.Stats.InstrMulti {
+		t.Fatalf("instruction counts (%d,%d), sequential (%d,%d)",
+			par.Stats.InstrUni, par.Stats.InstrMulti, seq.Stats.InstrUni, seq.Stats.InstrMulti)
+	}
+	if par.Stats.DedupHits != seq.Stats.DedupHits || par.Stats.DedupMisses != seq.Stats.DedupMisses {
+		t.Fatalf("dedup (%d,%d), sequential (%d,%d)",
+			par.Stats.DedupHits, par.Stats.DedupMisses, seq.Stats.DedupHits, seq.Stats.DedupMisses)
+	}
+	if !reflect.DeepEqual(par.Stats.Groups, seq.Stats.Groups) {
+		t.Fatal("per-group stats diverge from the sequential audit")
+	}
+	seqSnap, err := seq.FinalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parSnap, err := par.FinalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if snapshotFingerprint(t, parSnap) != snapshotFingerprint(t, seqSnap) {
+		t.Fatal("final snapshot diverges from the sequential audit")
 	}
 }
 
-// TestSmallGroupBatchingRejectDeterminism: with packing on, a tampered
-// response must be rejected with the sequential unpacked audit's exact
-// reason and forensics — including the chunk coordinate, which names
-// the original (tag, chunk) batch, not the pack.
-func TestSmallGroupBatchingRejectDeterminism(t *testing.T) {
+// TestSplinteredAuditRejectDeterminism: on the same splintered run with
+// one response tampered, Workers 8 must reject with the sequential
+// audit's exact reason and forensics, including the chunk coordinate
+// of the failing batch.
+func TestSplinteredAuditRejectDeterminism(t *testing.T) {
 	prog := compileApp(t)
 	inputs := sampleInputs(60)
-	tampered := "r000031"
+	tampered := "r000060" // the last of twelve "now" requests
 	tr, arts := serveTampered(t, prog, inputs, func(rid, body string) string {
 		if rid == tampered {
 			return body + "<!-- tampered -->"
@@ -285,31 +189,25 @@ func TestSmallGroupBatchingRejectDeterminism(t *testing.T) {
 		return body
 	})
 
-	base, err := AuditContext(context.Background(), prog, tr, arts.srv.Reports(), arts.snap,
-		Options{MaxGroup: 4, SmallGroup: -1, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Accepted {
-		t.Fatal("tampered run accepted by baseline")
-	}
-	for _, small := range []int{0, 2} {
-		for _, workers := range []int{1, 8} {
-			res, err := AuditContext(context.Background(), prog, tr, arts.srv.Reports(), arts.snap,
-				Options{MaxGroup: 4, SmallGroup: small, Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Accepted {
-				t.Fatalf("small=%d workers=%d: tampered run accepted", small, workers)
-			}
-			if res.Reason != base.Reason {
-				t.Fatalf("small=%d workers=%d: reason %q, baseline %q", small, workers, res.Reason, base.Reason)
-			}
-			if !reflect.DeepEqual(res.Forensics, base.Forensics) {
-				t.Fatalf("small=%d workers=%d: forensics %+v, baseline %+v",
-					small, workers, res.Forensics, base.Forensics)
-			}
+	audit := func(workers int) *Result {
+		res, err := AuditContext(context.Background(), prog, tr, arts.srv.Reports(), arts.snap,
+			Options{MaxGroup: 4, Workers: workers})
+		if err != nil {
+			t.Fatal(err)
 		}
+		if res.Accepted {
+			t.Fatalf("workers=%d: tampered run accepted", workers)
+		}
+		return res
+	}
+	seq, par := audit(1), audit(8)
+	if seq.Forensics == nil || seq.Forensics.Chunk == 0 {
+		t.Fatalf("forensics %+v: want a failure past its group's first batch", seq.Forensics)
+	}
+	if par.Reason != seq.Reason {
+		t.Fatalf("reason %q, sequential %q", par.Reason, seq.Reason)
+	}
+	if !reflect.DeepEqual(par.Forensics, seq.Forensics) {
+		t.Fatalf("forensics %+v, sequential %+v", par.Forensics, seq.Forensics)
 	}
 }

@@ -251,44 +251,6 @@ func buildGroupTasks(rep *reports.Reports, maxGroup int) []groupTask {
 	return tasks
 }
 
-// packGroupTasks coalesces consecutive runs of small same-script tasks
-// into packs — each pack is a slice of task indices one worker runs
-// back to back sharing a lang.Session, so a workload dominated by tiny
-// control-flow groups does not pay a cold activation (fresh frame and
-// lane-slice pools) per group. A task joins the current pack only if
-// it is contiguous with it in canonical (tag, chunk) order, names the
-// same script (same compiled function set, so pooled frames fit), and
-// holds fewer than threshold rids; a pack's combined rid count is
-// capped at maxGroup so packing never coarsens worker granularity
-// beyond what one full-size batch already costs. Every other task
-// forms a singleton pack. Concatenating the packs always reproduces
-// 0..len(tasks)-1 exactly — packing permutes nothing, so outcome
-// arbitration and the caller's task-order scan are untouched.
-func packGroupTasks(tasks []groupTask, threshold, maxGroup int) [][]int {
-	packs := make([][]int, 0, len(tasks))
-	for i := 0; i < len(tasks); {
-		if threshold <= 0 || len(tasks[i].rids) >= threshold {
-			packs = append(packs, []int{i})
-			i++
-			continue
-		}
-		j := i + 1
-		total := len(tasks[i].rids)
-		for j < len(tasks) && tasks[j].script == tasks[i].script &&
-			len(tasks[j].rids) < threshold && total+len(tasks[j].rids) <= maxGroup {
-			total += len(tasks[j].rids)
-			j++
-		}
-		pack := make([]int, j-i)
-		for k := range pack {
-			pack[k] = i + k
-		}
-		packs = append(packs, pack)
-		i = j
-	}
-	return packs
-}
-
 // groupOutcome is the result of one group task. produced and stats are
 // task-local and merged in task order afterwards, so the accumulated
 // audit state never depends on worker scheduling.
@@ -320,40 +282,30 @@ func runGroupTasks(ctx context.Context, prog *lang.Program, env *auditEnv, tasks
 	outcomes := make([]*groupOutcome, len(tasks))
 	var failedAt atomic.Int64
 	failedAt.Store(int64(len(tasks)))
-	// Workers pull packs, not tasks; packs are contiguous index runs in
-	// canonical order, so pack order is task order and the arbitration
-	// below is unchanged — it always operates on original task indices.
-	packs := packGroupTasks(tasks, opts.SmallGroup, opts.MaxGroup)
-	runPool(ctx, len(packs), workers, func(p int) {
-		var ses *lang.Session
-		if len(packs[p]) > 1 {
-			ses = lang.NewSession()
+	runPool(ctx, len(tasks), workers, func(i int) {
+		if int64(i) > failedAt.Load() {
+			// A task ordered strictly before this one already failed, so
+			// this task can no longer affect the verdict. (failedAt only
+			// ever decreases.)
+			outcomes[i] = &groupOutcome{skipped: true}
+			return
 		}
-		for _, i := range packs[p] {
-			if int64(i) > failedAt.Load() {
-				// A task ordered strictly before this one already failed, so
-				// this task can no longer affect the verdict. (failedAt only
-				// ever decreases.)
-				outcomes[i] = &groupOutcome{skipped: true}
-				continue
-			}
-			out := &groupOutcome{produced: make(map[string]bool, len(tasks[i].rids))}
-			out.rej, out.err = runGroup(prog, env, tasks[i].script, tasks[i].tag, tasks[i].rids,
-				inputs, responses, out.produced, opts, ses, &out.stats)
-			if out.rej != nil {
-				out.rej.f.Chunk = tasks[i].chunk
-			}
-			outcomes[i] = out
-			if out.rej != nil || out.err != nil {
-				for {
-					cur := failedAt.Load()
-					if int64(i) >= cur || failedAt.CompareAndSwap(cur, int64(i)) {
-						break
-					}
+		out := &groupOutcome{produced: make(map[string]bool, len(tasks[i].rids))}
+		out.rej, out.err = runGroup(prog, env, tasks[i].script, tasks[i].tag, tasks[i].rids,
+			inputs, responses, out.produced, opts, &out.stats)
+		if out.rej != nil {
+			out.rej.f.Chunk = tasks[i].chunk
+		}
+		outcomes[i] = out
+		if out.rej != nil || out.err != nil {
+			for {
+				cur := failedAt.Load()
+				if int64(i) >= cur || failedAt.CompareAndSwap(cur, int64(i)) {
+					break
 				}
-			} else {
-				obs.groupReexecuted(tasks[i].script, tasks[i].tag, len(tasks[i].rids))
 			}
+		} else {
+			obs.groupReexecuted(tasks[i].script, tasks[i].tag, len(tasks[i].rids))
 		}
 	})
 	return outcomes

@@ -27,17 +27,6 @@ type Options struct {
 	// MaxGroup caps requests re-executed in one SIMD batch (the paper's
 	// implementation uses 3000 to avoid thrashing, §4.7).
 	MaxGroup int
-	// SmallGroup is the Phase-3 small-group batching threshold:
-	// consecutive runs of group tasks for the same script whose batches
-	// all hold fewer than SmallGroup requests are packed into one worker
-	// task sharing a lang.Session (pooled frames and lane slices), so a
-	// workload dominated by tiny control-flow groups does not pay a cold
-	// activation per group. Each group still re-executes as its own SIMD
-	// batch with its own digest check, and failures are still arbitrated
-	// in canonical (tag, chunk) order, so verdicts, forensics, and stats
-	// are bit-identical at any setting. 0 uses the default (8); negative
-	// disables packing.
-	SmallGroup int
 	// CollectStats gathers per-group instruction statistics (Fig. 11).
 	CollectStats bool
 	// MaxSteps bounds each group re-execution (0 = interpreter default).
@@ -315,9 +304,6 @@ func (p *Prepared) ReExec(ctx context.Context, prog *lang.Program, opts Options)
 	if opts.MaxGroup <= 0 {
 		opts.MaxGroup = 3000
 	}
-	if opts.SmallGroup == 0 {
-		opts.SmallGroup = 8
-	}
 	obs := hook{opts.Observer}
 	start := time.Now()
 	res := &Result{Stats: p.stats}
@@ -459,7 +445,7 @@ func finalRegisters(rep *reports.Reports, init *object.Snapshot) map[string]lang
 // message and its forensics record.
 func runGroup(prog *lang.Program, env *auditEnv, script string, tag uint64, rids []string,
 	inputs map[string]trace.Input, responses map[string]string, produced map[string]bool,
-	opts Options, ses *lang.Session, stats *Stats) (*rejection, error) {
+	opts Options, stats *Stats) (*rejection, error) {
 
 	// groupRej stamps the batch coordinates common to every failure in
 	// this batch; the caller adds the chunk index.
@@ -492,15 +478,14 @@ func runGroup(prog *lang.Program, env *auditEnv, script string, tag uint64, rids
 		}
 		gInputs[i] = lang.RequestInput{Get: in.Get, Post: in.Post, Cookie: in.Cookie}
 	}
-	// The bridge is per-batch even when a session is shared across a
-	// pack: the dedup QueryCache's hit/miss counts feed Stats, and the
-	// nondeterminism cursors must restart per batch, so sharing either
-	// would change observable audit state.
+	// The bridge is per-batch: the dedup QueryCache's hit/miss counts
+	// feed Stats, and the nondeterminism cursors must restart per batch,
+	// so sharing either would change observable audit state.
 	bridge := newAuditBridge(env)
 	res, err := lang.Run(prog, lang.Config{
 		Mode: lang.ModeSIMD, Script: script, RIDs: rids, Inputs: gInputs,
 		Bridge: bridge, CollectStats: opts.CollectStats, MaxSteps: opts.MaxSteps,
-		Engine: opts.Engine, Session: ses,
+		Engine: opts.Engine,
 	})
 	stats.DedupHits += bridge.cache.Hits
 	stats.DedupMisses += bridge.cache.Misses
@@ -518,9 +503,7 @@ func runGroup(prog *lang.Program, env *auditEnv, script string, tag uint64, rids
 			// (§4.3). Correctness is unchanged — grouping is only an
 			// optimization.
 			for _, rid := range rids {
-				// The session carries through: its lane-slice pool is
-				// width-guarded, so the 1-lane replays simply rebuild it.
-				if rej, err := runGroup(prog, env, script, tag, []string{rid}, inputs, responses, produced, opts, ses, stats); err != nil || rej != nil {
+				if rej, err := runGroup(prog, env, script, tag, []string{rid}, inputs, responses, produced, opts, stats); err != nil || rej != nil {
 					return rej, err
 				}
 				stats.FallbackRequests++
