@@ -24,9 +24,6 @@ type ScrubOptions struct {
 	// argument: a server missing any fraction of the chunks fails a
 	// random challenge with probability growing per check.
 	Sample int
-	// Seed fixes the challenge randomness (0 derives one from the
-	// clock — the normal, unpredictable-to-the-server mode).
-	Seed int64
 }
 
 // checkpointArtifact is the ScrubFailure.Name of a compacted epoch's
@@ -71,10 +68,9 @@ func Scrub(ctx context.Context, dir string, opts ScrubOptions) (*ScrubResult, er
 	if opts.Sample == 0 {
 		opts.Sample = 16
 	}
-	seed := opts.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
+	// The challenges come from the clock, so the server cannot predict
+	// them.
+	seed := time.Now().UnixNano()
 	sealed, err := ListSealed(dir)
 	if err != nil {
 		return nil, err

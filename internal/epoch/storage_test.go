@@ -185,7 +185,7 @@ func TestScrubDetectsTamperAndRecordsDecision(t *testing.T) {
 	dir := t.TempDir()
 	sealChain(t, dir)
 
-	clean, err := Scrub(context.Background(), dir, ScrubOptions{Sample: -1, Seed: 7})
+	clean, err := Scrub(context.Background(), dir, ScrubOptions{Sample: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestScrubDetectsTamperAndRecordsDecision(t *testing.T) {
 	sha := uniqueChunk(t, sealed, 1)
 	tamperChunk(t, dir, sha)
 
-	res, err := Scrub(context.Background(), dir, ScrubOptions{Sample: -1, Seed: 7})
+	res, err := Scrub(context.Background(), dir, ScrubOptions{Sample: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestScrubDetectsMissingChunk(t *testing.T) {
 	if err := store.Delete(sha); err != nil {
 		t.Fatal(err)
 	}
-	res, err := Scrub(context.Background(), dir, ScrubOptions{Sample: -1, Seed: 3})
+	res, err := Scrub(context.Background(), dir, ScrubOptions{Sample: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestScrubNeverReopensAckedReject(t *testing.T) {
 
 	// A scrub pass re-finds the same damage. The acknowledged decision
 	// must stand — annotated, not reopened with a fresh DecidedAt.
-	res, err := Scrub(context.Background(), dir, ScrubOptions{Sample: -1, Seed: 5})
+	res, err := Scrub(context.Background(), dir, ScrubOptions{Sample: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -740,7 +740,7 @@ func TestCheckpointsAreRefLists(t *testing.T) {
 	}
 
 	// Scrub challenges a compacted epoch through its checkpoint's chunks.
-	clean, err := Scrub(context.Background(), dir, ScrubOptions{Sample: -1, Seed: 1})
+	clean, err := Scrub(context.Background(), dir, ScrubOptions{Sample: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -753,7 +753,7 @@ func TestCheckpointsAreRefLists(t *testing.T) {
 	}
 	victim := refs[len(refs)-1].SHA256
 	tamperChunk(t, dir, victim)
-	dirty, err := Scrub(context.Background(), dir, ScrubOptions{Sample: -1, Seed: 1})
+	dirty, err := Scrub(context.Background(), dir, ScrubOptions{Sample: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

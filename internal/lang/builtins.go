@@ -55,38 +55,34 @@ var refBuiltins = map[string]refBuiltinFn{
 		if arr.Len() == 0 {
 			return nil, nil
 		}
-		k := arr.keys[len(arr.keys)-1]
-		v := arr.m[k]
-		arr.Delete(k)
-		return v, nil
+		e := arr.ents[len(arr.ents)-1]
+		arr.Delete(e.k)
+		return e.v, nil
 	},
 	"array_shift": func(ex *exec, arr *Array, rest []Value, line int) (Value, error) {
 		if arr.Len() == 0 {
 			return nil, nil
 		}
-		k := arr.keys[0]
-		v := arr.m[k]
-		arr.Delete(k)
+		e := arr.ents[0]
+		arr.Delete(e.k)
 		// PHP reindexes integer keys after shift.
 		reindex(arr)
-		return v, nil
+		return e.v, nil
 	},
 }
 
+// reindex renumbers the int keys 0, 1, … in order, keeping the string
+// keys and every cell's position.
 func reindex(arr *Array) {
-	vals := arr.Values()
-	strKeys := make([]Key, len(arr.keys))
-	copy(strKeys, arr.keys)
-	arr.keys = arr.keys[:0]
-	arr.m = make(map[Key]Value, len(vals))
-	arr.nextIdx = 0
-	for i, k := range strKeys {
-		if k.IsInt {
-			arr.Append(vals[i])
-		} else {
-			arr.Set(k, vals[i])
+	var n int64
+	for i := range arr.ents {
+		if arr.ents[i].k.IsInt {
+			arr.ents[i].k = Key{I: n, IsInt: true}
+			n++
 		}
 	}
+	arr.nextIdx = n
+	arr.rebuildIndex()
 }
 
 func init() {
@@ -156,12 +152,12 @@ func init() {
 			subject := ToString(args[2])
 			if fromArr, ok := args[0].(*Array); ok {
 				tos, toIsArr := args[1].(*Array)
-				for i, fk := range fromArr.Keys() {
-					from := ToString(fromArr.m[fk])
+				for i, fe := range fromArr.ents {
+					from := ToString(fe.v)
 					to := ""
 					if toIsArr {
 						if i < tos.Len() {
-							to = ToString(tos.m[tos.keys[i]])
+							to = ToString(tos.ents[i].v)
 						}
 					} else {
 						to = ToString(args[1])
@@ -420,9 +416,9 @@ func init() {
 			if !ok {
 				return nil, &RuntimeError{Msg: "array_keys(): argument must be array", Line: line}
 			}
-			out := NewArray()
-			for _, k := range a.Keys() {
-				out.Append(k.Value())
+			out := NewArrayCap(a.Len())
+			for _, e := range a.ents {
+				out.Append(e.k.Value())
 			}
 			return out, nil
 		},
@@ -434,9 +430,9 @@ func init() {
 			if !ok {
 				return nil, &RuntimeError{Msg: "array_values(): argument must be array", Line: line}
 			}
-			out := NewArray()
-			for _, v := range a.Values() {
-				out.Append(ex.copyValue(v))
+			out := NewArrayCap(a.Len())
+			for _, e := range a.ents {
+				out.Append(ex.copyValue(e.v))
 			}
 			return out, nil
 		},
@@ -449,12 +445,12 @@ func init() {
 				return nil, &RuntimeError{Msg: "in_array(): argument must be array", Line: line}
 			}
 			strict := len(args) == 3 && ToBool(args[2])
-			for _, v := range a.Values() {
+			for _, e := range a.ents {
 				if strict {
-					if Equal(v, args[0]) {
+					if Equal(e.v, args[0]) {
 						return true, nil
 					}
-				} else if LooseEqual(v, args[0]) {
+				} else if LooseEqual(e.v, args[0]) {
 					return true, nil
 				}
 			}
@@ -483,9 +479,9 @@ func init() {
 			if !ok {
 				return nil, &RuntimeError{Msg: "array_search(): argument must be array", Line: line}
 			}
-			for _, k := range a.Keys() {
-				if LooseEqual(a.m[k], args[0]) {
-					return k.Value(), nil
+			for _, e := range a.ents {
+				if LooseEqual(e.v, args[0]) {
+					return e.k.Value(), nil
 				}
 			}
 			return false, nil
@@ -497,11 +493,11 @@ func init() {
 				if !ok {
 					return nil, &RuntimeError{Msg: "array_merge(): arguments must be arrays", Line: line}
 				}
-				for _, k := range a.Keys() {
-					if k.IsInt {
-						out.Append(ex.copyValue(a.m[k]))
+				for _, e := range a.ents {
+					if e.k.IsInt {
+						out.Append(ex.copyValue(e.v))
 					} else {
-						out.Set(k, ex.copyValue(a.m[k]))
+						out.Set(e.k, ex.copyValue(e.v))
 					}
 				}
 			}
@@ -540,11 +536,10 @@ func init() {
 			}
 			out := NewArray()
 			for i := off; i < end; i++ {
-				k := a.keys[i]
-				if k.IsInt {
-					out.Append(ex.copyValue(a.m[k]))
+				if e := a.ents[i]; e.k.IsInt {
+					out.Append(ex.copyValue(e.v))
 				} else {
-					out.Set(k, ex.copyValue(a.m[k]))
+					out.Set(e.k, ex.copyValue(e.v))
 				}
 			}
 			return out, nil
@@ -559,11 +554,10 @@ func init() {
 			}
 			out := NewArray()
 			for i := a.Len() - 1; i >= 0; i-- {
-				k := a.keys[i]
-				if k.IsInt {
-					out.Append(ex.copyValue(a.m[k]))
+				if e := a.ents[i]; e.k.IsInt {
+					out.Append(ex.copyValue(e.v))
 				} else {
-					out.Set(k, ex.copyValue(a.m[k]))
+					out.Set(e.k, ex.copyValue(e.v))
 				}
 			}
 			return out, nil
@@ -577,9 +571,9 @@ func init() {
 				return nil, &RuntimeError{Msg: "array_sum(): argument must be array", Line: line}
 			}
 			var sum Value = int64(0)
-			for _, v := range a.Values() {
+			for _, e := range a.ents {
 				var err error
-				sum, err = arith("+", sum, v, line)
+				sum, err = arith("+", sum, e.v, line)
 				if err != nil {
 					return nil, err
 				}
@@ -937,11 +931,11 @@ func jsonEncode(b *strings.Builder, v Value) error {
 	case *Array:
 		if isList(x) {
 			b.WriteByte('[')
-			for i, v := range x.Values() {
+			for i, e := range x.ents {
 				if i > 0 {
 					b.WriteByte(',')
 				}
-				if err := jsonEncode(b, v); err != nil {
+				if err := jsonEncode(b, e.v); err != nil {
 					return err
 				}
 			}
@@ -949,13 +943,13 @@ func jsonEncode(b *strings.Builder, v Value) error {
 			return nil
 		}
 		b.WriteByte('{')
-		for i, k := range x.Keys() {
+		for i, e := range x.ents {
 			if i > 0 {
 				b.WriteByte(',')
 			}
-			b.WriteString(strconv.Quote(k.String()))
+			b.WriteString(strconv.Quote(e.k.String()))
 			b.WriteByte(':')
-			if err := jsonEncode(b, x.m[k]); err != nil {
+			if err := jsonEncode(b, e.v); err != nil {
 				return err
 			}
 		}
@@ -967,8 +961,8 @@ func jsonEncode(b *strings.Builder, v Value) error {
 }
 
 func isList(a *Array) bool {
-	for i, k := range a.keys {
-		if !k.IsInt || k.I != int64(i) {
+	for i, e := range a.ents {
+		if !e.k.IsInt || e.k.I != int64(i) {
 			return false
 		}
 	}

@@ -629,12 +629,12 @@ func (cc *compiler) compileForeach(st *Foreach) cstmt {
 		// Iterate a copy of the subject, as exec.execForeach does.
 		switch subj := ex.copyValue(subject).(type) {
 		case *Array:
-			for _, k := range subj.keys {
+			for _, e := range subj.ents {
 				ex.branch(site, 1)
 				if hasKey {
-					keyAcc.set(fr, k.Value())
+					keyAcc.set(fr, e.k.Value())
 				}
-				valAcc.set(fr, ex.copyValue(subj.m[k]))
+				valAcc.set(fr, ex.copyValue(e.v))
 				c, rv, err := runCStmts(fr, body)
 				if err != nil {
 					return ctrlNone, nil, err
@@ -823,7 +823,7 @@ func (cc *compiler) compileExpr(e Expr) cexpr {
 		}
 		line := x.Line
 		return func(fr *cframe) (Value, error) {
-			arr := NewArray()
+			arr := NewArrayCap(len(entries))
 			for _, ent := range entries {
 				v, err := ent.val(fr)
 				if err != nil {

@@ -46,9 +46,9 @@ func encodeValue(b *strings.Builder, v Value) {
 		b.WriteString("a:")
 		b.WriteString(strconv.Itoa(x.Len()))
 		b.WriteByte(':')
-		for _, k := range x.keys {
-			encodeValue(b, k.Value())
-			encodeValue(b, x.m[k])
+		for _, e := range x.ents {
+			encodeValue(b, e.k.Value())
+			encodeValue(b, e.v)
 		}
 		b.WriteByte(';')
 	case *Multi:

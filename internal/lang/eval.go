@@ -83,7 +83,7 @@ func (ex *exec) evalExpr(sc *scope, e Expr) (Value, error) {
 	case *Call:
 		return ex.evalCall(sc, x)
 	case *ArrayLit:
-		arr := NewArray()
+		arr := NewArrayCap(len(x.Entries))
 		for _, ent := range x.Entries {
 			v, err := ex.evalExpr(sc, ent.Val)
 			if err != nil {
@@ -438,9 +438,9 @@ func arith(op string, l, r Value, line int) (Value, error) {
 			}
 			// The union is a new array: l's cells, shared, plus r's.
 			la := CloneValue(l).(*Array).Own()
-			for _, k := range ra.keys {
-				if _, exists := la.Get(k); !exists {
-					la.Set(k, CloneValue(ra.m[k]))
+			for _, e := range ra.ents {
+				if _, exists := la.Get(e.k); !exists {
+					la.Set(e.k, CloneValue(e.v))
 				}
 			}
 			return la, nil

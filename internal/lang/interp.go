@@ -475,12 +475,12 @@ func (ex *exec) execForeach(sc *scope, st *Foreach) (ctrl, Value, error) {
 	// variable in the body, at any depth, do not reach the loop.
 	switch subj := ex.copyValue(subject).(type) {
 	case *Array:
-		for _, k := range subj.keys {
+		for _, e := range subj.ents {
 			ex.branch(st.Site, 1)
 			if st.KeyVar != "" {
-				sc.set(st.KeyVar, k.Value())
+				sc.set(st.KeyVar, e.k.Value())
 			}
-			sc.set(st.ValVar, ex.copyValue(subj.m[k]))
+			sc.set(st.ValVar, ex.copyValue(e.v))
 			c, rv, err := ex.execStmts(sc, st.Body)
 			if err != nil {
 				return ctrlNone, nil, err
@@ -562,9 +562,9 @@ func (ex *exec) foreachLaneElems(arrs []*Array, it int) (keys, vals []Value) {
 	keys = make([]Value, len(arrs))
 	vals = make([]Value, len(arrs))
 	for i, a := range arrs {
-		k := a.keys[it]
-		keys[i] = k.Value()
-		vals[i] = ex.copyValue(a.m[k])
+		e := a.ents[it]
+		keys[i] = e.k.Value()
+		vals[i] = ex.copyValue(e.v)
 	}
 	return keys, vals
 }

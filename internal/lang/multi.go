@@ -100,8 +100,8 @@ func DeepContainsMulti(v Value) bool {
 		if !x.nested {
 			return false
 		}
-		for _, cv := range x.m {
-			if DeepContainsMulti(cv) {
+		for _, e := range x.ents {
+			if DeepContainsMulti(e.v) {
 				return true
 			}
 		}
@@ -122,10 +122,10 @@ func MaterializeLane(v Value, i int) Value {
 		if !DeepContainsMulti(x) {
 			return x
 		}
-		out := NewArray()
+		out := NewArrayCap(x.Len())
 		out.nextIdx = x.nextIdx
-		for _, k := range x.keys {
-			out.Set(k, CloneValue(MaterializeLane(x.m[k], i)))
+		for _, e := range x.ents {
+			out.Set(e.k, CloneValue(MaterializeLane(e.v, i)))
 		}
 		return out
 	default:

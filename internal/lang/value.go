@@ -104,10 +104,26 @@ func (k Key) Value() Value {
 	return k.S
 }
 
-// Array is a PHP-style ordered hash map.
+// arrayScanMax is the most cells an array holds without an index: up to
+// it a lookup scans the entries, past it two position indexes (one per
+// key kind) find a key, so the runtime hashes an int64 or a string and
+// never the Key struct.
+const arrayScanMax = 8
+
+// entry is one cell of an array.
+type entry struct {
+	k Key
+	v Value
+}
+
+// Array is a PHP-style ordered hash map: its cells in insertion order,
+// indexed by key only once there are more than arrayScanMax of them.
 type Array struct {
-	keys    []Key
-	m       map[Key]Value
+	ents []entry
+	// ints and strs map each int and string key to its position in ents;
+	// both are nil while len(ents) <= arrayScanMax.
+	ints    map[int64]int
+	strs    map[string]int
 	nextIdx int64
 	// shared is set once the array may have more than one holder, and
 	// never cleared: from then on nobody writes it (Set and Delete
@@ -123,16 +139,81 @@ type Array struct {
 
 // NewArray returns an empty array.
 func NewArray() *Array {
-	return &Array{m: make(map[Key]Value)}
+	return &Array{}
+}
+
+// NewArrayCap returns an empty array with room for n cells.
+func NewArrayCap(n int) *Array {
+	return &Array{ents: make([]entry, 0, n)}
 }
 
 // Len reports the number of elements.
-func (a *Array) Len() int { return len(a.keys) }
+func (a *Array) Len() int { return len(a.ents) }
+
+// find returns the position of key k, or -1.
+func (a *Array) find(k Key) int {
+	if len(a.ents) > arrayScanMax {
+		var i int
+		var ok bool
+		if k.IsInt {
+			i, ok = a.ints[k.I]
+		} else {
+			i, ok = a.strs[k.S]
+		}
+		if !ok {
+			return -1
+		}
+		return i
+	}
+	if k.IsInt {
+		for i := range a.ents {
+			if e := &a.ents[i].k; e.IsInt && e.I == k.I {
+				return i
+			}
+		}
+	} else {
+		for i := range a.ents {
+			if e := &a.ents[i].k; !e.IsInt && e.S == k.S {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
+// index records that key k is at position i.
+func (a *Array) index(k Key, i int) {
+	if k.IsInt {
+		if a.ints == nil {
+			a.ints = make(map[int64]int, cap(a.ents))
+		}
+		a.ints[k.I] = i
+	} else {
+		if a.strs == nil {
+			a.strs = make(map[string]int, cap(a.ents))
+		}
+		a.strs[k.S] = i
+	}
+}
+
+// rebuildIndex rebuilds the position indexes from the entries: none for a
+// small array.
+func (a *Array) rebuildIndex() {
+	a.ints, a.strs = nil, nil
+	if len(a.ents) <= arrayScanMax {
+		return
+	}
+	for i := range a.ents {
+		a.index(a.ents[i].k, i)
+	}
+}
 
 // Get returns the value at key k and whether it exists.
 func (a *Array) Get(k Key) (Value, bool) {
-	v, ok := a.m[k]
-	return v, ok
+	if i := a.find(k); i >= 0 {
+		return a.ents[i].v, true
+	}
+	return nil, false
 }
 
 // Set inserts or replaces the value at key k, preserving insertion order
@@ -143,10 +224,17 @@ func (a *Array) Set(k Key, v Value) {
 	case *Array, *Multi:
 		a.nested = true
 	}
-	if _, ok := a.m[k]; !ok {
-		a.keys = append(a.keys, k)
+	if i := a.find(k); i >= 0 {
+		a.ents[i].v = v
+	} else {
+		a.ents = append(a.ents, entry{k, v})
+		switch n := len(a.ents); {
+		case n == arrayScanMax+1:
+			a.rebuildIndex()
+		case n > arrayScanMax+1:
+			a.index(k, n-1)
+		}
 	}
-	a.m[k] = v
 	if k.IsInt && k.I >= a.nextIdx {
 		a.nextIdx = k.I + 1
 	}
@@ -160,27 +248,30 @@ func (a *Array) Append(v Value) {
 // Delete removes key k if present (PHP unset).
 func (a *Array) Delete(k Key) {
 	a.mustOwn()
-	if _, ok := a.m[k]; !ok {
+	i := a.find(k)
+	if i < 0 {
 		return
 	}
-	delete(a.m, k)
-	for i := range a.keys {
-		if a.keys[i] == k {
-			a.keys = append(a.keys[:i], a.keys[i+1:]...)
-			break
-		}
+	a.ents = slices.Delete(a.ents, i, i+1)
+	if len(a.ents) <= arrayScanMax {
+		a.ints, a.strs = nil, nil
+		return
+	}
+	if k.IsInt {
+		delete(a.ints, k.I)
+	} else {
+		delete(a.strs, k.S)
+	}
+	for j := i; j < len(a.ents); j++ {
+		a.index(a.ents[j].k, j)
 	}
 }
 
-// Keys returns the keys in insertion order. The slice is shared; callers
-// must not mutate it.
-func (a *Array) Keys() []Key { return a.keys }
-
 // Values returns the values in insertion order.
 func (a *Array) Values() []Value {
-	out := make([]Value, len(a.keys))
-	for i, k := range a.keys {
-		out[i] = a.m[k]
+	out := make([]Value, len(a.ents))
+	for i := range a.ents {
+		out[i] = a.ents[i].v
 	}
 	return out
 }
@@ -202,11 +293,11 @@ func (a *Array) Own() *Array {
 	if !a.shared {
 		return a
 	}
-	out := &Array{keys: slices.Clone(a.keys), m: maps.Clone(a.m), nextIdx: a.nextIdx, nested: a.nested}
+	out := &Array{ents: slices.Clone(a.ents), ints: maps.Clone(a.ints), strs: maps.Clone(a.strs), nextIdx: a.nextIdx, nested: a.nested}
 	if a.nested {
-		for k, v := range out.m {
-			if m, ok := v.(*Multi); ok {
-				out.m[k] = &Multi{V: slices.Clone(m.V)}
+		for i := range out.ents {
+			if m, ok := out.ents[i].v.(*Multi); ok {
+				out.ents[i].v = &Multi{V: slices.Clone(m.V)}
 			}
 		}
 	}
@@ -223,8 +314,8 @@ func share(v Value) {
 		}
 		x.shared = true
 		if x.nested {
-			for _, cv := range x.m {
-				share(cv)
+			for i := range x.ents {
+				share(x.ents[i].v)
 			}
 		}
 	case *Multi:
@@ -238,20 +329,19 @@ func share(v Value) {
 // sort()). cmp orders two values.
 func (a *Array) SortValues(cmp func(x, y Value) bool) {
 	a.mustOwn()
-	vals := a.Values()
-	sort.SliceStable(vals, func(i, j int) bool { return cmp(vals[i], vals[j]) })
-	a.keys = a.keys[:0]
-	a.m = make(map[Key]Value, len(vals))
-	a.nextIdx = 0
-	for _, v := range vals {
-		a.Append(v)
+	sort.SliceStable(a.ents, func(i, j int) bool { return cmp(a.ents[i].v, a.ents[j].v) })
+	for i := range a.ents {
+		a.ents[i].k = Key{I: int64(i), IsInt: true}
 	}
+	a.nextIdx = int64(len(a.ents))
+	a.rebuildIndex()
 }
 
-// SortKeys re-orders the array's keys in place (PHP ksort()).
+// SortKeys re-orders the array's cells by key (PHP ksort()).
 func (a *Array) SortKeys() {
 	a.mustOwn()
-	sort.SliceStable(a.keys, func(i, j int) bool { return keyLess(a.keys[i], a.keys[j]) })
+	sort.SliceStable(a.ents, func(i, j int) bool { return keyLess(a.ents[i].k, a.ents[j].k) })
+	a.rebuildIndex()
 }
 
 func keyLess(x, y Key) bool {
@@ -283,9 +373,9 @@ func CloneValue(v Value) Value {
 func deepCopy(v Value) Value {
 	switch x := v.(type) {
 	case *Array:
-		out := &Array{keys: slices.Clone(x.keys), m: make(map[Key]Value, len(x.m)), nextIdx: x.nextIdx, nested: x.nested}
-		for k, cv := range x.m {
-			out.m[k] = deepCopy(cv)
+		out := &Array{ents: make([]entry, len(x.ents)), ints: maps.Clone(x.ints), strs: maps.Clone(x.strs), nextIdx: x.nextIdx, nested: x.nested}
+		for i, e := range x.ents {
+			out.ents[i] = entry{e.k, deepCopy(e.v)}
 		}
 		return out
 	case *Multi:
@@ -490,11 +580,8 @@ func Equal(a, b Value) bool {
 		if x.Len() != y.Len() {
 			return false
 		}
-		for i, k := range x.keys {
-			if y.keys[i] != k {
-				return false
-			}
-			if !Equal(x.m[k], y.m[k]) {
+		for i := range x.ents {
+			if y.ents[i].k != x.ents[i].k || !Equal(x.ents[i].v, y.ents[i].v) {
 				return false
 			}
 		}
@@ -598,9 +685,9 @@ func LooseEqual(a, b Value) bool {
 		if x.Len() != y.Len() {
 			return false
 		}
-		for _, k := range x.keys {
-			bv, ok := y.m[k]
-			if !ok || !LooseEqual(x.m[k], bv) {
+		for _, e := range x.ents {
+			bv, ok := y.Get(e.k)
+			if !ok || !LooseEqual(e.v, bv) {
 				return false
 			}
 		}

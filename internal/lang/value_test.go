@@ -1,6 +1,10 @@
 package lang
 
 import (
+	"fmt"
+	"maps"
+	"slices"
+	"sort"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -209,6 +213,15 @@ func TestCanonicalIntStringQuick(t *testing.T) {
 	}
 }
 
+// keysOf returns a's keys in insertion order.
+func keysOf(a *Array) []Key {
+	out := make([]Key, len(a.ents))
+	for i, e := range a.ents {
+		out[i] = e.k
+	}
+	return out
+}
+
 func mustGetArr(a *Array, idx int64) *Array {
 	v, _ := a.Get(Key{I: idx, IsInt: true})
 	return v.(*Array)
@@ -222,19 +235,19 @@ func TestArrayOrderedSemantics(t *testing.T) {
 	a.Set(kb, int64(2))
 	a.Append(int64(3)) // key 0
 	// Insertion order preserved, not key order.
-	keys := a.Keys()
+	keys := keysOf(a)
 	if keys[0].S != "z" || keys[1].S != "a" || keys[2].I != 0 {
 		t.Fatalf("keys = %v", keys)
 	}
 	// Overwrite preserves position.
 	a.Set(ka, int64(9))
-	if a.Keys()[0].S != "z" || a.Len() != 3 {
+	if keysOf(a)[0].S != "z" || a.Len() != 3 {
 		t.Fatal("overwrite must keep position")
 	}
 	// Delete then re-add moves to the end.
 	a.Delete(ka)
 	a.Set(ka, int64(10))
-	if a.Keys()[2].S != "z" {
+	if keysOf(a)[2].S != "z" {
 		t.Fatal("re-added key must be at the end")
 	}
 }
@@ -245,7 +258,7 @@ func TestArrayAppendIndexing(t *testing.T) {
 	k5, _ := NormalizeKey(Value(int64(5)))
 	a.Set(k5, "y")
 	a.Append("z") // 6
-	keys := a.Keys()
+	keys := keysOf(a)
 	if keys[2].I != 6 {
 		t.Fatalf("append after explicit index: key = %v", keys[2])
 	}
@@ -253,8 +266,8 @@ func TestArrayAppendIndexing(t *testing.T) {
 	kn, _ := NormalizeKey(Value(int64(-10)))
 	a.Set(kn, "w")
 	a.Append("v") // 7
-	if a.Keys()[4].I != 7 {
-		t.Fatalf("append after negative index: %v", a.Keys()[4])
+	if keysOf(a)[4].I != 7 {
+		t.Fatalf("append after negative index: %v", keysOf(a)[4])
 	}
 }
 
@@ -337,9 +350,215 @@ func TestSortValuesStability(t *testing.T) {
 		t.Fatalf("sorted = %v", vals)
 	}
 	// Keys are renumbered 0..n-1.
-	for i, k := range a.Keys() {
+	for i, k := range keysOf(a) {
 		if !k.IsInt || k.I != int64(i) {
 			t.Fatalf("key %d = %v", i, k)
 		}
+	}
+}
+
+// refArray is the reference model for Array: the representation Array
+// had before its entry slice, a key slice in insertion order beside a map
+// keyed by the whole Key. FuzzArrayModel holds Array to it.
+type refArray struct {
+	keys    []Key
+	m       map[Key]Value
+	nextIdx int64
+}
+
+func newRefArray() *refArray { return &refArray{m: map[Key]Value{}} }
+
+func (r *refArray) set(k Key, v Value) {
+	if _, ok := r.m[k]; !ok {
+		r.keys = append(r.keys, k)
+	}
+	r.m[k] = v
+	if k.IsInt && k.I >= r.nextIdx {
+		r.nextIdx = k.I + 1
+	}
+}
+
+func (r *refArray) append(v Value) { r.set(Key{I: r.nextIdx, IsInt: true}, v) }
+
+func (r *refArray) delete(k Key) {
+	if _, ok := r.m[k]; !ok {
+		return
+	}
+	delete(r.m, k)
+	r.keys = slices.DeleteFunc(r.keys, func(x Key) bool { return x == k })
+}
+
+func (r *refArray) sortKeys() {
+	sort.SliceStable(r.keys, func(i, j int) bool { return keyLess(r.keys[i], r.keys[j]) })
+}
+
+func (r *refArray) sortValues(cmp func(x, y Value) bool) {
+	vals := make([]Value, len(r.keys))
+	for i, k := range r.keys {
+		vals[i] = r.m[k]
+	}
+	sort.SliceStable(vals, func(i, j int) bool { return cmp(vals[i], vals[j]) })
+	r.keys, r.m, r.nextIdx = nil, map[Key]Value{}, 0
+	for _, v := range vals {
+		r.append(v)
+	}
+}
+
+func (r *refArray) clone() *refArray {
+	return &refArray{keys: slices.Clone(r.keys), m: maps.Clone(r.m), nextIdx: r.nextIdx}
+}
+
+// modelKeys are the raw keys FuzzArrayModel draws from besides small
+// ints: canonical and near-integer strings (which NormalizeKey must keep
+// apart), the int64 extremes, and more distinct string keys than an
+// array holds before it is indexed.
+var modelKeys = []Value{
+	"0", "-0", "7", "07", "-7", " 7", "7 ", "1e2", "1.0", "",
+	"9223372036854775807", "-9223372036854775808", "9223372036854775808",
+	"a", "b", "c", "d", "e", "f", "g", "h", "i", "j", "k", "l",
+	1.9, true, nil,
+}
+
+func modelKey(b byte) Key {
+	raw := Value(int64(int8(b) >> 1))
+	if b&1 == 1 {
+		raw = modelKeys[int(b>>1)%len(modelKeys)]
+	}
+	k, err := NormalizeKey(raw)
+	if err != nil {
+		panic(err)
+	}
+	return k
+}
+
+// sameArray reports how a differs from the model r, or "". Besides the
+// model's keys it looks up the probe keys, which may be absent.
+func sameArray(a *Array, r *refArray, probe ...Key) string {
+	if a.Len() != len(r.keys) || a.nextIdx != r.nextIdx {
+		return fmt.Sprintf("len %d next %d, model len %d next %d", a.Len(), a.nextIdx, len(r.keys), r.nextIdx)
+	}
+	if indexed := a.ints != nil || a.strs != nil; indexed != (a.Len() > arrayScanMax) {
+		return fmt.Sprintf("len %d but indexed=%v", a.Len(), indexed)
+	}
+	for i, k := range r.keys {
+		if e := a.ents[i]; e.k != k || e.v != r.m[k] {
+			return fmt.Sprintf("cell %d is %v=>%v, model %v=>%v", i, e.k, e.v, k, r.m[k])
+		}
+		if v, ok := a.Get(k); !ok || v != r.m[k] {
+			return fmt.Sprintf("Get(%v) = %v, %v; model %v", k, v, ok, r.m[k])
+		}
+	}
+	for _, k := range probe {
+		want, wantOK := r.m[k]
+		if v, ok := a.Get(k); ok != wantOK || v != want {
+			return fmt.Sprintf("Get(%v) = %v, %v; model %v, %v", k, v, ok, want, wantOK)
+		}
+	}
+	return ""
+}
+
+// FuzzArrayModel drives random operation sequences through Array and
+// through the reference model, and requires the same length, lookups,
+// iteration order and next index after every step. The first byte
+// picks the initial capacity; then each pair of bytes is an operation
+// and its argument. An array shared before a write must keep its cells.
+func FuzzArrayModel(f *testing.F) {
+	grow := []byte{0}
+	for i := 0; i < 12; i++ {
+		grow = append(grow, 2, byte(i)) // Append
+	}
+	shrink := slices.Clone(grow)
+	for i := 0; i < 12; i++ {
+		shrink = append(shrink, 3, byte(2*i)) // Delete int key i
+	}
+	strs := []byte{4}
+	for i := 0; i < 12; i++ {
+		strs = append(strs, 1, byte(2*(13+i)+1)) // Set string keys "a"…"l"
+	}
+	strs = append(strs, 6, 0, 5, 0) // share+Own, SortKeys
+	for i := 11; i >= 0; i-- {
+		strs = append(strs, 3, byte(2*(13+i)+1)) // Delete them again
+	}
+	mixed := []byte{16, 0, 14, 3, 1, 21, 5, 2, 9, 6, 0, 0, 250, 1, 1, 2, 200, 2, 7, 1, 23, 4, 0, 3, 250, 7, 0, 1, 3, 2, 1}
+	for _, seed := range [][]byte{grow, shrink, strs, mixed, {}} {
+		f.Add(seed)
+	}
+	cmp := func(x, y Value) bool { return Compare(x, y) < 0 }
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 || len(data) > 256 {
+			return // 127 operations cross the index boundary often enough
+		}
+		a, r := NewArrayCap(int(data[0]%16)), newRefArray()
+		var frozen []*Array
+		var frozenRef []*refArray
+		for i := 1; i+1 < len(data); i += 2 {
+			op, arg := data[i]%8, data[i+1]
+			v := Value(int64(arg % 16))
+			k := modelKey(arg)
+			switch op {
+			case 0, 1:
+				if op == 1 {
+					k = modelKey(arg | 1)
+				}
+				a.Set(k, v)
+				r.set(k, v)
+			case 2:
+				a.Append(v)
+				r.append(v)
+			case 3:
+				a.Delete(k)
+				r.delete(k)
+			case 4:
+				a.SortKeys()
+				r.sortKeys()
+			case 5:
+				a.SortValues(cmp)
+				r.sortValues(cmp)
+			case 6:
+				share(a)
+				frozen, frozenRef = append(frozen, a), append(frozenRef, r.clone())
+				a = a.Own()
+			}
+			// Op 7 is a lookup alone: of k, which may be absent.
+			if d := sameArray(a, r, k); d != "" {
+				t.Fatalf("step %d (op %d, arg %d): %s", i/2, op, arg, d)
+			}
+		}
+		every := make([]Key, 256)
+		for b := range every {
+			every[b] = modelKey(byte(b))
+		}
+		if d := sameArray(a, r, every...); d != "" {
+			t.Fatalf("at the end: %s", d)
+		}
+		for j, fa := range frozen {
+			if d := sameArray(fa, frozenRef[j], every...); d != "" {
+				t.Fatalf("shared array %d was written: %s", j, d)
+			}
+		}
+	})
+}
+
+// TestArrayLiteralAllocations pins what an array literal costs: a 5-cell
+// string-keyed literal allocates the *Array and its entry slice, sized
+// once, and nothing else (no map: five cells are found by scanning).
+func TestArrayLiteralAllocations(t *testing.T) {
+	const iters = 100
+	allocs := func(body string) float64 {
+		prog, err := Compile(map[string]string{"main": fmt.Sprintf(`for ($i = 0; $i < %d; $i++) { %s }`, iters, body)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := Config{Mode: ModePlain, Script: "main", RIDs: []string{"r1"}, Inputs: []RequestInput{{}}}
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Run(prog, cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	lit := allocs(`$a = ["id" => 1, "title" => 2, "body" => 3, "user" => 4, "ts" => 5];`)
+	scalar := allocs(`$a = 0;`)
+	if per := (lit - scalar) / iters; per > 2 {
+		t.Fatalf("a 5-cell literal allocates %.2f times, want at most 2 (the array and its entries)", per)
 	}
 }

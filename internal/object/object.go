@@ -202,8 +202,11 @@ type Bridge struct {
 	// Clock supplies time for time()/microtime(); overridable for
 	// deterministic tests. Defaults to the wall clock.
 	Clock func() time.Time
-	// Rand supplies randomness for mt_rand(); defaults to math/rand.
-	Rand *rand.Rand
+	// RandSeed seeds the source of mt_rand() and rand(). The source is
+	// built on the first call to either, so a request that draws no
+	// random number pays nothing for it.
+	RandSeed int64
+	rng      *rand.Rand
 	// PID is the reported process id.
 	PID int64
 
@@ -277,7 +280,7 @@ func (b *Bridge) DBOp(rid string, opnum int, stmts []string) (lang.Value, error)
 // an array of per-statement results, where a SELECT yields an array of
 // row maps and a write yields {"affected": n, "insert_id": id}.
 func resultsToLang(results []*sqlmini.Result) lang.Value {
-	out := lang.NewArray()
+	out := lang.NewArrayCap(len(results))
 	for _, r := range results {
 		out.Append(ResultToLang(r))
 	}
@@ -287,18 +290,21 @@ func resultsToLang(results []*sqlmini.Result) lang.Value {
 // ResultToLang converts one statement result to a language value.
 func ResultToLang(r *sqlmini.Result) lang.Value {
 	if r.Cols != nil {
-		rows := lang.NewArray()
+		keys := make([]lang.Key, len(r.Cols))
+		for i, col := range r.Cols {
+			keys[i], _ = lang.NormalizeKey(lang.Value(col))
+		}
+		rows := lang.NewArrayCap(len(r.Rows))
 		for _, row := range r.Rows {
-			m := lang.NewArray()
-			for i, col := range r.Cols {
-				k, _ := lang.NormalizeKey(lang.Value(col))
+			m := lang.NewArrayCap(len(r.Cols))
+			for i, k := range keys {
 				m.Set(k, sqlValToLang(row[i]))
 			}
 			rows.Append(m)
 		}
 		return rows
 	}
-	m := lang.NewArray()
+	m := lang.NewArrayCap(2)
 	ka, _ := lang.NormalizeKey(lang.Value("affected"))
 	ki, _ := lang.NormalizeKey(lang.Value("insert_id"))
 	m.Set(ka, r.Affected)
@@ -307,15 +313,9 @@ func ResultToLang(r *sqlmini.Result) lang.Value {
 }
 
 func sqlValToLang(v sqlmini.Val) lang.Value {
-	switch x := v.(type) {
-	case nil:
-		return nil
-	case int64:
-		return x
-	case float64:
-		return x
-	case string:
-		return x
+	switch v.(type) {
+	case nil, int64, float64, string:
+		return v // already a lang value; boxing it again would allocate
 	default:
 		return fmt.Sprintf("%v", v)
 	}
@@ -341,10 +341,11 @@ func (b *Bridge) NonDet(rid string, fn string, args []lang.Value) (lang.Value, e
 		}
 		if hi < lo {
 			v = lo
-		} else if b.Rand != nil {
-			v = lo + b.Rand.Int63n(hi-lo+1)
 		} else {
-			v = lo + rand.Int63n(hi-lo+1)
+			if b.rng == nil {
+				b.rng = rand.New(rand.NewSource(b.RandSeed))
+			}
+			v = lo + b.rng.Int63n(hi-lo+1)
 		}
 	case "uniqid":
 		v = fmt.Sprintf("%x", b.Clock().UnixNano())

@@ -315,3 +315,31 @@ func TestDecodeSnapshotRejectsTruncatedAndTrailing(t *testing.T) {
 		t.Fatalf("clean encoding rejected: %v", err)
 	}
 }
+
+// TestResultToLangRowAllocations pins what one result row costs: a
+// 3-column row allocates its *Array and its entry slice, sized once, and
+// nothing else (no map, no key work per row, no re-boxed cell values).
+func TestResultToLangRowAllocations(t *testing.T) {
+	s := NewStore()
+	if _, err := s.DB.Exec(`CREATE TABLE t (id INT, title TEXT, n INT)`); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := s.DB.Exec(fmt.Sprintf(`INSERT INTO t (id, title, n) VALUES (%d, 'page title %d', %d)`, 1000+i, i, 5000+i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := func(limit int) float64 {
+		r, err := s.DB.Exec(fmt.Sprintf(`SELECT id, title, n FROM t LIMIT %d`, limit))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(r.Rows) != limit {
+			t.Fatalf("LIMIT %d returned %d rows", limit, len(r.Rows))
+		}
+		return testing.AllocsPerRun(100, func() { ResultToLang(r) })
+	}
+	if per := allocs(2) - allocs(1); per > 2 {
+		t.Fatalf("a 3-column row allocates %v times, want at most 2 (the array and its entries)", per)
+	}
+}

@@ -19,7 +19,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -190,7 +189,7 @@ func (s *Server) run(rid string, in trace.Input) string {
 	if s.opts.Clock != nil {
 		bridge.Clock = s.opts.Clock
 	}
-	bridge.Rand = rand.New(rand.NewSource(int64(seed >> 1)))
+	bridge.RandSeed = int64(seed >> 1)
 
 	mode := lang.ModePlain
 	if rec != nil {
