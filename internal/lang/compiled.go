@@ -128,16 +128,20 @@ type compiler struct {
 
 // caccess is a variable's compiled accessor quadruple, mirroring
 // scope.get/set/exists/unset for the name's resolved storage class.
+// load returns what the variable holds, a segmented string included;
+// get is the read every consumer but `.`, echo and a call makes.
 type caccess struct {
-	get    func(fr *cframe) Value
+	load   func(fr *cframe) Value
 	set    func(fr *cframe, v Value)
 	exists func(fr *cframe) bool
 	unset  func(fr *cframe)
 }
 
+func (a caccess) get(fr *cframe) Value { return flatValue(a.load(fr)) }
+
 func globalAccess(g int) caccess {
 	return caccess{
-		get: func(fr *cframe) Value { return fr.ex.gslots[g] },
+		load: func(fr *cframe) Value { return fr.ex.gslots[g] },
 		set: func(fr *cframe, v Value) {
 			fr.ex.gslots[g] = v
 			fr.ex.gset[g] = true
@@ -153,7 +157,7 @@ func globalAccess(g int) caccess {
 func (cc *compiler) access(name string) caccess {
 	if isSuperglobal(name) {
 		return caccess{
-			get: func(fr *cframe) Value { return fr.ex.super[name] },
+			load: func(fr *cframe) Value { return fr.ex.super[name] },
 			set: func(fr *cframe, v Value) {
 				if arr, ok := v.(*Array); ok {
 					fr.ex.super[name] = arr
@@ -176,7 +180,7 @@ func (cc *compiler) access(name string) caccess {
 	}
 	if !cc.fn.globalDecl[name] {
 		return caccess{
-			get: func(fr *cframe) Value { return fr.locals[l] },
+			load: func(fr *cframe) Value { return fr.locals[l] },
 			set: func(fr *cframe, v Value) {
 				fr.locals[l] = v
 				fr.set[l] = true
@@ -193,7 +197,7 @@ func (cc *compiler) access(name string) caccess {
 	// redirect flag.
 	g := cc.fn.gslot[name]
 	return caccess{
-		get: func(fr *cframe) Value {
+		load: func(fr *cframe) Value {
 			if fr.gflags[l] {
 				return fr.ex.gslots[g]
 			}
@@ -260,7 +264,7 @@ func (cc *compiler) compileStmts(stmts []Stmt) []cstmt {
 func (cc *compiler) compileStmt(s Stmt) cstmt {
 	switch st := s.(type) {
 	case *ExprStmt:
-		e := cc.compileExpr(st.E)
+		e := cc.compileSegExpr(st.E)
 		return func(fr *cframe) (ctrl, Value, error) {
 			if err := fr.ex.step(); err != nil {
 				return ctrlNone, nil, err
@@ -472,7 +476,7 @@ func (cc *compiler) compileStmt(s Stmt) cstmt {
 	case *Return:
 		var e cexpr
 		if st.E != nil {
-			e = cc.compileExpr(st.E)
+			e = cc.compileSegExpr(st.E)
 		}
 		return func(fr *cframe) (ctrl, Value, error) {
 			if err := fr.ex.step(); err != nil {
@@ -505,8 +509,9 @@ func (cc *compiler) compileStmt(s Stmt) cstmt {
 	case *Echo:
 		args := make([]cexpr, len(st.Args))
 		for i, a := range st.Args {
-			args[i] = cc.compileExpr(a)
+			args[i] = cc.compileSegExpr(a)
 		}
+		line := st.Line
 		return func(fr *cframe) (ctrl, Value, error) {
 			if err := fr.ex.step(); err != nil {
 				return ctrlNone, nil, err
@@ -516,7 +521,9 @@ func (cc *compiler) compileStmt(s Stmt) cstmt {
 				if err != nil {
 					return ctrlNone, nil, err
 				}
-				fr.ex.echo(v)
+				if err := fr.ex.echo(v, line); err != nil {
+					return ctrlNone, nil, err
+				}
 			}
 			return ctrlNone, nil, nil
 		}
@@ -570,8 +577,15 @@ func (cc *compiler) compileStmt(s Stmt) cstmt {
 }
 
 func (cc *compiler) compileAssign(st *Assign) cstmt {
-	rhs := cc.compileExpr(st.RHS)
 	tgt := cc.compileLValue(st.Target)
+	// A plain variable may hold a segmented string; an array cell may not.
+	plain := len(tgt.steps) == 0
+	var rhs cexpr
+	if plain {
+		rhs = cc.compileSegExpr(st.RHS)
+	} else {
+		rhs = cc.compileExpr(st.RHS)
+	}
 	if st.Op == "=" {
 		return func(fr *cframe) (ctrl, Value, error) {
 			if err := fr.ex.step(); err != nil {
@@ -595,11 +609,20 @@ func (cc *compiler) compileAssign(st *Assign) cstmt {
 		if err != nil {
 			return ctrlNone, nil, err
 		}
-		old, err := readCLV(fr, tgt)
-		if err != nil {
+		var old, nv Value
+		if binOp == "." && plain {
+			old = tgt.acc.load(fr)
+		} else if old, err = readCLV(fr, tgt); err != nil {
 			return ctrlNone, nil, err
 		}
-		nv, err := fr.ex.binaryOp(binOp, old, v, line)
+		if binOp == "." {
+			nv, err = fr.ex.concat(old, v, line)
+			if !plain {
+				nv = flatValue(nv)
+			}
+		} else {
+			nv, err = fr.ex.binaryOp(binOp, old, flatValue(v), line)
+		}
 		if err != nil {
 			return ctrlNone, nil, err
 		}
@@ -728,6 +751,9 @@ func (cc *compiler) compileExpr(e Expr) cexpr {
 			return ex.indexRead(t, i, line)
 		}
 	case *Binary:
+		if x.Op == "." {
+			return flatExpr(cc.compileSegExpr(x))
+		}
 		l := cc.compileExpr(x.L)
 		r := cc.compileExpr(x.R)
 		op, line := x.Op, x.Line
@@ -808,6 +834,9 @@ func (cc *compiler) compileExpr(e Expr) cexpr {
 			return els(fr)
 		}
 	case *Call:
+		if _, ok := cc.prog.Funcs[x.Name]; ok {
+			return flatExpr(cc.compileSegExpr(x))
+		}
 		return cc.compileCall(x)
 	case *ArrayLit:
 		type centry struct {
@@ -927,6 +956,47 @@ func (cc *compiler) compileExpr(e Expr) cexpr {
 	}
 }
 
+// compileSegExpr lowers e for a consumer that takes a segmented string
+// as it is: the operands of `.`, echo, return, a user function's
+// arguments and a plain variable's assignment. Only a variable, `.` and
+// a user function call can yield one.
+func (cc *compiler) compileSegExpr(e Expr) cexpr {
+	switch x := e.(type) {
+	case *Var:
+		acc := cc.access(x.Name)
+		return func(fr *cframe) (Value, error) { return acc.load(fr), nil }
+	case *Binary:
+		if x.Op != "." {
+			break
+		}
+		l := cc.compileSegExpr(x.L)
+		r := cc.compileSegExpr(x.R)
+		line := x.Line
+		return func(fr *cframe) (Value, error) {
+			lv, err := l(fr)
+			if err != nil {
+				return nil, err
+			}
+			rv, err := r(fr)
+			if err != nil {
+				return nil, err
+			}
+			return fr.ex.concat(lv, rv, line)
+		}
+	case *Call:
+		return cc.compileCall(x)
+	}
+	return cc.compileExpr(e)
+}
+
+// flatExpr wraps a segmented-string producer for every other consumer.
+func flatExpr(e cexpr) cexpr {
+	return func(fr *cframe) (Value, error) {
+		v, err := e(fr)
+		return flatValue(v), err
+	}
+}
+
 // compileCall resolves the dispatch order of exec.evalCall — user
 // functions, reference builtins, state ops, nondet builtins, pure
 // builtins — at compile time. The tables are immutable after Compile,
@@ -936,7 +1006,10 @@ func (cc *compiler) compileCall(x *Call) cexpr {
 	name, line := x.Name, x.Line
 	if _, ok := cc.prog.Funcs[name]; ok {
 		cf := cc.funcs[name]
-		args := cc.compileExprs(x.Args)
+		args := make([]cexpr, len(x.Args))
+		for i, a := range x.Args {
+			args[i] = cc.compileSegExpr(a)
+		}
 		return func(fr *cframe) (Value, error) {
 			return callCFunc(fr, cf, args, line)
 		}

@@ -414,6 +414,39 @@ $a[1][] = $a;
 $b = array($_GET["x"]);
 $b[0] = $b;
 echo json_encode($a) . json_encode($b);`},
+	// A string built by . and .= with a per-lane operand is segmented in
+	// the compiled engine: it must read the same through every consumer.
+	{"segmented strings", `
+function page($t, $b) { $o = "<p>" . $t . "</p>"; $o .= "<div>" . $b . "</div>"; $o .= str_repeat("~", 70); return $o; }
+function id($v) { return $v; }
+$t = "T" . $_GET["x"];
+$s = "head:" . $_GET["x"];
+$s .= str_repeat("-", 70);
+echo strlen($s), "|", substr($s, 0, 8), "|", strtoupper($t), "|";
+$a = array();
+$a[] = $s;
+$a[$s] = 1;
+$k = $s . "!";
+echo count($a), isset($a[$k]) ? "y" : "n", isset($s) ? "set" : "unset", empty($s) ? "e" : "ne";
+echo $s === $k ? "eq" : "ne", $s == "head:1" . str_repeat("-", 70) ? "one" : "other";
+$p = page($t, $s);
+echo $p, md5(id($p)), page(id($t), "x" . id($s) . "y");
+$u = $s;
+$u .= "tail";
+echo $s, $u, $t . $s, $s . $t, id($s) . id($s);
+$n = "5" . $_GET["x"];
+$n .= "0";
+$n += 1;
+echo $n;
+$q = $_GET["x"] > 1 ? $s . "big" : $s . "small";
+echo $q, json_encode(array("k" => $s . "v", "t" => $t));
+foreach (array(1, 2) as $i) { $s .= $i . $_GET["x"]; $s .= "/"; }
+echo $s;
+$z = "" . $_GET["x"];
+echo $z . $z, "=" . $z . "=";
+$w = $s;
+$w[0] = "W";
+echo $w;`},
 }
 
 func TestEngineEquivalence(t *testing.T) {
@@ -493,6 +526,10 @@ func TestEngineEquivalenceStringBudget(t *testing.T) {
 		{"str_replace growth", `$s = str_repeat("a", 3000); echo strlen(str_replace("a", $s . $_GET["x"], $s));`},
 		{"iterated growing builtin", `$s = "\"" . $_GET["x"]; while (1) { $s = json_encode($s); }`},
 		{"number_format decimals", `echo strlen(number_format(1, 1073741824)) . $_GET["x"];`},
+		{"echo loop", `while (1) { echo str_repeat("x", 4000000); }`},
+		{"per-lane echo loop", `while (1) { echo str_repeat("x", 4000000) . $_GET["x"]; }`},
+		{"segmented string crossing the limit", `$s = $_GET["x"] . str_repeat("-", 99); while (1) { $s .= str_repeat("z", 100000); }`},
+		{"segmented lanes crossing apart", `$s = str_repeat("p", 1000 * intval($_GET["x"])) . "!"; while (1) { $s .= str_repeat("z", 100000); }`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			diffScript(t, tc.src, engineInputs("1"))
@@ -511,6 +548,44 @@ func TestEngineEquivalenceStringBudget(t *testing.T) {
 		if obs := runEngine(EngineCompiled, prog, ModeRecord, "main", in, 1000); obs.Err != wantErr {
 			t.Fatalf("%d bytes + 1: error %q, want %q", n, obs.Err, wantErr)
 		}
+	}
+	// `.=` in a loop grows one buffer in place up to exactly the limit —
+	// a univalue at one lane, a segmented string's shared tail at three —
+	// and one byte more faults, in every lane.
+	const fill = `$s = $_GET["t"] . str_repeat("-", 99); $n = 100;
+while ($n + 100000 <= $_GET["x"]) { $s .= str_repeat("z", 100000); $n += 100000; }
+$s .= str_repeat("y", $_GET["x"] - $n);
+echo strlen($s), substr($s, 0, 2), substr($s, -2);`
+	for _, tc := range []struct{ name, extra, wantErr string }{
+		{"at the limit", ``, ""},
+		{"one byte over", `$s .= "!";`, "string length limit exceeded"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src := fill + tc.extra
+			in := func(ts ...string) []RequestInput {
+				out := make([]RequestInput, len(ts))
+				for i, v := range ts {
+					out[i] = RequestInput{Get: map[string]string{"x": fmt.Sprint(maxStringBytes), "t": v}}
+				}
+				return out
+			}
+			diffScript(t, src, in("a"))
+			diffScript(t, src, in("a", "b", "a"))
+			prog := MustCompile(map[string]string{"main": src})
+			for _, ins := range [][]RequestInput{in("a"), in("a", "b", "a")} {
+				mode := ModeRecord
+				if len(ins) > 1 {
+					mode = ModeSIMD
+				}
+				obs := runEngine(EngineCompiled, prog, mode, "main", ins, 10_000)
+				if obs.Err != tc.wantErr {
+					t.Fatalf("%d lanes: error %q, want %q", len(ins), obs.Err, tc.wantErr)
+				}
+				if want := fmt.Sprintf("%d%s-yy", maxStringBytes, ins[0].Get["t"]); tc.wantErr == "" && obs.Outputs[0] != want {
+					t.Fatalf("%d lanes: output %q, want %q", len(ins), obs.Outputs[0], want)
+				}
+			}
+		})
 	}
 }
 

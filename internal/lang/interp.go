@@ -166,6 +166,9 @@ type exec struct {
 	// eager is set by the reference engine, which copies arrays eagerly
 	// (deepCopy) where the production engine shares them (CloneValue).
 	eager bool
+	// grow holds the buffers the production engine grows strings in
+	// (str.go); the reference engine concatenates by copying.
+	grow []growBufs
 
 	steps      int64
 	maxSteps   int64
@@ -326,7 +329,9 @@ func (ex *exec) execStmt(sc *scope, s Stmt) (ctrl, Value, error) {
 			if err != nil {
 				return ctrlNone, nil, err
 			}
-			ex.echo(v)
+			if err := ex.echo(v, st.Line); err != nil {
+				return ctrlNone, nil, err
+			}
 		}
 		return ctrlNone, nil, nil
 	case *Global:
@@ -630,16 +635,45 @@ func (ex *exec) looseEqDirection(a, b Value) (bool, error) {
 	return first, nil
 }
 
-func (ex *exec) echo(v Value) {
-	if m, ok := v.(*Multi); ok {
+// echo writes v to every lane's output. A multivalue writes per lane,
+// a segmented string its shared head and tail once. No lane's output may
+// outgrow the string budget: the canonical string fault if every lane
+// would, divergence if only some would.
+func (ex *exec) echo(v Value, line int) error {
+	o := ex.out
+	switch x := v.(type) {
+	case *Multi:
 		ex.countInstr(true)
-		for i := range m.V {
-			ex.out.writeLane(i, ToString(MaterializeLane(m.V[i], i)))
+		parts := make([]string, len(x.V))
+		for i := range x.V {
+			parts[i] = ToString(MaterializeLane(x.V[i], i))
 		}
-		return
+		if err := o.budget(func(i int) int { return len(parts[i]) }, line); err != nil {
+			return err
+		}
+		for i, p := range parts {
+			o.writeLane(i, p)
+		}
+	case *segStr:
+		ex.countInstr(true)
+		fixed := len(x.head) + len(x.tail)
+		if err := o.budget(func(i int) int { return fixed + len(x.mid[i]) }, line); err != nil {
+			return err
+		}
+		o.writeAll(x.head)
+		for i, p := range x.mid {
+			o.writeLane(i, p)
+		}
+		o.writeAll(x.tail)
+	default:
+		ex.countInstr(false)
+		s := ToString(v)
+		if err := o.budget(func(int) int { return len(s) }, line); err != nil {
+			return err
+		}
+		o.writeAll(s)
 	}
-	ex.countInstr(false)
-	ex.out.writeAll(ToString(v))
+	return nil
 }
 
 // output is a segmented output buffer: runs of univalent echoes append
@@ -655,6 +689,10 @@ type output struct {
 	curShared strings.Builder
 	curLanes  []strings.Builder
 	inLanes   bool
+	// shared counts the bytes every lane holds, lane[i] the bytes only
+	// lane i holds.
+	shared int
+	lane   []int
 }
 
 // outSeg is either a shared string (perLane nil) or per-lane strings.
@@ -667,11 +705,28 @@ func newOutput(lanes int) *output {
 	return &output{lanes: lanes}
 }
 
+// budget checks that writing add(i) more bytes to each lane i keeps
+// every lane's output within the string budget.
+func (o *output) budget(add func(i int) int, line int) error {
+	over := 0
+	for i := 0; i < o.lanes; i++ {
+		n := o.shared + add(i)
+		if o.lane != nil {
+			n += o.lane[i]
+		}
+		if n > maxStringBytes {
+			over++
+		}
+	}
+	return laneFault(over, o.lanes, line)
+}
+
 func (o *output) writeAll(s string) {
 	if o.inLanes {
 		o.flushLanes()
 	}
 	o.curShared.WriteString(s)
+	o.shared += len(s)
 }
 
 func (o *output) writeLane(i int, s string) {
@@ -679,10 +734,12 @@ func (o *output) writeLane(i int, s string) {
 		o.flushShared()
 		if o.curLanes == nil {
 			o.curLanes = make([]strings.Builder, o.lanes)
+			o.lane = make([]int, o.lanes)
 		}
 		o.inLanes = true
 	}
 	o.curLanes[i].WriteString(s)
+	o.lane[i] += len(s)
 }
 
 func (o *output) flushShared() {

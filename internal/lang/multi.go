@@ -94,7 +94,7 @@ func Collapse(v Value) Value {
 // Fig. 11 accounting.
 func DeepContainsMulti(v Value) bool {
 	switch x := v.(type) {
-	case *Multi:
+	case *Multi, *segStr:
 		return true
 	case *Array:
 		if !x.nested {
