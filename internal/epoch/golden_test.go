@@ -86,7 +86,9 @@ func goldenApp(t *testing.T, b *strings.Builder, w *workload.Workload) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv.ServeAllContext(context.Background(), w.Requests, 1)
+	if err := srv.ServeAllContext(context.Background(), w.Requests, 1); err != nil {
+		t.Fatal(err)
+	}
 	if err := mgr.Close(); err != nil {
 		t.Fatal(err)
 	}
