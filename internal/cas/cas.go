@@ -3,11 +3,13 @@
 // into content-defined chunks, each keyed by the SHA-256 of its bytes;
 // a blob is then just an ordered list of chunk references, and two
 // blobs that cut to an identical chunk store it once. On the traces
-// this repo seals that is rare — chunks average tens of KB on
-// low-entropy HTML and each also carries per-request ids — so repeated
-// responses are deduplicated above this layer, by the trace codec's
-// body table, and this layer contributes addressing, integrity and
-// compression at rest. The model follows the
+// this repo seals that is rare — every chunk carries per-request ids —
+// so repeated responses are deduplicated above this layer, by the
+// trace codec's body table, and this layer contributes addressing,
+// integrity and compression at rest. That is why DefaultChunker cuts
+// 32 KiB chunks on average: smaller ones would lose no sharing worth
+// having, and each chunk costs the writer a file, an fsync and a fresh
+// deflate window. The model follows the
 // gapid isolate-server design: writers upload only chunks the store
 // lacks, readers verify every chunk against its digest, so integrity
 // checking comes for free on every read.

@@ -14,9 +14,9 @@ import (
 // (<root>/<sha[:2]>/<sha>) so no single directory grows unbounded, and
 // each chunk is gzip-compressed at rest — chunking operates on logical
 // (uncompressed) bytes so dedup works, and compression at rest is
-// where most of the disk saving comes from. Writes are atomic
-// (temp file + fsync + rename + dir fsync), matching the durability
-// discipline of the epoch log writer.
+// where most of the disk saving comes from. Writes are atomic and
+// durable: temp file, fsync, rename, directory fsync, and the root is
+// fsynced once when a new fan-out directory appears in it.
 type FS struct {
 	root string
 }
@@ -90,8 +90,13 @@ func (s *FS) writeStored(sha string, stored []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, sha[:8]+"-*.tmp")
 	if os.IsNotExist(err) {
-		// First chunk under this fan-out directory.
+		// First chunk under this fan-out directory. Its name must be
+		// durable in the root too, or a crash can lose every chunk under
+		// it after a manifest naming them was sealed.
 		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return fmt.Errorf("cas: put %s: %w", short(sha), err)
+		}
+		if err := syncDir(s.root); err != nil {
 			return fmt.Errorf("cas: put %s: %w", short(sha), err)
 		}
 		tmp, err = os.CreateTemp(dir, sha[:8]+"-*.tmp")
@@ -240,24 +245,6 @@ func validSHA(sha string) bool {
 		}
 	}
 	return true
-}
-
-// writeFileSync writes data to path and fsyncs the file, so a rename
-// over it is durable.
-func writeFileSync(path string, data []byte) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // syncDir fsyncs a directory so renames within it are durable.

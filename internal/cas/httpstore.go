@@ -27,10 +27,11 @@ var ErrUnavailable = errors.New("cas: store unavailable")
 // that inflates without end. Every chunk a chain holds was cut by
 // DefaultChunker (WriteBlob for sealed artifacts and checkpoints,
 // DefaultChunker.Split for the snapshots fleet workers ship), so none
-// inflates past its Max. The stored (gzip) form may exceed that by
-// deflate's framing on incompressible bytes — 5 bytes per stored block
-// plus an 18-byte gzip header and trailer — which 1 KiB covers with
-// room to spare.
+// inflates past its Max, 256 KiB; chains cut when Max was 64 KiB sit
+// well inside it. The stored (gzip) form may exceed that by deflate's
+// framing on incompressible bytes — 5 bytes per stored block of at
+// most 64 KiB plus an 18-byte gzip header and trailer — which 1 KiB
+// covers with room to spare.
 var (
 	maxChunkInflated = int64(DefaultChunker.Max)
 	maxChunkStored   = maxChunkInflated + 1<<10

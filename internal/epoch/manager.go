@@ -277,6 +277,11 @@ func (m *Manager) seal(job *sealJob, prevSHA string) (string, error) {
 	if err := os.Mkdir(epochDir, 0o755); err != nil {
 		return "", err
 	}
+	// The new directory's name lives in the chain directory: without
+	// this fsync a power loss can drop an epoch reported sealed.
+	if err := syncDir(m.dir); err != nil {
+		return "", err
+	}
 	sha, err := WriteManifest(epochDir, manifest)
 	if err != nil {
 		return "", err

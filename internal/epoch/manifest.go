@@ -134,8 +134,10 @@ func WriteManifest(dir string, m *Manifest) (string, error) {
 		return "", fmt.Errorf("epoch: write manifest: %w", err)
 	}
 	data = append(data, '\n')
+	// Only the rename has to be durable, so the temp name's directory
+	// entry is not fsynced on its own; the one fsync below covers both.
 	tmp := filepath.Join(dir, ManifestName+".tmp")
-	if err := writeFileSync(tmp, data); err != nil {
+	if err := writeFileFsync(tmp, data); err != nil {
 		os.Remove(tmp)
 		return "", fmt.Errorf("epoch: write manifest: %w", err)
 	}
@@ -151,6 +153,14 @@ func WriteManifest(dir string, m *Manifest) (string, error) {
 
 // writeFileSync writes data to path and fsyncs the file and directory.
 func writeFileSync(path string, data []byte) error {
+	if err := writeFileFsync(path, data); err != nil {
+		return err
+	}
+	return syncDir(filepath.Dir(path))
+}
+
+// writeFileFsync writes data to path and fsyncs the file alone.
+func writeFileFsync(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
@@ -163,10 +173,7 @@ func writeFileSync(path string, data []byte) error {
 		f.Close()
 		return err
 	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return syncDir(filepath.Dir(path))
+	return f.Close()
 }
 
 // syncDir fsyncs a directory so renames and creates within it are

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"orochi/internal/cas"
 	"orochi/internal/epoch"
 	"orochi/internal/lang"
 	"orochi/internal/server"
@@ -231,6 +232,48 @@ func TestDecisionLogSameFromBothDrivers(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestChainCutBySmallerChunksStillAudits seals a chain with the chunk
+// bounds the sealer used before the 32 KiB average (2 / 8 / 64 KiB) and
+// audits it with the current ones. Manifests pin chunks of any size, so
+// the chain must ACCEPT through the local auditor and through the
+// fleet's HTTPStore alike, with the same ledger.
+func TestChainCutBySmallerChunksStillAudits(t *testing.T) {
+	master := t.TempDir()
+	cur := cas.DefaultChunker
+	t.Cleanup(func() { cas.DefaultChunker = cur })
+	cas.DefaultChunker = cas.ChunkerOptions{Min: 2 << 10, Avg: 8 << 10, Max: 64 << 10}
+	prog := sealQuietChain(t, master)
+	cas.DefaultChunker = cur
+
+	sealed, err := epoch.ListSealed(master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := epoch.OpenChainStore(master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	init := sealed[0].Manifest.Init.Chunks
+	blob, err := cas.ReadBlob(store, init)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(cur.Split(blob)); n >= len(init) {
+		t.Fatalf("the old bounds cut the init snapshot into %d chunks, the current ones into %d: nothing old to audit", len(init), n)
+	}
+
+	local := localAudit(t, prog, copyChain(t, master), epoch.AuditorOptions{})
+	coord := fleetAudit(t, prog, copyChain(t, master), CoordinatorOptions{})
+	if !local.ChainAccepted() || !coord.ChainAccepted() {
+		t.Fatalf("chain accepted local=%v fleet=%v, want both", local.ChainAccepted(), coord.ChainAccepted())
+	}
+	want := normalize(t, local.Verdicts())
+	if len(want) != len(sealed) {
+		t.Fatalf("local audit decided %d of %d epochs", len(want), len(sealed))
+	}
+	requireSameLedger(t, "fleet", normalize(t, coord.Verdicts()), want)
 }
 
 // TestFleetCheckpointRetry: a checkpoint the coordinator could not write
