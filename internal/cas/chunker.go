@@ -15,12 +15,11 @@ type ChunkerOptions struct {
 	Max int // hard cap; force a cut here
 }
 
-// DefaultChunker bounds chunks for epoch artifacts. The 32 KiB average
-// is a measured constant: sealed artifacts share almost no chunks at
-// any size, so smaller chunks buy no dedup, while every chunk costs the
-// sealer a file, an fsync and a fresh deflate window — at 8 KiB deflate
-// restarts its 32 KiB window every chunk. Readers accept chunks of
-// any size up to Max, so chains cut with smaller bounds still read.
+// DefaultChunker bounds chunks for epoch artifacts. Its 32 KiB average
+// is a measured constant: sealed artifacts share almost no chunks even
+// at 8 KiB, and every chunk costs the sealer a file, an fsync and a
+// fresh deflate window. Readers take chunks of any size (from a fleet peer,
+// up to Max), so chains cut with smaller bounds still read.
 var DefaultChunker = ChunkerOptions{Min: 8 << 10, Avg: 32 << 10, Max: 256 << 10}
 
 // Split cuts data into content-defined chunks. The concatenation of

@@ -11,11 +11,12 @@ import (
 	"sync"
 )
 
-// gzipLevel is the deflate level of every stream Gzip writes. It is a
-// measured constant: on sealed artifacts cut into 32 KiB chunks, level
-// 4 deflates about 3× faster than the default level 6 for a few percent
-// more bytes, and the bytes a chain stores stayed within 1 % of the
-// default level's. Readers do not depend on it.
+// gzipLevel is the deflate level of every stream Gzip writes, a
+// measured constant. On sealed artifacts in DefaultChunker's chunks,
+// level 4 deflates up to ~3× faster than the default level 6, and the
+// larger chunks win back the bytes it gives up: stored bytes per
+// request moved by at most +0.5 % on the bench workloads. Readers do
+// not depend on the level.
 const gzipLevel = 4
 
 // A gzip.Writer carries about a megabyte of deflate state and a

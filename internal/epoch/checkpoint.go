@@ -62,7 +62,7 @@ func writeCheckpoint(dir string, n int64, st State) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	return writeFileSync(path, append(data, '\n'))
+	return writeFileDurable(path, append(data, '\n'))
 }
 
 // LoadCheckpointRefs reads epoch n's checkpoint ref list without

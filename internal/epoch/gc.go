@@ -159,7 +159,7 @@ func GC(dir string, opts GCOptions) (*GCResult, error) {
 				if err != nil {
 					return nil, err
 				}
-				if err := writeFileSync(filepath.Join(s.Dir, CompactedName), append(data, '\n')); err != nil {
+				if err := writeFileDurable(filepath.Join(s.Dir, CompactedName), append(data, '\n')); err != nil {
 					return nil, fmt.Errorf("epoch: gc: compact epoch %d: %w", s.Number, err)
 				}
 			}

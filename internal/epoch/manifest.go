@@ -137,7 +137,7 @@ func WriteManifest(dir string, m *Manifest) (string, error) {
 	// Only the rename has to be durable, so the temp name's directory
 	// entry is not fsynced on its own; the one fsync below covers both.
 	tmp := filepath.Join(dir, ManifestName+".tmp")
-	if err := writeFileFsync(tmp, data); err != nil {
+	if err := writeFileSync(tmp, data); err != nil {
 		os.Remove(tmp)
 		return "", fmt.Errorf("epoch: write manifest: %w", err)
 	}
@@ -151,16 +151,17 @@ func WriteManifest(dir string, m *Manifest) (string, error) {
 	return cas.SumHex(data), nil
 }
 
-// writeFileSync writes data to path and fsyncs the file and directory.
-func writeFileSync(path string, data []byte) error {
-	if err := writeFileFsync(path, data); err != nil {
+// writeFileDurable writes data to path and fsyncs the file and its
+// directory, so the file and its name both survive a crash.
+func writeFileDurable(path string, data []byte) error {
+	if err := writeFileSync(path, data); err != nil {
 		return err
 	}
 	return syncDir(filepath.Dir(path))
 }
 
-// writeFileFsync writes data to path and fsyncs the file alone.
-func writeFileFsync(path string, data []byte) error {
+// writeFileSync writes data to path and fsyncs the file, not its name.
+func writeFileSync(path string, data []byte) error {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return err
