@@ -18,8 +18,8 @@ type ChunkerOptions struct {
 // DefaultChunker bounds chunks for epoch artifacts. Its 32 KiB average
 // is a measured constant: sealed artifacts share almost no chunks even
 // at 8 KiB, and every chunk costs the sealer a file, an fsync and a
-// fresh deflate window. Readers take chunks of any size (from a fleet peer,
-// up to Max), so chains cut with smaller bounds still read.
+// fresh deflate window. Readers take chunks of any size (from a fleet
+// peer, up to Max), so chains cut with smaller bounds still read.
 var DefaultChunker = ChunkerOptions{Min: 8 << 10, Avg: 32 << 10, Max: 256 << 10}
 
 // Split cuts data into content-defined chunks. The concatenation of
