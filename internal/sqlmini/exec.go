@@ -2,7 +2,7 @@ package sqlmini
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -118,44 +118,30 @@ func (db *DB) execSelect(sel *Select) (*Result, error) {
 // SelectMatched finishes a SELECT given the rows that satisfied its WHERE
 // clause, in scan order: COUNT(*), stable ORDER BY, LIMIT/OFFSET, then
 // projection into fresh result rows. t supplies the schema only; matched
-// is reordered in place. The versioned store shares it, passing the
-// version-visible rows that matched.
+// is reordered and overwritten in place. The versioned store shares it,
+// passing the version-visible rows that matched.
 func SelectMatched(t *Table, sel *Select, matched [][]Val) (*Result, error) {
 	if sel.Count {
 		return &Result{Cols: []string{"count"}, Rows: [][]Val{{int64(len(matched))}}}, nil
 	}
-	if len(sel.OrderBy) > 0 {
-		keys := make([]int, len(sel.OrderBy))
-		for i, ok := range sel.OrderBy {
-			ci := t.ColIndex(ok.Col)
-			if ci < 0 {
-				return nil, fmt.Errorf("sqlmini: no column %q in ORDER BY", ok.Col)
-			}
-			keys[i] = ci
-		}
-		sort.SliceStable(matched, func(a, b int) bool {
-			ra, rb := matched[a], matched[b]
-			for i, ci := range keys {
-				c := compareVals(ra[ci], rb[ci])
-				if c == 0 {
-					continue
-				}
-				if sel.OrderBy[i].Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
-	}
-	// LIMIT / OFFSET.
-	start := sel.Offset
-	if start > int64(len(matched)) {
-		start = int64(len(matched))
-	}
-	end := int64(len(matched))
-	if sel.Limit >= 0 && start+sel.Limit < end {
+	// LIMIT / OFFSET, clamped to the matched rows without forming
+	// Offset+Limit, which may overflow.
+	n := int64(len(matched))
+	start := min(sel.Offset, n)
+	end := n
+	if sel.Limit >= 0 && sel.Limit < n-start {
 		end = start + sel.Limit
+	}
+	if len(sel.OrderBy) > 0 {
+		cmp, err := orderCmp(t, sel.OrderBy)
+		if err != nil {
+			return nil, err
+		}
+		if end < n {
+			matched = topK(matched, int(end), cmp)
+		} else {
+			slices.SortStableFunc(matched, cmp)
+		}
 	}
 	matched = matched[start:end]
 	// Projection.
@@ -188,6 +174,88 @@ func SelectMatched(t *Table, sel *Select, matched [][]Val) (*Result, error) {
 		rows[i] = row
 	}
 	return &Result{Cols: outCols, Rows: rows}, nil
+}
+
+// orderCmp resolves an ORDER BY clause against t's schema into a row
+// comparator: keys compared left to right by compareVals, DESC keys
+// reversed.
+func orderCmp(t *Table, keys []OrderKey) (func(a, b []Val) int, error) {
+	cols := make([]int, len(keys))
+	for i, k := range keys {
+		if cols[i] = t.ColIndex(k.Col); cols[i] < 0 {
+			return nil, fmt.Errorf("sqlmini: no column %q in ORDER BY", k.Col)
+		}
+	}
+	return func(a, b []Val) int {
+		for i, ci := range cols {
+			if c := compareVals(a[ci], b[ci]); c != 0 {
+				if keys[i].Desc {
+					return -c
+				}
+				return c
+			}
+		}
+		return 0
+	}, nil
+}
+
+// topK returns the first k rows of matched's stable order under cmp,
+// sorted, in matched's backing array (k <= len(matched)). A bounded
+// max-heap keyed by (cmp, scan position) holds the k smallest rows seen:
+// a later row displaces the heap's largest only if it compares strictly
+// less, so ties keep the earlier row, exactly as the stable sort would.
+// That equality needs cmp to be a strict weak order, which compareVals
+// is on values of one type, float NaN aside; where it is not, the result
+// is still one deterministic function of the rows in scan order, shared
+// by the server and the versioned store.
+func topK(matched [][]Val, k int, cmp func(a, b []Val) int) [][]Val {
+	if k <= 0 {
+		return matched[:0]
+	}
+	type ranked struct {
+		row []Val
+		pos int
+	}
+	order := func(a, b ranked) int {
+		if c := cmp(a.row, b.row); c != 0 {
+			return c
+		}
+		return a.pos - b.pos
+	}
+	h := make([]ranked, k)
+	for i := range h {
+		h[i] = ranked{matched[i], i}
+	}
+	down := func(i int) {
+		for {
+			big := i
+			if l := 2*i + 1; l < k && order(h[l], h[big]) > 0 {
+				big = l
+			}
+			if r := 2*i + 2; r < k && order(h[r], h[big]) > 0 {
+				big = r
+			}
+			if big == i {
+				return
+			}
+			h[i], h[big] = h[big], h[i]
+			i = big
+		}
+	}
+	for i := k/2 - 1; i >= 0; i-- {
+		down(i)
+	}
+	for i := k; i < len(matched); i++ {
+		if cmp(matched[i], h[0].row) < 0 {
+			h[0] = ranked{matched[i], i}
+			down(0)
+		}
+	}
+	slices.SortFunc(h, order)
+	for i, r := range h {
+		matched[i] = r.row
+	}
+	return matched[:k]
 }
 
 func (db *DB) execUpdate(up *Update) (*Result, error) {

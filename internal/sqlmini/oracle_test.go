@@ -3,6 +3,7 @@ package sqlmini
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -120,7 +121,7 @@ func evalCond(t *Table, row []Val, cond Cond) (bool, error) {
 }
 
 // scanSelect answers sel the old way: oracle filter over the whole table,
-// then the shared ORDER BY/LIMIT/projection tail.
+// then the oracle's own ORDER BY/LIMIT/projection tail.
 func scanSelect(t *Table, sel *Select) (*Result, error) {
 	pos, err := filterRows(t, sel.Where)
 	if err != nil {
@@ -130,7 +131,74 @@ func scanSelect(t *Table, sel *Select) (*Result, error) {
 	for i, ri := range pos {
 		rows[i] = t.Rows[ri]
 	}
-	return SelectMatched(t, sel, rows)
+	return scanTail(t, sel, rows)
+}
+
+// scanTail is the tail SelectMatched had before LIMIT became a top-k
+// selection: a stable sort of every matched row, then the OFFSET/LIMIT
+// slice (computed in uint64, so a sum past MaxInt64 does not wrap), then
+// projection.
+func scanTail(t *Table, sel *Select, matched [][]Val) (*Result, error) {
+	if sel.Count {
+		return &Result{Cols: []string{"count"}, Rows: [][]Val{{int64(len(matched))}}}, nil
+	}
+	if len(sel.OrderBy) > 0 {
+		keys := make([]int, len(sel.OrderBy))
+		for i, ok := range sel.OrderBy {
+			ci := t.ColIndex(ok.Col)
+			if ci < 0 {
+				return nil, fmt.Errorf("sqlmini: no column %q in ORDER BY", ok.Col)
+			}
+			keys[i] = ci
+		}
+		sort.SliceStable(matched, func(a, b int) bool {
+			ra, rb := matched[a], matched[b]
+			for i, ci := range keys {
+				c := compareVals(ra[ci], rb[ci])
+				if c == 0 {
+					continue
+				}
+				if sel.OrderBy[i].Desc {
+					return c > 0
+				}
+				return c < 0
+			}
+			return false
+		})
+	}
+	start := uint64(sel.Offset)
+	end := uint64(len(matched))
+	if start > end {
+		start = end
+	}
+	if sel.Limit >= 0 && start+uint64(sel.Limit) < end {
+		end = start + uint64(sel.Limit)
+	}
+	matched = matched[start:end]
+	proj := make([]int, 0, len(t.Cols))
+	outCols := sel.Cols
+	if outCols == nil {
+		for i, c := range t.Cols {
+			outCols = append(outCols, c.Name)
+			proj = append(proj, i)
+		}
+	} else {
+		for _, c := range sel.Cols {
+			ci := t.ColIndex(c)
+			if ci < 0 {
+				return nil, fmt.Errorf("sqlmini: no column %q in %q", c, sel.Table)
+			}
+			proj = append(proj, ci)
+		}
+	}
+	rows := make([][]Val, len(matched))
+	for i, src := range matched {
+		rows[i] = make([]Val, len(proj))
+		for j, ci := range proj {
+			rows[i][j] = src[ci]
+		}
+	}
+	return &Result{Cols: outCols, Rows: rows}, nil
 }
 
 // fuzzGen drives one differential run from a seed.
@@ -213,16 +281,24 @@ func (g *fuzzGen) selectStmt() string {
 		s += g.cols[g.rng.Intn(len(g.cols))].Name + ", " + g.cols[g.rng.Intn(len(g.cols))].Name
 	}
 	s += " FROM t" + g.where()
-	if g.rng.Intn(2) == 0 {
-		s += " ORDER BY " + g.cols[g.rng.Intn(len(g.cols))].Name
-		if g.rng.Intn(2) == 0 {
-			s += " DESC"
+	if g.rng.Intn(3) != 0 {
+		keys := make([]string, 1+g.rng.Intn(3))
+		for i := range keys {
+			keys[i] = g.colName() + []string{"", " ASC", " DESC"}[g.rng.Intn(3)]
 		}
+		s += " ORDER BY " + strings.Join(keys, ", ")
 	}
-	if g.rng.Intn(2) == 0 {
-		s += " LIMIT " + strconv.Itoa(g.rng.Intn(5))
+	// LIMIT from 0 to past the ~20 rows a history typically grows, so
+	// both the top-k and the full-sort branch run; OFFSET, and the shape
+	// whose Offset+Limit overflows int64.
+	switch g.rng.Intn(8) {
+	case 0, 1, 2:
+	case 3:
+		s += " LIMIT 9223372036854775807 OFFSET " + strconv.Itoa(1+g.rng.Intn(3))
+	default:
+		s += " LIMIT " + strconv.Itoa(g.rng.Intn(48))
 		if g.rng.Intn(2) == 0 {
-			s += " OFFSET " + strconv.Itoa(g.rng.Intn(3))
+			s += " OFFSET " + strconv.Itoa(g.rng.Intn(6))
 		}
 	}
 	return s

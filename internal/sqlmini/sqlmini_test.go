@@ -129,6 +129,54 @@ func TestOrderByStable(t *testing.T) {
 	}
 }
 
+// TestTopKIsStableSortPrefix: with heavy ties on the ORDER BY keys,
+// every LIMIT/OFFSET window, on both sides of the matched count, is the
+// window of the stable full sort (the oracle's tail).
+func TestTopKIsStableSortPrefix(t *testing.T) {
+	db := NewDB()
+	mustExec(t, db, `CREATE TABLE t (a INT, b INT, c TEXT)`)
+	for i := 0; i < 50; i++ {
+		mustExec(t, db, fmt.Sprintf(`INSERT INTO t (a, b, c) VALUES (%d, %d, 'r%d')`, i%3, i%7, i))
+	}
+	tbl := db.tables["t"]
+	for _, order := range []string{"a", "a DESC", "a, b DESC", "b DESC, a", "c"} {
+		for limit := 0; limit <= 52; limit++ {
+			for _, offset := range []int{0, 1, 7, 60} {
+				sql := fmt.Sprintf(`SELECT c FROM t WHERE b != 3 ORDER BY %s LIMIT %d OFFSET %d`, order, limit, offset)
+				st, err := Parse(sql)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := scanSelect(tbl, st.(*Select))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := mustExec(t, db, sql); fmt.Sprint(got.Rows) != fmt.Sprint(want.Rows) {
+					t.Fatalf("%s:\ngot  %v\nwant %v", sql, got.Rows, want.Rows)
+				}
+			}
+		}
+	}
+}
+
+// TestLimitOffsetPastMaxInt64: OFFSET+LIMIT past MaxInt64 clamps to the
+// rows there are instead of wrapping.
+func TestLimitOffsetPastMaxInt64(t *testing.T) {
+	db := NewDB()
+	mustExec(t, db, `CREATE TABLE t (v INT)`)
+	mustExec(t, db, `INSERT INTO t (v) VALUES (2), (1)`)
+	for sql, want := range map[string]string{
+		`SELECT v FROM t LIMIT 9223372036854775807 OFFSET 1`:            "[[1]]",
+		`SELECT v FROM t ORDER BY v LIMIT 9223372036854775807 OFFSET 1`: "[[2]]",
+		`SELECT v FROM t LIMIT 1 OFFSET 9223372036854775807`:            "[]",
+		`SELECT v FROM t ORDER BY v DESC LIMIT 9223372036854775807`:     "[[2] [1]]",
+	} {
+		if got := fmt.Sprint(mustExec(t, db, sql).Rows); got != want {
+			t.Errorf("%s = %s, want %s", sql, got, want)
+		}
+	}
+}
+
 func TestCount(t *testing.T) {
 	db := setupPages(t)
 	r := mustExec(t, db, `SELECT COUNT(*) FROM pages WHERE views > 5`)

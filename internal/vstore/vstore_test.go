@@ -284,6 +284,15 @@ func TestVersionedDifferential(t *testing.T) {
 			`SELECT id FROM t ORDER BY id LIMIT 3`,
 			`SELECT id, val FROM t WHERE grp IN (0, 2) AND val < 60 ORDER BY val`,
 			`SELECT id FROM t WHERE val = 7 OR id = 2`,
+			// Top-k windows: heavy ties on grp make the scan position
+			// decide which rows a LIMIT keeps.
+			`SELECT id, val FROM t ORDER BY val DESC, id LIMIT 2 OFFSET 1`,
+			`SELECT grp FROM t ORDER BY grp LIMIT 1`,
+			`SELECT id, val FROM t ORDER BY grp DESC LIMIT 4 OFFSET 2`,
+			`SELECT id FROM t WHERE val > 20 ORDER BY grp, val DESC LIMIT 3`,
+			// OFFSET+LIMIT past MaxInt64 clamps instead of wrapping.
+			`SELECT id FROM t LIMIT 9223372036854775807 OFFSET 1`,
+			`SELECT id FROM t ORDER BY val LIMIT 9223372036854775807 OFFSET 2`,
 		}
 		for _, cp := range checkpoints {
 			live := sqlmini.NewDB()
