@@ -137,11 +137,7 @@ func SelectMatched(t *Table, sel *Select, matched [][]Val) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		if end < n {
-			matched = topK(matched, int(end), cmp)
-		} else {
-			slices.SortStableFunc(matched, cmp)
-		}
+		matched = topK(matched, int(end), cmp)
 	}
 	matched = matched[start:end]
 	// Projection.
@@ -200,14 +196,15 @@ func orderCmp(t *Table, keys []OrderKey) (func(a, b []Val) int, error) {
 }
 
 // topK returns the first k rows of matched's stable order under cmp,
-// sorted, in matched's backing array (k <= len(matched)). A bounded
-// max-heap keyed by (cmp, scan position) holds the k smallest rows seen:
-// a later row displaces the heap's largest only if it compares strictly
-// less, so ties keep the earlier row, exactly as the stable sort would.
-// That equality needs cmp to be a strict weak order, which compareVals
-// is on values of one type, float NaN aside; where it is not, the result
-// is still one deterministic function of the rows in scan order, shared
-// by the server and the versioned store.
+// sorted, in matched's backing array (k <= len(matched)). Rows are keyed
+// by (cmp, scan position), a total order, so sorting the keys is the
+// stable sort. When k < len(matched) a bounded max-heap first keeps the
+// k smallest rows seen: a later row displaces the heap's largest only if
+// it compares strictly less, so ties keep the earlier row. That equality
+// with the stable sort needs cmp to be a strict weak order, which
+// compareVals is on values of one type, float NaN aside; where it is
+// not, the result is still one deterministic function of the rows in
+// scan order, shared by the server and the versioned store.
 func topK(matched [][]Val, k int, cmp func(a, b []Val) int) [][]Val {
 	if k <= 0 {
 		return matched[:0]
@@ -242,13 +239,15 @@ func topK(matched [][]Val, k int, cmp func(a, b []Val) int) [][]Val {
 			i = big
 		}
 	}
-	for i := k/2 - 1; i >= 0; i-- {
-		down(i)
-	}
-	for i := k; i < len(matched); i++ {
-		if cmp(matched[i], h[0].row) < 0 {
-			h[0] = ranked{matched[i], i}
-			down(0)
+	if k < len(matched) {
+		for i := k/2 - 1; i >= 0; i-- {
+			down(i)
+		}
+		for i := k; i < len(matched); i++ {
+			if cmp(matched[i], h[0].row) < 0 {
+				h[0] = ranked{matched[i], i}
+				down(0)
+			}
 		}
 	}
 	slices.SortFunc(h, order)
@@ -285,7 +284,7 @@ func (db *DB) execUpdate(up *Update) (*Result, error) {
 			if op.base = t.ColIndex(sc.SelfBase); op.base < 0 {
 				return nil, fmt.Errorf("sqlmini: no column %q in SET expression", sc.SelfBase)
 			}
-			delta := toInt64(sc.Val)
+			delta := ToInt64(sc.Val)
 			if sc.SelfOp == "-" {
 				delta = -delta
 			}
@@ -305,7 +304,7 @@ func (db *DB) execUpdate(up *Update) (*Result, error) {
 			case s.err != nil:
 				return nil, s.err
 			case s.self:
-				row[s.col] = toInt64(row[s.base]) + s.val.(int64)
+				row[s.col] = ToInt64(row[s.base]) + s.val.(int64)
 			default:
 				row[s.col] = s.val
 			}
@@ -460,7 +459,10 @@ func valToString(v Val) string {
 	}
 }
 
-func toInt64(v Val) int64 {
+// ToInt64 reads a value as an integer: a literal stored in an INT column,
+// or the operand of a self-op (col = col ± n), which the versioned
+// store's redo pass must read alike (hence exported).
+func ToInt64(v Val) int64 {
 	switch x := v.(type) {
 	case int64:
 		return x
@@ -488,7 +490,7 @@ func coerceCol(c Column, v Val) (Val, error) {
 		case float64:
 			return int64(x), nil
 		case string:
-			return toInt64(x), nil
+			return ToInt64(x), nil
 		}
 	case FloatCol:
 		switch x := v.(type) {

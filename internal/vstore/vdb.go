@@ -353,7 +353,7 @@ func (v *VersionedDB) applyWrite(st sqlmini.Stmt, ts int64) (*sqlmini.Result, er
 				if op.base = vt.schema.ColIndex(sc.SelfBase); op.base < 0 {
 					return nil, fmt.Errorf("no column %q in SET", sc.SelfBase)
 				}
-				delta := asInt(sc.Val)
+				delta := sqlmini.ToInt64(sc.Val)
 				if sc.SelfOp == "-" {
 					delta = -delta
 				}
@@ -369,7 +369,7 @@ func (v *VersionedDB) applyWrite(st sqlmini.Stmt, ts int64) (*sqlmini.Result, er
 				if op.base < 0 {
 					newVals[op.col] = op.val
 				} else {
-					newVals[op.col] = asInt(newVals[op.base]) + op.val.(int64)
+					newVals[op.col] = sqlmini.ToInt64(newVals[op.base]) + op.val.(int64)
 				}
 			}
 			for ci, ix := range vt.idx {
@@ -402,17 +402,6 @@ func (v *VersionedDB) applyWrite(st sqlmini.Stmt, ts int64) (*sqlmini.Result, er
 		return &sqlmini.Result{Affected: int64(len(matched))}, nil
 	default:
 		return nil, fmt.Errorf("unsupported write statement %T", st)
-	}
-}
-
-func asInt(v sqlmini.Val) int64 {
-	switch x := v.(type) {
-	case int64:
-		return x
-	case float64:
-		return int64(x)
-	default:
-		return 0
 	}
 }
 
