@@ -3,11 +3,13 @@ package cas
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"orochi/internal/encio"
 )
@@ -454,5 +456,69 @@ func TestFSStoredForm(t *testing.T) {
 	}
 	if _, err := src.GetStored(SumHex([]byte("absent"))); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("GetStored of a missing chunk = %v, want ErrNotFound", err)
+	}
+}
+
+// TestFanoutDirDurableBeforeUse: two stores share one root, as the
+// sealer, an auditor's checkpoints and a co-mounted coordinator do.
+// While one of them has made a new fan-out directory but not yet made
+// its name durable in the root, the other's Put of a chunk under that
+// directory must not return — it could otherwise report a chunk a
+// crash loses with its directory, after a manifest named it.
+func TestFanoutDirDurableBeforeUse(t *testing.T) {
+	root := t.TempDir()
+	a, err := OpenFS(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := OpenFS(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := []byte("fan-out 0")
+	firstSHA := SumHex(first)
+	var second []byte
+	for i := 1; second == nil; i++ {
+		if d := []byte(fmt.Sprintf("fan-out %d", i)); SumHex(d)[:2] == firstSHA[:2] {
+			second = d
+		}
+	}
+	parked, release := make(chan string, 2), make(chan struct{})
+	fanoutCreated = func(dir string) {
+		parked <- dir
+		<-release
+	}
+	t.Cleanup(func() { fanoutCreated = nil })
+
+	aDone := make(chan error, 1)
+	go func() { aDone <- a.Put(firstSHA, first) }()
+	select {
+	case <-parked:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the first Put never created the fan-out directory")
+	}
+	bDone := make(chan error, 1)
+	go func() { bDone <- b.Put(SumHex(second), second) }()
+	select {
+	case err := <-bDone:
+		close(release)
+		t.Fatalf("a Put into a fan-out directory whose name is not durable yet returned (%v)", err)
+	case <-time.After(200 * time.Millisecond):
+	}
+	close(release)
+	for _, done := range []chan error{aDone, bDone} {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a Put never returned after the root fsync")
+		}
+	}
+	for _, data := range [][]byte{first, second} {
+		if got, err := b.Get(SumHex(data)); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("Get after both Puts = %q, %v", got, err)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 
 	"orochi/internal/encio"
 )
@@ -19,6 +20,7 @@ import (
 // fsynced once when a new fan-out directory appears in it.
 type FS struct {
 	root string
+	abs  string // root as an absolute path: the key prefix in fanoutDirs
 }
 
 // OpenFS opens (creating if needed) a filesystem chunk store rooted at
@@ -27,8 +29,34 @@ func OpenFS(dir string) (*FS, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cas: open store: %w", err)
 	}
-	return &FS{root: dir}, nil
+	abs, err := filepath.Abs(dir)
+	if err != nil {
+		return nil, fmt.Errorf("cas: open store: %w", err)
+	}
+	return &FS{root: dir, abs: abs}, nil
 }
+
+// fanoutDirs holds, by absolute path, each fan-out directory this
+// process is creating whose name is not yet durable in the store's
+// root. Several FS values may share one root (the sealer, an auditor's
+// checkpoints, a co-mounted coordinator), and a writer that lands a
+// chunk in a fan-out directory another one just made must not return
+// before that directory survives a crash — or a manifest can name a
+// chunk that a crash loses with its directory. A directory in no entry
+// was either made by an earlier process or is durable already.
+var fanoutDirs sync.Map // string -> *fanout
+
+// fanout is one fan-out directory in creation: done closes once the
+// root has been fsynced (err is that fsync's outcome).
+type fanout struct {
+	done chan struct{}
+	err  error
+}
+
+// fanoutCreated, when non-nil, runs between a fan-out directory's
+// MkdirAll and the root fsync that makes its name durable: a test seam,
+// nil in production.
+var fanoutCreated func(dir string)
 
 // Root returns the store's root directory.
 func (s *FS) Root() string { return s.root }
@@ -88,20 +116,23 @@ func (s *FS) writeStored(sha string, stored []byte) error {
 	// each other's rename — whichever rename lands last wins, and both
 	// leave identical bytes (same digest, same content).
 	dir := filepath.Dir(path)
+	key := filepath.Join(s.abs, sha[:2])
 	tmp, err := os.CreateTemp(dir, sha[:8]+"-*.tmp")
 	if os.IsNotExist(err) {
 		// First chunk under this fan-out directory. Its name must be
 		// durable in the root too, or a crash can lose every chunk under
 		// it after a manifest naming them was sealed.
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return fmt.Errorf("cas: put %s: %w", short(sha), err)
-		}
-		if err := syncDir(s.root); err != nil {
+		if err := s.makeFanout(dir, key); err != nil {
 			return fmt.Errorf("cas: put %s: %w", short(sha), err)
 		}
 		tmp, err = os.CreateTemp(dir, sha[:8]+"-*.tmp")
 	}
 	if err != nil {
+		return fmt.Errorf("cas: put %s: %w", short(sha), err)
+	}
+	if err := awaitFanout(key); err != nil {
+		tmp.Close()
+		os.Remove(tmp.Name())
 		return fmt.Errorf("cas: put %s: %w", short(sha), err)
 	}
 	tmpPath := tmp.Name()
@@ -130,6 +161,40 @@ func (s *FS) writeStored(sha string, stored []byte) error {
 	return nil
 }
 
+// makeFanout creates the fan-out directory dir and makes its name
+// durable in the root, registered under key while it does so that a
+// writer landing a chunk in dir meanwhile waits for the root fsync
+// (awaitFanout). A writer that finds dir already in creation waits for
+// its creator instead.
+func (s *FS) makeFanout(dir, key string) error {
+	f := &fanout{done: make(chan struct{})}
+	if _, loaded := fanoutDirs.LoadOrStore(key, f); loaded {
+		return awaitFanout(key)
+	}
+	defer fanoutDirs.Delete(key)
+	defer close(f.done)
+	if f.err = os.MkdirAll(dir, 0o755); f.err != nil {
+		return f.err
+	}
+	if fanoutCreated != nil {
+		fanoutCreated(dir)
+	}
+	f.err = syncDir(s.root)
+	return f.err
+}
+
+// awaitFanout returns once the fan-out directory under key is durable
+// in its root: at once unless this process is creating it right now.
+func awaitFanout(key string) error {
+	v, ok := fanoutDirs.Load(key)
+	if !ok {
+		return nil
+	}
+	f := v.(*fanout)
+	<-f.done
+	return f.err
+}
+
 // Get reads and decompresses the chunk, then verifies its bytes still
 // hash to sha — every read is an integrity check.
 func (s *FS) Get(sha string) ([]byte, error) {
@@ -146,16 +211,27 @@ func (s *FS) GetStored(sha string) ([]byte, error) {
 	return stored, err
 }
 
-func (s *FS) read(sha string) (stored, data []byte, err error) {
+// ReadStored returns the chunk's at-rest bytes as the file holds them,
+// neither inflated nor verified: for a caller that forwards the chunk
+// to a reader who verifies it anyway. A missing chunk wraps
+// ErrNotFound, as Get's does.
+func (s *FS) ReadStored(sha string) ([]byte, error) {
 	if !validSHA(sha) {
-		return nil, nil, fmt.Errorf("cas: get: bad digest %q", sha)
+		return nil, fmt.Errorf("cas: get: bad digest %q", sha)
 	}
-	stored, err = os.ReadFile(s.path(sha))
+	stored, err := os.ReadFile(s.path(sha))
 	if os.IsNotExist(err) {
-		return nil, nil, fmt.Errorf("cas: get %s: %w", short(sha), ErrNotFound)
+		return nil, fmt.Errorf("cas: get %s: %w", short(sha), ErrNotFound)
 	}
 	if err != nil {
-		return nil, nil, fmt.Errorf("cas: get %s: %w", short(sha), err)
+		return nil, fmt.Errorf("cas: get %s: %w", short(sha), err)
+	}
+	return stored, nil
+}
+
+func (s *FS) read(sha string) (stored, data []byte, err error) {
+	if stored, err = s.ReadStored(sha); err != nil {
+		return nil, nil, err
 	}
 	data, err = encio.Gunzip(stored)
 	if err != nil {

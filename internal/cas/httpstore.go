@@ -42,15 +42,16 @@ var (
 // against the digest client-side, so a worker composing it as the cold
 // tier of a Tiered store reads with exactly the integrity guarantees of
 // a local FS store. Chunks cross the wire in their at-rest form — the
-// gzip stream the server's store holds, sent as it is — and Get
-// inflates them; it asks for that encoding itself, so net/http does not
-// inflate behind its back and a byte-counting transport underneath
-// sees what actually crossed. Error shapes mirror FS.Get byte-for-byte
-// — a missing chunk wraps ErrNotFound with the same text, and a
-// server-side read failure relays the server's error string verbatim —
-// so an audit REJECT produced through this store is bit-identical to
-// one produced locally. Failures Get can attribute to the transport
-// rather than the store of record wrap ErrUnavailable instead.
+// gzip stream the server's store holds, sent unopened — and Get
+// inflates and hashes them: the one verification of the hop. It asks
+// for that encoding itself, so net/http does not inflate behind its
+// back and a byte-counting transport underneath sees what actually
+// crossed. Error shapes mirror FS.Get byte-for-byte — a missing chunk
+// wraps ErrNotFound with the same text, and a chunk damaged at rest
+// relays the server's verified-read error verbatim (see Get) — so an
+// audit REJECT produced through this store is bit-identical to one
+// produced locally. Failures Get can attribute to the transport rather
+// than the store of record wrap ErrUnavailable instead.
 //
 // Writes are refused: the artifact server owns the chain.
 type HTTPStore struct {
@@ -76,7 +77,8 @@ func NewHTTPStore(base string, client *http.Client) *HTTPStore {
 // Fetched reports what Get has pulled from the server: how many chunks,
 // their logical (inflated) bytes — the numerator of a warm worker's
 // cache-hit accounting, comparable with what manifests pin — and the
-// bytes that crossed the wire for them.
+// bytes that crossed the wire for them. A body that failed the check
+// counts nowhere, even when the chunk came good on asking again.
 func (s *HTTPStore) Fetched() (chunks, logical, wire int64) {
 	return s.fetchedChunks.Load(), s.fetchedLogical.Load(), s.fetchedWire.Load()
 }
@@ -84,60 +86,80 @@ func (s *HTTPStore) Fetched() (chunks, logical, wire int64) {
 // Get fetches and verifies one chunk. All failures are *ChunkError; the
 // wrapped cause distinguishes store evidence (ErrNotFound, a relayed
 // server read error) from transport faults (ErrUnavailable).
+//
+// The server ships a chunk's at-rest bytes unopened, so this check is
+// the only one a chunk gets on its way. A body that fails it was
+// damaged either at rest or in transit; Get tells the two apart by
+// asking once more with ?verify=1, which the server answers only after
+// checking the bytes itself: damage at rest comes back as a 502 in the
+// store's own words, and damage in transit as good bytes. A second
+// body that fails the check is a transport fault.
 func (s *HTTPStore) Get(sha string) ([]byte, error) {
 	if !validSHA(sha) {
 		return nil, &ChunkError{Digest: sha, Err: fmt.Errorf("cas: get: bad digest %q", sha)}
 	}
-	unavailable := func(format string, args ...any) ([]byte, error) {
-		return nil, &ChunkError{Digest: sha, Err: fmt.Errorf("cas: get %s: %w: %s",
-			short(sha), ErrUnavailable, fmt.Sprintf(format, args...))}
+	data, bad, err := s.fetch(sha, "")
+	if bad != "" {
+		data, bad, err = s.fetch(sha, "?verify=1")
 	}
-	req, err := http.NewRequest(http.MethodGet, s.base+"/chunk/"+sha, nil)
+	if bad != "" {
+		return nil, unavailable(sha, "%s", bad)
+	}
+	return data, err
+}
+
+// fetch GETs the chunk once, query appended to its URL. A 200 whose body
+// fails the check returns why in bad and no error; every other outcome
+// is Get's answer.
+func (s *HTTPStore) fetch(sha, query string) (data []byte, bad string, err error) {
+	req, err := http.NewRequest(http.MethodGet, s.base+"/chunk/"+sha+query, nil)
 	if err != nil {
-		return unavailable("%v", err)
+		return nil, "", unavailable(sha, "%v", err)
 	}
 	req.Header.Set("Accept-Encoding", "gzip")
 	resp, err := s.client.Do(req)
 	if err != nil {
-		return unavailable("%v", err)
+		return nil, "", unavailable(sha, "%v", err)
 	}
 	defer resp.Body.Close()
 	body, rerr := io.ReadAll(io.LimitReader(resp.Body, maxChunkStored+1))
 	switch resp.StatusCode {
 	case http.StatusOK:
 		if rerr != nil {
-			return unavailable("reading body: %v", rerr)
+			return nil, "", unavailable(sha, "reading body: %v", rerr)
 		}
 		if int64(len(body)) > maxChunkStored {
-			return unavailable("chunk exceeds %d bytes", maxChunkStored)
+			return nil, fmt.Sprintf("chunk exceeds %d bytes", maxChunkStored), nil
 		}
-		// The server verifies at-rest bytes on every read before
-		// serving them, so a body that does not inflate, or inflates to
-		// other content, means the transport truncated or corrupted the
-		// response — retryable, never evidence against the chain.
 		data, err := encio.GunzipMax(body, maxChunkInflated)
 		if err != nil {
-			return unavailable("corrupt response body: %v", err)
+			return nil, fmt.Sprintf("corrupt response body: %v", err), nil
 		}
 		if got := SumHex(data); got != sha {
-			return unavailable("fetched bytes hash to %s, want %s", short(got), short(sha))
+			return nil, fmt.Sprintf("fetched bytes hash to %s, want %s", short(got), short(sha)), nil
 		}
 		s.fetchedChunks.Add(1)
 		s.fetchedLogical.Add(int64(len(data)))
 		s.fetchedWire.Add(int64(len(body)))
-		return data, nil
+		return data, "", nil
 	case http.StatusNotFound:
 		// The store of record says the chunk does not exist: the same
 		// evidence, in the same words, as a local FS miss.
-		return nil, &ChunkError{Digest: sha, Err: fmt.Errorf("cas: get %s: %w", short(sha), ErrNotFound)}
+		return nil, "", &ChunkError{Digest: sha, Err: fmt.Errorf("cas: get %s: %w", short(sha), ErrNotFound)}
 	case http.StatusBadGateway:
-		// The server's own read failed (corrupt chunk at rest, bad
-		// digest); its error text is relayed verbatim so a remote audit
-		// rejects with exactly the reason a local one would.
-		return nil, &ChunkError{Digest: sha, Err: errors.New(strings.TrimSpace(string(body)))}
+		// The server's own verified read failed (corrupt chunk at rest,
+		// bad digest); its error text is relayed verbatim so a remote
+		// audit rejects with exactly the reason a local one would.
+		return nil, "", &ChunkError{Digest: sha, Err: errors.New(strings.TrimSpace(string(body)))}
 	default:
-		return unavailable("unexpected status %s", resp.Status)
+		return nil, "", unavailable(sha, "unexpected status %s", resp.Status)
 	}
+}
+
+// unavailable is the transport-fault failure of a Get of sha.
+func unavailable(sha, format string, args ...any) error {
+	return &ChunkError{Digest: sha, Err: fmt.Errorf("cas: get %s: %w: %s",
+		short(sha), ErrUnavailable, fmt.Sprintf(format, args...))}
 }
 
 // Has asks the server whether the chunk exists (HEAD, no bytes moved).

@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"strconv"
 	"strings"
 	"sync"
@@ -199,13 +200,14 @@ func TestHTTPStoreNotFound(t *testing.T) {
 	}
 }
 
-// TestHTTPStoreDamagedResponses: the server verifies at-rest bytes
-// before serving them, so a 200 whose body is cut short, does not
-// inflate, or inflates to other content was damaged in flight — every
-// such case is a retryable ErrUnavailable inside a ChunkError, never
-// audit evidence, and nothing is counted as fetched. A stream past a
-// chunk's bounds (DefaultChunker.Max inflated) is no chunk either, and
-// FS.PutStored refuses it without leaving a file.
+// TestHTTPStoreDamagedResponses: a 200 whose body is cut short, does
+// not inflate, or inflates to other content — on the first request and
+// again on the ?verify=1 one, which the server answers only with bytes
+// it has checked — was damaged in flight. Every such case is a
+// retryable ErrUnavailable inside a ChunkError, never audit evidence,
+// and nothing is counted as fetched. A stream past a chunk's bounds
+// (DefaultChunker.Max inflated) is no chunk either, and FS.PutStored
+// refuses it without leaving a file.
 func TestHTTPStoreDamagedResponses(t *testing.T) {
 	data := bytes.Repeat([]byte("these bytes will not arrive intact. "), 100)
 	sha := SumHex(data)
@@ -285,6 +287,114 @@ func TestHTTPStoreDamagedResponses(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestHTTPStoreVerifiesOnMismatch: the server ships at-rest bytes
+// unopened, and a body that fails the reader's check is asked for once
+// more with ?verify=1, which the server answers from a verified read.
+// Damage in transit then heals and is counted once; damage at rest
+// comes back as the store's own words, relayed, not as a transport
+// fault; and a second bad body is a transport fault.
+func TestHTTPStoreVerifiesOnMismatch(t *testing.T) {
+	data := bytes.Repeat([]byte("checked once per hop, by the reader. "), 100)
+	sha := SumHex(data)
+	stored := gz(t, data)
+	flipped := append([]byte(nil), stored...)
+	flipped[len(flipped)/2] ^= 0x40
+	var plain, verified atomic.Int64
+	// count tallies a request by kind and reports whether it asked the
+	// server to verify.
+	count := func(r *http.Request) bool {
+		if r.URL.Query().Get("verify") == "1" {
+			verified.Add(1)
+			return true
+		}
+		plain.Add(1)
+		return false
+	}
+	requests := func(wantPlain, wantVerified int64) {
+		t.Helper()
+		if p, v := plain.Swap(0), verified.Swap(0); p != wantPlain || v != wantVerified {
+			t.Fatalf("%d plain and %d ?verify=1 requests, want %d and %d", p, v, wantPlain, wantVerified)
+		}
+	}
+
+	t.Run("damaged in transit, verified re-fetch good", func(t *testing.T) {
+		store := chunkServer(t, func(w http.ResponseWriter, r *http.Request) {
+			if count(r) {
+				serveStored(w, r, stored)
+				return
+			}
+			serveStored(w, r, flipped)
+		})
+		got, err := store.Get(sha)
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("Get = %d bytes, %v", len(got), err)
+		}
+		requests(1, 1)
+		if chunks, logical, wire := store.Fetched(); chunks != 1 || logical != int64(len(data)) || wire != int64(len(stored)) {
+			t.Fatalf("Fetched = %d chunks, %d logical, %d wire; want the good chunk once: 1, %d, %d",
+				chunks, logical, wire, len(data), len(stored))
+		}
+	})
+
+	t.Run("damaged at rest", func(t *testing.T) {
+		fs, err := OpenFS(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := fs.PutStored(sha, flipped); err == nil {
+			t.Fatal("PutStored filed a damaged stream")
+		}
+		if err := fs.PutStored(sha, stored); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(fs.path(sha), flipped, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, want := fs.Get(sha)
+		if want == nil {
+			t.Fatal("the damaged chunk still reads")
+		}
+		// The artifact server's answer: the file unopened, or the
+		// verified read's outcome.
+		store := chunkServer(t, func(w http.ResponseWriter, r *http.Request) {
+			read := fs.ReadStored
+			if count(r) {
+				read = fs.GetStored
+			}
+			b, err := read(r.PathValue("sha"))
+			if err != nil {
+				http.Error(w, err.Error(), http.StatusBadGateway)
+				return
+			}
+			serveStored(w, r, b)
+		})
+		_, err = store.Get(sha)
+		var ce *ChunkError
+		if !errors.As(err, &ce) || ce.Err.Error() != want.Error() {
+			t.Fatalf("want the store's words %q relayed, got %v", want, err)
+		}
+		if errors.Is(err, ErrUnavailable) {
+			t.Fatalf("damage at rest is evidence, not a transport fault: %v", err)
+		}
+		requests(1, 1)
+		if chunks, _, _ := store.Fetched(); chunks != 0 {
+			t.Fatalf("a failed Get was counted as fetched: %d chunks", chunks)
+		}
+	})
+
+	t.Run("two bad bodies", func(t *testing.T) {
+		store := chunkServer(t, func(w http.ResponseWriter, r *http.Request) {
+			count(r)
+			serveStored(w, r, flipped)
+		})
+		_, err := store.Get(sha)
+		if !errors.Is(err, ErrUnavailable) {
+			t.Fatalf("two bad bodies must be ErrUnavailable, got %v", err)
+		}
+		requests(1, 1)
+	})
 }
 
 // TestHTTPStoreChunkAtTheBound: the bounds admit every chunk the chunker

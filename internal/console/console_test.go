@@ -327,6 +327,7 @@ func TestConsoleFleetMetrics(t *testing.T) {
 	_, body := get(t, ts, "/-/metrics")
 	for _, want := range []string{
 		"orochi_fleet_chunks_served_total 0",
+		"orochi_fleet_chunks_verified_total 0",
 		"orochi_fleet_chunk_bytes_served_total 0",
 		"orochi_fleet_workers 0",
 		"orochi_fleet_init_mismatch_total 0",

@@ -198,6 +198,8 @@ func (c *Console) metrics(w http.ResponseWriter, r *http.Request) {
 		st := c.artifacts.Stats()
 		p.family("orochi_fleet_chunks_served_total", "counter", "Chunks served to fleet workers from this chain's store.")
 		p.sample("orochi_fleet_chunks_served_total", "", float64(st.ChunksServed))
+		p.family("orochi_fleet_chunks_verified_total", "counter", "Chunks re-read with verification at a reader's request, because what it was first sent failed its check (0 on a clean chain).")
+		p.sample("orochi_fleet_chunks_verified_total", "", float64(st.ChunksVerified))
 		p.family("orochi_fleet_chunk_bytes_served_total", "counter", "Chunk bytes written to fleet workers, in the at-rest (gzip) form chunks are served in.")
 		p.sample("orochi_fleet_chunk_bytes_served_total", "", float64(st.BytesServed))
 	}

@@ -22,31 +22,37 @@ import (
 // verifier.
 //
 // Error relay discipline: a missing chunk answers 404 and a failed
-// local read answers 502 with the store's error text as the body,
+// verified read answers 502 with the store's error text as the body,
 // verbatim. cas.HTTPStore rebuilds local error shapes from those, which
 // is what keeps remote REJECT reasons bit-identical to local ones.
 //
 // A chunk is served in its at-rest form — the gzip stream the store
-// holds, labelled Content-Encoding: gzip — so serving one costs a read
-// and no compression, and the wire carries what the disk does. The
-// server still inflates and digest-checks the chunk first: the 502
-// above has to come from the store of record, in the store's words,
-// or a chunk damaged at rest would reach the worker as a transport
-// fault to retry instead of the evidence it is.
+// holds, labelled Content-Encoding: gzip — read and sent unopened, so
+// serving one costs a file read and nothing else, and the wire carries
+// what the disk does. Every hop verifies a chunk once, at its receiver:
+// the worker checks what it is sent. Only when that check fails does
+// the worker ask again with ?verify=1, and only then does the server
+// inflate and digest-check the chunk first — so a chunk damaged at
+// rest still reaches the worker as the store's own 502, the evidence
+// it is, and not as a transport fault to retry.
 type ArtifactServer struct {
 	dir   string
 	store *cas.FS
 
-	chunksServed atomic.Int64
-	bytesServed  atomic.Int64
+	chunksServed   atomic.Int64
+	bytesServed    atomic.Int64
+	chunksVerified atomic.Int64
 }
 
 // ArtifactStats is a point-in-time snapshot of the serving counters.
 // BytesServed counts chunk body bytes written, in the form they were
-// sent.
+// sent. ChunksVerified counts the chunk requests a reader sent with
+// ?verify=1 because what it was first sent failed its check: 0 on a
+// clean chain, so anything else means damage in transit or at rest.
 type ArtifactStats struct {
-	ChunksServed int64
-	BytesServed  int64
+	ChunksServed   int64
+	BytesServed    int64
+	ChunksVerified int64
 }
 
 // NewArtifactServer opens the chain directory's chunk store and returns
@@ -66,8 +72,9 @@ func NewArtifactServer(dir string) (*ArtifactServer, error) {
 // Stats snapshots the serving counters for /-/metrics.
 func (a *ArtifactServer) Stats() ArtifactStats {
 	return ArtifactStats{
-		ChunksServed: a.chunksServed.Load(),
-		BytesServed:  a.bytesServed.Load(),
+		ChunksServed:   a.chunksServed.Load(),
+		BytesServed:    a.bytesServed.Load(),
+		ChunksVerified: a.chunksVerified.Load(),
 	}
 }
 
@@ -123,8 +130,15 @@ func (a *ArtifactServer) manifest(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(data)
 }
 
+// chunk serves a chunk's at-rest bytes unopened, or, asked with
+// ?verify=1, only after the store has inflated and digest-checked them.
 func (a *ArtifactServer) chunk(w http.ResponseWriter, r *http.Request) {
-	stored, err := a.store.GetStored(r.PathValue("sha"))
+	read := a.store.ReadStored
+	if r.URL.Query().Get("verify") == "1" {
+		read = a.store.GetStored
+		a.chunksVerified.Add(1)
+	}
+	stored, err := read(r.PathValue("sha"))
 	switch {
 	case err == nil:
 		w.Header().Set("Content-Type", "application/octet-stream")

@@ -613,24 +613,27 @@ func (c *Coordinator) checkPostLocked(p *VerdictPost) (int, string) {
 }
 
 // storeSnapshot files a candidate's final snapshot in the chain store.
-// Every ref must resolve: a chunk the store holds is reused, a shipped
-// one is verified against the ref it claims and written as the at-rest
-// bytes the worker sent (cas.FS.PutStored), and one that is neither
-// refuses the post — it would leave the next epoch without its initial
-// state. It runs without c.mu: it is the only part of a hand-off whose
-// cost grows with the snapshot.
+// Every ref must resolve: a chunk the store holds, or one shipped
+// earlier in the same list, is reused; a shipped one is verified
+// against the ref it claims and written as the at-rest bytes the worker
+// sent (cas.FS.PutStored); and one that is neither refuses the post,
+// before anything is filed — it would leave the next epoch without its
+// initial state. The shipped chunks are verified and filed in parallel;
+// if any fails, the post is refused naming the lowest such index. It
+// runs without c.mu: it is the only part of a hand-off whose cost grows
+// with the snapshot.
 func (c *Coordinator) storeSnapshot(p *VerdictPost, chunks [][]byte) (posted, reused int, err error) {
-	k := 0 // next entry of p.Shipped, which DecodeVerdict checked ascends
+	var file []int              // entries of p.Shipped to verify and file
+	filing := map[string]bool{} // their digests
+	k := 0                      // next entry of p.Shipped, which DecodeVerdict checked ascends
 	for idx, ref := range p.FinalSnapshot {
 		shipped := k < len(p.Shipped) && p.Shipped[k] == idx
 		switch {
-		case c.store.Has(ref.SHA256):
+		case filing[ref.SHA256] || c.store.Has(ref.SHA256):
 			reused++
 		case shipped:
-			if err := c.store.PutStored(ref.SHA256, chunks[k]); err != nil {
-				return 0, 0, fmt.Errorf("final snapshot chunk %d: %v", idx, err)
-			}
-			posted++
+			filing[ref.SHA256] = true
+			file = append(file, k)
 		default:
 			return 0, 0, fmt.Errorf("final snapshot chunk %d (%.12s) was not shipped and is not in the chain store", idx, ref.SHA256)
 		}
@@ -638,7 +641,18 @@ func (c *Coordinator) storeSnapshot(p *VerdictPost, chunks [][]byte) (posted, re
 			k++
 		}
 	}
-	return posted, reused, nil
+	err = forEach(len(file), func(j int) error {
+		k := file[j]
+		idx := p.Shipped[k]
+		if err := c.store.PutStored(p.FinalSnapshot[idx].SHA256, chunks[k]); err != nil {
+			return fmt.Errorf("final snapshot chunk %d: %v", idx, err)
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	return len(file), reused, nil
 }
 
 // advanceLocked publishes decisions strictly in chain order: what the

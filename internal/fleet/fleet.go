@@ -9,8 +9,9 @@
 //     content-addressed chunks straight out of the chain's cas.Store
 //     (mounted under /-/fleet/ on orochi-serve, or standalone via
 //     orochi-audit -serve-artifacts). Chunks are self-verifying, so the
-//     transport needs no trust; a warm worker fetches only chunks it
-//     lacks (the gapid isolate-server model).
+//     transport needs no trust and the server ships them unopened; a
+//     warm worker fetches only chunks it lacks (the gapid
+//     isolate-server model).
 //
 //   - The coordinator drives the chain's epoch.Ledger — the one the
 //     in-process auditor drives — with remote executors: it leases each
@@ -33,16 +34,19 @@
 //     verdict.
 //
 // The at-rest gzip chunk is the one unit the fleet moves, in both
-// directions. The artifact server ships a chunk as the bytes its store
-// holds; a worker cuts its candidate final snapshot (canonical raw
-// bytes) into chunks, posts the ordered ref list, and ships — each
-// compressed once — only the chunks the initial state it was handed
-// did not already contain; the coordinator files those bytes in the
-// chain's store as they are and from then on holds, checkpoints and
-// hands out the snapshot as a ref list, which the next worker resolves
-// through the same tiered store it reads the epoch with. A snapshot
-// that did not change costs a ref list; nobody encodes or compresses
-// it twice.
+// directions, and each hop verifies it once, at its receiver. The
+// artifact server ships a chunk as the bytes its store holds, unread
+// beyond the file, and the worker checks it (asking the server to check
+// too only when its own check fails; see ArtifactServer). A worker cuts
+// its candidate final snapshot (canonical raw bytes) into chunks, posts
+// the ordered ref list, and ships — each compressed once, in parallel —
+// only the chunks the initial state it was handed did not already
+// contain; the coordinator verifies those bytes, files them in the
+// chain's store as they are, in parallel, and from then on holds,
+// checkpoints and hands out the snapshot as a ref list, which the next
+// worker resolves through the same tiered store it reads the epoch
+// with. A snapshot that did not change costs a ref list; nobody encodes
+// or compresses it twice.
 //
 // A fleet audit of a chain produces bit-identical verdicts, forensics,
 // and chain ledger digest to the single-process auditor, at any worker
@@ -62,6 +66,9 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"orochi/internal/cas"
 	"orochi/internal/verifier"
@@ -288,4 +295,29 @@ type ChainEpoch struct {
 // ChainInfo is the artifact server's chain state (GET /-/fleet/chain).
 type ChainInfo struct {
 	Epochs []ChainEpoch `json:"epochs"`
+}
+
+// forEach runs fn for every index in [0, n) on up to GOMAXPROCS
+// goroutines and returns the error of the lowest index that failed —
+// the one a loop in index order would have stopped at.
+func forEach(n int, fn func(i int) error) error {
+	errs := make([]error, n)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(n, runtime.GOMAXPROCS(0)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+				errs[i] = fn(i)
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }

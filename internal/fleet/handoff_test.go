@@ -534,9 +534,12 @@ func TestInitLongPoll(t *testing.T) {
 }
 
 // TestArtifactChunkWireForm: a chunk is served as the bytes at rest,
-// labelled gzip, and counted as written; a chunk damaged at rest is a
-// 502 carrying the store's own error text — the server verifies before
-// it ships, or the damage would look like a transport fault.
+// unopened, labelled gzip, and counted as written. A chunk damaged at
+// rest goes out as it is on disk; only asked with ?verify=1 does the
+// server check it, answering 502 with the store's own error text — and
+// cas.HTTPStore, whose own check the damaged bytes fail, asks exactly
+// that, so the damage reaches the worker as evidence and not as a
+// transport fault.
 func TestArtifactChunkWireForm(t *testing.T) {
 	dir := t.TempDir()
 	sealTestChain(t, dir)
@@ -558,8 +561,8 @@ func TestArtifactChunkWireForm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	get := func() (*http.Response, []byte) {
-		req, err := http.NewRequest(http.MethodGet, ts.URL+Prefix+"/chunk/"+ref.SHA256, nil)
+	get := func(query string) (*http.Response, []byte) {
+		req, err := http.NewRequest(http.MethodGet, ts.URL+Prefix+"/chunk/"+ref.SHA256+query, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -575,7 +578,7 @@ func TestArtifactChunkWireForm(t *testing.T) {
 		}
 		return resp, body
 	}
-	resp, body := get()
+	resp, body := get("")
 	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Encoding") != "gzip" || !bytes.Equal(body, atRest) {
 		t.Fatalf("chunk served as %d, encoding %q, %d bytes; at rest it is %d bytes",
 			resp.StatusCode, resp.Header.Get("Content-Encoding"), len(body), len(atRest))
@@ -583,19 +586,33 @@ func TestArtifactChunkWireForm(t *testing.T) {
 	if int64(len(atRest)) >= ref.Bytes {
 		t.Fatalf("test chunk does not compress (%d at rest, %d logical)", len(atRest), ref.Bytes)
 	}
-	if st := as.Stats(); st.ChunksServed != 1 || st.BytesServed != int64(len(atRest)) {
-		t.Fatalf("served counters %+v, want 1 chunk of %d bytes written", st, len(atRest))
+	if st := as.Stats(); st.ChunksServed != 1 || st.BytesServed != int64(len(atRest)) || st.ChunksVerified != 0 {
+		t.Fatalf("served counters %+v, want 1 chunk of %d bytes written and none verified", st, len(atRest))
 	}
 
 	tamperChunk(t, dir, ref.SHA256)
+	damaged, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	store, err := epoch.OpenChainStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	_, want := store.Get(ref.SHA256)
-	resp, body = get()
-	if resp.StatusCode != http.StatusBadGateway || want == nil || strings.TrimSpace(string(body)) != want.Error() {
-		t.Fatalf("damaged chunk answered %d %q, want 502 %q", resp.StatusCode, body, want)
+	if want == nil {
+		t.Fatal("the tampered chunk still reads")
+	}
+	resp, body = get("")
+	if resp.StatusCode != http.StatusOK || !bytes.Equal(body, damaged) {
+		t.Fatalf("damaged chunk served plainly as %d with %d bytes, want 200 with the %d bytes on disk", resp.StatusCode, len(body), len(damaged))
+	}
+	resp, body = get("?verify=1")
+	if resp.StatusCode != http.StatusBadGateway || strings.TrimSpace(string(body)) != want.Error() {
+		t.Fatalf("damaged chunk asked with ?verify=1 answered %d %q, want 502 %q", resp.StatusCode, body, want)
+	}
+	if st := as.Stats(); st.ChunksVerified != 1 {
+		t.Fatalf("ChunksVerified = %d after one ?verify=1 request", st.ChunksVerified)
 	}
 	// The same words are what a remote worker rejects with.
 	if _, err := cas.NewHTTPStore(ts.URL+Prefix, nil).Get(ref.SHA256); err == nil || !strings.Contains(err.Error(), want.Error()) {
@@ -798,4 +815,240 @@ func TestInitAbandonsForOrphanedEarlierEpoch(t *testing.T) {
 	if !coord.ChainAccepted() || coord.ChainSHA() != want {
 		t.Fatalf("ledger ends on %.12s (accepted %v), want the reference %.12s", coord.ChainSHA(), coord.ChainAccepted(), want)
 	}
+}
+
+// TestChunkSnapshotMatchesSequential: compressing a candidate's new
+// chunks in parallel changes nothing a reader can see — the refs, the
+// ascending Shipped list, every frame byte for byte, and the hot-cache
+// writes are what one chunk after another gives, with a chunk that
+// repeats shipped once and held chunks not at all.
+func TestChunkSnapshotMatchesSequential(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	block := make([]byte, 300<<10)
+	rng.Read(block)
+	tail := make([]byte, 200<<10)
+	rng.Read(tail)
+	raw := slices.Concat(block, []byte("seam"), block, tail)
+
+	// The sequential reference.
+	var refs []cas.Ref
+	var shipped []int
+	var frames [][]byte
+	chunks := cas.DefaultChunker.Split(raw)
+	for _, c := range chunks {
+		refs = append(refs, cas.Ref{SHA256: cas.SumHex(c), Bytes: int64(len(c))})
+	}
+	held := refs[len(refs)-2:]
+	known := map[string]bool{}
+	for _, r := range held {
+		known[r.SHA256] = true
+	}
+	for i, r := range refs {
+		if known[r.SHA256] {
+			continue
+		}
+		known[r.SHA256] = true
+		gz, err := encio.Gzip(chunks[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		shipped = append(shipped, i)
+		frames = append(frames, gz)
+	}
+	if len(shipped) < 4 || len(shipped)+len(held) >= len(refs) {
+		t.Fatalf("%d chunks, %d shipped: the test needs several to ship and one to repeat", len(refs), len(shipped))
+	}
+
+	fsHot, err := cas.OpenFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, hot := range map[string]cas.Store{"memory": cas.NewMemory(), "fs": fsHot} {
+		w := &worker{opts: WorkerOptions{Hot: hot}}
+		var post VerdictPost
+		got, err := w.chunkSnapshot(&post, raw, held)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(post.FinalSnapshot, refs) || !slices.Equal(post.Shipped, shipped) {
+			t.Fatalf("%s: refs or Shipped differ from the sequential cut: shipped %v, want %v", name, post.Shipped, shipped)
+		}
+		if !slices.EqualFunc(got, frames, bytes.Equal) {
+			t.Fatalf("%s: frames differ from sequential encio.Gzip output", name)
+		}
+		inHot, err := hot.List()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []string
+		for _, i := range shipped {
+			want = append(want, refs[i].SHA256)
+		}
+		slices.Sort(inHot)
+		slices.Sort(want)
+		if !slices.Equal(inHot, want) {
+			t.Fatalf("%s: hot cache holds %d chunks, want the %d shipped", name, len(inHot), len(want))
+		}
+		if fs, ok := hot.(*cas.FS); ok {
+			for k, i := range shipped {
+				if b, err := fs.ReadStored(refs[i].SHA256); err != nil || !bytes.Equal(b, frames[k]) {
+					t.Fatalf("fs: cached chunk %d is not the frame shipped: %v", i, err)
+				}
+			}
+		}
+	}
+}
+
+// sealRepeatChain seals a chain of a two-script app whose first request
+// inserts one long computed string twice and echoes only its length.
+// The string is full of quotes, which the logged SQL doubles, so its
+// stored form is in no sealed trace or report: epoch 1's candidate
+// state names chunks twice that the chain store lacks.
+func sealRepeatChain(t *testing.T, dir string) *lang.Program {
+	t.Helper()
+	app := &apps.App{Name: "twins", Schema: []string{`CREATE TABLE twins (id INT PRIMARY KEY AUTOINCREMENT, body TEXT)`},
+		Sources: map[string]string{
+			"twin": `
+$s = "";
+for ($i = 0; $i < 12000; $i++) {
+  $s .= md5("twin " . $i) . "'";
+}
+db_exec("INSERT INTO twins (body) VALUES (" . db_quote($s) . ")");
+db_exec("INSERT INTO twins (body) VALUES (" . db_quote($s) . ")");
+echo strlen($s);
+`,
+			"ping": `echo "pong";`,
+		}}
+	prog := app.Compile()
+	srv := server.New(prog, server.Options{Record: true})
+	if err := srv.Setup(app.Schema); err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := epoch.StartManager(dir, srv, srv.Snapshot(), epoch.ManagerOptions{EpochEvents: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.ServeAllContext(context.Background(), []trace.Input{{Script: "twin"}}, 1)
+	for b := 0; b < 3; b++ {
+		reqs := make([]trace.Input, 12)
+		for i := range reqs {
+			reqs[i] = trace.Input{Script: "ping"}
+		}
+		srv.ServeAllContext(context.Background(), reqs, 2)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
+
+// TestSnapshotRepeatedAndCorruptChunks: the coordinator resolves a
+// candidate's whole ref list before it files the shipped chunks in
+// parallel. A chunk named twice ships once and its second ref resolves
+// to the first — the chain audits to the local ledger, and the state
+// filed reads back cold. A post with corrupt chunks among many shipped
+// is refused 400 naming the lowest bad index; nothing is recorded and
+// the lease is kept.
+func TestSnapshotRepeatedAndCorruptChunks(t *testing.T) {
+	master := t.TempDir()
+	prog := sealRepeatChain(t, master)
+	want := normalize(t, singleAudit(t, prog, copyChain(t, master)))
+
+	t.Run("repeated chunk", func(t *testing.T) {
+		dir := copyChain(t, master)
+		coord, ts := startFleet(t, dir, CoordinatorOptions{})
+		tap := runTappedWorker(t, prog, ts.URL)
+		if err := coord.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		requireSameLedger(t, "fleet", normalize(t, coord.Verdicts()), want)
+		if len(tap.cands) < 2 || len(tap.inits) < 1 {
+			t.Fatalf("%d candidates, %d init hand-offs: need epoch 2 to start from epoch 1's", len(tap.cands), len(tap.inits))
+		}
+		first := tap.cands[0].post
+		seen := map[string]int{}
+		repeated := ""
+		for i, r := range first.FinalSnapshot {
+			if _, ok := seen[r.SHA256]; ok && slices.Contains(first.Shipped, seen[r.SHA256]) {
+				repeated = r.SHA256
+				if slices.Contains(first.Shipped, i) {
+					t.Fatalf("chunk %.12s shipped again at index %d", r.SHA256, i)
+				}
+			} else if !ok {
+				seen[r.SHA256] = i
+			}
+		}
+		if repeated == "" {
+			t.Fatal("epoch 1's candidate names no new chunk twice; the test proves nothing")
+		}
+		sealedStore, err := epoch.OpenChainStore(master)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sealedStore.Has(repeated) {
+			t.Fatalf("chunk %.12s is in the sealed chain; its repeat resolves without the shipped copy", repeated)
+		}
+		if !slices.Equal(tap.inits[0], first.FinalSnapshot) {
+			t.Fatal("epoch 2 was not handed epoch 1's candidate")
+		}
+		store, err := epoch.OpenChainStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cas.ReadBlob(store, first.FinalSnapshot); err != nil {
+			t.Fatalf("epoch 1's filed state does not read back: %v", err)
+		}
+	})
+
+	t.Run("corrupt chunks among many", func(t *testing.T) {
+		dir := copyChain(t, master)
+		coord, ts := startFleet(t, dir, CoordinatorOptions{To: 1})
+		l := leaseFor(t, ts.URL, "w", nil)
+		posts := honestPosts(t, prog, dir, l, "w", nil)
+		honest := posts[0]
+		store, err := epoch.OpenChainStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var fresh []int // first shipped copies of chunks the store lacks: the ones verified
+		seen := map[string]bool{}
+		for k, idx := range honest.Shipped {
+			sha := honest.FinalSnapshot[idx].SHA256
+			if !seen[sha] && !store.Has(sha) {
+				fresh = append(fresh, k)
+			}
+			seen[sha] = true
+		}
+		if len(fresh) < 4 {
+			t.Fatalf("only %d fresh chunks shipped", len(fresh))
+		}
+		lo, hi := fresh[len(fresh)/2], fresh[len(fresh)-1]
+		bad := honest
+		bad.chunks = slices.Clone(honest.chunks)
+		for _, k := range []int{hi, lo} {
+			if bad.chunks[k], err = encio.Gzip([]byte(fmt.Sprintf("not chunk %d", k))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		status, body := postVerdict(t, ts.URL, nil, bad)
+		if wantMsg := fmt.Sprintf("final snapshot chunk %d:", honest.Shipped[lo]); status != http.StatusBadRequest || !strings.Contains(string(body), wantMsg) {
+			t.Fatalf("post with corrupt chunks %d and %d answered %d %q, want 400 naming %q",
+				honest.Shipped[lo], honest.Shipped[hi], status, body, wantMsg)
+		}
+		if st := coord.Stats(); st.EpochsDecided != 0 || st.SnapshotChunksPosted != 0 || st.SnapshotChunksReused != 0 {
+			t.Fatalf("a refused post was recorded: %+v", st)
+		}
+		for _, k := range []int{lo, hi} {
+			if store.Has(honest.FinalSnapshot[honest.Shipped[k]].SHA256) {
+				t.Fatalf("corrupt chunk %d reached the chain store", honest.Shipped[k])
+			}
+		}
+		if status, body := postAll(t, ts.URL, nil, posts...); status != http.StatusOK {
+			t.Fatalf("honest posts on the kept lease refused: %d %s", status, body)
+		}
+		if err := coord.Wait(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		requireSameLedger(t, "epoch 1", normalize(t, coord.Verdicts()), want[:1])
+	})
 }

@@ -421,39 +421,47 @@ func (w *worker) postCandidate(l *Lease, snap *object.Snapshot, held []cas.Ref) 
 // chunkSnapshot cuts a candidate final snapshot's raw bytes into chunks,
 // fills in post.FinalSnapshot (every ref) and post.Shipped (the chunks
 // the coordinator cannot have: those not among the refs of the initial
-// state this audit started from), and returns the shipped chunks'
-// at-rest bytes. Each new chunk is compressed here, once: the
-// coordinator stores these bytes as they are, and the hot cache takes
-// them too, so auditing the next epoch finds its initial state at home.
+// state this audit started from, each once), and returns the shipped
+// chunks' at-rest bytes. Each new chunk is compressed here, once, in
+// parallel with the others: the coordinator stores these bytes as they
+// are, and the hot cache takes them too, so auditing the next epoch
+// finds its initial state at home.
 func (w *worker) chunkSnapshot(post *VerdictPost, raw []byte, held []cas.Ref) ([][]byte, error) {
 	known := make(map[string]bool, len(held))
 	for _, r := range held {
 		known[r.SHA256] = true
 	}
+	chunks := cas.DefaultChunker.Split(raw)
+	for i, chunk := range chunks {
+		sha := cas.SumHex(chunk)
+		post.FinalSnapshot = append(post.FinalSnapshot, cas.Ref{SHA256: sha, Bytes: int64(len(chunk))})
+		if !known[sha] {
+			known[sha] = true
+			post.Shipped = append(post.Shipped, i)
+		}
+	}
 	storedHot, _ := w.opts.Hot.(interface {
 		PutStored(sha string, stored []byte) error
 	})
-	var shipped [][]byte
-	for i, chunk := range cas.DefaultChunker.Split(raw) {
-		sha := cas.SumHex(chunk)
-		post.FinalSnapshot = append(post.FinalSnapshot, cas.Ref{SHA256: sha, Bytes: int64(len(chunk))})
-		if known[sha] {
-			continue
-		}
-		known[sha] = true
-		stored, err := encio.Gzip(chunk)
+	shipped := make([][]byte, len(post.Shipped))
+	err := forEach(len(shipped), func(k int) error {
+		i := post.Shipped[k]
+		stored, err := encio.Gzip(chunks[i])
 		if err != nil {
-			return nil, err
+			return err
 		}
-		post.Shipped = append(post.Shipped, i)
-		shipped = append(shipped, stored)
+		shipped[k] = stored
 		// Best effort, like Tiered's promotion: a cache that cannot take
 		// the chunk costs a fetch later, nothing else.
-		if storedHot != nil {
+		if sha := post.FinalSnapshot[i].SHA256; storedHot != nil {
 			_ = storedHot.PutStored(sha, stored)
 		} else {
-			_ = w.opts.Hot.Put(sha, chunk)
+			_ = w.opts.Hot.Put(sha, chunks[i])
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
 	return shipped, nil
 }
