@@ -133,6 +133,12 @@ func TestConsoleHonestPipeline(t *testing.T) {
 		"orochi_lang_cache_misses ",
 		"# TYPE orochi_lang_cache_evictions counter",
 		"orochi_lang_cache_evictions ",
+		"# TYPE orochi_go_heap_alloc_objects_total counter",
+		"orochi_go_heap_alloc_objects_total ",
+		"# TYPE orochi_go_heap_alloc_bytes_total counter",
+		"orochi_go_heap_alloc_bytes_total ",
+		"# TYPE orochi_go_gc_cycles_total counter",
+		"orochi_go_gc_cycles_total ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/-/metrics missing %q in:\n%s", want, body)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"net/http"
+	"runtime/metrics"
 	"strconv"
 	"time"
 
@@ -35,6 +36,22 @@ func (c *Console) metrics(w http.ResponseWriter, r *http.Request) {
 	p.sample("orochi_lang_cache_misses", "", float64(langMisses))
 	p.family("orochi_lang_cache_evictions", "counter", "Programs dropped by the cache's LRU bound (held references stay valid).")
 	p.sample("orochi_lang_cache_evictions", "", float64(lang.CacheEvictions()))
+
+	// The Go runtime's own counters: allocations per request is
+	// objects ÷ orochi_requests_total.
+	rt := []metrics.Sample{
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/heap/tiny/allocs:objects"},
+		{Name: "/gc/heap/allocs:bytes"},
+		{Name: "/gc/cycles/total:gc-cycles"},
+	}
+	metrics.Read(rt)
+	p.family("orochi_go_heap_alloc_objects_total", "counter", "Heap objects the Go runtime allocated since start, tiny allocations included.")
+	p.sample("orochi_go_heap_alloc_objects_total", "", float64(rt[0].Value.Uint64()+rt[1].Value.Uint64()))
+	p.family("orochi_go_heap_alloc_bytes_total", "counter", "Heap bytes the Go runtime allocated since start.")
+	p.sample("orochi_go_heap_alloc_bytes_total", "", float64(rt[2].Value.Uint64()))
+	p.family("orochi_go_gc_cycles_total", "counter", "Garbage collection cycles the Go runtime completed since start.")
+	p.sample("orochi_go_gc_cycles_total", "", float64(rt[3].Value.Uint64()))
 
 	if c.srv != nil {
 		cpu, n := c.srv.CPU()

@@ -351,6 +351,9 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	c.workers[req.Worker] = c.now()
 	c.expireLocked()
+	if l := c.leases[req.Abandoned]; l != nil && l.worker == req.Worker {
+		c.dropLeaseLocked(l.id)
+	}
 	resp := LeaseResponse{}
 	if c.finished {
 		resp.Done = true

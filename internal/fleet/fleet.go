@@ -123,12 +123,16 @@ func signResponse(w http.ResponseWriter, key, body []byte) {
 // signed).
 type LeaseRequest struct {
 	Worker string `json:"worker"`
+	// Abandoned names the lease the worker dropped without a verdict
+	// since its last request, if any: the coordinator ends it, so its
+	// epoch is leased again at once instead of after the lease timeout.
+	Abandoned string `json:"abandoned,omitempty"`
 }
 
 // Lease is one epoch assignment. A worker holds it until it posts a
-// valid verdict or the coordinator's lease timeout expires; any
-// authenticated activity on the lease (an init request, a candidate
-// post) renews it.
+// valid verdict, hands it back (LeaseRequest.Abandoned) or the
+// coordinator's lease timeout expires; any authenticated activity on
+// the lease (an init request, a candidate post) renews it.
 type Lease struct {
 	ID    string `json:"id"`
 	Epoch int64  `json:"epoch"`

@@ -14,6 +14,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -654,6 +655,63 @@ func TestFleetLeaseExpiryAndStaleVerdicts(t *testing.T) {
 	verdicts := coord.Verdicts()
 	if len(verdicts) != 1 || !verdicts[0].Accepted {
 		t.Fatalf("epoch 1 should hold one ACCEPT: %+v", verdicts)
+	}
+}
+
+// TestAbandonedLeaseIsHandedBack: the artifact server answers 503 to
+// every chunk request until the worker's first lease is abandoned (its
+// artifacts unavailable after fetchRetries attempts). The worker names
+// that lease in its next lease request, so the coordinator ends it and
+// leases the epoch again at once: the chain is decided with the
+// coordinator's clock never moved, with no lease timed out.
+func TestAbandonedLeaseIsHandedBack(t *testing.T) {
+	dir := t.TempDir()
+	prog := sealTestChain(t, dir)
+	_, want := referenceAudit(t, prog, dir)
+	clock := &fakeClock{now: time.Now()}
+	as, err := NewArtifactServer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(dir, CoordinatorOptions{LeaseTimeout: time.Minute, RetryMS: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	coord.now = clock.Now
+	fleet := newFleetServer(t, as, coord)
+	var down atomic.Bool
+	down.Store(true)
+	var leases atomic.Int32
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch {
+		case r.URL.Path == Prefix+"/lease" && leases.Add(1) == 2:
+			down.Store(false) // the worker asks again: it abandoned the first
+		case strings.HasPrefix(r.URL.Path, Prefix+"/chunk/") && down.Load():
+			http.Error(w, "unavailable", http.StatusServiceUnavailable)
+			return
+		}
+		fleet.Config.Handler.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	stats, err := RunWorker(ctx, prog, WorkerOptions{Coordinator: ts.URL, Name: "w", InitPoll: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("worker: %v (an abandoned lease must not hold its epoch until the lease timeout)", err)
+	}
+	if stats.Abandoned != 1 {
+		t.Fatalf("%d leases abandoned, want the first", stats.Abandoned)
+	}
+	if err := coord.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if st := coord.Stats(); st.LeasesReassigned != 0 {
+		t.Fatalf("%d leases timed out under a clock that never moved", st.LeasesReassigned)
+	}
+	if !coord.ChainAccepted() || coord.ChainSHA() != want {
+		t.Fatalf("ledger ends on %.12s (accepted %v), want the reference %.12s", coord.ChainSHA(), coord.ChainAccepted(), want)
 	}
 }
 

@@ -184,11 +184,12 @@ func RunWorker(ctx context.Context, prog *lang.Program, opts WorkerOptions) (Wor
 		stats:      WorkerStats{Name: opts.Name},
 	}
 	failures := 0
+	abandoned := "" // the lease to name in the next request
 	for {
 		if err := ctx.Err(); err != nil {
 			return w.stats, err
 		}
-		resp, err := w.lease()
+		resp, err := w.lease(abandoned)
 		if err != nil {
 			if isFatal(err) {
 				return w.stats, err
@@ -203,6 +204,7 @@ func RunWorker(ctx context.Context, prog *lang.Program, opts WorkerOptions) (Wor
 			continue
 		}
 		failures = 0
+		abandoned = ""
 		switch {
 		case resp.Done:
 			return w.stats, nil
@@ -218,6 +220,7 @@ func RunWorker(ctx context.Context, prog *lang.Program, opts WorkerOptions) (Wor
 			if err := w.audit(ctx, resp.Lease); err != nil {
 				if errors.Is(err, errAbandoned) {
 					w.stats.Abandoned++
+					abandoned = resp.Lease.ID
 					continue
 				}
 				return w.stats, err
@@ -247,9 +250,10 @@ func sleepCtx(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// lease asks the coordinator for work.
-func (w *worker) lease() (*LeaseResponse, error) {
-	body, err := w.signedPost(w.opts.Coordinator+Prefix+"/lease", LeaseRequest{Worker: w.opts.Name})
+// lease asks the coordinator for work, handing back the lease the
+// worker abandoned since it last asked ("" for none).
+func (w *worker) lease(abandoned string) (*LeaseResponse, error) {
+	body, err := w.signedPost(w.opts.Coordinator+Prefix+"/lease", LeaseRequest{Worker: w.opts.Name, Abandoned: abandoned})
 	if err != nil {
 		return nil, err
 	}
@@ -605,8 +609,8 @@ func (w *worker) send(p *VerdictPost, chunks [][]byte) error {
 		if isFatal(err) {
 			return err
 		}
-		// Transport failure posting: the lease will expire and the epoch
-		// be reassigned; drop it here.
+		// Transport failure or a refused post: drop the lease here; the
+		// next lease request hands it back, so the epoch is reassigned.
 		return fmt.Errorf("%w: post: %v", errAbandoned, err)
 	}
 	return nil

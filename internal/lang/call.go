@@ -248,7 +248,8 @@ func (ex *exec) stateOpCore(name string, args []Value, line int) (Value, error) 
 	if ex.bridge == nil {
 		return nil, &RuntimeError{Msg: "no shared-state bridge configured", Line: line}
 	}
-	ex.countInstr(ex.anyMulti(args...))
+	multi := ex.anyMulti(args...)
+	ex.countInstr(multi)
 	// Validate the call shape BEFORE consuming an opnum: a call that
 	// faults on its arguments never reaches a shared object, so it must
 	// not count toward report M — the server records no log entry for
@@ -259,11 +260,7 @@ func (ex *exec) stateOpCore(name string, args []Value, line int) (Value, error) 
 	opnum := ex.opnum
 	ex.opnum++
 	return ex.forLanes(func(i int) (Value, error) {
-		laneArgs := make([]Value, len(args))
-		for j, a := range args {
-			laneArgs[j] = MaterializeLane(a, i)
-		}
-		return ex.stateOpLane(name, ex.rids[i], opnum, laneArgs, line)
+		return ex.stateOpLane(name, ex.rids[i], opnum, laneArgs(args, multi, i), line)
 	})
 }
 
@@ -365,17 +362,29 @@ func (ex *exec) callNonDet(sc *scope, call *Call) (Value, error) {
 
 // nonDetCore is the engine-independent core of a nondet builtin call.
 func (ex *exec) nonDetCore(name string, args []Value) (Value, error) {
-	ex.countInstr(ex.anyMulti(args...))
+	multi := ex.anyMulti(args...)
+	ex.countInstr(multi)
 	return ex.forLanes(func(i int) (Value, error) {
-		laneArgs := make([]Value, len(args))
-		for j, a := range args {
-			laneArgs[j] = MaterializeLane(a, i)
-		}
+		la := laneArgs(args, multi, i)
 		if ex.bridge == nil {
-			return nativeNonDet(name, laneArgs)
+			return nativeNonDet(name, la)
 		}
-		return ex.bridge.NonDet(ex.rids[i], name, laneArgs)
+		return ex.bridge.NonDet(ex.rids[i], name, la)
 	})
+}
+
+// laneArgs is lane i's view of a call's arguments: the arguments
+// themselves when none holds a multivalue (every lane sees them as
+// they are), else a fresh slice of each one's lane.
+func laneArgs(args []Value, multi bool, i int) []Value {
+	if !multi {
+		return args
+	}
+	out := make([]Value, len(args))
+	for j, a := range args {
+		out[j] = MaterializeLane(a, i)
+	}
+	return out
 }
 
 // stateOps names the builtins that operate on shared objects.

@@ -839,6 +839,12 @@ func (cc *compiler) compileExpr(e Expr) cexpr {
 		}
 		return cc.compileCall(x)
 	case *ArrayLit:
+		if arr := constArray(x); arr != nil {
+			// Built once, shared before the program is published, and so
+			// never written: a writer copies it (Array.Own).
+			share(arr)
+			return func(fr *cframe) (Value, error) { return arr, nil }
+		}
 		type centry struct {
 			key cexpr // nil for append entries
 			val cexpr
@@ -956,6 +962,44 @@ func (cc *compiler) compileExpr(e Expr) cexpr {
 	}
 }
 
+// constArray builds an array literal whose keys are literals or absent
+// and whose values are literals or such literals in turn, with the
+// calls the run-time path makes, so keys normalise and duplicate keys
+// and the next index come out the same. It returns nil for any other
+// literal.
+func constArray(x *ArrayLit) *Array {
+	arr := NewArrayCap(len(x.Entries))
+	for _, ent := range x.Entries {
+		var v Value
+		switch e := ent.Val.(type) {
+		case *Lit:
+			v = e.Val
+		case *ArrayLit:
+			sub := constArray(e)
+			if sub == nil {
+				return nil
+			}
+			v = sub
+		default:
+			return nil
+		}
+		if ent.Key == nil {
+			arr.Append(v)
+			continue
+		}
+		kl, ok := ent.Key.(*Lit)
+		if !ok {
+			return nil
+		}
+		k, err := NormalizeKey(kl.Val)
+		if err != nil {
+			return nil
+		}
+		arr.Set(k, v)
+	}
+	return arr
+}
+
 // compileSegExpr lowers e for a consumer that takes a segmented string
 // as it is: the operands of `.`, echo, return, a user function's
 // arguments and a plain variable's assignment. Only a variable, `.` and
@@ -1029,15 +1073,11 @@ func (cc *compiler) compileCall(x *Call) cexpr {
 			if err != nil {
 				return nil, err
 			}
-			restVals := make([]Value, len(rest))
-			for i, re := range rest {
-				v, err := re(fr)
-				if err != nil {
-					return nil, err
-				}
-				restVals[i] = v
-			}
-			result, newTarget, err := fr.ex.refBuiltinApply(name, fn, cur, restVals, line)
+			var newTarget Value
+			result, err := withArgs(fr, rest, func(vals []Value) (result Value, err error) {
+				result, newTarget, err = fr.ex.refBuiltinApply(name, fn, cur, vals, line)
+				return result, err
+			})
 			if err != nil {
 				return nil, err
 			}
@@ -1050,46 +1090,51 @@ func (cc *compiler) compileCall(x *Call) cexpr {
 	if stateOps[name] {
 		args := cc.compileExprs(x.Args)
 		return func(fr *cframe) (Value, error) {
-			vals, err := evalCArgs(fr, args)
-			if err != nil {
-				return nil, err
-			}
-			return fr.ex.stateOpCore(name, vals, line)
+			return withArgs(fr, args, func(vals []Value) (Value, error) {
+				return fr.ex.stateOpCore(name, vals, line)
+			})
 		}
 	}
 	if nondetBuiltins[name] {
 		args := cc.compileExprs(x.Args)
 		return func(fr *cframe) (Value, error) {
-			vals, err := evalCArgs(fr, args)
-			if err != nil {
-				return nil, err
-			}
-			return fr.ex.nonDetCore(name, vals)
+			return withArgs(fr, args, func(vals []Value) (Value, error) {
+				return fr.ex.nonDetCore(name, vals)
+			})
 		}
 	}
 	if b, ok := builtins[name]; ok {
 		args := cc.compileExprs(x.Args)
 		return func(fr *cframe) (Value, error) {
-			vals, err := evalCArgs(fr, args)
-			if err != nil {
-				return nil, err
-			}
-			return fr.ex.invokeBuiltin(name, b, vals, line)
+			return withArgs(fr, args, func(vals []Value) (Value, error) {
+				return fr.ex.invokeBuiltin(name, b, vals, line)
+			})
 		}
 	}
 	return errExpr(&RuntimeError{Msg: fmt.Sprintf("call to undefined function %s()", name), Line: line})
 }
 
-func evalCArgs(fr *cframe, args []cexpr) ([]Value, error) {
-	vals := make([]Value, len(args))
-	for i, a := range args {
+// withArgs evaluates a builtin call's arguments onto the run's
+// argument stack, above those of the calls still evaluating theirs,
+// hands them to call as a slice whose capacity ends at the last one (so
+// a callee's append cannot write into the stack), and releases them
+// however the call ends. No callee keeps the slice past its return.
+func withArgs(fr *cframe, args []cexpr, call func(vals []Value) (Value, error)) (Value, error) {
+	ex := fr.ex
+	base := len(ex.args)
+	defer func() {
+		clear(ex.args[base:])
+		ex.args = ex.args[:base]
+	}()
+	for _, a := range args {
 		v, err := a(fr)
 		if err != nil {
 			return nil, err
 		}
-		vals[i] = v
+		ex.args = append(ex.args, v)
 	}
-	return vals, nil
+	top := len(ex.args)
+	return call(ex.args[base:top:top])
 }
 
 // callCFunc mirrors exec.callUser: arguments are copies (shared, like
@@ -1189,6 +1234,18 @@ func readCLV(fr *cframe, t *clval) (Value, error) {
 	return cur, nil
 }
 
+// pathInline is the longest index path whose keys an indexed write or
+// unset holds in an array on the Go stack instead of the heap.
+const pathInline = 4
+
+// pathBuf returns room for an index path of n keys: buf when they fit.
+func pathBuf(buf *[pathInline]Value, n int) []Value {
+	if n <= pathInline {
+		return buf[:n]
+	}
+	return make([]Value, n)
+}
+
 // assignCLV mirrors exec.assignTo.
 func assignCLV(fr *cframe, t *clval, val Value) error {
 	ex := fr.ex
@@ -1199,7 +1256,8 @@ func assignCLV(fr *cframe, t *clval, val Value) error {
 		}
 		return nil
 	}
-	idxs := make([]Value, len(t.steps))
+	var buf [pathInline]Value
+	idxs := pathBuf(&buf, len(t.steps))
 	for i, stepE := range t.steps {
 		if stepE == nil {
 			if i != len(t.steps)-1 {
@@ -1262,7 +1320,8 @@ func unsetCLV(fr *cframe, t *clval) error {
 		t.acc.unset(fr)
 		return nil
 	}
-	idxs := make([]Value, len(t.steps))
+	var buf [pathInline]Value
+	idxs := pathBuf(&buf, len(t.steps))
 	for i, stepE := range t.steps {
 		if stepE == nil {
 			return unsetAppendError(i == len(t.steps)-1, t.line)

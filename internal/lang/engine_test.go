@@ -447,6 +447,73 @@ echo $z . $z, "=" . $z . "=";
 $w = $s;
 $w[0] = "W";
 echo $w;`},
+	// Constant array literals are built once and shared by the compiled
+	// engine: every write must land on a copy, call after call.
+	{"constant literal writes", `
+function cfg($v) {
+  $a = array("k" => array(1, 2), "n" => null, "10" => "ten", 1.5 => "f", true => "t", null => "e", "k2" => "x", "k2" => "dup");
+  $a["k"][] = $v;
+  $a["k"][0] = $v . "!";
+  $a["new"] = $v;
+  $a[] = "next";
+  unset($a["n"]);
+  $b = [];
+  $b[] = $v;
+  $c = ["x" => ["y" => 1]];
+  $c["x"]["z"] = $v;
+  unset($c["x"]["y"]);
+  $c["x"]["w"][] = 1;
+  return json_encode($a) . json_encode($b) . json_encode($c);
+}
+echo cfg($_GET["x"]), cfg("second"), json_encode(array("k" => array(1, 2), "n" => null)), json_encode([]);
+$big = array(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, "a" => 1, "b" => 2);
+for ($i = 0; $i < 2; $i++) { $t = $big; $t["a"] = $i; $t[] = $_GET["x"]; echo json_encode($t), json_encode($big); }
+apc_set("lit", array("s" => array(1)));
+$l = apc_get("lit");
+$l["s"][] = 2;
+echo json_encode($l), json_encode(apc_get("lit"));`},
+	{"sort a literal", `
+$a = array(3, 1, 2);
+sort($a);
+$b = array("b" => 2, "a" => 1);
+ksort($b);
+$c = array(5, 4);
+array_push($c, $_GET["x"], array(0));
+$d = array(1, 2, 3);
+echo array_pop($d), array_shift($d);
+rsort($d);
+echo json_encode($a) . json_encode($b) . json_encode($c) . json_encode($d) . json_encode(array(3, 1, 2)) . json_encode(array(1, 2, 3));`},
+	{"foreach over a literal being written", `
+$a = array("p" => 1, "q" => 2, "r" => 3);
+foreach ($a as $k => $v) { $a[$k] = $v * 10; $a[] = $k . $_GET["x"]; unset($a["q"]); }
+echo json_encode($a);
+foreach (array(1, 2, 3) as $v) { $t = array(0, array(9)); $t[] = $v; $t[1][] = $_GET["x"]; echo json_encode($t); }
+foreach (array("x" => array(1, 2)) as $k => $inner) { $inner[] = 3; foreach ($inner as $w) { echo $w; } }`},
+	{"nested builtin calls", `
+$s = "a,b," . $_GET["x"];
+echo implode(",", array_keys(explode(",", $s)));
+echo implode("|", array_merge(explode(",", $s), array_values(array("z" => strtoupper(substr($s, 0, 1))))));
+echo str_replace("a", strtoupper(implode("", array("x", $_GET["x"]))), $s);
+echo max(1, min(5, intval($_GET["x"])), count(explode(",", $s)));
+echo sprintf("%s-%d-%s", substr($s, 1, 2), strlen(implode(",", array_reverse(explode(",", $s)))), json_encode(array_slice(range(1, 5), 1, intval($_GET["x"]))));
+echo mt_rand(1, intval($_GET["x"]) + count(array(1, 2))), time() > 0 ? "t" : "f";
+apc_set("k" . strlen($s), implode(",", array($s, strtoupper($s))));
+echo apc_get("k" . strlen(implode("", array($s))));
+$arr = array();
+array_push($arr, strlen($s), implode(":", explode(",", $s)));
+echo json_encode($arr);`},
+	{"fault mid-argument in a loop", `
+$out = "";
+for ($i = 0; $i < 5; $i++) {
+  $out .= implode(",", array($i, strlen("ab" . $i), str_repeat("-", $i == intval($_GET["x"]) + 1 ? undefined_fn($i) : 1)));
+  echo strlen($out);
+}
+echo $out;`},
+	{"fault mid-argument of a nested call", `
+for ($i = 0; $i < 3; $i++) {
+  echo implode(",", array_keys(explode(",", "a,b" . $i)));
+  if ($i == intval($_GET["x"])) { echo strlen(implode(",", array_keys(explode(",", substr("abc", 0, nope($i)))))); }
+}`},
 }
 
 func TestEngineEquivalence(t *testing.T) {

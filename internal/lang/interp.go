@@ -186,6 +186,9 @@ type exec struct {
 	// locking. See pool.go.
 	laneSlices [][]Value
 	frames     []*cframe
+	// args is the argument stack of the compiled engine's builtin
+	// calls (withArgs).
+	args []Value
 }
 
 // copyValue is PHP's by-value copy as this run's engine implements it.

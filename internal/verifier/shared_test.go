@@ -15,12 +15,21 @@ import (
 // TestSharedArraysAcrossGoroutines: an array-valued register and an
 // array-valued KV entry of the initial state are read by many requests
 // at once on the server, and by every Phase-3 worker in the audit; each
-// reader writes its own copy. Readers only ever read the arrays' shared
-// marks, so under -race this fails if a published array is left
+// reader writes its own copy. Readers only ever read the arrays'
+// shared marks, so under -race this fails if a published array is left
 // unmarked (two goroutines would race to mark it) or if any write
 // reaches a stored value in place (the other readers would see it).
+// Every run also writes into, sorts and iterates the program's constant
+// array literals, which all runs share, and echoes one of them last: a
+// write that reached a literal in place would show in every later
+// response.
 func TestSharedArraysAcrossGoroutines(t *testing.T) {
 	prog, err := lang.Compile(map[string]string{"read": `
+$lit = array("a" => array(3, 1), "b" => "x");
+$lit["a"][] = intval($_GET["id"]);
+sort($lit["a"]);
+$lit["b"] .= $_GET["id"];
+foreach (array("p" => array(1), "q" => 2) as $k => $v) { $lit[$k] = $v; $lit["p"][] = $k; }
 $n = intval($_GET["n"]);
 for ($i = 0; $i < $n % 8; $i++) { echo "."; }
 $cfg = apc_get("cfg");
@@ -30,8 +39,8 @@ $prefs["theme"] = "t" . $_GET["id"];
 foreach ($cfg["items"] as $i => $item) { $cfg["items"][$i] = $item . $_GET["id"]; }
 unset($prefs["nested"]["lang"]);
 sort($cfg["items"]);
-echo json_encode($cfg) . json_encode($prefs);
-echo "|" . json_encode(apc_get("cfg")) . json_encode(session_get("prefs"));
+echo json_encode($cfg) . json_encode($prefs) . json_encode($lit);
+echo "|" . json_encode(apc_get("cfg")) . json_encode(session_get("prefs")) . json_encode(array("a" => array(3, 1), "b" => "x"));
 `})
 	if err != nil {
 		t.Fatal(err)
@@ -53,7 +62,7 @@ echo "|" . json_encode(apc_get("cfg")) . json_encode(session_get("prefs"));
 		prefs.Set(key("nested"), nested)
 		return cfg, prefs
 	}
-	const want = `|{"items":["b","a","c"],"seen":[]}{"nested":{"lang":"en","tz":"UTC"}}`
+	const want = `|{"items":["b","a","c"],"seen":[]}{"nested":{"lang":"en","tz":"UTC"}}{"a":[3,1],"b":"x"}`
 
 	srv := server.New(prog, server.Options{Record: true})
 	cfg, prefs := build()
