@@ -14,18 +14,18 @@ import (
 // at concurrency 1, and the process's malloc count per request must
 // stay under each mix's budget. The budgets are the counts measured
 // when constant array literals became static, builtin arguments moved
-// to a per-run stack, index paths to the Go stack and short
-// concatenations to an arena, plus 10 % headroom; the build before
-// those changes made 1 078, 982 and 1 017 (655, 616 and 639 after).
+// to a per-run stack and index paths to the Go stack, plus 10 %
+// headroom; the build before those changes made 1 078, 982 and 1 017
+// (792, 732 and 767 after).
 func TestServeAllocsPerRequest(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		w      *workload.Workload
 		budget float64
 	}{
-		{"wiki", workload.Wiki(workload.WikiParams{Requests: 600, Pages: 200, ZipfS: 0.53, Seed: 7}), 720},
-		{"forum", workload.Forum(workload.ForumParams{Requests: 600, Topics: 21, Users: 83, GuestRatio: 40.0 / 41.0, Seed: 7}), 678},
-		{"hotcrp", hotcrpMix(), 703},
+		{"wiki", workload.Wiki(workload.WikiParams{Requests: 600, Pages: 200, ZipfS: 0.53, Seed: 7}), 871},
+		{"forum", workload.Forum(workload.ForumParams{Requests: 600, Topics: 21, Users: 83, GuestRatio: 40.0 / 41.0, Seed: 7}), 805},
+		{"hotcrp", hotcrpMix(), 844},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			srv := server.New(c.w.App.Compile(), server.Options{Record: true})

@@ -15,9 +15,7 @@ import (
 //     below a view's length are never written again, so every view taken
 //     earlier — in a variable, an array key, a store — keeps its bytes
 //     without any ownership mark: `.=` in a loop is amortised O(1) per
-//     byte instead of a copy of the whole string per append. A result
-//     shorter than growMin is carved from an append-only arena block
-//     under the same rule instead of being a heap string of its own.
+//     byte instead of a copy of the whole string per append.
 //   - Multivalue strings (grouped re-execution). A string multivalue
 //     built by `.` with a univalue operand is a segStr: a shared head
 //     and tail around one per-lane part, so appending the same chrome to
@@ -34,12 +32,6 @@ const (
 	// least recently grown one is forgotten (its views stay valid) when a
 	// new one needs a slot.
 	growSlots = 8
-	// arenaBlock is the size of the blocks short results are carved
-	// from. A string that outlives its run (a recorded SQL statement, a
-	// stored key) keeps its whole block alive, so blocks stay small:
-	// 2 KiB ones added ~2 KB of live heap per request served, 256 B ones
-	// ~250 B, for 13 more allocations per request.
-	arenaBlock = 256
 )
 
 // growBuf is a buffer this run grew. Its views are the strings of its
@@ -55,11 +47,6 @@ type growBuf struct {
 type growBufs struct {
 	slots [growSlots]growBuf
 	clock uint64
-	// arena is the block results shorter than growMin are carved from
-	// when carve is set. Only the univalue table carves, so a group of
-	// lanes holds one block, not one per lane.
-	arena strings.Builder
-	carve bool
 }
 
 // bufs returns the table for univalue strings (lane -1) or for lane
@@ -72,7 +59,6 @@ func (ex *exec) bufs(lane int) *growBufs {
 			n += ex.lanes
 		}
 		ex.grow = make([]growBufs, n)
-		ex.grow[0].carve = true
 	}
 	return &ex.grow[lane+1]
 }
@@ -114,9 +100,6 @@ func (g *growBufs) appendString(parts ...string) string {
 		}
 	}
 	if n < growMin {
-		if g.carve {
-			return g.carveString(n, parts)
-		}
 		if len(parts) == 2 {
 			return l + parts[1]
 		}
@@ -131,21 +114,6 @@ func (g *growBufs) appendString(parts ...string) string {
 	victim.fill(n, parts)
 	victim.used = g.clock
 	return victim.b.String()
-}
-
-// carveString writes the n bytes of parts after the arena's last result
-// and returns them. A block without room for them is left to the
-// results already carved from it, and a fresh one started.
-func (g *growBufs) carveString(n int, parts []string) string {
-	if g.arena.Cap()-g.arena.Len() < n {
-		g.arena = strings.Builder{}
-		g.arena.Grow(arenaBlock)
-	}
-	start := g.arena.Len()
-	for _, p := range parts {
-		g.arena.WriteString(p)
-	}
-	return g.arena.String()[start:]
 }
 
 // fill starts s over with the n bytes of parts in a fresh buffer twice
