@@ -1,15 +1,9 @@
-// Benchmarks regenerating the paper's evaluation (§5): one benchmark
-// family per table/figure. Workloads are scaled down so `go test
-// -bench=.` completes quickly; cmd/orochi-bench runs the paper-sized
-// versions and prints the corresponding tables.
-//
-//	Fig. 8 (left table)  – BenchmarkFig8Audit*, BenchmarkFig8Serve*
-//	Fig. 8 (right graph) – BenchmarkFig8Latency (full version in cmd)
-//	Fig. 9               – BenchmarkFig9Phases*
-//	Fig. 10              – BenchmarkFig10*
-//	Fig. 11              – BenchmarkFig11GroupStats
-//	§3.5 / §A.8 claim    – BenchmarkFrontier*
-//	§4.5 dedup claim     – BenchmarkQueryDedup*
+// Go benchmarks of what no paper figure prints: audit worker-pool and
+// serving-concurrency scaling, the two execution engines, the §4.5
+// query-dedup and grouping ablations, and a small end-to-end audit.
+// The paper's figures themselves come from cmd/orochi-bench (Figures 8
+// and 9 from harness.PaperRow); the end-to-end pipeline is measured by
+// bench/.
 package orochi_test
 
 import (
@@ -19,11 +13,10 @@ import (
 	"runtime"
 	"testing"
 
-	"orochi/internal/core"
 	"orochi/internal/harness"
 	"orochi/internal/lang"
+	"orochi/internal/server"
 	"orochi/internal/sqlmini"
-	"orochi/internal/trace"
 	"orochi/internal/verifier"
 	"orochi/internal/vstore"
 	"orochi/internal/workload"
@@ -34,56 +27,15 @@ const benchScale = 20
 
 func benchWorkloads() map[string]*workload.Workload {
 	return map[string]*workload.Workload{
-		"Wiki":   workload.Wiki(workload.DefaultWikiParams().Scale(benchScale)),
-		"Forum":  workload.Forum(workload.DefaultForumParams().Scale(benchScale)),
-		"HotCRP": workload.HotCRP(workload.DefaultHotCRPParams().Scale(benchScale)),
+		"Wiki":  workload.Wiki(workload.DefaultWikiParams().Scale(benchScale)),
+		"Forum": workload.Forum(workload.DefaultForumParams().Scale(benchScale)),
 	}
 }
-
-// --- Fig. 8 left: audit speedup ---
-
-func benchFig8Audit(b *testing.B, w *workload.Workload) {
-	served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	base, err := harness.BaselineReplay(w, served)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var last *verifier.Result
-	for i := 0; i < b.N; i++ {
-		// Workers defaults to all CPUs: speedup_x measures the full
-		// engine (dedup × parallelism) against single-core naive
-		// re-execution. BenchmarkAuditWorkers* isolates the scaling.
-		res, err := served.AuditContext(context.Background(), verifier.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if !res.Accepted {
-			b.Fatalf("audit rejected: %s", res.Reason)
-		}
-		last = res
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(base)/float64(last.Stats.Total), "speedup_x")
-	b.ReportMetric(float64(last.Stats.Total.Microseconds())/float64(served.Requests), "audit_us/req")
-	sizes, err := served.Sizes()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(sizes.ReportBytes)/float64(served.Requests), "report_B/req")
-}
-
-func BenchmarkFig8AuditWiki(b *testing.B)   { benchFig8Audit(b, benchWorkloads()["Wiki"]) }
-func BenchmarkFig8AuditForum(b *testing.B)  { benchFig8Audit(b, benchWorkloads()["Forum"]) }
-func BenchmarkFig8AuditHotCRP(b *testing.B) { benchFig8Audit(b, benchWorkloads()["HotCRP"]) }
 
 // --- Parallel audit engine: worker-pool scaling ---
 
 func benchAuditWorkers(b *testing.B, w *workload.Workload) {
-	served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: 8})
+	served, err := harness.Serve(w, server.Options{Record: true}, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -109,35 +61,6 @@ func benchAuditWorkers(b *testing.B, w *workload.Workload) {
 func BenchmarkAuditWorkersWiki(b *testing.B)  { benchAuditWorkers(b, benchWorkloads()["Wiki"]) }
 func BenchmarkAuditWorkersForum(b *testing.B) { benchAuditWorkers(b, benchWorkloads()["Forum"]) }
 
-// --- Fig. 8 left: server CPU overhead (baseline vs recording) ---
-
-func benchFig8Serve(b *testing.B, w *workload.Workload, record bool) {
-	prog := w.App.Compile()
-	_ = prog
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		cfg := harness.ServeConfig{Record: record, Concurrency: 8}
-		b.StartTimer()
-		if _, err := harness.Serve(w, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkFig8ServeBaselineWiki(b *testing.B) { benchFig8Serve(b, benchWorkloads()["Wiki"], false) }
-func BenchmarkFig8ServeOrochiWiki(b *testing.B)   { benchFig8Serve(b, benchWorkloads()["Wiki"], true) }
-func BenchmarkFig8ServeBaselineForum(b *testing.B) {
-	benchFig8Serve(b, benchWorkloads()["Forum"], false)
-}
-func BenchmarkFig8ServeOrochiForum(b *testing.B) { benchFig8Serve(b, benchWorkloads()["Forum"], true) }
-func BenchmarkFig8ServeBaselineHotCRP(b *testing.B) {
-	benchFig8Serve(b, benchWorkloads()["HotCRP"], false)
-}
-func BenchmarkFig8ServeOrochiHotCRP(b *testing.B) {
-	benchFig8Serve(b, benchWorkloads()["HotCRP"], true)
-}
-
 // --- Sharded serving path: throughput vs in-flight requests ---
 
 // BenchmarkServeConcurrency sweeps ServeAllContext concurrency for the
@@ -162,9 +85,7 @@ func BenchmarkServeConcurrency(b *testing.B) {
 				var reqs int
 				var wall float64
 				for i := 0; i < b.N; i++ {
-					served, err := harness.Serve(w, harness.ServeConfig{
-						Record: true, Concurrency: conc, Shards: shards,
-					})
+					served, err := harness.Serve(w, server.Options{Record: true, Shards: shards}, conc)
 					if err != nil {
 						b.Fatal(err)
 					}
@@ -245,70 +166,15 @@ func BenchmarkEngineSIMD(b *testing.B) {
 	}
 }
 
-// --- Fig. 8 right: latency under load (scaled; full sweep in cmd) ---
-
-func BenchmarkFig8Latency(b *testing.B) {
-	w := workload.Forum(workload.DefaultForumParams().Scale(benchScale * 4))
-	served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: 16})
-	if err != nil {
-		b.Fatal(err)
-	}
-	_ = served
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: 16}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Fig. 9: decomposition of audit-time CPU costs ---
-
-func benchFig9(b *testing.B, w *workload.Workload) {
-	served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var last *verifier.Result
-	for i := 0; i < b.N; i++ {
-		// Sequential: the Fig. 9 decomposition reports CPU costs, which
-		// only add up on one worker (DBQuery is summed across workers).
-		res, err := served.AuditContext(context.Background(), verifier.Options{Workers: 1})
-		if err != nil || !res.Accepted {
-			b.Fatalf("audit: %v %v", err, res)
-		}
-		last = res
-	}
-	b.StopTimer()
-	st := last.Stats
-	b.ReportMetric(float64(st.ProcOpRep.Microseconds()), "procopre_us")
-	b.ReportMetric(float64(st.DBRedo.Microseconds()), "dbredo_us")
-	b.ReportMetric(float64((st.ReExec - st.DBQuery).Microseconds()), "php_us")
-	b.ReportMetric(float64(st.DBQuery.Microseconds()), "dbquery_us")
-	b.ReportMetric(float64(st.Other.Microseconds()), "other_us")
-}
-
-func BenchmarkFig9PhasesWiki(b *testing.B)   { benchFig9(b, benchWorkloads()["Wiki"]) }
-func BenchmarkFig9PhasesForum(b *testing.B)  { benchFig9(b, benchWorkloads()["Forum"]) }
-func BenchmarkFig9PhasesHotCRP(b *testing.B) { benchFig9(b, benchWorkloads()["HotCRP"]) }
-
-// --- Fig. 10: per-instruction cost, unmodified vs univalent vs multivalent ---
+// --- Fig-10 instruction loops the engine benchmarks run ---
 
 // fig10Bodies holds a loop body per instruction category. $i is the
 // (univalue) loop counter, $u a univalue operand, $m an operand that is
-// multivalent in the "Multivalent" variants.
+// multivalent when lanes get different seeds.
 var fig10Bodies = map[string]string{
 	"Multiply":  `$x = $m * 3;`,
-	"Concat":    `$x = $m . "x";`,
-	"Isset":     `$x = isset($m);`,
-	"Jump":      `if ($u > 0) { $x = 1; }`,
 	"GetVal":    `$x = $m;`,
-	"ArraySet":  `$arr["k"] = $m;`,
 	"Iteration": `foreach ($pair as $v) { $x = $v; }`,
-	"Microtime": `$x = microtime();`,
-	"Increment": `$m++;`,
-	"NewArray":  `$x = [];`,
 }
 
 func fig10Script(body string) string {
@@ -335,137 +201,6 @@ func (b *fig10Bridge) DBOp(string, int, []string) (lang.Value, error)       { re
 func (b *fig10Bridge) NonDet(rid, fn string, _ []lang.Value) (lang.Value, error) {
 	b.n++
 	return float64(b.n), nil
-}
-
-func benchFig10(b *testing.B, category string, mode string, lanes int) {
-	prog := lang.MustCompile(map[string]string{"m": fig10Script(fig10Bodies[category])})
-	var cfgs []lang.Config
-	switch mode {
-	case "Unmodified":
-		cfgs = append(cfgs, lang.Config{
-			Mode: lang.ModePlain, Script: "m", RIDs: []string{"r"},
-			Inputs: []lang.RequestInput{{Get: map[string]string{"seed": "5"}}},
-		})
-	case "Univalent":
-		// SIMD runtime, identical operands across lanes: everything
-		// collapses and executes once.
-		rids := make([]string, lanes)
-		ins := make([]lang.RequestInput, lanes)
-		for i := range rids {
-			rids[i] = fmt.Sprintf("r%d", i)
-			ins[i] = lang.RequestInput{Get: map[string]string{"seed": "5"}}
-		}
-		cfgs = append(cfgs, lang.Config{
-			Mode: lang.ModeSIMD, Script: "m", RIDs: rids, Inputs: ins, Bridge: &fig10Bridge{},
-		})
-	case "Multivalent":
-		// SIMD runtime, per-lane distinct operands.
-		rids := make([]string, lanes)
-		ins := make([]lang.RequestInput, lanes)
-		for i := range rids {
-			rids[i] = fmt.Sprintf("r%d", i)
-			ins[i] = lang.RequestInput{Get: map[string]string{"seed": fmt.Sprint(i + 1)}}
-		}
-		cfgs = append(cfgs, lang.Config{
-			Mode: lang.ModeSIMD, Script: "m", RIDs: rids, Inputs: ins, Bridge: &fig10Bridge{},
-		})
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for _, cfg := range cfgs {
-			if _, err := lang.Run(prog, cfg); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-}
-
-func BenchmarkFig10(b *testing.B) {
-	for _, cat := range []string{
-		"Multiply", "Concat", "Isset", "Jump", "GetVal",
-		"ArraySet", "Iteration", "Microtime", "Increment", "NewArray",
-	} {
-		b.Run(cat+"/Unmodified", func(b *testing.B) { benchFig10(b, cat, "Unmodified", 1) })
-		b.Run(cat+"/Univalent", func(b *testing.B) { benchFig10(b, cat, "Univalent", 4) })
-		b.Run(cat+"/Multivalent2", func(b *testing.B) { benchFig10(b, cat, "Multivalent", 2) })
-		b.Run(cat+"/Multivalent16", func(b *testing.B) { benchFig10(b, cat, "Multivalent", 16) })
-	}
-}
-
-// --- Fig. 11: control-flow group characteristics ---
-
-func BenchmarkFig11GroupStats(b *testing.B) {
-	w := workload.Wiki(workload.DefaultWikiParams().Scale(benchScale))
-	served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: 8})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	var last *verifier.Result
-	for i := 0; i < b.N; i++ {
-		res, err := served.AuditContext(context.Background(), verifier.Options{CollectStats: true})
-		if err != nil || !res.Accepted {
-			b.Fatalf("audit: %v", err)
-		}
-		last = res
-	}
-	b.StopTimer()
-	groups := last.Stats.Groups
-	nBig := 0
-	var alphaSum float64
-	for _, g := range groups {
-		if g.N > 1 {
-			nBig++
-		}
-		alphaSum += g.Alpha
-	}
-	b.ReportMetric(float64(len(groups)), "groups")
-	b.ReportMetric(float64(nBig), "groups_n>1")
-	b.ReportMetric(alphaSum/float64(len(groups)), "mean_alpha")
-}
-
-// --- §3.5/§A.8: frontier algorithm vs quadratic baseline ---
-
-func syntheticTrace(nReq, lanes int) *trace.Trace {
-	// lanes concurrent requests at a time, epoch-structured.
-	var evs []trace.Event
-	var clock int64
-	for e := 0; e < nReq/lanes; e++ {
-		for p := 0; p < lanes; p++ {
-			clock++
-			evs = append(evs, trace.Event{Kind: trace.Request, RID: fmt.Sprintf("e%dp%d", e, p), Time: clock})
-		}
-		for p := 0; p < lanes; p++ {
-			clock++
-			evs = append(evs, trace.Event{Kind: trace.Response, RID: fmt.Sprintf("e%dp%d", e, p), Time: clock})
-		}
-	}
-	return &trace.Trace{Events: evs}
-}
-
-func BenchmarkFrontier(b *testing.B) {
-	for _, size := range []int{1000, 10000} {
-		for _, lanes := range []int{1, 8, 32} {
-			tr := syntheticTrace(size, lanes)
-			b.Run(fmt.Sprintf("X%d_P%d", size, lanes), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					if _, err := core.CreateTimePrecedenceGraph(tr); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-func BenchmarkFrontierQuadraticBaseline(b *testing.B) {
-	// The prior-work-style baseline; kept small because it is O(X^3) in
-	// the worst case with the pairwise reduction.
-	tr := syntheticTrace(600, 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		core.CreateTimePrecedenceGraphQuadratic(tr)
-	}
 }
 
 // --- §4.5: read-query dedup ablation ---
@@ -517,7 +252,7 @@ func BenchmarkQueryDedupOff(b *testing.B) {
 
 func BenchmarkAblationGroupedAudit(b *testing.B) {
 	w := workload.Wiki(workload.DefaultWikiParams().Scale(benchScale))
-	served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: 8})
+	served, err := harness.Serve(w, server.Options{Record: true}, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -534,7 +269,7 @@ func BenchmarkAblationGroupedAudit(b *testing.B) {
 
 func BenchmarkAblationOOOAudit(b *testing.B) {
 	w := workload.Wiki(workload.DefaultWikiParams().Scale(benchScale))
-	served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: 8})
+	served, err := harness.Serve(w, server.Options{Record: true}, 8)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -551,7 +286,7 @@ func BenchmarkAblationOOOAudit(b *testing.B) {
 
 func BenchmarkAuditSmall(b *testing.B) {
 	w := workload.Wiki(workload.WikiParams{Requests: 200, Pages: 20, ZipfS: 0.53, Seed: 9})
-	served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: 4})
+	served, err := harness.Serve(w, server.Options{Record: true}, 4)
 	if err != nil {
 		b.Fatal(err)
 	}

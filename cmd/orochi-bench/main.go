@@ -11,8 +11,10 @@
 //	orochi-bench -fig frontier     §3.5/§A.8 time-precedence algorithm
 //	orochi-bench -fig all          everything
 //
-// -audit-workers sets the verifier's worker pool for the audit-running
-// figures (0 = all CPUs). A figure exits 1 if any audit behind it
+// This command is the one home of the figures. Figures 8 and 9 print
+// harness.PaperRow; every audit behind a figure runs on one worker, as
+// the paper's single-core reference numbers do (Fig. 11's groups are
+// the same at any width). A figure exits 1 if any audit behind it
 // REJECTs. Worker and serving-concurrency sweeps are Go benchmarks
 // (BenchmarkAuditWorkers*, BenchmarkServeConcurrency in bench_test.go);
 // the end-to-end pipeline is measured by bench/.
@@ -35,6 +37,7 @@ import (
 	"orochi/internal/core"
 	"orochi/internal/harness"
 	"orochi/internal/lang"
+	"orochi/internal/server"
 	"orochi/internal/trace"
 	"orochi/internal/verifier"
 	"orochi/internal/workload"
@@ -52,28 +55,25 @@ func main() {
 	fig := flag.String("fig", "all", "which figure/table to regenerate (8, 8lat, 9, 10, 11, frontier, all)")
 	scale := flag.Int("scale", 10, "divide paper-sized workloads by this factor (1 = full size)")
 	conc := flag.Int("concurrency", 8, "in-flight requests while serving")
-	// The paper-shape figures default to the sequential audit so the
-	// printed columns stay comparable to the paper's single-core
-	// reference numbers (and Fig. 9's CPU decomposition adds up).
-	auditWorkers := flag.Int("audit-workers", 1, "verifier worker pool for the audit-running figures (1 = sequential/paper-faithful, 0 = all CPUs)")
 	flag.Parse()
 
 	switch *fig {
 	case "8":
-		fig8(*scale, *conc, *auditWorkers)
+		fig8(*scale, paperRows(*scale, *conc))
 	case "8lat":
 		fig8lat(*scale, *conc)
 	case "9":
-		fig9(*scale, *conc, *auditWorkers)
+		fig9(*scale, paperRows(*scale, *conc))
 	case "10":
 		fig10()
 	case "11":
-		fig11(*scale, *conc, *auditWorkers)
+		fig11(*scale, *conc)
 	case "all":
-		fig8(*scale, *conc, *auditWorkers)
-		fig9(*scale, *conc, *auditWorkers)
+		rows := paperRows(*scale, *conc)
+		fig8(*scale, rows)
+		fig9(*scale, rows)
 		fig10()
-		fig11(*scale, *conc, *auditWorkers)
+		fig11(*scale, *conc)
 		figFrontier()
 		fig8lat(*scale, *conc)
 	case "frontier":
@@ -98,49 +98,38 @@ func workloads(scale int) []struct {
 	}
 }
 
+// row is one application's harness.PaperRow.
+type row struct {
+	name string
+	*harness.Row
+}
+
+// paperRows computes the Fig. 8 row of every application; Figures 8
+// and 9 print from the same rows.
+func paperRows(scale, conc int) []row {
+	var rows []row
+	for _, item := range workloads(scale) {
+		r, err := harness.PaperRow(benchCtx, item.w, conc)
+		if err != nil {
+			check(fmt.Errorf("%s: %w", item.name, err))
+		}
+		rows = append(rows, row{item.name, r})
+	}
+	return rows
+}
+
 // fig8 prints the Fig. 8 left table: audit speedup, server CPU overhead,
-// report sizes, and DB overheads per application.
-func fig8(scale, conc, auditWorkers int) {
+// trace and report sizes, and DB overheads per application.
+func fig8(scale int, rows []row) {
 	fmt.Printf("\n=== Figure 8 (left): OROCHI vs simple re-execution (scale 1/%d) ===\n", scale)
 	fmt.Println("paper: speedup 10.9x/5.6x/6.2x; server ovhd 4.7%/8.6%/5.9%;")
 	fmt.Println("       reports 1.7/0.3/0.4 KB/req; temp DB 1.0x/1.7x/1.5x; permanent 1x")
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "app\treqs\taudit speedup\tserver CPU ovhd\treq avg\tbase rep/req\torochi rep/req\ttemp DB\tpermanent")
-	for _, item := range workloads(scale) {
-		// Server CPU overhead: compare per-request handler cost with and
-		// without recording. Measured sequentially (concurrency 1) and
-		// best-of-2 to keep scheduler noise out of a small difference.
-		cpuBase := bestServeCPU(item.w, false, 2)
-		cpuRec := bestServeCPU(item.w, true, 2)
-		// Recording run under real concurrency: the audited execution.
-		served, err := harness.Serve(item.w, harness.ServeConfig{Record: true, Concurrency: conc})
-		check(err)
-		// Baseline audit = sequential re-execution of the trace.
-		baseAudit, err := harness.BaselineReplay(item.w, served)
-		check(err)
-		res, err := served.AuditContext(benchCtx, verifier.Options{Workers: auditWorkers})
-		check(err)
-		if !res.Accepted {
-			fmt.Fprintf(os.Stderr, "%s: AUDIT REJECTED: %s\n", item.name, res.Reason)
-			os.Exit(1)
-		}
-		sizes, err := served.Sizes()
-		check(err)
-		vdbBytes := res.FinalDB.SizeBytes()
-		liveBytes := res.FinalDB.LiveSizeBytes()
-		tempRatio := 1.0
-		if liveBytes > 0 {
-			tempRatio = float64(vdbBytes) / float64(liveBytes)
-		}
-		n := served.Requests
-		fmt.Fprintf(tw, "%s\t%d\t%.1fx\t%.1f%%\t%.1fKB\t%.2fKB\t%.2fKB\t%.1fx\t1x\n",
-			item.name, n,
-			float64(baseAudit)/float64(res.Stats.Total),
-			100*float64(cpuRec-cpuBase)/float64(cpuBase),
-			float64(sizes.TraceBytes)/float64(n)/1024,
-			float64(sizes.BaselineReportBytes)/float64(n)/1024,
-			float64(sizes.ReportBytes)/float64(n)/1024,
-			tempRatio)
+	for _, r := range rows {
+		fmt.Fprintf(tw, "%s\t%d\t%.1fx\t%.1f%%\t%.3fKB\t%.3fKB\t%.3fKB\t%.1fx\t1x\n",
+			r.name, r.Requests, r.Speedup, 100*r.ServerOverhead,
+			r.TraceBytes/1024, r.BaselineReportBytes/1024, r.ReportBytes/1024, r.TempDB)
 	}
 	tw.Flush()
 }
@@ -173,23 +162,9 @@ func fig8lat(scale, conc int) {
 	tw.Flush()
 }
 
-// bestServeCPU serves the workload sequentially `reps` times and returns
-// the minimum summed handler time.
-func bestServeCPU(w *workload.Workload, record bool, reps int) time.Duration {
-	best := time.Duration(math.MaxInt64)
-	for i := 0; i < reps; i++ {
-		served, err := harness.Serve(w, harness.ServeConfig{Record: record, Concurrency: 1})
-		check(err)
-		if served.ServeCPU < best {
-			best = served.ServeCPU
-		}
-	}
-	return best
-}
-
 // probePeakRate measures closed-loop throughput as the rate anchor.
 func probePeakRate(w *workload.Workload, conc int) float64 {
-	served, err := harness.Serve(w, harness.ServeConfig{Record: false, Concurrency: conc})
+	served, err := harness.Serve(w, server.Options{}, conc)
 	check(err)
 	return float64(served.Requests) / served.ServeWall.Seconds()
 }
@@ -238,36 +213,26 @@ func provision(w *workload.Workload, record bool) interface {
 	Handle(in trace.Input) (rid, body string)
 } {
 	served, err := harness.Serve(&workload.Workload{App: w.App, Seed: w.Seed},
-		harness.ServeConfig{Record: record, Concurrency: 1})
+		server.Options{Record: record}, 1)
 	check(err)
 	return served.Server
 }
 
 // fig9 prints the audit-cost decomposition.
-func fig9(scale, conc, auditWorkers int) {
+func fig9(scale int, rows []row) {
 	fmt.Printf("\n=== Figure 9: decomposition of audit-time CPU costs (scale 1/%d) ===\n", scale)
 	fmt.Println("paper shape: PHP re-execution dominates; ProcOpRep/DB-redo are small;")
 	fmt.Println("             query dedup keeps 'DB query' far below baseline DB time")
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "app\tbaseline total\taudit total\tPHP\tDB query\tProcOpRep\tDB redo\tother\tdedup hit rate")
-	for _, item := range workloads(scale) {
-		served, err := harness.Serve(item.w, harness.ServeConfig{Record: true, Concurrency: conc})
-		check(err)
-		base, err := harness.BaselineReplay(item.w, served)
-		check(err)
-		res, err := served.AuditContext(benchCtx, verifier.Options{Workers: auditWorkers})
-		check(err)
-		if !res.Accepted {
-			fmt.Fprintf(os.Stderr, "%s: AUDIT REJECTED: %s\n", item.name, res.Reason)
-			os.Exit(1)
-		}
-		st := res.Stats
+	for _, r := range rows {
+		st := r.Audit
 		hitRate := 0.0
 		if st.DedupHits+st.DedupMisses > 0 {
 			hitRate = float64(st.DedupHits) / float64(st.DedupHits+st.DedupMisses)
 		}
 		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t%s\t%s\t%s\t%s\t%.0f%%\n",
-			item.name, round(base), round(st.Total),
+			r.name, round(r.Replay), round(st.Total),
 			round(st.ReExec-st.DBQuery), round(st.DBQuery),
 			round(st.ProcOpRep), round(st.DBRedo), round(st.Other),
 			100*hitRate)
@@ -415,13 +380,13 @@ func measureInstr(prog, empty *lang.Program, mode string, lanes int) float64 {
 }
 
 // fig11 prints the control-flow group triples for the wiki workload.
-func fig11(scale, conc, auditWorkers int) {
+func fig11(scale, conc int) {
 	fmt.Printf("\n=== Figure 11: control-flow groups, MediaWiki workload (scale 1/%d) ===\n", scale)
 	fmt.Println("paper shape: many groups with large n; alpha > 0.95 for all groups")
 	w := workload.Wiki(workload.DefaultWikiParams().Scale(scale))
-	served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: conc})
+	served, err := harness.Serve(w, server.Options{Record: true}, conc)
 	check(err)
-	res, err := served.AuditContext(benchCtx, verifier.Options{CollectStats: true, Workers: auditWorkers})
+	res, err := served.AuditContext(benchCtx, verifier.Options{CollectStats: true, Workers: 1})
 	check(err)
 	if !res.Accepted {
 		fmt.Fprintf(os.Stderr, "AUDIT REJECTED: %s\n", res.Reason)

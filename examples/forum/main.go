@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"orochi/internal/harness"
+	"orochi/internal/server"
 	"orochi/internal/verifier"
 	"orochi/internal/workload"
 )
@@ -24,7 +25,7 @@ func main() {
 		Requests: *requests, Topics: 12, Users: 20, GuestRatio: 40.0 / 41.0, Seed: 7,
 	})
 	fmt.Printf("period 1: serving %d forum requests (concurrency %d)...\n", *requests, *conc)
-	served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: *conc})
+	served, err := harness.Serve(w, server.Options{Record: true}, *conc)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -61,12 +62,13 @@ func main() {
 		log.Fatal("verified state diverged from server state")
 	}
 
-	baseline, err := harness.BaselineReplay(w, served)
+	row, err := harness.PaperRow(context.Background(), w, *conc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("speedup vs sequential re-execution: %.1fx\n",
-		float64(baseline)/float64(res.Stats.Total))
+	fmt.Printf("single-core audit speedup vs sequential re-execution: %.1fx\n", row.Speedup)
+	fmt.Printf("reports: %.1f B/request gzipped (trace: %.1f B/request)\n",
+		row.ReportBytes, row.TraceBytes)
 
 	// Show the biggest control-flow groups the audit exploited.
 	fmt.Println("\nlargest control-flow groups:")

@@ -1,6 +1,7 @@
 // Wiki example: serve the paper's MediaWiki-like workload (§5) on a
-// concurrent recording server, then audit it and print the acceleration
-// the verifier achieved over naive sequential re-execution — the
+// concurrent recording server, audit it, and print the workload's
+// Fig. 8 row (harness.PaperRow): the single-core audit's acceleration
+// over naive sequential re-execution and the per-request sizes — the
 // headline experiment of the paper at example scale.
 package main
 
@@ -11,6 +12,7 @@ import (
 	"log"
 
 	"orochi/internal/harness"
+	"orochi/internal/server"
 	"orochi/internal/verifier"
 	"orochi/internal/workload"
 )
@@ -26,16 +28,11 @@ func main() {
 	})
 	fmt.Printf("serving %d wiki requests over %d pages (concurrency %d)...\n",
 		*requests, *pages, *conc)
-	served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: *conc})
+	served, err := harness.Serve(w, server.Options{Record: true}, *conc)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("served in %v wall, %v total handler time\n", served.ServeWall, served.ServeCPU)
-
-	baseline, err := harness.BaselineReplay(w, served)
-	if err != nil {
-		log.Fatal(err)
-	}
 
 	res, err := served.AuditContext(context.Background(), verifier.Options{CollectStats: true})
 	if err != nil {
@@ -57,14 +54,15 @@ func main() {
 		}
 	}
 	fmt.Printf("  groups            %d total, %d with more than one request\n", len(st.Groups), big)
-	fmt.Printf("\nnaive sequential re-execution: %v\n", baseline)
-	fmt.Printf("verifier speedup:              %.1fx\n", float64(baseline)/float64(st.Total))
 
-	sizes, err := served.Sizes()
+	row, err := harness.PaperRow(context.Background(), w, *conc)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("reports: %.2f KB/request (trace: %.2f KB/request)\n",
-		float64(sizes.ReportBytes)/float64(served.Requests)/1024,
-		float64(sizes.TraceBytes)/float64(served.Requests)/1024)
+	fmt.Printf("\nnaive sequential re-execution: %v\n", row.Replay)
+	fmt.Printf("single-core audit:             %v\n", row.Audit.Total)
+	fmt.Printf("verifier speedup:              %.1fx\n", row.Speedup)
+	fmt.Printf("recording server CPU overhead: %.1f%%\n", 100*row.ServerOverhead)
+	fmt.Printf("reports: %.1f B/request gzipped (trace: %.1f B/request)\n",
+		row.ReportBytes, row.TraceBytes)
 }

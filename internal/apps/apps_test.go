@@ -232,7 +232,7 @@ func TestWorkloadsAuditEndToEnd(t *testing.T) {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel()
-			served, err := harness.Serve(c.w, harness.ServeConfig{Record: true, Concurrency: 6})
+			served, err := harness.Serve(c.w, server.Options{Record: true}, 6)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -262,15 +262,15 @@ func TestWorkloadsAuditEndToEnd(t *testing.T) {
 
 func TestWorkloadTamperDetectedEndToEnd(t *testing.T) {
 	w := workload.Wiki(workload.WikiParams{Requests: 60, Pages: 10, ZipfS: 0.53, Seed: 21})
-	served, err := harness.Serve(w, harness.ServeConfig{
-		Record: true, Concurrency: 4,
+	served, err := harness.Serve(w, server.Options{
+		Record: true,
 		TamperResponse: func(rid, body string) string {
 			if rid == "r000033" {
 				return strings.Replace(body, "OroWiki", "EvilWiki", 1)
 			}
 			return body
 		},
-	})
+	}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -21,9 +21,6 @@ type AuditorOptions struct {
 	// N+1's only once N ACCEPTed, so the ledger is the same at any
 	// setting.
 	Workers int
-	// Poll is how often Run rescans for newly sealed epochs when no
-	// notification channel fires (default 250ms).
-	Poll time.Duration
 	// Notify, if non-nil, wakes Run early (the manager's Notify channel).
 	Notify <-chan struct{}
 	// From is the first epoch to audit (default 1). Starting past 1
@@ -52,9 +49,6 @@ type AuditorOptions struct {
 func (o AuditorOptions) withDefaults() AuditorOptions {
 	if o.Workers <= 0 {
 		o.Workers = 2
-	}
-	if o.Poll <= 0 {
-		o.Poll = 250 * time.Millisecond
 	}
 	if o.From <= 0 {
 		o.From = 1
@@ -122,6 +116,10 @@ func (a *Auditor) Decisions() *DecisionLog { return a.ledger.Decisions() }
 // unwritable checkpoint path must not stall auditing silently forever.
 const maxCheckpointRetries = 10
 
+// auditorPoll is how often Run rescans for newly sealed epochs when no
+// Notify wake-up arrives.
+const auditorPoll = 250 * time.Millisecond
+
 // ckptRetryBudget is the consecutive-stalled-failure rule shared by Run
 // and DrainSealed: forward progress resets the budget, and only a
 // CheckpointError within the budget is retryable.
@@ -180,7 +178,7 @@ func (a *Auditor) Run(ctx context.Context) error {
 		case <-ctx.Done():
 			return canceled(ctx)
 		case <-a.notifyChan():
-		case <-time.After(a.opts.Poll):
+		case <-time.After(auditorPoll):
 		}
 	}
 }
@@ -196,7 +194,7 @@ func (a *Auditor) notifyChan() <-chan struct{} {
 	if a.opts.Notify != nil {
 		return a.opts.Notify
 	}
-	return a.never // never fires; the Poll timer drives us
+	return a.never // never fires; the auditorPoll timer drives us
 }
 
 // RunOnce audits every currently sealed, not-yet-audited epoch,

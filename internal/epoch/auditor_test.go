@@ -143,9 +143,9 @@ func TestAuditorRunRetriesCheckpointWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Poll slow enough that the blocked window below stays far under the
-	// maxCheckpointRetries budget.
-	a := NewAuditor(prog, dir, AuditorOptions{Checkpoints: true, To: 2, Poll: 20 * time.Millisecond})
+	// The blocked window below is shorter than one auditorPoll tick,
+	// far under the maxCheckpointRetries budget.
+	a := NewAuditor(prog, dir, AuditorOptions{Checkpoints: true, To: 2})
 	done := make(chan error, 1)
 	go func() { done <- a.Run(context.Background()) }()
 
@@ -193,7 +193,7 @@ func TestAuditorRunSurfacesPersistentCheckpointFailure(t *testing.T) {
 	if err := os.WriteFile(blocker, []byte("in the way"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	a := NewAuditor(prog, dir, AuditorOptions{Checkpoints: true, To: 1, Poll: time.Millisecond})
+	a := NewAuditor(prog, dir, AuditorOptions{Checkpoints: true, To: 1})
 	done := make(chan error, 1)
 	go func() { done <- a.Run(context.Background()) }()
 	select {

@@ -367,7 +367,6 @@ func TestServeWhileAudit(t *testing.T) {
 
 	a := NewAuditor(prog, dir, AuditorOptions{
 		Notify: mgr.Notify(),
-		Poll:   20 * time.Millisecond,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
@@ -488,7 +487,6 @@ func TestEpochPipelineSurvivesFaultedPeriods(t *testing.T) {
 
 	a := NewAuditor(prog, dir, AuditorOptions{
 		Notify: mgr.Notify(),
-		Poll:   20 * time.Millisecond,
 	})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})

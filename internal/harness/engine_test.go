@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"orochi/internal/lang"
+	"orochi/internal/server"
 	"orochi/internal/trace"
 	"orochi/internal/verifier"
 	"orochi/internal/workload"
@@ -38,10 +39,10 @@ var fastEngines = allEngines[1:]
 func serveDeterministic(t *testing.T, w *workload.Workload, eng lang.Engine) *Served {
 	t.Helper()
 	fixed := time.Unix(1700000000, 0)
-	served, err := Serve(w, ServeConfig{
-		Record: true, Concurrency: 1, RandSeed: 7, Engine: eng,
+	served, err := Serve(w, server.Options{
+		Record: true, RandSeed: 7, Engine: eng,
 		Clock: func() time.Time { return fixed },
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,8 +183,8 @@ func TestDualEngineVerdictEquivalence(t *testing.T) {
 
 	fixed := time.Unix(1700000000, 0)
 	nth := 0
-	tampered, err := Serve(w, ServeConfig{
-		Record: true, Concurrency: 1, RandSeed: 7,
+	tampered, err := Serve(w, server.Options{
+		Record: true, RandSeed: 7,
 		Clock: func() time.Time { return fixed },
 		TamperResponse: func(rid, body string) string {
 			// Sequential serving: corrupt exactly the fifth response.
@@ -193,7 +194,7 @@ func TestDualEngineVerdictEquivalence(t *testing.T) {
 			}
 			return body
 		},
-	})
+	}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,18 @@
 // Package harness provisions servers with workloads, serves them, and
 // audits the results — the shared machinery behind the test suite, the
-// benchmark targets (bench_test.go), the examples, and cmd/orochi-bench.
+// examples, and cmd/orochi-bench. PaperRow is the one definition of the
+// paper's headline row (Fig. 8 left): every caller that prints an audit
+// speedup, a recording overhead or a per-request size prints its fields.
 package harness
 
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"orochi/internal/apps"
+	"orochi/internal/encio"
 	"orochi/internal/lang"
 	"orochi/internal/object"
 	"orochi/internal/reports"
@@ -17,27 +21,6 @@ import (
 	"orochi/internal/verifier"
 	"orochi/internal/workload"
 )
-
-// ServeConfig controls one serving run.
-type ServeConfig struct {
-	// Record enables OROCHI report collection; false is the legacy
-	// baseline of §5.1.
-	Record bool
-	// Concurrency is the number of in-flight requests.
-	Concurrency int
-	// Clock overrides the server clock (deterministic runs).
-	Clock func() time.Time
-	// RandSeed seeds server-side randomness.
-	RandSeed int64
-	// Shards is the lock-stripe count of the object store and recorder
-	// (0 = default). Reports are identical at every setting.
-	Shards int
-	// TamperResponse is the misbehaving-executor hook.
-	TamperResponse func(rid, body string) string
-	// Engine is the test seam for the reference engine (nil = the
-	// production engine); observables are engine-independent.
-	Engine lang.Engine
-}
 
 // Served captures everything a serving run produced.
 type Served struct {
@@ -54,21 +37,12 @@ type Served struct {
 	Requests  int
 }
 
-// Serve provisions a server with the workload's schema and seed data,
-// captures the initial snapshot, and serves every request.
-func Serve(w *workload.Workload, cfg ServeConfig) (*Served, error) {
-	if cfg.Concurrency <= 0 {
-		cfg.Concurrency = 4
-	}
+// Serve provisions a server built with opts with the workload's schema
+// and seed data, captures the initial snapshot, and serves every
+// request with up to concurrency in flight.
+func Serve(w *workload.Workload, opts server.Options, concurrency int) (*Served, error) {
 	prog := w.App.Compile()
-	srv := server.New(prog, server.Options{
-		Record:         cfg.Record,
-		Clock:          cfg.Clock,
-		RandSeed:       cfg.RandSeed,
-		Shards:         cfg.Shards,
-		TamperResponse: cfg.TamperResponse,
-		Engine:         cfg.Engine,
-	})
+	srv := server.New(prog, opts)
 	if err := srv.Setup(w.App.Schema); err != nil {
 		return nil, fmt.Errorf("harness: schema: %w", err)
 	}
@@ -77,7 +51,7 @@ func Serve(w *workload.Workload, cfg ServeConfig) (*Served, error) {
 	}
 	snap := srv.Snapshot()
 	start := time.Now()
-	if err := srv.ServeAllContext(context.Background(), w.Requests, cfg.Concurrency); err != nil {
+	if err := srv.ServeAllContext(context.Background(), w.Requests, concurrency); err != nil {
 		return nil, fmt.Errorf("harness: serve: %w", err)
 	}
 	wall := time.Since(start)
@@ -90,7 +64,7 @@ func Serve(w *workload.Workload, cfg ServeConfig) (*Served, error) {
 		Trace:    srv.Trace(),
 		ServeCPU: cpu, ServeWall: wall, Requests: int(n),
 	}
-	if cfg.Record {
+	if opts.Record {
 		out.Reports = srv.Reports()
 	}
 	return out, nil
@@ -106,73 +80,126 @@ func (s *Served) AuditContext(ctx context.Context, opts verifier.Options) (*veri
 	return verifier.AuditContext(ctx, s.Program, s.Trace, s.Reports, s.Snapshot, opts)
 }
 
-// Sizes summarizes the storage-related quantities of Fig. 8: compressed
-// trace size, compressed report size, a baseline report size (the
-// nondeterminism records only, which any record-replay baseline needs),
-// and the plain DB size.
-type Sizes struct {
-	TraceBytes          int
-	ReportBytes         int
-	BaselineReportBytes int
-	DBPlainBytes        int64
+// Row is one application's row of the paper's Fig. 8 left table (§5.1,
+// §5.2), with the replay and audit timings Fig. 9 decomposes.
+type Row struct {
+	Requests int
+	// Replay is simple re-execution: every request in arrival order on
+	// a fresh non-recording server. Audit is the verifier's statistics
+	// for the recorded run at Workers 1, so both sides are single-core.
+	Replay time.Duration
+	Audit  verifier.Stats
+	// Speedup is Replay / Audit.Total.
+	Speedup float64
+	// ServerOverhead is the serving CPU recording adds, as a fraction of
+	// the plain server's: each side serves sequentially, best of two.
+	ServerOverhead float64
+	// TraceBytes, ReportBytes and BaselineReportBytes are per request,
+	// each the length of the artifact's gzipped encoding. The baseline's
+	// reports are the nondeterminism records alone, which any
+	// record-replay system needs (§5.1 grants them to the baseline).
+	TraceBytes, ReportBytes, BaselineReportBytes float64
+	// TempDB is the versioned store's footprint over its live rows'
+	// after the audit: the verifier's temporary DB overhead.
+	TempDB float64
 }
 
-// Sizes computes the size accounting for this run.
-func (s *Served) Sizes() (*Sizes, error) {
-	out := &Sizes{DBPlainBytes: s.Server.Store.DB.SizeBytes(), TraceBytes: traceSize(s.Trace)}
-	if s.Reports != nil {
-		enc, err := s.Reports.Encode()
-		if err != nil {
-			return nil, err
-		}
-		out.ReportBytes = len(enc)
-		// The baseline's reports: nondeterminism only (§5.1 gives the
-		// baseline this, since any record-replay system needs it).
-		baseline := &reports.Reports{
-			Groups:   map[uint64][]string{},
-			Scripts:  map[uint64]string{},
-			OpCounts: map[string]int{},
-			NonDet:   s.Reports.NonDet,
-		}
-		bEnc, err := baseline.Encode()
-		if err != nil {
-			return nil, err
-		}
-		out.BaselineReportBytes = len(bEnc)
+// PaperRow computes the Fig. 8 row for a workload: it serves w without
+// and with recording to measure the overhead, serves it once more
+// recording at concurrency to get the audited execution, replays that
+// run's trace, and audits it. A REJECT is an error.
+func PaperRow(ctx context.Context, w *workload.Workload, concurrency int) (*Row, error) {
+	cpuPlain, err := bestServeCPU(w, false)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
-}
-
-// traceSize is the trace's size as the collector would ship it,
-// uncompressed: the sum of the events' field lengths plus a few bytes of
-// framing per event and per parameter.
-func traceSize(tr *trace.Trace) int {
-	var total int
-	for i := range tr.Events {
-		ev := &tr.Events[i]
-		total += len(ev.RID) + 9 // rid + kind/time framing
-		total += len(ev.Body)
-		total += len(ev.In.Script)
-		for k, v := range ev.In.Get {
-			total += len(k) + len(v) + 2
-		}
-		for k, v := range ev.In.Post {
-			total += len(k) + len(v) + 2
-		}
-		for k, v := range ev.In.Cookie {
-			total += len(k) + len(v) + 2
-		}
+	cpuRec, err := bestServeCPU(w, true)
+	if err != nil {
+		return nil, err
 	}
-	return total
+	served, err := Serve(w, server.Options{Record: true}, concurrency)
+	if err != nil {
+		return nil, err
+	}
+	row, err := served.row(ctx, w)
+	if err != nil {
+		return nil, err
+	}
+	row.ServerOverhead = float64(cpuRec-cpuPlain) / float64(cpuPlain)
+	return row, nil
 }
 
-// BaselineReplay re-executes every request sequentially on a fresh
-// server provisioned with the same initial state — the "simple
+// row fills every column of the Row for this recorded run of w but
+// ServerOverhead, which takes serves of its own.
+func (s *Served) row(ctx context.Context, w *workload.Workload) (*Row, error) {
+	replay, err := baselineReplay(w, s.Trace)
+	if err != nil {
+		return nil, err
+	}
+	res, err := s.AuditContext(ctx, verifier.Options{Workers: 1})
+	if err != nil {
+		return nil, err
+	}
+	if !res.Accepted {
+		return nil, fmt.Errorf("harness: audit rejected: %s", res.Reason)
+	}
+	traceEnc, err := encio.Compress(s.Trace.EncodeRaw())
+	if err != nil {
+		return nil, err
+	}
+	repEnc, err := s.Reports.Encode()
+	if err != nil {
+		return nil, err
+	}
+	baseline := &reports.Reports{
+		Groups:   map[uint64][]string{},
+		Scripts:  map[uint64]string{},
+		OpCounts: map[string]int{},
+		NonDet:   s.Reports.NonDet,
+	}
+	baseEnc, err := baseline.Encode()
+	if err != nil {
+		return nil, err
+	}
+	n := float64(s.Requests)
+	row := &Row{
+		Requests:            s.Requests,
+		Replay:              replay,
+		Audit:               res.Stats,
+		Speedup:             float64(replay) / float64(res.Stats.Total),
+		TraceBytes:          float64(len(traceEnc)) / n,
+		ReportBytes:         float64(len(repEnc)) / n,
+		BaselineReportBytes: float64(len(baseEnc)) / n,
+		TempDB:              1,
+	}
+	if live := res.FinalDB.LiveSizeBytes(); live > 0 {
+		row.TempDB = float64(res.FinalDB.SizeBytes()) / float64(live)
+	}
+	return row, nil
+}
+
+// bestServeCPU serves w sequentially twice and returns the smaller
+// summed handler time, keeping scheduler noise out of the small
+// difference ServerOverhead measures.
+func bestServeCPU(w *workload.Workload, record bool) (time.Duration, error) {
+	best := time.Duration(math.MaxInt64)
+	for i := 0; i < 2; i++ {
+		served, err := Serve(w, server.Options{Record: record}, 1)
+		if err != nil {
+			return 0, err
+		}
+		best = min(best, served.ServeCPU)
+	}
+	return best, nil
+}
+
+// baselineReplay re-executes every request of tr sequentially on a
+// fresh server provisioned with w's initial state — the "simple
 // re-execution" the paper's speedup compares against (§5.1). It returns
 // the wall time of the replay. The baseline is generous: it gets the
 // recorded nondeterminism for free and replays in arrival order without
 // any checking.
-func BaselineReplay(w *workload.Workload, served *Served) (time.Duration, error) {
+func baselineReplay(w *workload.Workload, tr *trace.Trace) (time.Duration, error) {
 	prog := w.App.Compile()
 	srv := server.New(prog, server.Options{Record: false})
 	if err := srv.Setup(w.App.Schema); err != nil {
@@ -182,7 +209,7 @@ func BaselineReplay(w *workload.Workload, served *Served) (time.Duration, error)
 		return 0, err
 	}
 	start := time.Now()
-	for _, ev := range served.Trace.Events {
+	for _, ev := range tr.Events {
 		if ev.Kind != trace.Request {
 			continue
 		}

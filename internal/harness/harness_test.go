@@ -2,8 +2,11 @@ package harness
 
 import (
 	"context"
+	"math"
 	"testing"
 
+	"orochi/internal/encio"
+	"orochi/internal/server"
 	"orochi/internal/verifier"
 	"orochi/internal/workload"
 )
@@ -13,7 +16,7 @@ func smallWiki() *workload.Workload {
 }
 
 func TestServeAndAudit(t *testing.T) {
-	served, err := Serve(smallWiki(), ServeConfig{Record: true, Concurrency: 4})
+	served, err := Serve(smallWiki(), server.Options{Record: true}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +36,7 @@ func TestServeAndAudit(t *testing.T) {
 }
 
 func TestServeWithoutRecording(t *testing.T) {
-	served, err := Serve(smallWiki(), ServeConfig{Record: false, Concurrency: 2})
+	served, err := Serve(smallWiki(), server.Options{}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,37 +48,56 @@ func TestServeWithoutRecording(t *testing.T) {
 	}
 }
 
-func TestSizes(t *testing.T) {
-	served, err := Serve(smallWiki(), ServeConfig{Record: true, Concurrency: 2})
+// TestPaperRow: the row's sizes are the gzipped encodings of the
+// served artifacts, and its ratios have the signs the paper's Fig. 8
+// shows.
+func TestPaperRow(t *testing.T) {
+	w := smallWiki()
+	served, err := Serve(w, server.Options{Record: true}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sizes, err := served.Sizes()
+	row, err := served.row(context.Background(), w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sizes.TraceBytes <= 0 || sizes.ReportBytes <= 0 {
-		t.Fatalf("sizes: %+v", sizes)
+	enc, err := encio.Compress(served.Trace.EncodeRaw())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if sizes.ReportBytes >= sizes.TraceBytes {
-		t.Fatalf("reports (%d B) should be much smaller than the trace (%d B)",
-			sizes.ReportBytes, sizes.TraceBytes)
+	if want := float64(len(enc)) / float64(served.Requests); row.TraceBytes != want {
+		t.Fatalf("trace %.2f B/req, its gzipped encoding is %.2f", row.TraceBytes, want)
 	}
-	if sizes.BaselineReportBytes > sizes.ReportBytes {
+	if row.ReportBytes <= 0 || row.ReportBytes >= row.TraceBytes {
+		t.Fatalf("reports (%.1f B/req) should be smaller than the trace (%.1f B/req)",
+			row.ReportBytes, row.TraceBytes)
+	}
+	if row.BaselineReportBytes > row.ReportBytes {
 		t.Fatal("baseline reports must be a subset of OROCHI's")
 	}
-	if sizes.DBPlainBytes <= 0 {
-		t.Fatal("plain DB size must be positive")
+	if row.Speedup <= 0 {
+		t.Fatalf("speedup %.2f (replay %v, audit %v)", row.Speedup, row.Replay, row.Audit.Total)
+	}
+	if row.TempDB < 1 {
+		t.Fatalf("temp DB ratio %.2f < 1", row.TempDB)
+	}
+
+	full, err := PaperRow(context.Background(), w, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if full.Requests != len(w.Requests) || math.IsNaN(full.ServerOverhead) || math.IsInf(full.ServerOverhead, 0) {
+		t.Fatalf("row: %+v", full)
 	}
 }
 
 func TestBaselineReplayMatchesServeCost(t *testing.T) {
 	w := smallWiki()
-	served, err := Serve(w, ServeConfig{Record: true, Concurrency: 2})
+	served, err := Serve(w, server.Options{Record: true}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	base, err := BaselineReplay(w, served)
+	base, err := baselineReplay(w, served.Trace)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +109,7 @@ func TestBaselineReplayMatchesServeCost(t *testing.T) {
 func TestBadSeedSQLSurfaces(t *testing.T) {
 	w := smallWiki()
 	w.Seed = append(w.Seed, "NOT SQL")
-	if _, err := Serve(w, ServeConfig{Record: true}); err == nil {
+	if _, err := Serve(w, server.Options{Record: true}, 1); err == nil {
 		t.Fatal("bad seed SQL must fail Serve")
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"orochi/internal/server"
 	"orochi/internal/verifier"
 	"orochi/internal/workload"
 )
@@ -18,10 +19,10 @@ func TestShardedReportByteEquivalence(t *testing.T) {
 	w := workload.Wiki(workload.DefaultWikiParams().Scale(100))
 	fixed := time.Unix(1700000000, 0)
 	run := func(shards int) []byte {
-		served, err := Serve(w, ServeConfig{
-			Record: true, Concurrency: 1, RandSeed: 7, Shards: shards,
+		served, err := Serve(w, server.Options{
+			Record: true, RandSeed: 7, Shards: shards,
 			Clock: func() time.Time { return fixed },
-		})
+		}, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +65,7 @@ func TestShardedRecordingsAudit(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			served, err := Serve(tc.w, ServeConfig{Record: true, Concurrency: 8, Shards: 16})
+			served, err := Serve(tc.w, server.Options{Record: true, Shards: 16}, 8)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -319,33 +319,6 @@ func (db *DB) TableCopy(name string) *Table {
 	return out
 }
 
-// SizeBytes estimates the storage footprint of the database, for the
-// Fig. 8 DB-overhead accounting.
-func (db *DB) SizeBytes() int64 {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	var total int64
-	for _, t := range db.tables {
-		for _, r := range t.Rows {
-			total += rowBytes(r)
-		}
-	}
-	return total
-}
-
-func rowBytes(r []Val) int64 {
-	var n int64
-	for _, v := range r {
-		switch x := v.(type) {
-		case string:
-			n += int64(len(x)) + 8
-		default:
-			n += 8
-		}
-	}
-	return n
-}
-
 // RowCount returns the total number of live rows.
 func (db *DB) RowCount() int {
 	db.mu.RLock()

@@ -8,6 +8,7 @@ import (
 	"orochi/internal/harness"
 	"orochi/internal/lang"
 	"orochi/internal/object"
+	"orochi/internal/server"
 	"orochi/internal/sqlmini"
 	"orochi/internal/verifier"
 	"orochi/internal/vstore"
@@ -26,7 +27,7 @@ func TestMigrateFinalMatchesSQLTextOracle(t *testing.T) {
 	}
 	for name, w := range apps {
 		t.Run(name, func(t *testing.T) {
-			served, err := harness.Serve(w, harness.ServeConfig{Record: true, Concurrency: 3})
+			served, err := harness.Serve(w, server.Options{Record: true}, 3)
 			if err != nil {
 				t.Fatal(err)
 			}
