@@ -276,9 +276,9 @@ func ReadEpochDecisions(dir string) ([]EpochDecision, error) {
 }
 
 // Console is the operations surface: one http.Handler under "/-/"
-// serving Prometheus metrics (/-/metrics), live counters (/-/stats),
-// the epoch timeline and verdict ledger (/-/epochs, /-/api/...), and a
-// minimal HTML overview. Every component is optional.
+// serving Prometheus metrics (/-/metrics), the epoch timeline and
+// verdict ledger (/-/api/...), and a minimal HTML overview (/-/) of
+// both. Every component is optional.
 type Console = console.Console
 
 // ConsoleOptions selects which live components a Console exposes.

@@ -14,8 +14,8 @@
 // Application scripts map to URL paths: GET /view?page=X runs the "view"
 // script with $_GET['page']='X'; POST bodies become $_POST; cookies
 // become $_COOKIE. Control endpoints under /-/ exist outside the audited
-// surface: /-/epochs reports the live pipeline state and the per-epoch
-// verdict ledger, /-/stats reports counters.
+// surface: /-/ shows the serving counters, the live pipeline state and
+// the per-epoch verdict ledger, and /-/metrics exports them.
 //
 // Optionally, -drive N self-drives the server with N workload requests
 // through HTTP (a built-in load generator), then shuts down — the
@@ -144,12 +144,12 @@ func main() {
 	}
 
 	mux := http.NewServeMux()
-	// The operations console serves the control surface under /-/: the
-	// live throughput counters (/-/stats), the epoch timeline and
-	// verdict ledger (/-/epochs and the JSON API), and Prometheus
-	// metrics (/-/metrics). The chain's manifests and chunks are also
-	// served to fleet audit workers under /-/fleet/ (everything there is
-	// pinned by digest, so serving it is read-only and trust-free).
+	// The operations console serves the control surface under /-/: an
+	// overview page (/-/), the epoch timeline and verdict ledger (the
+	// JSON API), and Prometheus metrics (/-/metrics). The chain's
+	// manifests and chunks are also served to fleet audit workers under
+	// /-/fleet/ (everything there is pinned by digest, so serving it is
+	// read-only and trust-free).
 	artifacts, err := fleet.NewArtifactServer(*epochDir)
 	exitOn(err)
 	mux.Handle(fleet.Prefix+"/", artifacts.Handler())
@@ -205,7 +205,7 @@ func main() {
 		}()
 	}
 
-	fmt.Printf("serving %s on %s (epoch pipeline -> %s, sealing every %d events; GET /-/epochs for status)\n",
+	fmt.Printf("serving %s on %s (epoch pipeline -> %s, sealing every %d events; GET /-/ for status)\n",
 		*appName, *listen, *epochDir, *epochEvents)
 	if err := httpSrv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		exitOn(err)
@@ -319,7 +319,7 @@ func driveWorkload(listen string, w *workload.Workload, n, conc int) error {
 	// connection.
 	probe := &http.Client{Timeout: 2 * time.Second}
 	for i := 0; i < 50; i++ {
-		resp, err := probe.Get(base + "/-/stats")
+		resp, err := probe.Get(base + "/-/metrics")
 		if err == nil {
 			io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()

@@ -64,11 +64,13 @@ func short(sha string) string {
 	return sha
 }
 
-// Store is the pluggable blob backend. The local filesystem store is
-// the only production implementation today; the interface is the seam
-// for object storage later. Implementations must make Put atomic and
-// idempotent (a chunk is immutable once written) and must tolerate
-// concurrent readers and writers.
+// Store is what sealing and auditing need of a chunk store: Put a
+// chunk under its digest, Get it back verified. *FS is the chain's
+// store of record; Memory, Tiered and HTTPStore compose a fleet
+// worker's view of it. Put must be atomic and idempotent (a chunk is
+// immutable once written) and both methods must tolerate concurrent
+// callers. Listing and deleting chunks — GC's business — stay on *FS,
+// where the chunks live.
 type Store interface {
 	// Put stores data under its digest. Writing a chunk that already
 	// exists is a cheap no-op.
@@ -77,19 +79,13 @@ type Store interface {
 	// chunk yields an error wrapping ErrNotFound; bytes that no longer
 	// hash to sha yield a digest-mismatch error.
 	Get(sha string) ([]byte, error)
-	// Has reports whether the chunk exists (no integrity check).
-	Has(sha string) bool
-	// List returns the digests of every stored chunk, for GC sweeps.
-	List() ([]string, error)
-	// Delete removes a chunk. Deleting a missing chunk is a no-op.
-	Delete(sha string) error
 }
 
 // WriteBlob cuts data into content-defined chunks with c and stores
 // each in s, returning the ordered refs that reconstruct the blob.
 // Chunks already present are not rewritten — that is the dedup, and it
 // is Put's to do: every store's Put is a cheap no-op on a chunk it
-// holds, so asking Has first would only repeat the lookup.
+// holds.
 func WriteBlob(s Store, c ChunkerOptions, data []byte) ([]Ref, error) {
 	chunks := c.Split(data)
 	refs := make([]Ref, 0, len(chunks))

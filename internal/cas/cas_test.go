@@ -102,22 +102,37 @@ func storeImpls(t *testing.T) map[string]Store {
 	}
 }
 
+// has reports whether m holds sha, unverified.
+func has(m *Memory, sha string) bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	_, ok := m.chunks[sha]
+	return ok
+}
+
+// corrupt flips a byte inside a chunk m holds, for exercising
+// digest-mismatch paths.
+func corrupt(m *Memory, sha string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if data := m.chunks[sha]; len(data) > 0 {
+		data[len(data)/2] ^= 0xff
+	}
+}
+
 func TestStoreRoundTrip(t *testing.T) {
 	for name, s := range storeImpls(t) {
 		t.Run(name, func(t *testing.T) {
 			data := []byte("the quick brown fox")
 			sha := SumHex(data)
-			if s.Has(sha) {
-				t.Fatal("chunk present before Put")
+			if _, err := s.Get(sha); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("Get before Put = %v, want ErrNotFound", err)
 			}
 			if err := s.Put(sha, data); err != nil {
 				t.Fatal(err)
 			}
 			if err := s.Put(sha, data); err != nil {
 				t.Fatalf("idempotent re-Put failed: %v", err)
-			}
-			if !s.Has(sha) {
-				t.Fatal("chunk missing after Put")
 			}
 			got, err := s.Get(sha)
 			if err != nil {
@@ -126,26 +141,46 @@ func TestStoreRoundTrip(t *testing.T) {
 			if !bytes.Equal(got, data) {
 				t.Fatalf("Get returned %q, want %q", got, data)
 			}
-			shas, err := s.List()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(shas) != 1 || shas[0] != sha {
-				t.Fatalf("List = %v, want [%s]", shas, sha)
-			}
-			if err := s.Delete(sha); err != nil {
-				t.Fatal(err)
-			}
-			if s.Has(sha) {
-				t.Fatal("chunk present after Delete")
-			}
-			if err := s.Delete(sha); err != nil {
-				t.Fatalf("double Delete should be a no-op: %v", err)
-			}
-			if _, err := s.Get(sha); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Get after Delete = %v, want ErrNotFound", err)
-			}
 		})
+	}
+}
+
+// TestFSHasListDelete covers the maintenance surface GC and the
+// coordinator use on the store of record.
+func TestFSHasListDelete(t *testing.T) {
+	s, err := OpenFS(filepath.Join(t.TempDir(), "cas"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := []byte("the quick brown fox")
+	sha := SumHex(data)
+	if s.Has(sha) {
+		t.Fatal("chunk present before Put")
+	}
+	if err := s.Put(sha, data); err != nil {
+		t.Fatal(err)
+	}
+	if !s.Has(sha) {
+		t.Fatal("chunk missing after Put")
+	}
+	shas, err := s.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(shas) != 1 || shas[0] != sha {
+		t.Fatalf("List = %v, want [%s]", shas, sha)
+	}
+	if err := s.Delete(sha); err != nil {
+		t.Fatal(err)
+	}
+	if s.Has(sha) {
+		t.Fatal("chunk present after Delete")
+	}
+	if err := s.Delete(sha); err != nil {
+		t.Fatalf("double Delete should be a no-op: %v", err)
+	}
+	if _, err := s.Get(sha); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Get after Delete = %v, want ErrNotFound", err)
 	}
 }
 
@@ -221,12 +256,8 @@ func TestWriteBlobDedupsRepeats(t *testing.T) {
 	if len(unique) >= len(refs) {
 		t.Fatalf("repeated content produced no duplicate refs (%d refs, %d unique)", len(refs), len(unique))
 	}
-	stored, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(stored) != len(unique) {
-		t.Fatalf("store holds %d chunks, want %d unique", len(stored), len(unique))
+	if len(s.chunks) != len(unique) {
+		t.Fatalf("store holds %d chunks, want %d unique", len(s.chunks), len(unique))
 	}
 }
 
@@ -245,9 +276,7 @@ func TestReadBlobNamesBadChunk(t *testing.T) {
 	victim := refs[1]
 
 	// Missing chunk.
-	if err := s.Delete(victim.SHA256); err != nil {
-		t.Fatal(err)
-	}
+	delete(s.chunks, victim.SHA256)
 	_, err = ReadBlob(s, refs)
 	var ce *ChunkError
 	if !errors.As(err, &ce) {
@@ -264,7 +293,7 @@ func TestReadBlobNamesBadChunk(t *testing.T) {
 	if err := s.Put(victim.SHA256, data[:victim.Bytes]); err != nil {
 		t.Fatal(err)
 	}
-	s.Corrupt(victim.SHA256)
+	corrupt(s, victim.SHA256)
 	_, err = ReadBlob(s, refs)
 	if !errors.As(err, &ce) {
 		t.Fatalf("ReadBlob with corrupt chunk = %v, want *ChunkError", err)
@@ -282,7 +311,7 @@ func TestTieredPromotesColdHits(t *testing.T) {
 	if err := cold.Put(sha, data); err != nil {
 		t.Fatal(err)
 	}
-	if hot.Has(sha) {
+	if has(hot, sha) {
 		t.Fatal("hot tier should start empty")
 	}
 	got, err := tiered.Get(sha)
@@ -292,7 +321,7 @@ func TestTieredPromotesColdHits(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatalf("tiered Get = %q", got)
 	}
-	if !hot.Has(sha) {
+	if !has(hot, sha) {
 		t.Fatal("cold hit was not promoted to the hot tier")
 	}
 	// Puts must land in the cold tier of record.
@@ -301,7 +330,7 @@ func TestTieredPromotesColdHits(t *testing.T) {
 	if err := tiered.Put(sha2, data2); err != nil {
 		t.Fatal(err)
 	}
-	if !cold.Has(sha2) {
+	if !has(cold, sha2) {
 		t.Fatal("Put did not reach the cold tier of record")
 	}
 }

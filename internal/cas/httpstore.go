@@ -162,39 +162,9 @@ func unavailable(sha, format string, args ...any) error {
 		short(sha), ErrUnavailable, fmt.Sprintf(format, args...))}
 }
 
-// Has asks the server whether the chunk exists (HEAD, no bytes moved).
-// Transport failures read as false, matching the interface's no-error
-// contract; callers that must distinguish follow up with Get.
-func (s *HTTPStore) Has(sha string) bool {
-	if !validSHA(sha) {
-		return false
-	}
-	req, err := http.NewRequest(http.MethodHead, s.base+"/chunk/"+sha, nil)
-	if err != nil {
-		return false
-	}
-	resp, err := s.client.Do(req)
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
-}
-
 // Put is refused: workers never write back to the chain's store.
 func (s *HTTPStore) Put(sha string, data []byte) error {
 	return fmt.Errorf("cas: http store is read-only (put %s refused)", short(sha))
-}
-
-// List is unsupported over HTTP; GC runs where the store lives.
-func (s *HTTPStore) List() ([]string, error) {
-	return nil, errors.New("cas: http store does not support List")
-}
-
-// Delete is refused: workers never mutate the chain's store.
-func (s *HTTPStore) Delete(sha string) error {
-	return fmt.Errorf("cas: http store is read-only (delete %s refused)", short(sha))
 }
 
 var _ Store = (*HTTPStore)(nil)

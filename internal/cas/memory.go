@@ -45,43 +45,3 @@ func (s *Memory) Get(sha string) ([]byte, error) {
 	copy(cp, data)
 	return cp, nil
 }
-
-// Has reports whether the chunk exists.
-func (s *Memory) Has(sha string) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	_, ok := s.chunks[sha]
-	return ok
-}
-
-// List returns every stored digest.
-func (s *Memory) List() ([]string, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	shas := make([]string, 0, len(s.chunks))
-	for sha := range s.chunks {
-		shas = append(shas, sha)
-	}
-	return shas, nil
-}
-
-// Delete removes a chunk; missing chunks are a no-op.
-func (s *Memory) Delete(sha string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.chunks, sha)
-	return nil
-}
-
-// Corrupt flips a byte inside a stored chunk — a test hook for
-// exercising digest-mismatch paths.
-func (s *Memory) Corrupt(sha string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	data, ok := s.chunks[sha]
-	if !ok || len(data) == 0 {
-		return false
-	}
-	data[len(data)/2] ^= 0xff
-	return true
-}

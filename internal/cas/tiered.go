@@ -1,10 +1,10 @@
 package cas
 
-// Tiered layers a fast hot store over a larger cold one — the seam
-// where cold epochs move to object storage while a warm auditor keeps
-// its working set local. Reads check hot first and promote cold hits;
-// writes land in both so the cold tier is always complete (it is the
-// tier of record) while the hot tier soaks up re-reads.
+// Tiered layers a fast hot store over a larger cold one — a fleet
+// worker's local cache over the artifact server it audits from. Reads
+// check hot first and promote cold hits; writes land in both so the
+// cold tier is always complete (it is the tier of record) while the
+// hot tier soaks up re-reads.
 type Tiered struct {
 	Hot  Store
 	Cold Store
@@ -33,23 +33,4 @@ func (t *Tiered) Get(sha string) ([]byte, error) {
 	}
 	_ = t.Hot.Put(sha, data)
 	return data, nil
-}
-
-// Has reports whether either tier holds the chunk.
-func (t *Tiered) Has(sha string) bool {
-	return t.Hot.Has(sha) || t.Cold.Has(sha)
-}
-
-// List returns the cold tier's digests — the tier of record is
-// complete by construction.
-func (t *Tiered) List() ([]string, error) {
-	return t.Cold.List()
-}
-
-// Delete removes the chunk from both tiers.
-func (t *Tiered) Delete(sha string) error {
-	if err := t.Hot.Delete(sha); err != nil {
-		return err
-	}
-	return t.Cold.Delete(sha)
 }

@@ -9,7 +9,7 @@ import (
 	"orochi/internal/epoch"
 )
 
-// The JSON API mirrors the text endpoints with stable snake_case
+// The JSON API serves what the index page shows with stable snake_case
 // shapes. Decisions are served straight from the durable decision log
 // (internal/epoch), so verdict history — including verdicts published
 // by an earlier process — survives restarts, and the per-epoch

@@ -5,8 +5,6 @@
 //
 //   - "/-/"            a minimal server-rendered HTML overview,
 //   - "/-/metrics"     Prometheus text exposition (hand-rolled, no deps),
-//   - "/-/stats"       the live throughput counters (text),
-//   - "/-/epochs"      the epoch pipeline + verdict ledger (text),
 //   - "/-/api/..."     the JSON API (epoch timeline, verdict history,
 //     per-epoch drill-down with forensics, and the
 //     acknowledge POST).
@@ -15,15 +13,14 @@
 // of these endpoints never enters the trace or perturbs the audit.
 //
 // Every component is optional: a Console built with only a Server
-// serves stats and server metrics; adding a Manager lights up the epoch
-// timeline; adding an Auditor lights up verdicts, audit metrics, and
-// the decision-log API. Endpoints whose component is absent answer 404,
+// serves the serving counters and metrics; adding a Manager lights up
+// the epoch timeline; adding an Auditor lights up verdicts, audit
+// metrics, and the decision-log API. Endpoints whose component is absent answer 404,
 // so one binary path serves every deployment shape.
 package console
 
 import (
 	"net/http"
-	"sync"
 	"time"
 
 	"orochi/internal/epoch"
@@ -33,8 +30,8 @@ import (
 
 // Options selects which live components the console exposes.
 type Options struct {
-	// Server provides the request/CPU/in-flight counters ( /-/stats and
-	// the serving metrics).
+	// Server provides the request/CPU/in-flight counters (the index's
+	// serving table and the serving metrics).
 	Server *server.Server
 	// Manager provides the epoch pipeline status (sealed epochs, bytes
 	// logged, current epoch fill).
@@ -69,12 +66,6 @@ type Console struct {
 	artifacts *fleet.ArtifactServer
 	coord     *fleet.Coordinator
 	started   time.Time
-
-	// rateMu guards the previous-poll sample behind the instantaneous
-	// req/s figure on /-/stats.
-	rateMu   sync.Mutex
-	lastAt   time.Time
-	lastReqs int64
 }
 
 // New builds a console over the given components.
@@ -90,7 +81,6 @@ func New(opts Options) *Console {
 		artifacts: opts.FleetArtifacts,
 		coord:     opts.FleetCoordinator,
 		started:   opts.StartedAt,
-		lastAt:    opts.StartedAt,
 	}
 }
 
@@ -102,8 +92,6 @@ func (c *Console) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /-/{$}", c.index)
 	mux.HandleFunc("GET /-/metrics", c.metrics)
-	mux.HandleFunc("GET /-/stats", c.stats)
-	mux.HandleFunc("GET /-/epochs", c.epochsText)
 	mux.HandleFunc("GET /-/api/epochs", c.apiEpochs)
 	mux.HandleFunc("GET /-/api/verdicts", c.apiVerdicts)
 	mux.HandleFunc("GET /-/api/verdicts/{epoch}", c.apiVerdict)

@@ -3,9 +3,11 @@ package console_test
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"strconv"
 	"strings"
 	"testing"
@@ -153,17 +155,25 @@ func TestConsoleHonestPipeline(t *testing.T) {
 		}
 	}
 
-	// Text endpoints.
-	if code, body := get(t, ts, "/-/stats"); code != http.StatusOK || !strings.HasPrefix(body, "requests=24 ") {
-		t.Fatalf("/-/stats: %d %q", code, body)
-	}
-	code, body = get(t, ts, "/-/epochs")
-	if code != http.StatusOK || !strings.Contains(body, "sealed epochs: "+itoa(sealed)) ||
-		!strings.Contains(body, "ACCEPT") {
-		t.Fatalf("/-/epochs: %d\n%s", code, body)
-	}
-	if code, body := get(t, ts, "/-/"); code != http.StatusOK || !strings.Contains(body, "<h1>orochi console</h1>") {
+	// The index page: serving counters (24 requests, none in flight),
+	// one row per sealed epoch, and every verdict an ACCEPT.
+	code, body = get(t, ts, "/-/")
+	if code != http.StatusOK || !strings.Contains(body, "<h1>orochi console</h1>") {
 		t.Fatalf("/-/ index: %d\n%s", code, body)
+	}
+	if !regexp.MustCompile(`<tr><td>24</td><td>[^<]*</td><td>0</td>`).MatchString(body) {
+		t.Fatalf("/-/ index lacks the serving row (24 requests, 0 in flight):\n%s", body)
+	}
+	for _, s := range mgr.Status().Sealed {
+		row := fmt.Sprintf("<tr><td>%d</td><td>%d</td><td>%d</td><td>%d</td><td>%.12s</td></tr>",
+			s.Epoch, s.Events, s.Requests, s.Bytes, s.ManifestSHA)
+		if !strings.Contains(body, row) {
+			t.Fatalf("/-/ index lacks epoch row %s:\n%s", row, body)
+		}
+	}
+	if !strings.Contains(body, "chain ACCEPT") ||
+		strings.Count(body, `<span class="accept">ACCEPT</span>`) != sealed || strings.Contains(body, "REJECT</span>") {
+		t.Fatalf("/-/ index should show %d ACCEPT verdicts and an accepted chain:\n%s", sealed, body)
 	}
 
 	// JSON API.
@@ -297,7 +307,7 @@ func TestConsoleAbsentComponents(t *testing.T) {
 	ts := httptest.NewServer(con.Handler())
 	defer ts.Close()
 
-	for _, path := range []string{"/-/stats", "/-/epochs", "/-/api/epochs", "/-/api/verdicts", "/-/api/verdicts/1"} {
+	for _, path := range []string{"/-/api/epochs", "/-/api/verdicts", "/-/api/verdicts/1"} {
 		if code, _ := get(t, ts, path); code != http.StatusNotFound {
 			t.Fatalf("%s without components: %d, want 404", path, code)
 		}
@@ -307,7 +317,8 @@ func TestConsoleAbsentComponents(t *testing.T) {
 		!strings.Contains(body, "orochi_uptime_seconds") || strings.Contains(body, "orochi_requests_total") {
 		t.Fatalf("bare metrics: %d\n%s", code, body)
 	}
-	if code, body := get(t, ts, "/-/"); code != http.StatusOK || !strings.Contains(body, "orochi console") {
+	if code, body := get(t, ts, "/-/"); code != http.StatusOK || !strings.Contains(body, "orochi console") ||
+		strings.Contains(body, "<h2>serving</h2>") || strings.Contains(body, "<h2>epoch pipeline</h2>") {
 		t.Fatalf("bare index: %d\n%s", code, body)
 	}
 }

@@ -56,8 +56,6 @@ th, td { border: 1px solid #999; padding: 2px 8px; text-align: left; }
 <h1>orochi console</h1>
 <p>uptime {{.Uptime}} &middot;
 <a href="/-/metrics">metrics</a> &middot;
-<a href="/-/stats">stats</a> &middot;
-<a href="/-/epochs">epochs</a> &middot;
 <a href="/-/api/verdicts">verdicts (json)</a></p>
 
 {{if .HasServer}}

@@ -46,7 +46,7 @@ func ReadCompacted(epochDir string) (*CompactedMarker, error) {
 // checkpointRetrievable reports whether epoch n's checkpoint parses and
 // every chunk it names is in store — what compaction needs before it
 // may let the epoch's own artifacts go.
-func checkpointRetrievable(dir string, store cas.Store, n int64) bool {
+func checkpointRetrievable(dir string, store *cas.FS, n int64) bool {
 	refs, err := LoadCheckpointRefs(dir, n)
 	if err != nil {
 		return false

@@ -11,7 +11,7 @@ import (
 // epoch the ledger waits on, how far its audit has come, and how many
 // epochs are under audit at once. The zero value (Epoch == 0) means no
 // verification is running — the auditor is idle, polling, or loading.
-// Status endpoints (orochi-serve's /-/epochs) render it next to the
+// The operations console (orochi-serve's /-/) renders it next to the
 // verdict ledger.
 //
 // The counters come from the verifier's Observer stream and therefore
@@ -55,7 +55,7 @@ func (p Progress) String() string {
 
 // Progress reports the audit progress of the epoch the ledger waits on
 // and how many epochs are in flight (zero-valued when idle). Safe to
-// call concurrently with a running Run/RunOnce — it is how /-/epochs
+// call concurrently with a running Run/RunOnce — it is how the console
 // observes a live audit.
 func (a *Auditor) Progress() Progress {
 	a.mu.Lock()

@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
 	"os"
@@ -14,12 +13,11 @@ import (
 )
 
 // ArtifactServer serves a chain directory's audit evidence over HTTP:
-// the chain listing, raw epoch manifests, and content-addressed chunks
-// straight out of the chain's cas.Store. Everything it serves is
-// self-verifying on the client (manifests are pinned by digest in the
-// lease, chunks hash to their name), so the server is untrusted
-// transport — exactly the paper's posture toward everything below the
-// verifier.
+// raw epoch manifests and content-addressed chunks straight out of the
+// chain's chunk store. Everything it serves is self-verifying on the
+// client (manifests are pinned by digest in the lease, chunks hash to
+// their name), so the server is untrusted transport — exactly the
+// paper's posture toward everything below the verifier.
 //
 // Error relay discipline: a missing chunk answers 404 and a failed
 // verified read answers 502 with the store's error text as the body,
@@ -83,30 +81,9 @@ func (a *ArtifactServer) Stats() ArtifactStats {
 // coordinator's, may be registered beside it).
 func (a *ArtifactServer) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET "+Prefix+"/chain", a.chain)
 	mux.HandleFunc("GET "+Prefix+"/epoch/{n}/manifest", a.manifest)
 	mux.HandleFunc("GET "+Prefix+"/chunk/{sha}", a.chunk)
-	mux.HandleFunc("HEAD "+Prefix+"/chunk/{sha}", a.chunkHead)
 	return mux
-}
-
-func (a *ArtifactServer) chain(w http.ResponseWriter, r *http.Request) {
-	sealed, err := epoch.ListSealed(a.dir)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	info := ChainInfo{Epochs: []ChainEpoch{}}
-	for _, s := range sealed {
-		info.Epochs = append(info.Epochs, ChainEpoch{
-			Epoch:       s.Number,
-			ManifestSHA: s.ManifestSHA,
-			Compacted:   s.Compacted,
-			Damaged:     s.Err != nil,
-		})
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(info)
 }
 
 func (a *ArtifactServer) manifest(w http.ResponseWriter, r *http.Request) {
@@ -155,12 +132,4 @@ func (a *ArtifactServer) chunk(w http.ResponseWriter, r *http.Request) {
 		// becomes the REJECT reason, bit-identical to a local audit's.
 		http.Error(w, err.Error(), http.StatusBadGateway)
 	}
-}
-
-func (a *ArtifactServer) chunkHead(w http.ResponseWriter, r *http.Request) {
-	if a.store.Has(r.PathValue("sha")) {
-		w.WriteHeader(http.StatusOK)
-		return
-	}
-	w.WriteHeader(http.StatusNotFound)
 }

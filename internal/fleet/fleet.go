@@ -5,8 +5,8 @@
 // (verifier Phases 1–2, a small share of its audit) fixes before its
 // re-execution starts. Three roles cooperate:
 //
-//   - The artifact server exposes chain state, epoch manifests, and
-//     content-addressed chunks straight out of the chain's cas.Store
+//   - The artifact server exposes epoch manifests and content-addressed
+//     chunks straight out of the chain's chunk store
 //     (mounted under /-/fleet/ on orochi-serve, or standalone via
 //     orochi-audit -serve-artifacts). Chunks are self-verifying, so the
 //     transport needs no trust and the server ships them unopened; a
@@ -286,19 +286,6 @@ func DecodeVerdict(body []byte) (*VerdictPost, [][]byte, error) {
 		return nil, nil, errors.New("fleet: trailing bytes after the verdict's chunk frames")
 	}
 	return &p, chunks, nil
-}
-
-// ChainEpoch is one row of the artifact server's chain listing.
-type ChainEpoch struct {
-	Epoch       int64  `json:"epoch"`
-	ManifestSHA string `json:"manifest_sha256"`
-	Compacted   bool   `json:"compacted,omitempty"`
-	Damaged     bool   `json:"damaged,omitempty"`
-}
-
-// ChainInfo is the artifact server's chain state (GET /-/fleet/chain).
-type ChainInfo struct {
-	Epochs []ChainEpoch `json:"epochs"`
 }
 
 // forEach runs fn for every index in [0, n) on up to GOMAXPROCS

@@ -127,9 +127,6 @@ func (t *coldTracker) Get(sha string) ([]byte, error) {
 }
 
 func (t *coldTracker) Put(sha string, data []byte) error { return t.inner.Put(sha, data) }
-func (t *coldTracker) Has(sha string) bool               { return t.inner.Has(sha) }
-func (t *coldTracker) List() ([]string, error)           { return t.inner.List() }
-func (t *coldTracker) Delete(sha string) error           { return t.inner.Delete(sha) }
 
 // errAbandoned marks an assignment dropped without a verdict.
 var errAbandoned = errors.New("fleet: lease abandoned")

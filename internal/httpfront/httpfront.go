@@ -36,8 +36,8 @@ import (
 
 // ControlPrefix marks URL paths outside the audited surface. The
 // Collector middleware passes them through unrecorded, so operational
-// endpoints (/-/stats, /-/epochs, health checks) can live behind the
-// same front door without polluting the trace.
+// endpoints (the console's /-/metrics and /-/api/...) can live behind
+// the same front door without polluting the trace.
 const ControlPrefix = "/-/"
 
 // RequestToInput maps an HTTP request onto the model's Input: the URL

@@ -151,7 +151,7 @@ func TestControlPrefixBypassesTrace(t *testing.T) {
 	}))
 	ts := httptest.NewServer(h)
 	defer ts.Close()
-	if _, err := ts.Client().Get(ts.URL + "/-/stats"); err != nil {
+	if _, err := ts.Client().Get(ts.URL + "/-/metrics"); err != nil {
 		t.Fatal(err)
 	}
 	if hits != 1 {
@@ -193,13 +193,13 @@ func TestCollectorRefusesUnparseable(t *testing.T) {
 // TestHandlerControlPathsUnrecorded pins that a bare Handler mount (no
 // mux in front) keeps /-/ paths entirely outside the audited surface:
 // the Collector skips them AND Exec's fallback must not record them as
-// unknown-script faults — a monitor polling /-/stats must never pollute
+// unknown-script faults — a monitor polling /-/metrics must never pollute
 // the trace.
 func TestHandlerControlPathsUnrecorded(t *testing.T) {
 	srv := server.New(compileTestApp(t), server.Options{Record: true})
 	ts := httptest.NewServer(Handler(srv))
 	defer ts.Close()
-	resp, err := ts.Client().Get(ts.URL + "/-/stats")
+	resp, err := ts.Client().Get(ts.URL + "/-/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -766,14 +766,6 @@ func init() {
 				return "unknown type", nil
 			}
 		},
-
-		// --- testing hooks ---
-		"__force_fallback": func(ex *exec, args []Value, line int) (Value, error) {
-			if ex.mode == ModeSIMD && ex.lanes > 1 {
-				return nil, &FallbackError{Reason: "__force_fallback"}
-			}
-			return nil, nil
-		},
 	}
 }
 

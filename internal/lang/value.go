@@ -512,10 +512,16 @@ func IsNumericString(s string) bool {
 	if t == "" {
 		return false
 	}
-	if _, err := strconv.ParseFloat(t, 64); err == nil {
-		return true
+	// Every string ParseFloat accepts starts with a digit, a sign, a
+	// point, or the i/n of inf/nan. Refusing the rest here spares the
+	// error ParseFloat would allocate for them.
+	switch c := t[0]; {
+	case '0' <= c && c <= '9', c == '+', c == '-', c == '.', c == 'i', c == 'I', c == 'n', c == 'N':
+	default:
+		return false
 	}
-	return false
+	_, err := strconv.ParseFloat(t, 64)
+	return err == nil
 }
 
 func parseNumericPrefixInt(s string) int64 {

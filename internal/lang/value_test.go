@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -210,6 +211,35 @@ func TestCanonicalIntStringQuick(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(100, func() { canonicalIntString("page_title") }); n != 0 {
 		t.Fatalf("a non-numeric key allocates %v times", n)
+	}
+}
+
+// TestIsNumericStringTable: the first-byte check changes no answer of
+// the definition it guards, a ParseFloat of the trimmed string.
+func TestIsNumericStringTable(t *testing.T) {
+	ref := func(s string) bool {
+		t := strings.TrimSpace(s)
+		if t == "" {
+			return false
+		}
+		_, err := strconv.ParseFloat(t, 64)
+		return err == nil
+	}
+	for s, want := range map[string]bool{
+		"": false, "  1 ": true, "+.5": true, "-1e3": true, "inf": true,
+		"Infinity": true, "NaN": true, "0x1p3": true, "abc": false, "1a": false,
+		"\t7": true, "-": false, ".": false, "1e400": false, "_1": false,
+		"1_000": true, "\u00a07": true, "iNF": true, "nan(": false, "x1": false,
+	} {
+		if got := IsNumericString(s); got != want || got != ref(s) {
+			t.Errorf("IsNumericString(%q) = %v, want %v (ParseFloat says %v)", s, got, want, ref(s))
+		}
+	}
+	if err := quick.Check(func(s string) bool { return IsNumericString(s) == ref(s) }, &quick.Config{MaxCount: 2000}); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { IsNumericString("page_title") }); n != 0 {
+		t.Fatalf("a non-numeric string allocates %v times", n)
 	}
 }
 

@@ -22,7 +22,7 @@ const (
 // same interface through the background chain auditor.
 //
 // Observers are for progress reporting (CLI -progress output, the
-// /-/epochs endpoint) and for tests that need deterministic hooks into
+// operations console) and for tests that need deterministic hooks into
 // the audit's timeline (e.g. cancellation-point injection). They see
 // untrusted quantities — group sizes and op counts come from the
 // executor's reports — so they must never influence the verdict.
