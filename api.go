@@ -149,10 +149,12 @@ const (
 	AuditPhaseCoverage         = verifier.PhaseCoverage
 )
 
-// OOOAuditContext is the Appendix A out-of-order audit: it re-executes
-// each request individually, stepping request goroutines through a
-// topological sort of the event graph. Same verdicts as AuditContext,
-// no grouping acceleration — useful as an independent cross-check.
+// OOOAuditContext is the Appendix A out-of-order audit: it runs
+// AuditContext's validation, ProcessOpReports and versioned redo, then
+// re-executes each request individually, stepping request goroutines
+// through a topological sort of the event graph. Same verdicts and
+// final state as AuditContext, no grouping acceleration — a
+// cross-check of grouped re-execution.
 func OOOAuditContext(ctx context.Context, prog *Program, tr *Trace, rep *Reports, init *Snapshot) (*AuditResult, error) {
 	return verifier.OOOAuditContext(ctx, prog, tr, rep, init)
 }

@@ -54,49 +54,72 @@ func (db *DB) execInsert(ins *Insert) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	colIdxs := make([]int, len(ins.Cols))
-	explicitID := false
-	for i, c := range ins.Cols {
-		idx := t.ColIndex(c)
-		if idx < 0 {
-			return nil, fmt.Errorf("sqlmini: no column %q in %q", c, ins.Table)
-		}
-		colIdxs[i] = idx
-		explicitID = explicitID || idx == t.autoCol
+	n, nextAuto := len(t.Rows), t.NextAuto
+	rows, res, err := t.InsertRows(ins)
+	if err != nil {
+		return nil, err
 	}
-	db.journal = append(db.journal, undoEntry{kind: undoInsert, t: t, n: len(t.Rows), nextAuto: t.NextAuto})
-	res := &Result{}
-	for _, vals := range ins.Rows {
-		row := make([]Val, len(t.Cols))
-		for i, v := range vals {
-			cv, err := coerceCol(t.Cols[colIdxs[i]], v)
-			if err != nil {
-				return nil, err
-			}
-			row[colIdxs[i]] = cv
-		}
-		if t.autoCol >= 0 && !explicitID {
-			row[t.autoCol] = t.NextAuto
-			res.InsertID = t.NextAuto
-			t.NextAuto++
-		} else if t.autoCol >= 0 {
-			// Explicit id: advance the counter past it (MySQL behaviour).
-			if id, ok := row[t.autoCol].(int64); ok {
-				res.InsertID = id
-				if id >= t.NextAuto {
-					t.NextAuto = id + 1
-				}
-			}
-		}
+	db.journal = append(db.journal, undoEntry{kind: undoInsert, t: t, n: n, nextAuto: nextAuto})
+	for _, row := range rows {
 		for ci, ix := range t.idx {
 			if ix != nil {
 				ix.Add(row[ci], len(t.Rows))
 			}
 		}
 		t.Rows = append(t.Rows, row)
-		res.Affected++
 	}
 	return res, nil
+}
+
+// InsertRows applies an INSERT's row rules to t and returns the rows the
+// statement adds, in statement order, with its result: each named column
+// is looked up, each literal coerced to its column's type, and the
+// auto-increment column filled from NextAuto — or, when the statement
+// names that column, taken as given, with NextAuto advanced past it
+// (MySQL behaviour). On success NextAuto has advanced; on error t is
+// unchanged. The rows are not added to t: the live engine appends them
+// to Rows and the versioned store opens a slot for each, so both store
+// the rows these rules build.
+func (t *Table) InsertRows(ins *Insert) ([][]Val, *Result, error) {
+	colIdxs := make([]int, len(ins.Cols))
+	explicitID := false
+	for i, c := range ins.Cols {
+		idx := t.ColIndex(c)
+		if idx < 0 {
+			return nil, nil, fmt.Errorf("sqlmini: no column %q in %q", c, ins.Table)
+		}
+		colIdxs[i] = idx
+		explicitID = explicitID || idx == t.autoCol
+	}
+	next := t.NextAuto
+	rows := make([][]Val, len(ins.Rows))
+	res := &Result{Affected: int64(len(ins.Rows))}
+	for r, vals := range ins.Rows {
+		row := make([]Val, len(t.Cols))
+		for i, v := range vals {
+			cv, err := coerceCol(t.Cols[colIdxs[i]], v)
+			if err != nil {
+				return nil, nil, err
+			}
+			row[colIdxs[i]] = cv
+		}
+		if t.autoCol >= 0 && !explicitID {
+			row[t.autoCol] = next
+			res.InsertID = next
+			next++
+		} else if t.autoCol >= 0 {
+			// Explicit id: advance the counter past it.
+			if id, ok := row[t.autoCol].(int64); ok {
+				res.InsertID = id
+				if id >= next {
+					next = id + 1
+				}
+			}
+		}
+		rows[r] = row
+	}
+	t.NextAuto = next
+	return rows, res, nil
 }
 
 func (db *DB) execSelect(sel *Select) (*Result, error) {
@@ -266,48 +289,15 @@ func (db *DB) execUpdate(up *Update) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	type setOp struct {
-		col  int
-		val  Val // the coerced literal, or the self-op's delta
-		err  error
-		self bool
-		base int
-	}
-	sets := make([]setOp, len(up.Sets))
-	for i, sc := range up.Sets {
-		ci := t.ColIndex(sc.Col)
-		if ci < 0 {
-			return nil, fmt.Errorf("sqlmini: no column %q in %q", sc.Col, up.Table)
-		}
-		op := setOp{col: ci, self: sc.SelfOp != ""}
-		if op.self {
-			if op.base = t.ColIndex(sc.SelfBase); op.base < 0 {
-				return nil, fmt.Errorf("sqlmini: no column %q in SET expression", sc.SelfBase)
-			}
-			delta := ToInt64(sc.Val)
-			if sc.SelfOp == "-" {
-				delta = -delta
-			}
-			op.val = delta
-		} else {
-			// A literal that does not fit the column fails the statement
-			// only if some row is actually updated.
-			op.val, op.err = coerceCol(t.Cols[ci], sc.Val)
-		}
-		sets[i] = op
+	plan, err := t.PlanSets(up)
+	if err != nil {
+		return nil, err
 	}
 	for _, ri := range matched {
 		old := t.Rows[ri]
-		row := append([]Val(nil), old...)
-		for _, s := range sets {
-			switch {
-			case s.err != nil:
-				return nil, s.err
-			case s.self:
-				row[s.col] = ToInt64(row[s.base]) + s.val.(int64)
-			default:
-				row[s.col] = s.val
-			}
+		row, err := plan.Apply(old)
+		if err != nil {
+			return nil, err
 		}
 		db.journal = append(db.journal, undoEntry{kind: undoUpdate, t: t, n: ri, row: old})
 		t.Rows[ri] = row
@@ -319,6 +309,66 @@ func (db *DB) execUpdate(up *Update) (*Result, error) {
 		}
 	}
 	return &Result{Affected: int64(len(matched))}, nil
+}
+
+// SetPlan is an UPDATE's SET list resolved against a table's schema: the
+// one place the row rules of UPDATE live, shared by the live engine and
+// the versioned store.
+type SetPlan struct {
+	sets []setOp
+}
+
+type setOp struct {
+	col  int
+	base int   // the column a self-op (col = base ± n) reads; -1 for a literal
+	val  Val   // the coerced literal, or the self-op's signed delta
+	err  error // the literal does not fit the column
+}
+
+// PlanSets resolves up's SET list against t: every column it names must
+// exist, whether or not a row matches. A literal that does not fit its
+// column is not an error here; it fails the statement only when Apply
+// updates a row.
+func (t *Table) PlanSets(up *Update) (SetPlan, error) {
+	sets := make([]setOp, len(up.Sets))
+	for i, sc := range up.Sets {
+		op := setOp{col: t.ColIndex(sc.Col), base: -1}
+		if op.col < 0 {
+			return SetPlan{}, fmt.Errorf("sqlmini: no column %q in %q", sc.Col, up.Table)
+		}
+		if sc.SelfOp == "" {
+			op.val, op.err = coerceCol(t.Cols[op.col], sc.Val)
+		} else {
+			if op.base = t.ColIndex(sc.SelfBase); op.base < 0 {
+				return SetPlan{}, fmt.Errorf("sqlmini: no column %q in SET expression", sc.SelfBase)
+			}
+			delta := toInt64(sc.Val)
+			if sc.SelfOp == "-" {
+				delta = -delta
+			}
+			op.val = delta
+		}
+		sets[i] = op
+	}
+	return SetPlan{sets: sets}, nil
+}
+
+// Apply returns the row that updating old yields: a fresh copy, so old
+// stays valid for snapshots, undo journals and older versions. Each SET
+// reads the row as the clauses before it left it.
+func (p SetPlan) Apply(old []Val) ([]Val, error) {
+	row := append([]Val(nil), old...)
+	for _, s := range p.sets {
+		switch {
+		case s.err != nil:
+			return nil, s.err
+		case s.base >= 0:
+			row[s.col] = toInt64(row[s.base]) + s.val.(int64)
+		default:
+			row[s.col] = s.val
+		}
+	}
+	return row, nil
 }
 
 func (db *DB) execDelete(del *Delete) (*Result, error) {
@@ -345,12 +395,6 @@ func (db *DB) execDelete(del *Delete) (*Result, error) {
 	db.journal = append(db.journal, undoEntry{kind: undoDelete, t: t, rows: t.Rows})
 	t.Rows, t.idx = kept, nil
 	return &Result{Affected: int64(len(matched))}, nil
-}
-
-// CoerceCol converts a literal to the column's storage type (exported for
-// the versioned store's redo pass).
-func CoerceCol(c Column, v Val) (Val, error) {
-	return coerceCol(c, v)
 }
 
 // matching returns the positions of the rows satisfying cond, ascending
@@ -459,10 +503,9 @@ func valToString(v Val) string {
 	}
 }
 
-// ToInt64 reads a value as an integer: a literal stored in an INT column,
-// or the operand of a self-op (col = col ± n), which the versioned
-// store's redo pass must read alike (hence exported).
-func ToInt64(v Val) int64 {
+// toInt64 reads a value as an integer: a literal stored in an INT column,
+// or the operand of a self-op (col = col ± n).
+func toInt64(v Val) int64 {
 	switch x := v.(type) {
 	case int64:
 		return x
@@ -490,7 +533,7 @@ func coerceCol(c Column, v Val) (Val, error) {
 		case float64:
 			return int64(x), nil
 		case string:
-			return ToInt64(x), nil
+			return toInt64(x), nil
 		}
 	case FloatCol:
 		switch x := v.(type) {

@@ -9,7 +9,9 @@
 // Execution is fully deterministic: table scans run in insertion order
 // and ORDER BY uses a stable sort, so re-executing the logged statement
 // sequence always reproduces identical results. The versioned store
-// (internal/vstore) shares this package's parser and AST.
+// (internal/vstore) shares this package's parser and AST, its SELECT
+// tail (SelectMatched) and its INSERT and UPDATE row rules
+// (Table.InsertRows, Table.PlanSets).
 package sqlmini
 
 import (

@@ -32,11 +32,10 @@ type auditBridge struct {
 
 // auditEnv is the audit-wide immutable state shared by all groups.
 type auditEnv struct {
-	rep      *reports.Reports
-	opMap    core.OpMap
-	vdb      *vstore.VersionedDB
-	vkv      *vstore.VersionedKV
-	dbLogIdx int
+	rep   *reports.Reports
+	opMap core.OpMap
+	vdb   *vstore.VersionedDB
+	vkv   *vstore.VersionedKV
 	// initRegs holds the initial register values (pre-audit snapshot),
 	// marked shared before Phase 3 reads them from every worker.
 	initRegs map[string]lang.Value
@@ -82,8 +81,10 @@ func (env *auditEnv) convert(r *sqlmini.Result) lang.Value {
 	if v, ok := env.convCache[r]; ok {
 		return v
 	}
-	// Marked shared before it is published to other workers.
-	v := lang.CloneValue(resultToLang(r))
+	// The online bridge's conversion, so the program receives the query
+	// results it was served byte for byte; marked shared before it is
+	// published to other workers.
+	v := lang.CloneValue(object.ResultToLang(r))
 	env.convCache[r] = v
 	return v
 }
@@ -290,13 +291,6 @@ func (b *auditBridge) NonDet(rid string, fn string, args []lang.Value) (lang.Val
 }
 
 var _ lang.Bridge = (*auditBridge)(nil)
-
-// resultToLang delegates to the object layer's conversion so that the
-// verifier feeds the program byte-identical query results to what the
-// online bridge produced.
-func resultToLang(r *sqlmini.Result) lang.Value {
-	return object.ResultToLang(r)
-}
 
 func rejectf(stage, rid, format string, args ...interface{}) error {
 	return &core.RejectError{Stage: stage, Msg: fmt.Sprintf(format, args...), RID: rid}

@@ -4,16 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"time"
 
 	"orochi/internal/core"
 	"orochi/internal/lang"
 	"orochi/internal/object"
 	"orochi/internal/reports"
-	"orochi/internal/sqlmini"
 	"orochi/internal/trace"
-	"orochi/internal/vstore"
 )
 
 // This file implements OOOAudit from Appendix A of the paper (Fig. 13):
@@ -34,117 +31,49 @@ import (
 // its next event" discipline.
 
 // OOOAuditContext verifies tr against rep by out-of-order, per-request
-// re-execution following a topological sort of the event graph.
+// re-execution following a topological sort of the event graph. Phases
+// 1–2 are the grouped audit's own (Prepare): the two audits differ only
+// in how Phase 3 re-executes, as in the paper's construction.
 // Cancelling ctx abandons the audit between schedule steps with an
 // error matching ErrAuditCanceled; leftover request goroutines are
 // unblocked by the scheduler's shutdown, and no verdict is produced.
 func OOOAuditContext(ctx context.Context, prog *lang.Program, tr *trace.Trace, rep *reports.Reports, init *object.Snapshot) (*Result, error) {
-	if ctx.Err() != nil {
-		return nil, auditCanceled(ctx)
+	p, res, err := Prepare(ctx, tr, rep, init, Options{})
+	if p == nil {
+		return res, err
 	}
 	start := time.Now()
-	res := &Result{}
+	res = &Result{Stats: p.stats}
 	reject := func(reason string, f *Forensics) (*Result, error) {
-		res.Accepted = false
-		res.Reason = reason
-		if f == nil {
-			f = &Forensics{Phase: PhaseValidation, Check: "unclassified"}
-		}
-		if f.Detail == "" {
-			f.Detail = reason
-		}
-		res.Forensics = f
-		res.Stats.Total = time.Since(start)
-		return res, nil
-	}
-	if init == nil {
-		init = object.EmptySnapshot()
-	}
-	if err := tr.Balanced(); err != nil {
-		return reject("unbalanced trace: "+err.Error(),
-			&Forensics{Phase: PhaseValidation, Check: "unbalanced-trace"})
-	}
-	seenObj := make(map[reports.ObjectID]bool, len(rep.Objects))
-	for _, o := range rep.Objects {
-		if seenObj[o] {
-			return reject(fmt.Sprintf("duplicate object %v in reports", o),
-				&Forensics{Phase: PhaseValidation, Check: "duplicate-object", Object: o.String()})
-		}
-		seenObj[o] = true
-	}
-	proc, err := core.ProcessOpReports(tr, rep)
-	if err != nil {
-		var rej *core.RejectError
-		if errors.As(err, &rej) {
-			return reject(rej.Error(), forensicsFromReject(PhaseProcessOpReports, rej))
-		}
-		return nil, err
-	}
-	env := &auditEnv{
-		rep:       rep,
-		opMap:     proc.OpMap,
-		vdb:       vstore.NewVersionedDB(),
-		vkv:       vstore.NewVersionedKV(),
-		dbLogIdx:  -1,
-		initRegs:  sharedValues(init.Registers),
-		sqlCache:  make(map[string]sqlmini.Stmt),
-		convCache: make(map[*sqlmini.Result]lang.Value),
-	}
-	for _, tbl := range init.Tables {
-		if err := env.vdb.LoadInitial(tbl); err != nil {
-			return nil, err
-		}
-	}
-	kvKeys := make([]string, 0, len(init.KV))
-	for k := range init.KV {
-		kvKeys = append(kvKeys, k)
-	}
-	sort.Strings(kvKeys)
-	for _, k := range kvKeys {
-		env.vkv.LoadInitial(k, init.KV[k])
-	}
-	for i, objID := range rep.Objects {
-		if objID.Kind != reports.DBObj && objID.Kind != reports.KVObj {
-			continue
-		}
-		for j, e := range rep.OpLogs[i] {
-			switch objID.Kind {
-			case reports.DBObj:
-				if e.Type != lang.DBOp {
-					return reject("non-DB op in DB log",
-						&Forensics{Phase: PhaseRedo, Check: "log-shape", Object: objID.String(), OpIndex: j + 1})
-				}
-				if e.OK {
-					if err := env.vdb.ApplyTxnWith(int64(j+1), e.Stmts, env.parseSQL); err != nil {
-						return reject("versioned redo failed: "+err.Error(),
-							&Forensics{Phase: PhaseRedo, Check: "redo-apply", Object: objID.String(), OpIndex: j + 1})
-					}
-				}
-			case reports.KVObj:
-				if e.Type == lang.KvSet {
-					v, derr := lang.DecodeValue(e.Value)
-					if derr != nil {
-						return reject("undecodable KV write",
-							&Forensics{Phase: PhaseRedo, Check: "undecodable-write", Object: objID.String(), OpIndex: j + 1})
-					}
-					env.vkv.AddSet(e.Key, int64(j+1), v)
-				}
-			}
-		}
+		res.Stats.ReExec = time.Since(start)
+		return rejectResult(res.Stats, p.env, p.spent+res.Stats.ReExec, reason, f, hook{}), nil
 	}
 
-	// Build the op schedule: the topological order of G restricted to
+	// Phase 3, by op schedule: the topological order of G restricted to
 	// state-operation nodes; (rid, 0) starts a request lazily and
 	// (rid, ∞) collects its output.
-	schedule := proc.Graph.TopoOrder()
-	if len(schedule) != proc.Graph.NumNodes() {
-		return reject("event graph has a cycle",
-			&Forensics{Phase: PhaseProcessOpReports, Check: "cycle"})
+	schedule := p.graph.TopoOrder()
+	if len(schedule) != p.graph.NumNodes() {
+		// Phase 1 rejects a cyclic G, so this is a fault, not a verdict.
+		return nil, fmt.Errorf("verifier: event graph has a cycle after Phase 1")
 	}
 
+	// rejectRun classifies a failed run of request rid as the grouped
+	// audit does: a simulate-and-check reject keeps its check, anything
+	// else is a runtime error.
+	rejectRun := func(rid, script string, runErr error) (*Result, error) {
+		var rej *core.RejectError
+		if errors.As(runErr, &rej) {
+			f := forensicsFromReject(PhaseReExec, rej)
+			f.Script = script
+			return reject(rej.Error(), f)
+		}
+		return reject("re-execution failed for "+rid+": "+runErr.Error(),
+			&Forensics{Phase: PhaseReExec, Check: "runtime-error", RequestID: rid, Script: script})
+	}
 	inputs := tr.Inputs()
 	responses := tr.Responses()
-	sched := newOOOScheduler(env)
+	sched := newOOOScheduler(p.env)
 	defer sched.shutdown()
 	for si, key := range schedule {
 		// Operationwise stepping makes the schedule loop the natural
@@ -167,21 +96,17 @@ func OOOAuditContext(ctx context.Context, prog *lang.Program, tr *trace.Trace, r
 			var fault *lang.RuntimeError
 			if runErr != nil {
 				var rej *core.RejectError
-				if errors.As(runErr, &rej) {
-					return reject(rej.Error(), forensicsFromReject(PhaseReExec, rej))
-				}
-				if !errors.As(runErr, &fault) || out == nil {
-					return reject("re-execution failed for "+key.RID+": "+runErr.Error(),
-						&Forensics{Phase: PhaseReExec, Check: "runtime-error", RequestID: key.RID, Script: in.Script})
+				if errors.As(runErr, &rej) || !errors.As(runErr, &fault) || out == nil {
+					return rejectRun(key.RID, in.Script, runErr)
 				}
 				// A faulted request: audit its canonical error response
 				// below, exactly as the grouped verifier does.
 			}
-			if out.OpCount != rep.OpCounts[key.RID] {
+			if out.OpCount != p.rep.OpCounts[key.RID] {
 				return reject(fmt.Sprintf("request %s issued %d ops, M says %d",
-					key.RID, out.OpCount, rep.OpCounts[key.RID]),
+					key.RID, out.OpCount, p.rep.OpCounts[key.RID]),
 					&Forensics{Phase: PhaseReExec, Check: "op-count", RequestID: key.RID, Script: in.Script,
-						OpsReported: rep.OpCounts[key.RID], OpsReplayed: out.OpCount})
+						OpsReported: p.rep.OpCounts[key.RID], OpsReplayed: out.OpCount})
 			}
 			if fault != nil {
 				if responses[key.RID] != lang.RenderFault(fault) {
@@ -197,19 +122,14 @@ func OOOAuditContext(ctx context.Context, prog *lang.Program, tr *trace.Trace, r
 			res.Stats.RequestsReplayed++
 		default:
 			if err := sched.step(key.RID); err != nil {
-				var rej *core.RejectError
-				if errors.As(err, &rej) {
-					return reject(rej.Error(), forensicsFromReject(PhaseReExec, rej))
-				}
-				return reject("re-execution failed for "+key.RID+": "+err.Error(),
-					&Forensics{Phase: PhaseReExec, Check: "runtime-error", RequestID: key.RID, Script: in.Script})
+				return rejectRun(key.RID, in.Script, err)
 			}
 		}
 	}
-	res.Stats.Total = time.Since(start)
-	res.Stats.ReExec = res.Stats.Total
-	res.Accepted = true
-	res.FinalDB = env.vdb
+	res.Stats.ReExec = time.Since(start)
+	res.Stats.DBQuery = p.env.dbQueryTime()
+	res.Stats.Total = p.spent + res.Stats.ReExec
+	p.accept(res)
 	return res, nil
 }
 

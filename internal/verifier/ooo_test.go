@@ -1,7 +1,9 @@
 package verifier
 
 import (
+	"bytes"
 	"context"
+	"reflect"
 	"testing"
 
 	"orochi/internal/lang"
@@ -26,13 +28,63 @@ func TestOOOAcceptsHonest(t *testing.T) {
 	}
 }
 
+// TestOOOFinalSnapshotMatchesGrouped: an accepted OOO audit hands on the
+// same final state as the grouped one — tables, KV entries and the
+// registers' last writes — byte for byte.
+func TestOOOFinalSnapshotMatchesGrouped(t *testing.T) {
+	prog := compileApp(t)
+	tr, art := serveWorkload(t, prog, sampleInputs(30), 6)
+	var raw [2][]byte
+	for i, audit := range []func() (*Result, error){
+		func() (*Result, error) {
+			return AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap, Options{})
+		},
+		func() (*Result, error) {
+			return OOOAuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap)
+		},
+	} {
+		res, err := audit()
+		if err != nil || !res.Accepted {
+			t.Fatalf("audit %d: %v %+v", i, err, res)
+		}
+		snap, err := res.FinalSnapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Registers) == 0 || len(snap.KV) == 0 {
+			t.Fatalf("audit %d: final snapshot has %d registers and %d KV entries",
+				i, len(snap.Registers), len(snap.KV))
+		}
+		if raw[i], err = snap.EncodeRaw(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(raw[0], raw[1]) {
+		t.Fatalf("final snapshots differ: grouped %d bytes, OOO %d bytes", len(raw[0]), len(raw[1]))
+	}
+}
+
 // TestOOODifferentialWithSIMD: the grouped verifier and the OOO verifier
 // must agree on every verdict — honest and tampered (Lemma 8 made
-// executable).
+// executable) — and on its reason and forensics. The two run the same
+// Phases 1–2, so a tamper those phases catch is reported identically;
+// a Phase-3 failure is too, apart from the batch coordinates that only
+// grouping has.
 func TestOOODifferentialWithSIMD(t *testing.T) {
 	prog := compileApp(t)
 	tr, art := serveWorkload(t, prog, sampleInputs(25), 4)
 
+	// firstEntry returns the first entry of the first log of an object
+	// of the given kind.
+	firstEntry := func(rep *reports.Reports, kind reports.ObjectKind) *reports.OpEntry {
+		for i, o := range rep.Objects {
+			if o.Kind == kind && len(rep.OpLogs[i]) > 0 {
+				return &rep.OpLogs[i][0]
+			}
+		}
+		t.Fatalf("no %v log with entries", kind)
+		return nil
+	}
 	tampers := []struct {
 		name string
 		mut  func(*reports.Reports)
@@ -47,6 +99,22 @@ func TestOOODifferentialWithSIMD(t *testing.T) {
 					}
 				}
 			}
+		}},
+		{"undecodable-register-write", func(rep *reports.Reports) {
+			for i := range rep.OpLogs {
+				for j := range rep.OpLogs[i] {
+					if rep.OpLogs[i][j].Type == lang.RegisterWrite {
+						rep.OpLogs[i][j].Value = "\xff not a value"
+						return
+					}
+				}
+			}
+		}},
+		{"kv-entry-retyped", func(rep *reports.Reports) {
+			firstEntry(rep, reports.KVObj).Type = lang.RegisterRead
+		}},
+		{"register-entry-other-key", func(rep *reports.Reports) {
+			firstEntry(rep, reports.RegisterObj).Key = "some_other_register"
 		}},
 		{"dropped-entry", func(rep *reports.Reports) {
 			for i := range rep.OpLogs {
@@ -99,6 +167,18 @@ func TestOOODifferentialWithSIMD(t *testing.T) {
 			if simd.Accepted != ooo.Accepted {
 				t.Fatalf("verdicts disagree: SIMD=%v (%s) OOO=%v (%s)",
 					simd.Accepted, simd.Reason, ooo.Accepted, ooo.Reason)
+			}
+			if (tc.name == "honest") != simd.Accepted {
+				t.Fatalf("accepted = %v: %s", simd.Accepted, simd.Reason)
+			}
+			want := simd.Forensics
+			if want != nil && want.Phase == PhaseReExec {
+				cp := *want
+				cp.GroupTag, cp.Chunk, cp.GroupSize = "", 0, 0
+				want = &cp
+			}
+			if simd.Reason != ooo.Reason || !reflect.DeepEqual(want, ooo.Forensics) {
+				t.Fatalf("rejections differ:\nSIMD %q %+v\nOOO  %q %+v", simd.Reason, want, ooo.Reason, ooo.Forensics)
 			}
 		})
 	}

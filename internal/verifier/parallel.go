@@ -103,7 +103,6 @@ func runRedo(ctx context.Context, env *auditEnv, rep *reports.Reports, workers i
 	for i, objID := range rep.Objects {
 		switch objID.Kind {
 		case reports.DBObj:
-			env.dbLogIdx = i
 			dbObjs = append(dbObjs, i)
 		case reports.KVObj:
 			kvObjs = append(kvObjs, i)

@@ -167,10 +167,13 @@ func finalSnapshot(vdb *vstore.VersionedDB, kv, regs map[string]lang.Value) (*ob
 // n re-executes, as long as the next audit's initial state is believed
 // only once this one ACCEPTs.
 type Prepared struct {
-	tr    *trace.Trace
-	rep   *reports.Reports
-	init  *object.Snapshot
-	env   *auditEnv
+	tr   *trace.Trace
+	rep  *reports.Reports
+	init *object.Snapshot
+	env  *auditEnv
+	// graph is Phase 1's event graph G, whose topological order is the
+	// OOO audit's op schedule.
+	graph *core.EventGraph
 	stats Stats         // the Phase 1–2 timings
 	spent time.Duration // wall time inside Prepare
 }
@@ -224,6 +227,7 @@ func Prepare(ctx context.Context, tr *trace.Trace, rep *reports.Reports, init *o
 		return nil, nil, err
 	}
 	obs.phaseEnd(PhaseProcessOpReports, p.stats.ProcOpRep)
+	p.graph = proc.Graph
 	if ctx.Err() != nil {
 		return nil, nil, auditCanceled(ctx)
 	}
@@ -237,7 +241,6 @@ func Prepare(ctx context.Context, tr *trace.Trace, rep *reports.Reports, init *o
 		opMap:     proc.OpMap,
 		vdb:       vstore.NewVersionedDB(),
 		vkv:       vstore.NewVersionedKV(),
-		dbLogIdx:  -1,
 		initRegs:  sharedValues(init.Registers),
 		sqlCache:  make(map[string]sqlmini.Stmt),
 		convCache: make(map[*sqlmini.Result]lang.Value),
@@ -376,12 +379,18 @@ func (p *Prepared) ReExec(ctx context.Context, prog *lang.Program, opts Options)
 	obs.phaseEnd(PhaseCoverage, res.Stats.Other)
 	res.Stats.RequestsReplayed = len(produced)
 	res.Stats.Total = p.spent + time.Since(start)
+	p.accept(res)
+	obs.verdict(true, "")
+	return res, nil
+}
+
+// accept marks res an ACCEPT and attaches the final state Phases 1–2
+// fixed, for FinalSnapshot.
+func (p *Prepared) accept(res *Result) {
 	res.Accepted = true
 	res.FinalDB = p.env.vdb
 	res.finalKV = p.env.vkv.Final()
 	res.finalRegs = finalRegisters(p.rep, p.init)
-	obs.verdict(true, "")
-	return res, nil
 }
 
 // AuditContext runs the full audit: Prepare, then ReExec. A non-nil

@@ -27,14 +27,14 @@ func MigrateFinalSQLText(v *VersionedDB) (*sqlmini.DB, error) {
 	for _, n := range names {
 		vt := v.tables[n]
 		var defs []string
-		for _, c := range vt.cols {
+		for _, c := range vt.schema.Cols {
 			d := c.Name + " " + c.Type.String()
 			if c.AutoInc {
 				d += " AUTOINCREMENT"
 			}
 			defs = append(defs, d)
 		}
-		if _, err := db.Exec("CREATE TABLE " + vt.name + " (" + strings.Join(defs, ", ") + ")"); err != nil {
+		if _, err := db.Exec("CREATE TABLE " + vt.schema.Name + " (" + strings.Join(defs, ", ") + ")"); err != nil {
 			return nil, err
 		}
 		for si := range vt.slots {
@@ -42,13 +42,13 @@ func MigrateFinalSQLText(v *VersionedDB) (*sqlmini.DB, error) {
 			if row == nil {
 				continue
 			}
-			cols := make([]string, len(vt.cols))
-			vals := make([]string, len(vt.cols))
-			for i, c := range vt.cols {
+			cols := make([]string, len(vt.schema.Cols))
+			vals := make([]string, len(vt.schema.Cols))
+			for i, c := range vt.schema.Cols {
 				cols[i] = c.Name
 				vals[i] = sqlLiteral(row.Vals[i])
 			}
-			stmt := "INSERT INTO " + vt.name + " (" + strings.Join(cols, ", ") + ") VALUES (" + strings.Join(vals, ", ") + ")"
+			stmt := "INSERT INTO " + vt.schema.Name + " (" + strings.Join(cols, ", ") + ") VALUES (" + strings.Join(vals, ", ") + ")"
 			if _, err := db.Exec(stmt); err != nil {
 				return nil, err
 			}

@@ -78,12 +78,12 @@ func (s *slot) at(ts int64) *VRow {
 
 // vtable is one versioned table.
 type vtable struct {
-	name     string
-	cols     []sqlmini.Column
-	schema   *sqlmini.Table // empty table used for schema/cond evaluation
-	slots    []slot
-	nextAuto int64
-	autoCol  int
+	// schema is an empty table: the rows live in slots. It supplies the
+	// name, the columns, condition binding and sqlmini's INSERT and
+	// UPDATE row rules, and its NextAuto is the table's auto-increment
+	// counter, which those rules advance.
+	schema *sqlmini.Table
+	slots  []slot
 	// modTs is the sorted list of timestamps at which this table was
 	// modified; it drives read-query deduplication (§4.5).
 	modTs []int64
@@ -137,11 +137,10 @@ func (v *VersionedDB) LoadInitial(t *sqlmini.Table) error {
 	if _, dup := v.tables[lname]; dup {
 		return fmt.Errorf("vstore: table %q loaded twice", t.Name)
 	}
-	vt, err := newVTable(t.Name, t.Cols)
+	vt, err := newVTable(t.Name, t.Cols, t.NextAuto)
 	if err != nil {
 		return err
 	}
-	vt.nextAuto = t.NextAuto
 	vt.slots = make([]slot, len(t.Rows))
 	versions := make([]VRow, len(t.Rows)) // one allocation for every chain's first link
 	for i, row := range t.Rows {
@@ -152,18 +151,12 @@ func (v *VersionedDB) LoadInitial(t *sqlmini.Table) error {
 	return nil
 }
 
-func newVTable(name string, cols []sqlmini.Column) (*vtable, error) {
-	schema, err := sqlmini.NewTable(name, append([]sqlmini.Column(nil), cols...), nil, 1)
+func newVTable(name string, cols []sqlmini.Column, next int64) (*vtable, error) {
+	schema, err := sqlmini.NewTable(name, append([]sqlmini.Column(nil), cols...), nil, next)
 	if err != nil {
 		return nil, err
 	}
-	vt := &vtable{name: name, cols: cols, schema: schema, nextAuto: 1, autoCol: -1}
-	for i, c := range cols {
-		if c.AutoInc {
-			vt.autoCol = i
-		}
-	}
-	return vt, nil
+	return &vtable{schema: schema}, nil
 }
 
 func (t *vtable) appendNewRow(vals []sqlmini.Val, ts int64) {
@@ -180,7 +173,7 @@ func (t *vtable) index(ci int) *sqlmini.EqIndex {
 	t.idxMu.Lock()
 	defer t.idxMu.Unlock()
 	if t.idx == nil {
-		t.idx = make([]*sqlmini.EqIndex, len(t.cols))
+		t.idx = make([]*sqlmini.EqIndex, len(t.schema.Cols))
 	}
 	if t.idx[ci] == nil {
 		ix := sqlmini.NewEqIndex()
@@ -272,7 +265,7 @@ func (v *VersionedDB) applyWrite(st sqlmini.Stmt, ts int64) (*sqlmini.Result, er
 		if _, dup := v.tables[lname]; dup {
 			return nil, fmt.Errorf("table %q already exists", x.Table)
 		}
-		vt, err := newVTable(x.Table, x.Cols)
+		vt, err := newVTable(x.Table, x.Cols, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -284,40 +277,12 @@ func (v *VersionedDB) applyWrite(st sqlmini.Stmt, ts int64) (*sqlmini.Result, er
 		if err != nil {
 			return nil, err
 		}
-		colIdxs := make([]int, len(x.Cols))
-		explicit := false
-		for i, c := range x.Cols {
-			ci := vt.schema.ColIndex(c)
-			if ci < 0 {
-				return nil, fmt.Errorf("no column %q in %q", c, x.Table)
-			}
-			colIdxs[i] = ci
-			explicit = explicit || ci == vt.autoCol
+		rows, res, err := vt.schema.InsertRows(x)
+		if err != nil {
+			return nil, err
 		}
-		res := &sqlmini.Result{}
-		for _, vals := range x.Rows {
-			row := make([]sqlmini.Val, len(vt.cols))
-			for i, val := range vals {
-				cv, err := sqlmini.CoerceCol(vt.cols[colIdxs[i]], val)
-				if err != nil {
-					return nil, err
-				}
-				row[colIdxs[i]] = cv
-			}
-			if vt.autoCol >= 0 && !explicit {
-				row[vt.autoCol] = vt.nextAuto
-				res.InsertID = vt.nextAuto
-				vt.nextAuto++
-			} else if vt.autoCol >= 0 {
-				if id, ok := row[vt.autoCol].(int64); ok {
-					res.InsertID = id
-					if id >= vt.nextAuto {
-						vt.nextAuto = id + 1
-					}
-				}
-			}
+		for _, row := range rows {
 			vt.appendNewRow(row, ts)
-			res.Affected++
 		}
 		vt.markModified(ts)
 		return res, nil
@@ -330,47 +295,19 @@ func (v *VersionedDB) applyWrite(st sqlmini.Stmt, ts int64) (*sqlmini.Result, er
 		if err != nil {
 			return nil, err
 		}
+		plan, err := vt.schema.PlanSets(x)
+		if err != nil {
+			return nil, err
+		}
 		if len(matched) == 0 {
 			return &sqlmini.Result{}, nil
-		}
-		// Resolve the SET list once; a bad clause fails the statement only
-		// when a row is actually updated.
-		type setOp struct {
-			col, base int // base < 0: plain literal
-			val       sqlmini.Val
-		}
-		sets := make([]setOp, len(x.Sets))
-		for i, sc := range x.Sets {
-			op := setOp{col: vt.schema.ColIndex(sc.Col), base: -1}
-			if op.col < 0 {
-				return nil, fmt.Errorf("no column %q in %q", sc.Col, x.Table)
-			}
-			if sc.SelfOp == "" {
-				if op.val, err = sqlmini.CoerceCol(vt.cols[op.col], sc.Val); err != nil {
-					return nil, err
-				}
-			} else {
-				if op.base = vt.schema.ColIndex(sc.SelfBase); op.base < 0 {
-					return nil, fmt.Errorf("no column %q in SET", sc.SelfBase)
-				}
-				delta := sqlmini.ToInt64(sc.Val)
-				if sc.SelfOp == "-" {
-					delta = -delta
-				}
-				op.val = delta
-			}
-			sets[i] = op
 		}
 		for _, si := range matched {
 			s := &vt.slots[si]
 			cur := &s.versions[len(s.versions)-1]
-			newVals := append([]sqlmini.Val(nil), cur.Vals...)
-			for _, op := range sets {
-				if op.base < 0 {
-					newVals[op.col] = op.val
-				} else {
-					newVals[op.col] = sqlmini.ToInt64(newVals[op.base]) + op.val.(int64)
-				}
+			newVals, err := plan.Apply(cur.Vals)
+			if err != nil {
+				return nil, err
 			}
 			for ci, ix := range vt.idx {
 				if ix != nil && newVals[ci] != cur.Vals[ci] {
@@ -476,7 +413,7 @@ func (v *VersionedDB) MigrateFinal() ([]*sqlmini.Table, error) {
 				rows = append(rows, ver.Vals)
 			}
 		}
-		t, err := sqlmini.NewTable(vt.name, vt.cols, rows, vt.nextAuto)
+		t, err := sqlmini.NewTable(vt.schema.Name, vt.schema.Cols, rows, vt.schema.NextAuto)
 		if err != nil {
 			return nil, err
 		}

@@ -3,6 +3,7 @@ package vstore
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -320,6 +321,81 @@ func TestVersionedDifferential(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRowRulesMatchServer runs one write statement on the live engine and
+// on the versioned redo, each seeded alike, and requires the same
+// error-or-nil, the same Affected and InsertID, and — when it succeeds —
+// the same rows and auto-increment counter afterwards, checked again by
+// a follow-up INSERT that takes its id from the counter.
+func TestRowRulesMatchServer(t *testing.T) {
+	setup := []string{
+		`CREATE TABLE t (id INT AUTOINCREMENT, n INT, f FLOAT)`,
+		`INSERT INTO t (n, f) VALUES (1, 0.5), (2, 1.5)`, // NextAuto 3
+	}
+	for _, tc := range []struct {
+		name, stmt string
+		fails      bool
+	}{
+		{"unknown SET column, no match", `UPDATE t SET nocol = 1 WHERE id = 999`, true},
+		{"unknown SET column, a match", `UPDATE t SET nocol = 1 WHERE id = 1`, true},
+		{"unknown self-op base, no match", `UPDATE t SET n = nocol + 1 WHERE id = 999`, true},
+		{"self-op", `UPDATE t SET n = n + 2 WHERE id = 1`, false},
+		{"self-op on a float", `UPDATE t SET n = f - 1 WHERE id = 2`, false},
+		{"explicit id below NextAuto", `INSERT INTO t (id, n) VALUES (1, 5)`, false},
+		{"explicit id above NextAuto", `INSERT INTO t (id, n) VALUES (10, 5)`, false},
+		{"multi-row INSERT, second row does not fit", `INSERT INTO t (n, f) VALUES (3, 2.5), (4, 'x')`, true},
+		{"non-fitting SET literal, no match", `UPDATE t SET f = 'x' WHERE id = 999`, false},
+		{"non-fitting SET literal, a match", `UPDATE t SET f = 'x' WHERE id = 1`, true},
+		{"unknown INSERT column", `INSERT INTO t (nocol) VALUES (1)`, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			live := sqlmini.NewDB()
+			v := NewVersionedDB()
+			for i, s := range setup {
+				if _, err := live.Exec(s); err != nil {
+					t.Fatal(err)
+				}
+				applyTxn(t, v, int64(i+1), s)
+			}
+			want, werr := live.Exec(tc.stmt)
+			gerr := v.ApplyTxn(10, []string{tc.stmt})
+			if (werr != nil) != tc.fails || (gerr != nil) != tc.fails {
+				t.Fatalf("error: server %v, redo %v; want failure %v", werr, gerr, tc.fails)
+			}
+			if tc.fails {
+				return
+			}
+			next := `INSERT INTO t (n) VALUES (7)`
+			wantNext, err := live.Exec(next)
+			if err != nil {
+				t.Fatal(err)
+			}
+			applyTxn(t, v, 11, next)
+			for _, c := range []struct {
+				want *sqlmini.Result
+				seq  int64
+			}{{want, 10}, {wantNext, 11}} {
+				got, err := v.WriteResult(c.seq, 0)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Affected != c.want.Affected || got.InsertID != c.want.InsertID {
+					t.Fatalf("seq %d: redo Affected %d InsertID %d, server %d %d",
+						c.seq, got.Affected, got.InsertID, c.want.Affected, c.want.InsertID)
+				}
+			}
+			tables, err := v.MigrateFinal()
+			if err != nil {
+				t.Fatal(err)
+			}
+			wt := live.TableCopy("t")
+			if !reflect.DeepEqual(tables[0].Rows, wt.Rows) || tables[0].NextAuto != wt.NextAuto {
+				t.Fatalf("redo rows %v NextAuto %d, server rows %v NextAuto %d",
+					tables[0].Rows, tables[0].NextAuto, wt.Rows, wt.NextAuto)
+			}
+		})
 	}
 }
 
