@@ -7,7 +7,7 @@
 //	orochi-bench -fig 8lat         Fig. 8 right graph (latency vs throughput)
 //	orochi-bench -fig 9            Fig. 9 audit-cost decomposition
 //	orochi-bench -fig 10           Fig. 10 per-instruction costs
-//	orochi-bench -fig 11           Fig. 11 group characteristics
+//	orochi-bench -fig 11           Fig. 11 group characteristics, all three applications
 //	orochi-bench -fig frontier     §3.5/§A.8 time-precedence algorithm
 //	orochi-bench -fig all          everything
 //
@@ -379,11 +379,18 @@ func measureInstr(prog, empty *lang.Program, mode string, lanes int) float64 {
 	return per
 }
 
-// fig11 prints the control-flow group triples for the wiki workload.
+// fig11 prints the control-flow group triples of every application.
 func fig11(scale, conc int) {
-	fmt.Printf("\n=== Figure 11: control-flow groups, MediaWiki workload (scale 1/%d) ===\n", scale)
+	for _, item := range workloads(scale) {
+		fig11App(item.name, item.w, scale, conc)
+	}
+}
+
+// fig11App prints one application's groups: a summary line and the
+// largest groups.
+func fig11App(name string, w *workload.Workload, scale, conc int) {
+	fmt.Printf("\n=== Figure 11: control-flow groups, %s workload (scale 1/%d) ===\n", name, scale)
 	fmt.Println("paper shape: many groups with large n; alpha > 0.95 for all groups")
-	w := workload.Wiki(workload.DefaultWikiParams().Scale(scale))
 	served, err := harness.Serve(w, server.Options{Record: true}, conc)
 	check(err)
 	res, err := served.AuditContext(benchCtx, verifier.Options{CollectStats: true, Workers: 1})

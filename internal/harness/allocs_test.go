@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"orochi/internal/server"
+	"orochi/internal/verifier"
 	"orochi/internal/workload"
 )
 
@@ -64,4 +65,52 @@ func hotcrpMix() *workload.Workload {
 	p := workload.DefaultHotCRPParams().Scale(6)
 	p.Seed = 7
 	return workload.HotCRP(p)
+}
+
+// TestAuditBytesPerRequest holds the grouped audit to a budget of bytes
+// allocated per request: fixed-seed wiki, forum and hotcrp mixes are
+// served, audited once at Workers 1 to warm up, and audited again while
+// the process's allocated bytes are counted. The budgets are the bytes
+// measured when string multivalues became part lists (12 653, 8 909
+// and 18 262 B/req), plus 10 %; the build before, which rewrote every
+// lane's string at each `.` of two multivalues, allocated 14 190,
+// 11 210 and 79 960.
+func TestAuditBytesPerRequest(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		w      *workload.Workload
+		budget float64
+	}{
+		{"wiki", workload.Wiki(workload.WikiParams{Requests: 600, Pages: 200, ZipfS: 0.53, Seed: 7}), 13918},
+		{"forum", workload.Forum(workload.ForumParams{Requests: 600, Topics: 21, Users: 83, GuestRatio: 40.0 / 41.0, Seed: 7}), 9800},
+		{"hotcrp", hotcrpMix(), 20088},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			served, err := Serve(c.w, server.Options{Record: true}, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			audit := func() {
+				t.Helper()
+				res, err := served.AuditContext(context.Background(), verifier.Options{Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Accepted {
+					t.Fatalf("audit rejected: %s", res.Reason)
+				}
+			}
+			audit()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			audit()
+			runtime.ReadMemStats(&after)
+			bytes := float64(after.TotalAlloc-before.TotalAlloc) / float64(served.Requests)
+			t.Logf("%d requests: %.0f B/req allocated by the audit (budget %.0f)", served.Requests, bytes, c.budget)
+			if bytes > c.budget {
+				t.Errorf("%.0f bytes allocated per audited request, budget %.0f", bytes, c.budget)
+			}
+		})
+	}
 }

@@ -1003,7 +1003,9 @@ func constArray(x *ArrayLit) *Array {
 // compileSegExpr lowers e for a consumer that takes a segmented string
 // as it is: the operands of `.`, echo, return, a user function's
 // arguments and a plain variable's assignment. Only a variable, `.` and
-// a user function call can yield one.
+// a user function call can yield one; `.` yields one whenever an
+// operand is a multivalue, so a page that nested calls build stays a
+// part list until echo writes it.
 func (cc *compiler) compileSegExpr(e Expr) cexpr {
 	switch x := e.(type) {
 	case *Var:

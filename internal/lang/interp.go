@@ -168,7 +168,7 @@ type exec struct {
 	eager bool
 	// grow holds the buffers the production engine grows strings in
 	// (str.go); the reference engine concatenates by copying.
-	grow []growBufs
+	grow *growBufs
 
 	steps      int64
 	maxSteps   int64
@@ -639,35 +639,30 @@ func (ex *exec) looseEqDirection(a, b Value) (bool, error) {
 }
 
 // echo writes v to every lane's output. A multivalue writes per lane,
-// a segmented string its shared head and tail once. No lane's output may
-// outgrow the string budget: the canonical string fault if every lane
-// would, divergence if only some would.
+// a segmented string its parts, each shared part once. No lane's output
+// may outgrow the string budget: the canonical string fault if every
+// lane would, divergence if only some would.
 func (ex *exec) echo(v Value, line int) error {
 	o := ex.out
 	switch x := v.(type) {
 	case *Multi:
 		ex.countInstr(true)
-		parts := make([]string, len(x.V))
+		p := strPart{lanes: make([]string, len(x.V))}
 		for i := range x.V {
-			parts[i] = ToString(MaterializeLane(x.V[i], i))
+			p.lanes[i] = ToString(MaterializeLane(x.V[i], i))
 		}
-		if err := o.budget(func(i int) int { return len(parts[i]) }, line); err != nil {
+		if err := o.budget(func(i int) int { return len(p.lanes[i]) }, line); err != nil {
 			return err
 		}
-		for i, p := range parts {
-			o.writeLane(i, p)
-		}
+		o.writePart(p)
 	case *segStr:
 		ex.countInstr(true)
-		fixed := len(x.head) + len(x.tail)
-		if err := o.budget(func(i int) int { return fixed + len(x.mid[i]) }, line); err != nil {
+		if err := o.budget(x.len, line); err != nil {
 			return err
 		}
-		o.writeAll(x.head)
-		for i, p := range x.mid {
-			o.writeLane(i, p)
+		for k := 0; k <= x.n; k++ {
+			o.writePart(x.part(k))
 		}
-		o.writeAll(x.tail)
 	default:
 		ex.countInstr(false)
 		s := ToString(v)
@@ -681,27 +676,19 @@ func (ex *exec) echo(v Value, line int) error {
 
 // output is a segmented output buffer: runs of univalent echoes append
 // to a single shared segment regardless of the group size, and only
-// lane-specific echoes open per-lane segments. Shared bytes are thus
+// lane-specific echoes add per-lane segments. Shared bytes are thus
 // written (and stored) once per group — the output-side analogue of
 // multivalue collapse, and a large part of the §5.2 acceleration for
 // templated pages whose chrome is identical across requests.
 type output struct {
 	lanes int
-	segs  []outSeg
-	// cur accumulates the open segment.
-	curShared strings.Builder
-	curLanes  []strings.Builder
-	inLanes   bool
+	segs  []strPart
+	// cur accumulates the open shared segment.
+	cur strings.Builder
 	// shared counts the bytes every lane holds, lane[i] the bytes only
 	// lane i holds.
 	shared int
 	lane   []int
-}
-
-// outSeg is either a shared string (perLane nil) or per-lane strings.
-type outSeg struct {
-	shared  string
-	perLane []string
 }
 
 func newOutput(lanes int) *output {
@@ -713,11 +700,7 @@ func newOutput(lanes int) *output {
 func (o *output) budget(add func(i int) int, line int) error {
 	over := 0
 	for i := 0; i < o.lanes; i++ {
-		n := o.shared + add(i)
-		if o.lane != nil {
-			n += o.lane[i]
-		}
-		if n > maxStringBytes {
+		if o.shared+o.laneBytes(i)+add(i) > maxStringBytes {
 			over++
 		}
 	}
@@ -725,83 +708,66 @@ func (o *output) budget(add func(i int) int, line int) error {
 }
 
 func (o *output) writeAll(s string) {
-	if o.inLanes {
-		o.flushLanes()
-	}
-	o.curShared.WriteString(s)
+	o.cur.WriteString(s)
 	o.shared += len(s)
 }
 
-func (o *output) writeLane(i int, s string) {
-	if !o.inLanes {
-		o.flushShared()
-		if o.curLanes == nil {
-			o.curLanes = make([]strings.Builder, o.lanes)
-			o.lane = make([]int, o.lanes)
-		}
-		o.inLanes = true
+// writePart appends part p: a shared part to the open shared segment, a
+// per-lane part as a segment of its own, kept without a copy because a
+// part's strings never change.
+func (o *output) writePart(p strPart) {
+	if p.lanes == nil {
+		o.writeAll(p.shared)
+		return
 	}
-	o.curLanes[i].WriteString(s)
-	o.lane[i] += len(s)
-}
-
-func (o *output) flushShared() {
-	if o.curShared.Len() > 0 {
-		o.segs = append(o.segs, outSeg{shared: o.curShared.String()})
-		o.curShared.Reset()
+	o.flush()
+	if o.lane == nil {
+		o.lane = make([]int, o.lanes)
+	}
+	o.segs = append(o.segs, p)
+	for i, l := range p.lanes {
+		o.lane[i] += len(l)
 	}
 }
 
-func (o *output) flushLanes() {
-	parts := make([]string, o.lanes)
-	for i := range o.curLanes {
-		parts[i] = o.curLanes[i].String()
-		o.curLanes[i].Reset()
-	}
-	o.segs = append(o.segs, outSeg{perLane: parts})
-	o.inLanes = false
-}
-
-func (o *output) finish() {
-	if o.inLanes {
-		o.flushLanes()
-	} else {
-		o.flushShared()
+// flush closes the open shared segment.
+func (o *output) flush() {
+	if o.cur.Len() > 0 {
+		o.segs = append(o.segs, strPart{shared: o.cur.String()})
+		o.cur.Reset()
 	}
 }
 
 // results materializes the per-lane outputs.
 func (o *output) results() []string {
-	o.finish()
-	var builders = make([]strings.Builder, o.lanes)
-	for _, seg := range o.segs {
-		if seg.perLane == nil {
-			for i := range builders {
-				builders[i].WriteString(seg.shared)
-			}
-			continue
-		}
-		for i := range builders {
-			builders[i].WriteString(seg.perLane[i])
-		}
-	}
+	o.flush()
 	out := make([]string, o.lanes)
-	for i := range builders {
-		out[i] = builders[i].String()
+	for i := range out {
+		var b strings.Builder
+		b.Grow(o.shared + o.laneBytes(i))
+		for _, seg := range o.segs {
+			b.WriteString(seg.lane(i))
+		}
+		out[i] = b.String()
 	}
 	return out
+}
+
+// laneBytes is the number of bytes only lane i holds.
+func (o *output) laneBytes(i int) int {
+	if o.lane == nil {
+		return 0
+	}
+	return o.lane[i]
 }
 
 // laneEqual reports whether lane i's output equals want, walking the
 // segments without materializing the lane's string.
 func (o *output) laneEqual(i int, want string) bool {
-	o.finish()
+	o.flush()
 	off := 0
 	for _, seg := range o.segs {
-		part := seg.shared
-		if seg.perLane != nil {
-			part = seg.perLane[i]
-		}
+		part := seg.lane(i)
 		if off+len(part) > len(want) || want[off:off+len(part)] != part {
 			return false
 		}

@@ -2,7 +2,9 @@ package lang
 
 import (
 	"errors"
+	"fmt"
 	"hash/crc32"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -83,7 +85,13 @@ func views(v Value) []view {
 			}
 		}
 	case *segStr:
-		ss = append(append(ss, x.head, x.tail), x.mid...)
+		for k := 0; k <= x.n; k++ {
+			if p := x.part(k); p.lanes == nil {
+				ss = append(ss, p.shared)
+			} else {
+				ss = append(ss, p.lanes...)
+			}
+		}
 	}
 	out := make([]view, len(ss))
 	for i, s := range ss {
@@ -97,8 +105,15 @@ func views(v Value) []view {
 // and lanes that are not all equal (NewMulti's collapse invariant).
 func checkValue(v Value, want []string) string {
 	lanes := len(want)
-	if s, ok := v.(*segStr); ok && len(s.mid) != lanes {
-		return "segmented string of the wrong width"
+	if s, ok := v.(*segStr); ok {
+		if len(s.lens) != lanes {
+			return "segmented string of the wrong width"
+		}
+		for i, l := range want {
+			if s.len(i) != len(l) {
+				return "segmented string's cached lane length differs from the model"
+			}
+		}
 	}
 	flat := flatValue(v)
 	if m, ok := flat.(*Multi); ok {
@@ -157,6 +172,27 @@ func FuzzStringModel(f *testing.F) {
 	// Five lanes: per-lane appends grow each lane's buffer in place.
 	f.Add(seed(5, op(1, 0, 0, 0x09), op(4, 0, 0, 6), op(4, 0, 0, 0x09), op(4, 0, 0, 0x0a), op(4, 0, 0, 0x0a),
 		op(2, 1, 0, 0), op(7, 0, 1, 0), op(8, 0, 0, 0), op(3, 0, 0, 5), op(9, 0, 0, 0), op(9, 1, 0, 0), op(5, 1, 0, 2)))
+	// Two lanes, joins several levels deep: per-lane values with shared
+	// parts joined into each other and into the joins, then echoed.
+	f.Add(seed(2, op(1, 0, 0, 0x09), op(3, 0, 0, 5), op(1, 1, 0, 0x11), op(5, 1, 0, 3), op(2, 2, 0, 1),
+		op(2, 3, 2, 0), op(2, 2, 3, 2), op(4, 2, 0, 0x0a), op(2, 1, 2, 3), op(9, 1, 0, 0), op(7, 1, 2, 0), op(8, 1, 0, 0)))
+	// Equal-length lanes that differ only in their last part: a shared
+	// head then per-lane bytes, and "a"/"ab" . "bc"/"b".
+	f.Add(seed(2, op(0, 0, 0, 2), op(4, 0, 0, 0x11), op(7, 0, 1, 0), op(1, 1, 0, 0x09), op(1, 2, 0, 0x3c),
+		op(2, 3, 1, 2), op(7, 3, 0, 0), op(9, 3, 0, 0)))
+	// Lanes equal across different part boundaries: "a"+S+"bc" and
+	// "ab"+S+"c" with a shared S = "bb" must collapse to "abbbc".
+	f.Add(seed(2, op(1, 0, 0, 0x09), op(3, 0, 0, 3), op(3, 0, 0, 3), op(1, 1, 0, 0x0c), op(2, 2, 0, 1),
+		op(7, 2, 0, 0), op(9, 2, 0, 0), op(3, 2, 0, 1), op(9, 2, 0, 0)))
+	// Joins of two multivalues crossing the budget in one lane
+	// (divergence) and in every lane (the canonical fault).
+	f.Add(seed(2, op(1, 0, 0, 0x3f), op(3, 0, 0, 1), op(1, 1, 0, 0x3f), op(2, 2, 0, 1), op(2, 2, 1, 1),
+		op(0, 3, 0, 7), op(4, 3, 0, 0x11), op(2, 2, 3, 3), op(2, 2, 3, 0), op(9, 3, 0, 0)))
+	// Echo of a value with many parts, twice, and a segmented variable
+	// read twice by strlen, stored, and read again.
+	f.Add(seed(3, op(1, 0, 0, 0x09), op(3, 0, 0, 5), op(4, 0, 0, 0x11), op(3, 0, 0, 3), op(4, 0, 0, 0x0a),
+		op(5, 0, 0, 2), op(4, 0, 0, 0x09), op(3, 0, 0, 6), op(4, 0, 0, 0x0b), op(9, 0, 0, 0), op(9, 0, 0, 0),
+		op(7, 0, 1, 0), op(7, 0, 1, 0), op(8, 0, 0, 0), op(7, 0, 1, 0), op(2, 1, 0, 0), op(9, 1, 0, 0)))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 || len(data) > 65 {
 			return // 32 operations each copy up to lanes × the budget
@@ -306,4 +342,40 @@ func FuzzStringModel(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestSegmentedAppendLinear: appending a per-lane value to a variable
+// in a loop costs amortised O(1) per append. A grouped run appends
+// $_GET["x"] 1 000 and then 4 000 times; four times the appends must
+// not take much more than four times the bytes, as they would if
+// every append copied the part list.
+func TestSegmentedAppendLinear(t *testing.T) {
+	prog := MustCompile(map[string]string{"main": `$s = "<";
+for ($i = 0; $i < intval($_GET["n"]); $i++) { $s .= $_GET["x"]; }
+echo $s;`})
+	alloc := func(n int) uint64 {
+		inputs := make([]RequestInput, 3)
+		for i := range inputs {
+			inputs[i] = RequestInput{Get: map[string]string{"n": fmt.Sprint(n), "x": fmt.Sprint("x", i)}}
+		}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := Run(prog, Config{Mode: ModeSIMD, Script: "main", RIDs: []string{"a", "b", "c"}, Inputs: inputs})
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range inputs {
+			if want := "<" + strings.Repeat(fmt.Sprint("x", i), n); !res.OutputEqual(i, want) {
+				t.Fatalf("%d appends: lane %d's output differs", n, i)
+			}
+		}
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := alloc(1000), alloc(4000)
+	t.Logf("1 000 appends: %d B, 4 000 appends: %d B", small, large)
+	if large > 5*small {
+		t.Errorf("4× the appends allocated %.1f× the bytes; want at most 5×", float64(large)/float64(small))
+	}
 }
