@@ -1,18 +1,20 @@
 // Package cas is a content-addressed chunk store for sealed epoch
 // artifacts. Blobs (epoch traces, report bundles, snapshots) are cut
-// into content-defined chunks, each keyed by the SHA-256 of its bytes;
-// a blob is then just an ordered list of chunk references, and two
-// blobs that cut to an identical chunk store it once. On the traces
-// this repo seals that is rare — every chunk carries per-request ids —
-// so repeated responses are deduplicated above this layer, by the
-// trace codec's body table, and this layer contributes addressing,
-// integrity and compression at rest. That is why DefaultChunker cuts
-// 32 KiB chunks on average: smaller ones would lose no sharing worth
-// having, and each chunk costs the writer a file, an fsync and a fresh
-// deflate window. The model follows the
-// gapid isolate-server design: writers upload only chunks the store
-// lacks, readers verify every chunk against its digest, so integrity
-// checking comes for free on every read.
+// into chunks, each keyed by the SHA-256 of its bytes; a blob is then
+// just an ordered list of chunk references, and two blobs that cut to
+// an identical chunk store it once. How a blob is cut depends on
+// whether its kind is ever shared. Snapshots are (consecutive states of
+// a chain differ only where an epoch wrote), so DefaultChunker cuts
+// them by content. Traces and reports never are — every stretch
+// carries per-request ids, and repeated responses are deduplicated
+// above this layer, by the trace codec's body table — so LogChunker
+// cuts them at fixed offsets of the largest chunk a reader accepts:
+// each chunk costs the writer a file, an fsync and a fresh deflate
+// window, and sharing would buy nothing back. For logs this layer
+// contributes addressing, integrity and compression at rest. The model
+// follows the gapid isolate-server design: writers upload only chunks
+// the store lacks, readers verify every chunk against its digest, so
+// integrity checking comes for free on every read.
 package cas
 
 import (
@@ -75,14 +77,15 @@ type Store interface {
 	// Put stores data under its digest. Writing a chunk that already
 	// exists is a cheap no-op.
 	Put(sha string, data []byte) error
-	// Get returns the chunk's bytes, verified against sha. A missing
-	// chunk yields an error wrapping ErrNotFound; bytes that no longer
-	// hash to sha yield a digest-mismatch error.
+	// Get returns the chunk's bytes, verified against sha, in a slice
+	// the caller owns. A missing chunk yields an error wrapping
+	// ErrNotFound; bytes that no longer hash to sha yield a
+	// digest-mismatch error.
 	Get(sha string) ([]byte, error)
 }
 
-// WriteBlob cuts data into content-defined chunks with c and stores
-// each in s, returning the ordered refs that reconstruct the blob.
+// WriteBlob cuts data into chunks with c and stores each in s,
+// returning the ordered refs that reconstruct the blob.
 // Chunks already present are not rewritten — that is the dedup, and it
 // is Put's to do: every store's Put is a cheap no-op on a chunk it
 // holds.
@@ -101,13 +104,13 @@ func WriteBlob(s Store, c ChunkerOptions, data []byte) ([]Ref, error) {
 
 // ReadBlob reassembles a blob from its ordered chunk refs, verifying
 // every chunk's digest and length. Any missing or corrupt chunk
-// surfaces as a *ChunkError naming the chunk.
+// surfaces as a *ChunkError naming the chunk. A one-chunk blob is the
+// chunk as Get returned it, not a copy.
 func ReadBlob(s Store, refs []Ref) ([]byte, error) {
-	var total int64
-	for _, r := range refs {
-		total += r.Bytes
+	var out []byte
+	if len(refs) > 1 {
+		out = make([]byte, 0, BlobBytes(refs))
 	}
-	out := make([]byte, 0, total)
 	for i, r := range refs {
 		data, err := s.Get(r.SHA256)
 		if err != nil {
@@ -121,6 +124,9 @@ func ReadBlob(s Store, refs []Ref) ([]byte, error) {
 		if int64(len(data)) != r.Bytes {
 			return nil, &ChunkError{Digest: r.SHA256, Index: i,
 				Err: fmt.Errorf("chunk is %d bytes, manifest pins %d", len(data), r.Bytes)}
+		}
+		if len(refs) == 1 {
+			return data, nil
 		}
 		out = append(out, data...)
 	}

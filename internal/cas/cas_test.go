@@ -90,6 +90,84 @@ func TestChunkerEmptyAndTiny(t *testing.T) {
 	}
 }
 
+// refCutPoint is cutPoint as it was before it skipped ahead: the gear
+// hash runs from the chunk's first byte. FuzzCutPoints holds the two to
+// the same cuts.
+func refCutPoint(data []byte, min, max int, mask uint64) int {
+	if len(data) <= min {
+		return len(data)
+	}
+	end := len(data)
+	if end > max {
+		end = max
+	}
+	var h uint64
+	for i := 0; i < end; i++ {
+		h = h<<1 + gearTable[data[i]]
+		if i >= min && h&mask == 0 {
+			return i + 1
+		}
+	}
+	return end
+}
+
+// FuzzCutPoints: starting the hash 64 bytes before the first possible
+// cut, and forcing the cut at once when Min >= Max, moves no cut point,
+// for any data and bounds — Min = Max and inputs shorter than Min
+// included. The data is n bytes drawn from seed over an alphabet of
+// alphabet+1 byte values (1 gives long runs of one byte), so inputs
+// stay small and new ones minimize fast.
+func FuzzCutPoints(f *testing.F) {
+	f.Add(int64(1), uint32(8<<10), uint8(255), uint16(1<<10), uint16(2<<10), uint16(4<<10))
+	f.Add(int64(2), uint32(8<<10), uint8(255), uint16(3<<10), uint16(3<<10), uint16(3<<10))
+	f.Add(int64(3), uint32(100), uint8(255), uint16(512), uint16(1024), uint16(4096))
+	f.Add(int64(4), uint32(3000), uint8(3), uint16(0), uint16(64), uint16(1000))
+	f.Add(int64(5), uint32(3000), uint8(0), uint16(63), uint16(2), uint16(65))
+	f.Add(int64(6), uint32(8<<10), uint8(255), uint16(9000), uint16(256), uint16(300))
+	f.Add(int64(7), uint32(100<<10), uint8(255), uint16(8<<10), uint16(32<<10), uint16(60<<10))
+	f.Fuzz(func(t *testing.T, seed int64, n uint32, alphabet uint8, min, avg, max uint16) {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, n%(128<<10))
+		for i := range data {
+			data[i] = byte(rng.Intn(int(alphabet) + 1))
+		}
+		mask := nextPow2(uint64(avg)) - 1
+		for rest := data; len(rest) > 0; {
+			want := refCutPoint(rest, int(min), int(max), mask)
+			if got := cutPoint(rest, int(min), int(max), mask); got != want {
+				t.Fatalf("cutPoint(%d bytes, min %d, max %d, mask %#x) = %d, the reference cuts at %d", len(rest), min, max, mask, got, want)
+			}
+			if want == 0 { // max 0, which Split never passes: no progress
+				break
+			}
+			rest = rest[want:]
+		}
+		var back []byte
+		for _, chunk := range (ChunkerOptions{Min: int(min), Avg: int(avg), Max: int(max)}).Split(data) {
+			back = append(back, chunk...)
+		}
+		if !bytes.Equal(back, data) {
+			t.Fatal("chunks do not reassemble the input")
+		}
+	})
+}
+
+// TestLogChunkerCutsAtBound: logs are cut at fixed offsets of the bound
+// fleet readers accept (maxChunkInflated, DefaultChunker.Max), so every
+// sealed log chunk stays readable from a peer.
+func TestLogChunkerCutsAtBound(t *testing.T) {
+	if LogChunker.Max > DefaultChunker.Max || int64(LogChunker.Max) > maxChunkInflated {
+		t.Fatalf("LogChunker.Max %d exceeds DefaultChunker.Max %d (readers accept %d)", LogChunker.Max, DefaultChunker.Max, maxChunkInflated)
+	}
+	rng := rand.New(rand.NewSource(19))
+	data := make([]byte, 2*LogChunker.Max+1234)
+	rng.Read(data)
+	chunks := LogChunker.Split(data)
+	if len(chunks) != 3 || len(chunks[0]) != LogChunker.Max || len(chunks[1]) != LogChunker.Max || len(chunks[2]) != 1234 {
+		t.Fatalf("LogChunker cut %d bytes into %d chunks, want two of %d and one of 1234", len(data), len(chunks), LogChunker.Max)
+	}
+}
+
 func storeImpls(t *testing.T) map[string]Store {
 	fsStore, err := OpenFS(filepath.Join(t.TempDir(), "cas"))
 	if err != nil {

@@ -8,19 +8,32 @@ package cas
 
 // ChunkerOptions bounds chunk sizes. Cuts happen where the rolling
 // hash masks to zero once Min bytes are in the window; Max forces a
-// cut so a pathological stream cannot produce unbounded chunks.
+// cut so a pathological stream cannot produce unbounded chunks. With
+// Min = Max every cut is forced: fixed-size blocks, hashing nothing.
 type ChunkerOptions struct {
 	Min int // no cut before this many bytes
 	Avg int // target average chunk size (rounded to a power of two)
 	Max int // hard cap; force a cut here
 }
 
-// DefaultChunker bounds chunks for epoch artifacts. Its 32 KiB average
-// is a measured constant: sealed artifacts share almost no chunks even
-// at 8 KiB, and every chunk costs the sealer a file, an fsync and a
-// fresh deflate window. Readers take chunks of any size (from a fleet
-// peer, up to Max), so chains cut with smaller bounds still read.
+// DefaultChunker cuts snapshots — an epoch's init, checkpoints and the
+// candidates fleet workers ship — by content, because consecutive
+// states of one chain can share chunks: a content-defined cut survives
+// an insertion before it. Its 32 KiB average is a measured constant:
+// smaller chunks share little more, and every chunk costs the sealer a
+// file, an fsync and a fresh deflate window. Readers take chunks of any
+// size (from a fleet peer, up to Max), so chains cut with other bounds
+// still read.
 var DefaultChunker = ChunkerOptions{Min: 8 << 10, Avg: 32 << 10, Max: 256 << 10}
+
+// LogChunker cuts an epoch's trace and reports at fixed offsets of
+// DefaultChunker.Max. No two epochs share a log chunk — every one
+// carries per-request ids — so content-defined cuts would buy nothing
+// and cost a file, an fsync and a fresh deflate window per 32 KiB; a
+// bound-sized chunk is one long deflate stream. It is a var only so
+// tests can seal chains with other bounds; fleet readers bound a chunk
+// by DefaultChunker.Max, which LogChunker.Max must not exceed.
+var LogChunker = ChunkerOptions{Min: DefaultChunker.Max, Avg: DefaultChunker.Max, Max: DefaultChunker.Max}
 
 // Split cuts data into content-defined chunks. The concatenation of
 // the returned slices is exactly data (they alias it; callers must not
@@ -49,6 +62,10 @@ func (c ChunkerOptions) Split(data []byte) [][]byte {
 	return chunks
 }
 
+// cutPoint returns the length of the first chunk of data. The hash
+// shifts one bit per byte, so after 64 bytes it holds nothing of what
+// came before them: starting it 64 bytes short of the first possible
+// cut gives the same cuts as hashing from the start of the chunk.
 func cutPoint(data []byte, min, max int, mask uint64) int {
 	if len(data) <= min {
 		return len(data)
@@ -57,8 +74,15 @@ func cutPoint(data []byte, min, max int, mask uint64) int {
 	if end > max {
 		end = max
 	}
+	if min >= max {
+		return end
+	}
+	start := min - 64
+	if start < 0 {
+		start = 0
+	}
 	var h uint64
-	for i := 0; i < end; i++ {
+	for i := start; i < end; i++ {
 		h = h<<1 + gearTable[data[i]]
 		if i >= min && h&mask == 0 {
 			return i + 1

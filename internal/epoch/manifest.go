@@ -66,7 +66,7 @@ var ErrChainFormat = errors.New("chain written by another build")
 
 // FileInfo pins one epoch artifact by name, size, and content digest:
 // Bytes and SHA256 describe the logical (uncompressed) blob and Chunks
-// lists the content-defined chunks that reassemble it, in order.
+// lists the chunks that reassemble it, in order.
 type FileInfo struct {
 	Name   string    `json:"name"`
 	Bytes  int64     `json:"bytes"`

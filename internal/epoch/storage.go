@@ -56,41 +56,41 @@ func CountChunkSharing(sealed []*Sealed) ChunkSharing {
 }
 
 // chunkTrace seals an epoch's events into the store as one blob, the
-// trace.EncodeRaw form (each distinct response body once), and returns
-// the SegmentInfo pinning it.
+// trace.EncodeRaw form (each distinct response body once), cut by
+// cas.LogChunker, and returns the SegmentInfo pinning it.
 func chunkTrace(store cas.Store, events []trace.Event) (SegmentInfo, error) {
 	raw, err := (&trace.Trace{Events: events}).EncodeRaw()
 	if err != nil {
 		return SegmentInfo{}, err
 	}
-	fi, err := chunkBlob(store, TraceName, raw)
+	fi, err := chunkBlob(store, cas.LogChunker, TraceName, raw)
 	return SegmentInfo{FileInfo: fi, Events: len(events)}, err
 }
 
-// chunkReports seals a report bundle into the store and returns the
-// FileInfo pinning its raw blob.
+// chunkReports seals a report bundle into the store, cut by
+// cas.LogChunker, and returns the FileInfo pinning its raw blob.
 func chunkReports(store cas.Store, rep *reports.Reports) (FileInfo, error) {
 	raw, err := rep.EncodeRaw()
 	if err != nil {
 		return FileInfo{}, err
 	}
-	return chunkBlob(store, ReportsName, raw)
+	return chunkBlob(store, cas.LogChunker, ReportsName, raw)
 }
 
-// chunkSnapshot seals a snapshot into the store and returns the
-// FileInfo pinning its raw blob.
+// chunkSnapshot seals a snapshot into the store, cut by content, and
+// returns the FileInfo pinning its raw blob.
 func chunkSnapshot(store cas.Store, snap *object.Snapshot) (FileInfo, error) {
 	raw, err := snap.EncodeRaw()
 	if err != nil {
 		return FileInfo{}, err
 	}
-	return chunkBlob(store, InitName, raw)
+	return chunkBlob(store, cas.DefaultChunker, InitName, raw)
 }
 
-// chunkBlob cuts raw into the store (a chunk it already holds is not
-// written again) and pins it under name.
-func chunkBlob(store cas.Store, name string, raw []byte) (FileInfo, error) {
-	refs, err := cas.WriteBlob(store, cas.DefaultChunker, raw)
+// chunkBlob cuts raw into the store with c (a chunk it already holds is
+// not written again) and pins it under name.
+func chunkBlob(store cas.Store, c cas.ChunkerOptions, name string, raw []byte) (FileInfo, error) {
+	refs, err := cas.WriteBlob(store, c, raw)
 	if err != nil {
 		return FileInfo{}, err
 	}

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io/fs"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,6 +15,7 @@ import (
 	"orochi/internal/cas"
 	"orochi/internal/encio"
 	"orochi/internal/lang"
+	"orochi/internal/server"
 	"orochi/internal/trace"
 )
 
@@ -773,5 +776,97 @@ func TestCheckpointsAreRefLists(t *testing.T) {
 	}
 	if _, err := GC(dir, GCOptions{}); err == nil || !strings.Contains(err.Error(), "checkpoint") {
 		t.Fatalf("GC swept past an unreadable checkpoint: %v", err)
+	}
+}
+
+// TestLogsCutAtBoundSnapshotsByContent seals one epoch whose trace,
+// reports, init and checkpoint each exceed cas.LogChunker.Max: every
+// trace and reports chunk but the last is exactly LogChunker.Max bytes,
+// while the init and checkpoint snapshots are cut by content, as
+// cas.DefaultChunker cuts them.
+func TestLogsCutAtBoundSnapshotsByContent(t *testing.T) {
+	dir := t.TempDir()
+	rng := rand.New(rand.NewSource(42))
+	text := func(n int) string {
+		b := make([]byte, n)
+		for i := range b {
+			b[i] = "abcdefghijklmnopqrstuvwxyz   "[rng.Intn(29)]
+		}
+		return string(b)
+	}
+	prog := compilePipelineApp(t)
+	srv := server.New(prog, server.Options{Record: true})
+	setup := append([]string(nil), pipelineSchema...)
+	for i := 0; i < 800; i++ {
+		setup = append(setup, fmt.Sprintf("INSERT INTO posts (title, votes) VALUES ('%s', 0)", text(400)))
+	}
+	if err := srv.Setup(setup); err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := StartManager(dir, srv, srv.Snapshot(), ManagerOptions{EpochEvents: 1 << 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var posts []trace.Input
+	for i := 0; i < 700; i++ {
+		posts = append(posts, trace.Input{Script: "post", Post: map[string]string{"title": text(600)}})
+	}
+	srv.ServeAllContext(context.Background(), posts, 4)
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := ListSealed(dir)
+	if err != nil || len(sealed) != 1 {
+		t.Fatalf("sealed %d epochs (%v), want 1", len(sealed), err)
+	}
+	m := sealed[0].Manifest
+	for _, fi := range []FileInfo{m.Segments[0].FileInfo, m.Reports} {
+		if len(fi.Chunks) < 2 {
+			t.Fatalf("%s: %d bytes in %d chunk(s); the test needs a log longer than %d", fi.Name, fi.Bytes, len(fi.Chunks), cas.LogChunker.Max)
+		}
+		for i, r := range fi.Chunks[:len(fi.Chunks)-1] {
+			if r.Bytes != int64(cas.LogChunker.Max) {
+				t.Fatalf("%s chunk %d of %d is %d bytes, want LogChunker.Max %d", fi.Name, i+1, len(fi.Chunks), r.Bytes, cas.LogChunker.Max)
+			}
+		}
+	}
+
+	a := NewAuditor(prog, dir, AuditorOptions{Checkpoints: true})
+	if _, err := a.RunOnce(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if !a.ChainAccepted() {
+		t.Fatalf("chain not accepted: %+v", a.Verdicts())
+	}
+	checkpoint, err := LoadCheckpointRefs(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenChainStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, refs := range map[string][]cas.Ref{"init": m.Init.Chunks, "checkpoint": checkpoint} {
+		blob, err := cas.ReadBlob(store, refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lengths := func(chunks [][]byte) string {
+			var b strings.Builder
+			for _, c := range chunks {
+				fmt.Fprintf(&b, " %d", len(c))
+			}
+			return b.String()
+		}
+		var got strings.Builder
+		for _, r := range refs {
+			fmt.Fprintf(&got, " %d", r.Bytes)
+		}
+		if want := lengths(cas.DefaultChunker.Split(blob)); got.String() != want {
+			t.Fatalf("%s chunks are%s bytes, DefaultChunker cuts%s", name, got.String(), want)
+		}
+		if fixed := lengths(cas.LogChunker.Split(blob)); got.String() == fixed {
+			t.Fatalf("%s (%d bytes) is cut at fixed offsets:%s", name, len(blob), fixed)
+		}
 	}
 }

@@ -235,17 +235,19 @@ func TestDecisionLogSameFromBothDrivers(t *testing.T) {
 }
 
 // TestChainCutBySmallerChunksStillAudits seals a chain with the chunk
-// bounds the sealer used before the 32 KiB average (2 / 8 / 64 KiB) and
+// bounds the sealer used before the 32 KiB average (2 / 8 / 64 KiB),
+// its trace and reports cut by content as well as its snapshots, and
 // audits it with the current ones. Manifests pin chunks of any size, so
 // the chain must ACCEPT through the local auditor and through the
 // fleet's HTTPStore alike, with the same ledger.
 func TestChainCutBySmallerChunksStillAudits(t *testing.T) {
 	master := t.TempDir()
-	cur := cas.DefaultChunker
-	t.Cleanup(func() { cas.DefaultChunker = cur })
-	cas.DefaultChunker = cas.ChunkerOptions{Min: 2 << 10, Avg: 8 << 10, Max: 64 << 10}
-	prog := sealQuietChain(t, master)
-	cas.DefaultChunker = cur
+	cur, curLog := cas.DefaultChunker, cas.LogChunker
+	t.Cleanup(func() { cas.DefaultChunker, cas.LogChunker = cur, curLog })
+	old := cas.ChunkerOptions{Min: 2 << 10, Avg: 8 << 10, Max: 64 << 10}
+	cas.DefaultChunker, cas.LogChunker = old, old
+	prog := sealQuietChain(t, master, 12) // twelve distinct bodies: a trace the old bounds cut
+	cas.DefaultChunker, cas.LogChunker = cur, curLog
 
 	sealed, err := epoch.ListSealed(master)
 	if err != nil {
@@ -255,13 +257,21 @@ func TestChainCutBySmallerChunksStillAudits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	init := sealed[0].Manifest.Init.Chunks
-	blob, err := cas.ReadBlob(store, init)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(cur.Split(blob)); n >= len(init) {
-		t.Fatalf("the old bounds cut the init snapshot into %d chunks, the current ones into %d: nothing old to audit", len(init), n)
+	for _, c := range []struct {
+		name  string
+		refs  []cas.Ref
+		bound cas.ChunkerOptions
+	}{
+		{"init snapshot", sealed[0].Manifest.Init.Chunks, cur},
+		{"trace", sealed[0].Manifest.Segments[0].Chunks, curLog},
+	} {
+		blob, err := cas.ReadBlob(store, c.refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(c.bound.Split(blob)); n >= len(c.refs) {
+			t.Fatalf("the old bounds cut epoch 1's %s into %d chunks, the current ones into %d: nothing old to audit", c.name, len(c.refs), n)
+		}
 	}
 
 	local := localAudit(t, prog, copyChain(t, master), epoch.AuditorOptions{})

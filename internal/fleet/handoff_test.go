@@ -92,10 +92,10 @@ func (w *wireTap) RoundTrip(req *http.Request) (*http.Response, error) {
 }
 
 // sealQuietChain seals a wiki chain whose state stops changing after
-// the first request: every request views the same page, so the first
-// fills the render cache and the rest only read. Epoch 2 onward ends in
-// exactly the state it started from.
-func sealQuietChain(t *testing.T, dir string) *lang.Program {
+// the first burst: each burst of 12 requests views the first pages
+// pages in turn, so the first burst fills the render cache and the rest
+// only read. Epoch 2 onward ends in exactly the state it started from.
+func sealQuietChain(t *testing.T, dir string, pages int) *lang.Program {
 	t.Helper()
 	app := apps.Wiki()
 	prog := app.Compile()
@@ -121,7 +121,7 @@ func sealQuietChain(t *testing.T, dir string) *lang.Program {
 	for b := 0; b < 3; b++ {
 		reqs := make([]trace.Input, 12)
 		for i := range reqs {
-			reqs[i] = trace.Input{Script: "view", Get: map[string]string{"page": "Page_007"}}
+			reqs[i] = trace.Input{Script: "view", Get: map[string]string{"page": fmt.Sprintf("Page_%03d", 7+i%pages)}}
 		}
 		srv.ServeAllContext(context.Background(), reqs, 2)
 	}
@@ -156,7 +156,7 @@ func runTappedWorker(t *testing.T, prog *lang.Program, url string) *wireTap {
 // writes names the same chunks as the one before.
 func TestUnchangedSnapshotPostsNoChunks(t *testing.T) {
 	dir := t.TempDir()
-	prog := sealQuietChain(t, dir)
+	prog := sealQuietChain(t, dir, 1)
 	coord, ts := startFleet(t, dir, CoordinatorOptions{})
 	tap := runTappedWorker(t, prog, ts.URL)
 	if err := coord.Wait(context.Background()); err != nil {
