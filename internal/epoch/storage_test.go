@@ -870,3 +870,51 @@ func TestLogsCutAtBoundSnapshotsByContent(t *testing.T) {
 		}
 	}
 }
+
+// TestOneChunkArtifactStillPinsManifestDigest: Load skips the
+// whole-artifact hash of a one-chunk artifact whose chunk digest is the
+// manifest's, since Store.Get verified those bytes already; a manifest
+// whose sha256 differs from its one chunk's must still fail with a
+// digest mismatch, and a wrong size with a size mismatch.
+func TestOneChunkArtifactStillPinsManifestDigest(t *testing.T) {
+	dir := t.TempDir()
+	_, srv, mgr := startPipeline(t, dir, 1000)
+	srv.ServeAllContext(context.Background(), burst(10, 0), 2)
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := ListSealed(dir)
+	if err != nil || len(sealed) != 1 {
+		t.Fatalf("want exactly 1 sealed epoch: %d, %v", len(sealed), err)
+	}
+	if _, err := Load(sealed[0]); err != nil {
+		t.Fatalf("honest epoch: %v", err)
+	}
+	m := sealed[0].Manifest
+	for _, tc := range []struct {
+		name string
+		fi   *FileInfo
+	}{
+		{"trace", &m.Segments[0].FileInfo},
+		{"reports", &m.Reports},
+		{"init", m.Init},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fi := tc.fi
+			if len(fi.Chunks) != 1 || fi.Chunks[0].SHA256 != fi.SHA256 {
+				t.Fatalf("want one chunk pinned by the artifact digest, got %+v", fi)
+			}
+			orig := *fi
+			defer func() { *fi = orig }()
+			fi.SHA256 = cas.SumHex([]byte("another artifact"))
+			if _, err := Load(sealed[0]); err == nil || !strings.Contains(err.Error(), "digest mismatch") {
+				t.Fatalf("manifest digest unlike its chunk's: got %v, want a digest mismatch", err)
+			}
+			*fi = orig
+			fi.Bytes++
+			if _, err := Load(sealed[0]); err == nil || !strings.Contains(err.Error(), "size mismatch") {
+				t.Fatalf("manifest size unlike its chunk's: got %v, want a size mismatch", err)
+			}
+		})
+	}
+}

@@ -4,83 +4,6 @@ import (
 	"fmt"
 )
 
-// evalCall dispatches a call expression: user functions first (as in
-// PHP, user functions and builtins live in separate namespaces but user
-// code cannot redefine builtins; we give user functions priority so
-// applications can shim), then reference builtins, state operations,
-// non-deterministic builtins, and finally pure builtins.
-func (ex *exec) evalCall(sc *scope, call *Call) (Value, error) {
-	if fn, ok := ex.prog.Funcs[call.Name]; ok {
-		return ex.callUser(sc, fn, call)
-	}
-	if _, ok := refBuiltins[call.Name]; ok {
-		return ex.callRefBuiltin(sc, call)
-	}
-	if stateOps[call.Name] {
-		return ex.callStateOp(sc, call)
-	}
-	if nondetBuiltins[call.Name] {
-		return ex.callNonDet(sc, call)
-	}
-	if b, ok := builtins[call.Name]; ok {
-		args := make([]Value, len(call.Args))
-		for i, a := range call.Args {
-			v, err := ex.evalExpr(sc, a)
-			if err != nil {
-				return nil, err
-			}
-			args[i] = v
-		}
-		return ex.invokeBuiltin(call.Name, b, args, call.Line)
-	}
-	return nil, &RuntimeError{Msg: fmt.Sprintf("call to undefined function %s()", call.Name), Line: call.Line}
-}
-
-// callUser invokes a user-defined function with PHP value semantics
-// (arguments and the returned value are copies).
-func (ex *exec) callUser(sc *scope, fn *FuncDecl, call *Call) (Value, error) {
-	if ex.callDepth >= maxCallDepth {
-		return nil, &RuntimeError{Msg: "maximum call depth exceeded", Line: call.Line}
-	}
-	frame := &scope{vars: make(map[string]Value, len(fn.Params)), ex: ex}
-	for i, p := range fn.Params {
-		if i < len(call.Args) {
-			v, err := ex.evalExpr(sc, call.Args[i])
-			if err != nil {
-				return nil, err
-			}
-			frame.vars[p.Name] = ex.copyValue(v)
-			continue
-		}
-		if p.Default != nil {
-			v, err := ex.evalExpr(frame, p.Default)
-			if err != nil {
-				return nil, err
-			}
-			frame.vars[p.Name] = v
-			continue
-		}
-		frame.vars[p.Name] = nil
-	}
-	// Extra arguments beyond the parameter list are evaluated for their
-	// effects and discarded.
-	for i := len(fn.Params); i < len(call.Args); i++ {
-		if _, err := ex.evalExpr(sc, call.Args[i]); err != nil {
-			return nil, err
-		}
-	}
-	ex.callDepth++
-	c, rv, err := ex.execStmts(frame, fn.Body)
-	ex.callDepth--
-	if err != nil {
-		return nil, err
-	}
-	if c == ctrlReturn {
-		return ex.copyValue(rv), nil
-	}
-	return nil, nil
-}
-
 // anyMulti reports whether some value holds a multivalue, at any depth:
 // the split decision of builtin and state-op calls. With one lane no
 // multivalue exists (NewMulti collapses every one-lane vector), so the
@@ -130,40 +53,6 @@ func (ex *exec) callBudgeted(fn builtinFn, args []Value, line int) (Value, error
 		return nil, err
 	}
 	return v, nil
-}
-
-// callRefBuiltin handles builtins whose first argument is by-reference
-// (sort, array_push, ...). The first argument must be an lvalue; it is
-// read, transformed per-lane if needed, and written back.
-func (ex *exec) callRefBuiltin(sc *scope, call *Call) (Value, error) {
-	fn := refBuiltins[call.Name]
-	if len(call.Args) == 0 {
-		return nil, &RuntimeError{Msg: call.Name + "() expects an argument", Line: call.Line}
-	}
-	lv, err := exprToLValue(call.Args[0])
-	if err != nil {
-		return nil, &RuntimeError{Msg: call.Name + "(): first argument must be a variable", Line: call.Line}
-	}
-	cur, err := ex.readLValue(sc, lv)
-	if err != nil {
-		return nil, err
-	}
-	rest := make([]Value, 0, len(call.Args)-1)
-	for _, a := range call.Args[1:] {
-		v, err := ex.evalExpr(sc, a)
-		if err != nil {
-			return nil, err
-		}
-		rest = append(rest, v)
-	}
-	result, newTarget, err := ex.refBuiltinApply(call.Name, fn, cur, rest, call.Line)
-	if err != nil {
-		return nil, err
-	}
-	if err := ex.assignTo(sc, lv, newTarget); err != nil {
-		return nil, err
-	}
-	return result, nil
 }
 
 // refBuiltinApply is the engine-independent core of a by-reference
@@ -224,21 +113,6 @@ func refTarget(name string, cur Value, line int) (*Array, error) {
 	default:
 		return nil, &RuntimeError{Msg: name + "() expects an array", Line: line}
 	}
-}
-
-// callStateOp issues a shared-object operation through the bridge. In
-// ModeSIMD the operation is issued once per lane under the shared group
-// opnum (Fig. 3 lines 36-43); results merge into a multivalue.
-func (ex *exec) callStateOp(sc *scope, call *Call) (Value, error) {
-	args := make([]Value, len(call.Args))
-	for i, a := range call.Args {
-		v, err := ex.evalExpr(sc, a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
-	return ex.stateOpCore(call.Name, args, call.Line)
 }
 
 // stateOpCore is the engine-independent core of a state-op call:
@@ -345,19 +219,6 @@ func (ex *exec) stateOpLane(name, rid string, opnum int, args []Value, line int)
 	default:
 		return nil, &RuntimeError{Msg: "unknown state op " + name, Line: line}
 	}
-}
-
-// callNonDet obtains a non-deterministic value per lane (§4.6).
-func (ex *exec) callNonDet(sc *scope, call *Call) (Value, error) {
-	args := make([]Value, len(call.Args))
-	for i, a := range call.Args {
-		v, err := ex.evalExpr(sc, a)
-		if err != nil {
-			return nil, err
-		}
-		args[i] = v
-	}
-	return ex.nonDetCore(call.Name, args)
 }
 
 // nonDetCore is the engine-independent core of a nondet builtin call.

@@ -7,7 +7,8 @@ import (
 
 // The compiled engine lowers the AST once per Program into a tree of
 // pre-bound Go closures. The lowering removes the two per-node costs
-// the tree-walker pays on every statement of every request:
+// the tree-walking reference (reference_test.go, the semantics the
+// differential tests hold this engine to) pays on every statement:
 //
 //   - dispatch: the type switch over AST nodes becomes a direct closure
 //     call, with call targets (user function, ref builtin, state op,

@@ -1,13 +1,16 @@
-package harness
+package lang_test
 
 import (
 	"bytes"
 	"context"
+	"os"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"orochi/internal/epoch"
+	"orochi/internal/harness"
 	"orochi/internal/lang"
 	"orochi/internal/server"
 	"orochi/internal/trace"
@@ -18,29 +21,36 @@ import (
 // The dual-engine differential harness: the production (compiled)
 // engine must be indistinguishable from the reference interpreter, so
 // every observable — response bytes (including canonical HTTP 500
-// fault renderings), canonical report bytes, audit verdicts, forensics
-// — must be bit-identical across engines at any worker count and any
-// SIMD lane width. These tests pin that end to end, on real workloads.
+// fault renderings), canonical report bytes, audit verdicts, forensics,
+// chain ledgers — must be bit-identical across engines at any worker
+// count and any SIMD lane width. These tests pin that end to end, on
+// real workloads served and audited through the production packages,
+// with lang.UseReference switching every lang.Run in the process to
+// the reference and back. None of them may run in parallel.
 
-var allEngines = []struct {
+// engine selects which engine lang.Run executes under.
+type engine struct {
 	name string
-	eng  lang.Engine
-}{
-	{"interp", lang.EngineInterp},
-	{"compiled", lang.EngineCompiled},
+	ref  bool
 }
 
-// fastEngines is the production engine, checked against the
-// interpreter's serving run.
-var fastEngines = allEngines[1:]
+var (
+	reference  = engine{"interp", true}
+	production = engine{"compiled", false}
+	allEngines = []engine{reference, production}
+	// fastEngines is the production engine, checked against the
+	// interpreter's serving run.
+	fastEngines = allEngines[1:]
+)
 
 // serveDeterministic runs w sequentially with a fixed clock and seed so
 // two runs differ only in the engine under test.
-func serveDeterministic(t *testing.T, w *workload.Workload, eng lang.Engine) *Served {
+func serveDeterministic(t *testing.T, w *workload.Workload, eng engine) *harness.Served {
 	t.Helper()
+	lang.UseReference(t, eng.ref)
 	fixed := time.Unix(1700000000, 0)
-	served, err := Serve(w, server.Options{
-		Record: true, RandSeed: 7, Engine: eng,
+	served, err := harness.Serve(w, server.Options{
+		Record: true, RandSeed: 7,
 		Clock: func() time.Time { return fixed },
 	}, 1)
 	if err != nil {
@@ -77,10 +87,10 @@ func TestDualEngineByteEquivalence(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			ref := serveDeterministic(t, tc.w, lang.EngineInterp)
+			ref := serveDeterministic(t, tc.w, reference)
 			refBodies := traceBodies(ref.Trace)
 			for _, e := range fastEngines {
-				got := serveDeterministic(t, tc.w, e.eng)
+				got := serveDeterministic(t, tc.w, e)
 				gotBodies := traceBodies(got.Trace)
 				if !reflect.DeepEqual(refBodies, gotBodies) {
 					for i := range refBodies {
@@ -122,10 +132,10 @@ func TestDualEngineFaultClasses(t *testing.T) {
 		w.Requests = append(w.Requests, faults...)
 	}
 
-	ref := serveDeterministic(t, w, lang.EngineInterp)
+	ref := serveDeterministic(t, w, reference)
 	refBodies := traceBodies(ref.Trace)
 	for _, e := range fastEngines {
-		got := serveDeterministic(t, w, e.eng)
+		got := serveDeterministic(t, w, e)
 		if !reflect.DeepEqual(refBodies, traceBodies(got.Trace)) {
 			t.Fatalf("fault-class responses differ between interp and %s", e.name)
 		}
@@ -145,7 +155,8 @@ func TestDualEngineFaultClasses(t *testing.T) {
 
 	for _, e := range allEngines {
 		for _, maxGroup := range []int{1, 0} {
-			res, err := ref.AuditContext(context.Background(), verifier.Options{Engine: e.eng, MaxGroup: maxGroup})
+			lang.UseReference(t, e.ref)
+			res, err := ref.AuditContext(context.Background(), verifier.Options{MaxGroup: maxGroup})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -165,10 +176,11 @@ func TestDualEngineVerdictEquivalence(t *testing.T) {
 		workload.Wiki(workload.DefaultWikiParams().Scale(100)),
 		workload.ErrorMixParams{Rate: 0.1, Seed: 5})
 
-	honest := serveDeterministic(t, w, lang.EngineCompiled)
+	honest := serveDeterministic(t, w, production)
 	for _, e := range allEngines {
 		for _, workers := range []int{1, 8} {
-			res, err := honest.AuditContext(context.Background(), verifier.Options{Engine: e.eng, Workers: workers})
+			lang.UseReference(t, e.ref)
+			res, err := honest.AuditContext(context.Background(), verifier.Options{Workers: workers})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -181,9 +193,10 @@ func TestDualEngineVerdictEquivalence(t *testing.T) {
 		}
 	}
 
+	lang.UseReference(t, false)
 	fixed := time.Unix(1700000000, 0)
 	nth := 0
-	tampered, err := Serve(w, server.Options{
+	tampered, err := harness.Serve(w, server.Options{
 		Record: true, RandSeed: 7,
 		Clock: func() time.Time { return fixed },
 		TamperResponse: func(rid, body string) string {
@@ -202,7 +215,8 @@ func TestDualEngineVerdictEquivalence(t *testing.T) {
 	var wantForensics *verifier.Forensics
 	for i, e := range allEngines {
 		for _, workers := range []int{1, 8} {
-			res, aerr := tampered.AuditContext(context.Background(), verifier.Options{Engine: e.eng, Workers: workers})
+			lang.UseReference(t, e.ref)
+			res, aerr := tampered.AuditContext(context.Background(), verifier.Options{Workers: workers})
 			if aerr != nil {
 				t.Fatal(aerr)
 			}
@@ -219,6 +233,122 @@ func TestDualEngineVerdictEquivalence(t *testing.T) {
 			if !reflect.DeepEqual(res.Forensics, wantForensics) {
 				t.Fatalf("engine %s workers %d: forensics %+v, want %+v", e.name, workers, res.Forensics, wantForensics)
 			}
+		}
+	}
+}
+
+func rawReports(t *testing.T, served *harness.Served) []byte {
+	t.Helper()
+	raw, err := served.Reports.EncodeRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return raw
+}
+
+// faultedWorkload builds a small wiki workload with the error-injecting
+// request mix: unknown script, undefined function, and bad SQL faults
+// sprinkled among normal traffic.
+func faultedWorkload() *workload.Workload {
+	return workload.WithErrors(
+		workload.Wiki(workload.WikiParams{Requests: 80, Pages: 5, ZipfS: 0.53, Seed: 9}),
+		workload.ErrorMixParams{Rate: 0.2, Seed: 9})
+}
+
+// startFaultedPipeline provisions a recording server for the faulted
+// wiki workload with the epoch manager attached.
+func startFaultedPipeline(t *testing.T, dir string, w *workload.Workload) (*lang.Program, *server.Server, *epoch.Manager) {
+	t.Helper()
+	prog := w.App.Compile()
+	srv := server.New(prog, server.Options{Record: true})
+	if err := srv.Setup(w.App.Schema); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Setup(w.Seed); err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := epoch.StartManager(dir, srv, srv.Snapshot(), epoch.ManagerOptions{EpochEvents: 30})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog, srv, mgr
+}
+
+// TestChainVerdictsEngineIndependent seals one faulted chain, then
+// audits copies of it under the reference and the production engine,
+// each at 1 and 8 re-execution workers. Every verdict field that feeds
+// the ledger (epoch number, outcome, reason, forensics, manifest
+// digest, chain digest) must be bit-identical: the engine is not an
+// observable.
+func TestChainVerdictsEngineIndependent(t *testing.T) {
+	dir := t.TempDir()
+	w := faultedWorkload()
+	prog, srv, mgr := startFaultedPipeline(t, dir, w)
+	for i := 0; i < len(w.Requests); i += 16 {
+		end := i + 16
+		if end > len(w.Requests) {
+			end = len(w.Requests)
+		}
+		srv.ServeAllContext(context.Background(), w.Requests[i:end], 4)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	type run struct {
+		name    string
+		eng     engine
+		workers int
+	}
+	runs := []run{
+		{"interp-w1", reference, 1},
+		{"interp-w8", reference, 8},
+		{"compiled-w1", production, 1},
+		{"compiled-w8", production, 8},
+	}
+	type obs struct {
+		Epoch       int64
+		Accepted    bool
+		Reason      string
+		Forensics   *verifier.Forensics
+		Events      int
+		Requests    int
+		ManifestSHA string
+		ChainSHA    string
+	}
+	var want []obs
+	for i, r := range runs {
+		// Each run audits its own copy of the chain so decision logs
+		// don't bleed between runs.
+		cp := t.TempDir()
+		if err := os.CopyFS(cp, os.DirFS(dir)); err != nil {
+			t.Fatal(err)
+		}
+		lang.UseReference(t, r.eng.ref)
+		a := epoch.NewAuditor(prog, cp, epoch.AuditorOptions{
+			Verify: verifier.Options{Workers: r.workers},
+		})
+		if _, err := a.RunOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		verdicts := a.Verdicts()
+		if len(verdicts) == 0 {
+			t.Fatalf("%s: no verdicts", r.name)
+		}
+		var got []obs
+		for _, v := range verdicts {
+			if !v.Accepted {
+				t.Fatalf("%s: epoch %d rejected: %s", r.name, v.Epoch, v.Reason)
+			}
+			got = append(got, obs{v.Epoch, v.Accepted, v.Reason, v.Forensics,
+				v.Events, v.Requests, v.ManifestSHA, v.ChainSHA})
+		}
+		if i == 0 {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s verdicts diverge from %s:\n%+v\nvs\n%+v", r.name, runs[0].name, got, want)
 		}
 	}
 }

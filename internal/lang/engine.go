@@ -5,41 +5,16 @@ import (
 	"fmt"
 )
 
-// Engine executes compiled programs. The package ships one production
-// engine and one reference, with bit-identical observable behavior —
-// outputs, control-flow digests, op counts, step counts, instruction
-// counts, and fault renderings are equal for every program and input:
-//
-//   - EngineCompiled: the production engine. It lowers each script once
-//     into a tree of pre-bound Go closures with variable slots resolved
-//     at compile time, and pools hot-path allocations. The server
-//     records with it and the verifier re-executes with it.
-//   - EngineInterp: the original tree-walking interpreter, kept solely
-//     as the executable reference semantics the differential tests and
-//     FuzzEngineEquivalence compare the production engine against. It
-//     copies arrays eagerly where the production engine shares them
-//     copy-on-write, so the differential checks the sharing too.
-//
-// The interface is the test seam that lets whole workloads run under
-// the reference; it is not a tuning option and no CLI exposes it.
-type Engine interface {
-	// Name identifies the engine in test and diagnostic output
-	// ("interp", "compiled").
-	Name() string
-	// Run executes a script under cfg; see the package-level Run.
-	Run(prog *Program, cfg Config) (*Result, error)
-}
+// runHook, when set, replaces the production engine in Run. Only the
+// package's tests set it (export_test.go), to serve and audit whole
+// workloads under the tree-walking reference interpreter that lives
+// beside them and compare every observable with the production run.
+var runHook func(*Program, Config) (*Result, error)
 
-var (
-	// EngineInterp is the tree-walking reference interpreter.
-	EngineInterp Engine = interpEngine{}
-	// EngineCompiled is the closure-compiled production engine, used
-	// when Config.Engine is nil.
-	EngineCompiled Engine = compiledEngine{}
-)
-
-// Run executes a script under cfg with the production engine, or with
-// cfg.Engine when a test sets it.
+// Run executes a script under cfg. The production engine lowers each
+// script once into a tree of pre-bound Go closures with variable slots
+// resolved at compile time, and pools hot-path allocations; the server
+// records with it and the verifier re-executes with it.
 //
 // A request-level fault — the script raised a RuntimeError, or cfg
 // names a script the program does not contain — returns BOTH a usable
@@ -52,11 +27,26 @@ var (
 // are not request-level faults (divergence, multivalue fallback,
 // bridge rejects, configuration mistakes) return a nil Result.
 func Run(prog *Program, cfg Config) (*Result, error) {
-	eng := cfg.Engine
-	if eng == nil {
-		eng = EngineCompiled
+	if runHook != nil {
+		return runHook(prog, cfg)
 	}
-	return eng.Run(prog, cfg)
+	cp, err := prog.compiled()
+	if err != nil {
+		return nil, err
+	}
+	ex, err := newExec(prog, cfg)
+	if err != nil {
+		return nil, err
+	}
+	cs, ok := cp.scripts[cfg.Script]
+	if !ok {
+		return unknownScriptResult(cfg, ex.lanes)
+	}
+	ex.gslots = make([]Value, cp.res.nglobals)
+	ex.gset = make([]bool, cp.res.nglobals)
+	fr := &cframe{ex: ex}
+	_, _, rerr := runCStmts(fr, cs.body)
+	return finishRun(ex, rerr)
 }
 
 // newExec validates cfg and builds the shared execution state. Both
@@ -87,7 +77,6 @@ func newExec(prog *Program, cfg Config) (*exec, error) {
 		rids:     cfg.RIDs,
 		bridge:   cfg.Bridge,
 		out:      newOutput(lanes),
-		globals:  make(map[string]Value),
 		opnum:    1,
 		maxSteps: maxSteps,
 		stats:    cfg.CollectStats,
@@ -149,49 +138,4 @@ func finishRun(ex *exec, err error) (*Result, error) {
 		res.Digest = ex.digest.Sum()
 	}
 	return res, nil
-}
-
-// interpEngine is the tree-walking reference interpreter.
-type interpEngine struct{}
-
-func (interpEngine) Name() string { return "interp" }
-
-func (interpEngine) Run(prog *Program, cfg Config) (*Result, error) {
-	ex, err := newExec(prog, cfg)
-	if err != nil {
-		return nil, err
-	}
-	ex.eager = true
-	script, ok := prog.Scripts[cfg.Script]
-	if !ok {
-		return unknownScriptResult(cfg, ex.lanes)
-	}
-	sc := &scope{vars: ex.globals, isGlobal: true, ex: ex}
-	_, _, rerr := ex.execStmts(sc, script.Body)
-	return finishRun(ex, rerr)
-}
-
-// compiledEngine executes the closure-lowered form of the program.
-type compiledEngine struct{}
-
-func (compiledEngine) Name() string { return "compiled" }
-
-func (compiledEngine) Run(prog *Program, cfg Config) (*Result, error) {
-	cp, err := prog.compiled()
-	if err != nil {
-		return nil, err
-	}
-	ex, err := newExec(prog, cfg)
-	if err != nil {
-		return nil, err
-	}
-	cs, ok := cp.scripts[cfg.Script]
-	if !ok {
-		return unknownScriptResult(cfg, ex.lanes)
-	}
-	ex.gslots = make([]Value, cp.res.nglobals)
-	ex.gset = make([]bool, cp.res.nglobals)
-	fr := &cframe{ex: ex}
-	_, _, rerr := runCStmts(fr, cs.body)
-	return finishRun(ex, rerr)
 }

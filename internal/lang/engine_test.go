@@ -89,15 +89,14 @@ func observe(res *Result, err error) engObs {
 	return o
 }
 
-func runEngine(eng Engine, prog *Program, mode Mode, script string, inputs []RequestInput, maxSteps int64) engObs {
+func runEngine(eng engine, prog *Program, mode Mode, script string, inputs []RequestInput, maxSteps int64) engObs {
 	rids := make([]string, len(inputs))
 	for i := range rids {
 		rids[i] = fmt.Sprintf("r%d", i)
 	}
-	res, err := Run(prog, Config{
+	res, err := eng.run(prog, Config{
 		Mode: mode, Script: script, RIDs: rids, Inputs: inputs,
 		Bridge: newMemBridge(), CollectStats: true, MaxSteps: maxSteps,
-		Engine: eng,
 	})
 	return res2obs(res, err)
 }
@@ -106,7 +105,7 @@ func res2obs(res *Result, err error) engObs { return observe(res, err) }
 
 // candidateEngines are the engines checked against the interpreter
 // reference by the differential suite: the production engine.
-var candidateEngines = []Engine{EngineCompiled}
+var candidateEngines = []engine{engineCompiled}
 
 // diffScript runs src under every engine in every execution mode the
 // system uses — per-request recording, per-request plain, and grouped
@@ -125,11 +124,11 @@ func diffProgram(t *testing.T, files map[string]string, script string, inputs []
 	const maxSteps = 200_000
 	check := func(mode Mode, ins []RequestInput, label string) {
 		t.Helper()
-		want := runEngine(EngineInterp, prog, mode, script, ins, maxSteps)
+		want := runEngine(engineInterp, prog, mode, script, ins, maxSteps)
 		for _, eng := range candidateEngines {
 			got := runEngine(eng, prog, mode, script, ins, maxSteps)
 			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s: engines diverge\ninterp: %+v\n%s: %+v", label, want, eng.Name(), got)
+				t.Errorf("%s: engines diverge\ninterp: %+v\n%s: %+v", label, want, eng.name, got)
 			}
 		}
 	}
@@ -554,24 +553,23 @@ func TestEngineEquivalenceStepLimit(t *testing.T) {
 	// it must still reach the limit rather than spin forever.
 	for _, src := range []string{`while (1) { $i++; }`, `for (;;) {}`} {
 		prog := MustCompile(map[string]string{"main": src})
-		for _, eng := range []Engine{EngineInterp, EngineCompiled} {
-			res, err := Run(prog, Config{
+		for _, eng := range []engine{engineInterp, engineCompiled} {
+			res, err := eng.run(prog, Config{
 				Mode: ModeRecord, Script: "main", RIDs: []string{"r"},
 				Inputs: []RequestInput{{}}, Bridge: newMemBridge(), MaxSteps: 500,
-				Engine: eng,
 			})
 			if err == nil || err.Error() != "step limit exceeded" {
-				t.Fatalf("%s: %s: want step limit fault, got %v", eng.Name(), src, err)
+				t.Fatalf("%s: %s: want step limit fault, got %v", eng.name, src, err)
 			}
 			if res == nil || res.Digest == 0 {
-				t.Fatalf("%s: %s: want fault-folded digest", eng.Name(), src)
+				t.Fatalf("%s: %s: want fault-folded digest", eng.name, src)
 			}
 		}
-		a := runEngine(EngineInterp, prog, ModeRecord, "main", []RequestInput{{}}, 500)
+		a := runEngine(engineInterp, prog, ModeRecord, "main", []RequestInput{{}}, 500)
 		for _, eng := range candidateEngines {
 			b := runEngine(eng, prog, ModeRecord, "main", []RequestInput{{}}, 500)
 			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("%s: step-limit observables diverge\ninterp: %+v\n%s: %+v", src, a, eng.Name(), b)
+				t.Fatalf("%s: step-limit observables diverge\ninterp: %+v\n%s: %+v", src, a, eng.name, b)
 			}
 		}
 	}
@@ -602,7 +600,7 @@ func TestEngineEquivalenceStringBudget(t *testing.T) {
 			diffScript(t, tc.src, engineInputs("1"))
 			diffScript(t, tc.src, engineInputs("2", "1", "2"))
 			prog := MustCompile(map[string]string{"main": tc.src})
-			obs := runEngine(EngineCompiled, prog, ModeRecord, "main", engineInputs("1"), 200_000)
+			obs := runEngine(engineCompiled, prog, ModeRecord, "main", engineInputs("1"), 200_000)
 			if obs.Err != "string length limit exceeded" {
 				t.Fatalf("want the string-budget fault, got %q (fault %q)", obs.Err, obs.Fault)
 			}
@@ -612,7 +610,7 @@ func TestEngineEquivalenceStringBudget(t *testing.T) {
 	prog := MustCompile(map[string]string{"main": `$s = str_repeat("x", intval($_GET["x"])); echo strlen($s . "y");`})
 	for n, wantErr := range map[int]string{maxStringBytes - 1: "", maxStringBytes: "string length limit exceeded"} {
 		in := []RequestInput{{Get: map[string]string{"x": fmt.Sprint(n)}}}
-		if obs := runEngine(EngineCompiled, prog, ModeRecord, "main", in, 1000); obs.Err != wantErr {
+		if obs := runEngine(engineCompiled, prog, ModeRecord, "main", in, 1000); obs.Err != wantErr {
 			t.Fatalf("%d bytes + 1: error %q, want %q", n, obs.Err, wantErr)
 		}
 	}
@@ -644,7 +642,7 @@ echo strlen($s), substr($s, 0, 2), substr($s, -2);`
 				if len(ins) > 1 {
 					mode = ModeSIMD
 				}
-				obs := runEngine(EngineCompiled, prog, mode, "main", ins, 10_000)
+				obs := runEngine(engineCompiled, prog, mode, "main", ins, 10_000)
 				if obs.Err != tc.wantErr {
 					t.Fatalf("%d lanes: error %q, want %q", len(ins), obs.Err, tc.wantErr)
 				}
@@ -683,16 +681,16 @@ func FuzzEngineEquivalence(f *testing.F) {
 		const maxSteps = 20_000
 		for _, eng := range candidateEngines {
 			for i, in := range inputs {
-				want := runEngine(EngineInterp, prog, ModeRecord, "main", []RequestInput{in}, maxSteps)
+				want := runEngine(engineInterp, prog, ModeRecord, "main", []RequestInput{in}, maxSteps)
 				got := runEngine(eng, prog, ModeRecord, "main", []RequestInput{in}, maxSteps)
 				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("record[%d]: engines diverge\nsrc: %s\ninterp: %+v\n%s: %+v", i, src, want, eng.Name(), got)
+					t.Fatalf("record[%d]: engines diverge\nsrc: %s\ninterp: %+v\n%s: %+v", i, src, want, eng.name, got)
 				}
 			}
-			want := runEngine(EngineInterp, prog, ModeSIMD, "main", inputs, maxSteps)
+			want := runEngine(engineInterp, prog, ModeSIMD, "main", inputs, maxSteps)
 			got := runEngine(eng, prog, ModeSIMD, "main", inputs, maxSteps)
 			if !reflect.DeepEqual(want, got) {
-				t.Fatalf("simd: engines diverge\nsrc: %s\ninterp: %+v\n%s: %+v", src, want, eng.Name(), got)
+				t.Fatalf("simd: engines diverge\nsrc: %s\ninterp: %+v\n%s: %+v", src, want, eng.name, got)
 			}
 		}
 	})

@@ -1,10 +1,6 @@
 package lang
 
-import (
-	"fmt"
-	"math"
-	"strings"
-)
+import "math"
 
 const maxCallDepth = 200
 
@@ -25,162 +21,6 @@ func stringBudget(n int, line int) error {
 		return &RuntimeError{Msg: "string length limit exceeded", Line: line}
 	}
 	return nil
-}
-
-func (ex *exec) evalExpr(sc *scope, e Expr) (Value, error) {
-	switch x := e.(type) {
-	case *Lit:
-		return x.Val, nil
-	case *Var:
-		return sc.get(x.Name), nil
-	case *Index:
-		if x.Idx == nil {
-			return nil, &RuntimeError{Msg: "cannot read append-index $a[]", Line: x.Line}
-		}
-		target, err := ex.evalExpr(sc, x.Target)
-		if err != nil {
-			return nil, err
-		}
-		idx, err := ex.evalExpr(sc, x.Idx)
-		if err != nil {
-			return nil, err
-		}
-		ex.countInstr(IsMulti(target) || IsMulti(idx))
-		return ex.indexRead(target, idx, x.Line)
-	case *Binary:
-		l, err := ex.evalExpr(sc, x.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := ex.evalExpr(sc, x.R)
-		if err != nil {
-			return nil, err
-		}
-		return ex.binaryOp(x.Op, l, r, x.Line)
-	case *Logical:
-		return ex.evalLogical(sc, x)
-	case *Unary:
-		v, err := ex.evalExpr(sc, x.E)
-		if err != nil {
-			return nil, err
-		}
-		return ex.unaryOp(x.Op, v, x.Line)
-	case *Ternary:
-		cond, err := ex.evalExpr(sc, x.Cond)
-		if err != nil {
-			return nil, err
-		}
-		taken, err := ex.condDirection(cond)
-		if err != nil {
-			return nil, err
-		}
-		if taken {
-			ex.branch(x.Site, 1)
-			return ex.evalExpr(sc, x.Then)
-		}
-		ex.branch(x.Site, 0)
-		return ex.evalExpr(sc, x.Else)
-	case *Call:
-		return ex.evalCall(sc, x)
-	case *ArrayLit:
-		arr := NewArrayCap(len(x.Entries))
-		for _, ent := range x.Entries {
-			v, err := ex.evalExpr(sc, ent.Val)
-			if err != nil {
-				return nil, err
-			}
-			if ent.Key == nil {
-				arr.Append(ex.copyValue(v))
-				continue
-			}
-			kv, err := ex.evalExpr(sc, ent.Key)
-			if err != nil {
-				return nil, err
-			}
-			if IsMulti(kv) {
-				return nil, &FallbackError{Reason: "multivalue key in array literal"}
-			}
-			k, err := NormalizeKey(kv)
-			if err != nil {
-				return nil, &RuntimeError{Msg: err.Error(), Line: x.Line}
-			}
-			arr.Set(k, ex.copyValue(v))
-		}
-		return arr, nil
-	case *IssetExpr:
-		res := true
-		for _, lv := range x.Targets {
-			v, err := ex.evalIsset(sc, lv)
-			if err != nil {
-				return nil, err
-			}
-			one, err := ex.condDirection(v)
-			if err != nil {
-				return nil, err
-			}
-			if !one {
-				res = false
-				break
-			}
-		}
-		return res, nil
-	case *EmptyExpr:
-		v, err := ex.evalIsset(sc, x.Target)
-		if err != nil {
-			return nil, err
-		}
-		set, err := ex.condDirection(v)
-		if err != nil {
-			return nil, err
-		}
-		if !set {
-			return true, nil
-		}
-		cur, err := ex.readLValue(sc, x.Target)
-		if err != nil {
-			return nil, err
-		}
-		truthy, err := ex.condDirection(cur)
-		if err != nil {
-			return nil, err
-		}
-		return !truthy, nil
-	case *IncDec:
-		return ex.evalIncDec(sc, x)
-	default:
-		return nil, &RuntimeError{Msg: fmt.Sprintf("unknown expression %T", e)}
-	}
-}
-
-// evalIsset resolves an lvalue path to a (possibly multivalue) bool:
-// does the target exist and is it non-null?
-func (ex *exec) evalIsset(sc *scope, lv *LValue) (Value, error) {
-	if !sc.exists(lv.Name) {
-		return false, nil
-	}
-	cur := sc.get(lv.Name)
-	for _, step := range lv.Steps {
-		if step.Idx == nil {
-			return nil, &RuntimeError{Msg: "isset on append-index", Line: lv.Line}
-		}
-		idx, err := ex.evalExpr(sc, step.Idx)
-		if err != nil {
-			return nil, err
-		}
-		v, err := ex.indexReadForIsset(cur, idx)
-		if err != nil {
-			return nil, err
-		}
-		cur = v
-	}
-	if m, ok := cur.(*Multi); ok {
-		vals := make([]Value, len(m.V))
-		for i, lvv := range m.V {
-			vals[i] = lvv != nil
-		}
-		return NewMulti(vals), nil
-	}
-	return cur != nil, nil
 }
 
 // indexReadForIsset is indexRead that never errors on scalar targets
@@ -227,26 +67,6 @@ func (ex *exec) indexReadForIsset(container, idx Value) (Value, error) {
 	default:
 		return nil, nil
 	}
-}
-
-// readLValue reads the current value of an lvalue path (nil if unset).
-func (ex *exec) readLValue(sc *scope, lv *LValue) (Value, error) {
-	cur := sc.get(lv.Name)
-	for _, step := range lv.Steps {
-		if step.Idx == nil {
-			return nil, &RuntimeError{Msg: "cannot read append-index", Line: lv.Line}
-		}
-		idx, err := ex.evalExpr(sc, step.Idx)
-		if err != nil {
-			return nil, err
-		}
-		v, err := ex.indexRead(cur, idx, lv.Line)
-		if err != nil {
-			return nil, err
-		}
-		cur = v
-	}
-	return cur, nil
 }
 
 // indexRead implements reading container[idx] with full multivalue
@@ -307,35 +127,6 @@ func (ex *exec) indexRead(container, idx Value, line int) (Value, error) {
 	default:
 		return nil, &RuntimeError{Msg: "cannot index " + TypeName(container), Line: line}
 	}
-}
-
-func (ex *exec) evalLogical(sc *scope, x *Logical) (Value, error) {
-	l, err := ex.evalExpr(sc, x.L)
-	if err != nil {
-		return nil, err
-	}
-	lb, err := ex.condDirection(l)
-	if err != nil {
-		return nil, err
-	}
-	if x.Op == "&&" {
-		if !lb {
-			ex.branch(x.Site, 0)
-			return false, nil
-		}
-		ex.branch(x.Site, 1)
-	} else { // "||"
-		if lb {
-			ex.branch(x.Site, 1)
-			return true, nil
-		}
-		ex.branch(x.Site, 0)
-	}
-	r, err := ex.evalExpr(sc, x.R)
-	if err != nil {
-		return nil, err
-	}
-	return logicalResult(r), nil
 }
 
 // logicalResult coerces the decisive operand of a short-circuit operator
@@ -536,94 +327,6 @@ func scalarUnary(op string, v Value, line int) (Value, error) {
 	}
 }
 
-func (ex *exec) evalIncDec(sc *scope, x *IncDec) (Value, error) {
-	old, err := ex.readLValue(sc, x.Target)
-	if err != nil {
-		return nil, err
-	}
-	delta := Value(int64(1))
-	op := "+"
-	if x.Op == "--" {
-		op = "-"
-	}
-	nv, err := ex.binaryOp(op, old, delta, x.Line)
-	if err != nil {
-		return nil, err
-	}
-	if err := ex.assignTo(sc, x.Target, nv); err != nil {
-		return nil, err
-	}
-	if x.Pre {
-		return nv, nil
-	}
-	if old == nil {
-		return int64(0), nil
-	}
-	return old, nil
-}
-
-func (ex *exec) execAssign(sc *scope, st *Assign) error {
-	rhs, err := ex.evalExpr(sc, st.RHS)
-	if err != nil {
-		return err
-	}
-	if st.Op == "=" {
-		return ex.assignTo(sc, st.Target, rhs)
-	}
-	old, err := ex.readLValue(sc, st.Target)
-	if err != nil {
-		return err
-	}
-	binOp := strings.TrimSuffix(st.Op, "=")
-	nv, err := ex.binaryOp(binOp, old, rhs, st.Line)
-	if err != nil {
-		return err
-	}
-	return ex.assignTo(sc, st.Target, nv)
-}
-
-// assignTo stores val at the lvalue path, implementing the container
-// rules of §4.3: multivalue keys expand univalue containers; multivalue
-// containers are written per-lane; univalue key + multivalue val stores
-// the multivalue into the cell.
-func (ex *exec) assignTo(sc *scope, lv *LValue, val Value) error {
-	if len(lv.Steps) == 0 {
-		sc.set(lv.Name, ex.copyValue(val))
-		if ex.stats {
-			ex.countInstr(DeepContainsMulti(val))
-		}
-		return nil
-	}
-	// Evaluate the index expressions once, in order.
-	idxs := make([]Value, len(lv.Steps))
-	for i, step := range lv.Steps {
-		if step.Idx == nil {
-			if i != len(lv.Steps)-1 {
-				return &RuntimeError{Msg: "append-index must be final", Line: lv.Line}
-			}
-			idxs[i] = appendMarker{}
-			continue
-		}
-		v, err := ex.evalExpr(sc, step.Idx)
-		if err != nil {
-			return err
-		}
-		idxs[i] = v
-	}
-	root := sc.get(lv.Name)
-	if ex.stats {
-		ex.countInstr(pathIsMulti(root, idxs, val))
-	}
-	// val is copied before setPath takes the root for writing, so that
-	// $a[0] = $a stores the array $a held before the write.
-	newRoot, err := ex.setPath(root, idxs, ex.copyValue(val), lv.Line)
-	if err != nil {
-		return err
-	}
-	sc.set(lv.Name, newRoot)
-	return nil
-}
-
 // pathIsMulti is the Fig. 11 accounting of an indexed assignment: it
 // executes multivalently if the container, the stored value or a key
 // holds a multivalue. Callers compute it only when collecting stats.
@@ -718,33 +421,6 @@ func laneIdxPath(idxs []Value, i int) []Value {
 		out[j] = Lane(v, i)
 	}
 	return out
-}
-
-func (ex *exec) execUnset(sc *scope, lv *LValue) error {
-	if len(lv.Steps) == 0 {
-		sc.unset(lv.Name)
-		return nil
-	}
-	idxs := make([]Value, len(lv.Steps))
-	for i, step := range lv.Steps {
-		if step.Idx == nil {
-			return unsetAppendError(i == len(lv.Steps)-1, lv.Line)
-		}
-		v, err := ex.evalExpr(sc, step.Idx)
-		if err != nil {
-			return err
-		}
-		idxs[i] = v
-	}
-	root := sc.get(lv.Name)
-	newRoot, err := ex.unsetPath(root, idxs, lv.Line)
-	if err != nil {
-		return err
-	}
-	if newRoot != root {
-		sc.set(lv.Name, newRoot)
-	}
-	return nil
 }
 
 // unsetAppendError is the fault of an append step $a[] in an unset path.

@@ -114,16 +114,16 @@ echo $out;`
 func TestForeachSubjectInteriorWriteIsolated(t *testing.T) {
 	src := `$a = []; $a[0][0] = 1; $a[1][0] = 2; foreach ($a as $k => $v) { $a[$k][] = 9; echo count($v); }`
 	prog := MustCompile(map[string]string{"main": src})
-	for _, eng := range []Engine{EngineInterp, EngineCompiled} {
-		res, err := Run(prog, Config{
+	for _, eng := range []engine{engineInterp, engineCompiled} {
+		res, err := eng.run(prog, Config{
 			Mode: ModePlain, Script: "main", RIDs: []string{"r1"},
-			Inputs: []RequestInput{{}}, Engine: eng,
+			Inputs: []RequestInput{{}},
 		})
 		if err != nil {
-			t.Fatalf("%s: %v", eng.Name(), err)
+			t.Fatalf("%s: %v", eng.name, err)
 		}
 		if got := res.Output(0); got != "11" {
-			t.Errorf("%s: got %q, want %q", eng.Name(), got, "11")
+			t.Errorf("%s: got %q, want %q", eng.name, got, "11")
 		}
 	}
 	diffScript(t, src, engineInputs("1", "2"))

@@ -2,7 +2,6 @@ package lang
 
 import (
 	"errors"
-	"fmt"
 	"sort"
 	"strings"
 )
@@ -63,10 +62,6 @@ type Config struct {
 	// CollectStats enables univalent/multivalent instruction counting
 	// (Fig. 10/11 accounting).
 	CollectStats bool
-	// Engine is the test seam for the reference engine: nil runs the
-	// production engine (EngineCompiled); the differential tests set
-	// EngineInterp to compare against it. Not a tuning option.
-	Engine Engine
 }
 
 // Result is the outcome of one execution.
@@ -158,10 +153,7 @@ type exec struct {
 	digest *Digest
 	out    *output
 	super  map[string]*Array
-	// globals backs both the script's top-level scope and `global`
-	// imports inside functions, as in PHP.
-	globals map[string]Value
-	opnum   int
+	opnum  int
 
 	// eager is set by the reference engine, which copies arrays eagerly
 	// (deepCopy) where the production engine shares them (CloneValue).
@@ -216,58 +208,6 @@ func (ex *exec) branch(site Site, direction int) {
 	}
 }
 
-// scope is a variable namespace (function frame or the global frame).
-type scope struct {
-	vars       map[string]Value
-	globalRefs map[string]bool
-	isGlobal   bool
-	ex         *exec
-}
-
-func (sc *scope) get(name string) Value {
-	if sg, ok := sc.ex.super[name]; ok {
-		return sg
-	}
-	if !sc.isGlobal && sc.globalRefs[name] {
-		return sc.ex.globals[name]
-	}
-	return sc.vars[name]
-}
-
-func (sc *scope) exists(name string) bool {
-	if _, ok := sc.ex.super[name]; ok {
-		return true
-	}
-	if !sc.isGlobal && sc.globalRefs[name] {
-		_, ok := sc.ex.globals[name]
-		return ok
-	}
-	_, ok := sc.vars[name]
-	return ok
-}
-
-func (sc *scope) set(name string, v Value) {
-	if _, ok := sc.ex.super[name]; ok {
-		if arr, isArr := v.(*Array); isArr {
-			sc.ex.super[name] = arr
-		}
-		return
-	}
-	if !sc.isGlobal && sc.globalRefs[name] {
-		sc.ex.globals[name] = v
-		return
-	}
-	sc.vars[name] = v
-}
-
-func (sc *scope) unset(name string) {
-	if !sc.isGlobal && sc.globalRefs[name] {
-		delete(sc.ex.globals, name)
-		return
-	}
-	delete(sc.vars, name)
-}
-
 // ctrl is the statement-level control signal.
 type ctrl uint8
 
@@ -277,85 +217,6 @@ const (
 	ctrlContinue
 	ctrlReturn
 )
-
-func (ex *exec) execStmts(sc *scope, stmts []Stmt) (ctrl, Value, error) {
-	for _, s := range stmts {
-		c, v, err := ex.execStmt(sc, s)
-		if err != nil {
-			return ctrlNone, nil, err
-		}
-		if c != ctrlNone {
-			return c, v, nil
-		}
-	}
-	return ctrlNone, nil, nil
-}
-
-func (ex *exec) execStmt(sc *scope, s Stmt) (ctrl, Value, error) {
-	ex.steps++
-	if ex.steps > ex.maxSteps {
-		return ctrlNone, nil, &RuntimeError{Msg: "step limit exceeded"}
-	}
-	switch st := s.(type) {
-	case *ExprStmt:
-		_, err := ex.evalExpr(sc, st.E)
-		return ctrlNone, nil, err
-	case *Assign:
-		return ctrlNone, nil, ex.execAssign(sc, st)
-	case *If:
-		return ex.execIf(sc, st)
-	case *While:
-		return ex.execWhile(sc, st)
-	case *For:
-		return ex.execFor(sc, st)
-	case *Foreach:
-		return ex.execForeach(sc, st)
-	case *Switch:
-		return ex.execSwitch(sc, st)
-	case *Return:
-		var v Value
-		if st.E != nil {
-			var err error
-			v, err = ex.evalExpr(sc, st.E)
-			if err != nil {
-				return ctrlNone, nil, err
-			}
-		}
-		return ctrlReturn, v, nil
-	case *Break:
-		return ctrlBreak, nil, nil
-	case *Continue:
-		return ctrlContinue, nil, nil
-	case *Echo:
-		for _, a := range st.Args {
-			v, err := ex.evalExpr(sc, a)
-			if err != nil {
-				return ctrlNone, nil, err
-			}
-			if err := ex.echo(v, st.Line); err != nil {
-				return ctrlNone, nil, err
-			}
-		}
-		return ctrlNone, nil, nil
-	case *Global:
-		if sc.globalRefs == nil {
-			sc.globalRefs = make(map[string]bool)
-		}
-		for _, n := range st.Names {
-			sc.globalRefs[n] = true
-		}
-		return ctrlNone, nil, nil
-	case *Unset:
-		for _, lv := range st.Targets {
-			if err := ex.execUnset(sc, lv); err != nil {
-				return ctrlNone, nil, err
-			}
-		}
-		return ctrlNone, nil, nil
-	default:
-		return ctrlNone, nil, &RuntimeError{Msg: fmt.Sprintf("unknown statement %T", s)}
-	}
-}
 
 // condDirection evaluates a branch condition to a single direction,
 // handling multivalues: if truthiness differs across lanes the group has
@@ -374,169 +235,6 @@ func (ex *exec) condDirection(v Value) (bool, error) {
 		}
 	}
 	return first, nil
-}
-
-func (ex *exec) execIf(sc *scope, st *If) (ctrl, Value, error) {
-	for i, cond := range st.Conds {
-		v, err := ex.evalExpr(sc, cond)
-		if err != nil {
-			return ctrlNone, nil, err
-		}
-		taken, err := ex.condDirection(v)
-		if err != nil {
-			return ctrlNone, nil, err
-		}
-		if taken {
-			ex.branch(st.Site, i)
-			return ex.execStmts(sc, st.Bodies[i])
-		}
-	}
-	ex.branch(st.Site, len(st.Conds))
-	if st.Else != nil {
-		return ex.execStmts(sc, st.Else)
-	}
-	return ctrlNone, nil, nil
-}
-
-func (ex *exec) execWhile(sc *scope, st *While) (ctrl, Value, error) {
-	for {
-		v, err := ex.evalExpr(sc, st.Cond)
-		if err != nil {
-			return ctrlNone, nil, err
-		}
-		taken, err := ex.condDirection(v)
-		if err != nil {
-			return ctrlNone, nil, err
-		}
-		if !taken {
-			ex.branch(st.Site, 0)
-			return ctrlNone, nil, nil
-		}
-		ex.branch(st.Site, 1)
-		c, rv, err := ex.execStmts(sc, st.Body)
-		if err != nil {
-			return ctrlNone, nil, err
-		}
-		switch c {
-		case ctrlBreak:
-			return ctrlNone, nil, nil
-		case ctrlReturn:
-			return ctrlReturn, rv, nil
-		}
-		ex.steps++
-		if ex.steps > ex.maxSteps {
-			return ctrlNone, nil, &RuntimeError{Msg: "step limit exceeded"}
-		}
-	}
-}
-
-func (ex *exec) execFor(sc *scope, st *For) (ctrl, Value, error) {
-	if st.Init != nil {
-		if _, _, err := ex.execStmt(sc, st.Init); err != nil {
-			return ctrlNone, nil, err
-		}
-	}
-	for {
-		if st.Cond != nil {
-			v, err := ex.evalExpr(sc, st.Cond)
-			if err != nil {
-				return ctrlNone, nil, err
-			}
-			taken, err := ex.condDirection(v)
-			if err != nil {
-				return ctrlNone, nil, err
-			}
-			if !taken {
-				ex.branch(st.Site, 0)
-				return ctrlNone, nil, nil
-			}
-		}
-		ex.branch(st.Site, 1)
-		c, rv, err := ex.execStmts(sc, st.Body)
-		if err != nil {
-			return ctrlNone, nil, err
-		}
-		switch c {
-		case ctrlBreak:
-			return ctrlNone, nil, nil
-		case ctrlReturn:
-			return ctrlReturn, rv, nil
-		}
-		if st.Post != nil {
-			if _, _, err := ex.execStmt(sc, st.Post); err != nil {
-				return ctrlNone, nil, err
-			}
-		} else if err := ex.step(); err != nil {
-			// The post statement's entry is the per-iteration step;
-			// without one, `for(;;){}` would never reach the step limit.
-			return ctrlNone, nil, err
-		}
-	}
-}
-
-func (ex *exec) execForeach(sc *scope, st *Foreach) (ctrl, Value, error) {
-	subject, err := ex.evalExpr(sc, st.Subject)
-	if err != nil {
-		return ctrlNone, nil, err
-	}
-	// PHP iterates over a copy of the subject: writes to the subject
-	// variable in the body, at any depth, do not reach the loop.
-	switch subj := ex.copyValue(subject).(type) {
-	case *Array:
-		for _, e := range subj.ents {
-			ex.branch(st.Site, 1)
-			if st.KeyVar != "" {
-				sc.set(st.KeyVar, e.k.Value())
-			}
-			sc.set(st.ValVar, ex.copyValue(e.v))
-			c, rv, err := ex.execStmts(sc, st.Body)
-			if err != nil {
-				return ctrlNone, nil, err
-			}
-			switch c {
-			case ctrlBreak:
-				ex.branch(st.Site, 0)
-				return ctrlNone, nil, nil
-			case ctrlReturn:
-				return ctrlReturn, rv, nil
-			}
-		}
-		ex.branch(st.Site, 0)
-		return ctrlNone, nil, nil
-	case *Multi:
-		// The container itself is a multivalue: lock-step iteration over
-		// per-lane materialized arrays.
-		arrs, n, err := ex.foreachLanes(subj, st.Line)
-		if err != nil {
-			return ctrlNone, nil, err
-		}
-		for it := 0; it < n; it++ {
-			ex.branch(st.Site, 1)
-			keys, vals := ex.foreachLaneElems(arrs, it)
-			if st.KeyVar != "" {
-				sc.set(st.KeyVar, NewMulti(keys))
-			}
-			sc.set(st.ValVar, NewMulti(vals))
-			c, rv, err := ex.execStmts(sc, st.Body)
-			if err != nil {
-				return ctrlNone, nil, err
-			}
-			switch c {
-			case ctrlBreak:
-				ex.branch(st.Site, 0)
-				return ctrlNone, nil, nil
-			case ctrlReturn:
-				return ctrlReturn, rv, nil
-			}
-		}
-		ex.branch(st.Site, 0)
-		return ctrlNone, nil, nil
-	case nil:
-		ex.branch(st.Site, 0)
-		return ctrlNone, nil, nil
-	default:
-		return ctrlNone, nil, &RuntimeError{Msg: "foreach over non-array", Line: st.Line}
-	}
 }
 
 // foreachLanes materializes each lane of a multivalue foreach subject
@@ -575,52 +273,6 @@ func (ex *exec) foreachLaneElems(arrs []*Array, it int) (keys, vals []Value) {
 		vals[i] = ex.copyValue(e.v)
 	}
 	return keys, vals
-}
-
-func (ex *exec) execSwitch(sc *scope, st *Switch) (ctrl, Value, error) {
-	subject, err := ex.evalExpr(sc, st.Subject)
-	if err != nil {
-		return ctrlNone, nil, err
-	}
-	// Determine the arm per lane; divergence if lanes disagree.
-	arm := -2 // -2 unset, -1 default
-	for i, cs := range st.Cases {
-		mv, err := ex.evalExpr(sc, cs.Match)
-		if err != nil {
-			return ctrlNone, nil, err
-		}
-		matched, err := ex.looseEqDirection(subject, mv)
-		if err != nil {
-			return ctrlNone, nil, err
-		}
-		if matched {
-			arm = i
-			break
-		}
-	}
-	if arm == -2 {
-		arm = -1
-	}
-	ex.branch(st.Site, arm+1)
-	var body []Stmt
-	if arm >= 0 {
-		body = st.Cases[arm].Body
-	} else {
-		body = st.Default
-	}
-	c, rv, err := ex.execStmts(sc, body)
-	if err != nil {
-		return ctrlNone, nil, err
-	}
-	switch c {
-	case ctrlBreak:
-		return ctrlNone, nil, nil // break binds to switch, as in PHP
-	case ctrlReturn:
-		return ctrlReturn, rv, nil
-	case ctrlContinue:
-		return ctrlContinue, nil, nil
-	}
-	return ctrlNone, nil, nil
 }
 
 // looseEqDirection compares possibly-multivalues for switch matching; all

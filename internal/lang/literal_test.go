@@ -63,7 +63,7 @@ echo json_encode($c), json_encode($d), json_encode($e), json_encode($f), "|", js
 }
 
 // runCompiledExec runs script main of src under the compiled engine, as
-// compiledEngine.Run does, and returns the exec it ran on.
+// Run does, and returns the exec it ran on.
 func runCompiledExec(t *testing.T, src string, in RequestInput) (*exec, error) {
 	t.Helper()
 	prog := MustCompile(map[string]string{"main": src})

@@ -52,10 +52,6 @@ type Options struct {
 	// boundaries. The epoch pipeline (internal/epoch) installs its
 	// manager here to cut the live trace into epochs and seal them.
 	Tap trace.Tap
-	// Engine is the test seam for the reference engine: nil runs the
-	// production engine; differential tests set lang.EngineInterp. The
-	// recorded digests and reports do not depend on it.
-	Engine lang.Engine
 }
 
 // Server is one executor instance.
@@ -201,7 +197,6 @@ func (s *Server) run(rid string, in trace.Input) string {
 		RIDs:   []string{rid},
 		Inputs: []lang.RequestInput{{Get: in.Get, Post: in.Post, Cookie: in.Cookie}},
 		Bridge: bridge,
-		Engine: s.opts.Engine,
 	})
 	// A faulted request is a first-class, auditable outcome: Run still
 	// returned a Result whose digest is folded with the fault site, so

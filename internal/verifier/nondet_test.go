@@ -142,23 +142,6 @@ func TestUnknownScriptInGroupRejected(t *testing.T) {
 	}
 }
 
-func TestMaxStepsGuard(t *testing.T) {
-	// A verifier-side step limit converts runaway re-execution into a
-	// rejection rather than a hang.
-	prog := compileApp(t)
-	tr, art := serveWorkload(t, prog, sampleInputs(5), 1)
-	res, err := AuditContext(context.Background(), prog, tr, art.srv.Reports(), art.snap, Options{MaxSteps: 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Accepted {
-		t.Fatal("absurdly low step budget must reject, not hang")
-	}
-	if !strings.Contains(res.Reason, "step limit") {
-		t.Logf("reason: %s", res.Reason)
-	}
-}
-
 func TestServer500Audits(t *testing.T) {
 	// A request whose handler raises a runtime error produces the
 	// canonical error response AND a group membership: faulted requests

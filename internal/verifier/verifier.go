@@ -29,8 +29,6 @@ type Options struct {
 	MaxGroup int
 	// CollectStats gathers per-group instruction statistics (Fig. 11).
 	CollectStats bool
-	// MaxSteps bounds each group re-execution (0 = interpreter default).
-	MaxSteps int64
 	// Workers is the number of concurrent audit workers: Phase 2 replays
 	// independent object logs in parallel and Phase 3 re-executes
 	// control-flow groups on a worker pool ("the verifier can re-execute
@@ -43,10 +41,6 @@ type Options struct {
 	// and ends, groups re-executed, ops replayed, the verdict). With
 	// Workers > 1 some callbacks fire concurrently; see Observer.
 	Observer Observer
-	// Engine is the test seam for the reference engine in Phase-3
-	// re-execution: nil runs the production engine; differential tests
-	// set lang.EngineInterp. Verdicts are bit-identical under either.
-	Engine lang.Engine
 }
 
 // ErrAuditCanceled reports an audit abandoned because its context was
@@ -493,8 +487,7 @@ func runGroup(prog *lang.Program, env *auditEnv, script string, tag uint64, rids
 	bridge := newAuditBridge(env)
 	res, err := lang.Run(prog, lang.Config{
 		Mode: lang.ModeSIMD, Script: script, RIDs: rids, Inputs: gInputs,
-		Bridge: bridge, CollectStats: opts.CollectStats, MaxSteps: opts.MaxSteps,
-		Engine: opts.Engine,
+		Bridge: bridge, CollectStats: opts.CollectStats,
 	})
 	stats.DedupHits += bridge.cache.Hits
 	stats.DedupMisses += bridge.cache.Misses
