@@ -95,8 +95,8 @@ func coordinateCmd(ctx context.Context, dir, addr string, opts fleet.Coordinator
 		fmt.Fprintln(os.Stderr, "orochi-audit:", warn)
 	}
 	st := coord.Stats()
-	fmt.Fprintf(os.Stderr, "orochi-audit: fleet: at most %d epoch(s) in flight past the ledger, %d verdict(s) discarded for an initial-state mismatch\n",
-		st.MaxEpochsInFlight, st.InitMismatches)
+	fmt.Fprintf(os.Stderr, "orochi-audit: fleet: at most %d epoch(s) in flight past the ledger, %d verdict(s) discarded for an initial-state mismatch, %d epoch state(s) derived in %.3fs\n",
+		st.MaxEpochsInFlight, st.InitMismatches, st.StatesDerived, st.StateDeriveTime.Seconds())
 	// Group statistics are the workers' to print (-worker -stats).
 	printLedger(dir, coord.Ledger(), opts.To, false)
 }

@@ -17,7 +17,7 @@ type ChunkerOptions struct {
 }
 
 // DefaultChunker cuts snapshots — an epoch's init, checkpoints and the
-// candidates fleet workers ship — by content, because consecutive
+// states the fleet coordinator derives — by content, because consecutive
 // states of one chain can share chunks: a content-defined cut survives
 // an insertion before it. Its 32 KiB average is a measured constant:
 // smaller chunks share little more, and every chunk costs the sealer a

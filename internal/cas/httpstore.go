@@ -25,9 +25,9 @@ var ErrUnavailable = errors.New("cas: store unavailable")
 // Bounds on one chunk that arrives from another process — a backstop
 // against a misbehaving peer streaming forever or shipping a stream
 // that inflates without end. Every chunk a chain holds was cut by
-// LogChunker (traces and reports) or DefaultChunker (snapshots:
-// WriteBlob for inits and checkpoints, DefaultChunker.Split for the
-// candidates fleet workers ship), so none inflates past
+// LogChunker (traces and reports) or DefaultChunker (snapshots: inits,
+// checkpoints and the states the fleet coordinator derives, all through
+// WriteBlob), so none inflates past
 // DefaultChunker.Max, 256 KiB; chains cut when Max was 64 KiB sit well
 // inside it. The stored (gzip) form may exceed that by deflate's
 // framing on incompressible bytes — 5 bytes per stored block of at

@@ -352,8 +352,9 @@ func TestConsoleFleetMetrics(t *testing.T) {
 		"orochi_fleet_fetched_bytes_total 0",
 		"# TYPE orochi_fleet_wire_bytes_total counter",
 		"orochi_fleet_wire_bytes_total 0",
-		"orochi_fleet_snapshot_chunks_posted_total 0",
-		"orochi_fleet_snapshot_chunks_reused_total 0",
+		"orochi_fleet_states_derived_total 0",
+		"# TYPE orochi_fleet_state_derive_seconds_total counter",
+		"orochi_fleet_state_derive_seconds_total 0",
 	} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/-/metrics missing %q in:\n%s", want, body)

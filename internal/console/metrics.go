@@ -241,16 +241,16 @@ func (c *Console) metrics(w http.ResponseWriter, r *http.Request) {
 		p.sample("orochi_fleet_stale_verdicts_total", "", float64(st.StaleVerdicts))
 		p.family("orochi_fleet_init_mismatch_total", "counter", "Verdicts discarded because the initial state they were audited from is not the one the ledger published for the epoch before (0 on an honest fleet).")
 		p.sample("orochi_fleet_init_mismatch_total", "", float64(st.InitMismatches))
-		p.family("orochi_fleet_epochs_in_flight", "gauge", "Epochs past the ledger's next that hold a lease, a candidate or an unpublished verdict.")
+		p.family("orochi_fleet_epochs_in_flight", "gauge", "Epochs past the ledger's next that hold a lease or an unpublished verdict.")
 		p.sample("orochi_fleet_epochs_in_flight", "", float64(st.EpochsInFlight))
 		p.family("orochi_fleet_fetched_bytes_total", "counter", "Logical (inflated) bytes of the epoch chunks workers reported fetching.")
 		p.sample("orochi_fleet_fetched_bytes_total", "", float64(st.FetchedBytes))
 		p.family("orochi_fleet_wire_bytes_total", "counter", "Bytes that crossed the wire for every chunk workers reported fetching (epoch artifacts and initial states), in the at-rest form chunks travel in.")
 		p.sample("orochi_fleet_wire_bytes_total", "", float64(st.WireBytes))
-		p.family("orochi_fleet_snapshot_chunks_posted_total", "counter", "Candidate-snapshot chunks workers shipped and the chain store filed.")
-		p.sample("orochi_fleet_snapshot_chunks_posted_total", "", float64(st.SnapshotChunksPosted))
-		p.family("orochi_fleet_snapshot_chunks_reused_total", "counter", "Candidate-snapshot chunk refs in worker posts that named a chunk the chain store already held.")
-		p.sample("orochi_fleet_snapshot_chunks_reused_total", "", float64(st.SnapshotChunksReused))
+		p.family("orochi_fleet_states_derived_total", "counter", "Epoch final states the coordinator derived from the chain's reports (verifier Phase 2) and filed in the chain store.")
+		p.sample("orochi_fleet_states_derived_total", "", float64(st.StatesDerived))
+		p.family("orochi_fleet_state_derive_seconds_total", "counter", "Wall time the coordinator spent deriving and filing epoch final states.")
+		p.sample("orochi_fleet_state_derive_seconds_total", "", st.StateDeriveTime.Seconds())
 		p.family("orochi_fleet_cache_hit_bytes_total", "counter", "Manifest-pinned bytes workers served from their local caches instead of the wire.")
 		p.sample("orochi_fleet_cache_hit_bytes_total", "", float64(st.CacheHitBytes))
 	}

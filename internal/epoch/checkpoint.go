@@ -36,9 +36,9 @@ func checkpointPath(dir string, n int64) string {
 // writeCheckpoint records st as epoch n's checkpoint where
 // LoadCheckpoint finds it. A state held only in memory (the local
 // auditor's) is cut into the chain's chunk store first; one that
-// arrives as refs (the fleet coordinator files a worker's chunks as
-// they are posted) costs the one small file. The file is fsynced: the
-// chunks it names were durable before it.
+// arrives as refs (the fleet coordinator files each state it derives
+// before publishing it) costs the one small file. The file is fsynced:
+// the chunks it names were durable before it.
 func writeCheckpoint(dir string, n int64, st State) error {
 	refs := st.Refs
 	if refs == nil {

@@ -49,6 +49,18 @@ func Load(s *Sealed) (*Loaded, error) {
 // own <dir>/cas — the seam for loading against a remote or tiered
 // store).
 func LoadFrom(s *Sealed, store cas.Store) (*Loaded, error) {
+	return load(s, store, true)
+}
+
+// LoadState is LoadFrom without the trace: it reads what fixes the
+// epoch's final state — its reports and, if the manifest has one, its
+// initial snapshot — with the same checks, and returns them with Trace
+// nil. The fleet coordinator derives each epoch's final state from it.
+func LoadState(s *Sealed, store cas.Store) (*Loaded, error) {
+	return load(s, store, false)
+}
+
+func load(s *Sealed, store cas.Store, withTrace bool) (*Loaded, error) {
 	fail := func(format string, args ...any) (*Loaded, error) {
 		return nil, &IntegrityError{Epoch: s.Number, Detail: fmt.Sprintf(format, args...)}
 	}
@@ -91,28 +103,31 @@ func LoadFrom(s *Sealed, store cas.Store) (*Loaded, error) {
 		return data, nil
 	}
 
-	var events []trace.Event
-	for _, seg := range s.Manifest.Segments {
-		label := fmt.Sprintf("segment %s", seg.Name)
-		data, err := readArtifact(label, seg.FileInfo)
-		if err != nil {
-			return fail("%v", err)
+	var tr *trace.Trace
+	if withTrace {
+		var events []trace.Event
+		for _, seg := range s.Manifest.Segments {
+			label := fmt.Sprintf("segment %s", seg.Name)
+			data, err := readArtifact(label, seg.FileInfo)
+			if err != nil {
+				return fail("%v", err)
+			}
+			segTrace, err := trace.DecodeRaw(data)
+			if err != nil {
+				return fail("%s: undecodable blob: %v", label, err)
+			}
+			if len(segTrace.Events) != seg.Events {
+				return fail("%s: event count mismatch (manifest %d, decoded %d)", label, seg.Events, len(segTrace.Events))
+			}
+			events = append(events, segTrace.Events...)
 		}
-		tr, err := trace.DecodeRaw(data)
-		if err != nil {
-			return fail("%s: undecodable blob: %v", label, err)
+		if len(events) != s.Manifest.Events {
+			return fail("event count mismatch (manifest %d, decoded %d)", s.Manifest.Events, len(events))
 		}
-		if len(tr.Events) != seg.Events {
-			return fail("%s: event count mismatch (manifest %d, decoded %d)", label, seg.Events, len(tr.Events))
+		tr = &trace.Trace{Events: events}
+		if got := tr.RequestCount(); got != s.Manifest.Requests {
+			return fail("request count mismatch (manifest %d, decoded %d)", s.Manifest.Requests, got)
 		}
-		events = append(events, tr.Events...)
-	}
-	if len(events) != s.Manifest.Events {
-		return fail("event count mismatch (manifest %d, decoded %d)", s.Manifest.Events, len(events))
-	}
-	tr := &trace.Trace{Events: events}
-	if got := tr.RequestCount(); got != s.Manifest.Requests {
-		return fail("request count mismatch (manifest %d, decoded %d)", s.Manifest.Requests, got)
 	}
 
 	repData, err := readArtifact("reports", s.Manifest.Reports)

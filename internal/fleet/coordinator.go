@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"crypto/rand"
 	"encoding/hex"
@@ -16,15 +17,15 @@ import (
 
 	"orochi/internal/cas"
 	"orochi/internal/epoch"
+	"orochi/internal/object"
 	"orochi/internal/verifier"
 )
 
 // CoordinatorOptions configures a fleet coordinator.
 type CoordinatorOptions struct {
 	// LeaseTimeout is how long a worker may hold an epoch without
-	// activity before the lease is reassigned (default 2m). Any
-	// authenticated touch — an init request, a candidate post — renews
-	// it.
+	// activity before the lease is reassigned (default 2m). An init
+	// request renews it.
 	LeaseTimeout time.Duration
 	// CrossCheck is the fraction of epochs, in [0, 1], whose verdict
 	// is believed only once crossCheckQuorum leases agree on it (0 =
@@ -67,11 +68,11 @@ type CoordinatorStats struct {
 	StaleVerdicts        int64
 	// InitMismatches counts verdicts discarded because the initial state
 	// they were audited from is not the state the ledger published for
-	// the epoch before (a candidate that lost); 0 on an honest fleet.
+	// the epoch before; 0 on an honest fleet.
 	InitMismatches int64
 	// EpochsInFlight counts the epochs past the ledger's next that hold
-	// a lease, a candidate or an unpublished verdict; MaxEpochsInFlight
-	// is the most there ever were at once.
+	// a lease or an unpublished verdict; MaxEpochsInFlight is the most
+	// there ever were at once.
 	EpochsInFlight    int
 	MaxEpochsInFlight int
 	// FetchedBytes and CacheHitBytes are logical (inflated) chunk bytes,
@@ -81,13 +82,13 @@ type CoordinatorStats struct {
 	FetchedBytes  int64
 	CacheHitBytes int64
 	WireBytes     int64
-	// SnapshotChunksPosted counts candidate-snapshot chunks workers
-	// shipped; SnapshotChunksReused counts the refs in those posts that
-	// named a chunk the chain store already held.
-	SnapshotChunksPosted int64
-	SnapshotChunksReused int64
-	Done                 bool
-	Broken               bool
+	// StatesDerived counts the epoch final states the coordinator
+	// derived and filed (deriveLoop); StateDeriveTime is the wall time
+	// that took, summed.
+	StatesDerived   int64
+	StateDeriveTime time.Duration
+	Done            bool
+	Broken          bool
 }
 
 // activeLease is one outstanding assignment.
@@ -99,36 +100,18 @@ type activeLease struct {
 	deadline time.Time
 }
 
-// epochState tracks one sealed epoch through lease → candidate →
-// verdict(s) → published decision.
+// epochState tracks one sealed epoch through lease → verdict(s) →
+// published decision.
 type epochState struct {
 	s      *epoch.Sealed
 	cross  bool // sampled for cross-checking
 	need   int  // verdicts required (1, or crossCheckQuorum when cross)
 	active map[string]*activeLease
-	// cands holds the candidate final states posted for this epoch, in
-	// post order, one per lease: ref lists whose every chunk is in the
-	// chain store. The first is what the next epoch's init hands out
-	// while this one is undecided.
-	cands []*VerdictPost
-	// posted holds validated, not-yet-published verdicts; an ACCEPT's
-	// FinalSnapshot is its lease's candidate.
+	// posted holds validated, not-yet-published verdicts.
 	posted []*VerdictPost
-}
-
-// candidate returns the candidate the lease posted, or nil.
-func (st *epochState) candidate(leaseID string) *VerdictPost {
-	for _, p := range st.cands {
-		if p.LeaseID == leaseID {
-			return p
-		}
-	}
-	return nil
-}
-
-// dropCandidate forgets the candidate the lease posted, if any.
-func (st *epochState) dropCandidate(leaseID string) {
-	st.cands = slices.DeleteFunc(st.cands, func(p *VerdictPost) bool { return p.LeaseID == leaseID })
+	// final is the epoch's final state as the coordinator derived it,
+	// refs into the chain store; nil until deriveLoop has filed it.
+	final []cas.Ref
 }
 
 // outstanding is how many verdicts are already secured or in flight.
@@ -148,15 +131,16 @@ func (st *epochState) activeWorker(worker string) bool {
 
 // Coordinator drives the chain's epoch.Ledger with remote executors: it
 // hands out lease-based epoch assignments to workers, lowest epoch
-// first, collects their candidates and verdicts (a quorum of verdicts
-// for cross-checked epochs), and publishes verdicts to the ledger in
-// chain order. Epoch N+1 is audited from a candidate posted for epoch N
-// as soon as N's redo has fixed one, so all leased epochs re-execute at
-// once; its verdict is published only if that candidate is the final
-// state the ledger published for N (advanceLocked). The ledger is the
-// in-process auditor's, so the digests, the decision log (-explain, the
-// console, restart rehydration), compacted adoption and checkpoints are
-// the same code either way.
+// first, collects their verdicts (a quorum for cross-checked epochs),
+// and publishes them to the ledger in chain order. Each epoch's final
+// state it derives itself from the chain's own reports (deriveLoop), so
+// epoch N+1 is audited from N's state as soon as the coordinator has
+// redone N, and all leased epochs re-execute at once; N+1's verdict is
+// published only if the state it names is the one the ledger published
+// for N (advanceLocked). The ledger is the in-process auditor's, so the
+// digests, the decision log (-explain, the console, restart
+// rehydration), compacted adoption and checkpoints are the same code
+// either way.
 //
 // The epoch set is fixed at construction: a fleet audit runs against a
 // chain that is not being written (the CLI holds the chain's exclusive
@@ -165,15 +149,27 @@ func (st *epochState) activeWorker(worker string) bool {
 // Lock discipline: c.mu guards the lease tables and serializes the
 // ledger's writers, and is held only for bookkeeping plus the two small
 // fsynced writes a published decision costs (its decisions.jsonl line
-// and its checkpoint ref list). Everything sized by a snapshot — parsing
-// a post, verifying and storing its chunks — happens before the lock is
-// taken, so one worker's hand-off never parks another worker's request.
+// and its checkpoint ref list). Everything sized by a snapshot — the
+// redo, encoding and filing of a derived state — runs without it, in
+// deriveLoop and fileState, so deriving a state never parks a worker's
+// request.
 type Coordinator struct {
+	dir    string
 	opts   CoordinatorOptions
 	ledger *epoch.Ledger
-	store  *cas.FS                              // the chain's chunk store: where posted snapshots land
+	store  cas.Store                            // the chain's chunk store: where derived states land
 	now    func() time.Time                     // test hook
 	after  func(time.Duration) <-chan time.Time // test hook: the init long-poll's timeout
+	// beforeDerive, when set, runs before deriveLoop derives epoch n's
+	// final state (test hook: holds a derivation back).
+	beforeDerive func(n int64)
+
+	// ctx ends deriveLoop (cancelled when the audit finishes or the
+	// coordinator closes); kick wakes it to look for work again.
+	ctx      context.Context
+	cancel   context.CancelFunc
+	kick     chan struct{}
+	deriving sync.WaitGroup
 
 	mu       sync.Mutex
 	states   map[int64]*epochState // every sealed epoch under To
@@ -184,6 +180,16 @@ type Coordinator struct {
 	finished bool
 	err      error // internal fault that aborted the audit
 	done     chan struct{}
+	// leasedTo is the highest epoch leased this run: deriveLoop derives
+	// epoch n's final state only once a later epoch needs it, or n holds
+	// an ACCEPT to publish with it.
+	leasedTo int64
+	// underivable is the first epoch whose final state could not be
+	// derived (0: none yet), and why: damaged or missing artifacts, a
+	// redo that rejects, an unreadable checkpoint. No state past it is
+	// derived; its own audit decides it.
+	underivable    int64
+	underivableWhy string
 
 	leasesReassigned     int64
 	epochsCrossChecked   int64
@@ -195,8 +201,8 @@ type Coordinator struct {
 	fetchedBytes         int64
 	cacheHitBytes        int64
 	wireBytes            int64
-	snapshotChunksPosted int64
-	snapshotChunksReused int64
+	statesDerived        int64
+	stateDeriveTime      time.Duration
 }
 
 // NewCoordinator opens the chain's decision log, scans its sealed
@@ -225,16 +231,19 @@ func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 		return nil, err
 	}
 	c := &Coordinator{
+		dir:     dir,
 		opts:    opts,
 		store:   store,
 		now:     time.Now,
 		after:   time.After,
+		kick:    make(chan struct{}, 1),
 		states:  make(map[int64]*epochState),
 		wake:    make(chan struct{}),
 		leases:  make(map[string]*activeLease),
 		workers: make(map[string]time.Time),
 		done:    make(chan struct{}),
 	}
+	c.ctx, c.cancel = context.WithCancel(context.Background())
 	sealed, err := epoch.ListSealed(dir)
 	if err != nil {
 		log.Close()
@@ -265,7 +274,8 @@ func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 	if from > 1 && accepted && c.states[from] != nil {
 		// More epochs to audit: the hand-off needs the last accepted
 		// epoch's verified final snapshot. Its checkpoint already is the
-		// ref list workers are handed; the chunks stay where they are.
+		// ref list workers are handed; the chunks stay where they are
+		// until deriveLoop needs the state itself.
 		if init.Refs, err = epoch.LoadCheckpointRefs(dir, from-1); err != nil {
 			log.Close()
 			return nil, fmt.Errorf("fleet: resuming at epoch %d needs epoch %d's checkpoint: %w", from, from-1, err)
@@ -275,6 +285,8 @@ func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 	c.mu.Lock()
 	c.advanceLocked()
 	c.mu.Unlock()
+	c.deriving.Add(1)
+	go c.deriveLoop(c.ledger.Next(), c.ledger.Init())
 	return c, nil
 }
 
@@ -307,9 +319,9 @@ func (c *Coordinator) Handler() http.Handler {
 	return mux
 }
 
-// maxPostBytes bounds request bodies; a verdict's shipped snapshot
-// chunks dominate.
-const maxPostBytes = 256 << 20
+// maxPostBytes bounds request bodies and init responses; a REJECT's
+// forensics dominate.
+const maxPostBytes = 16 << 20
 
 func (c *Coordinator) readSigned(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxPostBytes+1))
@@ -393,7 +405,7 @@ func (c *Coordinator) grantLocked(worker string) *Lease {
 		}
 		st.active[l.id] = l
 		c.leases[l.id] = l
-		return &Lease{
+		lease := &Lease{
 			ID:              l.id,
 			Epoch:           n,
 			ManifestSHA:     st.s.ManifestSHA,
@@ -402,13 +414,18 @@ func (c *Coordinator) grantLocked(worker string) *Lease {
 			CrossCheck:      l.cross,
 			DeadlineUnix:    l.deadline.Unix(),
 		}
+		if n > c.leasedTo {
+			c.leasedTo = n
+			c.kickDeriver()
+		}
+		return lease
 	}
 	return nil
 }
 
-// expireLocked reassigns timed-out leases: the lease and its candidate
-// are dropped, so the next worker asking for work picks the epoch up. A
-// post on a dropped lease is stale and answered 409.
+// expireLocked reassigns timed-out leases: the lease is dropped, so the
+// next worker asking for work picks the epoch up. A post on a dropped
+// lease is stale and answered 409.
 func (c *Coordinator) expireLocked() {
 	now := c.now()
 	for id, l := range c.leases {
@@ -419,19 +436,17 @@ func (c *Coordinator) expireLocked() {
 	}
 }
 
-// dropLeaseLocked forgets a lease that will post no verdict, and the
-// candidate it posted.
+// dropLeaseLocked forgets a lease that will post no verdict.
 func (c *Coordinator) dropLeaseLocked(id string) {
 	l := c.leases[id]
 	delete(c.leases, id)
 	if st := c.states[l.epoch]; st != nil {
 		delete(st.active, id)
-		st.dropCandidate(id)
 	}
 }
 
 // maxInitWait caps how long an init request is held open waiting for
-// the previous epoch's candidate.
+// the previous epoch's final state.
 const maxInitWait = 15 * time.Second
 
 // initWait is how long one init request may be held: short of
@@ -442,14 +457,15 @@ func (c *Coordinator) initWait() time.Duration {
 
 // handleInit serves the initial state a leased epoch is to be audited
 // from, as a ref list into the chain store: the ledger's trusted state
-// when the epoch is the ledger's next, otherwise the first candidate
-// posted for the epoch before. When there is none yet the request is
-// held until one is posted (a long poll: the hand-off reaches the
-// worker when it happens, not on the worker's next tick) and answered
-// 202 only after initWait. 410 means the lease is gone — expired, the
-// chain broke before this epoch, or an earlier epoch short of its
-// verdicts has no lease, which nobody would ever pick up while every
-// worker waits here — and the worker must abandon the assignment.
+// when the epoch is the ledger's next, otherwise the final state the
+// coordinator derived for the epoch before. When there is none yet the
+// request is held until deriveLoop files it (a long poll: the hand-off
+// reaches the worker when it happens, not on the worker's next tick)
+// and answered 202 only after initWait. 410 means the lease is gone —
+// expired, the audit over (the chain broke before this epoch, or an
+// internal fault), or an earlier epoch short of its verdicts has no
+// lease, which nobody would pick up while every worker waits here for a
+// state it blocks — and the worker must abandon the assignment.
 func (c *Coordinator) handleInit(w http.ResponseWriter, r *http.Request) {
 	n, err := strconv.ParseInt(r.PathValue("n"), 10, 64)
 	if err != nil || n <= 0 {
@@ -466,7 +482,7 @@ func (c *Coordinator) handleInit(w http.ResponseWriter, r *http.Request) {
 			c.dropLeaseLocked(leaseID)
 			l = nil
 		}
-		if l == nil || l.epoch != n {
+		if l == nil || l.epoch != n || c.finished {
 			c.mu.Unlock()
 			http.Error(w, "lease gone", http.StatusGone)
 			return
@@ -476,8 +492,8 @@ func (c *Coordinator) handleInit(w http.ResponseWriter, r *http.Request) {
 		var refs []cas.Ref
 		if n == c.ledger.Next() {
 			refs = c.ledger.Init().Refs
-		} else if prev := c.states[n-1]; prev != nil && len(prev.cands) > 0 {
-			refs = prev.cands[0].FinalSnapshot
+		} else if prev := c.states[n-1]; prev != nil {
+			refs = prev.final
 		}
 		wake := c.wake
 		c.mu.Unlock()
@@ -511,80 +527,46 @@ func (c *Coordinator) orphanBeforeLocked(n int64) bool {
 	return false
 }
 
-// handleVerdict records a worker's post on its lease. A candidate
-// (VerdictPost.Candidate) ships the epoch's candidate final state, the
-// one its verdict will vouch for, and wakes the init requests waiting on
-// it; a verdict carries no state of its own — an ACCEPT's final state is
-// its lease's candidate — and names the initial state it was audited
-// from.
+// handleVerdict records a worker's verdict on its lease. The body is
+// the JSON of a VerdictPost and nothing else: a post with a field the
+// coordinator does not know — a state of the worker's own, say — is
+// refused, so no worker post carries state.
 func (c *Coordinator) handleVerdict(w http.ResponseWriter, r *http.Request) {
 	body, ok := c.readSigned(w, r)
 	if !ok {
 		return
 	}
-	p, chunks, err := DecodeVerdict(body)
+	var p VerdictPost
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&p)
+	if _, trail := dec.Token(); err == nil && trail != io.EOF {
+		err = errors.New("trailing bytes after the verdict")
+	}
 	if err != nil {
 		http.Error(w, "bad verdict post: "+err.Error(), http.StatusBadRequest)
 		return
 	}
-	if p.Candidate != (len(p.FinalSnapshot) > 0) {
-		http.Error(w, "bad verdict post: a candidate carries a final snapshot, a verdict none", http.StatusBadRequest)
-		return
-	}
-	// Validate against the lease before the snapshot is touched, so a
-	// late or confused post costs no store IO; then file the snapshot's
-	// chunks with the lock released; then validate again, because the
-	// lease may have expired meanwhile, and record.
-	c.mu.Lock()
-	status, msg := c.checkPostLocked(p)
-	c.mu.Unlock()
-	if status != 0 {
-		http.Error(w, msg, status)
-		return
-	}
-	var posted, reused int
-	if p.Candidate {
-		if posted, reused, err = c.storeSnapshot(p, chunks); err != nil {
-			// Keep the lease: nothing was believed, and the worker may
-			// yet post a snapshot that resolves.
-			http.Error(w, err.Error(), http.StatusBadRequest)
-			return
-		}
-	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if status, msg := c.checkPostLocked(p); status != 0 {
+	if status, msg := c.checkPostLocked(&p); status != 0 {
 		http.Error(w, msg, status)
 		return
 	}
+	// Consume the lease and stash the verdict.
 	st := c.states[p.Epoch]
-	if p.Candidate {
-		st.dropCandidate(p.LeaseID)
-		st.cands = append(st.cands, p)
-		c.leases[p.LeaseID].deadline = c.now().Add(c.opts.LeaseTimeout)
-		c.snapshotChunksPosted += int64(posted)
-		c.snapshotChunksReused += int64(reused)
-		c.wakeLocked()
-	} else {
-		if p.Accepted {
-			cand := st.candidate(p.LeaseID)
-			if cand == nil {
-				http.Error(w, "accepted verdict on a lease that posted no candidate", http.StatusBadRequest)
-				return
-			}
-			p.FinalSnapshot = cand.FinalSnapshot
-		}
-		// Consume the lease and stash the verdict.
-		delete(c.leases, p.LeaseID)
-		delete(st.active, p.LeaseID)
-		st.posted = append(st.posted, p)
-		c.fetchedBytes += p.FetchedBytes
-		if hit := p.LogicalBytes - p.FetchedBytes; hit > 0 {
-			c.cacheHitBytes += hit
-		}
-		c.wireBytes += p.WireBytes
-		c.advanceLocked()
+	delete(c.leases, p.LeaseID)
+	delete(st.active, p.LeaseID)
+	st.posted = append(st.posted, &p)
+	c.fetchedBytes += p.FetchedBytes
+	if hit := p.LogicalBytes - p.FetchedBytes; hit > 0 {
+		c.cacheHitBytes += hit
 	}
+	c.wireBytes += p.WireBytes
+	if p.Accepted {
+		c.kickDeriver() // its publish needs the epoch's final state
+	}
+	c.advanceLocked()
 	c.noteInFlightLocked()
 	ack := []byte("recorded\n")
 	signResponse(w, c.opts.Key, ack)
@@ -615,52 +597,179 @@ func (c *Coordinator) checkPostLocked(p *VerdictPost) (int, string) {
 	return 0, ""
 }
 
-// storeSnapshot files a candidate's final snapshot in the chain store.
-// Every ref must resolve: a chunk the store holds, or one shipped
-// earlier in the same list, is reused; a shipped one is verified
-// against the ref it claims and written as the at-rest bytes the worker
-// sent (cas.FS.PutStored); and one that is neither refuses the post,
-// before anything is filed — it would leave the next epoch without its
-// initial state. The shipped chunks are verified and filed in parallel;
-// if any fails, the post is refused naming the lowest such index. It
-// runs without c.mu: it is the only part of a hand-off whose cost grows
-// with the snapshot.
-func (c *Coordinator) storeSnapshot(p *VerdictPost, chunks [][]byte) (posted, reused int, err error) {
-	var file []int              // entries of p.Shipped to verify and file
-	filing := map[string]bool{} // their digests
-	k := 0                      // next entry of p.Shipped, which DecodeVerdict checked ascends
-	for idx, ref := range p.FinalSnapshot {
-		shipped := k < len(p.Shipped) && p.Shipped[k] == idx
+// kickDeriver wakes deriveLoop to look for work; a wake already pending
+// covers this one.
+func (c *Coordinator) kickDeriver() {
+	select {
+	case c.kick <- struct{}{}:
+	default:
+	}
+}
+
+// wantStateLocked reports whether epoch n's final state is needed: a
+// later epoch was leased (the state is its initial state, or the source
+// of it), or n holds an ACCEPT that publishes it. So no state is derived
+// past the epochs leased when a chain breaks.
+func (c *Coordinator) wantStateLocked(n int64) bool {
+	st := c.states[n]
+	if st == nil {
+		return false
+	}
+	return c.leasedTo > n || slices.ContainsFunc(st.posted, func(p *VerdictPost) bool { return p.Accepted })
+}
+
+// deriveLoop derives the final state of every epoch from next on, in
+// chain order, each once it is wanted (wantStateLocked): Phase 2 of the
+// audit (verifier.FinalState) over the epoch's reports, read from the
+// chain's own store with epoch.LoadState's checks, from the state
+// derived for the epoch before — for the first, base, the ledger's
+// initial state (the zero State: the epoch's manifest pins its own). A
+// derived state is filed in the chain store by a goroutine of its own
+// (fileState), so the next epoch's redo need not wait for its fsyncs,
+// and is published only with an ACCEPT of its epoch, whose audit
+// started from the same state and redid the same reports. The loop
+// stops at the first epoch whose state does not derive (its audit
+// REJECTs it), when the audit finishes, and on an internal fault — a
+// base state that cannot be read, say — which fails the audit.
+func (c *Coordinator) deriveLoop(next int64, base epoch.State) {
+	defer c.deriving.Done()
+	prev := base.Snap
+	for n := next; ; n++ {
+		c.mu.Lock()
+		for !c.finished && !c.wantStateLocked(n) {
+			c.mu.Unlock()
+			select {
+			case <-c.kick:
+			case <-c.ctx.Done():
+				return
+			}
+			c.mu.Lock()
+		}
+		if c.finished {
+			c.mu.Unlock()
+			return
+		}
+		s, hook := c.states[n].s, c.beforeDerive
+		c.mu.Unlock()
+		if hook != nil {
+			hook(n)
+		}
+
+		start := time.Now()
+		var err error
+		if prev == nil && base.Refs != nil {
+			if prev, err = c.readState(base.Refs); err != nil {
+				err = fmt.Errorf("fleet: reading epoch %d's initial state: %w", n, err)
+			}
+		}
+		var snap *object.Snapshot
+		var refs []cas.Ref
+		var why string
+		if err == nil {
+			snap, refs, why, err = c.derive(s, prev)
+		}
+		c.mu.Lock()
 		switch {
-		case filing[ref.SHA256] || c.store.Has(ref.SHA256):
-			reused++
-		case shipped:
-			filing[ref.SHA256] = true
-			file = append(file, k)
+		case c.finished || c.ctx.Err() != nil:
+		case err != nil:
+			c.failLocked(err)
+		case why != "":
+			c.underivable, c.underivableWhy = n, why
+			c.advanceLocked()
+		case refs != nil:
+			c.recordStateLocked(n, refs, start)
 		default:
-			return 0, 0, fmt.Errorf("final snapshot chunk %d (%.12s) was not shipped and is not in the chain store", idx, ref.SHA256)
+			c.deriving.Add(1)
+			go c.fileState(n, snap, start)
 		}
-		if shipped {
-			k++
+		stop := c.finished || c.ctx.Err() != nil || c.underivable != 0
+		c.mu.Unlock()
+		if stop {
+			return
 		}
+		prev = snap
 	}
-	err = forEach(len(file), func(j int) error {
-		k := file[j]
-		idx := p.Shipped[k]
-		if err := c.store.PutStored(p.FinalSnapshot[idx].SHA256, chunks[k]); err != nil {
-			return fmt.Errorf("final snapshot chunk %d: %v", idx, err)
+}
+
+// derive computes epoch s's final state from prev, the state derived for
+// the epoch before (nil for the chain's first epoch, which starts from
+// its manifest's own). A compacted epoch's state is its checkpoint, the
+// one the ledger adopts, and comes with the refs it is filed under. A
+// non-empty why means the state does not derive — the epoch's own audit
+// REJECTs it; an error is an internal fault.
+func (c *Coordinator) derive(s *epoch.Sealed, prev *object.Snapshot) (snap *object.Snapshot, refs []cas.Ref, why string, err error) {
+	switch {
+	case s.Err != nil:
+		return nil, nil, "damaged manifest", nil
+	case s.Compacted:
+		if refs, err = epoch.LoadCheckpointRefs(c.dir, s.Number); err == nil {
+			snap, err = c.readState(refs)
 		}
-		return nil
-	})
+		if err != nil {
+			return nil, nil, err.Error(), nil
+		}
+		return snap, refs, "", nil
+	}
+	ld, err := epoch.LoadState(s, c.store)
 	if err != nil {
-		return 0, 0, err
+		return nil, nil, err.Error(), nil // an *epoch.IntegrityError, as LoadFrom's
 	}
-	return len(file), reused, nil
+	if prev == nil {
+		if prev = ld.Init; prev == nil {
+			return nil, nil, "no trusted initial state", nil
+		}
+	}
+	snap, rej, err := verifier.FinalState(c.ctx, prev, ld.Reports, verifier.Options{})
+	if rej != nil {
+		why = rej.Reason
+	}
+	return snap, nil, why, err
+}
+
+// fileState files epoch n's derived final state in the chain store, its
+// chunks deflated and fsynced in parallel (cas.WriteBlob), and records
+// it; a store that cannot take it fails the audit.
+func (c *Coordinator) fileState(n int64, snap *object.Snapshot, start time.Time) {
+	defer c.deriving.Done()
+	raw, err := snap.EncodeRaw()
+	var refs []cas.Ref
+	if err == nil {
+		refs, err = cas.WriteBlob(c.store, cas.DefaultChunker, raw)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	switch {
+	case c.finished || c.ctx.Err() != nil:
+	case err != nil:
+		c.failLocked(fmt.Errorf("fleet: filing epoch %d's final state: %w", n, err))
+	default:
+		c.recordStateLocked(n, refs, start)
+	}
+}
+
+// recordStateLocked makes refs epoch n's final state: init requests
+// waiting on it are answered, and an ACCEPT waiting on it is published.
+func (c *Coordinator) recordStateLocked(n int64, refs []cas.Ref, start time.Time) {
+	c.states[n].final = refs
+	c.statesDerived++
+	c.stateDeriveTime += time.Since(start)
+	c.wakeLocked()
+	c.advanceLocked()
+}
+
+// readState reads a state filed as refs into the chain store.
+func (c *Coordinator) readState(refs []cas.Ref) (*object.Snapshot, error) {
+	raw, err := cas.ReadBlob(c.store, refs)
+	if err != nil {
+		return nil, err
+	}
+	return object.DecodeSnapshotRaw(raw)
 }
 
 // advanceLocked publishes decisions strictly in chain order: what the
 // ledger can decide by itself (damaged manifests, compacted adoptions)
-// is decided on the spot; leased epochs wait for their verdict quorum.
+// is decided on the spot; leased epochs wait for their verdict quorum
+// and, to ACCEPT, for the final state deriveLoop files.
 // It stops at the first epoch that is not ready, and finishes the audit
 // when the chain is broken, exhausted, bounded by To, or gapped (the
 // ledger's Next then names an unsealed epoch with sealed ones past it —
@@ -684,7 +793,7 @@ func (c *Coordinator) advanceLocked() {
 			}
 			v, final = c.verdictFromPosts(st)
 			if v == nil {
-				return // waiting on replicas
+				return // waiting on replicas or on the epoch's final state
 			}
 		}
 		c.publishLocked(st, *v, final)
@@ -695,10 +804,10 @@ func (c *Coordinator) advanceLocked() {
 // one: a verdict for the ledger's next epoch is believed only if the
 // initial state it was audited from is the state the ledger published
 // for the epoch before (for epoch 1, the manifest's own, named by no
-// refs). A verdict audited from any other candidate is discarded and
-// counted, with the candidate its lease posted, and the epoch is leased
-// again. So every verdict, forensics record and chain digest published
-// is the one the sequential walk would give.
+// refs). A verdict audited from any other state is discarded and
+// counted, and the epoch is leased again. So every verdict, forensics
+// record and chain digest published is the one the sequential walk
+// would give.
 func (c *Coordinator) discardForeignInitLocked(st *epochState) {
 	init := c.ledger.Init().Refs
 	kept := st.posted[:0]
@@ -708,7 +817,6 @@ func (c *Coordinator) discardForeignInitLocked(st *epochState) {
 			continue
 		}
 		c.initMismatches++
-		st.dropCandidate(p.LeaseID)
 	}
 	if len(kept) < len(st.posted) {
 		// Workers held on later epochs look again: this one needs a lease.
@@ -718,11 +826,13 @@ func (c *Coordinator) discardForeignInitLocked(st *epochState) {
 }
 
 // verdictFromPosts builds the ledger verdict of a leased epoch from the
-// posts in hand, or returns nil while a cross-checked epoch still waits
-// for replicas. The coordinator trusts only the audit outcome and its
-// evidence; epoch identity and counts come from its own manifest walk,
-// the chain digest from the ledger. Replicas that disagree are a REJECT
-// naming both workers.
+// posts in hand, with the final state an ACCEPT publishes — the one the
+// coordinator derived — or returns nil while a cross-checked epoch still
+// waits for replicas or an ACCEPT for that state. The coordinator
+// trusts only the audit outcome and its evidence; epoch identity and
+// counts come from its own manifest walk, the chain digest from the
+// ledger. Replicas that disagree are a REJECT naming both workers, and
+// so is an ACCEPT of an epoch whose final state does not derive.
 func (c *Coordinator) verdictFromPosts(st *epochState) (*epoch.Verdict, epoch.State) {
 	v := epoch.NewVerdict(st.s)
 	if st.cross {
@@ -735,19 +845,34 @@ func (c *Coordinator) verdictFromPosts(st *epochState) (*epoch.Verdict, epoch.St
 		if len(st.posted) < st.need {
 			return nil, epoch.State{}
 		}
-		c.epochsCrossChecked++
 	}
 	p := st.posted[0]
+	if p.Accepted && st.final == nil && c.underivable != st.s.Number {
+		return nil, epoch.State{}
+	}
+	if st.cross {
+		c.epochsCrossChecked++
+	}
+	if p.Accepted && st.final == nil {
+		// Honest workers never get here: the worker's own redo of the same
+		// reports from the same state fails as the coordinator's did.
+		v = v.Reject(fmt.Sprintf("worker %s returned ACCEPT for epoch %d, whose final state does not derive: %s",
+			p.Worker, st.s.Number, c.underivableWhy), &verifier.Forensics{Phase: epoch.PhaseEpochLoad, Check: "final-state"})
+		return &v, epoch.State{}
+	}
 	v.Accepted, v.Reason, v.Forensics = p.Accepted, p.Reason, p.Forensics
 	v.AuditTime, v.Stats = p.Stats.Total, p.Stats
-	return &v, epoch.State{Refs: p.FinalSnapshot}
+	if !v.Accepted {
+		return &v, epoch.State{}
+	}
+	return &v, epoch.State{Refs: st.final}
 }
 
 // crossMismatchLocked compares the posted replica verdicts of a
-// cross-checked epoch. Any disagreement on outcome, reason, or final
-// snapshot (its ref list) is a REJECT with forensics naming both
-// workers — per the paper's trust model the executor earns no benefit
-// of the doubt, and a disagreeing fleet cannot vouch for the epoch.
+// cross-checked epoch. Any disagreement on outcome, reason or forensics
+// is a REJECT with forensics naming both workers — per the paper's
+// trust model the executor earns no benefit of the doubt, and a
+// disagreeing fleet cannot vouch for the epoch.
 func (c *Coordinator) crossMismatchLocked(st *epochState) (string, *verifier.Forensics) {
 	base := st.posted[0]
 	for _, other := range st.posted[1:] {
@@ -767,15 +892,7 @@ func (c *Coordinator) crossMismatchLocked(st *epochState) (string, *verifier.For
 }
 
 func agreeing(a, b *VerdictPost) bool {
-	if a.Accepted != b.Accepted {
-		return false
-	}
-	if a.Accepted {
-		// The raw snapshot form is canonical, so the ref list is the
-		// state's identity: honest replicas post the same one.
-		return slices.Equal(a.FinalSnapshot, b.FinalSnapshot)
-	}
-	if a.Reason != b.Reason {
+	if a.Accepted != b.Accepted || a.Reason != b.Reason {
 		return false
 	}
 	af, _ := json.Marshal(a.Forensics)
@@ -784,19 +901,15 @@ func agreeing(a, b *VerdictPost) bool {
 }
 
 func describePost(p *VerdictPost) string {
-	switch {
-	case !p.Accepted:
-		return fmt.Sprintf("REJECT (%s)", p.Reason)
-	case len(p.FinalSnapshot) == 0:
-		return "ACCEPT (no snapshot)"
-	default:
-		return fmt.Sprintf("ACCEPT (snapshot %.12s)", p.FinalSnapshot[0].SHA256)
+	if p.Accepted {
+		return "ACCEPT"
 	}
+	return fmt.Sprintf("REJECT (%s)", p.Reason)
 }
 
 // publishLocked hands an epoch's verdict to the ledger — which extends
 // the chain digest, records the decision durably, threads the snapshot
-// hand-off forward (final is the verified final state as refs into the
+// hand-off forward (final is the derived final state as refs into the
 // chain store, zero on REJECT) and writes its checkpoint — and retires
 // the epoch's leases; on REJECT the chain is broken and every
 // outstanding lease goes. Either way held init requests are woken: the
@@ -810,7 +923,7 @@ func (c *Coordinator) publishLocked(st *epochState, v epoch.Verdict, final epoch
 	for id := range retire {
 		c.dropLeaseLocked(id)
 	}
-	st.posted, st.cands = nil, nil
+	st.posted, st.final = nil, nil
 	var ck *epoch.CheckpointError
 	if err := c.ledger.Publish(v, final); err != nil && !errors.As(err, &ck) {
 		// The ledger is the product; a log that cannot take verdicts
@@ -832,6 +945,7 @@ func (c *Coordinator) finishLocked() {
 		return
 	}
 	c.finished = true
+	c.cancel()                      // deriveLoop stops
 	_ = c.ledger.FlushCheckpoints() // what still fails is reported by Warnings
 	close(c.done)
 	c.wakeLocked()
@@ -843,11 +957,11 @@ func (c *Coordinator) noteInFlightLocked() {
 }
 
 // inFlightLocked counts the epochs past the ledger's next that hold a
-// lease, a candidate or an unpublished verdict.
+// lease or an unpublished verdict.
 func (c *Coordinator) inFlightLocked() int {
 	n := 0
 	for e := c.ledger.Next() + 1; e <= c.maxKnown; e++ {
-		if st := c.states[e]; st != nil && len(st.active)+len(st.cands)+len(st.posted) > 0 {
+		if st := c.states[e]; st != nil && len(st.active)+len(st.posted) > 0 {
 			n++
 		}
 	}
@@ -916,15 +1030,19 @@ func (c *Coordinator) Stats() CoordinatorStats {
 		FetchedBytes:         c.fetchedBytes,
 		CacheHitBytes:        c.cacheHitBytes,
 		WireBytes:            c.wireBytes,
-		SnapshotChunksPosted: c.snapshotChunksPosted,
-		SnapshotChunksReused: c.snapshotChunksReused,
+		StatesDerived:        c.statesDerived,
+		StateDeriveTime:      c.stateDeriveTime,
 		Done:                 c.finished,
 		Broken:               !c.ledger.ChainAccepted(),
 	}
 }
 
-// Close releases the decision log.
-func (c *Coordinator) Close() error { return c.ledger.Decisions().Close() }
+// Close stops deriving states and releases the decision log.
+func (c *Coordinator) Close() error {
+	c.cancel()
+	c.deriving.Wait()
+	return c.ledger.Decisions().Close()
+}
 
 func newLeaseID() string {
 	var b [16]byte

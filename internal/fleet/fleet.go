@@ -15,60 +15,53 @@
 //
 //   - The coordinator drives the chain's epoch.Ledger — the one the
 //     in-process auditor drives — with remote executors: it leases each
-//     worker the lowest epoch nobody holds, hands a leased epoch the
-//     candidate final state posted for the epoch before it, and
-//     publishes the verdicts that come back in chain order, so the
-//     ledger digest, decisions.jsonl, compacted-epoch adoption and
-//     checkpoints are the local auditor's code, not a copy of it. A
-//     verdict is published only if the state it was audited from is the
-//     one the ledger published for the epoch before; otherwise it is
-//     discarded and the epoch leased again. Timed-out leases are
-//     reassigned; a sampled fraction of epochs is optionally
-//     cross-checked: audited under two leases whose verdicts must agree
-//     before one is believed.
+//     worker the lowest epoch nobody holds, hands a leased epoch its
+//     initial state, and publishes the verdicts that come back in chain
+//     order, so the ledger digest, decisions.jsonl, compacted-epoch
+//     adoption and checkpoints are the local auditor's code, not a copy
+//     of it. The initial states are the coordinator's own: a period's
+//     final state is a function of its initial state and its reports
+//     alone (verifier Phase 2, §4.5), and the coordinator holds every
+//     sealed report, so it derives each epoch's final state itself
+//     (verifier.FinalState), files it in the chain's store as chunks,
+//     and hands their refs to whoever audits the next epoch. A verdict
+//     is published only if the state it was audited from is the one the
+//     ledger published for the epoch before; otherwise it is discarded
+//     and the epoch leased again. Timed-out leases are reassigned; a
+//     sampled fraction of epochs is optionally cross-checked: audited
+//     under two leases whose verdicts must agree before one is believed.
 //
 //   - A worker (orochi-audit -worker) pulls a lease, reconstructs the
 //     epoch through a tiered store (local cache over cas.HTTPStore),
-//     runs the standard verifier's Phases 1–2, posts the candidate final
-//     state they fix, re-executes, and posts back an HMAC-signed
-//     verdict.
+//     runs the standard verifier, and posts back an HMAC-signed JSON
+//     verdict. It posts no state: all it can do is report an outcome.
 //
-// The at-rest gzip chunk is the one unit the fleet moves, in both
-// directions, and each hop verifies it once, at its receiver. The
-// artifact server ships a chunk as the bytes its store holds, unread
-// beyond the file, and the worker checks it (asking the server to check
-// too only when its own check fails; see ArtifactServer). A worker cuts
-// its candidate final snapshot (canonical raw bytes) into chunks, posts
-// the ordered ref list, and ships — each compressed once, in parallel —
-// only the chunks the initial state it was handed did not already
-// contain; the coordinator verifies those bytes, files them in the
-// chain's store as they are, in parallel, and from then on holds,
-// checkpoints and hands out the snapshot as a ref list, which the next
-// worker resolves through the same tiered store it reads the epoch
-// with. A snapshot that did not change costs a ref list; nobody encodes
-// or compresses it twice.
+// The at-rest gzip chunk is the one unit the fleet moves, and each hop
+// verifies it once, at its receiver. The artifact server ships a chunk
+// as the bytes its store holds, unread beyond the file, and the worker
+// checks it (asking the server to check too only when its own check
+// fails; see ArtifactServer). Initial states travel the same way: the
+// coordinator's ref list names chunks in the chain store, which a
+// worker resolves through the tiered store it reads the epoch with. A
+// worker keeps the final state its own redo fixed in its cache, cut as
+// the coordinator cuts it, so when it also audits the next epoch the
+// hand-off moves a ref list and no chunk.
 //
 // A fleet audit of a chain produces bit-identical verdicts, forensics,
 // and chain ledger digest to the single-process auditor, at any worker
 // count, lease timeout, or cross-check rate: a worker decides its epoch
 // with epoch.PrepareEpoch and epoch.Finish, the functions the local
 // auditor calls, the coordinator publishes to the same epoch.Ledger only
-// verdicts audited from the state that ledger published, and
-// cas.HTTPStore reconstructs local store error shapes byte-for-byte.
+// verdicts audited from the state that ledger published — the state the
+// coordinator's own Phase 2 fixed from the same digest-pinned inputs —
+// and cas.HTTPStore reconstructs local store error shapes byte-for-byte.
 package fleet
 
 import (
 	"crypto/hmac"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
-	"errors"
-	"fmt"
 	"net/http"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"orochi/internal/cas"
 	"orochi/internal/verifier"
@@ -131,8 +124,8 @@ type LeaseRequest struct {
 
 // Lease is one epoch assignment. A worker holds it until it posts a
 // valid verdict, hands it back (LeaseRequest.Abandoned) or the
-// coordinator's lease timeout expires; any authenticated activity on
-// the lease (an init request, a candidate post) renews it.
+// coordinator's lease timeout expires; an init request on the lease
+// renews it.
 type Lease struct {
 	ID    string `json:"id"`
 	Epoch int64  `json:"epoch"`
@@ -163,31 +156,28 @@ type LeaseResponse struct {
 
 // InitResponse answers GET /-/fleet/epoch/{n}/init (signed): the
 // initial state to audit a leased epoch from, as the ordered chunk refs
-// of a final snapshot of the previous epoch — the one the ledger
-// published when epoch n is the ledger's next, otherwise a candidate
-// posted for epoch n-1, which the coordinator believes only once it is
-// the one published. The chunks are in the coordinator's chain store,
-// served by the artifact surface mounted beside it.
+// of the previous epoch's final snapshot — the one the ledger published
+// when epoch n is the ledger's next, otherwise the one the coordinator
+// derived for epoch n-1, which the ledger publishes if epoch n-1
+// ACCEPTs. The chunks are in the coordinator's chain store, served by
+// the artifact surface mounted beside it.
 type InitResponse struct {
 	Epoch    int64     `json:"epoch"`
 	Snapshot []cas.Ref `json:"snapshot"`
 }
 
-// VerdictPost is the header of a worker's signed post for a leased
-// epoch (POST /-/fleet/verdict; see EncodeVerdict for the body): a
-// candidate, sent once Phases 1–2 pass, carrying the candidate final
-// state (FinalSnapshot and its chunks); then the verdict, carrying the
-// audit outcome, its evidence and InitRefs. An ACCEPT's final state is
-// its lease's candidate. The coordinator trusts only what it must:
-// epoch identity, chain digest, events/requests counts come from its
-// own manifest walk.
+// VerdictPost is a worker's signed JSON post for a leased epoch (POST
+// /-/fleet/verdict): the audit outcome, its evidence, and the initial
+// state it was audited from. It carries no state of its own — an
+// ACCEPT publishes the final state the coordinator derived for the
+// epoch — and the coordinator refuses a post with any field it does not
+// know. It trusts only what it must: epoch identity, chain digest,
+// events/requests counts come from its own manifest walk.
 type VerdictPost struct {
 	LeaseID     string `json:"lease_id"`
 	Worker      string `json:"worker"`
 	Epoch       int64  `json:"epoch"`
 	ManifestSHA string `json:"manifest_sha256"`
-	// Candidate marks the candidate stage.
-	Candidate bool `json:"candidate,omitempty"`
 	// InitRefs names the initial state the verdict was audited from, as
 	// the init endpoint handed it out (empty for the manifest's own). The
 	// verdict is believed only if they are the final state the ledger
@@ -200,15 +190,6 @@ type VerdictPost struct {
 	Forensics *verifier.Forensics `json:"forensics,omitempty"`
 	// Stats is the verifier's cost decomposition for this epoch.
 	Stats verifier.Stats `json:"stats"`
-	// FinalSnapshot is a candidate's final state — on ACCEPT, the next
-	// epoch's trusted initial state — as the ordered refs of
-	// object.Snapshot.EncodeRaw cut by cas.DefaultChunker. Empty on a
-	// verdict.
-	FinalSnapshot []cas.Ref `json:"final_snapshot,omitempty"`
-	// Shipped lists, ascending, the indexes into FinalSnapshot whose
-	// chunk bytes follow the header. Every other chunk the coordinator
-	// must already hold (it was part of the initial state it handed out).
-	Shipped []int `json:"shipped,omitempty"`
 	// FetchedBytes and LogicalBytes account the transport in logical
 	// (inflated) bytes: chunk bytes the worker pulled from the artifact
 	// server for this epoch vs the bytes its manifest pins. logical -
@@ -218,97 +199,4 @@ type VerdictPost struct {
 	FetchedBytes int64 `json:"fetched_bytes"`
 	LogicalBytes int64 `json:"logical_bytes"`
 	WireBytes    int64 `json:"wire_bytes"`
-}
-
-// EncodeVerdict builds the body of a verdict post: a u32 big-endian
-// length and the JSON header, then for each entry of p.Shipped a u32
-// big-endian length and that chunk's at-rest bytes (a gzip stream, as
-// cas.FS stores it) — binary, so a chunk costs its size and not
-// four-thirds of it. The signature covers the whole body.
-func EncodeVerdict(p *VerdictPost, chunks [][]byte) ([]byte, error) {
-	if len(chunks) != len(p.Shipped) {
-		return nil, fmt.Errorf("fleet: verdict ships %d chunks but carries %d", len(p.Shipped), len(chunks))
-	}
-	header, err := json.Marshal(p)
-	if err != nil {
-		return nil, err
-	}
-	size := 4 + len(header)
-	for _, c := range chunks {
-		size += 4 + len(c)
-	}
-	body := make([]byte, 0, size)
-	body = binary.BigEndian.AppendUint32(body, uint32(len(header)))
-	body = append(body, header...)
-	for _, c := range chunks {
-		body = binary.BigEndian.AppendUint32(body, uint32(len(c)))
-		body = append(body, c...)
-	}
-	return body, nil
-}
-
-// DecodeVerdict parses a verdict post body. The returned chunks alias
-// body, one per p.Shipped entry. A body whose frames do not add up to
-// exactly what the header announces is an error.
-func DecodeVerdict(body []byte) (*VerdictPost, [][]byte, error) {
-	next := func() ([]byte, error) {
-		if len(body) < 4 {
-			return nil, errors.New("fleet: truncated verdict frame")
-		}
-		n := int(binary.BigEndian.Uint32(body))
-		if n > len(body)-4 {
-			return nil, errors.New("fleet: truncated verdict frame")
-		}
-		frame := body[4 : 4+n]
-		body = body[4+n:]
-		return frame, nil
-	}
-	header, err := next()
-	if err != nil {
-		return nil, nil, err
-	}
-	var p VerdictPost
-	if err := json.Unmarshal(header, &p); err != nil {
-		return nil, nil, fmt.Errorf("fleet: bad verdict header: %w", err)
-	}
-	chunks := make([][]byte, 0, len(p.Shipped))
-	for k, idx := range p.Shipped {
-		if idx < 0 || idx >= len(p.FinalSnapshot) || (k > 0 && idx <= p.Shipped[k-1]) {
-			return nil, nil, fmt.Errorf("fleet: verdict ships chunk index %d of a %d-chunk snapshot out of order", idx, len(p.FinalSnapshot))
-		}
-		frame, err := next()
-		if err != nil {
-			return nil, nil, err
-		}
-		chunks = append(chunks, frame)
-	}
-	if len(body) != 0 {
-		return nil, nil, errors.New("fleet: trailing bytes after the verdict's chunk frames")
-	}
-	return &p, chunks, nil
-}
-
-// forEach runs fn for every index in [0, n) on up to GOMAXPROCS
-// goroutines and returns the error of the lowest index that failed —
-// the one a loop in index order would have stopped at.
-func forEach(n int, fn func(i int) error) error {
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(n, runtime.GOMAXPROCS(0)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }

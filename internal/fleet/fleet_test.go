@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"orochi/internal/cas"
-	"orochi/internal/encio"
 	"orochi/internal/epoch"
 	"orochi/internal/lang"
 	"orochi/internal/object"
@@ -328,70 +327,26 @@ func postJSON(t *testing.T, url string, key []byte, v any) (int, []byte) {
 	return postBody(t, url, key, body)
 }
 
-// testVerdict is a post as a test holds it — a candidate or a
-// verdict: the header and the at-rest bytes of the chunks it ships.
-type testVerdict struct {
-	VerdictPost
-	chunks [][]byte
-}
-
-// refsOf cuts snap the way a worker does — canonical raw bytes, cut by
-// the default chunker — and returns the refs and each chunk's at-rest
-// bytes.
-func refsOf(t *testing.T, snap *object.Snapshot) ([]cas.Ref, [][]byte) {
+// refsOf cuts snap the way the coordinator files a state — canonical
+// raw bytes, cut by the default chunker — and returns the refs.
+func refsOf(t *testing.T, snap *object.Snapshot) []cas.Ref {
 	t.Helper()
 	raw, err := snap.EncodeRaw()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var refs []cas.Ref
-	var stored [][]byte
 	for _, chunk := range cas.DefaultChunker.Split(raw) {
-		gz, err := encio.Gzip(chunk)
-		if err != nil {
-			t.Fatal(err)
-		}
 		refs = append(refs, cas.Ref{SHA256: cas.SumHex(chunk), Bytes: int64(len(chunk))})
-		stored = append(stored, gz)
 	}
-	return refs, stored
+	return refs
 }
 
-// candidateOf returns the candidate post of lease l carrying snap,
-// shipping every chunk.
-func candidateOf(t *testing.T, l *Lease, worker string, snap *object.Snapshot) testVerdict {
+// postVerdict posts v (signed under key when non-empty) and returns the
+// response status and body.
+func postVerdict(t *testing.T, url string, key []byte, v VerdictPost) (int, []byte) {
 	t.Helper()
-	v := testVerdict{VerdictPost: VerdictPost{LeaseID: l.ID, Worker: worker, Epoch: l.Epoch,
-		ManifestSHA: l.ManifestSHA, Candidate: true}}
-	v.FinalSnapshot, v.chunks = refsOf(t, snap)
-	for i := range v.chunks {
-		v.Shipped = append(v.Shipped, i)
-	}
-	return v
-}
-
-// postVerdict posts v in the verdict frame (signed under key when
-// non-empty) and returns the response status and body.
-func postVerdict(t *testing.T, url string, key []byte, v testVerdict) (int, []byte) {
-	t.Helper()
-	body, err := EncodeVerdict(&v.VerdictPost, v.chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return postBody(t, url+Prefix+"/verdict", key, body)
-}
-
-// postAll posts each post in turn, stopping at the first refusal, and
-// returns the last status and body.
-func postAll(t *testing.T, url string, key []byte, posts ...testVerdict) (int, []byte) {
-	t.Helper()
-	status, body := 0, []byte(nil)
-	for _, p := range posts {
-		if status, body = postVerdict(t, url, key, p); status != http.StatusOK {
-			break
-		}
-	}
-	return status, body
+	return postJSON(t, url+Prefix+"/verdict", key, v)
 }
 
 func postBody(t *testing.T, url string, key, body []byte) (int, []byte) {
@@ -434,11 +389,10 @@ func leaseFor(t *testing.T, url, worker string, key []byte) *Lease {
 	return resp.Lease
 }
 
-// honestPosts audits the leased epoch locally (straight off disk) from
-// init (nil: the manifest's own) and shapes the result as the posts an
-// honest worker sends: its candidate and its verdict, or, when Phases
-// 1–2 reject, the verdict alone.
-func honestPosts(t *testing.T, prog *lang.Program, dir string, l *Lease, worker string, init *object.Snapshot) []testVerdict {
+// honestVerdict audits the leased epoch locally (straight off disk)
+// from init (nil: the manifest's own) and shapes the result as the post
+// an honest worker sends.
+func honestVerdict(t *testing.T, prog *lang.Program, dir string, l *Lease, worker string, init *object.Snapshot) VerdictPost {
 	t.Helper()
 	sealed, err := epoch.ListSealed(dir)
 	if err != nil {
@@ -459,18 +413,12 @@ func honestPosts(t *testing.T, prog *lang.Program, dir string, l *Lease, worker 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var posts []testVerdict
 	if p != nil {
-		snap, err := p.Candidate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		posts = append(posts, candidateOf(t, l, worker, snap))
 		if v, err = epoch.Finish(ctx, prog, v, p, verifier.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	verdict := testVerdict{VerdictPost: VerdictPost{
+	post := VerdictPost{
 		LeaseID:     l.ID,
 		Worker:      worker,
 		Epoch:       l.Epoch,
@@ -479,11 +427,11 @@ func honestPosts(t *testing.T, prog *lang.Program, dir string, l *Lease, worker 
 		Reason:      v.Reason,
 		Forensics:   v.Forensics,
 		Stats:       v.Stats,
-	}}
-	if init != nil {
-		verdict.InitRefs, _ = refsOf(t, init)
 	}
-	return append(posts, verdict)
+	if init != nil {
+		post.InitRefs = refsOf(t, init)
+	}
+	return post
 }
 
 // TestNewCoordinatorRefusesCrossCheckFraction: a cross-check rate is a
@@ -513,9 +461,9 @@ func TestNewCoordinatorRefusesCrossCheckFraction(t *testing.T) {
 
 // TestFleetCrossCheckMismatchRejects replays the malicious-replica
 // scenario: one honest worker and one lying worker both audit a
-// cross-checked epoch; their final snapshots disagree, so the verdict
-// must be REJECT with forensics naming both workers — the fleet cannot
-// vouch for the epoch.
+// cross-checked epoch; the liar reports a REJECT the honest audit does
+// not reach, so the verdict must be REJECT with forensics naming both
+// workers — the fleet cannot vouch for the epoch.
 func TestFleetCrossCheckMismatchRejects(t *testing.T) {
 	dir := t.TempDir()
 	prog := sealTestChain(t, dir)
@@ -527,23 +475,24 @@ func TestFleetCrossCheckMismatchRejects(t *testing.T) {
 		t.Fatalf("both replicas should target epoch 1: %d, %d", evilLease.Epoch, honestLease.Epoch)
 	}
 
-	// The liar invents a plausible final state: a perfectly well-formed
-	// snapshot that is not the one honest re-execution produces.
-	evilVerdict := testVerdict{VerdictPost: VerdictPost{
+	// The liar invents a plausible REJECT: well-formed, with forensics,
+	// and not what honest re-execution finds.
+	evil := VerdictPost{
 		LeaseID:     evilLease.ID,
 		Worker:      "evil",
 		Epoch:       1,
 		ManifestSHA: evilLease.ManifestSHA,
-		Accepted:    true,
-	}}
-	if status, body := postAll(t, ts.URL, nil, candidateOf(t, evilLease, "evil", object.EmptySnapshot()), evilVerdict); status != http.StatusOK {
+		Reason:      "output mismatch on request r1",
+		Forensics:   &verifier.Forensics{Phase: verifier.PhaseReExec, Check: "output", RequestID: "r1"},
+	}
+	if status, body := postVerdict(t, ts.URL, nil, evil); status != http.StatusOK {
 		t.Fatalf("evil post refused early: %d %s", status, body)
 	}
-	honest := honestPosts(t, prog, dir, honestLease, "honest", nil)
-	if v := honest[len(honest)-1]; !v.Accepted {
-		t.Fatalf("honest audit of epoch 1 rejected: %s", v.Reason)
+	honest := honestVerdict(t, prog, dir, honestLease, "honest", nil)
+	if !honest.Accepted {
+		t.Fatalf("honest audit of epoch 1 rejected: %s", honest.Reason)
 	}
-	if status, body := postAll(t, ts.URL, nil, honest...); status != http.StatusOK {
+	if status, body := postVerdict(t, ts.URL, nil, honest); status != http.StatusOK {
 		t.Fatalf("honest post refused: %d %s", status, body)
 	}
 
@@ -630,12 +579,12 @@ func TestFleetLeaseExpiryAndStaleVerdicts(t *testing.T) {
 
 	// The slow worker finally finishes — its posts ride a dead lease and
 	// must be ignored, not recorded.
-	latePosts := honestPosts(t, prog, dir, slow, "slow", nil)
-	if status, _ := postAll(t, ts.URL, nil, latePosts...); status != http.StatusConflict {
+	late := honestVerdict(t, prog, dir, slow, "slow", nil)
+	if status, _ := postVerdict(t, ts.URL, nil, late); status != http.StatusConflict {
 		t.Fatalf("stale-lease post answered %d, want 409", status)
 	}
 	// A post for an epoch the worker holds no lease on: same refusal.
-	forged := latePosts[len(latePosts)-1]
+	forged := late
 	forged.LeaseID = "0123456789abcdef0123456789abcdef"
 	forged.Worker = "forger"
 	if status, _ := postVerdict(t, ts.URL, nil, forged); status != http.StatusConflict {
@@ -646,7 +595,7 @@ func TestFleetLeaseExpiryAndStaleVerdicts(t *testing.T) {
 	}
 
 	// The live lease still decides the epoch.
-	if status, body := postAll(t, ts.URL, nil, honestPosts(t, prog, dir, fresh, "fresh", nil)...); status != http.StatusOK {
+	if status, body := postVerdict(t, ts.URL, nil, honestVerdict(t, prog, dir, fresh, "fresh", nil)); status != http.StatusOK {
 		t.Fatalf("live verdict refused: %d %s", status, body)
 	}
 	if err := coord.Wait(context.Background()); err != nil {
@@ -771,7 +720,7 @@ func TestFleetRefusesBadSignatures(t *testing.T) {
 		t.Fatalf("unsigned lease request answered %d, want 403", status)
 	}
 	// Mis-keyed verdict post: refused before any lease validation runs.
-	post := testVerdict{VerdictPost: VerdictPost{LeaseID: "deadbeef", Worker: "mallory", Epoch: 1, Accepted: true}}
+	post := VerdictPost{LeaseID: "deadbeef", Worker: "mallory", Epoch: 1, Accepted: true}
 	if status, _ := postVerdict(t, ts.URL, []byte("wrong-key"), post); status != http.StatusForbidden {
 		t.Fatalf("mis-signed verdict answered %d, want 403", status)
 	}

@@ -3,7 +3,9 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -22,48 +24,24 @@ import (
 	"orochi/internal/encio"
 	"orochi/internal/epoch"
 	"orochi/internal/lang"
+	"orochi/internal/object"
 	"orochi/internal/server"
 	"orochi/internal/trace"
 	"orochi/internal/verifier"
+	"orochi/internal/workload"
 )
 
 // wireTap is the workers' http.RoundTripper in hand-off tests: it
-// records every candidate post, every init response, and which chunk
-// digests were asked for over the wire.
+// records every init response and which chunk digests were asked for
+// over the wire.
 type wireTap struct {
 	mu      sync.Mutex
-	cands   []tappedVerdict
 	inits   [][]cas.Ref
 	fetched map[string]int // chunk digest -> GETs
 }
 
-type tappedVerdict struct {
-	post       *VerdictPost
-	chunkBytes int // payload bytes of the chunk frames
-}
-
 func (w *wireTap) RoundTrip(req *http.Request) (*http.Response, error) {
 	path := req.URL.Path
-	if strings.HasSuffix(path, "/verdict") {
-		body, err := io.ReadAll(req.Body)
-		if err != nil {
-			return nil, err
-		}
-		req.Body = io.NopCloser(bytes.NewReader(body))
-		p, chunks, err := DecodeVerdict(body)
-		if err != nil {
-			return nil, fmt.Errorf("worker posted an undecodable verdict: %w", err)
-		}
-		n := 0
-		for _, c := range chunks {
-			n += len(c)
-		}
-		if p.Candidate {
-			w.mu.Lock()
-			w.cands = append(w.cands, tappedVerdict{post: p, chunkBytes: n})
-			w.mu.Unlock()
-		}
-	}
 	if i := strings.Index(path, "/chunk/"); i >= 0 && req.Method == http.MethodGet {
 		w.mu.Lock()
 		if w.fetched == nil {
@@ -150,57 +128,10 @@ func runTappedWorker(t *testing.T, prog *lang.Program, url string) *wireTap {
 	return tap
 }
 
-// TestUnchangedSnapshotPostsNoChunks: when an epoch leaves the state as
-// it found it, the candidate ships the ref list and not one chunk byte,
-// the coordinator counts every ref as reused, and the checkpoint it
-// writes names the same chunks as the one before.
-func TestUnchangedSnapshotPostsNoChunks(t *testing.T) {
-	dir := t.TempDir()
-	prog := sealQuietChain(t, dir, 1)
-	coord, ts := startFleet(t, dir, CoordinatorOptions{})
-	tap := runTappedWorker(t, prog, ts.URL)
-	if err := coord.Wait(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if !coord.ChainAccepted() || len(tap.cands) < 3 {
-		t.Fatalf("quiet chain: accepted=%v after %d candidates: %+v", coord.ChainAccepted(), len(tap.cands), coord.Verdicts())
-	}
-	first := tap.cands[0]
-	if len(first.post.Shipped) == 0 || first.chunkBytes == 0 {
-		t.Fatalf("epoch 1 filled the render cache, its post must ship the changed chunks: %+v", first.post.Shipped)
-	}
-	if len(first.post.Shipped) >= len(first.post.FinalSnapshot) {
-		t.Fatalf("epoch 1 shipped all %d chunks though most of the state is the manifest's own init", len(first.post.FinalSnapshot))
-	}
-	for _, v := range tap.cands[1:] {
-		if len(v.post.Shipped) != 0 || v.chunkBytes != 0 {
-			t.Fatalf("epoch %d changed nothing but its post ships %d chunks (%d bytes)", v.post.Epoch, len(v.post.Shipped), v.chunkBytes)
-		}
-		if !slices.Equal(v.post.FinalSnapshot, first.post.FinalSnapshot) {
-			t.Fatalf("epoch %d: an unchanged state cut to a different ref list", v.post.Epoch)
-		}
-	}
-	st := coord.Stats()
-	if want := int64(len(first.post.Shipped)); st.SnapshotChunksPosted != want {
-		t.Fatalf("SnapshotChunksPosted = %d, want the %d chunks epoch 1 shipped", st.SnapshotChunksPosted, want)
-	}
-	if st.SnapshotChunksReused == 0 {
-		t.Fatalf("no snapshot chunk counted as reused: %+v", st)
-	}
-	for n := int64(1); n <= int64(len(tap.cands)); n++ {
-		refs, err := epoch.LoadCheckpointRefs(dir, n)
-		if err != nil || !slices.Equal(refs, first.post.FinalSnapshot) {
-			t.Fatalf("checkpoint %d is not the posted ref list: %v", n, err)
-		}
-	}
-	if _, err := epoch.LoadCheckpoint(dir, 2); err != nil {
-		t.Fatalf("the coordinator's checkpoint does not load: %v", err)
-	}
-}
-
 // TestWorkerKeepsItsOwnSnapshot: a worker that audited epoch n holds
-// every chunk of epoch n+1's initial state — it cut them itself — so
-// the init hand-off moves a ref list and no chunk.
+// every chunk of epoch n+1's initial state — its own redo fixed the
+// state the coordinator derived from the same inputs, and it kept it
+// cut the same way — so the init hand-off moves a ref list and no chunk.
 func TestWorkerKeepsItsOwnSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	prog := sealTestChain(t, dir)
@@ -223,95 +154,102 @@ func TestWorkerKeepsItsOwnSnapshot(t *testing.T) {
 		t.Fatalf("accepted=%v, %d init hand-offs for %d epochs", coord.ChainAccepted(), len(tap.inits), len(sealed))
 	}
 	changed := 0
+	prev := sealed[0].Manifest.Init.Chunks
 	for i, refs := range tap.inits {
-		if !slices.Equal(refs, tap.cands[i].post.FinalSnapshot) {
-			t.Fatalf("epoch %d was handed something other than epoch %d's candidate", i+2, i+1)
+		if want, err := epoch.LoadCheckpointRefs(dir, int64(i+1)); err != nil || !slices.Equal(refs, want) {
+			t.Fatalf("epoch %d was handed something other than epoch %d's published state (%v)", i+2, i+1, err)
 		}
-		changed += len(tap.cands[i].post.Shipped)
 		for _, r := range refs {
+			if !slices.Contains(prev, r) {
+				changed++
+			}
 			// A chunk a manifest also pins is fetched as an artifact.
 			if tap.fetched[r.SHA256] > 0 && !inManifest[r.SHA256] {
 				t.Fatalf("epoch %d's initial-state chunk %.12s crossed the wire to the worker that produced it", i+2, r.SHA256)
 			}
 		}
+		prev = refs
 	}
 	if changed == 0 {
 		t.Fatal("the workload never changed state; the test proves nothing")
 	}
 }
 
-// TestVerdictSnapshotMustResolve: a candidate whose chunk bytes are not
-// what their ref names, or whose ref list names a chunk nobody shipped
-// and the store lacks, is refused 400 and decides nothing — and leaves
-// nothing behind in the store; so is a candidate without a snapshot, a
-// verdict with one, and an ACCEPT whose lease posted no candidate. The
-// same lease then takes the honest posts.
-func TestVerdictSnapshotMustResolve(t *testing.T) {
+// TestWorkerCannotPostState: a worker posts a verdict and nothing else.
+// A post that also offers a final state — a verdict marked as a
+// candidate and carrying a ref list, or a body that frames chunk bytes
+// behind its header — is refused 400, decides nothing and files
+// nothing; the same lease then takes the honest verdict, and the state
+// published for the epoch is the one the coordinator derived.
+func TestWorkerCannotPostState(t *testing.T) {
 	dir := t.TempDir()
 	prog := sealTestChain(t, dir)
 	coord, ts := startFleet(t, dir, CoordinatorOptions{To: 1})
 	l := leaseFor(t, ts.URL, "w", nil)
-	posts := honestPosts(t, prog, dir, l, "w", nil)
-	honest, verdict := posts[0], posts[len(posts)-1]
-	if len(posts) != 2 || !verdict.Accepted || len(honest.chunks) == 0 {
-		t.Fatalf("need an ACCEPT with a snapshot: accepted=%v chunks=%d", verdict.Accepted, len(honest.chunks))
+	honest := honestVerdict(t, prog, dir, l, "w", nil)
+	if !honest.Accepted {
+		t.Fatalf("honest audit of epoch 1 rejected: %s", honest.Reason)
 	}
-	if status, body := postVerdict(t, ts.URL, nil, verdict); status != http.StatusBadRequest {
-		t.Fatalf("ACCEPT before its candidate answered %d: %s", status, body)
-	}
+	forged := localStates(t, dir)[0]
+	derived := refsOf(t, forged)
+	forged.Registers["forged"] = int64(1)
+	forgedRefs := refsOf(t, forged)
 	store, err := epoch.OpenChainStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh := -1 // a chunk only this snapshot has
-	for i, r := range honest.FinalSnapshot {
-		if !store.Has(r.SHA256) {
-			fresh = i
+	var fresh []string // chunks only the offered state has
+	for _, r := range forgedRefs {
+		if !store.Has(r.SHA256) && !slices.Contains(derived, r) {
+			fresh = append(fresh, r.SHA256)
 		}
 	}
-	if fresh < 0 {
-		t.Fatal("the final snapshot shares every chunk with the sealed chain")
+	if len(fresh) == 0 {
+		t.Fatal("the offered state shares every chunk with the chain; the test proves nothing")
 	}
 
-	forged := honest
-	forged.chunks = slices.Clone(honest.chunks)
-	forged.chunks[fresh], err = encio.Gzip([]byte("not the chunk the ref names"))
+	header, err := json.Marshal(honest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if status, body := postVerdict(t, ts.URL, nil, forged); status != http.StatusBadRequest {
-		t.Fatalf("post with a chunk that does not hash to its ref answered %d: %s", status, body)
+	var candidate map[string]any
+	if err := json.Unmarshal(header, &candidate); err != nil {
+		t.Fatal(err)
+	}
+	candidate["candidate"] = true
+	candidate["final_snapshot"] = forgedRefs
+	if status, body := postJSON(t, ts.URL+Prefix+"/verdict", nil, candidate); status != http.StatusBadRequest {
+		t.Fatalf("a verdict offering a state answered %d: %s", status, body)
+	}
+	raw, err := forged.EncodeRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	gz, err := encio.Gzip(raw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	framed := binary.BigEndian.AppendUint32(nil, uint32(len(header)))
+	framed = append(framed, header...)
+	framed = binary.BigEndian.AppendUint32(framed, uint32(len(gz)))
+	framed = append(framed, gz...)
+	if status, body := postBody(t, ts.URL+Prefix+"/verdict", nil, framed); status != http.StatusBadRequest {
+		t.Fatalf("a framed body with chunk bytes answered %d: %s", status, body)
+	}
+	if status, body := postBody(t, ts.URL+Prefix+"/verdict", nil, append(slices.Clone(header), gz...)); status != http.StatusBadRequest {
+		t.Fatalf("a verdict trailed by chunk bytes answered %d: %s", status, body)
 	}
 
-	partial := honest
-	partial.Shipped = slices.Delete(slices.Clone(honest.Shipped), fresh, fresh+1)
-	partial.chunks = slices.Delete(slices.Clone(honest.chunks), fresh, fresh+1)
-	if status, body := postVerdict(t, ts.URL, nil, partial); status != http.StatusBadRequest {
-		t.Fatalf("post whose ref list does not resolve answered %d: %s", status, body)
-	}
-
-	empty := honest
-	empty.FinalSnapshot, empty.Shipped, empty.chunks = nil, nil, nil
-	if status, body := postVerdict(t, ts.URL, nil, empty); status != http.StatusBadRequest {
-		t.Fatalf("candidate without a snapshot answered %d: %s", status, body)
-	}
-	laden := honest
-	laden.Candidate = false
-	if status, body := postVerdict(t, ts.URL, nil, laden); status != http.StatusBadRequest {
-		t.Fatalf("verdict carrying a snapshot answered %d: %s", status, body)
-	}
-
-	if st := coord.Stats(); st.EpochsDecided != 0 || st.SnapshotChunksPosted != 0 {
+	if st := coord.Stats(); st.EpochsDecided != 0 {
 		t.Fatalf("a refused post was recorded: %+v", st)
 	}
-	if store.Has(honest.FinalSnapshot[fresh].SHA256) {
-		t.Fatal("a refused chunk reached the chain store")
+	for _, sha := range fresh {
+		if store.Has(sha) {
+			t.Fatalf("a chunk only the offered state has (%.12s) reached the chain store", sha)
+		}
 	}
-	if _, err := os.Stat(filepath.Join(dir, "checkpoints")); !os.IsNotExist(err) {
-		t.Fatalf("a refused post wrote a checkpoint: %v", err)
-	}
-	if status, body := postAll(t, ts.URL, nil, posts...); status != http.StatusOK {
-		t.Fatalf("honest posts on the kept lease refused: %d %s", status, body)
+	if status, body := postVerdict(t, ts.URL, nil, honest); status != http.StatusOK {
+		t.Fatalf("honest verdict on the kept lease refused: %d %s", status, body)
 	}
 	if err := coord.Wait(context.Background()); err != nil {
 		t.Fatal(err)
@@ -319,59 +257,9 @@ func TestVerdictSnapshotMustResolve(t *testing.T) {
 	if v := coord.Verdicts(); len(v) != 1 || !v[0].Accepted {
 		t.Fatalf("epoch 1 should hold one ACCEPT: %+v", v)
 	}
-}
-
-// TestVerdictFrameRoundTrip pins the post body's shape: header, then
-// one frame per shipped chunk, nothing else — and what DecodeVerdict
-// refuses.
-func TestVerdictFrameRoundTrip(t *testing.T) {
-	p := &VerdictPost{LeaseID: "l", Worker: "w", Epoch: 3, Accepted: true,
-		FinalSnapshot: []cas.Ref{{SHA256: "a", Bytes: 1}, {SHA256: "b", Bytes: 2}, {SHA256: "c", Bytes: 3}},
-		Shipped:       []int{0, 2}}
-	chunks := [][]byte{[]byte("first"), {}}
-	body, err := EncodeVerdict(p, chunks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, gotChunks, err := DecodeVerdict(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Epoch != 3 || !slices.Equal(got.Shipped, p.Shipped) || !slices.Equal(got.FinalSnapshot, p.FinalSnapshot) ||
-		len(gotChunks) != 2 || string(gotChunks[0]) != "first" || len(gotChunks[1]) != 0 {
-		t.Fatalf("round trip diverged: %+v %q", got, gotChunks)
-	}
-	if _, err := EncodeVerdict(p, chunks[:1]); err == nil {
-		t.Fatal("EncodeVerdict accepted fewer chunks than the header ships")
-	}
-	outOfRange, _ := EncodeVerdict(&VerdictPost{FinalSnapshot: p.FinalSnapshot, Shipped: []int{3}}, chunks[:1])
-	repeated, _ := EncodeVerdict(&VerdictPost{FinalSnapshot: p.FinalSnapshot, Shipped: []int{1, 1}}, chunks)
-	for name, bad := range map[string][]byte{
-		"empty":               nil,
-		"truncated header":    body[:10],
-		"truncated frame":     body[:len(body)-1],
-		"trailing bytes":      append(slices.Clone(body), 0),
-		"index out of range":  outOfRange,
-		"index shipped twice": repeated,
-		"header not json":     append([]byte{0, 0, 0, 2}, "{]"...),
-	} {
-		if _, _, err := DecodeVerdict(bad); err == nil {
-			t.Fatalf("%s: DecodeVerdict accepted it", name)
-		}
-	}
-}
-
-// TestCrossCheckComparesRefLists: replicas agree on an ACCEPT only when
-// their ref lists match — the raw snapshot form is canonical, so the
-// list is the final state's identity.
-func TestCrossCheckComparesRefLists(t *testing.T) {
-	refs := []cas.Ref{{SHA256: "aa", Bytes: 10}, {SHA256: "bb", Bytes: 20}}
-	a := &VerdictPost{Accepted: true, FinalSnapshot: refs}
-	if !agreeing(a, &VerdictPost{Accepted: true, FinalSnapshot: slices.Clone(refs)}) {
-		t.Fatal("identical ACCEPTs disagree")
-	}
-	if agreeing(a, &VerdictPost{Accepted: true, FinalSnapshot: refs[:1]}) {
-		t.Fatal("a different ref list passed the cross-check")
+	got, err := epoch.LoadCheckpointRefs(dir, 1)
+	if err != nil || !slices.Equal(got, derived) {
+		t.Fatalf("epoch 1's published state is not the derived one (%v)", err)
 	}
 }
 
@@ -427,9 +315,10 @@ func getInit(url string, l *Lease) (int, []cas.Ref, error) {
 }
 
 // TestInitLongPoll: an init request for a state that does not exist yet
-// is held, not bounced — it answers the moment a candidate for the
-// previous epoch is posted, answers 410 the moment the chain breaks,
-// and answers 202 only when the (fake) clock runs out.
+// is held, not bounced — it answers the moment the coordinator has
+// derived the previous epoch's final state (each derivation is held
+// back here until the test lets it go), answers 410 the moment the
+// chain breaks, and answers 202 only when the (fake) clock runs out.
 func TestInitLongPoll(t *testing.T) {
 	dir := t.TempDir()
 	prog := sealTestChain(t, dir)
@@ -447,6 +336,13 @@ func TestInitLongPoll(t *testing.T) {
 	coord.after = func(d time.Duration) <-chan time.Time {
 		held <- d
 		return timeouts
+	}
+	gates := map[int64]chan struct{}{1: make(chan struct{}), 2: make(chan struct{})}
+	coord.beforeDerive = func(n int64) {
+		select {
+		case <-gates[n]:
+		case <-coord.ctx.Done():
+		}
 	}
 	ts := newFleetServer(t, as, coord)
 	// Runs before the server's own cleanup: a failed test must not leave
@@ -495,19 +391,16 @@ func TestInitLongPoll(t *testing.T) {
 		}
 	}
 
-	// A candidate wakes: epoch 2's holder gets epoch 1's candidate while
-	// epoch 1 is still undecided.
+	// A derived state wakes: epoch 2's holder gets epoch 1's final state
+	// while epoch 1 is still undecided.
 	w2 := ask(l2)
-	posts1 := honestPosts(t, prog, dir, l1, "a", nil)
-	cand1 := posts1[0]
-	if status, body := postVerdict(t, ts.URL, nil, cand1); status != http.StatusOK {
-		t.Fatalf("epoch 1 candidate refused: %d %s", status, body)
-	}
-	if a := wait(w2); a.status != http.StatusOK || !slices.Equal(a.refs, cand1.FinalSnapshot) {
-		t.Fatalf("held request answered %d with %d refs after the candidate", a.status, len(a.refs))
+	state1 := refsOf(t, localStates(t, dir)[0])
+	close(gates[1])
+	if a := wait(w2); a.status != http.StatusOK || !slices.Equal(a.refs, state1) {
+		t.Fatalf("held request answered %d with %d refs after epoch 1's state was derived", a.status, len(a.refs))
 	}
 	if len(coord.Verdicts()) != 0 {
-		t.Fatal("a candidate published a verdict")
+		t.Fatal("a derived state published a verdict")
 	}
 
 	// Timeout: epoch 3 waits on epoch 2; the clock runs out first.
@@ -517,13 +410,16 @@ func TestInitLongPoll(t *testing.T) {
 		t.Fatalf("timed-out request answered %d, want 202", a.status)
 	}
 
-	// Chain break wakes: epoch 2 REJECTs from epoch 1's candidate, epoch
-	// 1's verdict publishes both, and epoch 3's lease is gone.
+	// Chain break wakes: epoch 2 REJECTs from epoch 1's state, epoch 1's
+	// verdict publishes both, and epoch 3's lease is gone.
 	w3 = ask(l3)
-	reject := testVerdict{VerdictPost: VerdictPost{LeaseID: l2.ID, Worker: "b", Epoch: 2, ManifestSHA: l2.ManifestSHA,
-		InitRefs: cand1.FinalSnapshot, Reason: "output mismatch (test)"}}
-	if status, body := postAll(t, ts.URL, nil, reject, posts1[1]); status != http.StatusOK {
-		t.Fatalf("epoch 2 REJECT or epoch 1 ACCEPT refused: %d %s", status, body)
+	reject := VerdictPost{LeaseID: l2.ID, Worker: "b", Epoch: 2, ManifestSHA: l2.ManifestSHA,
+		InitRefs: state1, Reason: "output mismatch (test)"}
+	if status, body := postVerdict(t, ts.URL, nil, reject); status != http.StatusOK {
+		t.Fatalf("epoch 2 REJECT refused: %d %s", status, body)
+	}
+	if status, body := postVerdict(t, ts.URL, nil, honestVerdict(t, prog, dir, l1, "a", nil)); status != http.StatusOK {
+		t.Fatalf("epoch 1 ACCEPT refused: %d %s", status, body)
 	}
 	if a := wait(w3); a.status != http.StatusGone {
 		t.Fatalf("request held across a chain break answered %d, want 410", a.status)
@@ -651,15 +547,15 @@ func referenceAudit(t *testing.T, prog *lang.Program, dir string) (string, strin
 	return ref, a.Ledger().ChainSHA()
 }
 
-// TestForgedCandidateIsDiscarded: a hand-rolled worker posts a wrong
-// candidate for epoch 1 — the honest state plus a register nobody
-// reads — and goes silent. Epoch 2, audited from it, ACCEPTs; but once
-// an honest worker has published epoch 1, that verdict names an initial
-// state the ledger never published, so it is discarded (one init
-// mismatch) and epoch 2 is leased and audited again. The ledger ends on
-// the reference digest, and every state it checkpoints is the
-// reference's.
-func TestForgedCandidateIsDiscarded(t *testing.T) {
+// TestForeignInitVerdictIsDiscarded: a hand-rolled worker posts a
+// verdict for epoch 2 audited from a state that is not epoch 1's — the
+// honest state plus a register nobody reads, so epoch 2 ACCEPTs from
+// it — while epoch 1's holder goes silent. Once an honest worker has
+// published epoch 1, that verdict names an initial state the ledger
+// never published, so it is discarded (one init mismatch) and epoch 2
+// is leased and audited again. The ledger ends on the reference digest,
+// and every state it checkpoints is the reference's.
+func TestForeignInitVerdictIsDiscarded(t *testing.T) {
 	dir := t.TempDir()
 	prog := sealTestChain(t, dir)
 	ref, want := referenceAudit(t, prog, dir)
@@ -676,44 +572,26 @@ func TestForgedCandidateIsDiscarded(t *testing.T) {
 	coord.now = clock.Now
 	ts := newFleetServer(t, as, coord)
 
-	evil := leaseFor(t, ts.URL, "evil", nil)
+	silent := leaseFor(t, ts.URL, "a", nil)
 	l2 := leaseFor(t, ts.URL, "b", nil)
-	if evil.Epoch != 1 || l2.Epoch != 2 {
-		t.Fatalf("leases: %d %d", evil.Epoch, l2.Epoch)
+	if silent.Epoch != 1 || l2.Epoch != 2 {
+		t.Fatalf("leases: %d %d", silent.Epoch, l2.Epoch)
 	}
 	sealed, err := epoch.ListSealed(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ld, err := epoch.Load(sealed[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, p, err := epoch.PrepareEpoch(context.Background(), sealed[0], ld, nil, "", nil, verifier.Options{})
-	if err != nil || p == nil {
-		t.Fatalf("epoch 1 did not prepare: %v", err)
-	}
-	forged, err := p.Candidate()
-	if err != nil {
-		t.Fatal(err)
-	}
+	forged := localStates(t, dir)[0]
 	forged.Registers["forged"] = int64(1)
-	if status, body := postVerdict(t, ts.URL, nil, candidateOf(t, evil, "evil", forged)); status != http.StatusOK {
-		t.Fatalf("forged candidate refused: %d %s", status, body)
-	}
-	forgedRefs, _ := refsOf(t, forged)
-	if status, refs, err := getInit(ts.URL, l2); err != nil || status != http.StatusOK || !slices.Equal(refs, forgedRefs) {
-		t.Fatalf("epoch 2 was not handed the forged candidate: %d %v", status, err)
-	}
-	posts := honestPosts(t, prog, dir, l2, "b", forged)
-	if v := posts[len(posts)-1]; !v.Accepted {
+	v := honestVerdict(t, prog, dir, l2, "b", forged)
+	if !v.Accepted {
 		t.Fatalf("epoch 2 audited from the forged state rejected: %s", v.Reason)
 	}
-	if status, body := postAll(t, ts.URL, nil, posts...); status != http.StatusOK {
-		t.Fatalf("epoch 2 posts refused: %d %s", status, body)
+	if status, body := postVerdict(t, ts.URL, nil, v); status != http.StatusOK {
+		t.Fatalf("epoch 2 verdict refused: %d %s", status, body)
 	}
 
-	clock.Advance(2 * time.Minute) // the forger's lease expires
+	clock.Advance(2 * time.Minute) // the silent lease expires
 	runWorkers(t, prog, ts.URL, 1, nil)
 	if err := coord.Wait(context.Background()); err != nil {
 		t.Fatal(err)
@@ -737,11 +615,12 @@ func TestForgedCandidateIsDiscarded(t *testing.T) {
 }
 
 // TestInitAbandonsForOrphanedEarlierEpoch: worker a leases epoch 1 and
-// goes silent; worker b leases epoch 2 and waits for its initial state.
-// Once a's lease has timed out nobody holds epoch 1, and b — which asks
-// only for init, never for a new lease, while it waits — must be told
-// to let go: its init request answers 410, its next lease is epoch 1,
-// and it audits the chain to the reference digest.
+// goes silent; worker b leases epoch 2 and waits for its initial state,
+// whose derivation is held back. Once a's lease has timed out nobody
+// holds epoch 1, and b — which asks only for init, never for a new
+// lease, while it waits — must be told to let go: its init request
+// answers 410, its next lease is epoch 1, and it audits the chain to
+// the reference digest.
 func TestInitAbandonsForOrphanedEarlierEpoch(t *testing.T) {
 	dir := t.TempDir()
 	prog := sealTestChain(t, dir)
@@ -766,6 +645,13 @@ func TestInitAbandonsForOrphanedEarlierEpoch(t *testing.T) {
 		ch := make(chan time.Time, 1)
 		ch <- time.Time{} // held requests time out at once: 202
 		return ch
+	}
+	release := make(chan struct{})
+	coord.beforeDerive = func(int64) {
+		select {
+		case <-release:
+		case <-coord.ctx.Done():
+		}
 	}
 	ts := newFleetServer(t, as, coord)
 
@@ -800,6 +686,7 @@ func TestInitAbandonsForOrphanedEarlierEpoch(t *testing.T) {
 		}
 		clock.Advance(40 * time.Second)
 	}
+	close(release)
 	if err := <-done; err != nil {
 		t.Fatalf("worker b: %v (an orphaned epoch 1 must not hold b forever)", err)
 	}
@@ -814,84 +701,6 @@ func TestInitAbandonsForOrphanedEarlierEpoch(t *testing.T) {
 	}
 	if !coord.ChainAccepted() || coord.ChainSHA() != want {
 		t.Fatalf("ledger ends on %.12s (accepted %v), want the reference %.12s", coord.ChainSHA(), coord.ChainAccepted(), want)
-	}
-}
-
-// TestChunkSnapshotMatchesSequential: compressing a candidate's new
-// chunks in parallel changes nothing a reader can see — the refs, the
-// ascending Shipped list, every frame byte for byte, and the hot-cache
-// writes are what one chunk after another gives, with a chunk that
-// repeats shipped once and held chunks not at all.
-func TestChunkSnapshotMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	block := make([]byte, 300<<10)
-	rng.Read(block)
-	tail := make([]byte, 200<<10)
-	rng.Read(tail)
-	raw := slices.Concat(block, []byte("seam"), block, tail)
-
-	// The sequential reference.
-	var refs []cas.Ref
-	var shipped []int
-	var frames [][]byte
-	chunks := cas.DefaultChunker.Split(raw)
-	for _, c := range chunks {
-		refs = append(refs, cas.Ref{SHA256: cas.SumHex(c), Bytes: int64(len(c))})
-	}
-	held := refs[len(refs)-2:]
-	known := map[string]bool{}
-	for _, r := range held {
-		known[r.SHA256] = true
-	}
-	for i, r := range refs {
-		if known[r.SHA256] {
-			continue
-		}
-		known[r.SHA256] = true
-		gz, err := encio.Gzip(chunks[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		shipped = append(shipped, i)
-		frames = append(frames, gz)
-	}
-	if len(shipped) < 4 || len(shipped)+len(held) >= len(refs) {
-		t.Fatalf("%d chunks, %d shipped: the test needs several to ship and one to repeat", len(refs), len(shipped))
-	}
-
-	fsHot, err := cas.OpenFS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for name, hot := range map[string]cas.Store{"memory": cas.NewMemory(), "fs": fsHot} {
-		w := &worker{opts: WorkerOptions{Hot: hot}}
-		var post VerdictPost
-		got, err := w.chunkSnapshot(&post, raw, held)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Equal(post.FinalSnapshot, refs) || !slices.Equal(post.Shipped, shipped) {
-			t.Fatalf("%s: refs or Shipped differ from the sequential cut: shipped %v, want %v", name, post.Shipped, shipped)
-		}
-		if !slices.EqualFunc(got, frames, bytes.Equal) {
-			t.Fatalf("%s: frames differ from sequential encio.Gzip output", name)
-		}
-		want := make(map[string]bool)
-		for _, i := range shipped {
-			want[refs[i].SHA256] = true
-		}
-		for i, r := range refs {
-			if _, err := hot.Get(r.SHA256); (err == nil) != want[r.SHA256] {
-				t.Fatalf("%s: hot cache Get of chunk %d = %v; want it cached iff shipped (%v)", name, i, err, want[r.SHA256])
-			}
-		}
-		if fs, ok := hot.(*cas.FS); ok {
-			for k, i := range shipped {
-				if b, err := fs.ReadStored(refs[i].SHA256); err != nil || !bytes.Equal(b, frames[k]) {
-					t.Fatalf("fs: cached chunk %d is not the frame shipped: %v", i, err)
-				}
-			}
-		}
 	}
 }
 
@@ -938,113 +747,265 @@ echo strlen($s);
 	return prog
 }
 
-// TestSnapshotRepeatedAndCorruptChunks: the coordinator resolves a
-// candidate's whole ref list before it files the shipped chunks in
-// parallel. A chunk named twice ships once and its second ref resolves
-// to the first — the chain audits to the local ledger, and the state
-// filed reads back cold. A post with corrupt chunks among many shipped
-// is refused 400 naming the lowest bad index; nothing is recorded and
-// the lease is kept.
-func TestSnapshotRepeatedAndCorruptChunks(t *testing.T) {
-	master := t.TempDir()
-	prog := sealRepeatChain(t, master)
-	want := normalize(t, singleAudit(t, prog, copyChain(t, master)))
+// localStates walks dir's chain the way the local auditor does — each
+// epoch prepared (Phases 1–2) from the candidate of the epoch before —
+// and returns every epoch's Prepared.Candidate(), up to the first epoch
+// that does not prepare.
+func localStates(t *testing.T, dir string) []*object.Snapshot {
+	t.Helper()
+	sealed, err := epoch.ListSealed(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out []*object.Snapshot
+	var init *object.Snapshot
+	prevSHA := ""
+	for _, s := range sealed {
+		ld, loadErr := epoch.Load(s)
+		_, p, err := epoch.PrepareEpoch(context.Background(), s, ld, loadErr, prevSHA, init, verifier.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p == nil {
+			break
+		}
+		if init, err = p.Candidate(); err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, init)
+		prevSHA = s.ManifestSHA
+	}
+	return out
+}
 
-	t.Run("repeated chunk", func(t *testing.T) {
-		dir := copyChain(t, master)
-		coord, ts := startFleet(t, dir, CoordinatorOptions{})
-		tap := runTappedWorker(t, prog, ts.URL)
-		if err := coord.Wait(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		requireSameLedger(t, "fleet", normalize(t, coord.Verdicts()), want)
-		if len(tap.cands) < 2 || len(tap.inits) < 1 {
-			t.Fatalf("%d candidates, %d init hand-offs: need epoch 2 to start from epoch 1's", len(tap.cands), len(tap.inits))
-		}
-		first := tap.cands[0].post
-		seen := map[string]int{}
-		repeated := ""
-		for i, r := range first.FinalSnapshot {
-			if _, ok := seen[r.SHA256]; ok && slices.Contains(first.Shipped, seen[r.SHA256]) {
-				repeated = r.SHA256
-				if slices.Contains(first.Shipped, i) {
-					t.Fatalf("chunk %.12s shipped again at index %d", r.SHA256, i)
-				}
-			} else if !ok {
-				seen[r.SHA256] = i
-			}
-		}
-		if repeated == "" {
-			t.Fatal("epoch 1's candidate names no new chunk twice; the test proves nothing")
-		}
-		sealedStore, err := epoch.OpenChainStore(master)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sealedStore.Has(repeated) {
-			t.Fatalf("chunk %.12s is in the sealed chain; its repeat resolves without the shipped copy", repeated)
-		}
-		if !slices.Equal(tap.inits[0], first.FinalSnapshot) {
-			t.Fatal("epoch 2 was not handed epoch 1's candidate")
-		}
-		store, err := epoch.OpenChainStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := cas.ReadBlob(store, first.FinalSnapshot); err != nil {
-			t.Fatalf("epoch 1's filed state does not read back: %v", err)
-		}
-	})
+// sealWorkload seals w's requests into a chain in dir, served in bursts
+// of 16 and cut every epochEvents events.
+func sealWorkload(t *testing.T, dir string, w *workload.Workload, epochEvents int) *lang.Program {
+	t.Helper()
+	prog := w.App.Compile()
+	srv := server.New(prog, server.Options{Record: true})
+	if err := srv.Setup(w.App.Schema); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Setup(w.Seed); err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := epoch.StartManager(dir, srv, srv.Snapshot(), epoch.ManagerOptions{EpochEvents: epochEvents})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(w.Requests); i += 16 {
+		srv.ServeAllContext(context.Background(), w.Requests[i:min(i+16, len(w.Requests))], 4)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return prog
+}
 
-	t.Run("corrupt chunks among many", func(t *testing.T) {
-		dir := copyChain(t, master)
-		coord, ts := startFleet(t, dir, CoordinatorOptions{To: 1})
-		l := leaseFor(t, ts.URL, "w", nil)
-		posts := honestPosts(t, prog, dir, l, "w", nil)
-		honest := posts[0]
-		store, err := epoch.OpenChainStore(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var fresh []int // first shipped copies of chunks the store lacks: the ones verified
-		seen := map[string]bool{}
-		for k, idx := range honest.Shipped {
-			sha := honest.FinalSnapshot[idx].SHA256
-			if !seen[sha] && !store.Has(sha) {
-				fresh = append(fresh, k)
-			}
-			seen[sha] = true
-		}
-		if len(fresh) < 4 {
-			t.Fatalf("only %d fresh chunks shipped", len(fresh))
-		}
-		lo, hi := fresh[len(fresh)/2], fresh[len(fresh)-1]
-		bad := honest
-		bad.chunks = slices.Clone(honest.chunks)
-		for _, k := range []int{hi, lo} {
-			if bad.chunks[k], err = encio.Gzip([]byte(fmt.Sprintf("not chunk %d", k))); err != nil {
+// TestCoordinatorStatesMatchLocalCandidates: the state the coordinator
+// derives for every epoch, and publishes with its ACCEPT, is the local
+// auditor's candidate for that epoch, ref for ref — on wiki, forum and
+// hotcrp chains, and on one whose state names a new chunk twice (so two
+// goroutines file the same chunk at once). The ledger is the local one.
+func TestCoordinatorStatesMatchLocalCandidates(t *testing.T) {
+	chains := []struct {
+		name string
+		seal func(t *testing.T, dir string) *lang.Program
+	}{
+		{"wiki", sealTestChain},
+		{"forum", func(t *testing.T, dir string) *lang.Program {
+			return sealWorkload(t, dir, workload.Forum(workload.ForumParams{
+				Requests: 160, Topics: 6, Users: 12, GuestRatio: 0.5, Seed: 4}), 60)
+		}},
+		{"hotcrp", func(t *testing.T, dir string) *lang.Program {
+			return sealWorkload(t, dir, workload.HotCRP(workload.DefaultHotCRPParams().Scale(40)), 80)
+		}},
+		{"repeated chunk", sealRepeatChain},
+	}
+	for _, c := range chains {
+		t.Run(c.name, func(t *testing.T) {
+			master := t.TempDir()
+			prog := c.seal(t, master)
+			sealed, err := epoch.ListSealed(master)
+			if err != nil {
 				t.Fatal(err)
 			}
-		}
-		status, body := postVerdict(t, ts.URL, nil, bad)
-		if wantMsg := fmt.Sprintf("final snapshot chunk %d:", honest.Shipped[lo]); status != http.StatusBadRequest || !strings.Contains(string(body), wantMsg) {
-			t.Fatalf("post with corrupt chunks %d and %d answered %d %q, want 400 naming %q",
-				honest.Shipped[lo], honest.Shipped[hi], status, body, wantMsg)
-		}
-		if st := coord.Stats(); st.EpochsDecided != 0 || st.SnapshotChunksPosted != 0 || st.SnapshotChunksReused != 0 {
-			t.Fatalf("a refused post was recorded: %+v", st)
-		}
-		for _, k := range []int{lo, hi} {
-			if store.Has(honest.FinalSnapshot[honest.Shipped[k]].SHA256) {
-				t.Fatalf("corrupt chunk %d reached the chain store", honest.Shipped[k])
+			states := localStates(t, master)
+			if len(sealed) < 3 || len(states) != len(sealed) {
+				t.Fatalf("%d epochs sealed, %d prepared: want an honest chain of at least 3", len(sealed), len(states))
 			}
+			want := normalize(t, singleAudit(t, prog, copyChain(t, master)))
+			dir := copyChain(t, master)
+			coord, ts := startFleet(t, dir, CoordinatorOptions{})
+			runWorkers(t, prog, ts.URL, 2, nil)
+			if err := coord.Wait(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			requireSameLedger(t, c.name, normalize(t, coord.Verdicts()), want)
+			for i, snap := range states {
+				got, err := epoch.LoadCheckpointRefs(dir, int64(i+1))
+				if err != nil || !slices.Equal(got, refsOf(t, snap)) {
+					t.Fatalf("epoch %d: the coordinator's state is not the local candidate (%v)", i+1, err)
+				}
+			}
+			if st := coord.Stats(); st.StatesDerived != int64(len(states)) || st.InitMismatches != 0 {
+				t.Fatalf("%d states derived, %d init mismatches; want %d and 0", st.StatesDerived, st.InitMismatches, len(states))
+			}
+		})
+	}
+}
+
+// chunkFiles lists the chunk digests in dir's chain store.
+func chunkFiles(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	store, err := epoch.OpenChainStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	list, err := store.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[string]bool, len(list))
+	for _, sha := range list {
+		out[sha] = true
+	}
+	return out
+}
+
+// TestRejectStopsStateDerivation: a report chunk of epoch 2 is
+// tampered, so the coordinator's own read of epoch 2 fails its
+// integrity check and no state past epoch 1 is derived or filed. Epoch
+// 3's init request is held until epoch 2's audit REJECTs it, then
+// answers 410, as does epoch 4's; and the ledger is the local one.
+func TestRejectStopsStateDerivation(t *testing.T) {
+	master := t.TempDir()
+	prog := sealTestChain(t, master)
+	sealed, err := epoch.ListSealed(master)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(sealed) < 4 {
+		t.Fatalf("sealed %d epochs, want >= 4", len(sealed))
+	}
+	states := localStates(t, master)
+	dir := copyChain(t, master)
+	earlier := make(map[string]bool)
+	for _, r := range sealed[0].Manifest.ChunkRefs() {
+		earlier[r.SHA256] = true
+	}
+	tampered := ""
+	for _, r := range sealed[1].Manifest.Reports.Chunks {
+		if !earlier[r.SHA256] {
+			tampered = r.SHA256
 		}
-		if status, body := postAll(t, ts.URL, nil, posts...); status != http.StatusOK {
-			t.Fatalf("honest posts on the kept lease refused: %d %s", status, body)
+	}
+	if tampered == "" {
+		t.Fatal("epoch 2's reports share every chunk with epoch 1")
+	}
+	tamperChunk(t, dir, tampered)
+	want := normalize(t, singleAudit(t, prog, copyChain(t, dir)))
+	if len(want) != 2 || want[1].Accepted {
+		t.Fatalf("the local audit should ACCEPT epoch 1 and REJECT epoch 2: %+v", want)
+	}
+	before := chunkFiles(t, dir)
+
+	coord, ts := startFleet(t, dir, CoordinatorOptions{})
+	var leases []*Lease
+	for _, w := range []string{"a", "b", "c", "d"} {
+		leases = append(leases, leaseFor(t, ts.URL, w, nil))
+	}
+	type answer struct {
+		status int
+		err    error
+	}
+	held := make(chan answer, 1)
+	go func() {
+		status, _, err := getInit(ts.URL, leases[2])
+		held <- answer{status, err}
+	}()
+	if status, body := postVerdict(t, ts.URL, nil, honestVerdict(t, prog, dir, leases[0], "a", nil)); status != http.StatusOK {
+		t.Fatalf("epoch 1 ACCEPT refused: %d %s", status, body)
+	}
+	v2 := honestVerdict(t, prog, dir, leases[1], "b", states[0])
+	if v2.Accepted || !strings.Contains(v2.Reason, tampered[:12]) {
+		t.Fatalf("epoch 2 should REJECT naming the tampered chunk: %+v", v2)
+	}
+	if status, body := postVerdict(t, ts.URL, nil, v2); status != http.StatusOK {
+		t.Fatalf("epoch 2 REJECT refused: %d %s", status, body)
+	}
+	select {
+	case a := <-held:
+		if a.err != nil || a.status != http.StatusGone {
+			t.Fatalf("epoch 3's init answered %d (%v), want 410", a.status, a.err)
 		}
-		if err := coord.Wait(context.Background()); err != nil {
-			t.Fatal(err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("epoch 3's init request was never answered")
+	}
+	if status, _, err := getInit(ts.URL, leases[3]); err != nil || status != http.StatusGone {
+		t.Fatalf("epoch 4's init answered %d (%v), want 410", status, err)
+	}
+	if err := coord.Wait(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	requireSameLedger(t, "fleet", normalize(t, coord.Verdicts()), want)
+	if st := coord.Stats(); st.StatesDerived != 1 {
+		t.Fatalf("%d states derived, want epoch 1's alone", st.StatesDerived)
+	}
+	state1 := refsOf(t, states[0])
+	for sha := range chunkFiles(t, dir) {
+		if !before[sha] && !slices.ContainsFunc(state1, func(r cas.Ref) bool { return r.SHA256 == sha }) {
+			t.Fatalf("chunk %.12s was filed, and it is no chunk of epoch 1's state", sha)
 		}
-		requireSameLedger(t, "epoch 1", normalize(t, coord.Verdicts()), want[:1])
-	})
+	}
+}
+
+// failingPuts is a chain store that reads but cannot write.
+type failingPuts struct{ cas.Store }
+
+func (failingPuts) Put(string, []byte) error { return errors.New("disk full") }
+
+// TestStateDerivationStoreFailureIsNotAVerdict: when the chain store
+// cannot take a derived state's chunks, the audit stops with an
+// internal fault that Wait reports; no verdict is published or
+// recorded, nothing is checkpointed, and the workers are let go.
+func TestStateDerivationStoreFailureIsNotAVerdict(t *testing.T) {
+	dir := t.TempDir()
+	prog := sealTestChain(t, dir)
+	as, err := NewArtifactServer(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(dir, CoordinatorOptions{RetryMS: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.store = failingPuts{coord.store}
+	ts := newFleetServer(t, as, coord)
+	runWorkers(t, prog, ts.URL, 2, nil)
+	err = coord.Wait(context.Background())
+	if err == nil || !strings.Contains(err.Error(), "filing epoch 1's final state") || !strings.Contains(err.Error(), "disk full") {
+		t.Fatalf("Wait = %v, want the failed filing of epoch 1's state", err)
+	}
+	if v := coord.Verdicts(); len(v) != 0 {
+		t.Fatalf("a store failure published verdicts: %+v", v)
+	}
+	if st := coord.Stats(); st.StatesDerived != 0 || st.Broken {
+		t.Fatalf("stats after a store failure: %+v", st)
+	}
+	if err := coord.Close(); err != nil {
+		t.Fatal(err)
+	}
+	log, err := epoch.OpenDecisionLog(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if d, ok := log.Get(1); ok {
+		t.Fatalf("a store failure recorded a decision: %+v", d)
+	}
+	if _, err := os.Stat(filepath.Join(dir, "checkpoints")); !os.IsNotExist(err) {
+		t.Fatalf("a store failure wrote a checkpoint: %v", err)
+	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"orochi/internal/cas"
-	"orochi/internal/encio"
 	"orochi/internal/epoch"
 	"orochi/internal/lang"
 	"orochi/internal/object"
@@ -261,24 +260,19 @@ func (w *worker) lease(abandoned string) (*LeaseResponse, error) {
 	return &resp, nil
 }
 
-// signedPost posts v as signed JSON; see signedPostBody.
+// signedPost posts v as signed JSON and returns the (signature-
+// verified) response body. Non-2xx statuses are errors; 403 is fatal
+// (the fleet key does not match).
 func (w *worker) signedPost(url string, v any) ([]byte, error) {
 	body, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
-	return w.signedPostBody(url, "application/json", body)
-}
-
-// signedPostBody posts a signed body and returns the (signature-
-// verified) response body. Non-2xx statuses are errors; 403 is fatal
-// (the fleet key does not match).
-func (w *worker) signedPostBody(url, contentType string, body []byte) ([]byte, error) {
 	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
 		return nil, err
 	}
-	req.Header.Set("Content-Type", contentType)
+	req.Header.Set("Content-Type", "application/json")
 	if sig := Sign(w.opts.Key, body); sig != "" {
 		req.Header.Set(SigHeader, sig)
 	}
@@ -317,9 +311,8 @@ func firstLine(data []byte) string {
 // audit runs one leased epoch start to finish: fetch the manifest, the
 // artifacts (through the tiered store) and the initial state, prepare
 // the epoch with epoch.PrepareEpoch (the local auditor's executor),
-// post the candidate final state it fixes, so the worker holding the
-// next epoch can start from it, then finish with epoch.Finish and post
-// the signed verdict.
+// keep the final state it fixes in the hot cache, then finish with
+// epoch.Finish and post the signed verdict.
 func (w *worker) audit(ctx context.Context, l *Lease) error {
 	_, logicalStart, wireStart := w.remote.Fetched()
 	m, sha, err := w.fetchManifest(ctx, l)
@@ -360,15 +353,9 @@ func (w *worker) audit(ctx context.Context, l *Lease) error {
 	// Initial state: the manifest's own snapshot for the first epoch
 	// (PrepareEpoch's default), otherwise what the coordinator hands out
 	// as chunk refs — which the verdict names, for the coordinator to
-	// check against what it published. Either way its chunks are ones the
-	// coordinator holds, so the candidate need not ship them back.
+	// check against what it published.
 	var init *object.Snapshot
-	var held []cas.Ref
-	if l.InitManifest {
-		if m.Init != nil {
-			held = m.Init.Chunks
-		}
-	} else {
+	if !l.InitManifest {
 		_, _, initWireStart := w.initRemote.Fetched()
 		init, post.InitRefs, err = w.fetchInit(ctx, l)
 		_, _, initWireNow := w.initRemote.Fetched()
@@ -376,17 +363,12 @@ func (w *worker) audit(ctx context.Context, l *Lease) error {
 		if err != nil {
 			return err
 		}
-		held = post.InitRefs
 	}
 
 	v, p, err := epoch.PrepareEpoch(ctx, sealed, loaded, loadErr, l.PrevManifestSHA, init, w.opts.Verify)
 	if p != nil {
-		var snap *object.Snapshot
-		if snap, err = p.Candidate(); err != nil {
+		if err := w.keepFinalState(p); err != nil {
 			return &fatalError{err}
-		}
-		if err := w.postCandidate(l, snap, held); err != nil {
-			return err
 		}
 		v, err = epoch.Finish(ctx, w.prog, v, p, w.opts.Verify)
 	}
@@ -397,74 +379,29 @@ func (w *worker) audit(ctx context.Context, l *Lease) error {
 		return &fatalError{err}
 	}
 	post.Accepted, post.Reason, post.Forensics, post.Stats = v.Accepted, v.Reason, v.Forensics, v.Stats
-	if err := w.send(&post, nil); err != nil {
+	if err := w.send(&post); err != nil {
 		return err
 	}
 	w.tally(l, &post)
 	return nil
 }
 
-// postCandidate posts the candidate final state of the leased epoch.
-func (w *worker) postCandidate(l *Lease, snap *object.Snapshot, held []cas.Ref) error {
+// keepFinalState files the final state Phases 1–2 fixed in the hot
+// cache, cut as the coordinator cuts the state it derives from the same
+// inputs: when this worker also audits the next epoch, its initial state
+// is at home. Best effort, like Tiered's promotion: a cache that cannot
+// take a chunk costs a fetch later, nothing else.
+func (w *worker) keepFinalState(p *verifier.Prepared) error {
+	snap, err := p.Candidate()
+	if err != nil {
+		return err
+	}
 	raw, err := snap.EncodeRaw()
 	if err != nil {
-		return &fatalError{err}
+		return err
 	}
-	cand := VerdictPost{LeaseID: l.ID, Worker: w.opts.Name, Epoch: l.Epoch, ManifestSHA: l.ManifestSHA,
-		Candidate: true}
-	chunks, err := w.chunkSnapshot(&cand, raw, held)
-	if err != nil {
-		return &fatalError{err}
-	}
-	return w.send(&cand, chunks)
-}
-
-// chunkSnapshot cuts a candidate final snapshot's raw bytes into chunks,
-// fills in post.FinalSnapshot (every ref) and post.Shipped (the chunks
-// the coordinator cannot have: those not among the refs of the initial
-// state this audit started from, each once), and returns the shipped
-// chunks' at-rest bytes. Each new chunk is compressed here, once, in
-// parallel with the others: the coordinator stores these bytes as they
-// are, and the hot cache takes them too, so auditing the next epoch
-// finds its initial state at home.
-func (w *worker) chunkSnapshot(post *VerdictPost, raw []byte, held []cas.Ref) ([][]byte, error) {
-	known := make(map[string]bool, len(held))
-	for _, r := range held {
-		known[r.SHA256] = true
-	}
-	chunks := cas.DefaultChunker.Split(raw)
-	for i, chunk := range chunks {
-		sha := cas.SumHex(chunk)
-		post.FinalSnapshot = append(post.FinalSnapshot, cas.Ref{SHA256: sha, Bytes: int64(len(chunk))})
-		if !known[sha] {
-			known[sha] = true
-			post.Shipped = append(post.Shipped, i)
-		}
-	}
-	storedHot, _ := w.opts.Hot.(interface {
-		PutStored(sha string, stored []byte) error
-	})
-	shipped := make([][]byte, len(post.Shipped))
-	err := forEach(len(shipped), func(k int) error {
-		i := post.Shipped[k]
-		stored, err := encio.Gzip(chunks[i])
-		if err != nil {
-			return err
-		}
-		shipped[k] = stored
-		// Best effort, like Tiered's promotion: a cache that cannot take
-		// the chunk costs a fetch later, nothing else.
-		if sha := post.FinalSnapshot[i].SHA256; storedHot != nil {
-			_ = storedHot.PutStored(sha, stored)
-		} else {
-			_ = w.opts.Hot.Put(sha, chunks[i])
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return shipped, nil
+	_, _ = cas.WriteBlob(w.opts.Hot, cas.DefaultChunker, raw)
+	return nil
 }
 
 // fetchManifest pulls the leased epoch's raw manifest bytes and pins
@@ -505,7 +442,7 @@ func (w *worker) fetchManifest(ctx context.Context, l *Lease) (*epoch.Manifest, 
 }
 
 // fetchInit asks the coordinator for the leased epoch's initial state —
-// a final snapshot of the previous epoch, published or candidate — and
+// the previous epoch's final snapshot, published or derived — and
 // assembles it from its chunk refs through the hot cache: a worker that
 // audited the previous epoch, or holds the chunks that did not change
 // since an earlier one, fetches nothing. The coordinator holds the
@@ -589,17 +526,11 @@ func (w *worker) fetchInit(ctx context.Context, l *Lease) (*object.Snapshot, []c
 	}
 }
 
-// send posts a signed candidate or verdict — header plus the snapshot
-// chunks it ships. A 409 means the lease expired under us and the epoch
-// was reassigned — the post is ignored by the coordinator, and the
-// assignment abandoned here.
-func (w *worker) send(p *VerdictPost, chunks [][]byte) error {
-	body, err := EncodeVerdict(p, chunks)
-	if err != nil {
-		return &fatalError{err}
-	}
-	_, err = w.signedPostBody(w.opts.Coordinator+Prefix+"/verdict", "application/octet-stream", body)
-	if err != nil {
+// send posts a signed verdict. A 409 means the lease expired under us
+// and the epoch was reassigned — the post is ignored by the
+// coordinator, and the assignment abandoned here.
+func (w *worker) send(p *VerdictPost) error {
+	if _, err := w.signedPost(w.opts.Coordinator+Prefix+"/verdict", p); err != nil {
 		if errors.Is(err, errStaleLease) {
 			return fmt.Errorf("%w: %v", errAbandoned, err)
 		}

@@ -1,9 +1,11 @@
 package verifier
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
+	"orochi/internal/reports"
 	"orochi/internal/trace"
 )
 
@@ -157,6 +159,71 @@ func TestChainedSnapshotRejectedIfStale(t *testing.T) {
 	}
 	if res2.Accepted {
 		t.Fatal("stale initial state must make period 2 outputs irreproducible")
+	}
+}
+
+// TestFinalStateMatchesCandidate: Phase 2 alone fixes a period's final
+// state. FinalState, given only the initial state and the reports,
+// returns the state an ACCEPT of the full audit hands on, byte for byte
+// in the canonical form; and on a log that fails to redo it returns the
+// REJECT the full audit reaches, with the same reason.
+func TestFinalStateMatchesCandidate(t *testing.T) {
+	prog := compileApp(t)
+	srv := newServerForTest(t, prog)
+	if err := srv.Setup(testSchema); err != nil {
+		t.Fatal(err)
+	}
+	initState := srv.Snapshot()
+	srv.ServeAllContext(context.Background(), []trace.Input{
+		{Script: "post", Post: map[string]string{"title": "first"}},
+		{Script: "vote", Get: map[string]string{"id": "1"}},
+		{Script: "visit", Cookie: map[string]string{"user": "alice"}},
+	}, 2)
+	ctx := context.Background()
+	res, err := AuditContext(ctx, prog, srv.Trace(), srv.Reports(), initState, Options{})
+	if err != nil || !res.Accepted {
+		t.Fatalf("audit: %v %+v", err, res)
+	}
+	final, err := res.FinalSnapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	derived, rej, err := FinalState(ctx, initState, srv.Reports(), Options{})
+	if err != nil || rej != nil {
+		t.Fatalf("FinalState: %v %+v", err, rej)
+	}
+	want, err := final.EncodeRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := derived.EncodeRaw()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("FinalState differs from the accepted audit's final snapshot")
+	}
+
+	bad := srv.Reports().Clone()
+	broken := false
+	for i, o := range bad.Objects {
+		for j, e := range bad.OpLogs[i] {
+			if o.Kind == reports.DBObj && e.OK && len(e.Stmts) > 0 && !broken {
+				bad.OpLogs[i][j].Stmts = append([]string{"NOT SQL"}, e.Stmts[1:]...)
+				broken = true
+			}
+		}
+	}
+	if !broken {
+		t.Fatal("no DB write to break")
+	}
+	full, err := AuditContext(ctx, prog, srv.Trace(), bad, initState, Options{})
+	if err != nil || full.Accepted || full.Forensics == nil || full.Forensics.Phase != PhaseRedo {
+		t.Fatalf("full audit of the broken log: %v %+v", err, full)
+	}
+	snap, rej, err := FinalState(ctx, initState, bad, Options{})
+	if err != nil || snap != nil || rej == nil || rej.Accepted || rej.Reason != full.Reason {
+		t.Fatalf("FinalState of the broken log = %v, %+v, %v; want the REJECT %q", snap, rej, err, full.Reason)
 	}
 }
 

@@ -226,13 +226,62 @@ func Prepare(ctx context.Context, tr *trace.Trace, rep *reports.Reports, init *o
 		return nil, nil, auditCanceled(ctx)
 	}
 
-	// Phase 2: versioned redo (§4.5), parallel across independent
-	// objects — the DB logs, the KV logs, and each register log have no
-	// cross-object ordering constraints.
+	// Phase 2: the versioned redo (§4.5).
 	t0 = time.Now()
-	p.env = &auditEnv{
+	env, redoRej, err := redoState(ctx, init, rep, opts, obs)
+	p.stats.DBRedo = time.Since(t0)
+	if err != nil {
+		return nil, nil, err
+	}
+	env.opMap = proc.OpMap
+	p.env = env
+	if redoRej != nil {
+		return reject(redoRej.msg, redoRej.f)
+	}
+	obs.phaseEnd(PhaseRedo, p.stats.DBRedo)
+	p.spent = time.Since(start)
+	return p, nil, nil
+}
+
+// FinalState runs Phase 2 alone: it redoes rep's operation logs over
+// init (nil: the empty state) and returns the period's final state —
+// what Prepared.Candidate reads off the same redo, and so the state an
+// ACCEPT of the period vouches for — or, when a log fails to redo, the
+// REJECT Prepare reaches once Phase 1 passes. It validates nothing else
+// and re-executes nothing: a chain driver that holds a period's reports
+// derives the state itself with it, and believes it only once the
+// period's full audit ACCEPTs. Errors are Prepare's.
+func FinalState(ctx context.Context, init *object.Snapshot, rep *reports.Reports, opts Options) (*object.Snapshot, *Result, error) {
+	obs := hook{opts.Observer}
+	if init == nil {
+		init = object.EmptySnapshot()
+	}
+	if ctx.Err() != nil {
+		return nil, nil, auditCanceled(ctx)
+	}
+	start := time.Now()
+	env, rej, err := redoState(ctx, init, rep, opts, obs)
+	if err != nil {
+		return nil, nil, err
+	}
+	spent := time.Since(start)
+	if rej != nil {
+		return nil, rejectResult(Stats{DBRedo: spent}, env, spent, rej.msg, rej.f, obs), nil
+	}
+	obs.phaseEnd(PhaseRedo, spent)
+	snap, err := env.finalState(init)
+	return snap, nil, err
+}
+
+// redoState is Phase 2, the versioned redo (§4.5): it loads init into
+// fresh versioned stores and replays rep's object logs into them,
+// parallel across independent objects — the DB logs, the KV logs, and
+// each register log have no cross-object ordering constraints. It
+// returns the stores, with the rejection of the first log in object
+// order that failed to redo, if any.
+func redoState(ctx context.Context, init *object.Snapshot, rep *reports.Reports, opts Options, obs hook) (*auditEnv, *rejection, error) {
+	env := &auditEnv{
 		rep:       rep,
-		opMap:     proc.OpMap,
 		vdb:       vstore.NewVersionedDB(),
 		vkv:       vstore.NewVersionedKV(),
 		initRegs:  sharedValues(init.Registers),
@@ -240,7 +289,7 @@ func Prepare(ctx context.Context, tr *trace.Trace, rep *reports.Reports, init *o
 		convCache: make(map[*sqlmini.Result]lang.Value),
 	}
 	for _, tbl := range init.Tables {
-		if err := p.env.vdb.LoadInitial(tbl); err != nil {
+		if err := env.vdb.LoadInitial(tbl); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -250,22 +299,22 @@ func Prepare(ctx context.Context, tr *trace.Trace, rep *reports.Reports, init *o
 	}
 	sort.Strings(kvKeys)
 	for _, k := range kvKeys {
-		p.env.vkv.LoadInitial(k, init.KV[k])
+		env.vkv.LoadInitial(k, init.KV[k])
 	}
-	redoRej, redoDone := runRedo(ctx, p.env, rep, normWorkers(opts.Workers), obs)
-	p.stats.DBRedo = time.Since(t0)
-	if !redoDone {
+	rej, done := runRedo(ctx, env, rep, normWorkers(opts.Workers), obs)
+	if !done {
 		// Cancelled mid-redo: some object logs never replayed, so even an
 		// observed failure cannot be arbitrated to the first one in object
 		// order. No verdict — the next audit redoes the phase whole.
 		return nil, nil, auditCanceled(ctx)
 	}
-	if redoRej != nil {
-		return reject(redoRej.msg, redoRej.f)
-	}
-	obs.phaseEnd(PhaseRedo, p.stats.DBRedo)
-	p.spent = time.Since(start)
-	return p, nil, nil
+	return env, rej, nil
+}
+
+// finalState assembles the final state the redo into env fixed, from
+// the period's initial state init.
+func (env *auditEnv) finalState(init *object.Snapshot) (*object.Snapshot, error) {
+	return finalSnapshot(env.vdb, env.vkv.Final(), finalRegisters(env.rep, init))
 }
 
 // rejectResult builds a REJECT verdict with its forensics, reporting the
@@ -292,7 +341,7 @@ func rejectResult(stats Stats, env *auditEnv, total time.Duration, reason string
 // share rows with the versioned database. Call it before ReExec, not
 // during it: Phase 3 builds indexes in the database it migrates.
 func (p *Prepared) Candidate() (*object.Snapshot, error) {
-	return finalSnapshot(p.env.vdb, p.env.vkv.Final(), finalRegisters(p.rep, p.init))
+	return p.env.finalState(p.init)
 }
 
 // ReExec runs Phase 3, grouped re-execution, and Phase 4, the coverage
