@@ -22,9 +22,6 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 )
 
 // Ref names one chunk of a blob: the SHA-256 of the chunk's
@@ -88,57 +85,21 @@ type Store interface {
 }
 
 // WriteBlob cuts data into chunks with c and stores each in s,
-// returning the ordered refs that reconstruct the blob. The chunks are
-// hashed and stored on up to GOMAXPROCS goroutines (ForEach), so a
-// store that compresses and fsyncs on Put does so for several chunks at
-// once; a failure is reported for the lowest chunk index that failed.
+// returning the ordered refs that reconstruct the blob.
 // Chunks already present are not rewritten — that is the dedup, and it
 // is Put's to do: every store's Put is a cheap no-op on a chunk it
-// holds, and tolerates a concurrent Put of the same chunk.
+// holds.
 func WriteBlob(s Store, c ChunkerOptions, data []byte) ([]Ref, error) {
 	chunks := c.Split(data)
-	refs := make([]Ref, len(chunks))
-	err := ForEach(len(chunks), func(i int) error {
-		sha := SumHex(chunks[i])
-		if err := s.Put(sha, chunks[i]); err != nil {
-			return &ChunkError{Digest: sha, Index: i, Err: err}
+	refs := make([]Ref, 0, len(chunks))
+	for i, chunk := range chunks {
+		sha := SumHex(chunk)
+		if err := s.Put(sha, chunk); err != nil {
+			return nil, &ChunkError{Digest: sha, Index: i, Err: err}
 		}
-		refs[i] = Ref{SHA256: sha, Bytes: int64(len(chunks[i]))}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		refs = append(refs, Ref{SHA256: sha, Bytes: int64(len(chunk))})
 	}
 	return refs, nil
-}
-
-// ForEach runs fn for every index in [0, n) on up to GOMAXPROCS
-// goroutines and returns the error of the lowest index that failed —
-// the one a loop in index order would have stopped at. A single index
-// runs on the caller's goroutine.
-func ForEach(n int, fn func(i int) error) error {
-	if n == 1 {
-		return fn(0)
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for range min(n, runtime.GOMAXPROCS(0)) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // ReadBlob reassembles a blob from its ordered chunk refs, verifying

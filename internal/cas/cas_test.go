@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -337,64 +336,6 @@ func TestWriteBlobDedupsRepeats(t *testing.T) {
 	}
 	if len(s.chunks) != len(unique) {
 		t.Fatalf("store holds %d chunks, want %d unique", len(s.chunks), len(unique))
-	}
-}
-
-// failingStore refuses Put for the chunks it names and records the
-// rest.
-type failingStore struct {
-	*Memory
-	fail map[string]bool
-}
-
-func (s failingStore) Put(sha string, data []byte) error {
-	if s.fail[sha] {
-		return errors.New("refused")
-	}
-	return s.Memory.Put(sha, data)
-}
-
-// TestWriteBlobParallelMatchesSequential: filing chunks on several
-// goroutines changes nothing a caller sees — the refs come back in blob
-// order, each chunk lands in an on-disk store at rest once, and of two
-// chunks whose Put fails the error names the lower index, as a loop in
-// index order would.
-func TestWriteBlobParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(29))
-	data := make([]byte, 6*DefaultChunker.Max)
-	rng.Read(data)
-	chunks := DefaultChunker.Split(data)
-	if len(chunks) < 6 {
-		t.Fatalf("need several chunks, got %d", len(chunks))
-	}
-	var want []Ref
-	for _, c := range chunks {
-		want = append(want, Ref{SHA256: SumHex(c), Bytes: int64(len(c))})
-	}
-	fs, err := OpenFS(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	refs, err := WriteBlob(fs, DefaultChunker, data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(refs, want) {
-		t.Fatal("parallel WriteBlob returned refs out of blob order")
-	}
-	if n, _, err := fs.Stats(); err != nil || n != len(want) {
-		t.Fatalf("store holds %d chunks (%v), want %d", n, err, len(want))
-	}
-	if back, err := ReadBlob(fs, refs); err != nil || !bytes.Equal(back, data) {
-		t.Fatalf("the filed blob does not read back: %v", err)
-	}
-
-	lo, hi := 2, len(want)-1
-	bad := failingStore{NewMemory(), map[string]bool{want[lo].SHA256: true, want[hi].SHA256: true}}
-	_, err = WriteBlob(bad, DefaultChunker, data)
-	var ce *ChunkError
-	if !errors.As(err, &ce) || ce.Index != lo || ce.Digest != want[lo].SHA256 {
-		t.Fatalf("WriteBlob with chunks %d and %d refused = %v, want the error of chunk %d", lo, hi, err, lo)
 	}
 }
 

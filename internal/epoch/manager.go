@@ -247,33 +247,14 @@ func (m *Manager) sealLoop() {
 	}
 }
 
-// serialPuts lets one Put at a time through to a store.
-type serialPuts struct {
-	mu sync.Mutex
-	cas.Store
-}
-
-func (s *serialPuts) Put(sha string, data []byte) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Store.Put(sha, data)
-}
-
 // seal writes the epoch's trace and reports into the chunk store, then
-// creates its directory and writes the manifest pinning them. While the
-// server still serves, the chunks are filed one at a time, so a seal
-// takes no more than one core from serving; once Close has stopped
-// serving, the drain files each blob's chunks in parallel.
+// creates its directory and writes the manifest pinning them.
 func (m *Manager) seal(job *sealJob, prevSHA string) (string, error) {
-	var store cas.Store = m.store
-	if !m.closed.Load() {
-		store = &serialPuts{Store: m.store}
-	}
-	traceInfo, err := chunkTrace(store, job.events)
+	traceInfo, err := chunkTrace(m.store, job.events)
 	if err != nil {
 		return "", err
 	}
-	repInfo, err := chunkReports(store, job.rec.Finalize())
+	repInfo, err := chunkReports(m.store, job.rec.Finalize())
 	if err != nil {
 		return "", err
 	}

@@ -25,7 +25,8 @@ import (
 type CoordinatorOptions struct {
 	// LeaseTimeout is how long a worker may hold an epoch without
 	// activity before the lease is reassigned (default 2m). An init
-	// request renews it.
+	// request renews it, and so does the renewal a worker sends every
+	// third of it while it audits (Lease.RenewMS).
 	LeaseTimeout time.Duration
 	// CrossCheck is the fraction of epochs, in [0, 1], whose verdict
 	// is believed only once crossCheckQuorum leases agree on it (0 =
@@ -149,10 +150,10 @@ func (st *epochState) activeWorker(worker string) bool {
 // Lock discipline: c.mu guards the lease tables and serializes the
 // ledger's writers, and is held only for bookkeeping plus the two small
 // fsynced writes a published decision costs (its decisions.jsonl line
-// and its checkpoint ref list). Everything sized by a snapshot — the
-// redo, encoding and filing of a derived state — runs without it, in
-// deriveLoop and fileState, so deriving a state never parks a worker's
-// request.
+// and its checkpoint ref list). Everything sized by an epoch or a
+// state — the read of an epoch's reports, the redo, encoding and filing
+// of its state — runs without it, in deriveLoop, so deriving a state
+// never parks a worker's request.
 type Coordinator struct {
 	dir    string
 	opts   CoordinatorOptions
@@ -165,7 +166,8 @@ type Coordinator struct {
 	beforeDerive func(n int64)
 
 	// ctx ends deriveLoop (cancelled when the audit finishes or the
-	// coordinator closes); kick wakes it to look for work again.
+	// coordinator closes); kick wakes it to look for work again;
+	// deriving waits for it to end.
 	ctx      context.Context
 	cancel   context.CancelFunc
 	kick     chan struct{}
@@ -363,6 +365,14 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.mu.Lock()
 	c.workers[req.Worker] = c.now()
 	c.expireLocked()
+	if req.Renew != "" {
+		if l := c.leases[req.Renew]; l != nil && l.worker == req.Worker {
+			l.deadline = c.now().Add(c.opts.LeaseTimeout)
+		}
+		c.mu.Unlock()
+		c.respondJSON(w, LeaseResponse{})
+		return
+	}
 	if l := c.leases[req.Abandoned]; l != nil && l.worker == req.Worker {
 		c.dropLeaseLocked(l.id)
 	}
@@ -413,6 +423,7 @@ func (c *Coordinator) grantLocked(worker string) *Lease {
 			InitManifest:    n == 1,
 			CrossCheck:      l.cross,
 			DeadlineUnix:    l.deadline.Unix(),
+			RenewMS:         (c.opts.LeaseTimeout / 3).Milliseconds(),
 		}
 		if n > c.leasedTo {
 			c.leasedTo = n
@@ -619,55 +630,49 @@ func (c *Coordinator) wantStateLocked(n int64) bool {
 }
 
 // deriveLoop derives the final state of every epoch from next on, in
-// chain order, each once it is wanted (wantStateLocked): Phase 2 of the
-// audit (verifier.FinalState) over the epoch's reports, read from the
-// chain's own store with epoch.LoadState's checks, from the state
-// derived for the epoch before — for the first, base, the ledger's
-// initial state (the zero State: the epoch's manifest pins its own). A
-// derived state is filed in the chain store by a goroutine of its own
-// (fileState), so the next epoch's redo need not wait for its fsyncs,
-// and is published only with an ACCEPT of its epoch, whose audit
-// started from the same state and redid the same reports. The loop
-// stops at the first epoch whose state does not derive (its audit
-// REJECTs it), when the audit finishes, and on an internal fault — a
-// base state that cannot be read, say — which fails the audit.
+// chain order: Phase 2 of the audit (verifier.FinalState) over the
+// epoch's reports, read from the chain's own store with
+// epoch.LoadState's checks, from the state derived for the epoch before
+// — for the first, base, the ledger's initial state (the zero State:
+// the epoch's manifest pins its own). An epoch's reports are read once
+// it is leased, so the worker that waits on its state later does not
+// wait on that read too; the state itself is derived and filed only
+// once it is wanted (wantStateLocked), and published only with an
+// ACCEPT of its epoch, whose audit started from the same state and
+// redid the same reports. The loop stops at the first epoch whose state
+// does not derive (its audit REJECTs it), when the audit finishes, and
+// on an internal fault — a base state that cannot be read, or a store
+// that cannot take a state — which fails the audit.
 func (c *Coordinator) deriveLoop(next int64, base epoch.State) {
 	defer c.deriving.Done()
 	prev := base.Snap
 	for n := next; ; n++ {
-		c.mu.Lock()
-		for !c.finished && !c.wantStateLocked(n) {
-			c.mu.Unlock()
-			select {
-			case <-c.kick:
-			case <-c.ctx.Done():
-				return
-			}
-			c.mu.Lock()
-		}
-		if c.finished {
-			c.mu.Unlock()
+		s, ok := c.awaitEpoch(func() bool { return c.leasedTo >= n || c.wantStateLocked(n) }, n)
+		if !ok {
 			return
 		}
-		s, hook := c.states[n].s, c.beforeDerive
-		c.mu.Unlock()
-		if hook != nil {
-			hook(n)
+		start := time.Now()
+		ld, why := c.loadInputs(s)
+		spent := time.Since(start)
+		if _, ok := c.awaitEpoch(func() bool { return c.wantStateLocked(n) }, n); !ok {
+			return
+		}
+		if c.beforeDerive != nil {
+			c.beforeDerive(n)
 		}
 
-		start := time.Now()
+		start = time.Now()
 		var err error
 		if prev == nil && base.Refs != nil {
 			if prev, err = c.readState(base.Refs); err != nil {
 				err = fmt.Errorf("fleet: reading epoch %d's initial state: %w", n, err)
 			}
 		}
-		var snap *object.Snapshot
 		var refs []cas.Ref
-		var why string
-		if err == nil {
-			snap, refs, why, err = c.derive(s, prev)
+		if err == nil && why == "" {
+			prev, refs, why, err = c.derive(s, ld, prev)
 		}
+		spent += time.Since(start)
 		c.mu.Lock()
 		switch {
 		case c.finished || c.ctx.Err() != nil:
@@ -676,32 +681,68 @@ func (c *Coordinator) deriveLoop(next int64, base epoch.State) {
 		case why != "":
 			c.underivable, c.underivableWhy = n, why
 			c.advanceLocked()
-		case refs != nil:
-			c.recordStateLocked(n, refs, start)
 		default:
-			c.deriving.Add(1)
-			go c.fileState(n, snap, start)
+			c.recordStateLocked(n, refs, spent)
 		}
 		stop := c.finished || c.ctx.Err() != nil || c.underivable != 0
 		c.mu.Unlock()
 		if stop {
 			return
 		}
-		prev = snap
 	}
 }
 
-// derive computes epoch s's final state from prev, the state derived for
-// the epoch before (nil for the chain's first epoch, which starts from
-// its manifest's own). A compacted epoch's state is its checkpoint, the
-// one the ledger adopts, and comes with the refs it is filed under. A
-// non-empty why means the state does not derive — the epoch's own audit
-// REJECTs it; an error is an internal fault.
-func (c *Coordinator) derive(s *epoch.Sealed, prev *object.Snapshot) (snap *object.Snapshot, refs []cas.Ref, why string, err error) {
+// awaitEpoch waits until ready (called with c.mu held) reports true and
+// returns epoch n, or returns false once the audit is over or the
+// coordinator closes.
+func (c *Coordinator) awaitEpoch(ready func() bool, n int64) (*epoch.Sealed, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for !c.finished && !ready() {
+		c.mu.Unlock()
+		select {
+		case <-c.kick:
+		case <-c.ctx.Done():
+		}
+		c.mu.Lock()
+		if c.ctx.Err() != nil {
+			return nil, false
+		}
+	}
+	if c.finished {
+		return nil, false
+	}
+	return c.states[n].s, true
+}
+
+// loadInputs reads what fixes epoch s's final state besides the state
+// before it: its reports and, for the chain's first epoch, its
+// manifest's initial state, with epoch.LoadState's checks (nil for a
+// compacted epoch, whose state is its checkpoint). A non-empty why
+// means they do not load: the state does not derive.
+func (c *Coordinator) loadInputs(s *epoch.Sealed) (*epoch.Loaded, string) {
 	switch {
 	case s.Err != nil:
-		return nil, nil, "damaged manifest", nil
+		return nil, "damaged manifest"
 	case s.Compacted:
+		return nil, ""
+	}
+	ld, err := epoch.LoadState(s, c.store)
+	if err != nil {
+		return nil, err.Error() // an *epoch.IntegrityError, as LoadFrom's
+	}
+	return ld, ""
+}
+
+// derive computes epoch s's final state from its inputs ld and prev, the
+// state derived for the epoch before (nil for the chain's first epoch,
+// which starts from its manifest's own), and files it in the chain
+// store. A compacted epoch's state is its checkpoint, the one the
+// ledger adopts, already filed. A non-empty why means the state does
+// not derive — the epoch's own audit REJECTs it; an error is an
+// internal fault.
+func (c *Coordinator) derive(s *epoch.Sealed, ld *epoch.Loaded, prev *object.Snapshot) (snap *object.Snapshot, refs []cas.Ref, why string, err error) {
+	if s.Compacted {
 		if refs, err = epoch.LoadCheckpointRefs(c.dir, s.Number); err == nil {
 			snap, err = c.readState(refs)
 		}
@@ -710,49 +751,34 @@ func (c *Coordinator) derive(s *epoch.Sealed, prev *object.Snapshot) (snap *obje
 		}
 		return snap, refs, "", nil
 	}
-	ld, err := epoch.LoadState(s, c.store)
-	if err != nil {
-		return nil, nil, err.Error(), nil // an *epoch.IntegrityError, as LoadFrom's
-	}
 	if prev == nil {
 		if prev = ld.Init; prev == nil {
 			return nil, nil, "no trusted initial state", nil
 		}
 	}
 	snap, rej, err := verifier.FinalState(c.ctx, prev, ld.Reports, verifier.Options{})
-	if rej != nil {
-		why = rej.Reason
+	if err != nil || rej != nil {
+		if rej != nil {
+			why = rej.Reason
+		}
+		return nil, nil, why, err
 	}
-	return snap, nil, why, err
-}
-
-// fileState files epoch n's derived final state in the chain store, its
-// chunks deflated and fsynced in parallel (cas.WriteBlob), and records
-// it; a store that cannot take it fails the audit.
-func (c *Coordinator) fileState(n int64, snap *object.Snapshot, start time.Time) {
-	defer c.deriving.Done()
 	raw, err := snap.EncodeRaw()
-	var refs []cas.Ref
 	if err == nil {
 		refs, err = cas.WriteBlob(c.store, cas.DefaultChunker, raw)
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	switch {
-	case c.finished || c.ctx.Err() != nil:
-	case err != nil:
-		c.failLocked(fmt.Errorf("fleet: filing epoch %d's final state: %w", n, err))
-	default:
-		c.recordStateLocked(n, refs, start)
+	if err != nil {
+		return nil, nil, "", fmt.Errorf("fleet: filing epoch %d's final state: %w", s.Number, err)
 	}
+	return snap, refs, "", nil
 }
 
 // recordStateLocked makes refs epoch n's final state: init requests
 // waiting on it are answered, and an ACCEPT waiting on it is published.
-func (c *Coordinator) recordStateLocked(n int64, refs []cas.Ref, start time.Time) {
+func (c *Coordinator) recordStateLocked(n int64, refs []cas.Ref, spent time.Duration) {
 	c.states[n].final = refs
 	c.statesDerived++
-	c.stateDeriveTime += time.Since(start)
+	c.stateDeriveTime += spent
 	c.wakeLocked()
 	c.advanceLocked()
 }

@@ -120,12 +120,16 @@ type LeaseRequest struct {
 	// since its last request, if any: the coordinator ends it, so its
 	// epoch is leased again at once instead of after the lease timeout.
 	Abandoned string `json:"abandoned,omitempty"`
+	// Renew names a lease the worker is still auditing: the coordinator
+	// renews it, if it is still the worker's, and grants nothing (the
+	// response is empty). Workers send it every Lease.RenewMS.
+	Renew string `json:"renew,omitempty"`
 }
 
 // Lease is one epoch assignment. A worker holds it until it posts a
 // valid verdict, hands it back (LeaseRequest.Abandoned) or the
-// coordinator's lease timeout expires; an init request on the lease
-// renews it.
+// coordinator's lease timeout expires; an init request on the lease, or
+// a renewal (LeaseRequest.Renew), renews it.
 type Lease struct {
 	ID    string `json:"id"`
 	Epoch int64  `json:"epoch"`
@@ -143,6 +147,10 @@ type Lease struct {
 	CrossCheck bool `json:"cross_check,omitempty"`
 	// DeadlineUnix is when the lease expires unless renewed.
 	DeadlineUnix int64 `json:"deadline_unix"`
+	// RenewMS is how often the worker renews the lease while it audits
+	// the epoch (a third of the lease timeout; 0: never), so an audit of
+	// any length keeps its lease as long as its worker lives.
+	RenewMS int64 `json:"renew_ms,omitempty"`
 }
 
 // LeaseResponse answers a lease request: an assignment, a retry hint

@@ -607,6 +607,52 @@ func TestFleetLeaseExpiryAndStaleVerdicts(t *testing.T) {
 	}
 }
 
+// stallObserver holds every re-execution it observes for a while.
+type stallObserver struct{ stall time.Duration }
+
+func (o stallObserver) PhaseStart(phase string, _ int) {
+	if phase == verifier.PhaseReExec {
+		time.Sleep(o.stall)
+	}
+}
+func (stallObserver) PhaseEnd(string, time.Duration)      {}
+func (stallObserver) GroupReexecuted(string, uint64, int) {}
+func (stallObserver) OpsReplayed(int)                     {}
+func (stallObserver) Verdict(bool, string)                {}
+
+// TestLeaseRenewedWhileAuditing: a worker renews its lease every third
+// of the lease timeout while it audits, so an audit that stalls in its
+// re-execution for several timeouts keeps its lease: every epoch is
+// decided by its first lease, none is reassigned or abandoned.
+func TestLeaseRenewedWhileAuditing(t *testing.T) {
+	dir := t.TempDir()
+	prog := sealTestChain(t, dir)
+	const timeout = 300 * time.Millisecond
+	coord, ts := startFleet(t, dir, CoordinatorOptions{To: 2, LeaseTimeout: timeout})
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	st, err := RunWorker(ctx, prog, WorkerOptions{
+		Coordinator: ts.URL,
+		Name:        "slow",
+		InitPoll:    10 * time.Millisecond,
+		Verify:      verifier.Options{Observer: stallObserver{3 * timeout}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Wait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	cs := coord.Stats()
+	if cs.LeasesReassigned != 0 || st.Abandoned != 0 || cs.StaleVerdicts != 0 {
+		t.Fatalf("a renewed lease lapsed: %d reassigned, %d abandoned, %d stale verdicts",
+			cs.LeasesReassigned, st.Abandoned, cs.StaleVerdicts)
+	}
+	if vs := coord.Verdicts(); len(vs) != 2 || !coord.ChainAccepted() {
+		t.Fatalf("want two ACCEPTs, got %+v", vs)
+	}
+}
+
 // TestAbandonedLeaseIsHandedBack: the artifact server answers 503 to
 // every chunk request until the worker's first lease is abandoned (its
 // artifacts unavailable after fetchRetries attempts). The worker names

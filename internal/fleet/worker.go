@@ -312,8 +312,10 @@ func firstLine(data []byte) string {
 // artifacts (through the tiered store) and the initial state, prepare
 // the epoch with epoch.PrepareEpoch (the local auditor's executor),
 // keep the final state it fixes in the hot cache, then finish with
-// epoch.Finish and post the signed verdict.
+// epoch.Finish and post the signed verdict, renewing the lease all the
+// while (keepLease).
 func (w *worker) audit(ctx context.Context, l *Lease) error {
+	defer w.keepLease(ctx, l)()
 	_, logicalStart, wireStart := w.remote.Fetched()
 	m, sha, err := w.fetchManifest(ctx, l)
 	if err != nil {
@@ -384,6 +386,35 @@ func (w *worker) audit(ctx context.Context, l *Lease) error {
 	}
 	w.tally(l, &post)
 	return nil
+}
+
+// keepLease renews l every l.RenewMS until the returned stop is called,
+// so the lease outlives an audit longer than the lease timeout. A
+// renewal that fails is not retried early: if the lease lapses, the
+// verdict post is refused as stale and the assignment abandoned.
+func (w *worker) keepLease(ctx context.Context, l *Lease) (stop func()) {
+	if l.RenewMS <= 0 {
+		return func() {}
+	}
+	ctx, cancel := context.WithCancel(ctx)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		tick := time.NewTicker(time.Duration(l.RenewMS) * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-ctx.Done():
+				return
+			case <-tick.C:
+				_, _ = w.signedPost(w.opts.Coordinator+Prefix+"/lease", LeaseRequest{Worker: w.opts.Name, Renew: l.ID})
+			}
+		}
+	}()
+	return func() {
+		cancel()
+		<-done
+	}
 }
 
 // keepFinalState files the final state Phases 1–2 fixed in the hot

@@ -242,3 +242,46 @@ func contains(s, sub string) bool {
 	}
 	return false
 }
+
+// TestFinalStateRejectsMalformedObjects: FinalState runs no Phase 1, so
+// it makes the checks its redo relies on itself. Reports with fewer or
+// more operation logs than objects, or one object named twice, are a
+// REJECT with the reason the full audit gives — never a panic.
+func TestFinalStateRejectsMalformedObjects(t *testing.T) {
+	prog := compileApp(t)
+	srv := newServerForTest(t, prog)
+	if err := srv.Setup(testSchema); err != nil {
+		t.Fatal(err)
+	}
+	initState := srv.Snapshot()
+	srv.ServeAllContext(context.Background(), []trace.Input{
+		{Script: "post", Post: map[string]string{"title": "first"}},
+		{Script: "visit", Cookie: map[string]string{"user": "alice"}},
+	}, 2)
+	if len(srv.Reports().Objects) < 2 {
+		t.Fatalf("need two objects, got %d", len(srv.Reports().Objects))
+	}
+	for _, tc := range []struct {
+		name  string
+		check string
+		edit  func(r *reports.Reports)
+	}{
+		{"fewer logs", "log-count", func(r *reports.Reports) { r.OpLogs = r.OpLogs[:len(r.OpLogs)-1] }},
+		{"more logs", "log-count", func(r *reports.Reports) { r.OpLogs = append(r.OpLogs, nil) }},
+		{"duplicate object", "duplicate-object", func(r *reports.Reports) { r.Objects[1] = r.Objects[0] }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := srv.Reports().Clone()
+			tc.edit(bad)
+			ctx := context.Background()
+			full, err := AuditContext(ctx, prog, srv.Trace(), bad, initState, Options{})
+			if err != nil || full.Accepted || full.Forensics.Check != tc.check {
+				t.Fatalf("full audit = %v %+v, want a %s REJECT", err, full, tc.check)
+			}
+			snap, rej, err := FinalState(ctx, initState, bad, Options{})
+			if err != nil || snap != nil || rej == nil || rej.Reason != full.Reason || rej.Forensics.Check != tc.check {
+				t.Fatalf("FinalState = %v, %+v, %v; want the REJECT %q", snap, rej, err, full.Reason)
+			}
+		})
+	}
+}

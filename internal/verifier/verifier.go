@@ -196,16 +196,8 @@ func Prepare(ctx context.Context, tr *trace.Trace, rep *reports.Reports, init *o
 		return reject("unbalanced trace: "+err.Error(),
 			&Forensics{Phase: PhaseValidation, Check: "unbalanced-trace"})
 	}
-	// Reports must name each object at most once; duplicate identities
-	// would let the executor split one object's operations across logs,
-	// defeating per-object ordering.
-	seenObj := make(map[reports.ObjectID]bool, len(rep.Objects))
-	for _, o := range rep.Objects {
-		if seenObj[o] {
-			return reject(fmt.Sprintf("duplicate object %v in reports", o),
-				&Forensics{Phase: PhaseValidation, Check: "duplicate-object", Object: o.String()})
-		}
-		seenObj[o] = true
+	if rej := checkObjects(rep); rej != nil {
+		return reject(rej.msg, rej.f)
 	}
 
 	// Phase 1: ProcessOpReports (Figure 5).
@@ -246,8 +238,9 @@ func Prepare(ctx context.Context, tr *trace.Trace, rep *reports.Reports, init *o
 // FinalState runs Phase 2 alone: it redoes rep's operation logs over
 // init (nil: the empty state) and returns the period's final state —
 // what Prepared.Candidate reads off the same redo, and so the state an
-// ACCEPT of the period vouches for — or, when a log fails to redo, the
-// REJECT Prepare reaches once Phase 1 passes. It validates nothing else
+// ACCEPT of the period vouches for — or, when the reports do not name
+// one log per object once (checkObjects) or a log fails to redo, the
+// REJECT Prepare reaches too. It validates nothing else (no Phase 1)
 // and re-executes nothing: a chain driver that holds a period's reports
 // derives the state itself with it, and believes it only once the
 // period's full audit ACCEPTs. Errors are Prepare's.
@@ -258,6 +251,9 @@ func FinalState(ctx context.Context, init *object.Snapshot, rep *reports.Reports
 	}
 	if ctx.Err() != nil {
 		return nil, nil, auditCanceled(ctx)
+	}
+	if rej := checkObjects(rep); rej != nil {
+		return nil, rejectResult(Stats{}, nil, 0, rej.msg, rej.f, obs), nil
 	}
 	start := time.Now()
 	env, rej, err := redoState(ctx, init, rep, opts, obs)
@@ -271,6 +267,26 @@ func FinalState(ctx context.Context, init *object.Snapshot, rep *reports.Reports
 	obs.phaseEnd(PhaseRedo, spent)
 	snap, err := env.finalState(init)
 	return snap, nil, err
+}
+
+// checkObjects is the validation the redo relies on: the reports name
+// each object at most once — duplicate identities would let the
+// executor split one object's operations across logs, defeating
+// per-object ordering — and carry one operation log per object.
+func checkObjects(rep *reports.Reports) *rejection {
+	seen := make(map[reports.ObjectID]bool, len(rep.Objects))
+	for _, o := range rep.Objects {
+		if seen[o] {
+			return &rejection{fmt.Sprintf("duplicate object %v in reports", o),
+				&Forensics{Phase: PhaseValidation, Check: "duplicate-object", Object: o.String()}}
+		}
+		seen[o] = true
+	}
+	if len(rep.OpLogs) != len(rep.Objects) {
+		return &rejection{fmt.Sprintf("reports carry %d operation logs for %d objects", len(rep.OpLogs), len(rep.Objects)),
+			&Forensics{Phase: PhaseValidation, Check: "log-count"}}
+	}
+	return nil
 }
 
 // redoState is Phase 2, the versioned redo (§4.5): it loads init into
