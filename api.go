@@ -149,16 +149,6 @@ const (
 	AuditPhaseCoverage         = verifier.PhaseCoverage
 )
 
-// OOOAuditContext is the Appendix A out-of-order audit: it runs
-// AuditContext's validation, ProcessOpReports and versioned redo, then
-// re-executes each request individually, stepping request goroutines
-// through a topological sort of the event graph. Same verdicts and
-// final state as AuditContext, no grouping acceleration — a
-// cross-check of grouped re-execution.
-func OOOAuditContext(ctx context.Context, prog *Program, tr *Trace, rep *Reports, init *Snapshot) (*AuditResult, error) {
-	return verifier.OOOAuditContext(ctx, prog, tr, rep, init)
-}
-
 // HTTPHandler is the HTTP-native front door: it returns srv as an
 // http.Handler — srv's embedded trusted collector in front of its
 // executor, exactly the paper's deployment model (§2) over net/http.

@@ -85,7 +85,6 @@ func main() {
 	to := flag.Int64("to", 0, "last epoch to audit (with -epochs; default: all sealed)")
 	workers := flag.Int("workers", 2, "epochs audited concurrently (with -epochs); verdicts are published in chain order")
 	auditWorkers := flag.Int("audit-workers", 0, "concurrent re-execution workers inside each audit (0 = all CPUs, 1 = sequential)")
-	checkpoints := flag.Bool("checkpoints", true, "persist verified final snapshots for resumable audits (with -epochs)")
 	stats := flag.Bool("stats", false, "print per-group statistics")
 	progress := flag.Bool("progress", false, "stream audit progress (phases, groups re-executed, ops replayed) to stderr")
 	withErrors := flag.Bool("with-errors", false, "the serve run injected faulting requests (orochi-serve -fault-rate); audit against the app extended with the fault scripts")
@@ -102,7 +101,6 @@ func main() {
 	artifactsURL := flag.String("artifacts", "", "artifact server base URL for -worker (default: the coordinator)")
 	fleetKey := flag.String("fleet-key", "", "shared HMAC key authenticating fleet traffic (must match across coordinator and workers; empty = unsigned)")
 	crossCheck := flag.Float64("cross-check", 0, "fraction of epochs, in [0, 1], whose verdict is believed only once two leases agree on it (with -coordinate; 1 = every epoch)")
-	leaseTimeout := flag.Duration("lease-timeout", 2*time.Minute, "inactivity timeout before an epoch lease is reassigned (with -coordinate)")
 	workerCache := flag.String("worker-cache", "", "directory for the worker's persistent chunk cache (default: in-memory; a warm cache fetches only missing chunks)")
 	workerName := flag.String("worker-name", "", "worker identity in leases and forensics (default host:pid)")
 	flag.Parse()
@@ -177,10 +175,9 @@ func main() {
 			os.Exit(2)
 		}
 		coordinateCmd(ctx, *epochsDir, *coordinate, fleet.CoordinatorOptions{
-			LeaseTimeout: *leaseTimeout,
-			CrossCheck:   *crossCheck,
-			Key:          []byte(*fleetKey),
-			To:           *to,
+			CrossCheck: *crossCheck,
+			Key:        []byte(*fleetKey),
+			To:         *to,
 		})
 		return
 	}
@@ -192,7 +189,7 @@ func main() {
 	}
 	prog, err := loadProgram(*appName, *srcDir, *withErrors)
 	exitOn(err)
-	auditEpochs(ctx, prog, *epochsDir, *from, *to, *workers, *checkpoints, vopts)
+	auditEpochs(ctx, prog, *epochsDir, *from, *to, *workers, vopts)
 }
 
 // explainEpoch renders one epoch's stored decision — the durable record
@@ -323,23 +320,17 @@ func scrubChain(ctx context.Context, dir string, sample int) {
 	os.Exit(1)
 }
 
-// auditEpochs verifies a sealed epoch chain and prints the ledger.
-func auditEpochs(ctx context.Context, prog *lang.Program, dir string, from, to int64, workers int, checkpoints bool, verify verifier.Options) {
+// auditEpochs verifies a sealed epoch chain and prints the ledger. It
+// keeps a checkpoint of every accepted epoch, so a later run can start
+// with -from past it; a -from whose checkpoint is missing surfaces as
+// the first drain's error, before anything is written.
+func auditEpochs(ctx context.Context, prog *lang.Program, dir string, from, to int64, workers int, verify verifier.Options) {
 	opts := epoch.AuditorOptions{
 		Workers:     workers,
 		From:        from,
 		To:          to,
-		Checkpoints: checkpoints,
+		Checkpoints: true,
 		Verify:      verify,
-	}
-	if from > 1 {
-		snap, err := epoch.LoadCheckpoint(dir, from-1)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "orochi-audit: -from %d needs the verified snapshot of epoch %d "+
-				"(run a full audit with -checkpoints first): %v\n", from, from-1, err)
-			os.Exit(2)
-		}
-		opts.Init = snap
 	}
 	a := epoch.NewAuditor(prog, dir, opts)
 	_, err := a.DrainSealed(ctx, 200*time.Millisecond, func(err error) {
@@ -364,7 +355,7 @@ func printLedger(dir string, ledger *epoch.Ledger, to int64, stats bool) {
 		requests += v.Requests
 		if v.Accepted {
 			fmt.Printf("epoch %d: ACCEPT — %d requests, %d events, audit %v (chain %.12s)\n",
-				v.Epoch, v.Requests, v.Events, v.AuditTime, v.ChainSHA)
+				v.Epoch, v.Requests, v.Events, v.Stats.Total, v.ChainSHA)
 			if stats {
 				for _, g := range v.Stats.Groups {
 					fmt.Printf("    group %016x %-14s n=%-6d len=%-8d alpha=%.3f\n",

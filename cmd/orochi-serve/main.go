@@ -294,7 +294,7 @@ func printLedger(wr io.Writer, mgr *epoch.Manager, auditor *epoch.Auditor) {
 	for _, v := range verdicts {
 		if v.Accepted {
 			fmt.Fprintf(wr, "  epoch %d: ACCEPT — %d requests in %v (chain %.12s)\n",
-				v.Epoch, v.Requests, v.AuditTime, v.ChainSHA)
+				v.Epoch, v.Requests, v.Stats.Total, v.ChainSHA)
 		} else {
 			fmt.Fprintf(wr, "  epoch %d: REJECT — %s (chain %.12s)\n", v.Epoch, v.Reason, v.ChainSHA)
 		}

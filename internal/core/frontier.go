@@ -71,34 +71,6 @@ func CreateTimePrecedenceGraph(tr *trace.Trace) (*TimeGraph, error) {
 	return g, nil
 }
 
-// Precedes reports whether r1 <Tr r2 according to the graph, via a BFS
-// over time edges. It exists for differential tests; the audit itself
-// never queries paths.
-func (g *TimeGraph) Precedes(r1, r2 string) bool {
-	s, ok1 := g.Index[r1]
-	t, ok2 := g.Index[r2]
-	if !ok1 || !ok2 || s == t {
-		return false
-	}
-	seen := make([]bool, len(g.RIDs))
-	queue := []int32{int32(s)}
-	seen[s] = true
-	for len(queue) > 0 {
-		n := queue[0]
-		queue = queue[1:]
-		for _, m := range g.Edges[n] {
-			if m == int32(t) {
-				return true
-			}
-			if !seen[m] {
-				seen[m] = true
-				queue = append(queue, m)
-			}
-		}
-	}
-	return false
-}
-
 // CreateTimePrecedenceGraphQuadratic is the reference implementation
 // used for differential testing and as the "prior work [14]" baseline in
 // the ablation benchmark: it compares every pair of requests and adds an

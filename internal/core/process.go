@@ -128,7 +128,8 @@ func (g *EventGraph) HasCycle() bool {
 }
 
 // TopoOrder returns a topological order of the node keys (valid only if
-// HasCycle() is false); used by tests and by the OOO-execution harness.
+// HasCycle() is false): the op schedule of the out-of-order oracle in
+// the verifier's tests.
 func (g *EventGraph) TopoOrder() []OpKey {
 	indeg := make([]int32, len(g.keys))
 	for _, succs := range g.edges {

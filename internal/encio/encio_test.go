@@ -112,11 +112,16 @@ func TestGunzipMaxMatchesReadAll(t *testing.T) {
 // buffer of its size, not the doubling series growing it would (which
 // came to 4.5 times the output). The inflater's own allocations, a
 // Huffman link table per dynamic block, come to a few hundred bytes.
+// Under the race detector only the round trip is checked.
 func TestGunzipOneOutputBuffer(t *testing.T) {
 	data := testData(256<<10, 3)
 	stream := mustGzip(t, data)
 	if out, err := Gunzip(stream); err != nil || !bytes.Equal(out, data) {
 		t.Fatalf("Gunzip: %v", err)
+	}
+	if raceEnabled {
+		t.Log("allocation budget not checked under the race detector")
+		return
 	}
 	const runs = 20
 	var before, after runtime.MemStats

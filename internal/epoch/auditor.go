@@ -23,15 +23,12 @@ type AuditorOptions struct {
 	Workers int
 	// Notify, if non-nil, wakes Run early (the manager's Notify channel).
 	Notify <-chan struct{}
-	// From is the first epoch to audit (default 1). Starting past 1
-	// requires Init or a checkpoint for From-1 (see Checkpoints).
+	// From is the first epoch to audit (default 1). Past 1 the audit
+	// starts from the checkpoint of epoch From-1 (ResumeState), which an
+	// earlier run with Checkpoints wrote.
 	From int64
 	// To is the last epoch to audit (0 = unbounded; Run keeps watching).
 	To int64
-	// Init overrides the trusted initial state of epoch From. When
-	// zero-valued, epoch 1 uses its manifest's init snapshot and
-	// From > 1 loads checkpoint From-1.
-	Init *object.Snapshot
 	// Checkpoints, when true, persists each accepted epoch's verified
 	// final snapshot under <dir>/checkpoints/, so a later audit run can
 	// resume from the middle of the chain (default off; the CLI enables
@@ -72,9 +69,10 @@ type Auditor struct {
 	never chan struct{}
 
 	ledger *Ledger
-	// openErr parks a chain this build cannot read (ErrChainFormat) or a
-	// failed open of the decision log; the first RunOnce surfaces it,
-	// keeping NewAuditor's signature error-free.
+	// openErr parks a chain this build cannot read (ErrChainFormat), a
+	// From with no checkpoint to resume from (*ResumeError) or a failed
+	// open of the decision log; the first RunOnce surfaces it, keeping
+	// NewAuditor's signature error-free.
 	openErr error
 
 	mu       sync.Mutex
@@ -83,15 +81,20 @@ type Auditor struct {
 
 // NewAuditor builds an auditor over the epoch chain in dir. It opens
 // the chain's durable decision log (creating it on first use) and
-// starts the ledger at From with the decisions of earlier epochs
-// replayed into it (see NewLedger). A chain of another format
-// generation is refused before the log is touched. Neither that nor a
+// starts the ledger at From, from ResumeState's initial state, with the
+// decisions of earlier epochs replayed into it (see NewLedger). A chain
+// of another format generation, and a From whose checkpoint is
+// missing, are refused before the log is touched. Neither those nor a
 // failed log open fails construction; each surfaces as the first
 // RunOnce's error.
 func NewAuditor(prog *lang.Program, dir string, opts AuditorOptions) *Auditor {
 	opts = opts.withDefaults()
 	var log *DecisionLog
+	var init State
 	openErr := CheckChainFormat(dir)
+	if openErr == nil {
+		init, openErr = ResumeState(dir, opts.From)
+	}
 	if openErr == nil {
 		if log, openErr = OpenDecisionLog(dir); openErr != nil {
 			// No durable ledger, no audits: publishing verdicts that
@@ -100,7 +103,7 @@ func NewAuditor(prog *lang.Program, dir string, opts AuditorOptions) *Auditor {
 		}
 	}
 	return &Auditor{dir: dir, prog: prog, opts: opts, never: make(chan struct{}), openErr: openErr,
-		ledger: NewLedger(dir, log, opts.From, State{Snap: opts.Init}, opts.Checkpoints)}
+		ledger: NewLedger(dir, log, opts.From, init, opts.Checkpoints)}
 }
 
 // Ledger exposes the chain ledger the auditor feeds.
@@ -311,6 +314,10 @@ func (a *Auditor) auditRun(ctx context.Context, run []*Sealed) (int, error) {
 	if err != nil {
 		return 0, err
 	}
+	init, err := a.initSnapshot()
+	if err != nil {
+		return 0, err
+	}
 	ctx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
 	defer func() {
@@ -328,7 +335,7 @@ func (a *Auditor) auditRun(ctx context.Context, run []*Sealed) (int, error) {
 			results[i] = make(chan slotResult, 1)
 		}
 	}
-	hand[0] <- a.ledger.Init().Snap
+	hand[0] <- init
 	sem := make(chan struct{}, a.opts.Workers)
 	wg.Add(1)
 	go func() {
@@ -377,6 +384,25 @@ func (a *Auditor) auditRun(ctx context.Context, run []*Sealed) (int, error) {
 		}
 	}
 	return audited, nil
+}
+
+// initSnapshot is the ledger's trusted initial state as a snapshot. A
+// ledger resumed from a checkpoint holds its refs alone until the first
+// epoch audited from it reads them here.
+func (a *Auditor) initSnapshot() (*object.Snapshot, error) {
+	init := a.ledger.Init()
+	if init.Snap != nil || init.Refs == nil {
+		return init.Snap, nil
+	}
+	store, err := OpenChainStore(a.dir)
+	if err != nil {
+		return nil, err
+	}
+	snap, err := init.Snapshot(store)
+	if err != nil {
+		return nil, &ResumeError{From: a.ledger.Next(), Err: err}
+	}
+	return snap, nil
 }
 
 type slotResult struct {

@@ -97,15 +97,11 @@ func TestAuditorCheckpointRetry(t *testing.T) {
 	// Every epoch's checkpoint exists — including epoch 1, whose first
 	// write failed — and a -from resume works from the retried one.
 	for n := int64(1); n <= 2; n++ {
-		if _, err := LoadCheckpoint(dir, n); err != nil {
+		if _, err := loadCheckpoint(dir, n); err != nil {
 			t.Fatalf("checkpoint for epoch %d missing after retry: %v", n, err)
 		}
 	}
-	snap, err := LoadCheckpoint(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tail := NewAuditor(prog, dir, AuditorOptions{From: 2, Init: snap})
+	tail := NewAuditor(prog, dir, AuditorOptions{From: 2})
 	// Epoch 1's verdict is rehydrated from the decision log; the
 	// re-audit itself starts at epoch 2.
 	if tail.NextEpoch() != 2 {
@@ -173,7 +169,7 @@ func TestAuditorRunRetriesCheckpointWrites(t *testing.T) {
 		t.Fatalf("chain incomplete: %+v", a.Verdicts())
 	}
 	for n := int64(1); n <= 2; n++ {
-		if _, err := LoadCheckpoint(dir, n); err != nil {
+		if _, err := loadCheckpoint(dir, n); err != nil {
 			t.Fatalf("checkpoint for epoch %d missing: %v", n, err)
 		}
 	}

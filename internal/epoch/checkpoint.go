@@ -7,7 +7,6 @@ import (
 	"path/filepath"
 
 	"orochi/internal/cas"
-	"orochi/internal/object"
 )
 
 // A checkpoint is an accepted epoch's verified final snapshot, kept so
@@ -82,18 +81,42 @@ func LoadCheckpointRefs(dir string, n int64) ([]cas.Ref, error) {
 	return f.Chunks, nil
 }
 
-// LoadCheckpoint reads the verified final snapshot of epoch n, written
-// by an auditor running with Checkpoints enabled or by a fleet
-// coordinator. It lets a later run audit from epoch n+1 without
-// replaying the whole chain, trusting the earlier run's verdicts. A
-// missing or altered chunk surfaces as the *cas.ChunkError naming it.
-func LoadCheckpoint(dir string, n int64) (*object.Snapshot, error) {
-	st, err := loadCheckpoint(dir, n)
-	return st.Snap, err
+// ResumeError reports that an audit asked to start at epoch From has
+// no readable checkpoint of epoch From-1 to start from.
+type ResumeError struct {
+	From int64
+	Err  error
 }
 
-// loadCheckpoint is LoadCheckpoint keeping the ref list beside the
-// snapshot it decodes to.
+func (e *ResumeError) Error() string {
+	return fmt.Sprintf("epoch: resuming at epoch %d needs epoch %d's checkpoint (a full audit writes it): %v",
+		e.From, e.From-1, e.Err)
+}
+
+func (e *ResumeError) Unwrap() error { return e.Err }
+
+// ResumeState is the trusted initial state a driver starts its ledger
+// with at epoch from: none for epoch 1, whose manifest pins its own,
+// and otherwise epoch from-1's checkpoint, trusting the run that wrote
+// it. It reads the ref list only; the chunks are read, and verified,
+// when the state itself is needed (State.Snapshot). Both the local
+// auditor and the fleet coordinator start through it, so a chain
+// resumes the same way under either. A missing or damaged ref list is
+// a *ResumeError.
+func ResumeState(dir string, from int64) (State, error) {
+	if from <= 1 {
+		return State{}, nil
+	}
+	refs, err := LoadCheckpointRefs(dir, from-1)
+	if err != nil {
+		return State{}, &ResumeError{From: from, Err: err}
+	}
+	return State{Refs: refs}, nil
+}
+
+// loadCheckpoint reads epoch n's checkpoint whole: the ref list and the
+// snapshot it decodes to. A missing or altered chunk surfaces as the
+// *cas.ChunkError naming it.
 func loadCheckpoint(dir string, n int64) (State, error) {
 	refs, err := LoadCheckpointRefs(dir, n)
 	if err != nil {
@@ -103,13 +126,7 @@ func loadCheckpoint(dir string, n int64) (State, error) {
 	if err != nil {
 		return State{}, err
 	}
-	raw, err := cas.ReadBlob(store, refs)
-	if err != nil {
-		return State{}, err
-	}
-	snap, err := object.DecodeSnapshotRaw(raw)
-	if err != nil {
-		return State{}, err
-	}
-	return State{Snap: snap, Refs: refs}, nil
+	st := State{Refs: refs}
+	st.Snap, err = st.Snapshot(store)
+	return st, err
 }

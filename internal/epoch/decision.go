@@ -399,7 +399,6 @@ func verdictFromDecision(d Decision) Verdict {
 		Forensics: d.Forensics,
 		Events:    d.Events,
 		Requests:  d.Requests,
-		AuditTime: d.Timings.Total,
 		Stats: verifier.Stats{
 			ProcOpRep:        d.Timings.ProcOpRep,
 			DBRedo:           d.Timings.DBRedo,

@@ -8,7 +8,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
-	"time"
 
 	"orochi/internal/cas"
 	"orochi/internal/lang"
@@ -27,12 +26,8 @@ type Verdict struct {
 	Forensics *verifier.Forensics
 	Events    int
 	Requests  int
-	// AuditTime is the verifier's wall time for this epoch (zero when
-	// the epoch was rejected before verification, e.g. on an integrity
-	// failure).
-	AuditTime time.Duration
 	// Stats is the verifier's cost decomposition (zero value when
-	// verification never ran).
+	// verification never ran); Stats.Total is its wall time.
 	Stats verifier.Stats
 	// ManifestSHA is the digest of this epoch's manifest file.
 	ManifestSHA string
@@ -103,6 +98,19 @@ type State struct {
 	Refs []cas.Ref
 }
 
+// Snapshot returns st's snapshot, reading it from store, each chunk
+// verified by digest, when st holds only refs. The zero State has none.
+func (st State) Snapshot(store cas.Store) (*object.Snapshot, error) {
+	if st.Snap != nil || st.Refs == nil {
+		return st.Snap, nil
+	}
+	raw, err := cas.ReadBlob(store, st.Refs)
+	if err != nil {
+		return nil, err
+	}
+	return object.DecodeSnapshotRaw(raw)
+}
+
 // PrepareEpoch is the first half of the executor: it checks one sealed
 // epoch whose artifacts had to be read, in the fixed order integrity
 // (loadErr, from Load) → manifest link → trusted initial state →
@@ -157,7 +165,6 @@ func Finish(ctx context.Context, prog *lang.Program, v Verdict, p *verifier.Prep
 
 // withResult decides v by the verifier's result.
 func (v Verdict) withResult(res *verifier.Result) Verdict {
-	v.AuditTime = res.Stats.Total
 	v.Stats = res.Stats
 	if !res.Accepted {
 		return v.Reject(res.Reason, res.Forensics)

@@ -270,7 +270,7 @@ func TestLedgerPublish(t *testing.T) {
 		t.Fatalf("a REJECT still flushes what is owed: %v", err)
 	}
 	for n := int64(1); n <= 2; n++ {
-		if _, err := LoadCheckpoint(dir, n); err != nil {
+		if _, err := loadCheckpoint(dir, n); err != nil {
 			t.Fatalf("epoch %d's checkpoint: %v", n, err)
 		}
 	}

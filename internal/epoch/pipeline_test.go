@@ -3,6 +3,7 @@ package epoch
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -606,11 +607,7 @@ func TestAuditorCheckpointResume(t *testing.T) {
 		t.Fatalf("full audit failed: %+v", full.Verdicts())
 	}
 
-	snap, err := LoadCheckpoint(dir, 2)
-	if err != nil {
-		t.Fatalf("checkpoint for epoch 2 missing: %v", err)
-	}
-	tail := NewAuditor(prog, dir, AuditorOptions{From: 3, Init: snap})
+	tail := NewAuditor(prog, dir, AuditorOptions{From: 3})
 	// The resumed auditor rehydrates epochs 1-2 from the decision log
 	// (they are the prior run's verdicts), then re-audits from 3.
 	if got := tail.Verdicts(); len(got) != 2 || got[0].Epoch != 1 || got[1].Epoch != 2 {
@@ -636,6 +633,65 @@ func TestAuditorCheckpointResume(t *testing.T) {
 	if full.Verdicts()[2].ChainSHA != verdicts[2].ChainSHA {
 		t.Fatalf("resumed chain digest diverged: %s vs %s",
 			full.Verdicts()[2].ChainSHA, verdicts[2].ChainSHA)
+	}
+}
+
+// TestAuditorResumeWithoutCheckpoint: an auditor asked to start at
+// epoch 3 whose checkpoint of epoch 2 is gone, or names a chunk the
+// store does not hold, publishes no verdict, writes nothing to the
+// decision log and returns a *ResumeError from its first RunOnce.
+func TestAuditorResumeWithoutCheckpoint(t *testing.T) {
+	dir := t.TempDir()
+	prog, srv, mgr := startPipeline(t, dir, 20)
+	for b := 0; b < 3; b++ {
+		srv.ServeAllContext(context.Background(), burst(12, b), 3)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	full := NewAuditor(prog, dir, AuditorOptions{Checkpoints: true})
+	if _, err := full.RunOnce(context.Background()); err != nil || len(full.Verdicts()) < 3 {
+		t.Fatalf("full audit: %v %+v", err, full.Verdicts())
+	}
+	full.Decisions().Close()
+	logPath := filepath.Join(dir, DecisionLogName)
+	before, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ckpt := checkpointPath(dir, 2)
+	for _, tc := range []struct {
+		name string
+		edit func() error
+	}{
+		{"ref list missing", func() error { return os.Remove(ckpt) }},
+		{"chunk missing", func() error {
+			return os.WriteFile(ckpt, []byte(`{"epoch":2,"chunks":[{"sha256":"`+strings.Repeat("0", 64)+`","bytes":1}]}`), 0o644)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.edit(); err != nil {
+				t.Fatal(err)
+			}
+			tail := NewAuditor(prog, dir, AuditorOptions{From: 3, Checkpoints: true})
+			n, err := tail.RunOnce(context.Background())
+			var re *ResumeError
+			if n != 0 || !errors.As(err, &re) || re.From != 3 {
+				t.Fatalf("RunOnce = %d, %v; want 0 and a *ResumeError for epoch 3", n, err)
+			}
+			for _, v := range tail.Verdicts() {
+				if v.Epoch >= 3 {
+					t.Fatalf("a verdict was published without a trusted initial state: %+v", v)
+				}
+			}
+			if d := tail.Decisions(); d != nil {
+				d.Close()
+			}
+			after, err := os.ReadFile(logPath)
+			if err != nil || !bytes.Equal(after, before) {
+				t.Fatalf("the decision log changed (%v)", err)
+			}
+		})
 	}
 }
 

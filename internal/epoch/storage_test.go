@@ -695,11 +695,11 @@ func TestCheckpointsAreRefLists(t *testing.T) {
 			for _, r := range refs {
 				shas[r.SHA256] = true
 			}
-			snap, err := LoadCheckpoint(dir, e)
+			st, err := loadCheckpoint(dir, e)
 			if err != nil {
 				t.Fatalf("epoch %d checkpoint does not load: %v", e, err)
 			}
-			raw, err := snap.EncodeRaw()
+			raw, err := st.Snap.EncodeRaw()
 			if err != nil {
 				t.Fatal(err)
 			}

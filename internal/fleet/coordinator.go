@@ -23,11 +23,6 @@ import (
 
 // CoordinatorOptions configures a fleet coordinator.
 type CoordinatorOptions struct {
-	// LeaseTimeout is how long a worker may hold an epoch without
-	// activity before the lease is reassigned (default 2m). An init
-	// request renews it, and so does the renewal a worker sends every
-	// third of it while it audits (Lease.RenewMS).
-	LeaseTimeout time.Duration
 	// CrossCheck is the fraction of epochs, in [0, 1], whose verdict
 	// is believed only once crossCheckQuorum leases agree on it (0 =
 	// none, 1 = every epoch). Epochs are sampled deterministically from
@@ -40,11 +35,22 @@ type CoordinatorOptions struct {
 	// RetryMS is the wait hint returned when no lease is available
 	// (default 300).
 	RetryMS int
+
+	// leaseTimeout replaces the leaseTimeout constant; only this
+	// package's tests set it, to let a lease lapse in milliseconds.
+	leaseTimeout time.Duration
 }
 
+// leaseTimeout is how long a worker may hold an epoch without activity
+// before the lease is reassigned. An init request renews it, and so
+// does the renewal a worker sends every third of it while it audits
+// (Lease.RenewMS), so it only bounds how long a dead worker's epoch
+// waits to be leased again.
+const leaseTimeout = 2 * time.Minute
+
 func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
-	if o.LeaseTimeout <= 0 {
-		o.LeaseTimeout = 2 * time.Minute
+	if o.leaseTimeout <= 0 {
+		o.leaseTimeout = leaseTimeout
 	}
 	if o.RetryMS <= 0 {
 		o.RetryMS = 300
@@ -273,14 +279,14 @@ func NewCoordinator(dir string, opts CoordinatorOptions) (*Coordinator, error) {
 		accepted = d.Accepted
 	}
 	var init epoch.State
-	if from > 1 && accepted && c.states[from] != nil {
+	if accepted && c.states[from] != nil {
 		// More epochs to audit: the hand-off needs the last accepted
 		// epoch's verified final snapshot. Its checkpoint already is the
 		// ref list workers are handed; the chunks stay where they are
 		// until deriveLoop needs the state itself.
-		if init.Refs, err = epoch.LoadCheckpointRefs(dir, from-1); err != nil {
+		if init, err = epoch.ResumeState(dir, from); err != nil {
 			log.Close()
-			return nil, fmt.Errorf("fleet: resuming at epoch %d needs epoch %d's checkpoint: %w", from, from-1, err)
+			return nil, err
 		}
 	}
 	c.ledger = epoch.NewLedger(dir, log, from, init, true)
@@ -367,7 +373,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.expireLocked()
 	if req.Renew != "" {
 		if l := c.leases[req.Renew]; l != nil && l.worker == req.Worker {
-			l.deadline = c.now().Add(c.opts.LeaseTimeout)
+			l.deadline = c.now().Add(c.opts.leaseTimeout)
 		}
 		c.mu.Unlock()
 		c.respondJSON(w, LeaseResponse{})
@@ -411,7 +417,7 @@ func (c *Coordinator) grantLocked(worker string) *Lease {
 			epoch:    n,
 			worker:   worker,
 			cross:    st.cross && st.outstanding() > 0,
-			deadline: c.now().Add(c.opts.LeaseTimeout),
+			deadline: c.now().Add(c.opts.leaseTimeout),
 		}
 		st.active[l.id] = l
 		c.leases[l.id] = l
@@ -423,7 +429,7 @@ func (c *Coordinator) grantLocked(worker string) *Lease {
 			InitManifest:    n == 1,
 			CrossCheck:      l.cross,
 			DeadlineUnix:    l.deadline.Unix(),
-			RenewMS:         (c.opts.LeaseTimeout / 3).Milliseconds(),
+			RenewMS:         (c.opts.leaseTimeout / 3).Milliseconds(),
 		}
 		if n > c.leasedTo {
 			c.leasedTo = n
@@ -463,7 +469,7 @@ const maxInitWait = 15 * time.Second
 // initWait is how long one init request may be held: short of
 // maxInitWait, and well inside the lease it renewed on arrival.
 func (c *Coordinator) initWait() time.Duration {
-	return min(maxInitWait, c.opts.LeaseTimeout/3)
+	return min(maxInitWait, c.opts.leaseTimeout/3)
 }
 
 // handleInit serves the initial state a leased epoch is to be audited
@@ -498,7 +504,7 @@ func (c *Coordinator) handleInit(w http.ResponseWriter, r *http.Request) {
 			http.Error(w, "lease gone", http.StatusGone)
 			return
 		}
-		l.deadline = c.now().Add(c.opts.LeaseTimeout) // activity renews
+		l.deadline = c.now().Add(c.opts.leaseTimeout) // activity renews
 		c.workers[l.worker] = c.now()
 		var refs []cas.Ref
 		if n == c.ledger.Next() {
@@ -663,8 +669,8 @@ func (c *Coordinator) deriveLoop(next int64, base epoch.State) {
 
 		start = time.Now()
 		var err error
-		if prev == nil && base.Refs != nil {
-			if prev, err = c.readState(base.Refs); err != nil {
+		if prev == nil {
+			if prev, err = base.Snapshot(c.store); err != nil {
 				err = fmt.Errorf("fleet: reading epoch %d's initial state: %w", n, err)
 			}
 		}
@@ -744,7 +750,7 @@ func (c *Coordinator) loadInputs(s *epoch.Sealed) (*epoch.Loaded, string) {
 func (c *Coordinator) derive(s *epoch.Sealed, ld *epoch.Loaded, prev *object.Snapshot) (snap *object.Snapshot, refs []cas.Ref, why string, err error) {
 	if s.Compacted {
 		if refs, err = epoch.LoadCheckpointRefs(c.dir, s.Number); err == nil {
-			snap, err = c.readState(refs)
+			snap, err = epoch.State{Refs: refs}.Snapshot(c.store)
 		}
 		if err != nil {
 			return nil, nil, err.Error(), nil
@@ -781,15 +787,6 @@ func (c *Coordinator) recordStateLocked(n int64, refs []cas.Ref, spent time.Dura
 	c.stateDeriveTime += spent
 	c.wakeLocked()
 	c.advanceLocked()
-}
-
-// readState reads a state filed as refs into the chain store.
-func (c *Coordinator) readState(refs []cas.Ref) (*object.Snapshot, error) {
-	raw, err := cas.ReadBlob(c.store, refs)
-	if err != nil {
-		return nil, err
-	}
-	return object.DecodeSnapshotRaw(raw)
 }
 
 // advanceLocked publishes decisions strictly in chain order: what the
@@ -887,7 +884,7 @@ func (c *Coordinator) verdictFromPosts(st *epochState) (*epoch.Verdict, epoch.St
 		return &v, epoch.State{}
 	}
 	v.Accepted, v.Reason, v.Forensics = p.Accepted, p.Reason, p.Forensics
-	v.AuditTime, v.Stats = p.Stats.Total, p.Stats
+	v.Stats = p.Stats
 	if !v.Accepted {
 		return &v, epoch.State{}
 	}

@@ -338,8 +338,16 @@ func TestFleetCheckpointRetry(t *testing.T) {
 	if w := coord.Warnings(); len(w) != 0 {
 		t.Fatalf("every checkpoint was written in the end, yet: %v", w)
 	}
+	store, err := epoch.OpenChainStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, v := range coord.Verdicts() {
-		if _, err := epoch.LoadCheckpoint(dir, v.Epoch); err != nil {
+		refs, err := epoch.LoadCheckpointRefs(dir, v.Epoch)
+		if err == nil {
+			_, err = epoch.State{Refs: refs}.Snapshot(store)
+		}
+		if err != nil {
 			t.Fatalf("epoch %d's checkpoint missing after the retry: %v", v.Epoch, err)
 		}
 	}

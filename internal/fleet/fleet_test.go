@@ -548,7 +548,7 @@ func TestFleetLeaseExpiryAndStaleVerdicts(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(dir, CoordinatorOptions{To: 1, LeaseTimeout: time.Minute, RetryMS: 10})
+	coord, err := NewCoordinator(dir, CoordinatorOptions{To: 1, leaseTimeout: time.Minute, RetryMS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -628,7 +628,7 @@ func TestLeaseRenewedWhileAuditing(t *testing.T) {
 	dir := t.TempDir()
 	prog := sealTestChain(t, dir)
 	const timeout = 300 * time.Millisecond
-	coord, ts := startFleet(t, dir, CoordinatorOptions{To: 2, LeaseTimeout: timeout})
+	coord, ts := startFleet(t, dir, CoordinatorOptions{To: 2, leaseTimeout: timeout})
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 	defer cancel()
 	st, err := RunWorker(ctx, prog, WorkerOptions{
@@ -668,7 +668,7 @@ func TestAbandonedLeaseIsHandedBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(dir, CoordinatorOptions{LeaseTimeout: time.Minute, RetryMS: 10})
+	coord, err := NewCoordinator(dir, CoordinatorOptions{leaseTimeout: time.Minute, RetryMS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -326,7 +326,7 @@ func TestInitLongPoll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(dir, CoordinatorOptions{LeaseTimeout: 30 * time.Second, RetryMS: 10})
+	coord, err := NewCoordinator(dir, CoordinatorOptions{leaseTimeout: 30 * time.Second, RetryMS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +564,7 @@ func TestForeignInitVerdictIsDiscarded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(dir, CoordinatorOptions{LeaseTimeout: time.Minute, RetryMS: 10})
+	coord, err := NewCoordinator(dir, CoordinatorOptions{leaseTimeout: time.Minute, RetryMS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,7 +630,7 @@ func TestInitAbandonsForOrphanedEarlierEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coord, err := NewCoordinator(dir, CoordinatorOptions{LeaseTimeout: time.Minute, RetryMS: 10})
+	coord, err := NewCoordinator(dir, CoordinatorOptions{leaseTimeout: time.Minute, RetryMS: 10})
 	if err != nil {
 		t.Fatal(err)
 	}

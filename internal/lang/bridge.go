@@ -57,22 +57,6 @@ type Bridge interface {
 	NonDet(rid string, fn string, args []Value) (Value, error)
 }
 
-// NopBridge is a Bridge for programs that use no shared state; all state
-// operations fail and nondeterministic builtins return zero values. It
-// backs ModePlain microbenchmarks and pure-compute tests.
-type NopBridge struct{}
-
-func (NopBridge) RegisterRead(string, int, string) (Value, error) {
-	return nil, errNoState
-}
-func (NopBridge) RegisterWrite(string, int, string, Value) error { return errNoState }
-func (NopBridge) KvGet(string, int, string) (Value, error)       { return nil, errNoState }
-func (NopBridge) KvSet(string, int, string, Value) error         { return errNoState }
-func (NopBridge) DBOp(string, int, []string) (Value, error)      { return nil, errNoState }
-func (NopBridge) NonDet(string, string, []Value) (Value, error)  { return int64(0), nil }
-
-var errNoState = &RuntimeError{Msg: "no shared-state bridge configured"}
-
 // RuntimeError is an application-level runtime error (bad SQL, missing
 // function, illegal operand). On the server it becomes an error
 // response; during an audit it causes rejection.

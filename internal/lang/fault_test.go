@@ -259,3 +259,19 @@ func TestFaultOpCountExcludesFaultedCall(t *testing.T) {
 		t.Fatalf("OpCount = %d, want 0 (the faulting call issued no operation)", res.OpCount)
 	}
 }
+
+// NopBridge is a Bridge for programs that use no shared state; all state
+// operations fail and nondeterministic builtins return zero values. It
+// backs the pure-compute tests.
+type NopBridge struct{}
+
+func (NopBridge) RegisterRead(string, int, string) (Value, error) {
+	return nil, errNoState
+}
+func (NopBridge) RegisterWrite(string, int, string, Value) error { return errNoState }
+func (NopBridge) KvGet(string, int, string) (Value, error)       { return nil, errNoState }
+func (NopBridge) KvSet(string, int, string, Value) error         { return errNoState }
+func (NopBridge) DBOp(string, int, []string) (Value, error)      { return nil, errNoState }
+func (NopBridge) NonDet(string, string, []Value) (Value, error)  { return int64(0), nil }
+
+var errNoState = &RuntimeError{Msg: "no shared-state bridge configured"}

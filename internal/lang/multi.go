@@ -1,7 +1,5 @@
 package lang
 
-import "fmt"
-
 // Multi is a multivalue (§3.1, §4.3): a vector holding one concrete value
 // per re-executed request ("lane") in a control-flow group. The
 // invariants are:
@@ -56,25 +54,6 @@ func Lane(v Value, i int) Value {
 		return m.V[i]
 	}
 	return v
-}
-
-// Expand turns v into an explicit per-lane slice of length lanes,
-// handing a univalue to every lane with CloneValue (scalar expansion):
-// the lanes share one array until a lane writes its own copy.
-func Expand(v Value, lanes int) []Value {
-	out := make([]Value, lanes)
-	if m, ok := v.(*Multi); ok {
-		if len(m.V) != lanes {
-			panic(fmt.Sprintf("lang: multivalue cardinality %d != lanes %d", len(m.V), lanes))
-		}
-		copy(out, m.V)
-		return out
-	}
-	v = CloneValue(v)
-	for i := range out {
-		out[i] = v
-	}
-	return out
 }
 
 // Collapse re-checks a possibly-multivalue and collapses it if its lanes

@@ -453,3 +453,22 @@ func TestMaterializeLane(t *testing.T) {
 		t.Fatal("multivalue-free array should not be copied")
 	}
 }
+
+// Expand turns v into an explicit per-lane slice of length lanes,
+// handing a univalue to every lane with CloneValue (scalar expansion):
+// the lanes share one array until a lane writes its own copy.
+func Expand(v Value, lanes int) []Value {
+	out := make([]Value, lanes)
+	if m, ok := v.(*Multi); ok {
+		if len(m.V) != lanes {
+			panic(fmt.Sprintf("lang: multivalue cardinality %d != lanes %d", len(m.V), lanes))
+		}
+		copy(out, m.V)
+		return out
+	}
+	v = CloneValue(v)
+	for i := range out {
+		out[i] = v
+	}
+	return out
+}

@@ -1,0 +1,8 @@
+//go:build race
+
+package server
+
+// raceEnabled reports a build with the race detector. Its
+// instrumentation allocates on its own, so an allocation budget is
+// checked only without it.
+const raceEnabled = true

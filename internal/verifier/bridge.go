@@ -47,11 +47,11 @@ type auditEnv struct {
 	sqlCache  map[string]sqlmini.Stmt
 	convCache map[*sqlmini.Result]lang.Value
 	// mu guards the caches: the grouped verifier re-executes groups on a
-	// worker pool (Options.Workers) and the OOO audit (Appendix A) steps
-	// many request goroutines, so bridge calls overlap. Everything else
-	// here is either immutable during Phase 3 (rep, opMap, initRegs) or
-	// read-only after its Phase 2 build completes (vdb, vkv — versioned
-	// reads are pure lookups).
+	// worker pool (Options.Workers), and the out-of-order oracle in the
+	// tests steps many request goroutines, so bridge calls overlap.
+	// Everything else here is either immutable during Phase 3 (rep,
+	// opMap, initRegs) or read-only after its Phase 2 build completes
+	// (vdb, vkv — versioned reads are pure lookups).
 	mu sync.Mutex
 	// dbQueryNanos accumulates versioned-SELECT time (atomically).
 	dbQueryNanos atomic.Int64

@@ -143,10 +143,10 @@ type rejection struct {
 }
 
 // forensicsFromReject lifts a core.RejectError — the typed reject the
-// deeper layers (ProcessOpReports, the audit bridge, the OOO scheduler)
-// raise — into a Forensics record. The error's Stage becomes the check
-// slug and its RID, when the check attributed one, the offending
-// request.
+// deeper layers (ProcessOpReports, the audit bridge, the out-of-order
+// oracle's scheduler) raise — into a Forensics record. The error's
+// Stage becomes the check slug and its RID, when the check attributed
+// one, the offending request.
 func forensicsFromReject(phase string, rej *core.RejectError) *Forensics {
 	return &Forensics{
 		Phase:     phase,

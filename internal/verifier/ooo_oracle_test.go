@@ -17,12 +17,10 @@ import (
 // an audit that re-executes requests *individually*, out of order,
 // following an op schedule — a topological sort of the event graph G.
 // It is the theoretical bridge between grouped SIMD re-execution and
-// physical execution in the correctness proofs (Lemmas 5-8).
-//
-// In this reproduction it serves three purposes: a differential oracle
-// for the production verifier (both must agree on every verdict), the
-// ablation baseline that isolates what grouping buys (EXPERIMENTS.md),
-// and an executable rendition of the proofs' central construction.
+// physical execution in the correctness proofs (Lemmas 5-8). The
+// verifier never runs it, so it lives in the package's tests, as the
+// differential oracle for grouped re-execution: the two audits share
+// Prepare and must agree on every verdict.
 //
 // Mechanically, each request runs in its own goroutine in single-lane
 // SIMD mode; its bridge blocks before every state operation until the

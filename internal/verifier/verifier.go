@@ -166,7 +166,7 @@ type Prepared struct {
 	init *object.Snapshot
 	env  *auditEnv
 	// graph is Phase 1's event graph G, whose topological order is the
-	// OOO audit's op schedule.
+	// op schedule of the out-of-order oracle in this package's tests.
 	graph *core.EventGraph
 	stats Stats         // the Phase 1–2 timings
 	spent time.Duration // wall time inside Prepare
