@@ -414,6 +414,9 @@ func fig11App(name string, w *workload.Workload, scale, conc int) {
 	}
 	fmt.Printf("total groups: %d; groups with n>1: %d; mean alpha %.3f; min alpha %.3f\n",
 		len(groups), nBig, alphaSum/float64(len(groups)), alphaMin)
+	st := res.Stats
+	fmt.Printf("builtin calls on multivalues: %d lane calls, %d runs (%.2f lane calls per run)\n",
+		st.BuiltinLaneCalls, st.BuiltinRuns, float64(st.BuiltinLaneCalls)/float64(max(st.BuiltinRuns, 1)))
 	tw := tabwriter.NewWriter(os.Stdout, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "script\tn (requests)\tl (instructions)\talpha")
 	for i, g := range groups {

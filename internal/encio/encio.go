@@ -23,15 +23,45 @@ const gzipLevel = 4
 // A gzip.Writer carries about a megabyte of deflate state and a
 // gzip.Reader its window and Huffman tables; sealing builds one per
 // chunk and readers one per chunk read, so both are reused. Reset
-// returns them to their initial state, so pooled and fresh instances
-// produce the same bytes.
+// returns them to their initial state, so reused and fresh instances
+// produce the same bytes. Writers are kept on a free list rather than
+// in a sync.Pool, which every GC empties: a pool made the next seal
+// chunk or coordinator filing after each GC build a fresh compressor.
 var (
-	gzipWriters = sync.Pool{New: func() any {
-		zw, _ := gzip.NewWriterLevel(nil, gzipLevel) // fails only for a level outside [-2, 9]
-		return zw
-	}}
+	gzipWriters struct {
+		sync.Mutex
+		idle []*gzip.Writer
+	}
 	gzipReaders = sync.Pool{New: func() any { return new(gunzipper) }}
 )
+
+// maxIdleGzipWriters bounds the writers kept between streams: as many
+// as streams are compressed at once in one process (the sealer's and a
+// coordinator's), with room to spare.
+const maxIdleGzipWriters = 4
+
+// gzipWriter returns an idle writer reset to write to w, or a new one.
+func gzipWriter(w io.Writer) *gzip.Writer {
+	gzipWriters.Lock()
+	defer gzipWriters.Unlock()
+	if n := len(gzipWriters.idle); n > 0 {
+		zw := gzipWriters.idle[n-1]
+		gzipWriters.idle = gzipWriters.idle[:n-1]
+		zw.Reset(w)
+		return zw
+	}
+	zw, _ := gzip.NewWriterLevel(w, gzipLevel) // fails only for a level outside [-2, 9]
+	return zw
+}
+
+// idleGzipWriter keeps zw for a later stream, unless enough are idle.
+func idleGzipWriter(zw *gzip.Writer) {
+	gzipWriters.Lock()
+	defer gzipWriters.Unlock()
+	if len(gzipWriters.idle) < maxIdleGzipWriters {
+		gzipWriters.idle = append(gzipWriters.idle, zw)
+	}
+}
 
 // gunzipper is a pooled gzip.Reader with the bytes.Reader it reads
 // from, so inflating a stream allocates little beyond its output.
@@ -48,9 +78,8 @@ const maxDeflateRatio = 1032
 // Gzip compresses data into one gzip stream at gzipLevel.
 func Gzip(data []byte) ([]byte, error) {
 	var buf bytes.Buffer
-	zw := gzipWriters.Get().(*gzip.Writer)
-	defer gzipWriters.Put(zw)
-	zw.Reset(&buf)
+	zw := gzipWriter(&buf)
+	defer idleGzipWriter(zw)
 	if _, err := zw.Write(data); err != nil {
 		return nil, err
 	}

@@ -136,3 +136,40 @@ func TestGunzipOneOutputBuffer(t *testing.T) {
 		t.Fatalf("inflating %d bytes allocated %d bytes per run, want one buffer of the output's size", len(data), per)
 	}
 }
+
+// TestGzipWriterSurvivesGC: a Gzip after two collections (which empty
+// a sync.Pool and its victim cache) reuses an idle compressor instead
+// of building a new one of about a megabyte, and writes the bytes a
+// fresh writer at gzipLevel writes. Under the race detector only the
+// bytes are checked.
+func TestGzipWriterSurvivesGC(t *testing.T) {
+	data := testData(4<<10, 4)
+	var want bytes.Buffer
+	zw, err := gzip.NewWriterLevel(&want, gzipLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := zw.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := zw.Close(); err != nil {
+		t.Fatal(err)
+	}
+	mustGzip(t, data) // leaves a writer idle
+	runtime.GC()
+	runtime.GC()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := mustGzip(t, data)
+	runtime.ReadMemStats(&after)
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("a reused writer wrote %d bytes that differ from a fresh writer's %d", len(got), want.Len())
+	}
+	if raceEnabled {
+		t.Log("allocation budget not checked under the race detector")
+		return
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+		t.Fatalf("Gzip after a GC allocated %d bytes, want no new compressor", n)
+	}
+}

@@ -71,10 +71,13 @@ func hotcrpMix() *workload.Workload {
 // allocated per request: fixed-seed wiki, forum and hotcrp mixes are
 // served, audited once at Workers 1 to warm up, and audited again while
 // the process's allocated bytes are counted. The budgets are the bytes
-// measured when string multivalues became part lists (12 653, 8 909
-// and 18 262 B/req), plus 10 %; the build before, which rewrote every
-// lane's string at each `.` of two multivalues, allocated 14 190,
-// 11 210 and 79 960.
+// measured when string multivalues became part lists (12 653 and 8 909
+// B/req for wiki and forum), plus 10 %; the build before, which
+// rewrote every lane's string at each `.` of two multivalues,
+// allocated 14 190 and 11 210. HotCRP's is the 9 955 B/req measured
+// when lanes with identical builtin arguments began to share one call
+// and SQL string literals to be copied once, plus 10 %; it was 18 262
+// before that, and 79 960 before part lists.
 func TestAuditBytesPerRequest(t *testing.T) {
 	for _, c := range []struct {
 		name   string
@@ -83,7 +86,7 @@ func TestAuditBytesPerRequest(t *testing.T) {
 	}{
 		{"wiki", workload.Wiki(workload.WikiParams{Requests: 600, Pages: 200, ZipfS: 0.53, Seed: 7}), 13918},
 		{"forum", workload.Forum(workload.ForumParams{Requests: 600, Topics: 21, Users: 83, GuestRatio: 40.0 / 41.0, Seed: 7}), 9800},
-		{"hotcrp", hotcrpMix(), 20088},
+		{"hotcrp", hotcrpMix(), 10950},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			served, err := Serve(c.w, server.Options{Record: true}, 1)

@@ -24,20 +24,42 @@ func (ex *exec) anyMulti(vals ...Value) bool {
 // contains a multivalue (§4.3 "Built-in functions"): the runtime splits
 // the multivalue arguments into univalues, copies container arguments,
 // executes the builtin once per lane, and merges the results back into a
-// multivalue.
+// multivalue. A lane whose arguments are identical to an earlier lane's
+// takes that lane's outcome instead of running the builtin (memo.go).
 func (ex *exec) invokeBuiltin(name string, fn builtinFn, args []Value, line int) (Value, error) {
 	if !ex.anyMulti(args...) {
 		ex.countInstr(false)
 		return ex.callBudgeted(fn, args, line)
 	}
 	ex.countInstr(true)
-	return ex.forLanes(func(i int) (Value, error) {
-		laneArgs := make([]Value, len(args))
+	var m *laneMemo
+	if memoEligible(args) {
+		m = ex.memo(len(args))
+	}
+	laneArgs := make([]Value, len(args)) // a builtin keeps no argument, so lanes take turns
+	v, err := ex.forLanes(func(i int) (Value, error) {
+		keyed := false
+		if m != nil {
+			var first int
+			if first, keyed = m.find(args, i); keyed && first != i {
+				ex.countBuiltin(false)
+				return CloneValue(m.outs[first].v), m.outs[first].err
+			}
+		}
+		ex.countBuiltin(true)
 		for j, a := range args {
 			laneArgs[j] = ex.copyValue(MaterializeLane(a, i))
 		}
-		return ex.callBudgeted(fn, laneArgs, line)
+		v, err := ex.callBudgeted(fn, laneArgs, line)
+		if keyed {
+			m.outs[i] = laneOut{v, err}
+		}
+		return v, err
 	})
+	if m != nil {
+		clear(m.outs)
+	}
+	return v, err
 }
 
 // callBudgeted runs a builtin and holds whatever string it returns to

@@ -108,11 +108,13 @@ func unknownScriptResult(cfg Config, lanes int) (*Result, error) {
 // by both engines.
 func finishRun(ex *exec, err error) (*Result, error) {
 	res := &Result{
-		OpCount:    ex.opnum - 1,
-		InstrUni:   ex.instrUni,
-		InstrMulti: ex.instrMulti,
-		Steps:      ex.steps,
-		out:        ex.out,
+		OpCount:          ex.opnum - 1,
+		InstrUni:         ex.instrUni,
+		InstrMulti:       ex.instrMulti,
+		BuiltinLaneCalls: ex.builtinLaneCalls,
+		BuiltinRuns:      ex.builtinRuns,
+		Steps:            ex.steps,
+		out:              ex.out,
 	}
 	if err != nil {
 		var rt *RuntimeError

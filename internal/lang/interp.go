@@ -75,6 +75,11 @@ type Result struct {
 	// multivalently (CollectStats only).
 	InstrUni   int64
 	InstrMulti int64
+	// BuiltinLaneCalls counts the lanes of pure builtin calls on
+	// multivalues, and BuiltinRuns the builtin runs they took: a lane
+	// whose arguments are identical to an earlier lane's reuses its
+	// outcome (CollectStats only).
+	BuiltinLaneCalls, BuiltinRuns int64
 	// Steps counts executed statements.
 	Steps int64
 
@@ -169,6 +174,14 @@ type exec struct {
 	instrMulti int64
 	callDepth  int
 
+	// builtinLaneCalls and builtinRuns count the lanes of builtin calls
+	// on multivalues and the builtin runs they took (CollectStats only).
+	builtinLaneCalls int64
+	builtinRuns      int64
+	// lmemo finds lanes of a builtin call with identical arguments
+	// (memo.go).
+	lmemo *laneMemo
+
 	// Compiled-engine state: the global frame as resolved slots plus a
 	// presence bitmap (present-with-nil and absent differ only for
 	// isset, whose index expressions must or must not evaluate).
@@ -199,6 +212,18 @@ func (ex *exec) countInstr(multi bool) {
 		ex.instrMulti++
 	} else {
 		ex.instrUni++
+	}
+}
+
+// countBuiltin counts one lane of a builtin call on a multivalue, and
+// the builtin run the lane took when ran is set.
+func (ex *exec) countBuiltin(ran bool) {
+	if !ex.stats {
+		return
+	}
+	ex.builtinLaneCalls++
+	if ran {
+		ex.builtinRuns++
 	}
 }
 

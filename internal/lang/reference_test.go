@@ -736,9 +736,28 @@ func (ex *exec) evalCall(sc *scope, call *Call) (Value, error) {
 			}
 			args[i] = v
 		}
-		return ex.invokeBuiltin(call.Name, b, args, call.Line)
+		return ex.callBuiltinPerLane(b, args, call.Line)
 	}
 	return nil, &RuntimeError{Msg: fmt.Sprintf("call to undefined function %s()", call.Name), Line: call.Line}
+}
+
+// callBuiltinPerLane is the reference's pure builtin call: split into
+// every lane when any argument holds a multivalue, with no lane reusing
+// another's outcome, so the engine differential checks the production
+// engine's lane memo (memo.go) against plain per-lane calls.
+func (ex *exec) callBuiltinPerLane(fn builtinFn, args []Value, line int) (Value, error) {
+	if !ex.anyMulti(args...) {
+		ex.countInstr(false)
+		return ex.callBudgeted(fn, args, line)
+	}
+	ex.countInstr(true)
+	return ex.forLanes(func(i int) (Value, error) {
+		laneArgs := make([]Value, len(args))
+		for j, a := range args {
+			laneArgs[j] = ex.copyValue(MaterializeLane(a, i))
+		}
+		return ex.callBudgeted(fn, laneArgs, line)
+	})
 }
 
 // callUser invokes a user-defined function with PHP value semantics

@@ -200,24 +200,12 @@ func (l *sqlLexer) next() (sqlToken, error) {
 		}
 		return sqlToken{kind: sqlNumber, val: n}, nil
 	case c == '\'':
-		l.pos++
-		var b strings.Builder
-		for l.pos < len(l.src) {
-			ch := l.src[l.pos]
-			if ch == '\'' {
-				// '' is an escaped quote.
-				if l.pos+1 < len(l.src) && l.src[l.pos+1] == '\'' {
-					b.WriteByte('\'')
-					l.pos += 2
-					continue
-				}
-				l.pos++
-				return sqlToken{kind: sqlString, val: b.String()}, nil
-			}
-			b.WriteByte(ch)
-			l.pos++
+		v, n, err := scanSQLString(l.src[l.pos:])
+		if err != nil {
+			return sqlToken{}, err
 		}
-		return sqlToken{}, fmt.Errorf("sqlmini: unterminated string")
+		l.pos += n
+		return sqlToken{kind: sqlString, val: v}, nil
 	default:
 		for _, op := range []string{"<=", ">=", "<>", "!=", "=", "<", ">", "(", ")", ",", "*", ";", "+", "-"} {
 			if strings.HasPrefix(l.src[l.pos:], op) {
@@ -226,6 +214,33 @@ func (l *sqlLexer) next() (sqlToken, error) {
 			}
 		}
 		return sqlToken{}, fmt.Errorf("sqlmini: unexpected character %q", c)
+	}
+}
+
+// scanSQLString scans the string literal src opens with a quote, up to
+// the closing quote; inside it a doubled quote stands for one quote.
+// It returns the literal's value and the bytes it spans. The value is a
+// copy, so a literal never pins the statement text (a whole review body
+// logged in an INSERT, say) or the buffer that text was built in.
+func scanSQLString(src string) (string, int, error) {
+	var b strings.Builder
+	i := 1
+	for {
+		j := strings.IndexByte(src[i:], '\'')
+		if j < 0 {
+			return "", 0, fmt.Errorf("sqlmini: unterminated string")
+		}
+		j += i
+		if j+1 < len(src) && src[j+1] == '\'' {
+			b.WriteString(src[i : j+1]) // the run and one quote
+			i = j + 2
+			continue
+		}
+		if b.Len() == 0 {
+			return strings.Clone(src[i:j]), j + 1, nil
+		}
+		b.WriteString(src[i:j])
+		return b.String(), j + 1, nil
 	}
 }
 

@@ -317,6 +317,8 @@ func mergeStats(dst, src *Stats) {
 	dst.DedupMisses += src.DedupMisses
 	dst.InstrUni += src.InstrUni
 	dst.InstrMulti += src.InstrMulti
+	dst.BuiltinLaneCalls += src.BuiltinLaneCalls
+	dst.BuiltinRuns += src.BuiltinRuns
 	dst.Groups = append(dst.Groups, src.Groups...)
 	dst.FallbackRequests += src.FallbackRequests
 }

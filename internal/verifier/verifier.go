@@ -83,6 +83,10 @@ type Stats struct {
 	DedupHits, DedupMisses int64
 	// Instruction counts across all groups.
 	InstrUni, InstrMulti int64
+	// BuiltinLaneCalls counts the lanes of pure builtin calls on
+	// multivalues across all groups, and BuiltinRuns the builtin runs
+	// they took: lanes with identical arguments share one run.
+	BuiltinLaneCalls, BuiltinRuns int64
 	// Groups re-executed; FallbackRequests counts requests replayed
 	// individually after a multivalue-mixture fallback (§4.3).
 	Groups           []GroupStat
@@ -645,6 +649,8 @@ func runGroup(prog *lang.Program, env *auditEnv, script string, tag uint64, rids
 		}
 		stats.InstrUni += res.InstrUni
 		stats.InstrMulti += res.InstrMulti
+		stats.BuiltinLaneCalls += res.BuiltinLaneCalls
+		stats.BuiltinRuns += res.BuiltinRuns
 		stats.Groups = append(stats.Groups, GroupStat{
 			Tag: tag, Script: script, N: len(rids), Len: total, Alpha: alpha,
 		})
